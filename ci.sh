@@ -42,7 +42,7 @@ if [[ "${1:-}" != "quick" ]]; then
     cargo run -q -p an2-bench --release --bin experiments -- n5 --json
     cargo run -q -p an2-bench --release --bin experiments -- n4 --trace
 
-    echo "== parallel data plane scaling (N6 asserts digest equality + monotone speedup)"
+    echo "== sharded data plane on the clock (N6 asserts digest equality at every shard count + 2 shards beating 1 on >= 2 cores; nproc = $(nproc))"
     cargo run -q -p an2-bench --release --bin experiments -- n6 --json
 
     echo "== watermark + wide-radix equivalence (batched engine is byte-identical)"

@@ -21,6 +21,7 @@
 //! hot path while producing byte-identical results to the preserved
 //! map-based oracle in [`crate::reference`] (enforced by property tests).
 
+use crate::shard::{self, Chunk, Cmd, Delivery, Lane, Lead, ShardLayout};
 use an2_cells::signal::{SignalMsg, TrafficClass};
 use an2_cells::{Cell, CellKind, CellPool, CellQueue, Packet, Reassembler, VcId};
 use an2_faults::{Fate, FaultInjector, FaultSpec, HEADER_BITS};
@@ -28,10 +29,11 @@ use an2_flow::{resync, CreditReceiver, CreditSender};
 use an2_reconfig::protocol::ProtocolMsg as CtrlMsg;
 use an2_sim::metrics::Histogram;
 use an2_sim::SimRng;
-use an2_switch::{Departure, Switch, SwitchConfig};
+use an2_switch::{Switch, SwitchConfig};
 use an2_topology::{HostId, LinkId, LinkState, Node, SwitchId, Topology};
 use an2_trace::{DropReason, Entity, Hop, TraceEvent, Tracer};
 use std::collections::VecDeque;
+use std::sync::Mutex;
 
 /// Fabric-wide configuration.
 #[derive(Debug, Clone)]
@@ -420,14 +422,24 @@ pub struct Fabric {
     /// plane byte-identical to the sequential one: a switch's draws depend
     /// only on its own history, never on which thread stepped it.
     switch_rngs: Vec<SimRng>,
-    /// Shard id per switch (all zeros until [`Fabric::set_shards`]).
-    shard_plan: Vec<u32>,
-    /// Number of data-plane shards; 1 = sequential stepping.
-    num_shards: usize,
-    /// Busy switch-steps accumulated per shard: the work model behind the
-    /// N6 speedup curve (sum over shards / max shard ≈ parallel speedup
-    /// bound under the conservative barrier).
+    /// The shard plan compiled for the slot loop (one run covering every
+    /// switch until [`Fabric::set_shards`]).
+    layout: ShardLayout,
+    /// One lane per shard: the switch phase's inboxes, departure buffers
+    /// and per-slot counters, reused across slots and `step` calls.
+    lanes: Vec<Lane>,
+    /// Threads a `step` call may put on the lanes, the lead included:
+    /// `min(shards, available_parallelism)`, sampled by `set_shards`.
+    /// Spinning hand-offs with more threads than cores are a livelock in
+    /// waiting, so surplus shards are multiplexed instead.
+    crew_threads: usize,
+    /// Busy switch-steps accumulated per shard: a count of where the
+    /// switch-phase work landed (sum / max = the balance of the plan).
     shard_work: Vec<u64>,
+    /// Signalled set-ups whose cell is still travelling. Their line-card
+    /// processing edits switch tables from the agenda drain, so while any
+    /// is in flight the switches stay with the lead.
+    setups_in_flight: usize,
     /// Deterministic fault layer (`None` until [`Fabric::attach_faults`]);
     /// every hot-path hook is gated on it being present, so a fault-free
     /// fabric runs byte-identically to one that never had the field.
@@ -446,11 +458,6 @@ pub struct Fabric {
     ctrl_counters: CtrlCounters,
     // Reused per-slot buffers.
     events_scratch: Vec<(u64, Event)>,
-    departures_scratch: Vec<Departure>,
-    /// Per-switch end offsets into `departures_scratch` for the sequential
-    /// compute phase, so the commit phase replays departures in canonical
-    /// switch order without re-stepping.
-    batch_bounds_scratch: Vec<u32>,
     /// Watermark-driven batching: per-switch idle skips and wide quiet-slot
     /// jumps (default on; [`Fabric::set_batching`] turns it off to force the
     /// slot-by-slot legacy path, which must stay byte-identical).
@@ -485,6 +492,42 @@ pub struct PhaseProfile {
     pub skipped_switch_steps: u64,
     /// Per-switch steps actually executed.
     pub stepped_switch_steps: u64,
+}
+
+/// The lead's view of a running crew (see [`Fabric::step_with_crew`]).
+struct Crew<'a, 'sw> {
+    lead: &'a Lead<'a>,
+    /// Where lanes worked by other threads cross over and back.
+    cells: &'a [Mutex<Lane>],
+    /// The lanes the lead works itself, with their switches.
+    own: &'a mut [(usize, Vec<Chunk<'sw>>)],
+    threads: usize,
+    /// Minimum of the lanes' quiet bounds as of the last switch phase.
+    quiet_bound: u64,
+}
+
+impl Crew<'_, '_> {
+    /// Swaps every lane another thread works with its cell: called before
+    /// the release (lane out, with its inbox filled) and after the join
+    /// (lane back, with its departures).
+    fn exchange_lanes(&self, lanes: &mut [Lane]) {
+        for (l, lane) in lanes.iter_mut().enumerate() {
+            if l % self.threads != 0 {
+                let mut cell = self.cells[l].lock().expect("workers are between rounds");
+                std::mem::swap(lane, &mut cell);
+            }
+        }
+    }
+}
+
+/// Moves the clocks of a thread's switches to `target` (a proven-quiet
+/// stretch; see [`Fabric::skip_to`]).
+fn advance_chunks(lanes: &mut [(usize, Vec<Chunk<'_>>)], target: u64) {
+    for (_, chunks) in lanes {
+        for sw in chunks.iter_mut().flat_map(|c| c.switches.iter_mut()) {
+            sw.advance_to(target);
+        }
+    }
 }
 
 impl std::fmt::Debug for Fabric {
@@ -528,7 +571,9 @@ impl Fabric {
             port_map: vec![None; topo.switch_count() * port_stride],
             port_stride,
             agenda: Agenda::new(horizon),
-            shard_plan: vec![0; topo.switch_count()],
+            layout: ShardLayout::from_plan(&vec![0; topo.switch_count()], 1),
+            lanes: vec![Lane::default()],
+            crew_threads: 1,
             topo,
             cfg,
             switches,
@@ -538,16 +583,14 @@ impl Fabric {
             pool: CellPool::new(),
             slot: 0,
             switch_rngs,
-            num_shards: 1,
             shard_work: vec![0],
+            setups_in_flight: 0,
             fault: None,
             tracer: None,
             ctrl_inflight: Vec::new(),
             ctrl_arrivals: Vec::new(),
             ctrl_counters: CtrlCounters::default(),
             events_scratch: Vec::new(),
-            departures_scratch: Vec::new(),
-            batch_bounds_scratch: Vec::new(),
             batching: true,
             profile: None,
         };
@@ -555,31 +598,40 @@ impl Fabric {
         fabric
     }
 
-    /// Partitions the data plane into `shards` switch groups (greedy
-    /// min-cut-ish regions over the topology) and steps them on scoped
-    /// threads, one barrier per slot — the conservative window, since a
-    /// cell needs at least one slot of link latency to reach another
-    /// switch. Results are byte-identical at any shard count: switches
-    /// draw from per-switch RNG streams and departures commit in global
-    /// switch-id order. Traced fabrics compute sequentially (in the same
-    /// canonical order) so the flight recorder's event order stays
-    /// deterministic too.
+    /// Splits the data plane into `shards` groups of switches (contiguous
+    /// id blocks dealt round-robin) and lets [`Fabric::step`] work them on
+    /// persistent threads: started once per call, the caller's thread
+    /// taking shard 0, at most one thread per available core. Per slot the
+    /// calling thread drains the agenda, serves the hosts and routes switch
+    /// deliveries into per-shard inboxes; one atomic release later every
+    /// shard applies its inbox and steps its switches; after one atomic
+    /// join the calling thread commits all departures in global switch-id
+    /// order. A cell needs at least one slot of link latency to reach
+    /// another switch, so one hand-off per slot is conservative, and
+    /// results are byte-identical at any shard count: switches draw from
+    /// per-switch RNG streams and the commit order never changes.
+    ///
+    /// Runs that need the caller's state mid-slot — a tracer or fault layer
+    /// attached, a signalled set-up in flight, zero link latency — or that
+    /// have a single core to run on step the same shards inline instead.
     pub fn set_shards(&mut self, shards: usize) {
         let shards = shards.clamp(1, self.switches.len().max(1));
-        self.num_shards = shards;
-        self.shard_plan = an2_topology::partition_switches(&self.topo, shards);
+        let plan = shard::block_plan(self.switches.len(), shards);
+        self.layout = ShardLayout::from_plan(&plan, shards);
+        self.lanes = (0..shards).map(|_| Lane::default()).collect();
+        self.crew_threads = shards.min(std::thread::available_parallelism().map_or(1, |n| n.get()));
         self.shard_work = vec![0; shards];
     }
 
     /// The configured shard count (1 = sequential).
     pub fn shards(&self) -> usize {
-        self.num_shards
+        self.lanes.len()
     }
 
     /// Busy switch-steps accumulated per shard since construction (or the
-    /// last [`Fabric::set_shards`]): the deterministic work model behind
-    /// the scaling curve. `sum / max` bounds the parallel speedup the
-    /// partition admits under the per-slot barrier.
+    /// last [`Fabric::set_shards`]). A count, not a timing: `sum / max` is
+    /// the balance of the plan, an upper bound on what the switch phase
+    /// alone could gain from the threads.
     pub fn shard_work(&self) -> &[u64] {
         &self.shard_work
     }
@@ -858,7 +910,7 @@ impl Fabric {
     fn teardown_path(&mut self, vc: VcId, circuit: &Circuit) -> u64 {
         // A setup cell still in flight must not resurrect the circuit.
         if let Some(idx) = self.idx_of(vc) {
-            self.vcs[idx].setup = None;
+            self.clear_setup(idx);
         }
         let mut dropped = 0u64;
         for (k, &s) in circuit.switches.iter().enumerate() {
@@ -1001,12 +1053,15 @@ impl Fabric {
             gt_tokens: None,
             hops,
         });
-        self.vcs[idx].setup = Some(SetupPlan {
+        let plan = SetupPlan {
             class,
             switches,
             links,
             dst_link,
-        });
+        };
+        if self.vcs[idx].setup.replace(plan).is_none() {
+            self.setups_in_flight += 1;
+        }
         // The setup cell leads the circuit's cell stream from the host.
         let setup = SignalMsg::Setup {
             circuit: vc,
@@ -1028,6 +1083,14 @@ impl Fabric {
             }
         };
         self.pool.push_back(&mut h.outbox[e].1, cell, 0, 0);
+    }
+
+    /// Forgets a pending set-up plan: the cell arrived, or the circuit is
+    /// being torn down under it.
+    fn clear_setup(&mut self, idx: usize) {
+        if self.vcs[idx].setup.take().is_some() {
+            self.setups_in_flight -= 1;
+        }
     }
 
     /// Whether a signaled circuit's setup cell has reached the destination
@@ -1322,11 +1385,36 @@ impl Fabric {
     /// event (clamped to the next guaranteed-token frame boundary, which
     /// must still execute). This is the data-plane twin of the fault-mode
     /// deadline batching in `Network::step`.
+    ///
+    /// With shards configured ([`Fabric::set_shards`]) the call starts its
+    /// worker threads once, here, and keeps them until it returns.
     pub fn step(&mut self, slots: u64) {
         let end = self.slot + slots;
+        // Everything that needs the lead's state in the middle of a slot
+        // keeps the switches with the lead. None of these can change while
+        // the call runs: attaching is an outside call, and set-ups only
+        // complete.
+        let lead_only = self.tracer.is_some()
+            || self.fault.is_some()
+            || self.setups_in_flight != 0
+            || self.cfg.link_latency_slots == 0;
+        if self.crew_threads > 1 && !lead_only && slots > 0 {
+            self.step_with_crew(end);
+        } else {
+            self.run_slots(end, None);
+        }
+    }
+
+    /// The slot loop every shard count shares: fast-forward when the whole
+    /// fabric is quiet, otherwise step one slot.
+    fn run_slots(&mut self, end: u64, mut crew: Option<&mut Crew<'_, '_>>) {
         while self.slot < end {
             let t0 = self.profile.is_some().then(std::time::Instant::now);
-            let target = self.quiet_until(end).filter(|&t| t > self.slot);
+            let target = match &crew {
+                None => self.quiet_until(end, Self::switches_quiet_bound),
+                Some(c) => self.quiet_until(end, |_| c.quiet_bound),
+            }
+            .filter(|&t| t > self.slot);
             if let Some(t0) = t0 {
                 let p = self.profile.as_mut().expect("profiling enabled");
                 p.fast_forward_ns += t0.elapsed().as_nanos() as u64;
@@ -1335,51 +1423,130 @@ impl Fabric {
                 }
             }
             if let Some(target) = target {
-                self.skip_to(target);
+                self.skip_to(target, crew.as_deref_mut());
                 continue;
             }
-            self.step_one();
+            self.step_one(crew.as_deref_mut());
         }
+    }
+
+    /// Runs the slot loop with the shard lanes dealt to a crew of
+    /// `crew_threads` threads (this one included) for the whole call. The
+    /// switches leave `self` for the duration: the lead's slot code cannot
+    /// touch one by accident, and each worker holds plain `&mut` borrows.
+    fn step_with_crew(&mut self, end: u64) {
+        let quiet_bound = self.switches_quiet_bound();
+        let mut switches = std::mem::take(&mut self.switches);
+        let mut rngs = std::mem::take(&mut self.switch_rngs);
+        let threads = self.crew_threads;
+        let batching = self.batching;
+        // Deal every run's switches to its lane, then lane `l` to thread
+        // `l % threads`; thread 0 is this one.
+        let mut lane_chunks: Vec<Vec<Chunk<'_>>> = self.lanes.iter().map(|_| Vec::new()).collect();
+        let (mut sw_rest, mut rng_rest) = (&mut switches[..], &mut rngs[..]);
+        for run in &self.layout.runs {
+            let (sw, rest) = std::mem::take(&mut sw_rest).split_at_mut(run.len as usize);
+            sw_rest = rest;
+            let (rg, rest) = std::mem::take(&mut rng_rest).split_at_mut(run.len as usize);
+            rng_rest = rest;
+            lane_chunks[run.lane as usize].push(Chunk {
+                base: run.base,
+                switches: sw,
+                rngs: rg,
+            });
+        }
+        let mut hands: Vec<Vec<(usize, Vec<Chunk<'_>>)>> =
+            (0..threads).map(|_| Vec::new()).collect();
+        for (lane, chunks) in lane_chunks.into_iter().enumerate() {
+            hands[lane % threads].push((lane, chunks));
+        }
+        let mut own = hands.remove(0);
+        // Lanes cross to their worker and back through these cells; the
+        // hand-off's release and join say whose turn it is, the mutex makes
+        // the exchange safe code.
+        let cells: Vec<Mutex<Lane>> = self.lanes.iter().map(|_| Mutex::default()).collect();
+        let workers: Vec<_> = hands
+            .into_iter()
+            .map(|mut mine| {
+                let cells = &cells;
+                move |cmd| match cmd {
+                    Cmd::Step(slot) => {
+                        for (lane, chunks) in &mut mine {
+                            cells[*lane]
+                                .lock()
+                                .expect("a lane cell is poisoned only after a crew thread panicked")
+                                .work(chunks, slot, batching);
+                        }
+                    }
+                    Cmd::SkipTo(target) => advance_chunks(&mut mine, target),
+                }
+            })
+            .collect();
+        shard::run_crew(workers, |lead| {
+            let mut crew = Crew {
+                lead,
+                cells: &cells,
+                own: &mut own,
+                threads,
+                quiet_bound,
+            };
+            self.run_slots(end, Some(&mut crew));
+        });
+        self.switches = switches;
+        self.switch_rngs = rngs;
     }
 
     /// If the fabric is provably quiet at the current slot, the furthest
     /// slot (≤ `end`) it may fast-forward to; `None` when anything at all
     /// is pending. Checks are ordered cheapest-first so busy slots pay two
-    /// flag tests and one arena counter read.
+    /// flag tests and one arena counter read; `switch_bound` — the earliest
+    /// slot at which some switch needs stepping — is asked last.
     ///
     /// With batching on, a backlogged switch no longer blocks the jump: its
     /// next-event watermark bounds how far the fabric may skip, and the
     /// fabric jumps to the earliest watermark / agenda deadline. With
     /// batching off, any backlog anywhere pins the fabric to slot-by-slot
     /// stepping, as before PR 7.
-    fn quiet_until(&self, end: u64) -> Option<u64> {
+    fn quiet_until(&self, end: u64, switch_bound: impl FnOnce(&Self) -> u64) -> Option<u64> {
         if self.fault.is_some() || !self.ctrl_inflight.is_empty() {
             return None; // fault layer draws randomness every slot
         }
         if self.pool.live() != 0 {
             return None; // some host outbox still holds cells
         }
-        let mut wake = match self.agenda.next_due() {
+        let wake = match self.agenda.next_due() {
             Some(due) if due <= self.slot => return None, // stranded or imminent
             Some(due) => due,
             None => u64::MAX,
         };
-        if self.batching {
-            for s in &self.switches {
-                let w = s.next_event_slot();
-                if w <= self.slot {
-                    return None;
-                }
-                wake = wake.min(w);
-            }
-        } else if self.switches.iter().any(|s| s.total_backlog() != 0) {
+        let bound = switch_bound(self);
+        if bound <= self.slot {
             return None;
         }
         // Token buckets refill in the slot before each frame boundary;
         // that slot must run normally, so never skip past it.
         let frame = self.cfg.switch.frame_slots as u64;
         let refill = self.slot + (frame - 1 - self.slot % frame);
-        Some(wake.min(end).min(refill))
+        Some(wake.min(bound).min(end).min(refill))
+    }
+
+    /// The earliest slot at which some switch needs stepping (`u64::MAX` =
+    /// none scheduled), read off the switches themselves; gives up at the
+    /// first switch that is due now. The crew keeps the same bound per lane
+    /// ([`Lane::quiet_bound`]) because it cannot see the switches.
+    fn switches_quiet_bound(&self) -> u64 {
+        let mut bound = u64::MAX;
+        if self.batching {
+            for s in &self.switches {
+                bound = bound.min(s.next_event_slot());
+                if bound <= self.slot {
+                    break;
+                }
+            }
+        } else if self.switches.iter().any(|s| s.total_backlog() != 0) {
+            bound = 0;
+        }
+        bound
     }
 
     /// Advances every clock to `target` as if `target - slot` quiet slots
@@ -1388,10 +1555,17 @@ impl Fabric {
     /// changes — which is exactly what stepping a quiet fabric does.
     /// `target` never exceeds any switch's next-event watermark, so even a
     /// backlogged switch is provably unchanged by the skipped steps.
-    fn skip_to(&mut self, target: u64) {
+    fn skip_to(&mut self, target: u64, crew: Option<&mut Crew<'_, '_>>) {
         let n = target - self.slot;
-        for sw in &mut self.switches {
-            sw.advance_to(target);
+        match crew {
+            None => {
+                for sw in &mut self.switches {
+                    sw.advance_to(target);
+                }
+            }
+            Some(crew) => crew
+                .lead
+                .round(Cmd::SkipTo(target), || advance_chunks(crew.own, target)),
         }
         for h in &mut self.hosts {
             let len = h.outbox.len();
@@ -1402,7 +1576,7 @@ impl Fabric {
         self.slot = target;
     }
 
-    fn step_one(&mut self) {
+    fn step_one(&mut self, crew: Option<&mut Crew<'_, '_>>) {
         // 0. Stamp the recorder's clock so every event this slot carries
         // the right virtual time.
         if let Some(t) = &self.tracer {
@@ -1432,7 +1606,18 @@ impl Fabric {
                         continue;
                     }
                     if cell.header.kind == CellKind::Signal {
+                        // Under a crew no set-up plan is pending, so this
+                        // is a stale signal and dropped before it touches
+                        // a switch.
                         self.handle_signal_at_switch(switch, cell);
+                    } else if crew.is_some() {
+                        let home = self.layout.home[switch.0 as usize];
+                        self.lanes[home.lane as usize].inbox.push(Delivery::Cell {
+                            home,
+                            input,
+                            cell,
+                            trace,
+                        });
                     } else {
                         if self.fault.is_some() {
                             self.shadow_on_cell(switch, cell.vc());
@@ -1458,7 +1643,7 @@ impl Fabric {
                         // Setup complete: the destination controller
                         // acknowledges by accepting the circuit.
                         if let Some(idx) = self.idx_of(cell.vc()) {
-                            self.vcs[idx].setup = None;
+                            self.clear_setup(idx);
                         }
                     } else {
                         self.deliver_to_host(host, cell, trace);
@@ -1472,6 +1657,11 @@ impl Fabric {
                 } => {
                     if self.fault.is_some() {
                         self.apply_credit_to_switch(switch, vc, link, epoch);
+                    } else if crew.is_some() {
+                        let home = self.layout.home[switch.0 as usize];
+                        self.lanes[home.lane as usize]
+                            .inbox
+                            .push(Delivery::Credit { home, vc });
                     } else {
                         self.switches[switch.0 as usize].try_add_credit(vc);
                     }
@@ -1522,15 +1712,19 @@ impl Fabric {
             self.profile.as_mut().expect("profiling enabled").enqueue_ns +=
                 t0.elapsed().as_nanos() as u64;
         }
-        // 3. Switches advance (compute phase), then departures propagate in
-        // global switch-id order (commit phase). The split is safe because a
+        // 3. Switches advance (switch phase), then departures propagate in
+        // global switch-id order (commit). The split is safe because a
         // propagation only schedules future deliveries and touches state no
-        // same-slot `step_into` reads — and it is what lets the compute
+        // same-slot `step_into` reads — and it is what lets the switch
         // phase run on shard threads while commits stay canonical.
-        if self.num_shards > 1 && self.tracer.is_none() && self.switches.len() > 1 {
-            self.step_switches_sharded();
-        } else {
-            self.step_switches_sequential();
+        let t0 = self.profile.is_some().then(std::time::Instant::now);
+        self.step_switches(crew);
+        let t1 = self.profile.is_some().then(std::time::Instant::now);
+        self.commit_departures();
+        if let (Some(t0), Some(t1)) = (t0, t1) {
+            let p = self.profile.as_mut().expect("profiling enabled");
+            p.schedule_ns += (t1 - t0).as_nanos() as u64;
+            p.commit_ns += t1.elapsed().as_nanos() as u64;
         }
         // 4. Refill guaranteed token buckets at frame boundaries.
         let frame = self.cfg.switch.frame_slots as u64;
@@ -1556,137 +1750,66 @@ impl Fabric {
         self.slot += 1;
     }
 
-    /// Compute-then-commit on one thread: every switch steps into the
-    /// shared departures buffer (recording per-switch end offsets), then
-    /// the commit replay propagates them in the same order. Allocation-free
-    /// after warmup, like the loop it replaced.
-    fn step_switches_sequential(&mut self) {
-        let mut departures = std::mem::take(&mut self.departures_scratch);
-        let mut bounds = std::mem::take(&mut self.batch_bounds_scratch);
-        let batching = self.batching;
-        let mut skipped = 0u64;
-        let mut stepped = 0u64;
-        let t0 = self.profile.is_some().then(std::time::Instant::now);
-        for idx in 0..self.switches.len() {
-            // The watermark proves stepping this switch is a no-op (no cell
-            // moves, no RNG drawn), so only its clock needs to advance.
-            if batching && self.switches[idx].next_event_slot() > self.slot {
-                self.switches[idx].advance_to(self.slot + 1);
-                bounds.push(departures.len() as u32);
-                skipped += 1;
-                continue;
+    /// The switch phase: every lane steps its switches into its own
+    /// departure buffer. Without a crew the lead walks the runs itself, in
+    /// ascending switch order (deliveries were applied straight from the
+    /// agenda); with one it hands the other threads' lanes over, releases
+    /// the crew, works its own lanes, and takes the lanes back at the join.
+    fn step_switches(&mut self, crew: Option<&mut Crew<'_, '_>>) {
+        let (slot, batching) = (self.slot, self.batching);
+        let Some(crew) = crew else {
+            for lane in &mut self.lanes {
+                lane.begin();
             }
-            if self.switches[idx].total_backlog() > 0 {
-                self.shard_work[self.shard_plan[idx] as usize] += 1;
-            }
-            self.switches[idx].step_into(&mut self.switch_rngs[idx], &mut departures);
-            bounds.push(departures.len() as u32);
-            stepped += 1;
-        }
-        let t1 = self.profile.is_some().then(std::time::Instant::now);
-        let mut cursor = 0usize;
-        for (idx, &endb) in bounds.iter().enumerate() {
-            for d in &departures[cursor..endb as usize] {
-                self.propagate(
-                    SwitchId(idx as u16),
-                    d.output,
-                    d.cell,
-                    d.trace,
-                    d.enqueued_slot,
+            for run in &self.layout.runs {
+                let span = run.base as usize..(run.base + run.len) as usize;
+                self.lanes[run.lane as usize].step_chunk(
+                    run.base,
+                    &mut self.switches[span.clone()],
+                    &mut self.switch_rngs[span],
+                    slot,
+                    batching,
                 );
             }
-            cursor = endb as usize;
-        }
-        if let (Some(t0), Some(t1)) = (t0, t1) {
-            let p = self.profile.as_mut().expect("profiling enabled");
-            p.schedule_ns += (t1 - t0).as_nanos() as u64;
-            p.commit_ns += t1.elapsed().as_nanos() as u64;
-            p.skipped_switch_steps += skipped;
-            p.stepped_switch_steps += stepped;
-        }
-        departures.clear();
-        bounds.clear();
-        self.departures_scratch = departures;
-        self.batch_bounds_scratch = bounds;
-    }
-
-    /// The parallel compute phase: switches are bucketed by shard, each
-    /// shard steps its switches on a scoped thread against per-switch RNG
-    /// streams, and departures come back through per-shard mailboxes (one
-    /// `(switch, departures)` entry per stepped switch, in ascending
-    /// switch-id order — the arrival-slot stamp is implicit, since every
-    /// departure commits at the slot that produced it). The join below is
-    /// the conservative barrier: with ≥ 1 slot of link latency, nothing a
-    /// switch computes in slot `t` can reach another switch before `t+1`,
-    /// so one barrier per slot is sufficient for byte-identical results.
-    /// The commit phase then merges the mailboxes in global switch-id
-    /// order, which makes the outcome independent of thread scheduling.
-    fn step_switches_sharded(&mut self) {
-        let shards = self.num_shards;
-        let plan = &self.shard_plan;
-        let batching = self.batching;
-        let slot = self.slot;
-        let mut skipped = 0u64;
-        let mut stepped = 0u64;
-        let t0 = self.profile.is_some().then(std::time::Instant::now);
-        let mut buckets: Vec<Vec<(u32, &mut Switch, &mut SimRng)>> =
-            (0..shards).map(|_| Vec::new()).collect();
-        for ((idx, sw), rng) in self
-            .switches
-            .iter_mut()
-            .enumerate()
-            .zip(self.switch_rngs.iter_mut())
-        {
-            // Watermark skip happens on the main thread, before bucketing:
-            // idle switches never cross to a shard thread at all.
-            if batching && sw.next_event_slot() > slot {
-                sw.advance_to(slot + 1);
-                skipped += 1;
-                continue;
-            }
-            if sw.total_backlog() > 0 {
-                self.shard_work[plan[idx] as usize] += 1;
-            }
-            stepped += 1;
-            buckets[plan[idx] as usize].push((idx as u32, sw, rng));
-        }
-        let mut mailboxes: Vec<Vec<(u32, Vec<Departure>)>> = Vec::with_capacity(shards);
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = buckets
-                .into_iter()
-                .map(|bucket| {
-                    scope.spawn(move || {
-                        let mut mailbox = Vec::with_capacity(bucket.len());
-                        for (idx, sw, rng) in bucket {
-                            let mut deps = Vec::new();
-                            sw.step_into(rng, &mut deps);
-                            if !deps.is_empty() {
-                                mailbox.push((idx, deps));
-                            }
-                        }
-                        mailbox
-                    })
-                })
-                .collect();
-            for h in handles {
-                mailboxes.push(h.join().expect("shard thread panicked"));
+            return;
+        };
+        crew.exchange_lanes(&mut self.lanes);
+        let lanes = &mut self.lanes;
+        crew.lead.round(Cmd::Step(slot), || {
+            for (lane, chunks) in crew.own.iter_mut() {
+                lanes[*lane].work(chunks, slot, batching);
             }
         });
-        // Canonical commit: ascending switch id across all mailboxes. Each
-        // mailbox is already sorted, so this is a k-way merge by cursor.
-        let t1 = self.profile.is_some().then(std::time::Instant::now);
-        let mut cursors = vec![0usize; shards];
-        for idx in 0..self.switches.len() {
-            let shard = self.shard_plan[idx] as usize;
-            let mailbox = &mailboxes[shard];
-            let cur = cursors[shard];
-            if cur >= mailbox.len() || mailbox[cur].0 != idx as u32 {
-                continue; // this switch emitted nothing
-            }
-            cursors[shard] += 1;
-            for d in &mailbox[cur].1 {
+        crew.exchange_lanes(&mut self.lanes);
+        crew.quiet_bound = self
+            .lanes
+            .iter()
+            .map(|l| l.quiet_bound)
+            .min()
+            .expect("at least one lane");
+    }
+
+    /// The canonical commit: departures propagate in ascending switch id
+    /// whichever lane produced them. Each lane's bounds are already
+    /// ascending, so this is a merge by cursor over the lanes.
+    fn commit_departures(&mut self) {
+        let mut lanes = std::mem::take(&mut self.lanes);
+        while let Some((switch, l)) = lanes
+            .iter()
+            .enumerate()
+            .filter_map(|(l, lane)| lane.bounds.get(lane.committed).map(|b| (b.0, l)))
+            .min()
+        {
+            let lane = &mut lanes[l];
+            let start = lane
+                .committed
+                .checked_sub(1)
+                .map_or(0, |prev| lane.bounds[prev].1);
+            let end = lane.bounds[lane.committed].1;
+            lane.committed += 1;
+            for d in &lane.departures[start as usize..end as usize] {
                 self.propagate(
-                    SwitchId(idx as u16),
+                    SwitchId(switch as u16),
                     d.output,
                     d.cell,
                     d.trace,
@@ -1694,13 +1817,14 @@ impl Fabric {
                 );
             }
         }
-        if let (Some(t0), Some(t1)) = (t0, t1) {
-            let p = self.profile.as_mut().expect("profiling enabled");
-            p.schedule_ns += (t1 - t0).as_nanos() as u64;
-            p.commit_ns += t1.elapsed().as_nanos() as u64;
-            p.skipped_switch_steps += skipped;
-            p.stepped_switch_steps += stepped;
+        for (work, lane) in self.shard_work.iter_mut().zip(&lanes) {
+            *work += lane.busy;
         }
+        if let Some(p) = self.profile.as_mut() {
+            p.skipped_switch_steps += lanes.iter().map(|l| l.skipped).sum::<u64>();
+            p.stepped_switch_steps += lanes.iter().map(|l| l.stepped).sum::<u64>();
+        }
+        self.lanes = lanes;
     }
 
     fn inject_from_hosts(&mut self) {

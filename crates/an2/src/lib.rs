@@ -46,6 +46,7 @@ mod error;
 mod fabric;
 mod network;
 pub mod reference;
+mod shard;
 
 pub use central::BandwidthCentral;
 pub use control::ControlPlaneConfig;

@@ -254,10 +254,11 @@ impl Network {
         self.rate.slot_duration()
     }
 
-    /// Re-partitions the data plane into `shards` switch groups stepped on
-    /// scoped threads with a conservative per-slot barrier. Byte-identical
-    /// at any shard count; `1` restores sequential stepping. Safe to call
-    /// mid-run — the partition affects only which thread steps a switch.
+    /// Splits the data plane into `shards` switch groups worked by threads
+    /// that live for each `step` call (see [`Fabric::set_shards`]).
+    /// Byte-identical at any shard count; `1` restores sequential stepping.
+    /// Safe to call mid-run — the split affects only which thread steps a
+    /// switch.
     pub fn set_shards(&mut self, shards: usize) {
         self.fabric.set_shards(shards);
     }
@@ -267,8 +268,8 @@ impl Network {
         self.fabric.shards()
     }
 
-    /// Busy switch-steps accumulated per shard — the deterministic work
-    /// model behind the N6 scaling curve.
+    /// Busy switch-steps accumulated per shard — a count of how evenly the
+    /// shard plan spreads the switch phase.
     pub fn shard_work(&self) -> &[u64] {
         self.fabric.shard_work()
     }

@@ -1,16 +1,18 @@
 //! The parallel data plane's central guarantee: shard count is invisible.
 //!
-//! A fabric partitioned into 2 or 4 shards (switch groups stepped on scoped
-//! threads behind the conservative per-slot barrier) must digest
+//! A fabric split into any number of shards (switch groups worked by
+//! persistent threads behind one release and one join per slot) must digest
 //! byte-identical to the sequential engine — same per-circuit statistics
 //! including every latency sample, same delivered packet bytes, same final
 //! slot, and, when traced, the same flight-recorder contents in the same
 //! order. A separate leg drives the full `Network` with lossy links and the
-//! live embedded control plane, the harshest RNG-adjacent workload we have.
+//! live embedded control plane, the harshest RNG-adjacent workload we have;
+//! another walks every condition that keeps the switches with the calling
+//! thread, and every way of slicing a run into `step` calls.
 
 use an2::{
-    ControlPlaneConfig, FabricConfig, FaultSpec, LossModel, Network, NetworkBuilder, TraceConfig,
-    TrafficClass,
+    ControlPlaneConfig, Fabric, FabricConfig, FaultSpec, LossModel, Network, NetworkBuilder,
+    TraceConfig, TrafficClass,
 };
 use an2_cells::{Packet, Segmenter, VcId};
 use an2_sim::{SimDuration, SimRng};
@@ -66,7 +68,7 @@ fn fnv(h: &mut u64, bytes: &[u8]) {
 /// and digests everything observable. With `traced`, the digest also folds
 /// in every flight-recorder record, in recording order.
 fn drive(topo_idx: usize, seed: u64, wl_seed: u64, shards: usize, traced: bool) -> (u64, u64) {
-    let mut f = an2::Fabric::new(topology(topo_idx), FabricConfig::default(), seed);
+    let mut f = Fabric::new(topology(topo_idx), FabricConfig::default(), seed);
     f.set_shards(shards);
     let tracer = traced.then(|| {
         let t = an2_trace::Tracer::new(TraceConfig {
@@ -147,12 +149,22 @@ fn drive(topo_idx: usize, seed: u64, wl_seed: u64, shards: usize, traced: bool) 
     }
     f.step(2_000);
 
+    let open: Vec<VcId> = vcs
+        .iter()
+        .map(|&(vc, _, _)| vc)
+        .filter(|&vc| f.has_circuit(vc))
+        .collect();
+    digest_run(&mut f, &open, tracer.as_ref())
+}
+
+/// Digests everything a run leaves observable: per-circuit counts and every
+/// latency sample, delivered packet bytes, the final slot and, when traced,
+/// every flight-recorder record in recording order. Also returns the cells
+/// delivered.
+fn digest_run(f: &mut Fabric, vcs: &[VcId], tracer: Option<&an2_trace::Tracer>) -> (u64, u64) {
     let mut digest = 0xcbf2_9ce4_8422_2325u64;
     let mut delivered = 0u64;
-    for &(vc, _, _) in &vcs {
-        if !f.has_circuit(vc) {
-            continue;
-        }
+    for &vc in vcs {
         let s = f.stats(vc);
         delivered += s.delivered_cells;
         for x in [
@@ -167,8 +179,8 @@ fn drive(topo_idx: usize, seed: u64, wl_seed: u64, shards: usize, traced: bool) 
             fnv(&mut digest, &sample.to_le_bytes());
         }
     }
-    for &h in &hosts {
-        for (vc, p) in f.take_received(h) {
+    for h in 0..f.topology().host_count() {
+        for (vc, p) in f.take_received(HostId(h as u16)) {
             fnv(&mut digest, &vc.raw().to_le_bytes());
             fnv(&mut digest, p.as_bytes());
         }
@@ -192,7 +204,8 @@ proptest! {
             let (base, delivered) = drive(topo_idx, seed, wl_seed, 1, false);
             let (base_traced, _) = drive(topo_idx, seed, wl_seed, 1, true);
             prop_assert!(delivered > 0, "workload moved no traffic (topo {})", topo_idx);
-            for shards in [2usize, 4] {
+            // 64 exceeds every switch count here and clamps to it.
+            for shards in [2usize, 3, 4, 5, 64] {
                 let (sharded, sharded_delivered) = drive(topo_idx, seed, wl_seed, shards, false);
                 prop_assert_eq!(
                     base, sharded,
@@ -205,6 +218,108 @@ proptest! {
                     "{} shards perturbed the trace (topo {})", shards, topo_idx
                 );
             }
+        }
+    }
+}
+
+/// How a [`leg_run`] is set up and sliced into `step` calls.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Leg {
+    /// Nothing attached, one `step` call per quiet gap: the crew's home turf.
+    Plain,
+    /// The same run as `step(1)` × n: a crew per slot.
+    SingleSteps,
+    /// Shard count changed between bursts (3 → the leg's count → 1 → back).
+    ReshardMidRun,
+    /// Fallback: a tracer attached (digest folds in the recording).
+    Traced,
+    /// Fallback: an (inert) fault layer attached.
+    Faulted,
+    /// Fallback: a signalled set-up in flight when `step` is entered.
+    SignalledSetup,
+    /// Fallback: zero link latency, where nothing separates two switches.
+    ZeroLatency,
+}
+
+/// Bursts of best-effort traffic on the 12-switch fat-tree separated by
+/// long quiet gaps, digested like [`drive`].
+fn leg_run(leg: Leg, shards: usize) -> u64 {
+    let cfg = FabricConfig {
+        link_latency_slots: if leg == Leg::ZeroLatency { 0 } else { 2 },
+        ..FabricConfig::default()
+    };
+    let mut f = Fabric::new(generators::fat_tree(2, 3), cfg, 41);
+    f.set_shards(if leg == Leg::ReshardMidRun { 3 } else { shards });
+    let tracer = (leg == Leg::Traced).then(|| {
+        let t = an2_trace::Tracer::new(TraceConfig::default());
+        f.attach_tracer(t.clone());
+        t
+    });
+    if leg == Leg::Faulted {
+        f.attach_faults(&FaultSpec::default(), 5);
+    }
+    let hosts = f.topology().host_count() as u16;
+    let mut vcs = Vec::new();
+    for h in 0..hosts {
+        let vc = VcId::new(200 + h as u32);
+        let (src, dst) = (HostId(h), HostId((h + 3) % hosts));
+        let (sw, links, sl, dl) = route(f.topology(), src, dst).expect("tree is connected");
+        if leg == Leg::SignalledSetup && h % 2 == 0 {
+            f.open_circuit_signaled(vc, src, dst, sw, links, sl, dl);
+        } else {
+            f.open_circuit(vc, src, dst, TrafficClass::BestEffort, sw, links, sl, dl);
+        }
+        vcs.push(vc);
+    }
+    for burst in 0..4usize {
+        for (i, &vc) in vcs.iter().enumerate() {
+            let pkt = Packet::from_bytes(vec![(burst * 16 + i) as u8; 200 + 90 * i]);
+            f.send_cells(vc, Segmenter::new(vc).segment(&pkt));
+        }
+        if leg == Leg::ReshardMidRun {
+            f.set_shards([shards, 1, shards, 2][burst]);
+        }
+        if leg == Leg::SingleSteps {
+            for _ in 0..1_500 {
+                f.step(1);
+            }
+        } else {
+            f.step(1_500);
+        }
+    }
+
+    if leg != Leg::ZeroLatency {
+        for &vc in &vcs {
+            let s = f.stats(vc);
+            assert_eq!(
+                s.sent_cells, s.delivered_cells,
+                "{leg:?}: {vc} did not drain"
+            );
+        }
+    }
+    digest_run(&mut f, &vcs, tracer.as_ref()).0
+}
+
+/// Every way into the slot engine gives the sequential run's digest: each
+/// condition that keeps the switches with the calling thread, `step(1)` × n
+/// against `step(n)`, and shard counts changed mid-run.
+#[test]
+fn every_engine_path_matches_the_sequential_run() {
+    let plain = leg_run(Leg::Plain, 1);
+    for leg in [Leg::Plain, Leg::SingleSteps, Leg::ReshardMidRun] {
+        for shards in [1usize, 2, 5] {
+            assert_eq!(plain, leg_run(leg, shards), "{leg:?} at {shards} shards");
+        }
+    }
+    for leg in [
+        Leg::Traced,
+        Leg::Faulted,
+        Leg::SignalledSetup,
+        Leg::ZeroLatency,
+    ] {
+        let base = leg_run(leg, 1);
+        for shards in [2usize, 5] {
+            assert_eq!(base, leg_run(leg, shards), "{leg:?} at {shards} shards");
         }
     }
 }

@@ -8,9 +8,10 @@
 //! with batching on and off and assert byte-identical digests: per-circuit
 //! statistics including every latency sample, delivered packet bytes,
 //! final slot, and (when traced) the flight-recorder contents in order.
-//! One leg crosses batching with sharding; another drives the full
-//! `Network` with lossy links and the live embedded control plane — the
-//! harshest source of asynchronous watermark clamps we have.
+//! One leg crosses batching with sharding, and another checks that a crew
+//! of shard threads skips exactly the quiet slots one thread skips; a third
+//! drives the full `Network` with lossy links and the live embedded control
+//! plane — the harshest source of asynchronous watermark clamps we have.
 
 use an2::{
     ControlPlaneConfig, FabricConfig, FaultSpec, FlapEvent, LossModel, Network, NetworkBuilder,
@@ -240,6 +241,76 @@ proptest! {
                 "batching + 2 shards diverged (topo {})", topo_idx
             );
         }
+    }
+}
+
+/// Sparse bursts with long quiet gaps on the 12-switch fat-tree, profiled.
+/// Returns `(digest, skipped_slots, skipped_switch_steps, phases_ns,
+/// wall_ns)`.
+fn sparse_profiled_run(shards: usize) -> (u64, u64, u64, u64, u64) {
+    let mut f = an2::Fabric::new(generators::fat_tree(2, 3), FabricConfig::default(), 9);
+    f.set_shards(shards);
+    f.enable_profiling();
+    let hosts = f.topology().host_count() as u16;
+    let mut vcs = Vec::new();
+    for h in 0..hosts {
+        let vc = VcId::new(300 + h as u32);
+        let (src, dst) = (HostId(h), HostId((h + 5) % hosts));
+        let (sw, links, sl, dl) = route(f.topology(), src, dst).expect("tree is connected");
+        f.open_circuit(vc, src, dst, TrafficClass::BestEffort, sw, links, sl, dl);
+        vcs.push(vc);
+    }
+    let started = std::time::Instant::now();
+    for burst in 0..5usize {
+        for (i, &vc) in vcs.iter().enumerate() {
+            let pkt = Packet::from_bytes(vec![(burst + i) as u8; 150 + 60 * i]);
+            f.send_cells(vc, Segmenter::new(vc).segment(&pkt));
+        }
+        f.step(2_500);
+    }
+    let wall_ns = started.elapsed().as_nanos() as u64;
+    let p = f.profile().expect("profiling enabled").clone();
+    let mut digest = 0xcbf2_9ce4_8422_2325u64;
+    for &vc in &vcs {
+        let s = f.stats(vc);
+        assert_eq!(s.sent_cells, s.delivered_cells, "{vc} did not drain");
+        fnv(&mut digest, &s.delivered_cells.to_le_bytes());
+        for &sample in s.latency_slots.samples() {
+            fnv(&mut digest, &sample.to_le_bytes());
+        }
+    }
+    fnv(&mut digest, &f.slot().to_le_bytes());
+    let phases_ns = p.enqueue_ns + p.schedule_ns + p.commit_ns + p.fast_forward_ns;
+    (
+        digest,
+        p.skipped_slots,
+        p.skipped_switch_steps,
+        phases_ns,
+        wall_ns,
+    )
+}
+
+/// Whole-slot fast-forward keeps working under shards: every shard reports
+/// the earliest slot it needs stepping, and the crew jumps exactly the
+/// stretches the sequential engine jumps. Profiling stays meaningful: the
+/// phases are disjoint spans of the calling thread, so they fit the wall.
+#[test]
+fn a_crew_skips_the_same_quiet_slots_as_one_thread() {
+    let (base, skipped_slots, skipped_steps, phases, wall) = sparse_profiled_run(1);
+    assert!(skipped_slots > 0, "the gaps were never fast-forwarded");
+    assert!(
+        phases <= wall,
+        "phases {phases} ns exceed the wall {wall} ns"
+    );
+    for shards in [2usize, 3] {
+        let (digest, slots, steps, phases, wall) = sparse_profiled_run(shards);
+        assert_eq!(base, digest, "{shards} shards diverged");
+        assert_eq!(skipped_slots, slots, "{shards} shards skipped other slots");
+        assert_eq!(skipped_steps, steps, "{shards} shards skipped other steps");
+        assert!(
+            phases > 0 && phases <= wall,
+            "{shards} shards: {phases} of {wall} ns"
+        );
     }
 }
 

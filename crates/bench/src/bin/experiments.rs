@@ -169,8 +169,8 @@ fn shard_scaling_json(r: &parallel_exp::ShardScaling) -> Json {
         ("slots", Json::int(r.slots)),
         ("wall_ms", Json::Num(r.wall_ms)),
         ("cells_per_sec", Json::Num(r.cells_per_sec)),
-        ("model_speedup", Json::Num(r.model_speedup)),
-        ("cut_links", Json::int(r.cut_links as u64)),
+        ("wall_speedup", Json::Num(r.wall_speedup)),
+        ("shard_balance", Json::Num(r.shard_balance)),
         ("delivered_cells", Json::int(r.delivered_cells)),
     ])
 }

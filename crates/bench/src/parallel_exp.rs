@@ -1,31 +1,28 @@
-//! Experiment N6: scaling the partitioned parallel data plane.
+//! Experiment N6: the sharded data plane on the clock.
 //!
-//! The fabric's conservative-lookahead sharding (switch groups stepped on
-//! scoped threads, one barrier per slot, departures committed in canonical
-//! switch order) is exercised on a 1024-switch fat-tree — `fat_tree(2, 8)`,
-//! the largest AN2 installation in the repository — at 1/2/4/8 shards.
+//! The fabric's persistent shard workers (switch groups worked by threads
+//! that live for a whole `Fabric::step` call, one release and one join per
+//! slot, departures committed in canonical switch order) are exercised on a
+//! 1024-switch fat-tree — `fat_tree(2, 8)`, the largest AN2 installation in
+//! the repository — at 1/2/4/8 shards.
 //!
-//! Two numbers per shard count:
-//!
-//! * **wall clock** (and delivered cells/sec) — the honest end-to-end
-//!   measurement on whatever machine runs the harness. On a single-core CI
-//!   box, threads cannot beat sequential and per-slot spawn overhead makes
-//!   more shards *slower*; the column is still recorded because on real
-//!   multi-core hardware it is the headline.
-//! * **model speedup** — `sum(shard work) / max(shard work)` over the
-//!   per-shard busy switch-step counters the fabric accumulates. Under the
-//!   per-slot barrier the busiest shard is the critical path, so this
-//!   ratio is the parallel speedup the partition admits, independent of
-//!   core count. It is what the acceptance gate checks for monotonicity.
+//! The headline is **wall speedup vs 1 shard**: fastest-of-3 wall time of
+//! the same window on the machine running the harness, whose core count is
+//! printed with the table — shards beyond it are multiplexed onto the
+//! threads there are, so the curve flattens at `nproc`. Beside it,
+//! **shard balance (count)** is `sum / max` of the per-shard busy
+//! switch-step counts: how evenly the plan spreads the switch phase, a
+//! count no clock ever saw and not a speedup.
 //!
 //! Every shard count must deliver byte-identical results — asserted here
 //! over a full per-circuit stats digest, and proven more broadly by the
-//! `shard_equiv` property suite.
+//! `shard_equiv` property suite — and with two or more cores the 2-shard
+//! run must beat the 1-shard one on the clock.
 
 use crate::parallel;
 use an2::{FabricConfig, TrafficClass};
 use an2_cells::{Cell, Packet, Segmenter, VcId};
-use an2_topology::{generators, partition_switches, paths, HostId, LinkId, SwitchId, Topology};
+use an2_topology::{generators, paths, HostId, LinkId, SwitchId, Topology};
 use std::fmt::Write;
 use std::time::Instant;
 
@@ -145,20 +142,27 @@ pub struct ShardScaling {
     pub wall_ms: f64,
     /// Delivered cells per wall-clock second.
     pub cells_per_sec: f64,
-    /// `sum(shard work) / max(shard work)`: the speedup the partition
-    /// admits under the per-slot barrier, independent of core count.
-    pub model_speedup: f64,
-    /// Inter-switch links crossing the shard cut (mailbox pairs).
-    pub cut_links: usize,
+    /// The 1-shard wall time over this one: the headline.
+    pub wall_speedup: f64,
+    /// `sum / max` of per-shard busy switch-steps: a count of how evenly
+    /// the plan spreads the switch phase, not a timing.
+    pub shard_balance: f64,
     /// Cells delivered — byte-identical across shard counts.
     pub delivered_cells: u64,
 }
 
-/// N6 — the parallel data plane on the 1024-switch fat-tree, swept over
+/// `sum / max` of the fabric's per-shard busy switch-step counts.
+fn shard_balance(f: &an2::Fabric) -> f64 {
+    let work = f.shard_work();
+    let max = work.iter().copied().max().unwrap_or(1).max(1);
+    work.iter().sum::<u64>() as f64 / max as f64
+}
+
+/// N6 — the sharded data plane on the 1024-switch fat-tree, swept over
 /// power-of-two shard counts up to [`parallel::shard_count`] (default 8).
-/// Three interleaved runs per point, fastest wall time counts; stats
-/// digests must match the sequential engine exactly, and the model speedup
-/// must grow monotonically from 1 through 4 shards.
+/// Three interleaved passes over the sweep, fastest wall time per point
+/// counts; stats digests must match the sequential engine exactly, and on a
+/// box with at least two cores 2 shards must beat 1 on the clock.
 pub fn n6_parallel_dataplane() -> (Vec<ShardScaling>, String) {
     let slots = 3_000u64;
     let (arity, levels) = (2, 8); // 1024 switches, 256 hosts
@@ -168,63 +172,58 @@ pub fn n6_parallel_dataplane() -> (Vec<ShardScaling>, String) {
     while *sweep.last().expect("non-empty") * 2 <= max_shards {
         sweep.push(sweep.last().expect("non-empty") * 2);
     }
+    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
 
-    let topo = generators::fat_tree(arity, levels);
-    let mut rows: Vec<ShardScaling> = Vec::new();
+    let mut wall_ms = vec![f64::MAX; sweep.len()];
+    let mut balance = vec![1.0; sweep.len()];
     let mut base: Option<(u64, u64)> = None;
-    for &shards in &sweep {
-        let mut wall_ms = f64::MAX;
-        let mut digest = (0u64, 0u64);
-        let mut model_speedup = 1.0;
-        for _ in 0..3 {
+    for _ in 0..3 {
+        for (i, &shards) in sweep.iter().enumerate() {
             let mut f = scenario.prepare(7, shards);
             let t = Instant::now();
             f.step(slots);
-            wall_ms = wall_ms.min(t.elapsed().as_secs_f64() * 1e3);
-            digest = stats_digest(&f, &scenario);
-            let work = f.shard_work();
-            let total: u64 = work.iter().sum();
-            let max = work.iter().copied().max().unwrap_or(1).max(1);
-            model_speedup = total as f64 / max as f64;
-        }
-        match &base {
-            None => base = Some(digest),
-            Some(b) => assert_eq!(
-                *b, digest,
+            wall_ms[i] = wall_ms[i].min(t.elapsed().as_secs_f64() * 1e3);
+            balance[i] = shard_balance(&f);
+            let digest = stats_digest(&f, &scenario);
+            assert_eq!(
+                *base.get_or_insert(digest),
+                digest,
                 "{shards}-shard run diverged from the sequential digest"
-            ),
+            );
         }
-        let plan = partition_switches(&topo, shards);
-        rows.push(ShardScaling {
+    }
+    let delivered_cells = base.expect("the sweep is never empty").1;
+    let rows: Vec<ShardScaling> = sweep
+        .iter()
+        .enumerate()
+        .map(|(i, &shards)| ShardScaling {
             shards,
             slots,
-            wall_ms,
-            cells_per_sec: digest.1 as f64 / (wall_ms / 1e3),
-            model_speedup,
-            cut_links: an2_topology::cut_links(&topo, &plan),
-            delivered_cells: digest.1,
-        });
-    }
-    // The acceptance gate: the partition must admit monotonically growing
-    // parallelism from 1 through 4 shards.
-    for pair in rows.windows(2) {
-        if pair[1].shards <= 4 {
+            wall_ms: wall_ms[i],
+            cells_per_sec: delivered_cells as f64 / (wall_ms[i] / 1e3),
+            wall_speedup: wall_ms[0] / wall_ms[i],
+            shard_balance: balance[i],
+            delivered_cells,
+        })
+        .collect();
+    // The acceptance gate: given a second core, a second shard must pay.
+    if cores >= 2 {
+        if let Some(two) = rows.iter().find(|r| r.shards == 2) {
             assert!(
-                pair[1].model_speedup >= pair[0].model_speedup,
-                "model speedup regressed from {} shards ({:.2}) to {} ({:.2})",
-                pair[0].shards,
-                pair[0].model_speedup,
-                pair[1].shards,
-                pair[1].model_speedup
+                two.wall_ms < rows[0].wall_ms,
+                "2 shards ({:.1} ms) did not beat 1 shard ({:.1} ms) on {cores} cores",
+                two.wall_ms,
+                rows[0].wall_ms
             );
         }
     }
 
+    let topo = generators::fat_tree(arity, levels);
     let mut out = String::new();
     let _ = writeln!(
         out,
-        "N6  parallel data plane: {} switches ({}-ary {}-level fat-tree), \
-         {} circuits, conservative per-slot barrier",
+        "N6  sharded data plane: {} switches ({}-ary {}-level fat-tree), \
+         {} circuits, persistent shard workers, nproc = {cores}",
         topo.switch_count(),
         arity,
         levels,
@@ -232,19 +231,25 @@ pub fn n6_parallel_dataplane() -> (Vec<ShardScaling>, String) {
     );
     let _ = writeln!(
         out,
-        "{:>7} {:>7} {:>9} {:>12} {:>14} {:>10} {:>11}",
-        "shards", "slots", "wall ms", "Mcells/s", "model speedup", "cut links", "delivered"
+        "{:>7} {:>7} {:>9} {:>10} {:>24} {:>22} {:>11}",
+        "shards",
+        "slots",
+        "wall ms",
+        "Mcells/s",
+        "wall speedup vs 1 shard",
+        "shard balance (count)",
+        "delivered"
     );
     for r in &rows {
         let _ = writeln!(
             out,
-            "{:>7} {:>7} {:>9.1} {:>12.2} {:>13.2}x {:>10} {:>11}",
+            "{:>7} {:>7} {:>9.1} {:>10.2} {:>23.2}x {:>22.2} {:>11}",
             r.shards,
             r.slots,
             r.wall_ms,
             r.cells_per_sec / 1e6,
-            r.model_speedup,
-            r.cut_links,
+            r.wall_speedup,
+            r.shard_balance,
             r.delivered_cells
         );
     }
@@ -252,9 +257,9 @@ pub fn n6_parallel_dataplane() -> (Vec<ShardScaling>, String) {
         out,
         "identical stats digests at every shard count (the shard_equiv \
          property suite proves the same over random workloads, faults and \
-         tracing); model speedup = sum/max of per-shard busy switch-steps — \
-         the critical path under the barrier — while wall clock reflects \
-         the harness machine's actual core count"
+         tracing); wall = fastest of 3 interleaved passes; shards beyond \
+         nproc share the threads there are; shard balance = sum/max of \
+         per-shard busy switch-steps, a count and not a speedup"
     );
     (rows, out)
 }
@@ -284,18 +289,16 @@ mod tests {
     }
 
     #[test]
-    fn model_speedup_reflects_balance() {
+    fn block_plan_spreads_the_switch_phase() {
         let slots = 400u64;
         let scenario = TreeScenario::new(2, 4, slots);
         let mut f = scenario.prepare(7, 4);
         f.step(slots);
-        let work = f.shard_work();
-        let total: u64 = work.iter().sum();
-        let max = *work.iter().max().expect("4 shards");
-        assert!(total > 0, "no work recorded");
+        assert!(f.shard_work().iter().sum::<u64>() > 0, "no work recorded");
         assert!(
-            total as f64 / max as f64 > 2.0,
-            "4-way partition admits less than 2x: {work:?}"
+            shard_balance(&f) > 2.0,
+            "4-way plan leaves one shard most of the work: {:?}",
+            f.shard_work()
         );
     }
 }

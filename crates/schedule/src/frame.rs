@@ -81,8 +81,18 @@ impl fmt::Display for InsertError {
 
 impl std::error::Error for InsertError {}
 
+/// Table entry for an idle port (ports are bounded far below this by the
+/// crossbar's `MAX_PORTS`).
+const IDLE: u16 = u16::MAX;
+
 /// A frame schedule: for each of the frame's slots, a crossbar configuration
 /// saying which input transmits to which output (bottom half of Figure 2).
+///
+/// Both tables are flat (`slot * n + port`) and allocated by the first
+/// reservation: a switch that carries only best-effort traffic — every
+/// switch of the scale topologies — never pays for a frame it never reads.
+/// Equality means "same reservations": an untouched schedule equals one
+/// whose reservations were all removed again.
 ///
 /// ```
 /// use an2_schedule::FrameSchedule;
@@ -90,29 +100,51 @@ impl std::error::Error for InsertError {}
 /// s.insert(1, 0).unwrap(); // paper's 2→1, 0-based
 /// assert_eq!(s.scheduled_cells(1, 0), 1);
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct FrameSchedule {
     n: usize,
     frame: u32,
-    /// Per slot: output assigned to each input (`None` = idle).
-    out_of_input: Vec<Vec<Option<usize>>>,
-    /// Per slot: input assigned to each output (inverse index).
-    in_of_output: Vec<Vec<Option<usize>>>,
+    /// `slot * n + input` → the output assigned to that input ([`IDLE`] =
+    /// none). Empty until the first reservation.
+    out_of_input: Vec<u16>,
+    /// `slot * n + output` → the input assigned to it (inverse index).
+    in_of_output: Vec<u16>,
 }
+
+impl PartialEq for FrameSchedule {
+    fn eq(&self, other: &Self) -> bool {
+        // `in_of_output` is determined by `out_of_input`; an unallocated
+        // table stands for an all-idle one.
+        let (a, b) = (&self.out_of_input, &other.out_of_input);
+        self.n == other.n
+            && self.frame == other.frame
+            && match (a.is_empty(), b.is_empty()) {
+                (false, false) => a == b,
+                _ => a.iter().chain(b).all(|&e| e == IDLE),
+            }
+    }
+}
+
+impl Eq for FrameSchedule {}
 
 impl FrameSchedule {
     /// An empty schedule for an `n × n` switch with `frame` slots.
     ///
     /// # Panics
     ///
-    /// Panics if `n == 0` or `frame == 0`.
+    /// Panics if `n == 0`, `frame == 0`, or `n` does not fit the tables'
+    /// 16-bit port entries.
     pub fn new(n: usize, frame: u32) -> Self {
         assert!(n > 0 && frame > 0, "degenerate schedule");
+        assert!(
+            n < IDLE as usize,
+            "port count overflows the schedule tables"
+        );
         FrameSchedule {
             n,
             frame,
-            out_of_input: vec![vec![None; n]; frame as usize],
-            in_of_output: vec![vec![None; n]; frame as usize],
+            out_of_input: Vec::new(),
+            in_of_output: Vec::new(),
         }
     }
 
@@ -126,14 +158,25 @@ impl FrameSchedule {
         self.frame
     }
 
+    fn lookup(&self, table: &[u16], slot: u32, port: usize) -> Option<usize> {
+        assert!(
+            slot < self.frame && port < self.n,
+            "slot or port out of range"
+        );
+        table
+            .get(slot as usize * self.n + port)
+            .filter(|&&e| e != IDLE)
+            .map(|&e| e as usize)
+    }
+
     /// The output `input` transmits to in `slot`, if any.
     pub fn output_in_slot(&self, slot: u32, input: usize) -> Option<usize> {
-        self.out_of_input[slot as usize][input]
+        self.lookup(&self.out_of_input, slot, input)
     }
 
     /// The input transmitting to `output` in `slot`, if any.
     pub fn input_in_slot(&self, slot: u32, output: usize) -> Option<usize> {
-        self.in_of_output[slot as usize][output]
+        self.lookup(&self.in_of_output, slot, output)
     }
 
     /// Whether both `input` and `output` are idle in `slot` — a slot
@@ -152,22 +195,24 @@ impl FrameSchedule {
 
     /// Total scheduled (slot, connection) entries.
     pub fn total_cells(&self) -> u32 {
-        (0..self.frame)
-            .map(|s| self.out_of_input[s as usize].iter().flatten().count() as u32)
-            .sum()
+        self.out_of_input.iter().filter(|&&e| e != IDLE).count() as u32
     }
 
     pub(crate) fn place(&mut self, slot: u32, input: usize, output: usize) {
-        debug_assert!(self.out_of_input[slot as usize][input].is_none());
-        debug_assert!(self.in_of_output[slot as usize][output].is_none());
-        self.out_of_input[slot as usize][input] = Some(output);
-        self.in_of_output[slot as usize][output] = Some(input);
+        debug_assert!(self.pair_free(slot, input, output));
+        if self.out_of_input.is_empty() {
+            let len = self.frame as usize * self.n;
+            self.out_of_input = vec![IDLE; len];
+            self.in_of_output = vec![IDLE; len];
+        }
+        self.out_of_input[slot as usize * self.n + input] = output as u16;
+        self.in_of_output[slot as usize * self.n + output] = input as u16;
     }
 
     fn unplace(&mut self, slot: u32, input: usize, output: usize) {
-        debug_assert_eq!(self.out_of_input[slot as usize][input], Some(output));
-        self.out_of_input[slot as usize][input] = None;
-        self.in_of_output[slot as usize][output] = None;
+        debug_assert_eq!(self.output_in_slot(slot, input), Some(output));
+        self.out_of_input[slot as usize * self.n + input] = IDLE;
+        self.in_of_output[slot as usize * self.n + output] = IDLE;
     }
 
     /// Adds one cell/frame from `input` to `output` by the Slepian–Duguid
@@ -472,6 +517,24 @@ mod tests {
                 "frame={frame}: {max_swaps} swaps (bound 2N)"
             );
         }
+    }
+
+    #[test]
+    fn untouched_schedule_equals_an_emptied_one() {
+        let untouched = FrameSchedule::new(4, 3);
+        let mut emptied = FrameSchedule::new(4, 3);
+        emptied.insert(1, 2).unwrap();
+        assert_ne!(untouched, emptied);
+        assert_ne!(emptied, untouched);
+        emptied.remove(1, 2).unwrap();
+        assert_eq!(untouched, emptied);
+        assert_eq!(emptied, untouched);
+        assert_eq!(untouched, FrameSchedule::new(4, 3));
+        assert_ne!(untouched, FrameSchedule::new(4, 2));
+        // Nothing is allocated until a reservation lands.
+        assert!(untouched.out_of_input.is_empty() && untouched.in_of_output.is_empty());
+        assert_eq!(untouched.output_in_slot(2, 3), None);
+        assert_eq!(untouched.total_cells(), 0);
     }
 
     #[test]

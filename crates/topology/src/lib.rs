@@ -19,8 +19,8 @@
 //!   (waiting-graph) analysis, and path-inflation measurement.
 //! * [`paths`] — unrestricted shortest paths, for comparison and for AN2's
 //!   per-VC routing where up\*/down\* is not required.
-//! * [`partition_switches`] — greedy balanced min-cut-ish shard plans for
-//!   the parallel data plane.
+//! * [`partition_switches`] — greedy balanced, connected, min-cut-ish
+//!   partitions of the switch graph.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

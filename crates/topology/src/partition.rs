@@ -1,15 +1,17 @@
-//! Shard partitioning for the parallel data plane.
+//! Balanced, connected partitions of the switch graph.
 //!
-//! The fabric steps each shard's switches on its own thread, so a good
-//! partition (a) balances switch counts — the per-slot barrier makes the
-//! slowest shard the critical path — and (b) keeps the cut small, since
-//! every edge crossing the cut is a mailbox a departure may have to cross.
-//! Exact min-cut balanced partitioning is NP-hard; this is the classic
-//! greedy region-growing heuristic: seed each region at the
-//! lowest-numbered unassigned switch, then repeatedly absorb the frontier
-//! switch with the most links into the region (ties to the lowest id), BFS
-//! order as a fallback when the frontier is empty (disconnected graphs).
-//! Deterministic by construction — no randomness, no hash iteration.
+//! Splits the switches into `k` regions of equal size (within one switch)
+//! with few links between regions. Exact min-cut balanced partitioning is
+//! NP-hard; this is the classic greedy region-growing heuristic: seed each
+//! region at the lowest-numbered unassigned switch, then repeatedly absorb
+//! the frontier switch with the most links into the region (ties to the
+//! lowest id), lowest unassigned id as a fallback when the frontier is
+//! empty (disconnected graphs). Deterministic by construction — no
+//! randomness, no hash iteration.
+//!
+//! The fabric's shard plan no longer comes from here: its cross-switch
+//! traffic all passes through one agenda, so cut links cost it nothing, and
+//! contiguous id blocks measured faster (DESIGN.md §11).
 
 use crate::{SwitchId, Topology};
 
@@ -37,43 +39,31 @@ pub fn partition_switches(topo: &Topology, shards: usize) -> Vec<u32> {
         let seed = (0..n)
             .find(|&i| plan[i] == u32::MAX)
             .expect("quotas sum to n");
-        plan[seed] = shard as u32;
-        assigned += 1;
-        let mut region = vec![SwitchId(seed as u16)];
-        for _ in 1..quota {
-            // Pick the unassigned switch with the most links into the
-            // region; scan the region's neighborhoods so the cost is
-            // O(region × degree) per absorption.
-            let mut best: Option<(usize, usize)> = None; // (links_in, idx)
-            let mut counted = vec![0usize; n];
-            for &r in &region {
-                for nb in topo.switch_neighbors(r) {
-                    let i = nb.0 as usize;
-                    if plan[i] == u32::MAX {
-                        counted[i] += 1;
-                    }
-                }
-            }
-            for (i, &c) in counted.iter().enumerate() {
-                if c > 0 && plan[i] == u32::MAX {
-                    let better = match best {
-                        None => true,
-                        Some((bc, bi)) => c > bc || (c == bc && i < bi),
-                    };
-                    if better {
-                        best = Some((c, i));
-                    }
-                }
-            }
-            let pick = match best {
-                Some((_, i)) => i,
-                // Disconnected frontier: fall back to the lowest
-                // unassigned switch anywhere.
-                None => (0..n).find(|&i| plan[i] == u32::MAX).expect("quota left"),
-            };
+        // Links from the region into each still-unassigned switch, kept
+        // incrementally: absorbing a switch only adds its own neighbours.
+        let mut frontier = vec![0usize; n];
+        let absorb = |plan: &mut [u32], frontier: &mut [usize], pick: usize| {
             plan[pick] = shard as u32;
+            for nb in topo.switch_neighbors(SwitchId(pick as u16)) {
+                frontier[nb.0 as usize] += 1;
+            }
+        };
+        absorb(&mut plan, &mut frontier, seed);
+        assigned += 1;
+        for _ in 1..quota {
+            // The unassigned switch with the most links into the region,
+            // ties to the lowest id (`max_by_key` keeps the last maximum, so
+            // scan from the highest id down).
+            let pick = (0..n)
+                .rev()
+                .filter(|&i| plan[i] == u32::MAX && frontier[i] > 0)
+                .max_by_key(|&i| frontier[i])
+                // Disconnected frontier: fall back to the lowest unassigned
+                // switch anywhere.
+                .or_else(|| (0..n).find(|&i| plan[i] == u32::MAX))
+                .expect("quota left");
+            absorb(&mut plan, &mut frontier, pick);
             assigned += 1;
-            region.push(SwitchId(pick as u16));
         }
     }
     debug_assert_eq!(assigned, n);
@@ -81,8 +71,7 @@ pub fn partition_switches(topo: &Topology, shards: usize) -> Vec<u32> {
     plan
 }
 
-/// The number of links whose endpoints land in different shards — the
-/// mailbox traffic a plan implies. Observability for tests and benches.
+/// The number of links whose endpoints land in different shards.
 pub fn cut_links(topo: &Topology, plan: &[u32]) -> usize {
     use crate::Node;
     topo.links()
@@ -133,6 +122,66 @@ mod tests {
         let topo = generators::line(8);
         let plan = partition_switches(&topo, 2);
         assert_eq!(cut_links(&topo, &plan), 1, "plan {plan:?}");
+    }
+
+    /// The pre-incremental algorithm, verbatim: recounts the whole frontier
+    /// for every absorbed switch. Kept only to pin the plan.
+    fn partition_recounting(topo: &Topology, shards: usize) -> Vec<u32> {
+        let n = topo.switch_count();
+        let shards = shards.clamp(1, n);
+        let mut plan = vec![u32::MAX; n];
+        let (base, extra) = (n / shards, n % shards);
+        for shard in 0..shards {
+            let quota = base + usize::from(shard < extra);
+            let seed = (0..n).find(|&i| plan[i] == u32::MAX).unwrap();
+            plan[seed] = shard as u32;
+            let mut region = vec![SwitchId(seed as u16)];
+            for _ in 1..quota {
+                let mut best: Option<(usize, usize)> = None; // (links_in, idx)
+                let mut counted = vec![0usize; n];
+                for &r in &region {
+                    for nb in topo.switch_neighbors(r) {
+                        if plan[nb.0 as usize] == u32::MAX {
+                            counted[nb.0 as usize] += 1;
+                        }
+                    }
+                }
+                for (i, &c) in counted.iter().enumerate() {
+                    if c > 0 && best.is_none_or(|(bc, bi)| c > bc || (c == bc && i < bi)) {
+                        best = Some((c, i));
+                    }
+                }
+                let pick = match best {
+                    Some((_, i)) => i,
+                    None => (0..n).find(|&i| plan[i] == u32::MAX).unwrap(),
+                };
+                plan[pick] = shard as u32;
+                region.push(SwitchId(pick as u16));
+            }
+        }
+        plan
+    }
+
+    #[test]
+    fn incremental_frontier_reproduces_the_recounting_plan() {
+        let mut disconnected = generators::line(5);
+        for _ in 0..4 {
+            disconnected.add_switch();
+        }
+        for (name, topo) in [
+            ("torus", generators::torus(6, 6)),
+            ("fat_tree", generators::fat_tree(2, 5)),
+            ("installation", generators::src_installation(12, 24)),
+            ("disconnected", disconnected),
+        ] {
+            for shards in [1, 2, 3, 4, 7, 64] {
+                assert_eq!(
+                    partition_switches(&topo, shards),
+                    partition_recounting(&topo, shards),
+                    "{name} at {shards} shards"
+                );
+            }
+        }
     }
 
     #[test]
