@@ -38,7 +38,7 @@ if [[ "${1:-}" != "quick" ]]; then
     echo "== flight recorder + observatory (determinism digests, golden trace, counter tracks)"
     cargo test -q --test trace_determinism --test golden_trace
 
-    echo "== tracing overhead (N5) + traced N4 export (asserts span < 200 ms)"
+    echo "== tracing overhead (N5: asserts traced/untraced <= 1.5x, equal event counts) + traced N4 export (asserts span < 200 ms)"
     cargo run -q -p an2-bench --release --bin experiments -- n5 --json
     cargo run -q -p an2-bench --release --bin experiments -- n4 --trace
 

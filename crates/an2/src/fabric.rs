@@ -31,7 +31,7 @@ use an2_sim::metrics::Histogram;
 use an2_sim::SimRng;
 use an2_switch::{Switch, SwitchConfig};
 use an2_topology::{HostId, LinkId, LinkState, Node, SwitchId, Topology};
-use an2_trace::{DropReason, Entity, Hop, TraceEvent, Tracer};
+use an2_trace::{DropReason, Entity, Hop, MetricId, TraceEvent, TraceLane, Tracer};
 use std::collections::VecDeque;
 use std::sync::Mutex;
 
@@ -448,7 +448,7 @@ pub struct Fabric {
     /// gated exactly like the fault layer. Emission happens after every
     /// decision and consumes no randomness, so a traced run is
     /// byte-identical to an untraced one.
-    tracer: Option<Tracer>,
+    trace: Option<Box<FabricTrace>>,
     /// Reconfiguration protocol messages in flight (empty unless an
     /// embedded control plane is sending; the hot path gates on that).
     ctrl_inflight: Vec<CtrlInFlight>,
@@ -492,6 +492,43 @@ pub struct PhaseProfile {
     pub skipped_switch_steps: u64,
     /// Per-switch steps actually executed.
     pub stepped_switch_steps: u64,
+}
+
+/// The fabric's own trace lane and the handles of the series it writes per
+/// cell, resolved once at [`Fabric::attach_tracer`]. Everything the fabric
+/// records goes through the lane — the cold sites too, so one holder has
+/// one emission path and its records keep their order.
+struct FabricTrace {
+    /// The lane's tracer again, so a flush can hold its lock (`sink`)
+    /// while the lane and the switches' output drain through it.
+    tracer: Tracer,
+    lane: TraceLane,
+    /// `link.cells` and `fabric.credits_sent`, indexed by link id.
+    link_cells: Vec<MetricId>,
+    credits_sent: Vec<MetricId>,
+    /// `fabric.cells_injected` and `fabric.cells_delivered`, by host id.
+    cells_injected: Vec<MetricId>,
+    cells_delivered: Vec<MetricId>,
+    cell_latency: MetricId,
+}
+
+impl FabricTrace {
+    /// Adds to a counter that is written too rarely to keep a handle for.
+    fn count(&mut self, name: &'static str, entity: Entity, n: u64) {
+        let id = self.lane.resolve(name, entity);
+        self.lane.add(id, n);
+    }
+
+    /// `n` cells of `vc` destroyed for `reason`.
+    fn cells_dropped(&mut self, vc: VcId, reason: DropReason, n: u64) {
+        for _ in 0..n {
+            self.lane.emit(TraceEvent::CellDrop {
+                vc: vc.raw(),
+                reason,
+            });
+        }
+        self.count("fabric.cells_dropped", Entity::Vc(vc.raw()), n);
+    }
 }
 
 /// The lead's view of a running crew (see [`Fabric::step_with_crew`]).
@@ -586,7 +623,7 @@ impl Fabric {
             shard_work: vec![0],
             setups_in_flight: 0,
             fault: None,
-            tracer: None,
+            trace: None,
             ctrl_inflight: Vec::new(),
             ctrl_arrivals: Vec::new(),
             ctrl_counters: CtrlCounters::default(),
@@ -611,14 +648,21 @@ impl Fabric {
     /// results are byte-identical at any shard count: switches draw from
     /// per-switch RNG streams and the commit order never changes.
     ///
-    /// Runs that need the caller's state mid-slot — a tracer or fault layer
-    /// attached, a signalled set-up in flight, zero link latency — or that
-    /// have a single core to run on step the same shards inline instead.
+    /// Runs that need the caller's state mid-slot — a fault layer attached,
+    /// a signalled set-up in flight, zero link latency — or that have a
+    /// single core to run on step the same shards inline instead. A tracer
+    /// is no such state: switches record into lanes of their own, which the
+    /// calling thread flushes in switch-id order after the join.
     pub fn set_shards(&mut self, shards: usize) {
         let shards = shards.clamp(1, self.switches.len().max(1));
         let plan = shard::block_plan(self.switches.len(), shards);
         self.layout = ShardLayout::from_plan(&plan, shards);
-        self.lanes = (0..shards).map(|_| Lane::default()).collect();
+        self.lanes = (0..shards)
+            .map(|_| Lane {
+                traced: self.trace.is_some(),
+                ..Lane::default()
+            })
+            .collect();
         self.crew_threads = shards.min(std::thread::available_parallelism().map_or(1, |n| n.get()));
         self.shard_work = vec![0; shards];
     }
@@ -1394,14 +1438,18 @@ impl Fabric {
         // keeps the switches with the lead. None of these can change while
         // the call runs: attaching is an outside call, and set-ups only
         // complete.
-        let lead_only = self.tracer.is_some()
-            || self.fault.is_some()
-            || self.setups_in_flight != 0
-            || self.cfg.link_latency_slots == 0;
+        let lead_only =
+            self.fault.is_some() || self.setups_in_flight != 0 || self.cfg.link_latency_slots == 0;
         if self.crew_threads > 1 && !lead_only && slots > 0 {
             self.step_with_crew(end);
         } else {
             self.run_slots(end, None);
+        }
+        // What the fabric records between `step` calls (control sends,
+        // forced resyncs) happens at the slot about to run, the instant
+        // the network layer's own records carry.
+        if let Some(t) = &mut self.trace {
+            t.lane.set_slot(self.slot);
         }
     }
 
@@ -1579,8 +1627,9 @@ impl Fabric {
     fn step_one(&mut self, crew: Option<&mut Crew<'_, '_>>) {
         // 0. Stamp the recorder's clock so every event this slot carries
         // the right virtual time.
-        if let Some(t) = &self.tracer {
-            t.set_slot(self.slot);
+        if let Some(t) = &mut self.trace {
+            t.tracer.set_slot(self.slot);
+            t.lane.set_slot(self.slot);
         }
         // 0b. Fault layer: crashes, flaps and scheduled resync markers take
         // effect before this slot's deliveries.
@@ -1610,30 +1659,24 @@ impl Fabric {
                         // is a stale signal and dropped before it touches
                         // a switch.
                         self.handle_signal_at_switch(switch, cell);
-                    } else if crew.is_some() {
-                        let home = self.layout.home[switch.0 as usize];
-                        self.lanes[home.lane as usize].inbox.push(Delivery::Cell {
-                            home,
-                            input,
-                            cell,
-                            trace,
-                        });
                     } else {
                         if self.fault.is_some() {
                             self.shadow_on_cell(switch, cell.vc());
                         }
-                        if let Some(t) = &self.tracer {
-                            if trace != 0 {
-                                t.emit(TraceEvent::CellHop {
-                                    trace_id: trace,
-                                    vc: cell.vc().raw(),
-                                    hop: Hop::SwitchIn { switch: switch.0 },
-                                });
-                            }
+                        self.trace_hop(trace, cell.vc(), Hop::SwitchIn { switch: switch.0 });
+                        if crew.is_some() {
+                            let home = self.layout.home[switch.0 as usize];
+                            self.lanes[home.lane as usize].inbox.push(Delivery::Cell {
+                                home,
+                                input,
+                                cell,
+                                trace,
+                            });
+                        } else {
+                            self.switches[switch.0 as usize]
+                                .enqueue_traced(input, cell, trace)
+                                .expect("port map produced a valid input port");
                         }
-                        self.switches[switch.0 as usize]
-                            .enqueue_traced(input, cell, trace)
-                            .expect("port map produced a valid input port");
                     }
                 }
                 Event::CellToHost {
@@ -1692,12 +1735,12 @@ impl Fabric {
                     if self.switch_is_crashed(m.to) {
                         self.ctrl_counters.messages_lost += 1;
                     } else {
-                        if let Some(t) = &self.tracer {
-                            t.emit(TraceEvent::CtrlRx {
+                        if let Some(t) = &mut self.trace {
+                            t.lane.emit(TraceEvent::CtrlRx {
                                 switch: m.to.0,
                                 link: m.link.0,
                             });
-                            t.counter_add("ctrl.messages_received", Entity::Switch(m.to.0), 1);
+                            t.count("ctrl.messages_received", Entity::Switch(m.to.0), 1);
                         }
                         self.ctrl_arrivals.push((m.to, m.link, m.msg));
                     }
@@ -1747,7 +1790,43 @@ impl Fabric {
         if self.fault.as_ref().is_some_and(|f| f.check_invariants) {
             self.check_invariants_slot();
         }
+        // 6. Everything the slot recorded reaches the tracer now, so the
+        // observatory's scrape at the next `set_slot` reads a settled
+        // registry.
+        if self.trace.is_some() {
+            self.flush_slot_trace();
+        }
         self.slot += 1;
+    }
+
+    /// The slot-end flush, booked as commit time: it is the trace's commit.
+    /// Kept out of line: inlined, its lock and profiling code cost the
+    /// untraced slot loop over 10 % (chaos schedules, 125 ns per slot).
+    #[inline(never)]
+    fn flush_slot_trace(&mut self) {
+        let t0 = self.profile.is_some().then(std::time::Instant::now);
+        self.flush_trace();
+        if let Some(t0) = t0 {
+            self.profile.as_mut().expect("profiling enabled").commit_ns +=
+                t0.elapsed().as_nanos() as u64;
+        }
+    }
+
+    /// Applies everything recorded since the last flush to the tracer under
+    /// one lock, in the canonical order: the fabric's own lane, then the
+    /// switches' output in ascending switch id. The record stream is thus a
+    /// function of (slot, emitter, emission order) alone — the same at any
+    /// shard count, batching mode or `step` chunking.
+    fn flush_trace(&mut self) {
+        let Some(t) = self.trace.as_mut() else {
+            return;
+        };
+        if t.lane.is_empty() && !shard::trace_pending(&self.lanes) {
+            return;
+        }
+        let mut sink = t.tracer.sink();
+        t.lane.flush_into(&mut sink);
+        shard::flush_traces(&mut self.lanes, &mut sink);
     }
 
     /// The switch phase: every lane steps its switches into its own
@@ -1883,17 +1962,17 @@ impl Fabric {
                 // tracer's counter is deterministic and independent of the
                 // simulation RNG, so tracing never perturbs the run.
                 let mut trace = 0;
-                if let Some(t) = &self.tracer {
+                if let Some(t) = &mut self.trace {
                     if !is_signal {
-                        trace = t.sample_cell();
-                        t.emit(TraceEvent::CellInject {
+                        trace = t.lane.sample_cell();
+                        t.lane.emit(TraceEvent::CellInject {
                             vc: cell.vc().raw(),
                             host: h as u16,
                             trace_id: trace,
                         });
-                        t.counter_add("fabric.cells_injected", Entity::Host(h as u16), 1);
+                        t.lane.add(t.cells_injected[h], 1);
                         if trace != 0 && arrives {
-                            t.emit(TraceEvent::CellHop {
+                            t.lane.emit(TraceEvent::CellHop {
                                 trace_id: trace,
                                 vc: cell.vc().raw(),
                                 hop: Hop::Wire { link: link.0 },
@@ -1919,8 +1998,8 @@ impl Fabric {
                     TrafficClass::BestEffort => {
                         let hc = c.host_credits.as_mut().expect("gated best-effort");
                         *hc -= 1;
-                        if let Some(t) = &self.tracer {
-                            t.emit(TraceEvent::CreditConsume {
+                        if let Some(t) = &mut self.trace {
+                            t.lane.emit(TraceEvent::CreditConsume {
                                 vc: vc.raw(),
                                 balance: *hc,
                             });
@@ -1978,18 +2057,14 @@ impl Fabric {
             // before anything can destroy the cell.
             self.shadow_try_send_from(from, vc);
         }
-        if let Some(t) = &self.tracer {
-            if trace != 0 {
-                t.emit(TraceEvent::CellHop {
-                    trace_id: trace,
-                    vc: vc.raw(),
-                    hop: Hop::SwitchOut {
-                        switch: from.0,
-                        queued_slots: self.slot - enqueued_slot,
-                    },
-                });
-            }
-        }
+        self.trace_hop(
+            trace,
+            vc,
+            Hop::SwitchOut {
+                switch: from.0,
+                queued_slots: self.slot - enqueued_slot,
+            },
+        );
         let Some(attachment) = self.port_map[from.0 as usize * self.port_stride + output] else {
             // The outbound link died after the cell was scheduled: lost.
             // The shadow receiver still forwards (the hardware freed the
@@ -1998,12 +2073,8 @@ impl Fabric {
             if self.fault.is_some() {
                 self.shadow_forward_discard(from, vc);
             }
-            if let Some(t) = &self.tracer {
-                t.emit(TraceEvent::CellDrop {
-                    vc: vc.raw(),
-                    reason: DropReason::DeadLink,
-                });
-                t.counter_add("fabric.cells_dropped", Entity::Vc(vc.raw()), 1);
+            if let Some(t) = &mut self.trace {
+                t.cells_dropped(vc, DropReason::DeadLink, 1);
             }
             if let Some(c) = self.circuit_mut(vc) {
                 c.stats.dropped_cells += 1;
@@ -2025,7 +2096,7 @@ impl Fabric {
                 if !self.account_mid_path(vc, arrives, corrupted) {
                     return;
                 }
-                self.trace_wire_hop(trace, vc, link);
+                self.trace_hop(trace, vc, Hop::Wire { link: link.0 });
                 self.agenda.push(
                     due,
                     Event::CellToSwitch {
@@ -2043,7 +2114,7 @@ impl Fabric {
                 if !self.account_mid_path(vc, arrives, corrupted) {
                     return;
                 }
-                self.trace_wire_hop(trace, vc, link);
+                self.trace_hop(trace, vc, Hop::Wire { link: link.0 });
                 self.agenda.push(
                     due,
                     Event::CellToHost {
@@ -2057,14 +2128,15 @@ impl Fabric {
         }
     }
 
-    /// Records one wire crossing of a sampled cell's journey.
-    fn trace_wire_hop(&self, trace: u32, vc: VcId, link: LinkId) {
+    /// Records one hop of a sampled cell's journey (ids are nonzero only
+    /// with a tracer attached).
+    fn trace_hop(&mut self, trace: u32, vc: VcId, hop: Hop) {
         if trace != 0 {
-            if let Some(t) = &self.tracer {
-                t.emit(TraceEvent::CellHop {
+            if let Some(t) = &mut self.trace {
+                t.lane.emit(TraceEvent::CellHop {
                     trace_id: trace,
                     vc: vc.raw(),
-                    hop: Hop::Wire { link: link.0 },
+                    hop,
                 });
             }
         }
@@ -2144,13 +2216,13 @@ impl Fabric {
                 }
             }
         }
-        if let Some(t) = &self.tracer {
-            t.emit(TraceEvent::CreditSend {
+        if let Some(t) = &mut self.trace {
+            t.lane.emit(TraceEvent::CreditSend {
                 vc: vc.raw(),
                 link: link.0,
                 epoch,
             });
-            t.counter_add("fabric.credits_sent", Entity::Link(link.0), 1);
+            t.lane.add(t.credits_sent[link.0 as usize], 1);
         }
         let event = match upstream {
             None => Event::CreditToHost { vc, link, epoch },
@@ -2179,8 +2251,8 @@ impl Fabric {
         let mut injector =
             FaultInjector::new(spec, seed, self.topo.link_count(), self.topo.switch_count());
         // A tracer attached before the fault layer still sees fault draws.
-        if let Some(t) = &self.tracer {
-            injector.attach_tracer(t.clone());
+        if let Some(t) = &self.trace {
+            injector.attach_tracer(t.tracer.clone());
         }
         self.fault = Some(Box::new(FaultLayer {
             injector,
@@ -2205,11 +2277,18 @@ impl Fabric {
     }
 
     /// Attaches a flight recorder + metrics registry to every layer of the
-    /// data plane: the fabric itself, each switch (and its crossbar
-    /// scheduler), and — if one is attached in either order — the fault
-    /// injector. Tracing records decisions after they are made and never
-    /// draws randomness, so the traced run is byte-identical to the
-    /// untraced one.
+    /// data plane: the fabric itself, each switch, and — if one is attached
+    /// in either order — the fault injector. Tracing records decisions
+    /// after they are made and never draws randomness, so the traced run is
+    /// byte-identical to the untraced one.
+    ///
+    /// The fabric and its switches record into trace lanes of their own and
+    /// flush them at the end of every stepped slot — the fabric's lane,
+    /// then each switch's in ascending id — and before any other public
+    /// method that records returns: whatever a call produced is readable
+    /// through `tracer` once the call is back. (A cell enqueued by hand
+    /// through [`Fabric::switch_mut`] surfaces with the next stepped slot,
+    /// or at that switch's `flush_trace`.)
     pub fn attach_tracer(&mut self, tracer: Tracer) {
         for (idx, sw) in self.switches.iter_mut().enumerate() {
             sw.attach_tracer(tracer.clone(), idx as u16);
@@ -2217,12 +2296,31 @@ impl Fabric {
         if let Some(fault) = self.fault.as_mut() {
             fault.injector.attach_tracer(tracer.clone());
         }
-        self.tracer = Some(tracer);
+        for lane in &mut self.lanes {
+            lane.traced = true;
+        }
+        let mut lane = TraceLane::new(tracer.clone());
+        lane.set_slot(self.slot);
+        let (links, hosts) = (self.topo.link_count(), self.topo.host_count());
+        let per = |name: &'static str, n: usize, entity: fn(usize) -> Entity| -> Vec<MetricId> {
+            (0..n).map(|i| lane.resolve(name, entity(i))).collect()
+        };
+        let link = |l| Entity::Link(l as u32);
+        let host = |h| Entity::Host(h as u16);
+        self.trace = Some(Box::new(FabricTrace {
+            link_cells: per("link.cells", links, link),
+            credits_sent: per("fabric.credits_sent", links, link),
+            cells_injected: per("fabric.cells_injected", hosts, host),
+            cells_delivered: per("fabric.cells_delivered", hosts, host),
+            cell_latency: lane.resolve("fabric.cell_latency_slots", Entity::Global),
+            tracer,
+            lane,
+        }));
     }
 
     /// The attached tracer, if any.
     pub fn tracer(&self) -> Option<&Tracer> {
-        self.tracer.as_ref()
+        self.trace.as_ref().map(|t| &t.tracer)
     }
 
     /// One monitor ping over `link` (§2): true when neither endpoint line
@@ -2232,13 +2330,14 @@ impl Fabric {
     /// answering pings once its fault clears and can earn its way back.
     pub fn ping_link(&mut self, link: LinkId) -> bool {
         let ok = self.ping_link_inner(link);
-        if let Some(t) = &self.tracer {
+        if let Some(t) = &mut self.trace {
             let name = if ok {
                 "monitor.ping_ok"
             } else {
                 "monitor.ping_failed"
             };
-            t.counter_add(name, Entity::Link(link.0), 1);
+            t.count(name, Entity::Link(link.0), 1);
+            self.flush_trace();
         }
         ok
     }
@@ -2314,13 +2413,14 @@ impl Fabric {
         self.ctrl_counters.messages_sent += 1;
         let cells = Self::ctrl_cells_for(&msg);
         self.ctrl_counters.cells_sent += cells as u64;
-        if let Some(t) = &self.tracer {
-            t.emit(TraceEvent::CtrlTx {
+        if let Some(t) = &mut self.trace {
+            t.lane.emit(TraceEvent::CtrlTx {
                 switch: from.0,
                 link: link.0,
                 cells,
             });
-            t.counter_add("ctrl.cells_sent", Entity::Switch(from.0), cells as u64);
+            t.count("ctrl.cells_sent", Entity::Switch(from.0), cells as u64);
+            self.flush_trace();
         }
         if self.topo.link_state(link) != LinkState::Working {
             self.ctrl_counters.messages_lost += 1;
@@ -2392,6 +2492,7 @@ impl Fabric {
             return false;
         }
         self.emit_markers_for(ci);
+        self.flush_trace();
         true
     }
 
@@ -2441,8 +2542,8 @@ impl Fabric {
         cell: &mut Cell,
         base_due: u64,
     ) -> (bool, bool, u64) {
-        if let Some(t) = &self.tracer {
-            t.counter_add("link.cells", Entity::Link(link.0), 1);
+        if let Some(t) = &mut self.trace {
+            t.lane.add(t.link_cells[link.0 as usize], 1);
         }
         if self.fault.is_none() {
             return (true, false, base_due);
@@ -2477,12 +2578,8 @@ impl Fabric {
     fn account_cell_eaten_by_crash(&mut self, cell: &Cell) {
         if cell.header.kind != CellKind::Signal {
             let vc = cell.vc();
-            if let Some(t) = &self.tracer {
-                t.emit(TraceEvent::CellDrop {
-                    vc: vc.raw(),
-                    reason: DropReason::Crash,
-                });
-                t.counter_add("fabric.cells_dropped", Entity::Vc(vc.raw()), 1);
+            if let Some(t) = &mut self.trace {
+                t.cells_dropped(vc, DropReason::Crash, 1);
             }
             if let Some(c) = self.circuit_mut(vc) {
                 c.stats.lost_cells += 1;
@@ -2729,13 +2826,13 @@ impl Fabric {
         }
         if completed {
             counters.resyncs_completed += 1;
-            if let Some(t) = &self.tracer {
-                t.emit(TraceEvent::ResyncComplete {
+            if let Some(t) = &mut self.trace {
+                t.lane.emit(TraceEvent::ResyncComplete {
                     vc: vc.raw(),
                     link: link.0,
                     epoch: reply.epoch,
                 });
-                t.counter_add("flow.resyncs_completed", Entity::Link(link.0), 1);
+                t.count("flow.resyncs_completed", Entity::Link(link.0), 1);
             }
         }
         match gate {
@@ -2787,16 +2884,10 @@ impl Fabric {
         let mut total = 0u64;
         for (vc, n) in dropped {
             total += n as u64;
-            if let Some(t) = &self.tracer {
+            if let Some(t) = &mut self.trace {
                 // Queues are credit-bounded, so per-cell drop events stay
                 // small even for a full line card.
-                for _ in 0..n {
-                    t.emit(TraceEvent::CellDrop {
-                        vc: vc.raw(),
-                        reason: DropReason::Crash,
-                    });
-                }
-                t.counter_add("fabric.cells_dropped", Entity::Vc(vc.raw()), n as u64);
+                t.cells_dropped(vc, DropReason::Crash, n as u64);
             }
             let Some(ci) = self.idx_of(vc) else { continue };
             if let Some(c) = self.vcs[ci].circuit.as_mut() {
@@ -2843,12 +2934,8 @@ impl Fabric {
         let cells = lost_cells.len() as u64;
         for (vc, is_signal) in lost_cells {
             if !is_signal {
-                if let Some(t) = &self.tracer {
-                    t.emit(TraceEvent::CellDrop {
-                        vc: vc.raw(),
-                        reason: DropReason::LinkDown,
-                    });
-                    t.counter_add("fabric.cells_dropped", Entity::Vc(vc.raw()), 1);
+                if let Some(t) = &mut self.trace {
+                    t.cells_dropped(vc, DropReason::LinkDown, 1);
                 }
                 if let Some(c) = self.circuit_mut(vc) {
                     c.stats.lost_cells += 1;
@@ -2901,13 +2988,13 @@ impl Fabric {
             }
             // The epoch opened whether or not the marker survives (a lost
             // marker is retried at the next resync interval).
-            if let Some(t) = &self.tracer {
-                t.emit(TraceEvent::ResyncBegin {
+            if let Some(t) = &mut self.trace {
+                t.lane.emit(TraceEvent::ResyncBegin {
                     vc: vc.raw(),
                     link: link.0,
                     epoch: marker.epoch,
                 });
-                t.counter_add("flow.resyncs_begun", Entity::Link(link.0), 1);
+                t.count("flow.resyncs_begun", Entity::Link(link.0), 1);
             }
         }
     }
@@ -2957,9 +3044,10 @@ impl Fabric {
                 .expect("caller checked")
                 .counters
                 .invariant_violations += violations;
-            if let Some(t) = &self.tracer {
-                t.emit(TraceEvent::InvariantViolation { count: violations });
-                t.counter_add("faults.invariant_violations", Entity::Global, violations);
+            if let Some(t) = &mut self.trace {
+                t.lane
+                    .emit(TraceEvent::InvariantViolation { count: violations });
+                t.count("faults.invariant_violations", Entity::Global, violations);
             }
         }
     }
@@ -2978,15 +3066,15 @@ impl Fabric {
             }
         }
         if let Some(l) = latency {
-            if let Some(t) = &self.tracer {
-                t.emit(TraceEvent::CellDeliver {
+            if let Some(t) = &mut self.trace {
+                t.lane.emit(TraceEvent::CellDeliver {
                     vc: vc.raw(),
                     host: host.0,
                     latency_slots: l,
                     trace_id: trace,
                 });
-                t.counter_add("fabric.cells_delivered", Entity::Host(host.0), 1);
-                t.hist_record("fabric.cell_latency_slots", Entity::Global, l);
+                t.lane.add(t.cells_delivered[host.0 as usize], 1);
+                t.lane.record(t.cell_latency, l);
             }
         }
         match self.hosts[host.0 as usize].reassembler.push(&cell) {

@@ -788,8 +788,8 @@ impl Network {
     }
 
     /// Attaches a flight recorder + metrics registry to every layer of the
-    /// stack: the fabric (and through it each switch, its crossbar
-    /// scheduler, and the fault injector) plus the embedded control plane's
+    /// stack: the fabric (and through it each switch and the fault
+    /// injector) plus the embedded control plane's
     /// phase transitions — attachable in any order relative to
     /// [`Network::attach_faults`] and [`Network::enable_control_plane`].
     /// The config's `slot_ns` is overridden with this network's link rate

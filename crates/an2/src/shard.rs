@@ -18,6 +18,7 @@
 use an2_cells::{Cell, VcId};
 use an2_sim::SimRng;
 use an2_switch::{Departure, Switch};
+use an2_trace::{MetricOp, TraceRecord, TraceSink};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 
 /// Consecutive switch ids dealt to one lane as a unit. Sixteen `SimRng`s or
@@ -134,6 +135,18 @@ pub(crate) struct Lane {
     pub skipped: u64,
     /// Steps taken with cells buffered (the `shard_work` count).
     pub busy: u64,
+    /// Set while a tracer is attached: after each switch's turn its trace
+    /// lane is drained into the buffers below, so the lead can flush every
+    /// switch's output in ascending id whichever thread stepped it.
+    pub traced: bool,
+    pub trace_records: Vec<TraceRecord>,
+    pub trace_ops: Vec<MetricOp>,
+    /// `(switch, end of its records, end of its ops)` for every switch that
+    /// recorded anything since the lead last flushed, ascending. The lead's
+    /// flush empties all three; an untraced slot never touches them.
+    pub trace_bounds: Vec<(u32, u32, u32)>,
+    /// The flush's merge cursor into `trace_bounds` (0 between flushes).
+    pub trace_flushed: usize,
 }
 
 impl Lane {
@@ -208,6 +221,55 @@ impl Lane {
             };
             self.quiet_bound = self.quiet_bound.min(bound);
         }
+        if self.traced {
+            // Every switch, stepped or not: a skipped one may still have
+            // recorded this slot's enqueues (a fresh cell wakes it a
+            // pipeline depth later).
+            for (i, sw) in switches.iter_mut().enumerate() {
+                if sw.drain_trace(&mut self.trace_records, &mut self.trace_ops) {
+                    self.trace_bounds.push((
+                        base + i as u32,
+                        self.trace_records.len() as u32,
+                        self.trace_ops.len() as u32,
+                    ));
+                }
+            }
+        }
+    }
+}
+
+/// Whether any lane holds switch trace output the lead has not flushed.
+pub(crate) fn trace_pending(lanes: &[Lane]) -> bool {
+    lanes.iter().any(|l| !l.trace_bounds.is_empty())
+}
+
+/// Puts the lanes' switch trace output through `sink` in ascending switch
+/// id, whichever lane holds it, and empties the lanes' trace buffers: each
+/// lane's bounds are already ascending, so this is the commit's merge by
+/// cursor again.
+pub(crate) fn flush_traces(lanes: &mut [Lane], sink: &mut TraceSink<'_>) {
+    while let Some((_, l)) = lanes
+        .iter()
+        .enumerate()
+        .filter_map(|(l, lane)| lane.trace_bounds.get(lane.trace_flushed).map(|b| (b.0, l)))
+        .min()
+    {
+        let lane = &mut lanes[l];
+        let (r0, o0) = lane.trace_flushed.checked_sub(1).map_or((0, 0), |prev| {
+            (lane.trace_bounds[prev].1, lane.trace_bounds[prev].2)
+        });
+        let (_, r1, o1) = lane.trace_bounds[lane.trace_flushed];
+        lane.trace_flushed += 1;
+        sink.apply(
+            &lane.trace_records[r0 as usize..r1 as usize],
+            &lane.trace_ops[o0 as usize..o1 as usize],
+        );
+    }
+    for lane in lanes {
+        lane.trace_records.clear();
+        lane.trace_ops.clear();
+        lane.trace_bounds.clear();
+        lane.trace_flushed = 0;
     }
 }
 

@@ -8,7 +8,8 @@
 //! order. A separate leg drives the full `Network` with lossy links and the
 //! live embedded control plane, the harshest RNG-adjacent workload we have;
 //! another walks every condition that keeps the switches with the calling
-//! thread, and every way of slicing a run into `step` calls.
+//! thread, a traced run on the crew, and every way of slicing a run into
+//! `step` calls.
 
 use an2::{
     ControlPlaneConfig, Fabric, FabricConfig, FaultSpec, LossModel, Network, NetworkBuilder,
@@ -231,7 +232,8 @@ enum Leg {
     SingleSteps,
     /// Shard count changed between bursts (3 → the leg's count → 1 → back).
     ReshardMidRun,
-    /// Fallback: a tracer attached (digest folds in the recording).
+    /// A tracer attached (digest folds in the recording, in order): the
+    /// switches record into their own lanes, so the crew keeps running.
     Traced,
     /// Fallback: an (inert) fault layer attached.
     Faulted,
@@ -242,8 +244,9 @@ enum Leg {
 }
 
 /// Bursts of best-effort traffic on the 12-switch fat-tree separated by
-/// long quiet gaps, digested like [`drive`].
-fn leg_run(leg: Leg, shards: usize) -> u64 {
+/// long quiet gaps, digested like [`drive`]. Also returns how many shard
+/// lanes stepped a backlogged switch.
+fn leg_run(leg: Leg, shards: usize) -> (u64, usize) {
     let cfg = FabricConfig {
         link_latency_slots: if leg == Leg::ZeroLatency { 0 } else { 2 },
         ..FabricConfig::default()
@@ -297,7 +300,8 @@ fn leg_run(leg: Leg, shards: usize) -> u64 {
             );
         }
     }
-    digest_run(&mut f, &vcs, tracer.as_ref()).0
+    let lanes_worked = f.shard_work().iter().filter(|&&w| w > 0).count();
+    (digest_run(&mut f, &vcs, tracer.as_ref()).0, lanes_worked)
 }
 
 /// Every way into the slot engine gives the sequential run's digest: each
@@ -305,21 +309,27 @@ fn leg_run(leg: Leg, shards: usize) -> u64 {
 /// against `step(n)`, and shard counts changed mid-run.
 #[test]
 fn every_engine_path_matches_the_sequential_run() {
-    let plain = leg_run(Leg::Plain, 1);
+    let (plain, _) = leg_run(Leg::Plain, 1);
     for leg in [Leg::Plain, Leg::SingleSteps, Leg::ReshardMidRun] {
         for shards in [1usize, 2, 5] {
-            assert_eq!(plain, leg_run(leg, shards), "{leg:?} at {shards} shards");
+            assert_eq!(plain, leg_run(leg, shards).0, "{leg:?} at {shards} shards");
         }
     }
-    for leg in [
-        Leg::Traced,
-        Leg::Faulted,
-        Leg::SignalledSetup,
-        Leg::ZeroLatency,
-    ] {
-        let base = leg_run(leg, 1);
+    // The record stream is the 1-shard one at any shard count, with the
+    // work really spread over the lanes (not funnelled through one).
+    let (traced, _) = leg_run(Leg::Traced, 1);
+    for shards in [2usize, 3, 5] {
+        let (digest, lanes_worked) = leg_run(Leg::Traced, shards);
+        assert_eq!(traced, digest, "trace at {shards} shards");
+        assert!(
+            lanes_worked > 1,
+            "traced run at {shards} shards stepped switches on {lanes_worked} lane(s)"
+        );
+    }
+    for leg in [Leg::Faulted, Leg::SignalledSetup, Leg::ZeroLatency] {
+        let (base, _) = leg_run(leg, 1);
         for shards in [2usize, 5] {
-            assert_eq!(base, leg_run(leg, shards), "{leg:?} at {shards} shards");
+            assert_eq!(base, leg_run(leg, shards).0, "{leg:?} at {shards} shards");
         }
     }
 }

@@ -20,7 +20,7 @@ use an2_cells::signal::TrafficClass;
 use an2_cells::{Cell, CellPool, CellQueue, VcId};
 use an2_schedule::FrameSchedule;
 use an2_sim::SimRng;
-use an2_trace::{Entity, TraceEvent, Tracer};
+use an2_trace::{Entity, MetricId, MetricOp, TraceEvent, TraceLane, TraceRecord, Tracer};
 use an2_xbar::{CrossbarScheduler, DemandMatrix, Matching, Pim, Scratch};
 use std::fmt;
 
@@ -215,10 +215,38 @@ pub struct Switch {
     matching: Matching,
     crossbar: Matching,
     scratch: Scratch,
-    /// Flight-recorder handle, Option-gated like the fabric's fault layer.
-    tracer: Option<Tracer>,
-    /// The fabric-wide id trace events are attributed to.
+    /// Flight-recorder lane, Option-gated like the fabric's fault layer.
+    trace: Option<Box<SwitchTrace>>,
+}
+
+/// A traced switch's lane, the series it writes (resolved once at attach)
+/// and the fabric-wide id its events are attributed to.
+struct SwitchTrace {
+    lane: TraceLane,
     switch_id: u16,
+    cells_enqueued: MetricId,
+    queue_depth: MetricId,
+    grants: MetricId,
+}
+
+impl SwitchTrace {
+    /// One departure: the dequeue, the occupancy after it and — on a gated
+    /// circuit — the credit it spent.
+    fn dequeued(&mut self, d: &Departure, slot: u64, live: usize, balance: Option<u32>) {
+        self.lane.emit(TraceEvent::CellDequeue {
+            switch: self.switch_id,
+            output: d.output as u16,
+            vc: d.cell.vc().raw(),
+            queued_slots: slot - d.enqueued_slot,
+        });
+        self.lane.set(self.queue_depth, live as i64);
+        if let Some(balance) = balance {
+            self.lane.emit(TraceEvent::CreditConsume {
+                vc: d.cell.vc().raw(),
+                balance,
+            });
+        }
+    }
 }
 
 impl fmt::Debug for Switch {
@@ -259,19 +287,54 @@ impl Switch {
             matching: Matching::empty(ports),
             crossbar: Matching::empty(ports),
             scratch: Scratch::new(),
-            tracer: None,
-            switch_id: 0,
+            trace: None,
         }
     }
 
-    /// Attaches a flight recorder; enqueues, dequeues and credit spends are
-    /// emitted attributed to `switch_id`, and the inner PIM scheduler emits
-    /// its grants. Tracing observes decisions already made — it cannot
-    /// change the matching, the credit accounting, or the RNG stream.
+    /// Attaches a flight recorder; enqueues, crossbar grants, dequeues and
+    /// credit spends are recorded attributed to `switch_id`, stamped with
+    /// the switch's own slot clock. Tracing observes decisions already made
+    /// — it cannot change the matching, the credit accounting, or the RNG
+    /// stream.
+    ///
+    /// The switch buffers what it records in a [`TraceLane`] of its own and
+    /// never takes the tracer's lock on the data path: nothing shows up in
+    /// `tracer` until [`Switch::flush_trace`] (a standalone switch's user
+    /// calls it before reading) or [`Switch::drain_trace`] (a fabric
+    /// collects its switches' output and flushes it in switch-id order).
     pub fn attach_tracer(&mut self, tracer: Tracer, switch_id: u16) {
-        self.pim.attach_tracer(tracer.clone(), switch_id);
-        self.tracer = Some(tracer);
-        self.switch_id = switch_id;
+        let lane = TraceLane::new(tracer);
+        let entity = Entity::Switch(switch_id);
+        self.trace = Some(Box::new(SwitchTrace {
+            cells_enqueued: lane.resolve("switch.cells_enqueued", entity),
+            queue_depth: lane.resolve("switch.queue_depth", entity),
+            grants: lane.resolve("xbar.grants", entity),
+            lane,
+            switch_id,
+        }));
+    }
+
+    /// Applies everything this switch has recorded since the last flush to
+    /// the attached tracer, under one lock (a no-op when untraced or when
+    /// nothing is buffered).
+    pub fn flush_trace(&mut self) {
+        if let Some(t) = &mut self.trace {
+            t.lane.flush();
+        }
+    }
+
+    /// Moves everything this switch has recorded since the last flush onto
+    /// the ends of `records` and `ops`, unapplied, for the caller to put
+    /// through `Tracer::sink` in an order of its choosing. Returns whether
+    /// there was anything to move.
+    pub fn drain_trace(&mut self, records: &mut Vec<TraceRecord>, ops: &mut Vec<MetricOp>) -> bool {
+        match &mut self.trace {
+            Some(t) if !t.lane.is_empty() => {
+                t.lane.drain_into(records, ops);
+                true
+            }
+            _ => false,
+        }
     }
 
     /// The slab slot for `vc`, interning it on first sight.
@@ -594,19 +657,16 @@ impl Switch {
             // the switch through `install_route` instead.
             self.wake_at(slot + self.cfg.pipeline_slots);
         }
-        if let Some(t) = &self.tracer {
-            t.emit(TraceEvent::CellEnqueue {
-                switch: self.switch_id,
+        if let Some(t) = &mut self.trace {
+            t.lane.set_slot(slot);
+            t.lane.emit(TraceEvent::CellEnqueue {
+                switch: t.switch_id,
                 input: input as u16,
                 vc: cell.vc().raw(),
                 depth,
             });
-            t.counter_add("switch.cells_enqueued", Entity::Switch(self.switch_id), 1);
-            t.gauge_set(
-                "switch.queue_depth",
-                Entity::Switch(self.switch_id),
-                self.pool.live() as i64,
-            );
+            t.lane.add(t.cells_enqueued, 1);
+            t.lane.set(t.queue_depth, self.pool.live() as i64);
         }
         Ok(())
     }
@@ -681,6 +741,9 @@ impl Switch {
         let n = self.cfg.ports;
         let frame_slot = (self.slot % self.cfg.frame_slots as u64) as u32;
         self.crossbar.reset(n);
+        if let Some(t) = &mut self.trace {
+            t.lane.set_slot(self.slot);
+        }
 
         // Phase 1 — guaranteed traffic takes its reserved pairings (§4).
         // With no guaranteed cell buffered anywhere the phase cannot touch
@@ -705,25 +768,16 @@ impl Switch {
                         false,
                     ) {
                         self.crossbar.set(input, output);
-                        if let Some(t) = &self.tracer {
-                            t.emit(TraceEvent::CellDequeue {
-                                switch: self.switch_id,
-                                output: output as u16,
-                                vc: cell.vc().raw(),
-                                queued_slots: self.slot - enqueued_slot,
-                            });
-                            t.gauge_set(
-                                "switch.queue_depth",
-                                Entity::Switch(self.switch_id),
-                                self.pool.live() as i64,
-                            );
-                        }
-                        departures.push(Departure {
+                        let departure = Departure {
                             output,
                             cell,
                             enqueued_slot,
                             trace,
-                        });
+                        };
+                        if let Some(t) = &mut self.trace {
+                            t.dequeued(&departure, self.slot, self.pool.live(), None);
+                        }
+                        departures.push(departure);
                     }
                     // "Best-effort cells can use an allocated slot if no cell
                     // from the scheduled virtual circuit is present" — by not
@@ -799,6 +853,16 @@ impl Switch {
         if any_demand {
             self.pim
                 .schedule_into(&self.demand, rng, &mut self.scratch, &mut self.matching);
+            if let Some(t) = &mut self.trace {
+                for (input, output) in self.matching.iter() {
+                    t.lane.emit(TraceEvent::XbarGrant {
+                        switch: t.switch_id,
+                        input: input as u16,
+                        output: output as u16,
+                    });
+                }
+                t.lane.add(t.grants, self.matching.len() as u64);
+            }
             for (input, output) in self.matching.iter() {
                 let (cell, enqueued_slot, trace) = if self.batched {
                     // The demand scan already found the oldest eligible
@@ -833,31 +897,20 @@ impl Switch {
                 }
                 .expect("PIM matched a pair with demand");
                 self.crossbar.set(input, output);
-                if let Some(t) = &self.tracer {
-                    t.emit(TraceEvent::CellDequeue {
-                        switch: self.switch_id,
-                        output: output as u16,
-                        vc: cell.vc().raw(),
-                        queued_slots: self.slot - enqueued_slot,
-                    });
-                    t.gauge_set(
-                        "switch.queue_depth",
-                        Entity::Switch(self.switch_id),
-                        self.pool.live() as i64,
-                    );
-                    if let Some(balance) = self.credit_balance(cell.vc()) {
-                        t.emit(TraceEvent::CreditConsume {
-                            vc: cell.vc().raw(),
-                            balance,
-                        });
-                    }
-                }
-                departures.push(Departure {
+                let departure = Departure {
                     output,
                     cell,
                     enqueued_slot,
                     trace,
-                });
+                };
+                let balance = self
+                    .trace
+                    .as_ref()
+                    .and_then(|_| self.credit_balance(cell.vc()));
+                if let Some(t) = &mut self.trace {
+                    t.dequeued(&departure, self.slot, self.pool.live(), balance);
+                }
+                departures.push(departure);
             }
         }
 
@@ -1328,6 +1381,8 @@ mod tests {
         let mut sw = build();
         sw.attach_tracer(tracer.clone(), 6);
         let traced = drive(&mut sw, true);
+        assert_eq!(tracer.events_seen(), 0, "the lane buffers until flushed");
+        sw.flush_trace();
 
         // Same departures in the same order (ignoring the trace tag).
         assert_eq!(baseline.len(), traced.len());

@@ -19,11 +19,14 @@
 //!   queries.
 //! * [`Tracer`] — the cheap-to-clone handle every layer holds
 //!   `Option`-gated, exactly like the fabric's fault layer: a fabric (or
-//!   switch, crossbar scheduler, link simulator, fault injector, engine)
-//!   with no tracer attached runs the same instructions it ran before this
-//!   crate existed, and a traced run is **byte-identical** to an untraced
-//!   one — tracing draws no randomness and perturbs no ordering. The
-//!   workspace digest tests prove it.
+//!   switch, link simulator, fault injector, engine) with no tracer
+//!   attached runs the same instructions it ran before this crate existed,
+//!   and a traced run is **byte-identical** to an untraced one — tracing
+//!   draws no randomness and perturbs no ordering. The workspace digest
+//!   tests prove it.
+//! * [`TraceLane`] — the buffered path for the emitters that fire per
+//!   cell: an owned buffer of slot-stamped records and writes addressed by
+//!   resolved [`MetricId`]s, applied in order under one lock per flush.
 //! * [`sink`] — exporters: JSONL for machine diffing, the Chrome
 //!   trace-event format (spans, flows, and counter tracks) so a
 //!   reconfiguration storm or credit stall renders as a Perfetto
@@ -50,6 +53,7 @@
 #![warn(missing_docs)]
 
 mod event;
+mod lane;
 pub mod observe;
 mod recorder;
 mod registry;
@@ -59,10 +63,11 @@ mod tracer;
 pub use event::{
     DetectorKind, DropReason, Entity, FaultOutcome, Hop, Phase, PhaseEdge, ProtocolTag, TraceEvent,
 };
+pub use lane::TraceLane;
 pub use observe::{
     score_detections, DetectionScore, FaultLabel, HealthEvent, HistStat, IntervalSnapshot,
     Observatory, ObservatoryConfig, SloSpec,
 };
 pub use recorder::{FlightRecorder, TraceRecord};
-pub use registry::{Metric, MetricsRegistry, MetricsSnapshot};
-pub use tracer::{EngineTracer, TraceConfig, Tracer};
+pub use registry::{Metric, MetricId, MetricOp, MetricsRegistry, MetricsSnapshot};
+pub use tracer::{EngineTracer, TraceConfig, TraceSink, Tracer};

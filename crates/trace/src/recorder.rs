@@ -2,7 +2,6 @@
 
 use crate::event::TraceEvent;
 use serde::{Deserialize, Serialize};
-use std::collections::VecDeque;
 
 /// One recorded event, stamped with the fabric slot and virtual time it
 /// happened at.
@@ -18,14 +17,18 @@ pub struct TraceRecord {
 
 /// A bounded ring buffer of [`TraceRecord`]s — the black box that is cheap
 /// enough to leave on for a whole soak. When full, the *oldest* record is
-/// evicted (flight-recorder semantics: the end of the timeline is what you
-/// want after a failure), and [`FlightRecorder::dropped`] counts what fell
-/// off the back.
+/// overwritten in place (flight-recorder semantics: the end of the timeline
+/// is what you want after a failure), and [`FlightRecorder::dropped`] counts
+/// what fell off the back.
 #[derive(Debug, Clone)]
 pub struct FlightRecorder {
-    ring: VecDeque<TraceRecord>,
+    /// Fixed slots: grows to `capacity`, then `head` walks it overwriting.
+    ring: Vec<TraceRecord>,
+    /// The oldest record's slot once the ring is full (0 before that).
+    head: usize,
     capacity: usize,
     seen: u64,
+    dropped: u64,
 }
 
 impl FlightRecorder {
@@ -33,18 +36,26 @@ impl FlightRecorder {
     pub fn new(capacity: usize) -> Self {
         let capacity = capacity.max(1);
         FlightRecorder {
-            ring: VecDeque::with_capacity(capacity.min(1 << 20)),
+            ring: Vec::with_capacity(capacity.min(1 << 20)),
+            head: 0,
             capacity,
             seen: 0,
+            dropped: 0,
         }
     }
 
-    /// Appends a record, evicting the oldest if the buffer is full.
+    /// Appends a record, overwriting the oldest if the buffer is full.
     pub fn push(&mut self, record: TraceRecord) {
-        if self.ring.len() == self.capacity {
-            self.ring.pop_front();
+        if self.ring.len() < self.capacity {
+            self.ring.push(record);
+        } else {
+            self.ring[self.head] = record;
+            self.head += 1;
+            if self.head == self.capacity {
+                self.head = 0;
+            }
+            self.dropped += 1;
         }
-        self.ring.push_back(record);
         self.seen += 1;
     }
 
@@ -53,7 +64,7 @@ impl FlightRecorder {
         self.ring.len()
     }
 
-    /// `true` when nothing has been recorded yet.
+    /// `true` when the ring holds no record.
     pub fn is_empty(&self) -> bool {
         self.ring.is_empty()
     }
@@ -63,29 +74,32 @@ impl FlightRecorder {
         self.capacity
     }
 
-    /// Total events ever recorded (including evicted ones).
+    /// Total events ever recorded (including evicted and cleared ones).
     pub fn seen(&self) -> u64 {
         self.seen
     }
 
-    /// Events evicted off the back of the ring.
+    /// Events evicted off the back of the ring. Records removed by
+    /// [`FlightRecorder::clear`] were read out, not lost, and do not count.
     pub fn dropped(&self) -> u64 {
-        self.seen - self.ring.len() as u64
+        self.dropped
     }
 
     /// The retained records, oldest first.
     pub fn iter(&self) -> impl Iterator<Item = &TraceRecord> {
-        self.ring.iter()
+        let (newer, older) = self.ring.split_at(self.head);
+        older.iter().chain(newer)
     }
 
     /// The retained records as a contiguous vector, oldest first.
     pub fn to_vec(&self) -> Vec<TraceRecord> {
-        self.ring.iter().copied().collect()
+        self.iter().copied().collect()
     }
 
     /// Empties the ring (the seen/dropped totals keep counting).
     pub fn clear(&mut self) {
         self.ring.clear();
+        self.head = 0;
     }
 }
 
@@ -115,6 +129,38 @@ mod tests {
         assert_eq!(r.dropped(), 2);
         let slots: Vec<u64> = r.iter().map(|x| x.slot).collect();
         assert_eq!(slots, vec![2, 3, 4]);
+    }
+
+    #[test]
+    fn totals_hold_across_fill_wrap_and_clear() {
+        let mut r = FlightRecorder::new(4);
+        // Fill: nothing evicted yet.
+        for s in 0..4 {
+            r.push(rec(s));
+        }
+        assert_eq!((r.seen(), r.dropped(), r.len()), (4, 0, 4));
+        // Wrap one and a half times: every overwrite is one eviction.
+        for s in 4..10 {
+            r.push(rec(s));
+        }
+        assert_eq!((r.seen(), r.dropped(), r.len()), (10, 6, 4));
+        let slots: Vec<u64> = r.iter().map(|x| x.slot).collect();
+        assert_eq!(slots, vec![6, 7, 8, 9], "oldest first across the seam");
+        // Clearing reads the ring out; it evicts nothing.
+        r.clear();
+        assert!(r.is_empty());
+        assert_eq!((r.seen(), r.dropped(), r.len()), (10, 6, 0));
+        // A cleared ring fills from empty again before it overwrites.
+        for s in 10..13 {
+            r.push(rec(s));
+        }
+        assert_eq!((r.seen(), r.dropped(), r.len()), (13, 6, 3));
+        let slots: Vec<u64> = r.to_vec().iter().map(|x| x.slot).collect();
+        assert_eq!(slots, vec![10, 11, 12]);
+        r.push(rec(13));
+        r.push(rec(14));
+        assert_eq!((r.seen(), r.dropped(), r.len()), (15, 7, 4));
+        assert_eq!(r.iter().next().map(|x| x.slot), Some(11));
     }
 
     #[test]

@@ -43,13 +43,46 @@ impl MetricsSnapshot {
     }
 }
 
+/// A resolved handle to one series of one [`MetricsRegistry`]: a dense
+/// index, so a write through it is a `Vec` access instead of a keyed map
+/// walk. Ids are only meaningful to the registry that issued them.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub struct MetricId(u32);
+
+/// One buffered registry write, addressed by [`MetricId`] — what a
+/// [`crate::TraceLane`] queues instead of taking the tracer's lock.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum MetricOp {
+    /// Add to a counter.
+    Add(MetricId, u64),
+    /// Set a gauge.
+    Set(MetricId, i64),
+    /// Record a value into a histogram.
+    Record(MetricId, u64),
+}
+
+/// One series: its key and, once something has been written, its value.
+#[derive(Debug, Clone)]
+struct Series {
+    name: &'static str,
+    entity: Entity,
+    /// `None` until the first write: a series that was only resolved is
+    /// invisible to every reader and export.
+    metric: Option<Metric>,
+}
+
 /// Named counters / gauges / histograms keyed by entity. Keys are
-/// `&'static str` (all call sites are in-tree) and storage is a `BTreeMap`,
-/// so every export is deterministically ordered — a requirement for the
+/// `&'static str` (all call sites are in-tree); values live in a dense
+/// `Vec` addressed by [`MetricId`] and a `BTreeMap` keeps the name → index
+/// table, so hot writers resolve once and index afterwards while every
+/// export stays deterministically ordered — a requirement for the
 /// byte-identical trace-diffing workflow.
 #[derive(Debug, Clone, Default)]
 pub struct MetricsRegistry {
-    metrics: BTreeMap<(&'static str, Entity), Metric>,
+    index: BTreeMap<(&'static str, Entity), MetricId>,
+    series: Vec<Series>,
+    /// Series written at least once (what `len` reports).
+    touched: usize,
     hist_sub_bits: u32,
 }
 
@@ -58,68 +91,119 @@ impl MetricsRegistry {
     /// sub-buckets per power of two (0 picks the default of 5).
     pub fn new(hist_sub_bits: u32) -> Self {
         MetricsRegistry {
-            metrics: BTreeMap::new(),
+            index: BTreeMap::new(),
+            series: Vec::new(),
+            touched: 0,
             hist_sub_bits: if hist_sub_bits == 0 { 5 } else { hist_sub_bits },
+        }
+    }
+
+    /// The handle for `name`/`entity`, allocating its slot on first sight.
+    /// Resolving writes nothing: the series stays absent from `len`,
+    /// `iter`, snapshots and exports until its first write, which also
+    /// fixes its kind.
+    pub fn resolve(&mut self, name: &'static str, entity: Entity) -> MetricId {
+        let series = &mut self.series;
+        *self.index.entry((name, entity)).or_insert_with(|| {
+            let id = u32::try_from(series.len()).expect("fewer than 2^32 series");
+            series.push(Series {
+                name,
+                entity,
+                metric: None,
+            });
+            MetricId(id)
+        })
+    }
+
+    /// The value behind `id` plus its key (for panic messages), created by
+    /// `init` on the first write.
+    fn value(
+        &mut self,
+        id: MetricId,
+        init: impl FnOnce(u32) -> Metric,
+    ) -> (&mut Metric, &'static str, Entity) {
+        let s = &mut self.series[id.0 as usize];
+        if s.metric.is_none() {
+            self.touched += 1;
+        }
+        let metric = s.metric.get_or_insert_with(|| init(self.hist_sub_bits));
+        (metric, s.name, s.entity)
+    }
+
+    /// Adds `n` to the counter behind `id`, creating it at zero first.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the series already holds another kind of metric (as do
+    /// the other writers).
+    pub fn counter_add_id(&mut self, id: MetricId, n: u64) {
+        match self.value(id, |_| Metric::Counter(0)) {
+            (Metric::Counter(c), ..) => *c += n,
+            (_, name, entity) => panic!("metric {name}/{entity} is not a counter"),
+        }
+    }
+
+    /// Sets the gauge behind `id`.
+    pub fn gauge_set_id(&mut self, id: MetricId, value: i64) {
+        match self.value(id, |_| Metric::Gauge(0)) {
+            (Metric::Gauge(g), ..) => *g = value,
+            (_, name, entity) => panic!("metric {name}/{entity} is not a gauge"),
+        }
+    }
+
+    /// Records `value` into the bucketed histogram behind `id`.
+    pub fn hist_record_id(&mut self, id: MetricId, value: u64) {
+        match self.value(id, |bits| Metric::Histogram(Histogram::bucketed(bits))) {
+            (Metric::Histogram(h), ..) => h.record(value),
+            (_, name, entity) => panic!("metric {name}/{entity} is not a histogram"),
+        }
+    }
+
+    /// Applies one buffered write.
+    pub fn apply(&mut self, op: MetricOp) {
+        match op {
+            MetricOp::Add(id, n) => self.counter_add_id(id, n),
+            MetricOp::Set(id, v) => self.gauge_set_id(id, v),
+            MetricOp::Record(id, v) => self.hist_record_id(id, v),
         }
     }
 
     /// Adds `n` to the counter `name`/`entity`, creating it at zero first.
     pub fn counter_add(&mut self, name: &'static str, entity: Entity, n: u64) {
-        match self
-            .metrics
-            .entry((name, entity))
-            .or_insert(Metric::Counter(0))
-        {
-            Metric::Counter(c) => *c += n,
-            _ => panic!("metric {name}/{entity} is not a counter"),
-        }
+        let id = self.resolve(name, entity);
+        self.counter_add_id(id, n);
     }
 
     /// Sets the gauge `name`/`entity`.
     pub fn gauge_set(&mut self, name: &'static str, entity: Entity, value: i64) {
-        match self
-            .metrics
-            .entry((name, entity))
-            .or_insert(Metric::Gauge(0))
-        {
-            Metric::Gauge(g) => *g = value,
-            _ => panic!("metric {name}/{entity} is not a gauge"),
-        }
+        let id = self.resolve(name, entity);
+        self.gauge_set_id(id, value);
     }
 
     /// Adds `delta` (possibly negative) to the gauge `name`/`entity`.
     pub fn gauge_add(&mut self, name: &'static str, entity: Entity, delta: i64) {
-        match self
-            .metrics
-            .entry((name, entity))
-            .or_insert(Metric::Gauge(0))
-        {
-            Metric::Gauge(g) => *g += delta,
+        let id = self.resolve(name, entity);
+        match self.value(id, |_| Metric::Gauge(0)) {
+            (Metric::Gauge(g), ..) => *g += delta,
             _ => panic!("metric {name}/{entity} is not a gauge"),
         }
     }
 
     /// Records `value` into the bucketed histogram `name`/`entity`.
     pub fn hist_record(&mut self, name: &'static str, entity: Entity, value: u64) {
-        let sub_bits = self.hist_sub_bits;
-        match self
-            .metrics
-            .entry((name, entity))
-            .or_insert_with(|| Metric::Histogram(Histogram::bucketed(sub_bits)))
-        {
-            Metric::Histogram(h) => h.record(value),
-            _ => panic!("metric {name}/{entity} is not a histogram"),
-        }
+        let id = self.resolve(name, entity);
+        self.hist_record_id(id, value);
     }
 
-    /// The metric `name`/`entity`, if registered.
+    /// The metric `name`/`entity`, if anything was ever written to it.
     pub fn get(&self, name: &'static str, entity: Entity) -> Option<&Metric> {
-        self.metrics.get(&(name, entity))
+        let id = self.index.get(&(name, entity))?;
+        self.series[id.0 as usize].metric.as_ref()
     }
 
     /// The counter `name`/`entity`, or 0 when never touched.
     pub fn counter(&self, name: &'static str, entity: Entity) -> u64 {
-        match self.metrics.get(&(name, entity)) {
+        match self.get(name, entity) {
             Some(Metric::Counter(c)) => *c,
             _ => 0,
         }
@@ -127,40 +211,43 @@ impl MetricsRegistry {
 
     /// Sum of the counter `name` over every entity.
     pub fn counter_total(&self, name: &'static str) -> u64 {
-        self.metrics
-            .iter()
-            .filter(|((n, _), _)| *n == name)
-            .map(|(_, m)| match m {
+        self.iter()
+            .filter(|(n, _, _)| *n == name)
+            .map(|(_, _, m)| match m {
                 Metric::Counter(c) => *c,
                 _ => 0,
             })
             .sum()
     }
 
-    /// Every registered series, in deterministic key order.
+    /// Every series written at least once, in deterministic key order.
     pub fn iter(&self) -> impl Iterator<Item = (&'static str, Entity, &Metric)> {
-        self.metrics.iter().map(|(&(n, e), m)| (n, e, m))
+        self.index.iter().filter_map(|(&(n, e), id)| {
+            self.series[id.0 as usize]
+                .metric
+                .as_ref()
+                .map(|m| (n, e, m))
+        })
     }
 
-    /// Number of registered series.
+    /// Number of series written at least once.
     pub fn len(&self) -> usize {
-        self.metrics.len()
+        self.touched
     }
 
     /// `true` when no metric has been touched.
     pub fn is_empty(&self) -> bool {
-        self.metrics.is_empty()
+        self.touched == 0
     }
 
     /// Copies every counter and gauge into a [`MetricsSnapshot`] — the
     /// anchor for per-slot delta queries.
     pub fn snapshot(&self) -> MetricsSnapshot {
         let values = self
-            .metrics
             .iter()
-            .filter_map(|(&k, m)| match m {
-                Metric::Counter(c) => Some((k, *c as i64)),
-                Metric::Gauge(g) => Some((k, *g)),
+            .filter_map(|(name, entity, m)| match m {
+                Metric::Counter(c) => Some(((name, entity), *c as i64)),
+                Metric::Gauge(g) => Some(((name, entity), *g)),
                 Metric::Histogram(_) => None,
             })
             .collect();
@@ -172,7 +259,7 @@ impl MetricsRegistry {
     /// after the snapshot report their full value.
     pub fn delta_since(&self, earlier: &MetricsSnapshot) -> Vec<(&'static str, Entity, i64)> {
         let mut out = Vec::new();
-        for (&(name, entity), m) in &self.metrics {
+        for (name, entity, m) in self.iter() {
             let now = match m {
                 Metric::Counter(c) => *c as i64,
                 Metric::Gauge(g) => *g,
@@ -193,7 +280,7 @@ impl MetricsRegistry {
     pub fn to_json(&self) -> String {
         let mut out = String::from("{\"metrics\":[");
         let mut first = true;
-        for (&(name, entity), m) in &self.metrics {
+        for (name, entity, m) in self.iter() {
             if !first {
                 out.push(',');
             }
@@ -247,7 +334,7 @@ impl MetricsRegistry {
                 .or_insert_with(|| (ty, source, Vec::new()));
             entry.2.push(format!("{labels} {value}"));
         };
-        for (&(name, entity), m) in &self.metrics {
+        for (name, entity, m) in self.iter() {
             let mut prom = String::with_capacity(name.len() + 4);
             prom.push_str("an2_");
             for ch in name.chars() {
@@ -433,6 +520,69 @@ mod tests {
         assert_eq!(escape_label_value("a\"b"), "a\\\"b");
         assert_eq!(escape_label_value("a\\b"), "a\\\\b");
         assert_eq!(escape_label_value("a\nb"), "a\\nb");
+    }
+
+    #[test]
+    fn resolved_but_untouched_series_are_invisible() {
+        let mut r = MetricsRegistry::new(0);
+        r.counter_add("cells", Entity::Link(1), 4);
+        let baseline = (r.to_json(), r.to_prometheus());
+        let snap = r.snapshot();
+        // Resolve a handle per kind and write through none of them.
+        let ghosts = [
+            r.resolve("cells", Entity::Link(2)),
+            r.resolve("depth", Entity::Switch(0)),
+            r.resolve("latency", Entity::Global),
+        ];
+        assert_eq!(r.len(), 1);
+        assert!(!r.is_empty());
+        assert_eq!(r.iter().count(), 1);
+        assert!(r.get("depth", Entity::Switch(0)).is_none());
+        assert_eq!(r.counter("cells", Entity::Link(2)), 0);
+        assert_eq!(r.counter_total("cells"), 4);
+        assert_eq!(r.snapshot().len(), snap.len());
+        assert!(r.delta_since(&snap).is_empty());
+        assert_eq!((r.to_json(), r.to_prometheus()), baseline);
+        // Resolving is idempotent, and the first write makes a series real.
+        assert_eq!(r.resolve("depth", Entity::Switch(0)), ghosts[1]);
+        r.gauge_set_id(ghosts[1], 3);
+        assert_eq!(r.len(), 2);
+        assert_eq!(r.delta_since(&snap), vec![("depth", Entity::Switch(0), 3)]);
+        assert!(r.to_json().contains("\"name\":\"depth\""));
+    }
+
+    #[test]
+    fn name_keyed_and_id_keyed_writes_hit_one_series() {
+        let mut r = MetricsRegistry::new(0);
+        let c = r.resolve("cells", Entity::Host(3));
+        r.counter_add("cells", Entity::Host(3), 2);
+        r.counter_add_id(c, 5);
+        r.apply(MetricOp::Add(c, 1));
+        assert_eq!(r.counter("cells", Entity::Host(3)), 8);
+        let g = r.resolve("depth", Entity::Switch(1));
+        r.gauge_set_id(g, 7);
+        r.gauge_add("depth", Entity::Switch(1), -2);
+        assert!(matches!(
+            r.get("depth", Entity::Switch(1)),
+            Some(Metric::Gauge(5))
+        ));
+        let h = r.resolve("latency", Entity::Global);
+        r.hist_record_id(h, 10);
+        r.hist_record("latency", Entity::Global, 20);
+        match r.get("latency", Entity::Global) {
+            Some(Metric::Histogram(h)) => assert_eq!(h.count(), 2),
+            other => panic!("unexpected {other:?}"),
+        }
+        assert_eq!(r.len(), 3);
+    }
+
+    #[test]
+    #[should_panic(expected = "metric queue.depth/switch4 is not a counter")]
+    fn kind_mismatch_by_id_names_the_series() {
+        let mut r = MetricsRegistry::new(0);
+        let id = r.resolve("queue.depth", Entity::Switch(4));
+        r.gauge_set_id(id, 1);
+        r.counter_add_id(id, 1);
     }
 
     #[test]

@@ -598,7 +598,7 @@ mod tests {
     fn end_to_end_through_a_tracer() {
         let t = Tracer::new(TraceConfig::default());
         t.set_slot(1);
-        let id = t.sample_cell();
+        let id = crate::TraceLane::new(t.clone()).sample_cell();
         assert_eq!(id, 1, "first injected cell is always sampled");
         t.emit(TraceEvent::CellInject {
             vc: 100,

@@ -4,9 +4,9 @@
 use crate::event::{Entity, TraceEvent};
 use crate::observe::{HealthEvent, IntervalSnapshot, Observatory, ObservatoryConfig};
 use crate::recorder::{FlightRecorder, TraceRecord};
-use crate::registry::{Metric, MetricsRegistry, MetricsSnapshot};
+use crate::registry::{Metric, MetricId, MetricOp, MetricsRegistry, MetricsSnapshot};
 use an2_sim::{ActorId, EngineProbe, SimTime};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard};
 
 /// Configuration for a [`Tracer`].
 #[derive(Debug, Clone, Copy)]
@@ -43,8 +43,6 @@ struct TraceCore {
     slot: u64,
     slot_ns: u64,
     sample_every: u32,
-    injected_seen: u64,
-    next_trace_id: u32,
     observatory: Option<Observatory>,
 }
 
@@ -75,8 +73,13 @@ impl TraceCore {
 /// Layers hold it `Option`-gated exactly like the fault layer: when absent,
 /// the instrumented code runs the same instructions it ran before tracing
 /// existed. The handle is `Arc<Mutex<…>>` internally so clones held by the
-/// fabric, its switches, the link simulators and the fault injector all feed
-/// one recorder and one registry — and every holder stays `Send`.
+/// network, the control plane, the link simulators and the fault injector
+/// all feed one recorder and one registry — and every holder stays `Send`.
+/// Its `&self` methods are the *direct path*: one lock per call, right for
+/// holders that emit a few times per reconfiguration or ping round. The
+/// per-cell emitters (the fabric and its switches) own a
+/// [`crate::TraceLane`] instead, which buffers and pays the lock once per
+/// flush.
 ///
 /// Determinism contract: no method draws randomness, allocates ids visible
 /// to the simulation, or perturbs event ordering. A traced run is
@@ -96,15 +99,32 @@ impl Tracer {
                 slot: 0,
                 slot_ns: config.slot_ns.max(1),
                 sample_every: config.sample_every,
-                injected_seen: 0,
-                next_trace_id: 0,
                 observatory: None,
             })),
         }
     }
 
-    fn lock(&self) -> std::sync::MutexGuard<'_, TraceCore> {
+    fn lock(&self) -> MutexGuard<'_, TraceCore> {
         self.core.lock().expect("tracer lock poisoned")
+    }
+
+    /// `(slot_ns, sample_every)`: what a lane copies out once at creation.
+    pub(crate) fn lane_config(&self) -> (u64, u32) {
+        let core = self.lock();
+        (core.slot_ns, core.sample_every)
+    }
+
+    /// Takes the lock once for a batch of buffered writes — how lanes
+    /// flush. Drop the sink to release it.
+    pub fn sink(&self) -> TraceSink<'_> {
+        TraceSink { core: self.lock() }
+    }
+
+    /// The dense handle for the registry series `name`/`entity`. Resolving
+    /// creates nothing visible: the series appears in reads and exports at
+    /// its first write.
+    pub fn resolve(&self, name: &'static str, entity: Entity) -> MetricId {
+        self.lock().registry.resolve(name, entity)
     }
 
     /// Advances the tracer's notion of the current fabric slot; every
@@ -156,24 +176,6 @@ impl Tracer {
     /// Records `value` into a registry histogram.
     pub fn hist_record(&self, name: &'static str, entity: Entity, value: u64) {
         self.lock().registry.hist_record(name, entity, value);
-    }
-
-    /// Decides whether the next injected data cell is path-sampled.
-    /// Returns a nonzero trace id for every `sample_every`-th cell
-    /// (deterministic counter — no randomness), `0` otherwise.
-    pub fn sample_cell(&self) -> u32 {
-        let mut core = self.lock();
-        if core.sample_every == 0 {
-            return 0;
-        }
-        let n = core.injected_seen;
-        core.injected_seen += 1;
-        if n.is_multiple_of(core.sample_every as u64) {
-            core.next_trace_id += 1;
-            core.next_trace_id
-        } else {
-            0
-        }
     }
 
     /// A copy of the retained records, oldest first.
@@ -281,6 +283,28 @@ impl Tracer {
     }
 }
 
+/// The tracer's lock, held for one batch of already-stamped records and
+/// resolved registry writes (see [`Tracer::sink`]).
+#[derive(Debug)]
+pub struct TraceSink<'a> {
+    core: MutexGuard<'a, TraceCore>,
+}
+
+impl TraceSink<'_> {
+    /// Appends `records` to the flight recorder and applies `ops` to the
+    /// registry, each in slice order. Records and registry writes live in
+    /// separate stores, so their relative order carries no meaning.
+    pub fn apply(&mut self, records: &[TraceRecord], ops: &[MetricOp]) {
+        let core = &mut *self.core;
+        for &record in records {
+            core.recorder.push(record);
+        }
+        for &op in ops {
+            core.registry.apply(op);
+        }
+    }
+}
+
 /// Adapter implementing the discrete-event engine's probe hook by emitting
 /// [`TraceEvent::EngineSend`] / [`TraceEvent::EngineDeliver`] into a
 /// [`Tracer`]. Attach it with `World::attach_probe`:
@@ -341,19 +365,30 @@ mod tests {
     }
 
     #[test]
-    fn sampling_is_a_deterministic_counter() {
-        let t = Tracer::new(TraceConfig {
-            sample_every: 4,
-            ..TraceConfig::default()
+    fn resolved_series_stay_out_of_scrapes_until_written() {
+        let t = Tracer::new(TraceConfig::default());
+        t.enable_observatory(ObservatoryConfig {
+            every_slots: 10,
+            ..ObservatoryConfig::default()
         });
-        let ids: Vec<u32> = (0..9).map(|_| t.sample_cell()).collect();
-        assert_eq!(ids, vec![1, 0, 0, 0, 2, 0, 0, 0, 3]);
-
-        let off = Tracer::new(TraceConfig {
-            sample_every: 0,
-            ..TraceConfig::default()
-        });
-        assert!((0..10).all(|_| off.sample_cell() == 0));
+        let cells = t.resolve("link.cells", Entity::Link(9));
+        let depth = t.resolve("switch.queue_depth", Entity::Switch(2));
+        t.counter_add("link.cells", Entity::Link(1), 3);
+        t.set_slot(10);
+        let first = &t.intervals()[0];
+        assert_eq!(first.counters, vec![("link.cells", Entity::Link(1), 3)]);
+        assert!(first.gauges.is_empty() && first.hists.is_empty());
+        // Written through their handles, they join the next interval.
+        let mut sink = t.sink();
+        sink.apply(&[], &[MetricOp::Add(cells, 2), MetricOp::Set(depth, 5)]);
+        drop(sink);
+        t.set_slot(20);
+        let second = &t.intervals()[1];
+        assert_eq!(second.counter_delta("link.cells", Entity::Link(9)), 2);
+        assert_eq!(
+            second.gauge("switch.queue_depth", Entity::Switch(2)),
+            Some(5)
+        );
     }
 
     #[test]

@@ -32,7 +32,6 @@ use crate::matching::{count_set, nth_set, nth_set_bit, DemandMatrix, Matching};
 use crate::scratch::Scratch;
 use crate::CrossbarScheduler;
 use an2_sim::SimRng;
-use an2_trace::{Entity, TraceEvent, Tracer};
 
 /// The parallel iterative matching scheduler.
 ///
@@ -51,11 +50,6 @@ use an2_trace::{Entity, TraceEvent, Tracer};
 #[derive(Debug, Clone)]
 pub struct Pim {
     iterations: usize,
-    // Flight-recorder handle, Option-gated like the fault layer: grants are
-    // emitted after the matching is computed, so tracing never touches the
-    // RNG stream or the matching itself.
-    tracer: Option<Tracer>,
-    switch: u16,
 }
 
 /// The result of running PIM until quiescence, with convergence statistics
@@ -77,20 +71,7 @@ impl Pim {
     /// Panics if `iterations == 0`.
     pub fn new(iterations: usize) -> Self {
         assert!(iterations > 0, "PIM needs at least one iteration");
-        Pim {
-            iterations,
-            tracer: None,
-            switch: 0,
-        }
-    }
-
-    /// Attaches a flight recorder; every pair granted by
-    /// [`schedule_into`](CrossbarScheduler::schedule_into) is emitted as a
-    /// [`TraceEvent::XbarGrant`] attributed to switch `switch`. Tracing
-    /// observes the finished matching only — it cannot perturb it.
-    pub fn attach_tracer(&mut self, tracer: Tracer, switch: u16) {
-        self.tracer = Some(tracer);
-        self.switch = switch;
+        Pim { iterations }
     }
 
     /// The AN2 hardware configuration: three iterations (§3).
@@ -260,16 +241,6 @@ impl CrossbarScheduler for Pim {
             if Self::iterate(demand, out, rng, scratch) == 0 {
                 break; // already maximal; further iterations are no-ops
             }
-        }
-        if let Some(t) = &self.tracer {
-            for (input, output) in out.iter() {
-                t.emit(TraceEvent::XbarGrant {
-                    switch: self.switch,
-                    input: input as u16,
-                    output: output as u16,
-                });
-            }
-            t.counter_add("xbar.grants", Entity::Switch(self.switch), out.len() as u64);
         }
     }
 }
@@ -451,46 +422,5 @@ mod tests {
     fn accessors() {
         assert_eq!(Pim::an2().iterations(), 3);
         assert_eq!(Pim::an2().name(), "PIM");
-    }
-
-    #[test]
-    fn tracer_records_grants_without_touching_the_matching() {
-        use an2_trace::{Entity, TraceConfig, TraceEvent, Tracer};
-        let d = full_demand(8);
-        let mut scratch = Scratch::new();
-
-        let mut plain = Pim::an2();
-        let mut baseline = Matching::empty(8);
-        plain.schedule_into(&d, &mut SimRng::new(17), &mut scratch, &mut baseline);
-
-        let tracer = Tracer::new(TraceConfig::default());
-        let mut traced = Pim::an2();
-        traced.attach_tracer(tracer.clone(), 4);
-        let mut out = Matching::empty(8);
-        traced.schedule_into(&d, &mut SimRng::new(17), &mut scratch, &mut out);
-
-        // Identical RNG stream, identical matching: tracing is invisible.
-        let a: Vec<_> = baseline.iter().collect();
-        let b: Vec<_> = out.iter().collect();
-        assert_eq!(a, b);
-
-        assert_eq!(
-            tracer.counter("xbar.grants", Entity::Switch(4)),
-            out.len() as u64
-        );
-        let grants: Vec<_> = tracer
-            .records()
-            .into_iter()
-            .filter_map(|r| match r.event {
-                TraceEvent::XbarGrant {
-                    switch,
-                    input,
-                    output,
-                } => Some((switch, input as usize, output as usize)),
-                _ => None,
-            })
-            .collect();
-        assert_eq!(grants.len(), out.len());
-        assert!(grants.iter().all(|&(s, _, _)| s == 4));
     }
 }

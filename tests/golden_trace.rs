@@ -84,6 +84,11 @@ fn n4_failure_leaves_a_golden_reconfig_trace() {
     );
     let fail_ns = down_at * slot_ns;
 
+    // Time never runs backwards in the recording, whoever emitted.
+    if let Some(w) = records.windows(2).find(|w| w[0].slot > w[1].slot) {
+        panic!("records step back in time: {:?} then {:?}", w[0], w[1]);
+    }
+
     // The recording opens with the boot reconfiguration.
     let first_phase = records
         .iter()

@@ -6,8 +6,14 @@
 //! The same holds one tier up: the telemetry observatory (interval scraper
 //! plus SLO watchdog) reads the registry every millisecond and runs its
 //! detectors live, and still must leave every digest untouched.
+//!
+//! And the recording itself is deterministic: the record stream and the
+//! registry export are pinned per topology × seed, so a change to who
+//! emits what, in which order within a slot, shows up here as a diff.
 
-use an2::{ControlPlaneConfig, FaultSpec, LossModel, Network, NetworkBuilder, TraceConfig};
+use an2::{
+    sink, ControlPlaneConfig, FaultSpec, LossModel, Network, NetworkBuilder, TraceConfig, Tracer,
+};
 use an2_cells::Packet;
 use an2_sim::SimDuration;
 use an2_trace::ObservatoryConfig;
@@ -55,6 +61,15 @@ fn builder(topo: usize) -> NetworkBuilder {
 /// Runs the workload, optionally traced/observed, and digests everything
 /// observable. Returns `(digest, delivered, events_recorded, intervals)`.
 fn run(topo: usize, seed: u64, mode: Mode) -> (u64, u64, u64, u64) {
+    let (digest, delivered, tracer) = run_with_tracer(topo, seed, mode);
+    let (events, intervals) = tracer
+        .map(|t| (t.events_seen(), t.intervals_seen()))
+        .unwrap_or((0, 0));
+    (digest, delivered, events, intervals)
+}
+
+/// As [`run`], handing back the tracer itself.
+fn run_with_tracer(topo: usize, seed: u64, mode: Mode) -> (u64, u64, Option<Tracer>) {
     let mut net = builder(topo).seed(seed).build();
     let hosts: Vec<_> = net.hosts().collect();
     let mut circuits = Vec::new();
@@ -135,10 +150,82 @@ fn run(topo: usize, seed: u64, mode: Mode) -> (u64, u64, u64, u64) {
     for e in net.reconfig_log() {
         fnv(&mut digest, e.slot());
     }
-    let (events, intervals) = tracer
-        .map(|t| (t.events_seen(), t.intervals_seen()))
-        .unwrap_or((0, 0));
-    (digest, delivered, events, intervals)
+    (digest, delivered, tracer)
+}
+
+fn fnv_bytes(bytes: &[u8]) -> u64 {
+    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    for &b in bytes {
+        h ^= b as u64;
+        h = h.wrapping_mul(0x0000_0100_0000_01b3);
+    }
+    h
+}
+
+/// `(topology, seed, records, FNV of the JSONL stream, metrics_json bytes,
+/// FNV of metrics_json)` for the traced run of every grid cell, captured
+/// at the commit that introduced trace lanes. The stream's order is part of
+/// the contract: within a slot, the direct-path holders (fault injector,
+/// monitor, control plane) in emission order, then the fabric's lane, then
+/// each switch's lane in ascending id.
+const PINNED: [(usize, u64, usize, u64, usize, u64); 9] = [
+    (0, 3, 3433, 0xca7b8e69e581abdd, 5800, 0xa9b089298539833d),
+    (0, 17, 3446, 0xacea45d7a975280b, 5733, 0xd920eaf1bdc7a135),
+    (0, 91, 3432, 0xe01915812814dc3c, 5800, 0x19f3f96f75d10128),
+    (1, 3, 5281, 0xa9fa4b0361557f56, 8755, 0xd803a7a37fca33ba),
+    (1, 17, 5256, 0x7042b10e4c67867e, 8816, 0x22b8137f3ae2ce5c),
+    (1, 91, 5273, 0x66e86fdfafc4a383, 8611, 0xa30f1701ec02851d),
+    (2, 3, 3544, 0xed49a05cea3a53e9, 4643, 0x6ee0d6512fa57d9c),
+    (2, 17, 3546, 0x7736b1d1fbfa1d9c, 4643, 0x3e0e7f3bdeafa5e4),
+    (2, 91, 3540, 0xbd25469a7250e707, 4794, 0x6019ebbe50421edf),
+];
+
+#[test]
+fn record_stream_and_registry_export_are_pinned() {
+    let mut rows = Vec::new();
+    for topo in 0..3usize {
+        for seed in [3u64, 17, 91] {
+            let (_, _, tracer) = run_with_tracer(topo, seed, Mode::Traced);
+            let tracer = tracer.expect("traced mode attaches a tracer");
+            assert_eq!(
+                tracer.events_dropped(),
+                0,
+                "ring evicted records; the pin needs the whole run"
+            );
+            let records = tracer.records();
+            if let Some(w) = records.windows(2).find(|w| w[0].slot > w[1].slot) {
+                panic!(
+                    "records step back in time (topo {topo}, seed {seed}): {:?} then {:?}",
+                    w[0], w[1]
+                );
+            }
+            let stream = sink::jsonl(&records);
+            let metrics = tracer.metrics_json();
+            rows.push((
+                topo,
+                seed,
+                records.len(),
+                fnv_bytes(stream.as_bytes()),
+                metrics.len(),
+                fnv_bytes(metrics.as_bytes()),
+            ));
+        }
+    }
+    let rendered: Vec<String> = rows
+        .iter()
+        .map(|r| {
+            format!(
+                "({}, {}, {}, {:#018x}, {}, {:#018x}),",
+                r.0, r.1, r.2, r.3, r.4, r.5
+            )
+        })
+        .collect();
+    assert_eq!(
+        rows.as_slice(),
+        PINNED.as_slice(),
+        "recording changed; if intended, re-pin:\n{}",
+        rendered.join("\n")
+    );
 }
 
 #[test]
