@@ -9,6 +9,10 @@
 set -euo pipefail
 cd "$(dirname "$0")"
 
+# No gate may write to a tracked file: the tree's tracked-file status is
+# compared before and after.
+tracked_before=$(git status --porcelain --untracked-files=no)
+
 echo "== cargo fmt --check"
 cargo fmt --all -- --check
 
@@ -30,27 +34,27 @@ if [[ "${1:-}" != "quick" ]]; then
     cargo test -q -p an2 --test shard_equiv
 
     echo "== fault soak (N3 asserts its claims in-process)"
-    cargo run -q -p an2-bench --release --bin experiments -- n3 --json
+    cargo run -q -p an2-bench --release --bin experiments -- n3
 
     echo "== embedded control plane (N4 asserts its claims in-process)"
-    cargo run -q -p an2-bench --release --bin experiments -- n4 --json
+    cargo run -q -p an2-bench --release --bin experiments -- n4
 
     echo "== flight recorder + observatory (determinism digests, golden trace, counter tracks)"
     cargo test -q --test trace_determinism --test golden_trace
 
     echo "== tracing overhead (N5: asserts traced/untraced <= 1.5x, equal event counts) + traced N4 export (asserts span < 200 ms)"
-    cargo run -q -p an2-bench --release --bin experiments -- n5 --json
+    cargo run -q -p an2-bench --release --bin experiments -- n5
     cargo run -q -p an2-bench --release --bin experiments -- n4 --trace
 
     echo "== sharded data plane on the clock (N6 asserts digest equality at every shard count + 2 shards beating 1 on >= 2 cores; nproc = $(nproc))"
-    cargo run -q -p an2-bench --release --bin experiments -- n6 --json
+    cargo run -q -p an2-bench --release --bin experiments -- n6
 
     echo "== watermark + wide-radix equivalence (batched engine is byte-identical)"
     cargo test -q -p an2 --test watermark_equiv --test wide_fabric_equiv
     cargo test -q -p an2-xbar --test wide_equiv
 
     echo "== batched data plane scaling (N7 asserts digest equality + monotone curve)"
-    cargo run -q -p an2-bench --release --bin experiments -- n7 --json
+    cargo run -q -p an2-bench --release --bin experiments -- n7
 
     echo "== chaos smoke (bounded fixed-seed campaign grid + shrinker pipeline)"
     cargo test -q --release -p an2-chaos --test smoke
@@ -62,7 +66,7 @@ if [[ "${1:-}" != "quick" ]]; then
     cargo test -q --release -p an2-reconfig --test skeptic_liveness
 
     echo "== chaos campaigns + skeptic damping (N8 asserts its claims in-process)"
-    cargo run -q -p an2-bench --release --bin experiments -- n8 --json
+    cargo run -q -p an2-bench --release --bin experiments -- n8
 
     echo "== protocol-trait equivalence (up*/down* byte-identical behind ControlProtocol)"
     cargo test -q -p an2 --test protocol_equiv
@@ -71,13 +75,28 @@ if [[ "${1:-}" != "quick" ]]; then
     cargo test -q --release -p an2 --test rival_convergence
 
     echo "== protocol arena (N9 races all three control planes, asserts its claims in-process)"
-    cargo run -q -p an2-bench --release --bin experiments -- n9 --json
+    cargo run -q -p an2-bench --release --bin experiments -- n9
 
     echo "== telemetry observatory (N10 scores detection vs ground-truth labels in-process)"
-    cargo run -q -p an2-bench --release --bin experiments -- n10 --json
+    cargo run -q -p an2-bench --release --bin experiments -- n10
+
+    echo "== a mistyped experiment id fails its gate"
+    # (`set -e` ignores a bare `! cmd`, hence the explicit branch.)
+    if cargo run -q -p an2-bench --release --bin experiments -- nope 2>/dev/null; then
+        echo "experiments accepted the unknown id 'nope'"
+        exit 1
+    fi
 
     echo "== cargo doc (deny warnings)"
     RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --quiet
+fi
+
+echo "== tracked files untouched"
+tracked_after=$(git status --porcelain --untracked-files=no)
+if [[ "$tracked_before" != "$tracked_after" ]]; then
+    echo "a gate wrote to a tracked file:"
+    diff <(echo "$tracked_before") <(echo "$tracked_after") || true
+    exit 1
 fi
 
 echo "== ci.sh: all green"

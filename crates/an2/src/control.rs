@@ -2,7 +2,7 @@
 //! live network (§2).
 //!
 //! The pre-existing `an2-reconfig` harness runs the reconfiguration
-//! protocol in its own actor world, on its own clock, over perfect links.
+//! protocol from its own event heap, on its own clock, over perfect links.
 //! This module embeds a [`ControlProtocol`] — the paper's up\*/down\*
 //! reconfiguration by default, or one of its arena rivals (spanning tree,
 //! path vector) — in the fabric's slot-stepped timeline: each switch owns
@@ -136,7 +136,7 @@ impl ControlPlane {
     ) -> Self {
         let slot_ns = slot_ns.max(1);
         ControlPlane {
-            protocol: kind.build(switch_count, cfg.processing),
+            protocol: kind.build(switch_count),
             processing_slots: (cfg.processing.as_nanos() / slot_ns).max(1),
             retry_slots: (cfg.retry.as_nanos() / slot_ns).max(1),
             max_retries: cfg.max_retries,

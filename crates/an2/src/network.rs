@@ -916,7 +916,7 @@ impl Network {
         let slot = self.fabric.slot();
         let now = self.now();
         // Boot: each end of each working inter-switch link learns of it
-        // locally, exactly as the oracle harness seeds its actors.
+        // locally, exactly as the oracle harness seeds its agents.
         let topo = self.fabric.topology();
         let mut boots: Vec<(LinkId, SwitchId, SwitchId)> = Vec::new();
         for l in topo.links() {

@@ -36,185 +36,193 @@
 //!
 //! Outputs are recorded against the paper's statements in EXPERIMENTS.md.
 
-use an2_bench::json::Json;
 use an2_bench::{
     arena_exp, batch_exp, chaos_exp, control_exp, extensions_exp, fabric_exp, faults_exp, figures,
     flow_exp, network_exp, observe_exp, parallel, parallel_exp, reconfig_exp, schedule_exp,
     xbar_exp,
 };
+use an2_chaos::JVal;
 use std::time::Instant;
 
-fn point_json(p: &xbar_exp::Point) -> Json {
-    Json::obj(vec![
-        ("name", Json::str(p.name.clone())),
-        ("load", Json::Num(p.load)),
-        ("throughput", Json::Num(p.throughput)),
-        ("mean_delay", Json::Num(p.mean_delay)),
+fn jstr(s: impl Into<String>) -> JVal {
+    JVal::Str(s.into())
+}
+
+fn obj(pairs: Vec<(&str, JVal)>) -> JVal {
+    JVal::Obj(pairs.into_iter().map(|(k, v)| (k.to_string(), v)).collect())
+}
+
+fn point_json(p: &xbar_exp::Point) -> JVal {
+    obj(vec![
+        ("name", jstr(p.name.clone())),
+        ("load", JVal::Num(p.load)),
+        ("throughput", JVal::Num(p.throughput)),
+        ("mean_delay", JVal::Num(p.mean_delay)),
     ])
 }
 
-fn convergence_json(r: &xbar_exp::PimConvergence) -> Json {
-    Json::obj(vec![
-        ("n", Json::int(r.n as u64)),
-        ("mean_iterations", Json::Num(r.mean_iterations)),
-        ("bound", Json::Num(r.bound)),
-        ("within_4", Json::Num(r.within_4)),
+fn convergence_json(r: &xbar_exp::PimConvergence) -> JVal {
+    obj(vec![
+        ("n", JVal::UInt(r.n as u64)),
+        ("mean_iterations", JVal::Num(r.mean_iterations)),
+        ("bound", JVal::Num(r.bound)),
+        ("within_4", JVal::Num(r.within_4)),
     ])
 }
 
-fn starvation_json(r: &xbar_exp::Starvation) -> Json {
-    Json::obj(vec![
-        ("scheduler", Json::str(r.scheduler.clone())),
-        ("easy_served", Json::int(r.easy_served)),
-        ("contested_served", Json::int(r.contested_served)),
-        ("rival_served", Json::int(r.rival_served)),
+fn starvation_json(r: &xbar_exp::Starvation) -> JVal {
+    obj(vec![
+        ("scheduler", jstr(r.scheduler.clone())),
+        ("easy_served", JVal::UInt(r.easy_served)),
+        ("contested_served", JVal::UInt(r.contested_served)),
+        ("rival_served", JVal::UInt(r.rival_served)),
     ])
 }
 
-fn insert_cost_json(r: &schedule_exp::InsertCost) -> Json {
-    Json::obj(vec![
-        ("n", Json::int(r.n as u64)),
-        ("frame", Json::int(r.frame as u64)),
-        ("insertions", Json::int(r.insertions)),
-        ("mean_moves", Json::Num(r.mean_moves)),
-        ("max_moves", Json::int(r.max_moves as u64)),
+fn insert_cost_json(r: &schedule_exp::InsertCost) -> JVal {
+    obj(vec![
+        ("n", JVal::UInt(r.n as u64)),
+        ("frame", JVal::UInt(r.frame as u64)),
+        ("insertions", JVal::UInt(r.insertions)),
+        ("mean_moves", JVal::Num(r.mean_moves)),
+        ("max_moves", JVal::UInt(r.max_moves as u64)),
     ])
 }
 
-fn chaos_json(r: &faults_exp::ChaosRow) -> Json {
-    Json::obj(vec![
-        ("cell", Json::str(r.cell.clone())),
-        ("sent_cells", Json::int(r.sent_cells)),
-        ("delivered_cells", Json::int(r.delivered_cells)),
-        ("lost_cells", Json::int(r.lost_cells)),
-        ("violations", Json::int(r.violations)),
-        ("resyncs", Json::int(r.resyncs)),
-        ("detect_ms", Json::Num(r.detect_ms)),
-        ("restored", Json::Bool(r.restored)),
-        ("replay_ok", Json::Bool(r.replay_ok)),
+fn chaos_json(r: &faults_exp::ChaosRow) -> JVal {
+    obj(vec![
+        ("cell", jstr(r.cell.clone())),
+        ("sent_cells", JVal::UInt(r.sent_cells)),
+        ("delivered_cells", JVal::UInt(r.delivered_cells)),
+        ("lost_cells", JVal::UInt(r.lost_cells)),
+        ("violations", JVal::UInt(r.violations)),
+        ("resyncs", JVal::UInt(r.resyncs)),
+        ("detect_ms", JVal::Num(r.detect_ms)),
+        ("restored", JVal::Bool(r.restored)),
+        ("replay_ok", JVal::Bool(r.replay_ok)),
     ])
 }
 
-fn campaign_json(r: &chaos_exp::CampaignRow) -> Json {
-    Json::obj(vec![
-        ("cell", Json::str(r.cell.clone())),
-        ("violations", Json::int(r.violations)),
-        ("delivery", Json::Num(r.delivery)),
-        ("epochs", Json::int(r.epochs)),
-        ("transitions", Json::int(r.transitions)),
-        ("quarantines", Json::int(r.quarantines)),
-        ("suppressed", Json::int(r.suppressed)),
-        ("broken", Json::int(r.broken)),
-        ("surviving", Json::int(r.surviving)),
+fn campaign_json(r: &chaos_exp::CampaignRow) -> JVal {
+    obj(vec![
+        ("cell", jstr(r.cell.clone())),
+        ("violations", JVal::UInt(r.violations)),
+        ("delivery", JVal::Num(r.delivery)),
+        ("epochs", JVal::UInt(r.epochs)),
+        ("transitions", JVal::UInt(r.transitions)),
+        ("quarantines", JVal::UInt(r.quarantines)),
+        ("suppressed", JVal::UInt(r.suppressed)),
+        ("broken", JVal::UInt(r.broken)),
+        ("surviving", JVal::UInt(r.surviving)),
     ])
 }
 
-fn arena_json(r: &arena_exp::ArenaRow) -> Json {
-    Json::obj(vec![
-        ("protocol", Json::str(r.protocol.clone())),
-        ("topology", Json::str(r.topology.clone())),
-        ("loss", Json::Num(r.loss)),
-        ("converge_ms", Json::Num(r.converge_ms)),
-        ("ctrl_cells", Json::int(r.ctrl_cells)),
-        ("ctrl_messages", Json::int(r.ctrl_messages)),
-        ("ctrl_lost", Json::int(r.ctrl_lost)),
-        ("reconv_lost_cells", Json::int(r.reconv_lost_cells)),
-        ("stretch", Json::Num(r.stretch)),
-        ("surviving", Json::int(r.surviving)),
-        ("converged", Json::Bool(r.converged)),
+fn arena_json(r: &arena_exp::ArenaRow) -> JVal {
+    obj(vec![
+        ("protocol", jstr(r.protocol.clone())),
+        ("topology", jstr(r.topology.clone())),
+        ("loss", JVal::Num(r.loss)),
+        ("converge_ms", JVal::Num(r.converge_ms)),
+        ("ctrl_cells", JVal::UInt(r.ctrl_cells)),
+        ("ctrl_messages", JVal::UInt(r.ctrl_messages)),
+        ("ctrl_lost", JVal::UInt(r.ctrl_lost)),
+        ("reconv_lost_cells", JVal::UInt(r.reconv_lost_cells)),
+        ("stretch", JVal::Num(r.stretch)),
+        ("surviving", JVal::UInt(r.surviving)),
+        ("converged", JVal::Bool(r.converged)),
     ])
 }
 
-fn control_json(r: &control_exp::ControlRow) -> Json {
-    Json::obj(vec![
-        ("cell", Json::str(r.cell.clone())),
-        ("converge_ms", Json::Num(r.converge_ms)),
-        ("sent_cells", Json::int(r.sent_cells)),
-        ("delivered_cells", Json::int(r.delivered_cells)),
-        ("lost_cells", Json::int(r.lost_cells)),
-        ("ctrl_messages", Json::int(r.ctrl_messages)),
-        ("ctrl_cells", Json::int(r.ctrl_cells)),
-        ("rerouted", Json::int(r.rerouted)),
-        ("oracle_ok", Json::Bool(r.oracle_ok)),
-        ("replay_ok", Json::Bool(r.replay_ok)),
+fn control_json(r: &control_exp::ControlRow) -> JVal {
+    obj(vec![
+        ("cell", jstr(r.cell.clone())),
+        ("converge_ms", JVal::Num(r.converge_ms)),
+        ("sent_cells", JVal::UInt(r.sent_cells)),
+        ("delivered_cells", JVal::UInt(r.delivered_cells)),
+        ("lost_cells", JVal::UInt(r.lost_cells)),
+        ("ctrl_messages", JVal::UInt(r.ctrl_messages)),
+        ("ctrl_cells", JVal::UInt(r.ctrl_cells)),
+        ("rerouted", JVal::UInt(r.rerouted)),
+        ("oracle_ok", JVal::Bool(r.oracle_ok)),
+        ("replay_ok", JVal::Bool(r.replay_ok)),
     ])
 }
 
-fn trace_overhead_json(r: &fabric_exp::TraceOverhead) -> Json {
-    Json::obj(vec![
-        ("circuits", Json::int(r.circuits as u64)),
-        ("slots", Json::int(r.slots)),
-        ("untraced_ms", Json::Num(r.untraced_ms)),
-        ("traced_ms", Json::Num(r.traced_ms)),
-        ("overhead", Json::Num(r.overhead)),
-        ("events", Json::int(r.events)),
-        ("delivered_cells", Json::int(r.delivered_cells)),
+fn trace_overhead_json(r: &fabric_exp::TraceOverhead) -> JVal {
+    obj(vec![
+        ("circuits", JVal::UInt(r.circuits as u64)),
+        ("slots", JVal::UInt(r.slots)),
+        ("untraced_ms", JVal::Num(r.untraced_ms)),
+        ("traced_ms", JVal::Num(r.traced_ms)),
+        ("overhead", JVal::Num(r.overhead)),
+        ("events", JVal::UInt(r.events)),
+        ("delivered_cells", JVal::UInt(r.delivered_cells)),
     ])
 }
 
-fn trace_row_json(r: &control_exp::TraceRow) -> Json {
-    Json::obj(vec![
-        ("events_seen", Json::int(r.events_seen)),
-        ("events_evicted", Json::int(r.events_evicted)),
-        ("sampled_cells", Json::int(r.sampled_cells as u64)),
-        ("reconfig_ms", Json::Num(r.reconfig_ms)),
-        ("min_queued_slots", Json::int(r.min_queued_slots)),
-        ("identical_to_untraced", Json::Bool(r.identical_to_untraced)),
+fn trace_row_json(r: &control_exp::TraceRow) -> JVal {
+    obj(vec![
+        ("events_seen", JVal::UInt(r.events_seen)),
+        ("events_evicted", JVal::UInt(r.events_evicted)),
+        ("sampled_cells", JVal::UInt(r.sampled_cells as u64)),
+        ("reconfig_ms", JVal::Num(r.reconfig_ms)),
+        ("min_queued_slots", JVal::UInt(r.min_queued_slots)),
+        ("identical_to_untraced", JVal::Bool(r.identical_to_untraced)),
     ])
 }
 
-fn shard_scaling_json(r: &parallel_exp::ShardScaling) -> Json {
-    Json::obj(vec![
-        ("shards", Json::int(r.shards as u64)),
-        ("slots", Json::int(r.slots)),
-        ("wall_ms", Json::Num(r.wall_ms)),
-        ("cells_per_sec", Json::Num(r.cells_per_sec)),
-        ("wall_speedup", Json::Num(r.wall_speedup)),
-        ("shard_balance", Json::Num(r.shard_balance)),
-        ("delivered_cells", Json::int(r.delivered_cells)),
+fn shard_scaling_json(r: &parallel_exp::ShardScaling) -> JVal {
+    obj(vec![
+        ("shards", JVal::UInt(r.shards as u64)),
+        ("slots", JVal::UInt(r.slots)),
+        ("wall_ms", JVal::Num(r.wall_ms)),
+        ("cells_per_sec", JVal::Num(r.cells_per_sec)),
+        ("wall_speedup", JVal::Num(r.wall_speedup)),
+        ("shard_balance", JVal::Num(r.shard_balance)),
+        ("delivered_cells", JVal::UInt(r.delivered_cells)),
     ])
 }
 
-fn batch_scaling_json(r: &batch_exp::BatchScaling) -> Json {
-    Json::obj(vec![
-        ("circuits", Json::int(r.circuits as u64)),
-        ("slots", Json::int(r.slots)),
-        ("unbatched_ms", Json::Num(r.unbatched_ms)),
-        ("batched_ms", Json::Num(r.batched_ms)),
-        ("wall_speedup", Json::Num(r.wall_speedup)),
-        ("model_speedup", Json::Num(r.model_speedup)),
-        ("skipped_switch_steps", Json::int(r.skipped_switch_steps)),
-        ("stepped_switch_steps", Json::int(r.stepped_switch_steps)),
-        ("skipped_slots", Json::int(r.skipped_slots)),
-        ("delivered_cells", Json::int(r.delivered_cells)),
-        ("cells_per_sec_core", Json::Num(r.cells_per_sec_core)),
+fn batch_scaling_json(r: &batch_exp::BatchScaling) -> JVal {
+    obj(vec![
+        ("circuits", JVal::UInt(r.circuits as u64)),
+        ("slots", JVal::UInt(r.slots)),
+        ("unbatched_ms", JVal::Num(r.unbatched_ms)),
+        ("batched_ms", JVal::Num(r.batched_ms)),
+        ("wall_speedup", JVal::Num(r.wall_speedup)),
+        ("model_speedup", JVal::Num(r.model_speedup)),
+        ("skipped_switch_steps", JVal::UInt(r.skipped_switch_steps)),
+        ("stepped_switch_steps", JVal::UInt(r.stepped_switch_steps)),
+        ("skipped_slots", JVal::UInt(r.skipped_slots)),
+        ("delivered_cells", JVal::UInt(r.delivered_cells)),
+        ("cells_per_sec_core", JVal::Num(r.cells_per_sec_core)),
     ])
 }
 
-fn fabric_perf_json(r: &fabric_exp::FabricPerf) -> Json {
-    Json::obj(vec![
-        ("circuits", Json::int(r.circuits as u64)),
-        ("slots", Json::int(r.slots)),
-        ("reference_ms", Json::Num(r.reference_ms)),
-        ("slab_ms", Json::Num(r.slab_ms)),
-        ("speedup", Json::Num(r.speedup)),
-        ("delivered_cells", Json::int(r.delivered_cells)),
+fn fabric_perf_json(r: &fabric_exp::FabricPerf) -> JVal {
+    obj(vec![
+        ("circuits", JVal::UInt(r.circuits as u64)),
+        ("slots", JVal::UInt(r.slots)),
+        ("reference_ms", JVal::Num(r.reference_ms)),
+        ("slab_ms", JVal::Num(r.slab_ms)),
+        ("speedup", JVal::Num(r.speedup)),
+        ("delivered_cells", JVal::UInt(r.delivered_cells)),
     ])
 }
 
-fn observe_json(r: &observe_exp::ObserveRow) -> Json {
-    Json::obj(vec![
-        ("cell", Json::str(r.cell.clone())),
-        ("labels", Json::int(r.labels)),
-        ("detected", Json::int(r.detected)),
-        ("median_ttd_ms", Json::Num(r.median_ttd_ms)),
-        ("max_ttd_ms", Json::Num(r.max_ttd_ms)),
-        ("false_positives", Json::int(r.false_positives)),
-        ("raised_alerts", Json::int(r.raised_alerts)),
-        ("control_alerts", Json::int(r.control_alerts)),
-        ("digest_match", Json::Bool(r.digest_match)),
-        ("intervals", Json::int(r.intervals)),
-        ("overhead_pct", Json::Num(r.overhead_pct)),
+fn observe_json(r: &observe_exp::ObserveRow) -> JVal {
+    obj(vec![
+        ("cell", jstr(r.cell.clone())),
+        ("labels", JVal::UInt(r.labels)),
+        ("detected", JVal::UInt(r.detected)),
+        ("median_ttd_ms", JVal::Num(r.median_ttd_ms)),
+        ("max_ttd_ms", JVal::Num(r.max_ttd_ms)),
+        ("false_positives", JVal::UInt(r.false_positives)),
+        ("raised_alerts", JVal::UInt(r.raised_alerts)),
+        ("control_alerts", JVal::UInt(r.control_alerts)),
+        ("digest_match", JVal::Bool(r.digest_match)),
+        ("intervals", JVal::UInt(r.intervals)),
+        ("overhead_pct", JVal::Num(r.overhead_pct)),
     ])
 }
 
@@ -263,78 +271,78 @@ fn compute(
     trace: bool,
     profile: bool,
     skeptic: (Option<u64>, Option<u32>),
-) -> (String, Json) {
+) -> (String, JVal) {
     match id {
         "n4" if trace => {
             let (row, text) = control_exp::n4_trace("trace_out");
             (text, trace_row_json(&row))
         }
-        "f1" => (figures::figure1(8, 16).render(), Json::Null),
+        "f1" => (figures::figure1(8, 16).render(), JVal::Null),
         "f2" => {
             let (_, _, text) = figures::figure2();
-            (text, Json::Null)
+            (text, JVal::Null)
         }
-        "f3" => (figures::figure3(), Json::Null),
-        "f4" => (figures::figure4(), Json::Null),
-        "e1" => (reconfig_exp::e1_pull_the_plug().1, Json::Null),
-        "e2" => (network_exp::e2_cut_through().1, Json::Null),
+        "f3" => (figures::figure3(), JVal::Null),
+        "f4" => (figures::figure4(), JVal::Null),
+        "e1" => (reconfig_exp::e1_pull_the_plug().1, JVal::Null),
+        "e2" => (network_exp::e2_cut_through().1, JVal::Null),
         "e3" => {
             let (points, text) = xbar_exp::e3_fifo_saturation(16, 30_000);
-            (text, Json::Arr(points.iter().map(point_json).collect()))
+            (text, JVal::Arr(points.iter().map(point_json).collect()))
         }
         "e4" => {
             let (rows, text) = xbar_exp::e4_pim_convergence(&[4, 8, 16, 32], 5_000);
-            (text, Json::Arr(rows.iter().map(convergence_json).collect()))
+            (text, JVal::Arr(rows.iter().map(convergence_json).collect()))
         }
         "e5" => {
             let (points, text) = xbar_exp::e5_discipline_comparison(16, 30_000);
-            (text, Json::Arr(points.iter().map(point_json).collect()))
+            (text, JVal::Arr(points.iter().map(point_json).collect()))
         }
         "e6" => {
             let (rows, text) = xbar_exp::e6_starvation(10_000);
-            (text, Json::Arr(rows.iter().map(starvation_json).collect()))
+            (text, JVal::Arr(rows.iter().map(starvation_json).collect()))
         }
         "e7" => {
             let (rows, text) = schedule_exp::e7_insertion_cost();
-            (text, Json::Arr(rows.iter().map(insert_cost_json).collect()))
+            (text, JVal::Arr(rows.iter().map(insert_cost_json).collect()))
         }
-        "e8" => (network_exp::e8_guaranteed_latency().1, Json::Null),
-        "e9" => (schedule_exp::e9_arrangement(8, 128, 0.35).1, Json::Null),
+        "e8" => (network_exp::e8_guaranteed_latency().1, JVal::Null),
+        "e9" => (schedule_exp::e9_arrangement(8, 128, 0.35).1, JVal::Null),
         "e10" => {
             let text = format!(
                 "{}\n{}",
                 flow_exp::e10_credit_sizing().1,
                 flow_exp::e10_loss_and_resync().1
             );
-            (text, Json::Null)
+            (text, JVal::Null)
         }
-        "e11" => (flow_exp::e11_deadlock().1, Json::Null),
-        "e12" => (reconfig_exp::e12_reconfig_behaviour().1, Json::Null),
-        "n1" => (network_exp::n1_network_load_sweep().1, Json::Null),
+        "e11" => (flow_exp::e11_deadlock().1, JVal::Null),
+        "e12" => (reconfig_exp::e12_reconfig_behaviour().1, JVal::Null),
+        "n1" => (network_exp::n1_network_load_sweep().1, JVal::Null),
         "n2" => {
             let (rows, text) = fabric_exp::n2_fabric_dataplane();
-            (text, Json::Arr(rows.iter().map(fabric_perf_json).collect()))
+            (text, JVal::Arr(rows.iter().map(fabric_perf_json).collect()))
         }
         "n3" => {
             let (rows, text) = faults_exp::n3_chaos_soak();
-            (text, Json::Arr(rows.iter().map(chaos_json).collect()))
+            (text, JVal::Arr(rows.iter().map(chaos_json).collect()))
         }
         "n4" => {
             let (rows, text) = control_exp::n4_control_plane();
-            (text, Json::Arr(rows.iter().map(control_json).collect()))
+            (text, JVal::Arr(rows.iter().map(control_json).collect()))
         }
         "n5" => {
             let (rows, text) = fabric_exp::n5_trace_overhead();
             (
                 text,
-                Json::Arr(rows.iter().map(trace_overhead_json).collect()),
+                JVal::Arr(rows.iter().map(trace_overhead_json).collect()),
             )
         }
         "n6" => {
             let (rows, text) = parallel_exp::n6_parallel_dataplane();
             (
                 text,
-                Json::Arr(rows.iter().map(shard_scaling_json).collect()),
+                JVal::Arr(rows.iter().map(shard_scaling_json).collect()),
             )
         }
         "n7" if profile => {
@@ -346,27 +354,27 @@ fn compute(
             );
             (
                 text,
-                Json::Arr(rows.iter().map(batch_scaling_json).collect()),
+                JVal::Arr(rows.iter().map(batch_scaling_json).collect()),
             )
         }
         "n7" => {
             let (rows, text) = batch_exp::n7_batched_dataplane();
             (
                 text,
-                Json::Arr(rows.iter().map(batch_scaling_json).collect()),
+                JVal::Arr(rows.iter().map(batch_scaling_json).collect()),
             )
         }
         "n8" => {
             let (rows, text) = chaos_exp::n8_chaos_campaigns(skeptic.0, skeptic.1);
-            (text, Json::Arr(rows.iter().map(campaign_json).collect()))
+            (text, JVal::Arr(rows.iter().map(campaign_json).collect()))
         }
         "n9" => {
             let (rows, text) = arena_exp::n9_protocol_arena();
-            (text, Json::Arr(rows.iter().map(arena_json).collect()))
+            (text, JVal::Arr(rows.iter().map(arena_json).collect()))
         }
         "n10" => {
             let (rows, _detectors, text) = observe_exp::n10_observatory();
-            (text, Json::Arr(rows.iter().map(observe_json).collect()))
+            (text, JVal::Arr(rows.iter().map(observe_json).collect()))
         }
         "x1" => {
             let text = format!(
@@ -376,7 +384,7 @@ fn compute(
                 extensions_exp::x1_dynamic_buffers().1,
                 extensions_exp::x1_rebalance().1
             );
-            (text, Json::Null)
+            (text, JVal::Null)
         }
         other => unreachable!("title() gated unknown id '{other}'"),
     }
@@ -445,9 +453,11 @@ fn main() {
 
     let harness_start = Instant::now();
     let mut records = Vec::new();
+    let mut unknown = 0;
     for id in ids {
         let Some(t) = title(id) else {
             eprintln!("unknown experiment id '{id}' (use f1-f4, e1-e12, x1, n1-n10, all)");
+            unknown += 1;
             continue;
         };
         println!("\n=== {t} {}\n", "=".repeat(66 - t.len().min(60)));
@@ -460,52 +470,78 @@ fn main() {
         );
         let wall_ms = cell_start.elapsed().as_secs_f64() * 1e3;
         print!("{text}");
-        records.push(Json::obj(vec![
-            ("id", Json::str(id)),
-            ("title", Json::str(t)),
-            ("wall_ms", Json::Num(wall_ms)),
-            ("shards", Json::int(parallel::shard_count() as u64)),
-            ("threads", Json::int(parallel::worker_threads() as u64)),
+        records.push(obj(vec![
+            ("id", jstr(id)),
+            ("title", jstr(t)),
+            ("wall_ms", JVal::Num(wall_ms)),
+            ("shards", JVal::UInt(parallel::shard_count() as u64)),
+            ("threads", JVal::UInt(parallel::worker_threads() as u64)),
             ("results", results),
         ]));
     }
 
     if json_mode {
-        let doc = Json::obj(vec![
-            ("threads", Json::int(parallel::worker_threads() as u64)),
+        let doc = obj(vec![
+            ("threads", JVal::UInt(parallel::worker_threads() as u64)),
             (
                 "total_wall_ms",
-                Json::Num(harness_start.elapsed().as_secs_f64() * 1e3),
+                JVal::Num(harness_start.elapsed().as_secs_f64() * 1e3),
             ),
-            ("experiments", Json::Arr(records)),
+            ("experiments", JVal::Arr(records)),
         ]);
         let path = "BENCH_results.json";
-        let content = append_run(std::fs::read_to_string(path).ok(), &doc.render());
-        std::fs::write(path, content).unwrap_or_else(|e| panic!("writing {path}: {e}"));
+        let previous = std::fs::read_to_string(path).ok();
+        let runs = append_run(previous.as_deref(), doc).unwrap_or_else(|e| panic!("{path}: {e}"));
+        std::fs::write(path, runs.render()).unwrap_or_else(|e| panic!("writing {path}: {e}"));
         eprintln!("\nappended to {path}");
+    }
+    if unknown > 0 {
+        // A mistyped id in a CI gate line must not pass as "nothing failed".
+        eprintln!("{unknown} unknown experiment id(s)");
+        std::process::exit(2);
     }
 }
 
 /// Appends this run to the baseline file instead of overwriting it, so
-/// results accumulate across commits. The file holds either a single run
-/// object (the pre-append format) or an array of them; either way the
-/// result is an array with `new_run` last. The hand-rolled [`Json`] has no
-/// parser, so this is plain string surgery on the outermost brackets.
-fn append_run(previous: Option<String>, new_run: &str) -> String {
-    let prev = previous.as_deref().map(str::trim).unwrap_or("");
-    if prev.is_empty() {
-        return format!("[{new_run}]\n");
+/// results accumulate across commits: the file is an array of runs, newest
+/// last.
+fn append_run(previous: Option<&str>, new_run: JVal) -> Result<JVal, String> {
+    let mut runs = match previous.map(JVal::parse) {
+        None => Vec::new(),
+        Some(Ok(JVal::Arr(runs))) => runs,
+        Some(Ok(_)) => return Err("not an array of runs".into()),
+        Some(Err(e)) => return Err(e.to_string()),
+    };
+    runs.push(new_run);
+    Ok(JVal::Arr(runs))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn runs_accumulate_newest_last() {
+        let first = append_run(None, obj(vec![("id", jstr("e3"))])).unwrap();
+        // An undefined metric (mean delay when nothing was delivered) is
+        // NaN in the row and null in the file.
+        let run = obj(vec![
+            ("wall_ms", JVal::Num(0.5)),
+            ("mean_delay", JVal::Num(f64::NAN)),
+        ]);
+        let both = append_run(Some(&first.render()), run).unwrap();
+        let JVal::Arr(runs) = JVal::parse(&both.render()).unwrap() else {
+            panic!("baseline file is an array");
+        };
+        assert_eq!(runs.len(), 2);
+        assert_eq!(runs[0].get("id"), Some(&JVal::Str("e3".into())));
+        assert_eq!(runs[1].get("wall_ms"), Some(&JVal::Num(0.5)));
+        assert_eq!(runs[1].get("mean_delay"), Some(&JVal::Null));
     }
-    if let Some(body) = prev
-        .strip_prefix('[')
-        .and_then(|p| p.strip_suffix(']'))
-        .map(str::trim)
-    {
-        if body.is_empty() {
-            return format!("[{new_run}]\n");
-        }
-        return format!("[{body},\n{new_run}]\n");
+
+    #[test]
+    fn a_damaged_baseline_is_refused_not_overwritten() {
+        assert!(append_run(Some("{\"threads\":1}"), JVal::Null).is_err());
+        assert!(append_run(Some("[{\"threads\":1}"), JVal::Null).is_err());
     }
-    // Pre-append format: a bare run object becomes the first array element.
-    format!("[{prev},\n{new_run}]\n")
 }

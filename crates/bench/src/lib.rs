@@ -22,7 +22,6 @@ pub mod fabric_exp;
 pub mod faults_exp;
 pub mod figures;
 pub mod flow_exp;
-pub mod json;
 pub mod network_exp;
 pub mod observe_exp;
 pub mod parallel;

@@ -139,7 +139,10 @@ impl JVal {
             JVal::UInt(x) => out.push_str(&x.to_string()),
             JVal::Int(x) => out.push_str(&x.to_string()),
             JVal::Num(x) => {
-                if x.fract() == 0.0 && x.abs() < 9e15 {
+                if !x.is_finite() {
+                    // JSON has no NaN or infinity: an undefined metric is null.
+                    out.push_str("null");
+                } else if x.fract() == 0.0 && x.abs() < 9e15 {
                     out.push_str(&format!("{:.1}", x));
                 } else {
                     out.push_str(&format!("{}", x));
@@ -700,6 +703,13 @@ mod tests {
         let v2 = JVal::parse(&rendered).unwrap();
         assert_eq!(v, v2);
         assert_eq!(v.get("big").unwrap().as_u64().unwrap(), 1 << 40);
+    }
+
+    #[test]
+    fn non_finite_numbers_render_as_null() {
+        let v = JVal::Arr(vec![JVal::Num(f64::NAN), JVal::Num(f64::INFINITY)]);
+        let back = JVal::parse(&v.render()).unwrap();
+        assert_eq!(back, JVal::Arr(vec![JVal::Null, JVal::Null]));
     }
 
     #[test]

@@ -1,18 +1,17 @@
 //! The per-switch reconfiguration protocol state machine.
 //!
-//! Each switch runs as an actor exchanging messages with its physical
-//! neighbours only. The implementation follows §2's three phases
+//! Each switch is a pure state machine exchanging messages with its
+//! physical neighbours only; whoever owns the agents owns the transport.
+//! The implementation follows §2's three phases
 //! (propagation / collection / distribution) with epoch tags for overlapping
 //! reconfigurations: "a switch that sees multiple configurations
 //! participates in the one with the largest tag and eventually ignores all
 //! others."
 
 use crate::Tag;
-use an2_sim::{Actor, ActorId, Context, SimDuration, SimTime};
+use an2_sim::SimTime;
 use an2_topology::{LinkId, SwitchId};
-use std::cell::RefCell;
 use std::collections::{BTreeMap, BTreeSet};
-use std::rc::Rc;
 
 /// An undirected switch-to-switch edge, stored with the lower id first.
 pub type Edge = (SwitchId, SwitchId);
@@ -36,10 +35,6 @@ pub enum Msg {
         link: LinkId,
         /// The switch at the far end.
         neighbor: SwitchId,
-        /// Actor address of the far end.
-        actor: ActorId,
-        /// One-way message latency over this link.
-        latency: SimDuration,
     },
     /// Harness: the link to `neighbor` was declared dead.
     LinkDown {
@@ -114,7 +109,7 @@ pub struct TopoView {
     pub completed_at: SimTime,
 }
 
-/// State the harness can observe without reaching into the actor.
+/// The agent's observable state, read through [`SwitchAgent::public`].
 #[derive(Debug, Default)]
 pub struct AgentPublic {
     /// The switch's current topology view, if any reconfiguration has
@@ -128,16 +123,6 @@ pub struct AgentPublic {
     pub deltas_applied: u64,
 }
 
-/// Shared handle to an agent's observable state.
-pub type PublicHandle = Rc<RefCell<AgentPublic>>;
-
-#[derive(Debug, Clone)]
-struct Neighbor {
-    actor: ActorId,
-    latency: SimDuration,
-    up: bool,
-}
-
 #[derive(Debug)]
 struct Participation {
     parent: Option<SwitchId>,
@@ -149,14 +134,14 @@ struct Participation {
     reported: bool,
 }
 
-/// The reconfiguration actor for one switch.
+/// The reconfiguration state machine for one switch.
 pub struct SwitchAgent {
     id: SwitchId,
-    processing: SimDuration,
-    neighbors: BTreeMap<SwitchId, Neighbor>,
+    /// Every neighbour ever announced, and whether the link to it is up.
+    neighbors: BTreeMap<SwitchId, bool>,
     tag: Tag,
     part: Option<Participation>,
-    public: PublicHandle,
+    public: AgentPublic,
     /// This switch's own delta sequence counter (§2 extension).
     delta_seq: u64,
     /// Highest delta sequence seen per origin (duplicate suppression).
@@ -164,16 +149,14 @@ pub struct SwitchAgent {
 }
 
 impl SwitchAgent {
-    /// Creates an agent for switch `id`. `processing` models the line-card
-    /// software time spent handling each protocol message.
-    pub fn new(id: SwitchId, processing: SimDuration, public: PublicHandle) -> Self {
+    /// Creates an idle agent for switch `id`.
+    pub fn new(id: SwitchId) -> Self {
         SwitchAgent {
             id,
-            processing,
             neighbors: BTreeMap::new(),
             tag: Tag::ZERO,
             part: None,
-            public,
+            public: AgentPublic::default(),
             delta_seq: 0,
             delta_seen: BTreeMap::new(),
         }
@@ -190,15 +173,19 @@ impl SwitchAgent {
         self.tag
     }
 
+    /// The agent's observable state: topology view and counters.
+    pub fn public(&self) -> &AgentPublic {
+        &self.public
+    }
+
     /// Removes `edge` from the stored topology view (idempotent) and counts
     /// the application.
     fn apply_delta(&mut self, edge: Edge) {
-        let mut public = self.public.borrow_mut();
-        if let Some(view) = &mut public.view {
+        if let Some(view) = &mut self.public.view {
             let before = view.edges.len();
             view.edges.retain(|&e| e != edge);
             if view.edges.len() != before {
-                public.deltas_applied += 1;
+                self.public.deltas_applied += 1;
             }
         }
     }
@@ -219,7 +206,7 @@ impl SwitchAgent {
     fn up_neighbors(&self) -> Vec<SwitchId> {
         self.neighbors
             .iter()
-            .filter(|(_, n)| n.up)
+            .filter(|&(_, &up)| up)
             .map(|(&s, _)| s)
             .collect()
     }
@@ -231,18 +218,17 @@ impl SwitchAgent {
             .collect()
     }
 
-    fn send(&self, out: &mut Vec<(SwitchId, Msg)>, to: SwitchId, msg: Msg) {
-        let n = &self.neighbors[&to];
-        if !n.up {
+    fn send(&mut self, out: &mut Vec<(SwitchId, Msg)>, to: SwitchId, msg: Msg) {
+        if !self.neighbors[&to] {
             return; // link died under us; the message would be lost anyway
         }
-        self.public.borrow_mut().messages_sent += 1;
+        self.public.messages_sent += 1;
         out.push((to, msg));
     }
 
     fn start_reconfig(&mut self, now: SimTime, out: &mut Vec<(SwitchId, Msg)>) {
         self.tag = self.tag.successor(self.id);
-        self.public.borrow_mut().initiated += 1;
+        self.public.initiated += 1;
         let invitees: BTreeSet<SwitchId> = self.up_neighbors().into_iter().collect();
         self.part = Some(Participation {
             parent: None,
@@ -336,7 +322,7 @@ impl SwitchAgent {
         edges: Vec<Edge>,
         parents: Vec<(SwitchId, SwitchId)>,
     ) {
-        self.public.borrow_mut().view = Some(TopoView {
+        self.public.view = Some(TopoView {
             tag,
             edges: edges.clone(),
             parents: parents.clone(),
@@ -362,40 +348,28 @@ impl SwitchAgent {
 
     /// Runs the state machine on one message, transport-free: every message
     /// the agent wants delivered is appended to `out` as a `(destination,
-    /// payload)` pair, in send order. The caller owns delivery — the actor
-    /// harness maps each pair through `Context::send_after`, while the
-    /// embedded control plane segments the payload into control cells and
-    /// ships them over the (lossy) fabric links.
+    /// payload)` pair, in send order. The caller owns delivery — the
+    /// harness queues each pair for link latency plus processing time
+    /// later, while the embedded control plane segments the payload into
+    /// control cells and ships them over the (lossy) fabric links.
     pub fn handle(&mut self, now: SimTime, msg: Msg, out: &mut Vec<(SwitchId, Msg)>) {
         match msg {
             Msg::Boot => self.start_reconfig(now, out),
-            Msg::LinkUp {
-                neighbor,
-                actor,
-                latency,
-                ..
-            } => {
-                self.neighbors.insert(
-                    neighbor,
-                    Neighbor {
-                        actor,
-                        latency,
-                        up: true,
-                    },
-                );
+            Msg::LinkUp { neighbor, .. } => {
+                self.neighbors.insert(neighbor, true);
                 self.start_reconfig(now, out);
             }
             Msg::LinkDown { neighbor } => {
-                if let Some(n) = self.neighbors.get_mut(&neighbor) {
-                    if n.up {
-                        n.up = false;
+                if let Some(up) = self.neighbors.get_mut(&neighbor) {
+                    if *up {
+                        *up = false;
                         self.start_reconfig(now, out);
                     }
                 }
             }
             Msg::Invite { tag, from } => {
                 // Drop protocol traffic from neighbours we consider dead.
-                if !self.neighbors.get(&from).is_some_and(|n| n.up) {
+                if self.neighbors.get(&from) != Some(&true) {
                     return;
                 }
                 if tag > self.tag {
@@ -461,13 +435,13 @@ impl SwitchAgent {
                 self.complete_and_distribute(now, out, tag, edges, parents);
             }
             Msg::LinkDownDelta { neighbor } => {
-                let Some(n) = self.neighbors.get_mut(&neighbor) else {
+                let Some(up) = self.neighbors.get_mut(&neighbor) else {
                     return;
                 };
-                if !n.up {
+                if !*up {
                     return;
                 }
-                n.up = false;
+                *up = false;
                 // No reconfiguration: patch the local view and flood a
                 // delta. The spanning tree is left as-is — the §2 trade-off:
                 // "it should often be possible to restrict participation to
@@ -493,72 +467,32 @@ impl SwitchAgent {
     }
 }
 
-impl Actor<Msg> for SwitchAgent {
-    fn on_message(&mut self, ctx: &mut Context<'_, Msg>, msg: Msg) {
-        // The harness transport: outbound pairs become actor messages, each
-        // delayed by the link's one-way latency plus this switch's software
-        // processing time. Delivery order matches `handle`'s send order, so
-        // the world's deterministic tie-break sees the same sequence the
-        // pre-refactor inline sends produced.
-        let mut out = Vec::new();
-        self.handle(ctx.now(), msg, &mut out);
-        for (to, m) in out {
-            let n = &self.neighbors[&to];
-            ctx.send_after(n.latency + self.processing, n.actor, m);
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::harness::ReconfigNet;
+    use an2_sim::SimDuration;
+    use an2_topology::generators;
 
-    // Agent-level unit tests exercise the state machine through a real
-    // two-switch world; full-network behaviour is covered in harness.rs.
-    use an2_sim::World;
+    // Two-switch behaviour runs on the harness transport; single-agent
+    // behaviour calls `handle` directly. Full networks are covered in
+    // harness.rs.
+    fn two_switch_net() -> ReconfigNet {
+        ReconfigNet::new(generators::line(2), 1, SimDuration::from_micros(10))
+    }
 
-    fn two_switch_world() -> (World<Msg>, PublicHandle, PublicHandle) {
-        let mut w = World::new(1);
-        let pa: PublicHandle = Rc::new(RefCell::new(AgentPublic::default()));
-        let pb: PublicHandle = Rc::new(RefCell::new(AgentPublic::default()));
-        let a = w.add_actor(SwitchAgent::new(
-            SwitchId(0),
-            SimDuration::from_micros(10),
-            pa.clone(),
-        ));
-        let b = w.add_actor(SwitchAgent::new(
-            SwitchId(1),
-            SimDuration::from_micros(10),
-            pb.clone(),
-        ));
-        let lat = SimDuration::from_micros(1);
-        w.send_now(
-            a,
-            Msg::LinkUp {
-                link: LinkId(0),
-                neighbor: SwitchId(1),
-                actor: b,
-                latency: lat,
-            },
-        );
-        w.send_now(
-            b,
-            Msg::LinkUp {
-                link: LinkId(0),
-                neighbor: SwitchId(0),
-                actor: a,
-                latency: lat,
-            },
-        );
-        (w, pa, pb)
+    fn view(net: &ReconfigNet, s: u16) -> TopoView {
+        net.view_of(SwitchId(s))
+            .cloned()
+            .expect("switch has a view")
     }
 
     #[test]
     fn two_switches_agree_on_topology() {
-        let (mut w, pa, pb) = two_switch_world();
-        w.run();
-        let va = pa.borrow().view.clone().expect("sw0 has a view");
-        let vb = pb.borrow().view.clone().expect("sw1 has a view");
+        let mut net = two_switch_net();
+        net.run_to_quiescence();
+        let va = view(&net, 0);
+        let vb = view(&net, 1);
         assert_eq!(va.tag, vb.tag);
         assert_eq!(va.edges, vec![(SwitchId(0), SwitchId(1))]);
         assert_eq!(va.edges, vb.edges);
@@ -568,16 +502,11 @@ mod tests {
 
     #[test]
     fn isolated_switch_completes_with_empty_topology() {
-        let mut w = World::new(1);
-        let p: PublicHandle = Rc::new(RefCell::new(AgentPublic::default()));
-        let a = w.add_actor(SwitchAgent::new(
-            SwitchId(4),
-            SimDuration::from_micros(10),
-            p.clone(),
-        ));
-        w.send_now(a, Msg::Boot);
-        w.run();
-        let v = p.borrow().view.clone().unwrap();
+        let mut a = SwitchAgent::new(SwitchId(4));
+        let mut out = Vec::new();
+        a.handle(SimTime::ZERO, Msg::Boot, &mut out);
+        assert!(out.is_empty(), "nobody to invite");
+        let v = a.public().view.clone().unwrap();
         assert!(v.edges.is_empty());
         assert!(v.parents.is_empty());
         assert_eq!(v.tag.initiator, SwitchId(4));
@@ -585,26 +514,15 @@ mod tests {
 
     #[test]
     fn link_down_triggers_new_epoch() {
-        let (mut w, pa, pb) = two_switch_world();
-        w.run();
-        let epoch_before = pa.borrow().view.as_ref().unwrap().tag.epoch;
+        let mut net = two_switch_net();
+        net.run_to_quiescence();
+        let epoch_before = view(&net, 0).tag.epoch;
         // Tell both ends the link died.
-        // (ActorIds 0 and 1 were assigned in order.)
-        w.send_now(
-            an2_sim::ActorId(0),
-            Msg::LinkDown {
-                neighbor: SwitchId(1),
-            },
-        );
-        w.send_now(
-            an2_sim::ActorId(1),
-            Msg::LinkDown {
-                neighbor: SwitchId(0),
-            },
-        );
-        w.run();
-        let va = pa.borrow().view.clone().unwrap();
-        let vb = pb.borrow().view.clone().unwrap();
+        let link = net.topology().links_between(SwitchId(0), SwitchId(1))[0];
+        net.kill_link(link);
+        net.run_to_quiescence();
+        let va = view(&net, 0);
+        let vb = view(&net, 1);
         assert!(va.tag.epoch > epoch_before);
         assert!(vb.tag.epoch > epoch_before);
         assert!(va.edges.is_empty(), "partitioned: no shared edges");
@@ -613,23 +531,21 @@ mod tests {
 
     #[test]
     fn duplicate_link_down_is_idempotent() {
-        let (mut w, pa, _pb) = two_switch_world();
-        w.run();
-        let initiated_before = pa.borrow().initiated;
-        w.send_now(
-            an2_sim::ActorId(0),
-            Msg::LinkDown {
+        let mut a = SwitchAgent::new(SwitchId(0));
+        let mut out = Vec::new();
+        let up = Msg::LinkUp {
+            link: LinkId(0),
+            neighbor: SwitchId(1),
+        };
+        a.handle(SimTime::ZERO, up, &mut out);
+        let initiated_before = a.public().initiated;
+        for _ in 0..2 {
+            let down = Msg::LinkDown {
                 neighbor: SwitchId(1),
-            },
-        );
-        w.send_now(
-            an2_sim::ActorId(0),
-            Msg::LinkDown {
-                neighbor: SwitchId(1),
-            },
-        );
-        w.run();
-        let initiated_after = pa.borrow().initiated;
+            };
+            a.handle(SimTime::from_nanos(1), down, &mut out);
+        }
+        let initiated_after = a.public().initiated;
         assert_eq!(
             initiated_after - initiated_before,
             1,

@@ -1,72 +1,98 @@
-//! Wires switch agents into a discrete-event world over a physical
-//! [`Topology`], injects failures, and checks convergence — the apparatus
-//! for the reconfiguration experiments (E1, E12).
+//! Runs switch agents over a physical [`Topology`] on an ideal transport,
+//! injects failures, and checks convergence — the apparatus for the
+//! reconfiguration experiments (E1, E12).
+//!
+//! The harness is the whole event loop: it owns the agents and one heap of
+//! in-flight messages keyed `(deliver_at, send_seq)`, pops the earliest,
+//! hands it to [`SwitchAgent::handle`], and queues every reply one link
+//! latency plus one `processing` time later. Equal-time messages are
+//! delivered in send order, so a run is a pure function of the topology
+//! and the failures injected. (The embedded control plane in `an2::control`
+//! drives the same agents over lossy 53-byte control cells instead.)
 
-use crate::agent::{AgentPublic, Edge, Msg, PublicHandle, SwitchAgent};
+use crate::agent::{Edge, Msg, SwitchAgent, TopoView};
 use crate::quiesce;
-use an2_sim::{ActorId, SimDuration, SimTime, StopReason, World};
+use an2_sim::{SimDuration, SimTime};
 use an2_topology::{LinkId, LinkState, Node, SpanningTree, SwitchId, Topology};
-use std::cell::RefCell;
-use std::rc::Rc;
+use std::cmp::Ordering;
+use std::collections::{BTreeMap, BinaryHeap};
 
 /// Default per-message software processing time on a line-card CPU. AN1's
 /// measured sub-200 ms reconfigurations imply per-message costs in the
 /// high-microsecond range; 100 µs is deliberately conservative.
 pub const DEFAULT_PROCESSING: SimDuration = SimDuration::from_micros(100);
 
+/// A message on the ideal transport, due at `at`.
+struct InFlight {
+    at: SimTime,
+    seq: u64,
+    to: SwitchId,
+    msg: Msg,
+}
+
+impl PartialEq for InFlight {
+    fn eq(&self, other: &Self) -> bool {
+        (self.at, self.seq) == (other.at, other.seq)
+    }
+}
+impl Eq for InFlight {}
+impl PartialOrd for InFlight {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+impl Ord for InFlight {
+    // Reversed so the max-heap pops the earliest delivery; equal instants
+    // pop in send order.
+    fn cmp(&self, other: &Self) -> Ordering {
+        (other.at, other.seq).cmp(&(self.at, self.seq))
+    }
+}
+
 /// A network of reconfiguration agents over a physical topology.
 pub struct ReconfigNet {
-    world: World<Msg>,
     topo: Topology,
-    actors: Vec<ActorId>,
-    publics: Vec<PublicHandle>,
+    agents: Vec<SwitchAgent>,
+    queue: BinaryHeap<InFlight>,
+    now: SimTime,
+    next_seq: u64,
+    processing: SimDuration,
+    /// One-way latency `(from, to)` of each switch adjacency, as announced
+    /// at boot.
+    latency: BTreeMap<(SwitchId, SwitchId), SimDuration>,
 }
 
 impl ReconfigNet {
     /// Builds the network and boots every switch at time zero (each switch
     /// learns its neighbours and triggers a reconfiguration, as at power-on).
-    pub fn new(topo: Topology, seed: u64, processing: SimDuration) -> Self {
-        let mut world = World::new(seed);
-        let mut actors = Vec::new();
-        let mut publics = Vec::new();
-        for s in topo.switches() {
-            let public: PublicHandle = Rc::new(RefCell::new(AgentPublic::default()));
-            let actor = world.add_actor(SwitchAgent::new(s, processing, public.clone()));
-            actors.push(actor);
-            publics.push(public);
-        }
+    ///
+    /// `seed` is unread: nothing on the ideal transport is random. It stays
+    /// in the signature because every caller (experiments, oracles, the
+    /// benchmark of record) passes one.
+    pub fn new(topo: Topology, _seed: u64, processing: SimDuration) -> Self {
+        let agents = topo.switches().map(SwitchAgent::new).collect();
         let mut net = ReconfigNet {
-            world,
             topo,
-            actors,
-            publics,
+            agents,
+            queue: BinaryHeap::new(),
+            now: SimTime::ZERO,
+            next_seq: 0,
+            processing,
+            latency: BTreeMap::new(),
         };
         // Announce every working inter-switch adjacency to both endpoints.
-        for link in net.topo.links() {
+        let links: Vec<LinkId> = net.topo.links().collect();
+        for link in links {
             if net.topo.link_state(link) != LinkState::Working {
                 continue;
             }
             let (ea, eb) = net.topo.endpoints(link);
             if let (Node::Switch(a), Node::Switch(b)) = (ea.node, eb.node) {
                 let latency = net.topo.link_latency(link);
-                net.world.send_now(
-                    net.actors[a.0 as usize],
-                    Msg::LinkUp {
-                        link,
-                        neighbor: b,
-                        actor: net.actors[b.0 as usize],
-                        latency,
-                    },
-                );
-                net.world.send_now(
-                    net.actors[b.0 as usize],
-                    Msg::LinkUp {
-                        link,
-                        neighbor: a,
-                        actor: net.actors[a.0 as usize],
-                        latency,
-                    },
-                );
+                net.latency.insert((a, b), latency);
+                net.latency.insert((b, a), latency);
+                net.send_now(a, Msg::LinkUp { link, neighbor: b });
+                net.send_now(b, Msg::LinkUp { link, neighbor: a });
             }
         }
         net
@@ -77,14 +103,36 @@ impl ReconfigNet {
         ReconfigNet::new(topo, seed, DEFAULT_PROCESSING)
     }
 
+    /// Queues `msg` for delivery to `to` at `at`.
+    fn send_at(&mut self, at: SimTime, to: SwitchId, msg: Msg) {
+        let seq = self.next_seq;
+        self.next_seq += 1;
+        self.queue.push(InFlight { at, seq, to, msg });
+    }
+
+    /// Queues a harness event for `to` at the current instant.
+    fn send_now(&mut self, to: SwitchId, msg: Msg) {
+        self.send_at(self.now, to, msg);
+    }
+
     /// Runs the protocol until no messages remain in flight.
-    pub fn run_to_quiescence(&mut self) -> StopReason {
-        self.world.run()
+    pub fn run_to_quiescence(&mut self) {
+        let mut out = Vec::new();
+        while let Some(m) = self.queue.pop() {
+            debug_assert!(m.at >= self.now, "message from the past");
+            self.now = m.at;
+            let from = m.to;
+            self.agents[from.0 as usize].handle(m.at, m.msg, &mut out);
+            for (to, reply) in out.drain(..) {
+                let delay = self.latency[&(from, to)] + self.processing;
+                self.send_at(m.at + delay, to, reply);
+            }
+        }
     }
 
     /// Current virtual time.
     pub fn now(&self) -> SimTime {
-        self.world.now()
+        self.now
     }
 
     /// The physical topology (including failures injected so far).
@@ -104,10 +152,8 @@ impl ReconfigNet {
         let (ea, eb) = self.topo.endpoints(link);
         if let (Node::Switch(a), Node::Switch(b)) = (ea.node, eb.node) {
             if self.topo.links_between(a, b).is_empty() {
-                self.world
-                    .send_now(self.actors[a.0 as usize], Msg::LinkDown { neighbor: b });
-                self.world
-                    .send_now(self.actors[b.0 as usize], Msg::LinkDown { neighbor: a });
+                self.send_now(a, Msg::LinkDown { neighbor: b });
+                self.send_now(b, Msg::LinkDown { neighbor: a });
             }
         }
     }
@@ -124,21 +170,15 @@ impl ReconfigNet {
         let (ea, eb) = self.topo.endpoints(link);
         if let (Node::Switch(a), Node::Switch(b)) = (ea.node, eb.node) {
             if self.topo.links_between(a, b).is_empty() {
-                self.world.send_now(
-                    self.actors[a.0 as usize],
-                    Msg::LinkDownDelta { neighbor: b },
-                );
-                self.world.send_now(
-                    self.actors[b.0 as usize],
-                    Msg::LinkDownDelta { neighbor: a },
-                );
+                self.send_now(a, Msg::LinkDownDelta { neighbor: b });
+                self.send_now(b, Msg::LinkDownDelta { neighbor: a });
             }
         }
     }
 
     /// Total incremental deltas applied across all switches.
     pub fn total_deltas_applied(&self) -> u64 {
-        self.publics.iter().map(|p| p.borrow().deltas_applied).sum()
+        self.agents.iter().map(|a| a.public().deltas_applied).sum()
     }
 
     /// Pulls the plug on a switch: every incident link dies and all its
@@ -160,10 +200,7 @@ impl ReconfigNet {
             let (ea, eb) = self.topo.endpoints(link);
             if let (Node::Switch(a), Node::Switch(b)) = (ea.node, eb.node) {
                 let survivor = if a == victim { b } else { a };
-                self.world.send_now(
-                    self.actors[survivor.0 as usize],
-                    Msg::LinkDown { neighbor: victim },
-                );
+                self.send_now(survivor, Msg::LinkDown { neighbor: victim });
             }
         }
     }
@@ -182,14 +219,16 @@ impl ReconfigNet {
         edges
     }
 
+    /// A switch's current topology view, if any reconfiguration has
+    /// completed there.
+    pub fn view_of(&self, s: SwitchId) -> Option<&TopoView> {
+        self.agents[s.0 as usize].public().view.as_ref()
+    }
+
     /// The (sorted, deduplicated) edges of a switch's current topology
     /// view, if it has one — for external consistency checks.
     pub fn view_edges_of(&self, s: SwitchId) -> Option<Vec<Edge>> {
-        self.view_edges(s)
-    }
-
-    fn view_edges(&self, s: SwitchId) -> Option<Vec<Edge>> {
-        self.publics[s.0 as usize].borrow().view.as_ref().map(|v| {
+        self.view_of(s).map(|v| {
             let mut e: Vec<Edge> = v.edges.clone();
             e.sort_unstable();
             e.dedup();
@@ -213,15 +252,8 @@ impl ReconfigNet {
         quiesce::partition_uniform(
             &lv,
             &part,
-            &mut |s| {
-                self.publics[s.0 as usize]
-                    .borrow()
-                    .view
-                    .as_ref()
-                    .map(|v| v.tag)
-                    .unwrap_or(crate::Tag::ZERO)
-            },
-            &mut |s, _, expected| self.view_edges(s).as_deref() == Some(expected),
+            &mut |s| self.view_of(s).map_or(crate::Tag::ZERO, |v| v.tag),
+            &mut |s, _, expected| self.view_edges_of(s).as_deref() == Some(expected),
         )
         .is_ok()
     }
@@ -240,13 +272,7 @@ impl ReconfigNet {
         let parts = self.topo.switch_partitions();
         let part = parts.iter().find(|p| p.contains(&reference))?;
         part.iter()
-            .map(|&s| {
-                self.publics[s.0 as usize]
-                    .borrow()
-                    .view
-                    .as_ref()
-                    .map(|v| v.completed_at)
-            })
+            .map(|&s| self.view_of(s).map(|v| v.completed_at))
             .collect::<Option<Vec<_>>>()?
             .into_iter()
             .max()
@@ -254,12 +280,12 @@ impl ReconfigNet {
 
     /// Total protocol messages sent by all switches so far.
     pub fn total_messages(&self) -> u64 {
-        self.publics.iter().map(|p| p.borrow().messages_sent).sum()
+        self.agents.iter().map(|a| a.public().messages_sent).sum()
     }
 
     /// Total reconfigurations initiated across all switches.
     pub fn total_initiated(&self) -> u64 {
-        self.publics.iter().map(|p| p.borrow().initiated).sum()
+        self.agents.iter().map(|a| a.public().initiated).sum()
     }
 
     /// Reconstructs the propagation-order spanning tree from the converged
@@ -269,10 +295,8 @@ impl ReconfigNet {
     ///
     /// Panics if the switch has no view yet.
     pub fn spanning_tree(&self, reference: SwitchId) -> SpanningTree {
-        let view = self.publics[reference.0 as usize]
-            .borrow()
-            .view
-            .clone()
+        let view = self
+            .view_of(reference)
             .expect("switch has no topology view yet");
         SpanningTree::from_parents(
             view.tag.initiator,
@@ -292,6 +316,59 @@ mod tests {
         net.run_to_quiescence();
         assert!(net.converged(), "initial boot must converge");
         net
+    }
+
+    #[test]
+    fn ties_delivered_in_send_order() {
+        let mut net = converge(generators::line(3), 1);
+        let t = net.now() + SimDuration::from_nanos(100);
+        for s in [2, 0, 1] {
+            net.send_at(t, SwitchId(s), Msg::Boot);
+        }
+        // Sent last but due first: time outranks send order.
+        let early = net.now() + SimDuration::from_nanos(50);
+        net.send_at(early, SwitchId(1), Msg::Boot);
+        let order: Vec<(SimTime, u16)> = std::iter::from_fn(|| net.queue.pop())
+            .map(|m| (m.at, m.to.0))
+            .collect();
+        assert_eq!(
+            order,
+            vec![(early, 1), (t, 2), (t, 0), (t, 1)],
+            "equal-time messages arrive in send order"
+        );
+    }
+
+    #[test]
+    fn time_only_moves_forward() {
+        let mut net = ReconfigNet::with_defaults(generators::ring(6), 1);
+        assert_eq!(net.now(), SimTime::ZERO);
+        net.run_to_quiescence();
+        let booted = net.now();
+        assert!(booted > SimTime::ZERO);
+        let link = net.topology().links_between(SwitchId(0), SwitchId(1))[0];
+        net.kill_link(link);
+        net.run_to_quiescence();
+        assert!(net.now() > booted);
+        for s in net.topology().switches() {
+            let done = net.view_of(s).expect("reconverged").completed_at;
+            assert!(
+                booted < done && done <= net.now(),
+                "{s} completed at {done}"
+            );
+        }
+    }
+
+    #[test]
+    fn quiescence_is_an_empty_queue() {
+        let mut net = ReconfigNet::with_defaults(generators::ring(6), 1);
+        assert!(!net.queue.is_empty(), "boot announcements are queued");
+        net.run_to_quiescence();
+        assert!(net.queue.is_empty());
+        // Nothing in flight: running again delivers nothing and the clock
+        // stays put.
+        let (now, messages) = (net.now(), net.total_messages());
+        net.run_to_quiescence();
+        assert_eq!((net.now(), net.total_messages()), (now, messages));
     }
 
     #[test]
@@ -324,7 +401,7 @@ mod tests {
         let edges = net.actual_edges();
         assert_eq!(edges.len(), 6);
         for s in net.topology().switches() {
-            assert_eq!(net.view_edges(s).unwrap(), edges);
+            assert_eq!(net.view_edges_of(s).unwrap(), edges);
         }
     }
 
@@ -376,7 +453,10 @@ mod tests {
         assert!(net.partition_converged(SwitchId(0)));
         assert!(net.partition_converged(SwitchId(3)));
         // Sides disagree (as they must: different partitions).
-        assert_ne!(net.view_edges(SwitchId(0)), net.view_edges(SwitchId(3)));
+        assert_ne!(
+            net.view_edges_of(SwitchId(0)),
+            net.view_edges_of(SwitchId(3))
+        );
     }
 
     #[test]
@@ -460,7 +540,7 @@ mod tests {
         // ...yet every switch's view matches the new reality.
         let edges = net.actual_edges();
         for s in net.topology().switches() {
-            assert_eq!(net.view_edges(s).unwrap(), edges, "{s} has a stale view");
+            assert_eq!(net.view_edges_of(s).unwrap(), edges, "{s} has a stale view");
         }
         assert!(net.total_deltas_applied() >= 10);
     }
@@ -489,7 +569,7 @@ mod tests {
         // Both end consistent.
         let edges = delta.actual_edges();
         for s in delta.topology().switches() {
-            assert_eq!(delta.view_edges(s).unwrap(), edges);
+            assert_eq!(delta.view_edges_of(s).unwrap(), edges);
         }
     }
 
@@ -508,7 +588,7 @@ mod tests {
         assert!(cost < 4 * 12 + 2 * 12 + 20, "flood cost {cost}");
         let edges = net.actual_edges();
         for s in net.topology().switches() {
-            assert_eq!(net.view_edges(s).unwrap(), edges);
+            assert_eq!(net.view_edges_of(s).unwrap(), edges);
         }
     }
 }

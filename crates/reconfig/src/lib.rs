@@ -20,8 +20,9 @@
 //! ([`Tag`]): a switch participates only in the configuration with the
 //! largest `(epoch, initiator)` tag it has seen and abandons all others.
 //!
-//! The [`harness`] module wires switch agents into the discrete-event world
-//! over an [`an2_topology::Topology`] and drives failures; the [`monitor`]
+//! The [`harness`] module runs switch agents over an
+//! [`an2_topology::Topology`] on an ideal transport (one heap of timed
+//! messages) and drives failures; the [`monitor`]
 //! and [`skeptic`] modules implement the link-error watchdog that feeds the
 //! reconfiguration trigger while damping flapping links.
 

@@ -19,14 +19,12 @@
 //! - [`crate::pathvector::PvProtocol`] — per-destination path vectors with
 //!   poisoned reverse, shortest-path routes.
 
-use crate::agent::{AgentPublic, Msg, PublicHandle, SwitchAgent};
+use crate::agent::{Msg, SwitchAgent};
 use crate::quiesce::{uniform_views, Edge, LiveView};
 use crate::Tag;
-use an2_sim::{ActorId, SimDuration, SimTime};
+use an2_sim::SimTime;
 use an2_topology::updown::{canonical_forest, RouteCache};
 use an2_topology::{LinkId, SwitchId, Topology};
-use std::cell::RefCell;
-use std::rc::Rc;
 
 /// A local link-state event delivered to one switch's protocol instance.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -107,13 +105,10 @@ impl ProtocolKind {
         }
     }
 
-    /// Builds a fresh instance for `switch_count` switches. `processing`
-    /// models per-message line-card software time (only the up*/down*
-    /// actor embedding consumes it; the embedded transport adds it as
-    /// extra cell delay for every protocol).
-    pub fn build(self, switch_count: usize, processing: SimDuration) -> Box<dyn ControlProtocol> {
+    /// Builds a fresh instance for `switch_count` switches.
+    pub fn build(self, switch_count: usize) -> Box<dyn ControlProtocol> {
         match self {
-            ProtocolKind::UpDown => Box::new(UpDownProtocol::new(switch_count, processing)),
+            ProtocolKind::UpDown => Box::new(UpDownProtocol::new(switch_count)),
             ProtocolKind::SpanningTree => Box::new(crate::stp::StpProtocol::new(switch_count)),
             ProtocolKind::PathVector => Box::new(crate::pathvector::PvProtocol::new(switch_count)),
         }
@@ -206,23 +201,16 @@ pub trait ControlProtocol {
 /// deliver, and replies come back in the agent's send order.
 pub struct UpDownProtocol {
     agents: Vec<SwitchAgent>,
-    publics: Vec<PublicHandle>,
     cache: RouteCache,
 }
 
 impl UpDownProtocol {
     /// One idle agent per switch, all at [`Tag::ZERO`].
-    pub fn new(switch_count: usize, processing: SimDuration) -> Self {
-        let mut agents = Vec::with_capacity(switch_count);
-        let mut publics = Vec::with_capacity(switch_count);
-        for s in 0..switch_count {
-            let public: PublicHandle = Rc::new(RefCell::new(AgentPublic::default()));
-            publics.push(public.clone());
-            agents.push(SwitchAgent::new(SwitchId(s as u16), processing, public));
-        }
+    pub fn new(switch_count: usize) -> Self {
         UpDownProtocol {
-            agents,
-            publics,
+            agents: (0..switch_count)
+                .map(|s| SwitchAgent::new(SwitchId(s as u16)))
+                .collect(),
             cache: RouteCache::new(),
         }
     }
@@ -254,15 +242,7 @@ impl ControlProtocol for UpDownProtocol {
     ) {
         let msg = match ev {
             LinkEvent::Boot => Msg::Boot,
-            // The embedded transport routes by SwitchId; the actor address
-            // and latency fields are inert placeholders, exactly as the
-            // pre-refactor control plane passed them.
-            LinkEvent::Up { link, neighbor } => Msg::LinkUp {
-                link,
-                neighbor,
-                actor: ActorId(neighbor.0 as usize),
-                latency: SimDuration::ZERO,
-            },
+            LinkEvent::Up { link, neighbor } => Msg::LinkUp { link, neighbor },
             LinkEvent::Down { neighbor } => Msg::LinkDown { neighbor },
         };
         self.handle(now, sw, msg, out);
@@ -299,11 +279,8 @@ impl ControlProtocol for UpDownProtocol {
             lv,
             &mut |s| self.agents[s.0 as usize].tag(),
             &mut |s, first, expected| {
-                let public = self.publics[s.0 as usize].borrow();
-                public
-                    .view
-                    .as_ref()
-                    .is_some_and(|v| v.tag == first && v.edges == expected)
+                let view = self.agents[s.0 as usize].public().view.as_ref();
+                view.is_some_and(|v| v.tag == first && v.edges == expected)
             },
         )
     }
@@ -313,13 +290,12 @@ impl ControlProtocol for UpDownProtocol {
     }
 
     fn view_edges(&self, sw: SwitchId) -> Option<Vec<Edge>> {
-        self.publics
-            .get(sw.0 as usize)
-            .and_then(|p| p.borrow().view.as_ref().map(|v| v.edges.clone()))
+        let view = self.agents.get(sw.0 as usize)?.public().view.as_ref();
+        view.map(|v| v.edges.clone())
     }
 
     fn messages_sent(&self) -> u64 {
-        self.publics.iter().map(|p| p.borrow().messages_sent).sum()
+        self.agents.iter().map(|a| a.public().messages_sent).sum()
     }
 
     fn prepare_routes(&mut self, switch_count: usize, live: &[SwitchId], edges: &[Edge]) {

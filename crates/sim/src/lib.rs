@@ -1,57 +1,48 @@
-//! # an2-sim — deterministic discrete-event simulation kernel
+//! # an2-sim — virtual time, seeded randomness and measurement
 //!
 //! The AN2 paper describes a local area network whose switches cooperate as a
 //! distributed system: they exchange asynchronous messages, race against each
 //! other during reconfiguration, and schedule hardware on a common cell-slot
-//! clock. This crate provides the substrate on which the rest of the
-//! reproduction models that behaviour:
+//! clock. This crate holds what every simulator in the reproduction shares:
 //!
 //! * [`SimTime`] / [`SimDuration`] — nanosecond-resolution virtual time.
 //! * [`SimRng`] — a seedable, splittable pseudo-random generator so that every
 //!   experiment is exactly reproducible from a single seed.
-//! * [`World`] / [`Actor`] — an actor-style discrete-event engine. Each
-//!   switch, line card, host, or protocol module is an actor with a mailbox;
-//!   messages are delivered at programmable virtual-time delays, modelling
-//!   link and processing latency.
-//! * [`metrics`] — counters, histograms and online statistics used by every
-//!   experiment harness.
+//! * [`metrics`] — [`metrics::Histogram`] (exact or log-bucketed samples with
+//!   percentiles) and [`metrics::PhaseRecorder`] (named spans on the
+//!   timeline), used by every experiment harness.
 //!
-//! The kernel is intentionally single-threaded: determinism is what lets the
-//! test-suite assert exact latencies (e.g. the paper's "2 microseconds through
-//! an uncontended switch") and lets property tests shrink failing seeds.
+//! There is no event engine here. The two event loops in the reproduction
+//! each live next to the transport they model: the slot-synchronous fabric
+//! in `an2`, and the ideal-transport reconfiguration harness in
+//! `an2_reconfig::harness` (one `(deliver_at, send_seq)` heap). Both are
+//! single-threaded in virtual time and deterministic, which is what lets the
+//! test-suite assert exact latencies (e.g. the paper's "2 microseconds
+//! through an uncontended switch") and replay any failure from its seed.
 //!
 //! ## Example
 //!
 //! ```
-//! use an2_sim::{World, Actor, Context, SimDuration};
+//! use an2_sim::{metrics::Histogram, SimDuration, SimRng, SimTime};
 //!
-//! struct Ping { peer: an2_sim::ActorId, remaining: u32 }
-//!
-//! impl Actor<&'static str> for Ping {
-//!     fn on_message(&mut self, ctx: &mut Context<'_, &'static str>, msg: &'static str) {
-//!         if self.remaining > 0 {
-//!             self.remaining -= 1;
-//!             ctx.send_after(SimDuration::from_micros(1), self.peer, msg);
-//!         }
-//!     }
+//! let mut rng = SimRng::new(42);
+//! let mut latency = Histogram::new();
+//! let mut now = SimTime::ZERO;
+//! for _ in 0..100 {
+//!     let hop = SimDuration::from_nanos(500 + rng.gen_range(1_000) as u64);
+//!     now += hop;
+//!     latency.record(hop.as_nanos());
 //! }
-//!
-//! let mut world = World::new(42);
-//! let a = world.add_actor(Ping { peer: an2_sim::ActorId(1), remaining: 3 });
-//! let b = world.add_actor(Ping { peer: a, remaining: 3 });
-//! world.send_now(b, "ping");
-//! world.run();
-//! assert_eq!(world.now().as_micros(), 6);
+//! assert_eq!(latency.count(), 100);
+//! assert!(now >= SimTime::from_nanos(50_000));
 //! ```
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod engine;
 pub mod metrics;
 mod rng;
 mod time;
 
-pub use engine::{Actor, ActorId, Context, EngineProbe, StopReason, World};
 pub use rng::SimRng;
 pub use time::{SimDuration, SimTime};

@@ -1,49 +1,8 @@
 //! Measurement utilities shared by every experiment in the reproduction:
-//! counters, sample histograms with percentiles, and online mean/variance.
+//! sample histograms with percentiles and named phase spans.
 
 use crate::time::SimDuration;
 use serde::{Deserialize, Serialize};
-use std::fmt;
-
-/// A monotonically increasing event counter.
-///
-/// ```
-/// use an2_sim::metrics::Counter;
-/// let mut sent = Counter::new();
-/// sent.add(3);
-/// sent.incr();
-/// assert_eq!(sent.get(), 4);
-/// ```
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub struct Counter(u64);
-
-impl Counter {
-    /// A counter at zero.
-    pub fn new() -> Self {
-        Counter(0)
-    }
-
-    /// Adds one.
-    pub fn incr(&mut self) {
-        self.0 += 1;
-    }
-
-    /// Adds `n`.
-    pub fn add(&mut self, n: u64) {
-        self.0 += n;
-    }
-
-    /// Current count.
-    pub fn get(self) -> u64 {
-        self.0
-    }
-}
-
-impl fmt::Display for Counter {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{}", self.0)
-    }
-}
 
 /// HDR-style log-linear buckets: values below `1 << sub_bits` land in their
 /// own bucket (exact); above that, each power-of-two range is split into
@@ -445,84 +404,6 @@ impl Extend<u64> for Histogram {
     }
 }
 
-/// Online mean / variance / extremes over `f64` observations
-/// (Welford's algorithm), for when storing every sample is wasteful.
-///
-/// ```
-/// use an2_sim::metrics::OnlineStats;
-/// let mut s = OnlineStats::new();
-/// for x in [2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0] {
-///     s.record(x);
-/// }
-/// assert_eq!(s.mean(), 5.0);
-/// assert_eq!(s.population_stddev(), 2.0);
-/// ```
-#[derive(Debug, Clone, Copy, Default, Serialize, Deserialize)]
-pub struct OnlineStats {
-    n: u64,
-    mean: f64,
-    m2: f64,
-    min: f64,
-    max: f64,
-}
-
-impl OnlineStats {
-    /// Empty statistics.
-    pub fn new() -> Self {
-        OnlineStats {
-            n: 0,
-            mean: 0.0,
-            m2: 0.0,
-            min: f64::INFINITY,
-            max: f64::NEG_INFINITY,
-        }
-    }
-
-    /// Records an observation.
-    pub fn record(&mut self, x: f64) {
-        self.n += 1;
-        let delta = x - self.mean;
-        self.mean += delta / self.n as f64;
-        self.m2 += delta * (x - self.mean);
-        self.min = self.min.min(x);
-        self.max = self.max.max(x);
-    }
-
-    /// Number of observations.
-    pub fn count(&self) -> u64 {
-        self.n
-    }
-
-    /// Mean of the observations (0 when empty).
-    pub fn mean(&self) -> f64 {
-        self.mean
-    }
-
-    /// Population variance (0 when fewer than 2 observations).
-    pub fn population_variance(&self) -> f64 {
-        if self.n < 2 {
-            0.0
-        } else {
-            self.m2 / self.n as f64
-        }
-    }
-
-    /// Population standard deviation.
-    pub fn population_stddev(&self) -> f64 {
-        self.population_variance().sqrt()
-    }
-
-    /// Minimum observation (`+inf` when empty).
-    pub fn min(&self) -> f64 {
-        self.min
-    }
-
-    /// Maximum observation (`-inf` when empty).
-    pub fn max(&self) -> f64 {
-        self.max
-    }
-}
-
 /// One named interval on the simulation timeline — a control-plane phase
 /// (detect, converge, install, …) with explicit start/end stamps.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
@@ -620,16 +501,6 @@ impl PhaseRecorder {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn counter_counts() {
-        let mut c = Counter::new();
-        assert_eq!(c.get(), 0);
-        c.incr();
-        c.add(9);
-        assert_eq!(c.get(), 10);
-        assert_eq!(c.to_string(), "10");
-    }
 
     #[test]
     fn delta_since_recovers_the_interval_distribution() {
@@ -821,26 +692,5 @@ mod tests {
         assert_eq!(bucketed2.count(), 3);
         assert_eq!(bucketed2.min(), Some(3));
         assert_eq!(bucketed2.max(), Some(90_000));
-    }
-
-    #[test]
-    fn online_stats_welford() {
-        let mut s = OnlineStats::new();
-        assert_eq!(s.count(), 0);
-        for x in [2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0] {
-            s.record(x);
-        }
-        assert_eq!(s.count(), 8);
-        assert!((s.mean() - 5.0).abs() < 1e-12);
-        assert!((s.population_stddev() - 2.0).abs() < 1e-12);
-        assert_eq!(s.min(), 2.0);
-        assert_eq!(s.max(), 9.0);
-    }
-
-    #[test]
-    fn online_stats_single_sample_variance_zero() {
-        let mut s = OnlineStats::new();
-        s.record(42.0);
-        assert_eq!(s.population_variance(), 0.0);
     }
 }

@@ -54,8 +54,9 @@ impl SimRng {
     /// Derives an independent child generator, keyed by `stream`.
     ///
     /// Children with different keys (or from generators in different states)
-    /// produce effectively independent streams; this is how the engine gives
-    /// each actor its own RNG without cross-contaminating event orders.
+    /// produce effectively independent streams; this is how a simulator
+    /// gives each switch or sweep cell its own RNG without
+    /// cross-contaminating event orders.
     pub fn fork(&mut self, stream: u64) -> SimRng {
         let base = self.next_u64();
         SimRng::new(base ^ stream.wrapping_mul(0xA24B_AED4_963E_E407))

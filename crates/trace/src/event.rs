@@ -408,16 +408,6 @@ pub enum TraceEvent {
         /// The threshold it was judged against, in thousandths.
         threshold_milli: i64,
     },
-    /// The discrete-event engine enqueued an actor message.
-    EngineSend {
-        /// Destination actor.
-        actor: u32,
-    },
-    /// The discrete-event engine delivered an actor message.
-    EngineDeliver {
-        /// Destination actor.
-        actor: u32,
-    },
 }
 
 impl TraceEvent {
@@ -443,8 +433,6 @@ impl TraceEvent {
             TraceEvent::CellDeliver { .. } => "cell_deliver",
             TraceEvent::CellHop { .. } => "cell_hop",
             TraceEvent::HealthAlert { .. } => "health_alert",
-            TraceEvent::EngineSend { .. } => "engine_send",
-            TraceEvent::EngineDeliver { .. } => "engine_deliver",
         }
     }
 
@@ -602,9 +590,6 @@ impl TraceEvent {
                     detector.name()
                 )
                 .expect("string write");
-            }
-            TraceEvent::EngineSend { actor } | TraceEvent::EngineDeliver { actor } => {
-                write!(out, "\"actor\":{actor}").expect("string write");
             }
         }
     }

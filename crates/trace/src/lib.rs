@@ -19,7 +19,7 @@
 //!   queries.
 //! * [`Tracer`] — the cheap-to-clone handle every layer holds
 //!   `Option`-gated, exactly like the fabric's fault layer: a fabric (or
-//!   switch, link simulator, fault injector, engine) with no tracer
+//!   switch, link simulator, fault injector) with no tracer
 //!   attached runs the same instructions it ran before this crate existed,
 //!   and a traced run is **byte-identical** to an untraced one — tracing
 //!   draws no randomness and perturbs no ordering. The workspace digest
@@ -70,4 +70,4 @@ pub use observe::{
 };
 pub use recorder::{FlightRecorder, TraceRecord};
 pub use registry::{Metric, MetricId, MetricOp, MetricsRegistry, MetricsSnapshot};
-pub use tracer::{EngineTracer, TraceConfig, TraceSink, Tracer};
+pub use tracer::{TraceConfig, TraceSink, Tracer};

@@ -1,11 +1,9 @@
-//! The [`Tracer`] handle every instrumented layer holds, plus the
-//! [`EngineTracer`] probe adapter for the discrete-event engine.
+//! The [`Tracer`] handle every instrumented layer holds.
 
 use crate::event::{Entity, TraceEvent};
 use crate::observe::{HealthEvent, IntervalSnapshot, Observatory, ObservatoryConfig};
 use crate::recorder::{FlightRecorder, TraceRecord};
 use crate::registry::{Metric, MetricId, MetricOp, MetricsRegistry, MetricsSnapshot};
-use an2_sim::{ActorId, EngineProbe, SimTime};
 use std::sync::{Arc, Mutex, MutexGuard};
 
 /// Configuration for a [`Tracer`].
@@ -150,8 +148,8 @@ impl Tracer {
         core.recorder.push(TraceRecord { slot, at_ns, event });
     }
 
-    /// Records `event` at an explicit virtual time (engine probes and
-    /// control-plane hooks know exact nanoseconds, not slots).
+    /// Records `event` at an explicit virtual time (control-plane hooks
+    /// know exact nanoseconds, not slots).
     pub fn emit_at_ns(&self, at_ns: u64, event: TraceEvent) {
         let mut core = self.lock();
         let slot = at_ns / core.slot_ns;
@@ -305,43 +303,6 @@ impl TraceSink<'_> {
     }
 }
 
-/// Adapter implementing the discrete-event engine's probe hook by emitting
-/// [`TraceEvent::EngineSend`] / [`TraceEvent::EngineDeliver`] into a
-/// [`Tracer`]. Attach it with `World::attach_probe`:
-///
-/// ```
-/// use an2_trace::{EngineTracer, TraceConfig, Tracer};
-///
-/// let tracer = Tracer::new(TraceConfig::default());
-/// let probe: Box<dyn an2_sim::EngineProbe> = Box::new(EngineTracer::new(tracer.clone()));
-/// # drop(probe);
-/// ```
-#[derive(Debug, Clone)]
-pub struct EngineTracer {
-    tracer: Tracer,
-}
-
-impl EngineTracer {
-    /// Wraps `tracer` as an engine probe.
-    pub fn new(tracer: Tracer) -> Self {
-        EngineTracer { tracer }
-    }
-}
-
-impl EngineProbe for EngineTracer {
-    fn on_send(&mut self, at: SimTime, to: ActorId) {
-        self.tracer
-            .emit_at_ns(at.as_nanos(), TraceEvent::EngineSend { actor: to.0 as u32 });
-    }
-
-    fn on_deliver(&mut self, at: SimTime, to: ActorId) {
-        self.tracer.emit_at_ns(
-            at.as_nanos(),
-            TraceEvent::EngineDeliver { actor: to.0 as u32 },
-        );
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -404,18 +365,17 @@ mod tests {
     }
 
     #[test]
-    fn engine_probe_emits_at_explicit_time() {
+    fn emit_at_ns_stamps_the_slot_of_an_explicit_time() {
         let t = Tracer::new(TraceConfig {
             slot_ns: 680,
             ..TraceConfig::default()
         });
-        let mut probe = EngineTracer::new(t.clone());
-        probe.on_send(SimTime::from_nanos(1360), ActorId(3));
-        probe.on_deliver(SimTime::from_nanos(2040), ActorId(3));
+        t.emit_at_ns(1360, TraceEvent::InvariantViolation { count: 1 });
+        t.emit_at_ns(2040, TraceEvent::InvariantViolation { count: 2 });
         let recs = t.records();
         assert_eq!(recs.len(), 2);
         assert_eq!(recs[0].at_ns, 1360);
         assert_eq!(recs[0].slot, 2);
-        assert_eq!(recs[1].event, TraceEvent::EngineDeliver { actor: 3 });
+        assert_eq!(recs[1].event, TraceEvent::InvariantViolation { count: 2 });
     }
 }
