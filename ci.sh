@@ -87,6 +87,12 @@ if [[ "${1:-}" != "quick" ]]; then
         exit 1
     fi
 
+    echo "== benchmark of record: its own tests (six small-scale workloads' digest equalities, seed-7 goldens)"
+    # benchmark/ is a workspace of its own, so `cargo test --workspace` never
+    # builds it. Building it rewrites its tracked lockfile; put that back.
+    CARGO_TARGET_DIR=.bench_build cargo test --offline -q --manifest-path benchmark/Cargo.toml
+    git checkout -- benchmark/Cargo.lock
+
     echo "== cargo doc (deny warnings)"
     RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --quiet
 fi

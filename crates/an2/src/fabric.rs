@@ -13,7 +13,9 @@
 //! The fabric interns VC ids into a slab: a flat `lookup` table maps the
 //! 24-bit id to a slot holding the circuit, its pending setup plan, and the
 //! source host's credit/token gate. Host outboxes are id-sorted vectors of
-//! [`CellQueue`] handles into one shared [`CellPool`], the switch port map
+//! [`CellQueue`] handles into one shared [`CellPool`] with a ready bitset
+//! over them (see [`crate::host`]), each circuit carries its own packet
+//! under reassembly, the switch port map
 //! is a flat array indexed by `(switch, port)`, and the event agenda is a
 //! calendar queue — a power-of-two ring of due-stamped buckets sized to the
 //! maximum scheduling horizon (signal processing + link latency). Together
@@ -21,9 +23,10 @@
 //! hot path while producing byte-identical results to the preserved
 //! map-based oracle in [`crate::reference`] (enforced by property tests).
 
+use crate::host::HostState;
 use crate::shard::{self, Chunk, Cmd, Delivery, Lane, Lead, ShardLayout};
 use an2_cells::signal::{SignalMsg, TrafficClass};
-use an2_cells::{Cell, CellKind, CellPool, CellQueue, Packet, Reassembler, VcId};
+use an2_cells::{Cell, CellKind, CellPool, CellQueue, Packet, PartialPacket, VcId};
 use an2_faults::{Fate, FaultInjector, FaultSpec, HEADER_BITS};
 use an2_flow::{resync, CreditReceiver, CreditSender};
 use an2_reconfig::protocol::ProtocolMsg as CtrlMsg;
@@ -243,26 +246,6 @@ impl Agenda {
     }
 }
 
-#[derive(Debug, Default)]
-struct HostState {
-    /// Cells waiting to be injected, per circuit: `(raw vc, queue)` sorted
-    /// by id, the iteration order of the `BTreeMap` it replaced. Entries
-    /// persist when drained (the injection rotor counts them) and are
-    /// removed only at circuit close.
-    outbox: Vec<(u32, CellQueue)>,
-    reassembler: Reassembler,
-    received: Vec<(VcId, Packet)>,
-    /// Round-robin cursor over circuits for the one-cell-per-slot link.
-    rotor: usize,
-}
-
-impl HostState {
-    /// Index of the outbox entry for `raw`, or where to insert one.
-    fn outbox_entry(&self, raw: u32) -> Result<usize, usize> {
-        self.outbox.binary_search_by_key(&raw, |e| e.0)
-    }
-}
-
 /// One credit-gated hop's §5 flow-control endpoints, shadowing the hardware
 /// gates when the fault layer is attached (see [`Circuit::hops`]).
 #[derive(Debug)]
@@ -310,6 +293,23 @@ struct Circuit {
     /// gates cannot: the absolute sent/forwarded counters and the resync
     /// epoch that §5's recovery protocol needs.
     hops: Vec<HopFlow>,
+    /// The packet the destination controller is reassembling. Kept with
+    /// the circuit, not in a per-host table: a delivered cell has already
+    /// looked its circuit up. Holds no capacity between packets (see
+    /// [`PartialPacket`]) — a fabric carries tens of thousands of circuits.
+    partial: PartialPacket,
+}
+
+impl Circuit {
+    /// Whether the source controller's gate lets a cell through now: a
+    /// credit toward the first switch (best-effort) or a token left in this
+    /// frame's bucket (guaranteed). Closed while paged out.
+    fn gate_open(&self) -> bool {
+        match self.class {
+            TrafficClass::BestEffort => self.host_credits.unwrap_or(0) > 0,
+            TrafficClass::Guaranteed { .. } => self.gt_tokens.unwrap_or(0) > 0,
+        }
+    }
 }
 
 /// The route a travelling setup cell will install, hop by hop.
@@ -566,6 +566,9 @@ fn advance_chunks(lanes: &mut [(usize, Vec<Chunk<'_>>)], target: u64) {
         }
     }
 }
+
+#[cfg(test)]
+mod host_tests;
 
 impl std::fmt::Debug for Fabric {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
@@ -914,7 +917,11 @@ impl Fabric {
             host_credits,
             gt_tokens,
             hops,
+            partial: PartialPacket::new(),
         });
+        // A reroute or page-in reopens a circuit whose outbox entry (and
+        // queued cells) outlived the old path.
+        self.refresh_ready_of(vc);
     }
 
     /// Builds the shadow flow-control gates for a best-effort path (fault
@@ -940,14 +947,13 @@ impl Fabric {
         // dropped + lost.
         let reaped = self.teardown_path(vc, &circuit);
         circuit.stats.dropped_cells += reaped;
-        let src_host = &mut self.hosts[circuit.src.0 as usize];
-        if let Ok(e) = src_host.outbox_entry(vc.raw()) {
-            let (_, mut q) = src_host.outbox.remove(e);
+        let src = circuit.src.0 as usize;
+        if let Ok(e) = self.hosts[src].outbox_entry(vc.raw()) {
+            let (_, mut q) = self.hosts[src].outbox.remove(e);
             self.pool.clear(&mut q);
+            self.rederive_ready_from(src, e);
         }
-        self.hosts[circuit.dst.0 as usize]
-            .reassembler
-            .reset_circuit(vc);
+        // The packet under reassembly goes with the circuit.
         Some(circuit.stats)
     }
 
@@ -1026,9 +1032,6 @@ impl Fabric {
             .take()
             .expect("rerouting unknown circuit");
         let dropped = self.teardown_path(vc, &circuit);
-        self.hosts[circuit.dst.0 as usize]
-            .reassembler
-            .reset_circuit(vc);
         let (src, dst, class) = (circuit.src, circuit.dst, circuit.class);
         let mut stats = circuit.stats;
         stats.dropped_cells += dropped;
@@ -1036,7 +1039,9 @@ impl Fabric {
         for _ in 0..dropped {
             inject_slots.pop_front();
         }
-        // The source outbox entry survives a reroute untouched.
+        // The source outbox entry survives a reroute untouched; the packet
+        // the destination was reassembling does not (the reopened circuit
+        // starts with none).
         self.open_circuit(vc, src, dst, class, switches, links, src_link, dst_link);
         let c = self.circuit_mut(vc).expect("just opened");
         c.stats = stats;
@@ -1096,6 +1101,7 @@ impl Fabric {
             host_credits: Some(self.cfg.be_credits),
             gt_tokens: None,
             hops,
+            partial: PartialPacket::new(),
         });
         let plan = SetupPlan {
             class,
@@ -1113,20 +1119,69 @@ impl Fabric {
             dst_host: dst.0 as u32,
             class,
         };
-        self.push_outbox(src, vc, setup.to_cell(vc));
+        self.push_outbox(src, vc, [setup.to_cell(vc)]);
     }
 
-    /// Appends a cell to a host's per-circuit outbox queue.
-    fn push_outbox(&mut self, host: HostId, vc: VcId, cell: Cell) {
-        let h = &mut self.hosts[host.0 as usize];
-        let e = match h.outbox_entry(vc.raw()) {
+    /// Appends cells to a host's per-circuit outbox queue: one entry
+    /// look-up and one ready-bit refresh however many cells.
+    fn push_outbox(&mut self, host: HostId, vc: VcId, cells: impl IntoIterator<Item = Cell>) {
+        let h = host.0 as usize;
+        let e = match self.hosts[h].outbox_entry(vc.raw()) {
             Ok(e) => e,
             Err(pos) => {
-                h.outbox.insert(pos, (vc.raw(), CellQueue::new()));
+                self.hosts[h]
+                    .outbox
+                    .insert(pos, (vc.raw(), CellQueue::new()));
+                self.rederive_ready_from(h, pos);
                 pos
             }
         };
-        self.pool.push_back(&mut h.outbox[e].1, cell, 0, 0);
+        for cell in cells {
+            self.pool
+                .push_back(&mut self.hosts[h].outbox[e].1, cell, 0, 0);
+        }
+        self.refresh_ready(h, e);
+    }
+
+    /// The readiness predicate, the only place that decides whether a host
+    /// may inject from outbox entry `e` now: the circuit is open, its
+    /// credit/token gate is open, and a cell is queued. Everything else
+    /// reads the answer off the host's ready set, which is kept equal to
+    /// this by [`Fabric::refresh_ready`] at every site that changes one of
+    /// the three inputs (and checked against it on every injection in debug
+    /// builds).
+    fn entry_ready(&self, h: usize, e: usize) -> bool {
+        let (raw, queue) = &self.hosts[h].outbox[e];
+        !queue.is_empty()
+            && self
+                .circuit(VcId::new(*raw))
+                .is_some_and(Circuit::gate_open)
+    }
+
+    /// Re-derives the ready bit of entry `e` at host `h`.
+    fn refresh_ready(&mut self, h: usize, e: usize) {
+        let on = self.entry_ready(h, e);
+        self.hosts[h].set_ready(e, on);
+    }
+
+    /// Re-derives the ready bit of `vc`'s outbox entry at its source host,
+    /// if the circuit is open and has one.
+    fn refresh_ready_of(&mut self, vc: VcId) {
+        let Some(c) = self.circuit(vc) else { return };
+        let h = c.src.0 as usize;
+        if let Ok(e) = self.hosts[h].outbox_entry(vc.raw()) {
+            self.refresh_ready(h, e);
+        }
+    }
+
+    /// Re-derives the ready bits of host `h` from entry `from` up, after an
+    /// insertion or removal at `from` shifted those entries' positions
+    /// (entries below `from` kept theirs).
+    fn rederive_ready_from(&mut self, h: usize, from: usize) {
+        self.hosts[h].fit_ready_to_outbox();
+        for e in from..self.hosts[h].outbox.len() {
+            self.refresh_ready(h, e);
+        }
     }
 
     /// Forgets a pending set-up plan: the cell arrived, or the circuit is
@@ -1259,6 +1314,7 @@ impl Fabric {
         circuit.paged_out = true;
         circuit.stats.pages_out += 1;
         self.vcs[idx].circuit = Some(circuit);
+        self.refresh_ready_of(vc);
         true
     }
 
@@ -1289,6 +1345,8 @@ impl Fabric {
         self.open_circuit(vc, src, dst, class, switches, links, src_link, dst_link);
         let c = self.circuit_mut(vc).expect("just opened");
         c.stats = stats;
+        // Paging loses no cell, so a packet half-received stays half-received.
+        c.partial = circuit.partial;
     }
 
     /// Queues cells at the source controller for injection.
@@ -1298,9 +1356,7 @@ impl Fabric {
     /// Panics on an unknown circuit.
     pub fn send_cells(&mut self, vc: VcId, cells: impl IntoIterator<Item = Cell>) {
         let src = self.circuit(vc).expect("unknown circuit").src;
-        for cell in cells {
-            self.push_outbox(src, vc, cell);
-        }
+        self.push_outbox(src, vc, cells);
     }
 
     /// Cells still waiting at the source controller.
@@ -1716,6 +1772,9 @@ impl Fabric {
                         self.circuit_mut(vc).and_then(|c| c.host_credits.as_mut())
                     {
                         *c += 1;
+                        if *c == 1 {
+                            self.refresh_ready_of(vc);
+                        }
                     }
                 }
                 Event::ResyncMarker { vc, link, marker } => self.deliver_marker(vc, link, marker),
@@ -1772,8 +1831,8 @@ impl Fabric {
         // 4. Refill guaranteed token buckets at frame boundaries.
         let frame = self.cfg.switch.frame_slots as u64;
         if (self.slot + 1).is_multiple_of(frame) {
-            for entry in &mut self.vcs {
-                let Some(c) = entry.circuit.as_mut() else {
+            for i in 0..self.vcs.len() {
+                let Some(c) = self.vcs[i].circuit.as_mut() else {
                     continue;
                 };
                 if c.gt_tokens.is_some() {
@@ -1782,6 +1841,7 @@ impl Fabric {
                         TrafficClass::BestEffort => 0,
                     };
                     c.gt_tokens = Some(k);
+                    self.refresh_ready_of(self.vcs[i].vc);
                 }
             }
         }
@@ -1906,12 +1966,18 @@ impl Fabric {
         self.lanes = lanes;
     }
 
+    /// Every host controller sends at most one cell (the link rate), taken
+    /// round-robin from its ready circuits for fairness on the shared host
+    /// link: the first ready outbox entry at or after the rotor, which then
+    /// moves one past the pick — or one past where it stood when nothing is
+    /// ready, the step an idle slot's fruitless look costs.
     fn inject_from_hosts(&mut self) {
         if self.pool.live() == 0 {
             // Every outbox queue is empty (the pool holds exactly the
-            // buffered host cells): replicate the idle per-slot rotor
-            // advance each host would make after a fruitless scan, without
-            // walking the outbox entries or touching circuit state.
+            // buffered host cells), so no entry is ready: make each host's
+            // nothing-ready rotor step without reading its ready set. A
+            // fault-mode fabric steps every slot of a mostly idle run, so
+            // an idle slot's cost shows (a tenth of chaos-schedule time).
             for h in &mut self.hosts {
                 let len = h.outbox.len();
                 if len > 0 {
@@ -1920,125 +1986,125 @@ impl Fabric {
             }
             return;
         }
-        let latency = self.cfg.link_latency_slots;
         for h in 0..self.hosts.len() {
-            let n = self.hosts[h].outbox.len();
+            let host = &self.hosts[h];
+            let n = host.outbox.len();
             if n == 0 {
                 continue;
             }
-            let start = self.hosts[h].rotor % n;
-            // One cell per slot; round-robin over ready circuits for
-            // fairness on the shared host link.
-            let mut injected = false;
-            for k in 0..n {
-                let e = (start + k) % n;
-                let vc = VcId::new(self.hosts[h].outbox[e].0);
-                // One interned-slot lookup serves both the read below and
-                // the mutation after the pop.
-                let Some(idx) = self.idx_of(vc) else {
-                    continue;
-                };
-                let Some(circuit) = self.vcs[idx].circuit.as_ref() else {
-                    continue;
-                };
-                let ready = match circuit.class {
-                    TrafficClass::BestEffort => circuit.host_credits.unwrap_or(0) > 0,
-                    TrafficClass::Guaranteed { .. } => circuit.gt_tokens.unwrap_or(0) > 0,
-                };
-                if !ready || self.hosts[h].outbox[e].1.is_empty() {
-                    continue;
-                }
-                let first = circuit.switches[0];
-                let link = circuit.src_link;
-                let (mut cell, _, _) = self
-                    .pool
-                    .pop_front(&mut self.hosts[h].outbox[e].1)
-                    .expect("checked non-empty");
-                let is_signal = cell.header.kind == CellKind::Signal;
-                let input = self.port_on(link, Node::Switch(first));
-                let (arrives, corrupted, due) =
-                    self.wire_cross(link, Node::Switch(first), &mut cell, self.slot + latency);
-                // Sampling happens after the wire's fate is drawn: the
-                // tracer's counter is deterministic and independent of the
-                // simulation RNG, so tracing never perturbs the run.
-                let mut trace = 0;
-                if let Some(t) = &mut self.trace {
-                    if !is_signal {
-                        trace = t.lane.sample_cell();
-                        t.lane.emit(TraceEvent::CellInject {
-                            vc: cell.vc().raw(),
-                            host: h as u16,
-                            trace_id: trace,
-                        });
-                        t.lane.add(t.cells_injected[h], 1);
-                        if trace != 0 && arrives {
-                            t.lane.emit(TraceEvent::CellHop {
-                                trace_id: trace,
-                                vc: cell.vc().raw(),
-                                hop: Hop::Wire { link: link.0 },
-                            });
-                        }
-                    }
-                }
-                if arrives {
-                    self.agenda.push(
-                        due,
-                        Event::CellToSwitch {
-                            switch: first,
-                            input,
-                            cell,
-                            link,
-                            trace,
-                        },
-                    );
-                }
-                let slot_now = self.slot;
-                let c = self.vcs[idx].circuit.as_mut().expect("checked above");
-                match c.class {
-                    TrafficClass::BestEffort => {
-                        let hc = c.host_credits.as_mut().expect("gated best-effort");
-                        *hc -= 1;
-                        if let Some(t) = &mut self.trace {
-                            t.lane.emit(TraceEvent::CreditConsume {
-                                vc: vc.raw(),
-                                balance: *hc,
-                            });
-                        }
-                    }
-                    TrafficClass::Guaranteed { .. } => {
-                        *c.gt_tokens.as_mut().expect("token bucket exists") -= 1;
-                    }
-                }
-                // Mirror the spend into the hop-0 shadow sender (fault mode).
-                if let Some(h0) = c.hops.first_mut() {
-                    if !h0.sender.try_send() {
-                        self.fault
-                            .as_mut()
-                            .expect("hops exist only in fault mode")
-                            .counters
-                            .invariant_violations += 1;
-                    }
-                }
-                if !is_signal {
-                    c.stats.sent_cells += 1;
-                    if corrupted {
-                        c.stats.corrupted_cells += 1;
-                    }
-                    if arrives {
-                        c.inject_slots.push_back(slot_now);
-                    } else {
-                        c.stats.lost_cells += 1;
-                    }
-                }
-                c.last_activity = slot_now;
-                self.hosts[h].rotor = (start + k + 1) % n;
-                injected = true;
-                break;
-            }
-            if !injected {
-                self.hosts[h].rotor = (start + 1) % n;
+            let start = host.rotor % n;
+            let pick = host.next_ready(start);
+            debug_assert_eq!(
+                pick,
+                (0..n)
+                    .map(|k| (start + k) % n)
+                    .find(|&e| self.entry_ready(h, e)),
+                "host {h}: ready set disagrees with a walk of the readiness predicate"
+            );
+            self.hosts[h].rotor = (pick.unwrap_or(start) + 1) % n;
+            if let Some(e) = pick {
+                self.inject_entry(h, e);
             }
         }
+    }
+
+    /// Sends the head cell of host `h`'s ready outbox entry `e` onto the
+    /// circuit's source link and spends the credit or token that let it go.
+    fn inject_entry(&mut self, h: usize, e: usize) {
+        let vc = VcId::new(self.hosts[h].outbox[e].0);
+        let idx = self.idx_of(vc).expect("a ready entry's circuit is open");
+        let circuit = self.vcs[idx]
+            .circuit
+            .as_ref()
+            .expect("a ready entry's circuit is open");
+        let first = circuit.switches[0];
+        let link = circuit.src_link;
+        let (mut cell, _, _) = self
+            .pool
+            .pop_front(&mut self.hosts[h].outbox[e].1)
+            .expect("a ready entry's queue is non-empty");
+        let is_signal = cell.header.kind == CellKind::Signal;
+        let input = self.port_on(link, Node::Switch(first));
+        let due = self.slot + self.cfg.link_latency_slots;
+        let (arrives, corrupted, due) = self.wire_cross(link, Node::Switch(first), &mut cell, due);
+        // Sampling happens after the wire's fate is drawn: the
+        // tracer's counter is deterministic and independent of the
+        // simulation RNG, so tracing never perturbs the run.
+        let mut trace = 0;
+        if let Some(t) = &mut self.trace {
+            if !is_signal {
+                trace = t.lane.sample_cell();
+                t.lane.emit(TraceEvent::CellInject {
+                    vc: cell.vc().raw(),
+                    host: h as u16,
+                    trace_id: trace,
+                });
+                t.lane.add(t.cells_injected[h], 1);
+                if trace != 0 && arrives {
+                    t.lane.emit(TraceEvent::CellHop {
+                        trace_id: trace,
+                        vc: cell.vc().raw(),
+                        hop: Hop::Wire { link: link.0 },
+                    });
+                }
+            }
+        }
+        if arrives {
+            self.agenda.push(
+                due,
+                Event::CellToSwitch {
+                    switch: first,
+                    input,
+                    cell,
+                    link,
+                    trace,
+                },
+            );
+        }
+        let slot_now = self.slot;
+        let c = self.vcs[idx]
+            .circuit
+            .as_mut()
+            .expect("a ready entry's circuit is open");
+        match c.class {
+            TrafficClass::BestEffort => {
+                let hc = c.host_credits.as_mut().expect("gated best-effort");
+                *hc -= 1;
+                if let Some(t) = &mut self.trace {
+                    t.lane.emit(TraceEvent::CreditConsume {
+                        vc: vc.raw(),
+                        balance: *hc,
+                    });
+                }
+            }
+            TrafficClass::Guaranteed { .. } => {
+                *c.gt_tokens.as_mut().expect("token bucket exists") -= 1;
+            }
+        }
+        // Mirror the spend into the hop-0 shadow sender (fault mode).
+        if let Some(h0) = c.hops.first_mut() {
+            if !h0.sender.try_send() {
+                self.fault
+                    .as_mut()
+                    .expect("hops exist only in fault mode")
+                    .counters
+                    .invariant_violations += 1;
+            }
+        }
+        if !is_signal {
+            c.stats.sent_cells += 1;
+            if corrupted {
+                c.stats.corrupted_cells += 1;
+            }
+            if arrives {
+                c.inject_slots.push_back(slot_now);
+            } else {
+                c.stats.lost_cells += 1;
+            }
+        }
+        c.last_activity = slot_now;
+        // The pop may have emptied the queue, the spend closed the gate.
+        self.refresh_ready(h, e);
     }
 
     fn propagate(
@@ -2703,6 +2769,7 @@ impl Fabric {
     fn apply_credit_to_host(&mut self, vc: VcId, link: LinkId, epoch: u32) {
         let Some(ci) = self.idx_of(vc) else { return };
         let mut violation = false;
+        let mut opened = false;
         if let Some(c) = self.vcs[ci].circuit.as_mut() {
             let mut accept = true;
             if let Some(h) = c.hops.iter_mut().find(|h| h.link == link) {
@@ -2716,8 +2783,12 @@ impl Fabric {
             if accept {
                 if let Some(hc) = c.host_credits.as_mut() {
                     *hc += 1;
+                    opened = *hc == 1;
                 }
             }
+        }
+        if opened {
+            self.refresh_ready_of(vc);
         }
         if violation {
             self.fault
@@ -2840,6 +2911,7 @@ impl Fabric {
                 if let Some(c) = self.vcs[ci].circuit.as_mut() {
                     c.host_credits = Some(bal);
                 }
+                self.refresh_ready_of(vc);
             }
             Gate::Switch(sw, bal) => self.switches[sw.0 as usize].set_credits(vc, bal),
             Gate::None => {}
@@ -3052,19 +3124,34 @@ impl Fabric {
         }
     }
 
+    /// A data cell reaches its destination controller: per-circuit
+    /// accounting and reassembly, on one circuit look-up. A cell whose
+    /// circuit is gone (closed while the cell was beyond the teardown's
+    /// reach) has nobody to be reassembled for and is discarded.
     fn deliver_to_host(&mut self, host: HostId, cell: Cell, trace: u32) {
         let vc = cell.vc();
         let slot_now = self.slot;
-        let mut latency = None;
-        if let Some(c) = self.circuit_mut(vc) {
-            c.stats.delivered_cells += 1;
-            c.last_activity = slot_now;
-            if let Some(injected) = c.inject_slots.pop_front() {
-                let l = slot_now - injected;
-                c.stats.latency_slots.record(l);
-                latency = Some(l);
+        let Some(c) = self.circuit_mut(vc) else {
+            return;
+        };
+        c.stats.delivered_cells += 1;
+        c.last_activity = slot_now;
+        let latency = c.inject_slots.pop_front().map(|injected| {
+            let l = slot_now - injected;
+            c.stats.latency_slots.record(l);
+            l
+        });
+        let packet = match c.partial.push(&cell) {
+            Ok(Some(packet)) => {
+                c.stats.packets_delivered += 1;
+                Some(packet)
             }
-        }
+            Ok(None) => None,
+            Err(_) => {
+                c.stats.packets_corrupted += 1;
+                None
+            }
+        };
         if let Some(l) = latency {
             if let Some(t) = &mut self.trace {
                 t.lane.emit(TraceEvent::CellDeliver {
@@ -3077,19 +3164,8 @@ impl Fabric {
                 t.lane.record(t.cell_latency, l);
             }
         }
-        match self.hosts[host.0 as usize].reassembler.push(&cell) {
-            Ok(Some((vc, packet))) => {
-                if let Some(c) = self.circuit_mut(vc) {
-                    c.stats.packets_delivered += 1;
-                }
-                self.hosts[host.0 as usize].received.push((vc, packet));
-            }
-            Ok(None) => {}
-            Err(_) => {
-                if let Some(c) = self.circuit_mut(vc) {
-                    c.stats.packets_corrupted += 1;
-                }
-            }
+        if let Some(packet) = packet {
+            self.hosts[host.0 as usize].received.push((vc, packet));
         }
     }
 }

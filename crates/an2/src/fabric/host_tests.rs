@@ -1,0 +1,346 @@
+//! The host controller's two indexes against their definitions: the ready
+//! set against the readiness predicate evaluated entry by entry, after
+//! every kind of step that can change it; per-circuit reassembly against
+//! many circuits interleaved into one host.
+
+use super::*;
+use an2_cells::Segmenter;
+use an2_faults::{LinkFaultModel, LossModel};
+use an2_topology::generators;
+
+/// Every host's ready set equals the predicate, bit for bit.
+fn assert_ready_sets_exact(f: &Fabric, when: &str) {
+    for (h, host) in f.hosts.iter().enumerate() {
+        for e in 0..host.outbox.len() {
+            assert_eq!(
+                host.is_ready(e),
+                f.entry_ready(h, e),
+                "{when}: host {h} entry {e} (vc {}) at slot {}",
+                host.outbox[e].0,
+                f.slot
+            );
+        }
+        // No stray bit past the last entry: the pick must be an entry.
+        let n = host.outbox.len();
+        assert!(n == 0 || host.next_ready(0).is_none_or(|e| e < n), "{when}");
+    }
+}
+
+/// Entries whose circuit is open and has cells queued but whose gate is
+/// shut: what credit or token starvation looks like to the controller.
+fn starved_entries(f: &Fabric, h: usize) -> usize {
+    f.hosts[h]
+        .outbox
+        .iter()
+        .filter(|(raw, q)| {
+            !q.is_empty() && f.circuit(VcId::new(*raw)).is_some_and(|c| !c.gate_open())
+        })
+        .count()
+}
+
+/// Steps one slot at a time, checking the ready sets after each.
+fn step_checked(f: &mut Fabric, slots: u64, when: &str) {
+    for _ in 0..slots {
+        f.step(1);
+        assert_ready_sets_exact(f, when);
+    }
+}
+
+struct Rig {
+    f: Fabric,
+    /// Host attachment links: `near[i]` joins near host `i` to switch 0,
+    /// `far` joins the far host to switch 1.
+    near: [LinkId; 2],
+    far: LinkId,
+    /// Two parallel inter-switch links.
+    mids: [LinkId; 2],
+}
+
+const NEAR_A: HostId = HostId(0);
+const NEAR_B: HostId = HostId(1);
+const FAR: HostId = HostId(2);
+
+/// Two near hosts on switch 0 and one far host on switch 1, two parallel
+/// links between the switches. Both near hosts sending over one of them
+/// offer two cells per slot to a one-cell-per-slot link, so switch 0's
+/// buffers fill and host credits (three per circuit) run dry.
+fn rig(frame_slots: u32) -> Rig {
+    let mut topo = generators::line(2);
+    let second = topo.link_switches(SwitchId(0), SwitchId(1)).unwrap();
+    let first = topo.links_between(SwitchId(0), SwitchId(1))[0];
+    let hosts = [topo.add_host(), topo.add_host(), topo.add_host()];
+    assert_eq!(hosts, [NEAR_A, NEAR_B, FAR]);
+    let near = [NEAR_A, NEAR_B].map(|h| topo.attach_host(h, SwitchId(0)).unwrap());
+    let far = topo.attach_host(FAR, SwitchId(1)).unwrap();
+    let cfg = FabricConfig {
+        switch: SwitchConfig {
+            frame_slots,
+            ..SwitchConfig::default()
+        },
+        link_latency_slots: 1,
+        be_credits: 3,
+        ..FabricConfig::default()
+    };
+    Rig {
+        f: Fabric::new(topo, cfg, 11),
+        near,
+        far,
+        mids: [first, second],
+    }
+}
+
+impl Rig {
+    fn open(&mut self, vc: VcId, src: HostId, class: TrafficClass, mid: usize) {
+        self.f.open_circuit(
+            vc,
+            src,
+            FAR,
+            class,
+            vec![SwitchId(0), SwitchId(1)],
+            vec![self.mids[mid]],
+            self.near[src.0 as usize],
+            self.far,
+        );
+    }
+
+    fn send(&mut self, vc: VcId, bytes: usize) {
+        let packet = Packet::from_bytes(vec![vc.raw() as u8; bytes]);
+        self.f.send_cells(vc, Segmenter::new(vc).segment(&packet));
+    }
+}
+
+/// Circuit ids of host A, in an order that is neither ascending nor
+/// descending, so outbox entries are inserted below existing ones.
+fn scattered_ids(n: u32) -> Vec<VcId> {
+    (0..n).map(|i| VcId::new(1_000 + (i * 37) % n)).collect()
+}
+
+#[test]
+fn ready_set_tracks_the_predicate_through_every_transition() {
+    let mut r = rig(64);
+    let ids = scattered_ids(140);
+    assert_ready_sets_exact(&r.f, "empty");
+
+    // Open and load: 140 best-effort circuits at host A (bits across three
+    // words), a saturating competitor at host B, one guaranteed circuit.
+    for &vc in &ids {
+        r.open(vc, NEAR_A, TrafficClass::BestEffort, 0);
+        assert_ready_sets_exact(&r.f, "open");
+        r.send(vc, 900);
+        assert_ready_sets_exact(&r.f, "send");
+    }
+    assert_eq!(r.f.hosts[0].outbox.len(), 140);
+    for i in 0..10 {
+        let vc = VcId::new(5_000 + i);
+        r.open(vc, NEAR_B, TrafficClass::BestEffort, 0);
+        r.send(vc, 8_000);
+    }
+    let gt = VcId::new(999); // sorts below every best-effort entry
+    r.open(
+        gt,
+        NEAR_A,
+        TrafficClass::Guaranteed { cells_per_frame: 3 },
+        0,
+    );
+    r.send(gt, 2_000);
+    assert_ready_sets_exact(&r.f, "guaranteed open + send");
+
+    // Drain under contention, across several frame boundaries: credits
+    // starve (two hosts into one link) and the token bucket runs dry and
+    // refills.
+    let (mut saw_starved, mut saw_tokens_out, mut saw_refill) = (false, false, false);
+    for _ in 0..1_500 {
+        let tokens_before = r.f.circuit(gt).unwrap().gt_tokens;
+        step_checked(&mut r.f, 1, "drain");
+        saw_starved |= starved_entries(&r.f, 0) >= 70 && starved_entries(&r.f, 1) > 0;
+        let tokens = r.f.circuit(gt).unwrap().gt_tokens;
+        saw_tokens_out |= tokens == Some(0);
+        saw_refill |= tokens_before == Some(0) && tokens == Some(3);
+    }
+    assert!(saw_starved, "contention never starved a circuit of credits");
+    assert!(saw_tokens_out && saw_refill, "token bucket never cycled");
+
+    // Close a middle entry that still has cells queued: every entry above
+    // it moves down one.
+    let middle = VcId::new(r.f.hosts[0].outbox[70].0);
+    assert!(r.f.outbox_len(middle) > 0);
+    r.f.close_circuit(middle).unwrap();
+    assert_eq!(r.f.hosts[0].outbox.len(), 140);
+    assert_ready_sets_exact(&r.f, "close middle");
+    step_checked(&mut r.f, 20, "after close");
+
+    // Reroute a circuit with cells queued onto the parallel link: the gate
+    // reopens at full credit whatever it was.
+    let moved = VcId::new(r.f.hosts[0].outbox[100].0);
+    assert!(r.f.outbox_len(moved) > 0);
+    r.f.reroute_circuit(
+        moved,
+        vec![SwitchId(0), SwitchId(1)],
+        vec![r.mids[1]],
+        r.near[0],
+        r.far,
+    );
+    assert_ready_sets_exact(&r.f, "reroute");
+    let e = r.f.hosts[0].outbox_entry(moved.raw()).unwrap();
+    assert!(r.f.hosts[0].is_ready(e));
+    step_checked(&mut r.f, 20, "after reroute");
+
+    // Let everything drain, then page a circuit out and back in and use it
+    // again.
+    for _ in 0..20_000 {
+        if r.f.pool.live() == 0 {
+            break;
+        }
+        step_checked(&mut r.f, 1, "drain out");
+    }
+    step_checked(&mut r.f, 1_000, "switch buffers empty");
+    assert_eq!(r.f.pool.live(), 0, "every outbox drained");
+    let paged = ids[3];
+    assert!(r.f.page_out_circuit(paged));
+    assert_ready_sets_exact(&r.f, "page out");
+    r.send(paged, 100);
+    assert_ready_sets_exact(&r.f, "send while paged out");
+    let e = r.f.hosts[0].outbox_entry(paged.raw()).unwrap();
+    assert!(!r.f.hosts[0].is_ready(e), "a paged-out circuit has no gate");
+    r.f.page_in_circuit(
+        paged,
+        vec![SwitchId(0), SwitchId(1)],
+        vec![r.mids[0]],
+        r.near[0],
+        r.far,
+    );
+    assert_ready_sets_exact(&r.f, "page in");
+    assert!(r.f.hosts[0].is_ready(e));
+    step_checked(&mut r.f, 100, "after page in");
+    assert_eq!(r.f.stats(paged).packets_delivered, 2);
+
+    // A signalled set-up: its cell leads the outbox.
+    let signalled = middle; // the id closed above: a middle insert
+    r.f.open_circuit_signaled(
+        signalled,
+        NEAR_A,
+        FAR,
+        vec![SwitchId(0), SwitchId(1)],
+        vec![r.mids[0]],
+        r.near[0],
+        r.far,
+    );
+    assert_ready_sets_exact(&r.f, "signalled open");
+    r.send(signalled, 300);
+    step_checked(&mut r.f, 300, "signalled");
+    assert_eq!(r.f.stats(signalled).packets_delivered, 1);
+}
+
+#[test]
+fn ready_set_tracks_the_predicate_under_loss_and_resync() {
+    let mut r = rig(1024);
+    // Lossy wires: data cells and credits vanish, so host gates close and
+    // only §5's resync reopens them.
+    let spec = FaultSpec {
+        default_link: LinkFaultModel {
+            loss: LossModel::Independent { p: 0.1 },
+            corrupt_per_cell: 0.02,
+            jitter_slots: 0,
+        },
+        resync_interval_slots: 0,
+        check_invariants: true,
+        ..FaultSpec::default()
+    };
+    r.f.attach_faults(&spec, 3);
+    let ids = scattered_ids(130);
+    for &vc in &ids {
+        r.open(vc, NEAR_A, TrafficClass::BestEffort, 0);
+        r.send(vc, 2_000);
+    }
+    for i in 0..4 {
+        let vc = VcId::new(5_000 + i);
+        r.open(vc, NEAR_B, TrafficClass::BestEffort, 0);
+        r.send(vc, 12_000);
+    }
+    assert_ready_sets_exact(&r.f, "loaded");
+    // With no periodic resync, every lost cell or credit shrinks a gate for
+    // good; 42 cells per circuit at this loss rate close most of them.
+    step_checked(&mut r.f, 12_000, "lossy drain");
+    let stuck = starved_entries(&r.f, 0);
+    assert!(stuck > 10, "loss closed only {stuck} host gates for good");
+    // Forced resyncs on every circuit; the replies land over the next
+    // slots and rewrite host gates, until every cell has been sent.
+    let all: Vec<VcId> = r.f.vcs.iter().map(|e| e.vc).collect();
+    for round in 0..200 {
+        if r.f.pool.live() == 0 {
+            break;
+        }
+        for &vc in &all {
+            r.f.force_resync(vc);
+        }
+        assert_ready_sets_exact(&r.f, &format!("forced resync, round {round}"));
+        step_checked(&mut r.f, 150, "after resync");
+    }
+    assert_eq!(r.f.pool.live(), 0, "resync reopens every gate");
+    let c = r.f.fault_counters().unwrap();
+    assert!(c.credits_lost > 0 && c.resyncs_completed > 0, "{c:?}");
+    assert_eq!(c.invariant_violations, 0);
+}
+
+#[test]
+fn three_hundred_interleaved_circuits_reassemble_per_circuit() {
+    // 300 circuits from two hosts into one, every packet a different
+    // length, injected round-robin so the far host sees them interleaved
+    // cell by cell.
+    let mut r = rig(1024);
+    let ids: Vec<VcId> = (0..300).map(|i| VcId::new(2_000 + i * 3)).collect();
+    let packets: Vec<Packet> = (0..300usize)
+        .map(|i| Packet::from_bytes((0..200 + i).map(|b| (b * 7 + i) as u8).collect::<Vec<_>>()))
+        .collect();
+    let (bad, moved) = (ids[77], ids[200]);
+    for (i, (&vc, p)) in ids.iter().zip(&packets).enumerate() {
+        r.open(vc, HostId((i % 2) as u16), TrafficClass::BestEffort, 0);
+        let mut cells = Segmenter::new(vc).segment(p);
+        if vc == bad {
+            // Flip a bit of the trailer's CRC.
+            cells.last_mut().unwrap().payload[47] ^= 1;
+        }
+        r.f.send_cells(vc, cells);
+    }
+    // Run until the circuit to be rerouted is mid-packet at the far host.
+    while r.f.circuit(moved).unwrap().partial.is_empty() {
+        r.f.step(1);
+    }
+    let mid_packet =
+        r.f.vcs
+            .iter()
+            .filter(|e| e.circuit.as_ref().is_some_and(|c| !c.partial.is_empty()))
+            .count();
+    assert!(mid_packet > 100, "only {mid_packet} circuits mid-packet");
+    r.f.reroute_circuit(
+        moved,
+        vec![SwitchId(0), SwitchId(1)],
+        vec![r.mids[1]],
+        r.near[0],
+        r.far,
+    );
+    assert!(
+        r.f.circuit(moved).unwrap().partial.is_empty(),
+        "a reroute discards the packet under reassembly"
+    );
+    r.f.step(5_000);
+    let mut got = r.f.take_received(FAR);
+    got.sort_by_key(|(vc, _)| *vc);
+    let want: Vec<(VcId, Packet)> = ids
+        .iter()
+        .copied()
+        .zip(packets)
+        .filter(|(vc, _)| *vc != bad && *vc != moved)
+        .collect();
+    assert_eq!(got.len(), 298);
+    assert_eq!(got, want, "every other packet arrives intact");
+    for &vc in &ids {
+        let s = r.f.stats(vc);
+        // The corrupted trailer costs its own circuit its packet; the
+        // rerouted circuit's tail completes a packet missing its head.
+        let corrupted = u64::from(vc == bad || vc == moved);
+        assert_eq!(s.packets_corrupted, corrupted, "{vc}");
+        assert_eq!(s.packets_delivered, 1 - corrupted, "{vc}");
+        assert!(r.f.circuit(vc).unwrap().partial.is_empty(), "{vc}");
+    }
+}

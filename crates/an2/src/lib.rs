@@ -44,6 +44,7 @@ mod central;
 mod control;
 mod error;
 mod fabric;
+mod host;
 mod network;
 pub mod reference;
 mod shard;

@@ -13,7 +13,9 @@
 //! * [`VcId`] — virtual-circuit identifiers as switches see them.
 //! * [`Packet`], [`Segmenter`], [`Reassembler`] — AAL5-style segmentation and
 //!   reassembly: packets carry a length + CRC-32 trailer and the final cell of
-//!   a packet is marked in the payload-type field.
+//!   a packet is marked in the payload-type field. [`PartialPacket`] is one
+//!   circuit's reassembly state, for terminators that keep it with the
+//!   circuit; [`VcIndex`] interns circuit ids into dense slot numbers.
 //! * [`signal`] — the encoding of the signaling cells used for virtual
 //!   circuit setup (§2) and bandwidth reservation (§4).
 //! * [`CellPool`] / [`CellQueue`] — a shared slab of cell nodes with
@@ -31,10 +33,12 @@ mod packet;
 mod pool;
 mod rate;
 pub mod signal;
+mod vcindex;
 
 pub use cell::{
     Cell, CellHeader, CellKind, HecError, VcId, CELL_BYTES, HEADER_BYTES, PAYLOAD_BYTES,
 };
-pub use packet::{Packet, Reassembler, ReassemblyError, Segmenter};
+pub use packet::{Packet, PartialPacket, Reassembler, ReassemblyError, Segmenter};
 pub use pool::{CellPool, CellQueue, CellQueueIter};
 pub use rate::LinkRate;
+pub use vcindex::VcIndex;

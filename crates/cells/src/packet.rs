@@ -11,6 +11,7 @@
 //! marked in the cell header's payload-type field.
 
 use crate::cell::{Cell, CellKind, VcId, PAYLOAD_BYTES};
+use crate::vcindex::VcIndex;
 use bytes::Bytes;
 use serde::{Deserialize, Serialize};
 use std::fmt;
@@ -97,13 +98,45 @@ const CRC_TABLE: [u32; 256] = {
     table
 };
 
-/// CRC-32 (IEEE 802.3 polynomial, reflected), one table lookup per byte.
+/// Slicing-by-8 tables derived from [`CRC_TABLE`]: `CRC_TABLES[k][b]` is the
+/// CRC state after byte `b` followed by `k` zero bytes, so eight input bytes
+/// fold into the state with eight independent lookups.
+const CRC_TABLES: [[u32; 256]; 8] = {
+    let mut tables = [CRC_TABLE; 8];
+    let mut k = 1;
+    while k < 8 {
+        let mut i = 0;
+        while i < 256 {
+            let prev = tables[k - 1][i];
+            tables[k][i] = (prev >> 8) ^ CRC_TABLE[(prev & 0xFF) as usize];
+            i += 1;
+        }
+        k += 1;
+    }
+    tables
+};
+
+/// CRC-32 (IEEE 802.3 polynomial, reflected), eight bytes per step.
 /// Line-card hardware would use a parallel circuit; segmentation and
-/// reassembly both checksum every packet body, so the simulator uses the
-/// classic table form rather than the 8-iterations-per-byte bit loop.
+/// reassembly both checksum every packet body, so the simulator slices the
+/// classic byte-at-a-time table loop by eight (the loop itself finishes the
+/// tail).
 pub(crate) fn crc32(bytes: &[u8]) -> u32 {
     let mut crc: u32 = 0xFFFF_FFFF;
-    for &b in bytes {
+    let mut chunks = bytes.chunks_exact(8);
+    for c in &mut chunks {
+        let lo = crc ^ u32::from_le_bytes([c[0], c[1], c[2], c[3]]);
+        let hi = u32::from_le_bytes([c[4], c[5], c[6], c[7]]);
+        crc = CRC_TABLES[7][(lo & 0xFF) as usize]
+            ^ CRC_TABLES[6][((lo >> 8) & 0xFF) as usize]
+            ^ CRC_TABLES[5][((lo >> 16) & 0xFF) as usize]
+            ^ CRC_TABLES[4][(lo >> 24) as usize]
+            ^ CRC_TABLES[3][(hi & 0xFF) as usize]
+            ^ CRC_TABLES[2][((hi >> 8) & 0xFF) as usize]
+            ^ CRC_TABLES[1][((hi >> 16) & 0xFF) as usize]
+            ^ CRC_TABLES[0][(hi >> 24) as usize];
+    }
+    for &b in chunks.remainder() {
         crc = (crc >> 8) ^ CRC_TABLE[((crc ^ b as u32) & 0xFF) as usize];
     }
     !crc
@@ -210,50 +243,61 @@ impl fmt::Display for ReassemblyError {
 
 impl std::error::Error for ReassemblyError {}
 
-/// Reassembles cell streams back into packets — the receive half of an AN2
-/// host controller. One reassembler handles many virtual circuits, keeping
-/// per-VC partial packets, because a controller terminates all of its host's
-/// circuits.
+/// One virtual circuit's packet under reassembly: the payloads of the cells
+/// received since the circuit's last end-of-packet cell.
+///
+/// Cells of one circuit arrive in order (§1), so reassembly is per-circuit
+/// state and nothing else; whoever terminates the circuit keeps one of these
+/// beside the circuit's other state and pays constant work per cell however
+/// many circuits it terminates.
+///
+/// ```
+/// use an2_cells::{Packet, PartialPacket, Segmenter, VcId};
+/// let cells = Segmenter::new(VcId::new(9)).segment(&Packet::from_bytes(vec![0xAB; 100]));
+/// let mut partial = PartialPacket::new();
+/// assert_eq!(partial.push(&cells[0]), Ok(None));
+/// assert_eq!(partial.push(&cells[1]), Ok(None));
+/// assert_eq!(partial.push(&cells[2]).unwrap().unwrap().len(), 100);
+/// assert!(partial.is_empty());
+/// ```
 #[derive(Debug, Clone, Default)]
-pub struct Reassembler {
-    /// Per-VC partial packet bodies. A controller terminates a handful of
-    /// circuits at a time, so a linear scan over a small vector beats
-    /// hashing the id on every arriving cell.
-    partial: Vec<(VcId, Vec<u8>)>,
+pub struct PartialPacket {
+    /// No capacity is retained between packets: the end-of-packet cell
+    /// takes the buffer with it (into the finished [`Packet`], or away when
+    /// a check fails) and the next packet starts from an unallocated `Vec`.
+    /// A terminator of tens of thousands of mostly idle circuits would
+    /// otherwise hold a packet's worth of memory for each.
+    buf: Vec<u8>,
 }
 
-impl Reassembler {
-    /// An empty reassembler.
+impl PartialPacket {
+    /// No cell received yet.
     pub fn new() -> Self {
-        Reassembler::default()
+        PartialPacket::default()
     }
 
-    /// Accepts the next cell of a circuit. Returns `Ok(Some((vc, packet)))`
-    /// when this cell completed a packet.
+    /// `true` when no cell has arrived since the last end-of-packet cell.
+    pub fn is_empty(&self) -> bool {
+        self.buf.is_empty()
+    }
+
+    /// Accepts the circuit's next cell. Returns `Ok(Some(packet))` when this
+    /// cell completed a packet.
     ///
     /// # Errors
     ///
     /// Returns a [`ReassemblyError`] if the completed packet fails its CRC or
-    /// length check (the partial state for that circuit is discarded, as AAL5
-    /// discards corrupt frames), or if the cell is not a data cell.
-    pub fn push(&mut self, cell: &Cell) -> Result<Option<(VcId, Packet)>, ReassemblyError> {
+    /// length check (the cells received so far are discarded, as AAL5
+    /// discards corrupt frames), or if the cell is not a data cell (nothing
+    /// is discarded).
+    pub fn push(&mut self, cell: &Cell) -> Result<Option<Packet>, ReassemblyError> {
         match cell.header.kind {
             CellKind::Data => {
-                let buf = match self.partial.iter().position(|(v, _)| *v == cell.vc()) {
-                    Some(i) => &mut self.partial[i].1,
-                    None => {
-                        self.partial.push((cell.vc(), Vec::new()));
-                        &mut self.partial.last_mut().expect("just pushed").1
-                    }
-                };
-                buf.extend_from_slice(&cell.payload);
+                self.buf.extend_from_slice(&cell.payload);
                 Ok(None)
             }
             CellKind::DataEnd => {
-                let mut buf = match self.partial.iter().position(|(v, _)| *v == cell.vc()) {
-                    Some(i) => self.partial.swap_remove(i).1,
-                    None => Vec::new(),
-                };
+                let mut buf = std::mem::take(&mut self.buf);
                 buf.extend_from_slice(&cell.payload);
                 let total = buf.len();
                 debug_assert_eq!(total % PAYLOAD_BYTES, 0);
@@ -271,22 +315,60 @@ impl Reassembler {
                     });
                 }
                 buf.truncate(claimed);
-                Ok(Some((cell.vc(), Packet::from_bytes(buf))))
+                Ok(Some(Packet::from_bytes(buf)))
             }
             _ => Err(ReassemblyError::UnexpectedKind),
         }
     }
+}
+
+/// Reassembles cell streams back into packets — the receive half of an AN2
+/// host controller. One reassembler handles many virtual circuits, keeping
+/// a [`PartialPacket`] per VC, because a controller terminates all of its
+/// host's circuits.
+#[derive(Debug, Clone, Default)]
+pub struct Reassembler {
+    /// Circuit id → position in `partial`. A controller may terminate
+    /// hundreds of circuits with packets interleaved cell by cell, so each
+    /// arriving cell finds its circuit's state by index, never by scanning
+    /// the circuits that happen to be mid-packet.
+    index: VcIndex,
+    partial: Vec<PartialPacket>,
+}
+
+impl Reassembler {
+    /// An empty reassembler.
+    pub fn new() -> Self {
+        Reassembler::default()
+    }
+
+    /// Accepts the next cell of a circuit. Returns `Ok(Some((vc, packet)))`
+    /// when this cell completed a packet.
+    ///
+    /// # Errors
+    ///
+    /// Returns a [`ReassemblyError`] if the completed packet fails its CRC or
+    /// length check (the partial state for that circuit is discarded, as AAL5
+    /// discards corrupt frames), or if the cell is not a data cell.
+    pub fn push(&mut self, cell: &Cell) -> Result<Option<(VcId, Packet)>, ReassemblyError> {
+        let slot = self.index.intern(cell.vc()) as usize;
+        if slot == self.partial.len() {
+            self.partial.push(PartialPacket::new());
+        }
+        let done = self.partial[slot].push(cell)?;
+        Ok(done.map(|packet| (cell.vc(), packet)))
+    }
 
     /// Circuits with partially reassembled packets.
     pub fn partial_circuits(&self) -> usize {
-        self.partial.len()
+        self.partial.iter().filter(|p| !p.is_empty()).count()
     }
 
     /// Drops any partial packet state for `vc` (used when a circuit is torn
     /// down or rerouted and in-flight cells were lost).
     pub fn reset_circuit(&mut self, vc: VcId) {
-        if let Some(i) = self.partial.iter().position(|(v, _)| *v == vc) {
-            self.partial.swap_remove(i);
+        if let Some(slot) = self.index.get(vc) {
+            self.partial[slot as usize] = PartialPacket::new();
         }
     }
 }
@@ -409,6 +491,65 @@ mod tests {
         // Standard check value for "123456789" with CRC-32/IEEE.
         assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
         assert_eq!(crc32(b""), 0);
+    }
+
+    #[test]
+    fn crc32_sliced_matches_the_byte_loop() {
+        fn bytewise(bytes: &[u8]) -> u32 {
+            !bytes.iter().fold(0xFFFF_FFFF, |crc: u32, &b| {
+                (crc >> 8) ^ CRC_TABLE[((crc ^ b as u32) & 0xFF) as usize]
+            })
+        }
+        let data: Vec<u8> = (0..7_950u32)
+            .map(|i| (i.wrapping_mul(2_654_435_761) >> 13) as u8)
+            .collect();
+        // Every tail length, every alignment of the 8-byte steps.
+        for len in (0..=200).chain([7_950]) {
+            assert_eq!(crc32(&data[..len]), bytewise(&data[..len]), "len {len}");
+        }
+        assert_eq!(crc32(&data[3..203]), bytewise(&data[3..203]));
+    }
+
+    #[test]
+    fn many_interleaved_circuits_keep_their_own_state() {
+        // 300 circuits, cells interleaved round-robin as a busy host link
+        // would deliver them; one circuit's third cell is corrupted.
+        let packets: Vec<Packet> = (0..300usize)
+            .map(|i| {
+                Packet::from_bytes(
+                    (0..150 + i)
+                        .map(|b| (b * 31 + i) as u8)
+                        .collect::<Vec<u8>>(),
+                )
+            })
+            .collect();
+        let mut streams: Vec<Vec<Cell>> = packets
+            .iter()
+            .enumerate()
+            .map(|(i, p)| Segmenter::new(VcId::new(5_000 + 97 * i as u32)).segment(p))
+            .collect();
+        streams[150][2].payload[0] ^= 1;
+        let mut r = Reassembler::new();
+        let (mut done, mut failed) = (Vec::new(), Vec::new());
+        for round in 0..streams.iter().map(Vec::len).max().unwrap() {
+            for (i, cells) in streams.iter().enumerate() {
+                match cells.get(round).map(|c| r.push(c)) {
+                    Some(Ok(Some((vc, p)))) => done.push((vc, p)),
+                    Some(Err(_)) => failed.push(i),
+                    _ => {}
+                }
+            }
+            if round == 1 {
+                assert_eq!(r.partial_circuits(), 300);
+            }
+        }
+        assert_eq!(failed, [150]);
+        assert_eq!(done.len(), 299);
+        for (vc, p) in done {
+            let i = ((vc.raw() - 5_000) / 97) as usize;
+            assert_eq!(p, packets[i]);
+        }
+        assert_eq!(r.partial_circuits(), 0);
     }
 
     #[test]

@@ -1,11 +1,11 @@
 //! The slot-synchronous switch model, on dense slab storage.
 //!
-//! Per-circuit state is interned into a slab: the 24-bit VC id indexes a
-//! flat `lookup` table of slot numbers, and everything about a circuit —
-//! route, credit balance, per-input queues, pending buffer — lives in one
-//! `VcSlot`. Cells are `Copy` and queued in a shared [`CellPool`]
-//! (free-list arena), so the per-slot hot path relinks `u32` indices
-//! instead of walking B-trees and touching the allocator.
+//! Per-circuit state is interned into a slab: a [`VcIndex`] maps the 24-bit
+//! VC id to a slot number, and everything about a circuit — route, credit
+//! balance, per-input queues, pending buffer — lives in one `VcSlot`. Cells
+//! are `Copy` and queued in a shared [`CellPool`] (free-list arena), so the
+//! per-slot hot path relinks `u32` indices instead of walking B-trees and
+//! touching the allocator.
 //!
 //! Per input port the switch keeps two *active lists* — slab slots with a
 //! non-empty best-effort / guaranteed queue at that input, **sorted by raw
@@ -17,7 +17,7 @@
 //! by the reference-equivalence property tests in the `an2` crate).
 
 use an2_cells::signal::TrafficClass;
-use an2_cells::{Cell, CellPool, CellQueue, VcId};
+use an2_cells::{Cell, CellPool, CellQueue, VcId, VcIndex};
 use an2_schedule::FrameSchedule;
 use an2_sim::SimRng;
 use an2_trace::{Entity, MetricId, MetricOp, TraceEvent, TraceLane, TraceRecord, Tracer};
@@ -91,9 +91,6 @@ struct Route {
     class: TrafficClass,
 }
 
-/// The slab slot number a VC id maps to; `NO_SLOT` = never seen.
-const NO_SLOT: u32 = u32::MAX;
-
 /// Everything the switch knows about one circuit. A circuit's per-input
 /// queues live in the switch-wide `queues` array (`si * ports + input`);
 /// the class of the route says whether they hold best-effort or guaranteed
@@ -118,12 +115,11 @@ struct VcSlot {
 ///
 /// The packing cannot collide: raw VC ids are 24-bit ([`VcId::MAX`]), so the
 /// shifted key occupies bits 32..56 exactly, and slab indices are `u32`s
-/// guarded against the `NO_SLOT` sentinel in `ensure_slot` — two entries are
-/// equal iff both the id and the slot agree.
+/// (one per interned id, so below 2²⁴) — two entries are equal iff both the
+/// id and the slot agree.
 fn entry(vcs: &[VcSlot], si: u32) -> u64 {
     let raw = vcs[si as usize].vc.raw();
     debug_assert!(raw <= VcId::MAX, "VC id wider than the 24-bit key field");
-    debug_assert_ne!(si, NO_SLOT, "NO_SLOT sentinel used as a slab index");
     ((raw as u64) << 32) | si as u64
 }
 
@@ -167,10 +163,11 @@ fn deactivate(list: &mut Vec<u64>, vcs: &[VcSlot], si: u32) {
 /// One AN2 switch. See the [crate documentation](crate) for the model.
 pub struct Switch {
     cfg: SwitchConfig,
-    /// Raw VC id → slab slot (`NO_SLOT` when unseen). Grown on demand; ids
-    /// are 24-bit so the worst case is bounded, and in practice the fabric
-    /// hands out small sequential ids.
-    lookup: Vec<u32>,
+    /// VC id → slab slot, sized by the circuits this switch has seen: a
+    /// leaf of a large fabric carries a few hundred circuits whose ids run
+    /// into the tens of thousands, and a table indexed by raw id would cost
+    /// it a cache miss per enqueue.
+    lookup: VcIndex,
     vcs: Vec<VcSlot>,
     /// All per-circuit per-input queues, flattened at `si * ports + input`
     /// (one indexed load on the hot path instead of a chase through a
@@ -270,7 +267,7 @@ impl Switch {
         let pim = Pim::new(cfg.pim_iterations);
         Switch {
             cfg,
-            lookup: Vec::new(),
+            lookup: VcIndex::new(),
             vcs: Vec::new(),
             queues: Vec::new(),
             be_active: vec![Vec::new(); ports],
@@ -339,17 +336,8 @@ impl Switch {
 
     /// The slab slot for `vc`, interning it on first sight.
     fn ensure_slot(&mut self, vc: VcId) -> usize {
-        let raw = vc.raw() as usize;
-        if raw >= self.lookup.len() {
-            self.lookup.resize(raw + 1, NO_SLOT);
-        }
-        if self.lookup[raw] == NO_SLOT {
-            let si = self.vcs.len() as u32;
-            // The slab index shares a u32 with the NO_SLOT sentinel and the
-            // low half of packed active-list entries; 2³²−1 circuits on one
-            // switch would alias both.
-            assert_ne!(si, NO_SLOT, "slab full: index would alias NO_SLOT");
-            self.lookup[raw] = si;
+        let si = self.lookup.intern(vc) as usize;
+        if si == self.vcs.len() {
             self.vcs.push(VcSlot {
                 vc,
                 route: None,
@@ -359,16 +347,12 @@ impl Switch {
             self.queues
                 .extend((0..self.cfg.ports).map(|_| CellQueue::new()));
         }
-        self.lookup[raw] as usize
+        si
     }
 
     /// The slab slot for `vc`, if it has ever been seen.
     fn slot_of(&self, vc: VcId) -> Option<usize> {
-        self.lookup
-            .get(vc.raw() as usize)
-            .copied()
-            .filter(|&s| s != NO_SLOT)
-            .map(|s| s as usize)
+        self.lookup.get(vc).map(|si| si as usize)
     }
 
     /// Gates a best-effort circuit's outbound transmissions behind a credit

@@ -156,6 +156,13 @@ pub struct Topology {
     switch_ports: Vec<u8>,
     host_ports: Vec<u8>,
     links: Vec<Link>,
+    /// Adjacency index: the links cabled to each switch / host, dead ones
+    /// included, in ascending [`LinkId`] order (appended as links are
+    /// added) — the order a scan of `links` yields, which BFS tie-breaks
+    /// and therefore every route depend on. Readers filter by link state,
+    /// so failing and reviving links needs no upkeep here.
+    switch_links: Vec<Vec<LinkId>>,
+    host_links: Vec<Vec<LinkId>>,
     default_latency: SimDuration,
 }
 
@@ -175,6 +182,8 @@ impl Topology {
             switch_ports: Vec::new(),
             host_ports: Vec::new(),
             links: Vec::new(),
+            switch_links: Vec::new(),
+            host_links: Vec::new(),
             default_latency: DEFAULT_LATENCY,
         }
     }
@@ -192,12 +201,14 @@ impl Topology {
     /// Adds a switch with a custom port count (AN1 used 12).
     pub fn add_switch_with_ports(&mut self, ports: u8) -> SwitchId {
         self.switch_ports.push(ports);
+        self.switch_links.push(Vec::new());
         SwitchId((self.switch_ports.len() - 1) as u16)
     }
 
     /// Adds a host (two ports: active + alternate).
     pub fn add_host(&mut self) -> HostId {
         self.host_ports.push(HOST_PORTS);
+        self.host_links.push(Vec::new());
         HostId((self.host_ports.len() - 1) as u16)
     }
 
@@ -238,10 +249,25 @@ impl Topology {
         }
     }
 
+    /// Every link cabled to `node` (dead ones included), ascending.
+    fn links_of(&self, node: Node) -> &[LinkId] {
+        match node {
+            Node::Switch(s) => &self.switch_links[s.0 as usize],
+            Node::Host(h) => &self.host_links[h.0 as usize],
+        }
+    }
+
+    fn links_of_mut(&mut self, node: Node) -> &mut Vec<LinkId> {
+        match node {
+            Node::Switch(s) => &mut self.switch_links[s.0 as usize],
+            Node::Host(h) => &mut self.host_links[h.0 as usize],
+        }
+    }
+
     fn port_in_use(&self, node: Node, port: Port) -> bool {
-        self.links.iter().any(|l| {
-            (l.a.node == node && l.a.port == port) || (l.b.node == node && l.b.port == port)
-        })
+        self.links_of(node)
+            .iter()
+            .any(|&id| self.near_end(id, node).port == port)
     }
 
     /// The lowest-numbered free port on `node`, if any.
@@ -298,7 +324,10 @@ impl Topology {
             state: LinkState::Working,
             latency: self.default_latency,
         });
-        Ok(LinkId((self.links.len() - 1) as u32))
+        let id = LinkId((self.links.len() - 1) as u32);
+        self.links_of_mut(a.node).push(id);
+        self.links_of_mut(b.node).push(id);
+        Ok(id)
     }
 
     /// Convenience: connect two switches on free ports.
@@ -379,19 +408,10 @@ impl Topology {
 
     /// Working links incident to a node, with the far endpoint.
     pub fn working_links_of(&self, node: Node) -> Vec<(LinkId, Endpoint)> {
-        self.links
+        self.links_of(node)
             .iter()
-            .enumerate()
-            .filter(|(_, l)| l.state == LinkState::Working)
-            .filter_map(|(i, l)| {
-                if l.a.node == node {
-                    Some((LinkId(i as u32), l.b))
-                } else if l.b.node == node {
-                    Some((LinkId(i as u32), l.a))
-                } else {
-                    None
-                }
-            })
+            .filter(|id| self.links[id.0 as usize].state == LinkState::Working)
+            .map(|&id| (id, self.far_end(id, node)))
             .collect()
     }
 
@@ -523,11 +543,8 @@ impl Topology {
 
     /// Marks every link incident to a switch dead — a switch crash/power-off.
     pub fn kill_switch(&mut self, s: SwitchId) {
-        for i in 0..self.links.len() {
-            let l = &self.links[i];
-            if l.a.node == Node::Switch(s) || l.b.node == Node::Switch(s) {
-                self.links[i].state = LinkState::Dead;
-            }
+        for &id in &self.switch_links[s.0 as usize] {
+            self.links[id.0 as usize].state = LinkState::Dead;
         }
     }
 }
