@@ -16,15 +16,19 @@ tracked_before=$(git status --porcelain --untracked-files=no)
 echo "== cargo fmt --check"
 cargo fmt --all -- --check
 
+echo "== every stand-in under compat/ is a dependency of something"
+for dir in compat/*/; do
+    name=$(basename "$dir")
+    grep -qE "^$name = \{ workspace = true" Cargo.toml crates/*/Cargo.toml compat/*/Cargo.toml ||
+        { echo "compat/$name: no manifest depends on it"; exit 1; }
+done
+
 echo "== cargo clippy (deny warnings)"
 cargo clippy --workspace --all-targets -- -D warnings
 
 if [[ "${1:-}" != "quick" ]]; then
     echo "== cargo test"
     cargo test -q --workspace
-
-    echo "== cargo bench --no-run (benches must compile)"
-    cargo bench --workspace --no-run
 
     echo "== fabric determinism (slab vs reference oracle)"
     cargo test -q -p an2 --test reference_equiv
@@ -80,12 +84,15 @@ if [[ "${1:-}" != "quick" ]]; then
     echo "== telemetry observatory (N10 scores detection vs ground-truth labels in-process)"
     cargo run -q -p an2-bench --release --bin experiments -- n10
 
-    echo "== a mistyped experiment id fails its gate"
+    echo "== a mistyped experiment id or a retired flag fails its gate"
     # (`set -e` ignores a bare `! cmd`, hence the explicit branch.)
-    if cargo run -q -p an2-bench --release --bin experiments -- nope 2>/dev/null; then
-        echo "experiments accepted the unknown id 'nope'"
-        exit 1
-    fi
+    for probe in "nope" "n3 --json"; do
+        # Unquoted on purpose: the probe is a word list.
+        if cargo run -q -p an2-bench --release --bin experiments -- $probe >/dev/null 2>&1; then
+            echo "experiments accepted '$probe'"
+            exit 1
+        fi
+    done
 
     echo "== benchmark of record: its own tests (six small-scale workloads' digest equalities, seed-7 goldens)"
     # benchmark/ is a workspace of its own, so `cargo test --workspace` never

@@ -341,34 +341,8 @@ impl Network {
         Ok(vc)
     }
 
-    #[allow(clippy::type_complexity)]
-    fn best_effort_route(
-        &self,
-        src: HostId,
-        dst: HostId,
-    ) -> Result<(Vec<SwitchId>, Vec<LinkId>, LinkId, LinkId), NetError> {
-        let topo = self.topology();
-        let route = paths::host_route(topo, src, dst).ok_or(NetError::NoRoute { src, dst })?;
-        let switches = route.switches;
-        // Concrete links between consecutive switches (lowest id wins).
-        let mut links = Vec::new();
-        for w in switches.windows(2) {
-            let l = topo.links_between(w[0], w[1]);
-            links.push(*l.first().ok_or(NetError::NoRoute { src, dst })?);
-        }
-        let src_link = topo
-            .host_attachments(src)
-            .into_iter()
-            .find(|&(_, s)| s == switches[0])
-            .map(|(l, _)| l)
-            .ok_or(NetError::NoRoute { src, dst })?;
-        let dst_link = topo
-            .host_attachments(dst)
-            .into_iter()
-            .find(|&(_, s)| s == *switches.last().expect("non-empty route"))
-            .map(|(l, _)| l)
-            .ok_or(NetError::NoRoute { src, dst })?;
-        Ok((switches, links, src_link, dst_link))
+    fn best_effort_route(&self, src: HostId, dst: HostId) -> Result<paths::Wiring, NetError> {
+        paths::host_wiring(self.topology(), src, dst).ok_or(NetError::NoRoute { src, dst })
     }
 
     /// Opens a best-effort circuit the way the hardware does it (§2): a

@@ -12,7 +12,7 @@
 use an2::{FabricConfig, TrafficClass};
 use an2_cells::{Packet, Segmenter, VcId};
 use an2_sim::SimRng;
-use an2_topology::{generators, paths, HostId, LinkId, LinkState, Node, SwitchId, Topology};
+use an2_topology::{generators, paths, HostId, LinkState, Node, SwitchId, Topology};
 use proptest::prelude::*;
 
 fn topology(idx: usize) -> Topology {
@@ -38,30 +38,6 @@ fn topology(idx: usize) -> Topology {
         // The paper's SRC installation shape: ring + chords, dual-homed.
         _ => generators::src_installation(4, 6),
     }
-}
-
-type RouteParts = (Vec<SwitchId>, Vec<LinkId>, LinkId, LinkId);
-
-/// The same route construction `Network::best_effort_route` uses: shortest
-/// host route, lowest-id concrete links.
-fn route(topo: &Topology, src: HostId, dst: HostId) -> Option<RouteParts> {
-    let r = paths::host_route(topo, src, dst)?;
-    let switches = r.switches;
-    let mut links = Vec::new();
-    for w in switches.windows(2) {
-        links.push(*topo.links_between(w[0], w[1]).first()?);
-    }
-    let src_link = topo
-        .host_attachments(src)
-        .into_iter()
-        .find(|&(_, s)| s == switches[0])
-        .map(|(l, _)| l)?;
-    let dst_link = topo
-        .host_attachments(dst)
-        .into_iter()
-        .find(|&(_, s)| s == *switches.last().expect("non-empty route"))
-        .map(|(l, _)| l)?;
-    Some((switches, links, src_link, dst_link))
 }
 
 /// Everything observable about a finished run, for equality comparison.
@@ -97,7 +73,7 @@ macro_rules! drive {
             if dst == src {
                 dst = hosts[(src.0 as usize + 1) % hosts.len()];
             }
-            let Some((sw, links, sl, dl)) = route(f.topology(), src, dst) else {
+            let Some((sw, links, sl, dl)) = paths::host_wiring(f.topology(), src, dst) else {
                 continue;
             };
             match i % 4 {
@@ -147,7 +123,7 @@ macro_rules! drive {
                             .find(|(v, _, _)| *v == vc)
                             .map(|&(_, s, d)| (s, d))
                             .expect("victim was opened by this test");
-                        match route(f.topology(), src, dst) {
+                        match paths::host_wiring(f.topology(), src, dst) {
                             Some((sw, links, sl, dl)) => f.reroute_circuit(vc, sw, links, sl, dl),
                             None => {
                                 if let Some(s) = f.close_circuit(vc) {
@@ -168,7 +144,9 @@ macro_rules! drive {
             if round == 8 {
                 for &(vc, src, dst) in &vcs {
                     if f.has_circuit(vc) && f.is_paged_out(vc) {
-                        if let Some((sw, links, sl, dl)) = route(f.topology(), src, dst) {
+                        if let Some((sw, links, sl, dl)) =
+                            paths::host_wiring(f.topology(), src, dst)
+                        {
                             f.page_in_circuit(vc, sw, links, sl, dl);
                         }
                     }

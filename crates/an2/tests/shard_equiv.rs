@@ -17,7 +17,7 @@ use an2::{
 };
 use an2_cells::{Packet, Segmenter, VcId};
 use an2_sim::{SimDuration, SimRng};
-use an2_topology::{generators, paths, HostId, LinkId, LinkState, Node, SwitchId, Topology};
+use an2_topology::{generators, paths, HostId, LinkState, Node, SwitchId, Topology};
 use proptest::prelude::*;
 
 fn topology(idx: usize) -> Topology {
@@ -33,28 +33,6 @@ fn topology(idx: usize) -> Topology {
         1 => generators::fat_tree(2, 3),
         _ => generators::src_installation(4, 6),
     }
-}
-
-type RouteParts = (Vec<SwitchId>, Vec<LinkId>, LinkId, LinkId);
-
-fn route(topo: &Topology, src: HostId, dst: HostId) -> Option<RouteParts> {
-    let r = paths::host_route(topo, src, dst)?;
-    let switches = r.switches;
-    let mut links = Vec::new();
-    for w in switches.windows(2) {
-        links.push(*topo.links_between(w[0], w[1]).first()?);
-    }
-    let src_link = topo
-        .host_attachments(src)
-        .into_iter()
-        .find(|&(_, s)| s == switches[0])
-        .map(|(l, _)| l)?;
-    let dst_link = topo
-        .host_attachments(dst)
-        .into_iter()
-        .find(|&(_, s)| s == *switches.last().expect("non-empty route"))
-        .map(|(l, _)| l)?;
-    Some((switches, links, src_link, dst_link))
 }
 
 fn fnv(h: &mut u64, bytes: &[u8]) {
@@ -91,7 +69,7 @@ fn drive(topo_idx: usize, seed: u64, wl_seed: u64, shards: usize, traced: bool) 
         if dst == src {
             dst = hosts[(src.0 as usize + 1) % hosts.len()];
         }
-        let Some((sw, links, sl, dl)) = route(f.topology(), src, dst) else {
+        let Some((sw, links, sl, dl)) = paths::host_wiring(f.topology(), src, dst) else {
             continue;
         };
         match i % 4 {
@@ -138,7 +116,7 @@ fn drive(topo_idx: usize, seed: u64, wl_seed: u64, shards: usize, traced: bool) 
                         .find(|(v, _, _)| *v == vc)
                         .map(|&(_, s, d)| (s, d))
                         .expect("victim was opened by this test");
-                    match route(f.topology(), src, dst) {
+                    match paths::host_wiring(f.topology(), src, dst) {
                         Some((sw, links, sl, dl)) => f.reroute_circuit(vc, sw, links, sl, dl),
                         None => {
                             let _ = f.close_circuit(vc);
@@ -266,7 +244,8 @@ fn leg_run(leg: Leg, shards: usize) -> (u64, usize) {
     for h in 0..hosts {
         let vc = VcId::new(200 + h as u32);
         let (src, dst) = (HostId(h), HostId((h + 3) % hosts));
-        let (sw, links, sl, dl) = route(f.topology(), src, dst).expect("tree is connected");
+        let (sw, links, sl, dl) =
+            paths::host_wiring(f.topology(), src, dst).expect("tree is connected");
         if leg == Leg::SignalledSetup && h % 2 == 0 {
             f.open_circuit_signaled(vc, src, dst, sw, links, sl, dl);
         } else {

@@ -37,28 +37,6 @@ fn topology(idx: usize) -> Topology {
     }
 }
 
-type RouteParts = (Vec<SwitchId>, Vec<LinkId>, LinkId, LinkId);
-
-fn route(topo: &Topology, src: HostId, dst: HostId) -> Option<RouteParts> {
-    let r = paths::host_route(topo, src, dst)?;
-    let switches = r.switches;
-    let mut links = Vec::new();
-    for w in switches.windows(2) {
-        links.push(*topo.links_between(w[0], w[1]).first()?);
-    }
-    let src_link = topo
-        .host_attachments(src)
-        .into_iter()
-        .find(|&(_, s)| s == switches[0])
-        .map(|(l, _)| l)?;
-    let dst_link = topo
-        .host_attachments(dst)
-        .into_iter()
-        .find(|&(_, s)| s == *switches.last().expect("non-empty route"))
-        .map(|(l, _)| l)?;
-    Some((switches, links, src_link, dst_link))
-}
-
 fn fnv(h: &mut u64, bytes: &[u8]) {
     for &b in bytes {
         *h ^= b as u64;
@@ -102,7 +80,7 @@ fn drive(
         if dst == src {
             dst = hosts[(src.0 as usize + 1) % hosts.len()];
         }
-        let Some((sw, links, sl, dst_link)) = route(f.topology(), src, dst) else {
+        let Some((sw, links, sl, dst_link)) = paths::host_wiring(f.topology(), src, dst) else {
             continue;
         };
         match i % 4 {
@@ -158,7 +136,7 @@ fn drive(
                         .find(|(v, _, _)| *v == vc)
                         .map(|&(_, s, d)| (s, d))
                         .expect("victim was opened by this test");
-                    match route(f.topology(), src, dst) {
+                    match paths::host_wiring(f.topology(), src, dst) {
                         Some((sw, links, sl, dst_link)) => {
                             f.reroute_circuit(vc, sw, links, sl, dst_link);
                         }
@@ -256,7 +234,8 @@ fn sparse_profiled_run(shards: usize) -> (u64, u64, u64, u64, u64) {
     for h in 0..hosts {
         let vc = VcId::new(300 + h as u32);
         let (src, dst) = (HostId(h), HostId((h + 5) % hosts));
-        let (sw, links, sl, dl) = route(f.topology(), src, dst).expect("tree is connected");
+        let (sw, links, sl, dl) =
+            paths::host_wiring(f.topology(), src, dst).expect("tree is connected");
         f.open_circuit(vc, src, dst, TrafficClass::BestEffort, sw, links, sl, dl);
         vcs.push(vc);
     }

@@ -19,29 +19,7 @@
 use an2::{FabricConfig, TrafficClass};
 use an2_cells::{Packet, Segmenter, VcId};
 use an2_sim::SimRng;
-use an2_topology::{generators, paths, HostId, LinkId, SwitchId, Topology};
-
-type RouteParts = (Vec<SwitchId>, Vec<LinkId>, LinkId, LinkId);
-
-fn route(topo: &Topology, src: HostId, dst: HostId) -> Option<RouteParts> {
-    let r = paths::host_route(topo, src, dst)?;
-    let switches = r.switches;
-    let mut links = Vec::new();
-    for w in switches.windows(2) {
-        links.push(*topo.links_between(w[0], w[1]).first()?);
-    }
-    let src_link = topo
-        .host_attachments(src)
-        .into_iter()
-        .find(|&(_, s)| s == switches[0])
-        .map(|(l, _)| l)?;
-    let dst_link = topo
-        .host_attachments(dst)
-        .into_iter()
-        .find(|&(_, s)| s == *switches.last().expect("non-empty route"))
-        .map(|(l, _)| l)?;
-    Some((switches, links, src_link, dst_link))
-}
+use an2_topology::{generators, paths, HostId};
 
 fn fnv(h: &mut u64, bytes: &[u8]) {
     for &b in bytes {
@@ -90,7 +68,8 @@ macro_rules! drive_hub {
             if dst == src {
                 dst = hosts[(src.0 as usize + 1) % hosts.len()];
             }
-            let (sw, links, sl, dl) = route(f.topology(), src, dst).expect("hub route");
+            let (sw, links, sl, dl) =
+                paths::host_wiring(f.topology(), src, dst).expect("hub route");
             let class = if i % 5 == 0 {
                 TrafficClass::Guaranteed { cells_per_frame: 2 }
             } else {
@@ -164,7 +143,7 @@ fn forced_run(hosts: usize, seed: u64, index_offset: usize) -> Vec<CircuitObs> {
     for (i, &vc) in vcs.iter().enumerate() {
         let src = HostId(2 * i as u16);
         let dst = HostId(2 * i as u16 + 1);
-        let (sw, links, sl, dl) = route(f.topology(), src, dst).expect("hub route");
+        let (sw, links, sl, dl) = paths::host_wiring(f.topology(), src, dst).expect("hub route");
         f.open_circuit(vc, src, dst, TrafficClass::BestEffort, sw, links, sl, dl);
     }
     for round in 0..5 {

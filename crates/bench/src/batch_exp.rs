@@ -37,126 +37,16 @@
 //! `watermark_equiv` suite proves the same over random workloads, faults
 //! and live control planes.
 
-use an2::{Entity, FabricConfig, MetricsRegistry, TrafficClass};
-use an2_cells::{Cell, Packet, Segmenter, VcId};
-use an2_topology::{generators, paths, HostId, LinkId, SwitchId, Topology};
-use std::collections::HashMap;
+use crate::scenario::Scenario;
 use std::fmt::Write;
 use std::time::Instant;
 
-type RouteParts = (Vec<SwitchId>, Vec<LinkId>, LinkId, LinkId);
-
-fn route(topo: &Topology, src: HostId, dst: HostId) -> Option<RouteParts> {
-    let r = paths::host_route(topo, src, dst)?;
-    let switches = r.switches;
-    let mut links = Vec::new();
-    for w in switches.windows(2) {
-        links.push(*topo.links_between(w[0], w[1]).first()?);
-    }
-    let src_link = topo
-        .host_attachments(src)
-        .into_iter()
-        .find(|&(_, s)| s == switches[0])
-        .map(|(l, _)| l)?;
-    let dst_link = topo
-        .host_attachments(dst)
-        .into_iter()
-        .find(|&(_, s)| s == *switches.last().expect("non-empty route"))
-        .map(|(l, _)| l)?;
-    Some((switches, links, src_link, dst_link))
-}
-
-/// The N7 workload at one circuit count, built once (untimed).
-///
-/// Circuit `j` sources at host `j % hosts`. The first circuit of every
-/// host crosses the tree (`dst = src + hosts/2`); all later ones are local
-/// (`dst = src ^ 1`, the other host on the same leaf switch). Each circuit
-/// carries one ~530-byte packet (12 cells), so total volume — and with it
-/// the injection window — scales linearly with the circuit count while
-/// the busy switch set stays fixed.
-pub struct BatchScenario {
-    arity: usize,
-    levels: usize,
-    /// Slots needed to inject and drain everything.
-    pub slots: u64,
-    circuits: Vec<(VcId, HostId, HostId, RouteParts, Vec<Cell>)>,
-}
-
-impl BatchScenario {
-    /// Builds the workload for `n_circuits` on `fat_tree(arity, levels)`.
-    pub fn new(arity: usize, levels: usize, n_circuits: usize) -> Self {
-        let topo = generators::fat_tree(arity, levels);
-        let hosts = topo.host_count();
-        let payload = vec![7u8; 530];
-        let pkt = Packet::from_bytes(payload);
-        let cells_per_circuit = Segmenter::new(VcId::new(1)).segment(&pkt).len();
-        // Only `2 * hosts` distinct (src, dst) pairs exist; memoize the
-        // BFS so preparing 100k circuits costs hundreds of route searches,
-        // not thousands.
-        let mut memo: HashMap<(u16, u16), RouteParts> = HashMap::new();
-        let mut circuits = Vec::with_capacity(n_circuits);
-        for j in 0..n_circuits {
-            let src = HostId((j % hosts) as u16);
-            let dst = if j < hosts {
-                HostId(((src.0 as usize + hosts / 2) % hosts) as u16)
-            } else {
-                HostId(src.0 ^ 1)
-            };
-            let parts = memo
-                .entry((src.0, dst.0))
-                .or_insert_with(|| route(&topo, src, dst).expect("fat-tree is connected"))
-                .clone();
-            let vc = VcId::new(100 + j as u32);
-            circuits.push((vc, src, dst, parts, Segmenter::new(vc).segment(&pkt)));
-        }
-        // One cell per host per slot is the injection ceiling; leave a
-        // drain margin for the cross-tree routes' credit round trips.
-        let window = (n_circuits * cells_per_circuit).div_ceil(hosts) as u64;
-        BatchScenario {
-            arity,
-            levels,
-            slots: window + 700,
-            circuits,
-        }
-    }
-
-    /// A loaded single-shard fabric with profiling on (untimed setup).
-    pub fn prepare(&self, seed: u64, batched: bool) -> an2::Fabric {
-        let topo = generators::fat_tree(self.arity, self.levels);
-        let mut f = an2::Fabric::new(topo, FabricConfig::default(), seed);
+/// A loaded single-shard fabric with profiling on (untimed setup).
+fn prepare(scenario: &Scenario, batched: bool) -> an2::Fabric {
+    scenario.fabric(7, |f| {
         f.set_batching(batched);
         f.enable_profiling();
-        for (vc, src, dst, parts, cells) in &self.circuits {
-            let (sw, links, sl, dl) = parts.clone();
-            f.open_circuit(*vc, *src, *dst, TrafficClass::BestEffort, sw, links, sl, dl);
-            f.send_cells(*vc, cells.clone());
-        }
-        f
-    }
-
-    /// Digest of everything a run observes: per-circuit sent / delivered /
-    /// dropped counts and every latency sample, in order (the N6 digest).
-    pub fn stats_digest(&self, f: &an2::Fabric) -> (u64, u64) {
-        let mut digest = 0xcbf2_9ce4_8422_2325u64;
-        let mut fnv = |x: u64| {
-            for b in x.to_le_bytes() {
-                digest ^= b as u64;
-                digest = digest.wrapping_mul(0x1_0000_01b3);
-            }
-        };
-        let mut delivered = 0;
-        for (vc, ..) in &self.circuits {
-            let s = f.stats(*vc);
-            delivered += s.delivered_cells;
-            fnv(s.sent_cells);
-            fnv(s.delivered_cells);
-            fnv(s.dropped_cells);
-            for &sample in s.latency_slots.samples() {
-                fnv(sample);
-            }
-        }
-        (digest, delivered)
-    }
+    })
 }
 
 /// One point on the N7 batching curve.
@@ -188,8 +78,7 @@ pub struct BatchScaling {
     pub cells_per_sec_core: f64,
 }
 
-fn run_point(scenario: &BatchScenario, circuits: usize) -> BatchScaling {
-    let slots = scenario.slots;
+fn run_point(scenario: &Scenario, slots: u64, circuits: usize) -> BatchScaling {
     let mut walls = [f64::MAX; 2]; // [unbatched, batched]
     let mut digests = [(0u64, 0u64); 2];
     let mut stepped = [0u64; 2];
@@ -197,7 +86,7 @@ fn run_point(scenario: &BatchScenario, circuits: usize) -> BatchScaling {
     let mut skipped_slots = 0u64;
     for rep in 0..2 {
         for (k, batched) in [(0usize, false), (1usize, true)] {
-            let mut f = scenario.prepare(7, batched);
+            let mut f = prepare(scenario, batched);
             let t = Instant::now();
             f.step(slots);
             walls[k] = walls[k].min(t.elapsed().as_secs_f64() * 1e3);
@@ -242,34 +131,11 @@ fn run_point(scenario: &BatchScenario, circuits: usize) -> BatchScaling {
 /// rows and the report (including the cells/sec/core headline from the
 /// largest point).
 pub fn n7_batched_dataplane() -> (Vec<BatchScaling>, String) {
-    n7_with_profile(None)
-}
-
-/// As [`n7_batched_dataplane`], but when `registry` is given, the largest
-/// point's batched phase breakdown (enqueue / schedule / commit /
-/// fast-forward nanoseconds and the skip counters) is recorded into it —
-/// the `--profile` hygiene hook.
-pub fn n7_with_profile(mut registry: Option<&mut MetricsRegistry>) -> (Vec<BatchScaling>, String) {
     let (arity, levels) = (2, 8); // 1024 switches, 256 hosts
     let mut rows = Vec::new();
     for circuits in [1_000usize, 10_000, 100_000] {
-        let scenario = BatchScenario::new(arity, levels, circuits);
-        rows.push(run_point(&scenario, circuits));
-        if circuits == 100_000 {
-            if let Some(reg) = registry.as_deref_mut() {
-                let mut f = scenario.prepare(7, true);
-                f.step(scenario.slots);
-                let p = f.profile().expect("profiling enabled");
-                let g = Entity::Global;
-                reg.counter_add("n7.enqueue_ns", g, p.enqueue_ns);
-                reg.counter_add("n7.schedule_ns", g, p.schedule_ns);
-                reg.counter_add("n7.commit_ns", g, p.commit_ns);
-                reg.counter_add("n7.fast_forward_ns", g, p.fast_forward_ns);
-                reg.counter_add("n7.skipped_slots", g, p.skipped_slots);
-                reg.counter_add("n7.skipped_switch_steps", g, p.skipped_switch_steps);
-                reg.counter_add("n7.stepped_switch_steps", g, p.stepped_switch_steps);
-            }
-        }
+        let (scenario, slots) = Scenario::tree_sparse(arity, levels, circuits);
+        rows.push(run_point(&scenario, slots, circuits));
     }
     // The acceptance gate, two monotone curves (both deterministic —
     // counted switch-steps, not wall clock):
@@ -367,11 +233,11 @@ mod tests {
         // A 32-switch, 200-circuit instance of the N7 workload: batched and
         // unbatched engines must agree byte-for-byte; the full-size curve
         // runs in release via the experiments binary.
-        let scenario = BatchScenario::new(2, 4, 200);
+        let (scenario, slots) = Scenario::tree_sparse(2, 4, 200);
         let mut digests = Vec::new();
         for batched in [false, true] {
-            let mut f = scenario.prepare(7, batched);
-            f.step(scenario.slots);
+            let mut f = prepare(&scenario, batched);
+            f.step(slots);
             digests.push(scenario.stats_digest(&f));
         }
         assert!(digests[0].1 > 0, "no traffic delivered");
@@ -380,9 +246,9 @@ mod tests {
 
     #[test]
     fn batching_skips_most_switch_steps() {
-        let scenario = BatchScenario::new(2, 4, 200);
-        let mut f = scenario.prepare(7, true);
-        f.step(scenario.slots);
+        let (scenario, slots) = Scenario::tree_sparse(2, 4, 200);
+        let mut f = prepare(&scenario, true);
+        f.step(slots);
         let p = f.profile().expect("profiling enabled");
         assert!(
             p.skipped_switch_steps > p.stepped_switch_steps,

@@ -17,11 +17,9 @@
 //! 4. **Replay**: the soak schedule rerun from scratch must digest
 //!    byte-identically.
 //!
-//! The skeptic knobs come from `experiments n8 --skeptic-base-wait <ms>
-//! --skeptic-max-level <n>`; the defaults are 20 ms / level 3 for the grid
-//! and soak cells and a 400 ms flat holddown for the storm-on cell. The
-//! ≥5× assertion only fires at the defaults — overridden knobs are for
-//! exploration, and the table reports whatever they produce.
+//! The skeptic runs at `CampaignSpec`'s defaults (20 ms base wait, level
+//! cap 3) in the grid and soak cells and at a 400 ms flat holddown in the
+//! storm-on cell.
 
 use crate::pct;
 use an2_chaos::{generate, replay_twice, run_schedule, CampaignSpec, RunReport, Scenario};
@@ -80,13 +78,8 @@ fn storm_spec(base_wait_ms: u64, max_level: u32) -> CampaignSpec {
     spec
 }
 
-/// Runs N8. `base_wait_ms` / `max_level` override the skeptic for the
-/// grid, soak and storm-on cells (`None` = documented defaults).
-pub fn n8_chaos_campaigns(
-    base_wait_ms: Option<u64>,
-    max_level: Option<u32>,
-) -> (Vec<CampaignRow>, String) {
-    let defaults = base_wait_ms.is_none() && max_level.is_none();
+/// Runs N8.
+pub fn n8_chaos_campaigns() -> (Vec<CampaignRow>, String) {
     let mut rows = Vec::new();
     let mut text = String::new();
 
@@ -111,13 +104,7 @@ pub fn n8_chaos_campaigns(
     ];
     for scenario in scenarios {
         for seed in [1u64, 2] {
-            let mut spec = CampaignSpec::defaults(scenario.name(), scenario);
-            if let Some(ms) = base_wait_ms {
-                spec.skeptic_base_wait_ms = ms;
-            }
-            if let Some(lvl) = max_level {
-                spec.skeptic_max_level = lvl;
-            }
+            let spec = CampaignSpec::defaults(scenario.name(), scenario);
             let report = run_schedule(&generate(&spec, seed));
             assert!(
                 report.violations.is_empty(),
@@ -134,14 +121,7 @@ pub fn n8_chaos_campaigns(
     // freezes the verdict Dead until the flapping has stopped for good, so
     // each link contributes one death and one (delayed) recovery. Off, every
     // flap is a death plus a recovery.
-    let mut on_spec = storm_spec(400, 0);
-    if let Some(ms) = base_wait_ms {
-        on_spec.skeptic_base_wait_ms = ms;
-    }
-    if let Some(lvl) = max_level {
-        on_spec.skeptic_max_level = lvl;
-    }
-    let on = run_schedule(&generate(&on_spec, 7));
+    let on = run_schedule(&generate(&storm_spec(400, 0), 7));
     let off = run_schedule(&generate(&storm_spec(0, 0), 7));
     for (name, r) in [("storm_skeptic_on", &on), ("storm_skeptic_off", &off)] {
         assert!(
@@ -152,18 +132,16 @@ pub fn n8_chaos_campaigns(
         rows.push(row(name.to_string(), r));
     }
     let damping = off.verdict_transitions as f64 / on.verdict_transitions.max(1) as f64;
-    if defaults {
-        assert!(
-            off.verdict_transitions >= 5 * on.verdict_transitions,
-            "skeptic damped the storm only {damping:.1}x ({} vs {} transitions)",
-            off.verdict_transitions,
-            on.verdict_transitions,
-        );
-        assert!(
-            on.suppressed_recoveries > 0 && on.quarantine_entries > 0,
-            "the storm never exercised quarantine"
-        );
-    }
+    assert!(
+        off.verdict_transitions >= 5 * on.verdict_transitions,
+        "skeptic damped the storm only {damping:.1}x ({} vs {} transitions)",
+        off.verdict_transitions,
+        on.verdict_transitions,
+    );
+    assert!(
+        on.suppressed_recoveries > 0 && on.quarantine_entries > 0,
+        "the storm never exercised quarantine"
+    );
 
     // Leg 3: the sustained churn soak — double-length Gilbert–Elliott loss
     // on every link with background flapping, ≥90% delivery on survivors.
@@ -175,12 +153,6 @@ pub fn n8_chaos_campaigns(
         },
     );
     soak_spec.run_slots = 480_000;
-    if let Some(ms) = base_wait_ms {
-        soak_spec.skeptic_base_wait_ms = ms;
-    }
-    if let Some(lvl) = max_level {
-        soak_spec.skeptic_max_level = lvl;
-    }
     let soak_schedule = generate(&soak_spec, 11);
     let soak = run_schedule(&soak_schedule);
     assert!(

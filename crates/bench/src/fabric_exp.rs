@@ -4,159 +4,35 @@
 //! seeded workload. The two produce identical cell-level results (enforced
 //! by property tests and re-asserted here); only the wall clock differs.
 //!
-//! The workload (routes and pre-segmented packets) is built once in
-//! [`Scenario::new`], and circuit setup plus outbox preload happen in
-//! [`prepare_slab`]/[`prepare_reference`] — both outside the timed region,
-//! so the comparison measures the fabrics' per-slot data-plane work rather
-//! than the control plane or the AAL5 segmenter (shared code that would
-//! dilute the ratio equally on both sides).
+//! The workload ([`Scenario::src_dense`]: routes and pre-segmented packets)
+//! is built once, and circuit setup plus outbox preload happen in
+//! [`Scenario::fabric`]/[`Scenario::reference_fabric`] — all outside the
+//! timed region, so the comparison measures the fabrics' per-slot data-plane
+//! work rather than the control plane or the AAL5 segmenter (shared code
+//! that would dilute the ratio equally on both sides).
 
-use an2::{FabricConfig, TraceConfig, Tracer, TrafficClass};
-use an2_cells::{Cell, Packet, Segmenter, VcId};
-use an2_topology::{generators, paths, HostId, LinkId, SwitchId, Topology};
+use crate::scenario::Scenario;
+use an2::{TraceConfig, Tracer};
 use std::fmt::Write;
 use std::time::Instant;
 
-type RouteParts = (Vec<SwitchId>, Vec<LinkId>, LinkId, LinkId);
-
-fn route(topo: &Topology, src: HostId, dst: HostId) -> Option<RouteParts> {
-    let r = paths::host_route(topo, src, dst)?;
-    let switches = r.switches;
-    let mut links = Vec::new();
-    for w in switches.windows(2) {
-        links.push(*topo.links_between(w[0], w[1]).first()?);
-    }
-    let src_link = topo
-        .host_attachments(src)
-        .into_iter()
-        .find(|&(_, s)| s == switches[0])
-        .map(|(l, _)| l)?;
-    let dst_link = topo
-        .host_attachments(dst)
-        .into_iter()
-        .find(|&(_, s)| s == *switches.last().expect("non-empty route"))
-        .map(|(l, _)| l)?;
-    Some((switches, links, src_link, dst_link))
-}
-
-/// One circuit of the benchmark workload: endpoints, its route, and the
-/// cells of its pre-segmented packets.
-struct CircuitLoad {
-    vc: VcId,
-    src: HostId,
-    dst: HostId,
-    parts: RouteParts,
-    cells: Vec<Cell>,
-}
-
-/// The benchmark scenario: a 4-switch SRC-style installation with 24
-/// dual-homed hosts (so the aggregate host-link rate keeps the crossbars
-/// busy rather than starving them), `circuits` best-effort circuits between
-/// round-robin host pairs, and enough pre-segmented 7950-byte packets per
-/// circuit that the outboxes never run dry inside the measured window.
-pub struct Scenario {
-    circuits: Vec<CircuitLoad>,
-}
-
-/// Hosts in the benchmark installation.
-const HOSTS: usize = 24;
-
-/// Packets pre-segmented per circuit: 24 × 166 cells ≈ 3984 cells per
-/// circuit, comfortably above the ~10k-slot host-link budget shared by the
-/// circuits of one host.
-const PACKETS_PER_CIRCUIT: usize = 24;
-
-impl Scenario {
-    /// Builds the workload for `circuits` circuits (done once, untimed).
-    pub fn new(circuits: u32) -> Self {
-        let topo = generators::src_installation(4, HOSTS);
-        let hosts = topo.host_count();
-        let payload = vec![5u8; 7_950];
-        let mut out = Vec::new();
-        for i in 0..circuits {
-            // Offset 6 ≡ 2 (mod 4 switches): the destination's two
-            // attachment switches are disjoint from the source's, so every
-            // route crosses an inter-switch link instead of hairpinning
-            // through one crossbar.
-            let src = HostId((i as usize % hosts) as u16);
-            let dst = HostId(((i as usize + 6) % hosts) as u16);
-            let vc = VcId::new(100 + i);
-            let Some(parts) = route(&topo, src, dst) else {
-                continue;
-            };
-            let pkt = Packet::from_bytes(payload.clone());
-            let per_packet = Segmenter::new(vc).segment(&pkt);
-            let mut cells = Vec::with_capacity(per_packet.len() * PACKETS_PER_CIRCUIT);
-            for _ in 0..PACKETS_PER_CIRCUIT {
-                cells.extend_from_slice(&per_packet);
-            }
-            out.push(CircuitLoad {
-                vc,
-                src,
-                dst,
-                parts,
-                cells,
-            });
-        }
-        Scenario { circuits: out }
-    }
-}
-
-/// Builds one fabric implementation loaded with the scenario (the two share
-/// an API, not a trait): open every circuit, preload every outbox. This is
-/// control-plane setup and belongs outside the timed region.
-macro_rules! prepare {
-    ($fab:ty, $scenario:expr, $seed:expr) => {{
-        let topo = generators::src_installation(4, HOSTS);
-        let mut f = <$fab>::new(topo, FabricConfig::default(), $seed);
-        for c in &$scenario.circuits {
-            let (sw, links, sl, dl) = c.parts.clone();
-            f.open_circuit(
-                c.vc,
-                c.src,
-                c.dst,
-                TrafficClass::BestEffort,
-                sw,
-                links,
-                sl,
-                dl,
-            );
-            f.send_cells(c.vc, c.cells.clone());
-        }
-        f
-    }};
-}
-
-/// A loaded slab fabric ready for [`run_slab`] (untimed setup).
-pub fn prepare_slab(scenario: &Scenario, seed: u64) -> an2::Fabric {
-    prepare!(an2::Fabric, scenario, seed)
-}
-
-/// A loaded reference fabric ready for [`run_reference`] (untimed setup).
-pub fn prepare_reference(scenario: &Scenario, seed: u64) -> an2::reference::Fabric {
-    prepare!(an2::reference::Fabric, scenario, seed)
+/// A loaded slab fabric in its default configuration (untimed setup).
+fn prepare_slab(scenario: &Scenario, seed: u64) -> an2::Fabric {
+    scenario.fabric(seed, |_| {})
 }
 
 /// The timed region: steps a prepared slab fabric and returns delivered
 /// cells.
-pub fn run_slab(f: &mut an2::Fabric, scenario: &Scenario, slots: u64) -> u64 {
+fn run_slab(f: &mut an2::Fabric, scenario: &Scenario, slots: u64) -> u64 {
     f.step(slots);
-    scenario
-        .circuits
-        .iter()
-        .map(|c| f.stats(c.vc).delivered_cells)
-        .sum::<u64>()
+    scenario.delivered(|vc| f.stats(vc))
 }
 
 /// The timed region: steps a prepared reference fabric and returns
 /// delivered cells.
-pub fn run_reference(f: &mut an2::reference::Fabric, scenario: &Scenario, slots: u64) -> u64 {
+fn run_reference(f: &mut an2::reference::Fabric, scenario: &Scenario, slots: u64) -> u64 {
     f.step(slots);
-    scenario
-        .circuits
-        .iter()
-        .map(|c| f.stats(c.vc).delivered_cells)
-        .sum::<u64>()
+    scenario.delivered(|vc| f.stats(vc))
 }
 
 /// One slab-vs-reference wall-clock comparison.
@@ -184,13 +60,13 @@ pub fn n2_fabric_dataplane() -> (Vec<FabricPerf>, String) {
     let mut rows = Vec::new();
     for &circuits in &[64u32, 128] {
         let slots = 10_000u64;
-        let scenario = Scenario::new(circuits);
+        let scenario = Scenario::src_dense(circuits);
         let mut reference_ms = f64::MAX;
         let mut slab_ms = f64::MAX;
         let mut ref_delivered = 0;
         let mut slab_delivered = 0;
         for _ in 0..5 {
-            let mut f = prepare_reference(&scenario, 7);
+            let mut f = scenario.reference_fabric(7);
             let t = Instant::now();
             ref_delivered = run_reference(&mut f, &scenario, slots);
             reference_ms = reference_ms.min(t.elapsed().as_secs_f64() * 1e3);
@@ -282,7 +158,7 @@ pub fn n5_trace_overhead() -> (Vec<TraceOverhead>, String) {
     let mut rows = Vec::new();
     for &circuits in &[64u32, 128] {
         let slots = 10_000u64;
-        let scenario = Scenario::new(circuits);
+        let scenario = Scenario::src_dense(circuits);
         let mut untraced_ms = f64::MAX;
         let mut traced_ms = f64::MAX;
         let mut plain_delivered = 0;
@@ -372,10 +248,10 @@ mod tests {
     fn slab_and_reference_deliver_identically() {
         // Small instance: the full-size wall-clock rows are exercised by
         // the experiments binary in release mode.
-        let scenario = Scenario::new(16);
+        let scenario = Scenario::src_dense(16);
         for seed in [1u64, 7, 23] {
             let mut slab = prepare_slab(&scenario, seed);
-            let mut reference = prepare_reference(&scenario, seed);
+            let mut reference = scenario.reference_fabric(seed);
             assert_eq!(
                 run_slab(&mut slab, &scenario, 2_000),
                 run_reference(&mut reference, &scenario, 2_000)
@@ -385,7 +261,7 @@ mod tests {
 
     #[test]
     fn tracing_does_not_change_delivery() {
-        let scenario = Scenario::new(16);
+        let scenario = Scenario::src_dense(16);
         let mut plain = prepare_slab(&scenario, 7);
         let mut traced = prepare_slab(&scenario, 7);
         let tracer = Tracer::new(TraceConfig::default());
@@ -399,7 +275,7 @@ mod tests {
 
     #[test]
     fn scenario_moves_traffic() {
-        let scenario = Scenario::new(64);
+        let scenario = Scenario::src_dense(64);
         let mut f = prepare_slab(&scenario, 7);
         assert!(
             run_slab(&mut f, &scenario, 10_000) > 30_000,

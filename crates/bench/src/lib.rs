@@ -27,6 +27,7 @@ pub mod observe_exp;
 pub mod parallel;
 pub mod parallel_exp;
 pub mod reconfig_exp;
+pub mod scenario;
 pub mod schedule_exp;
 pub mod xbar_exp;
 

@@ -3,10 +3,10 @@
 //! The E3/E5 sweeps are (load × pattern × discipline) grids and E4/E7 are
 //! multi-size sweeps; every cell is an independent simulation with its own
 //! deterministically-derived [`an2_sim::SimRng`] stream, so the grid is
-//! embarrassingly parallel. [`par_map`] fans the cells across crossbeam
-//! scoped threads while preserving input order, which keeps the harness
-//! output — and the recorded baselines — byte-identical to a single-thread
-//! run (asserted by the determinism tests).
+//! embarrassingly parallel. [`par_map`] fans the cells across
+//! [`std::thread::scope`] threads while preserving input order, which keeps
+//! the harness output byte-identical to a single-thread run (asserted by the
+//! determinism tests).
 
 /// Worker threads to use for sweeps: the `AN2_BENCH_THREADS` environment
 /// variable if set (values below 1 mean 1, i.e. fully serial), otherwise the
@@ -17,18 +17,6 @@ pub fn worker_threads() -> usize {
         Err(_) => std::thread::available_parallelism()
             .map(|n| n.get())
             .unwrap_or(1),
-    }
-}
-
-/// Maximum data-plane shard count for the N6 scaling sweep: the
-/// `AN2_BENCH_SHARDS` environment variable if set (values below 1 mean 1 —
-/// sequential only), otherwise 8, the full headline curve. The experiments
-/// binary's `--shards N` flag sets the variable; this mirrors the
-/// `AN2_BENCH_THREADS` override consumed by [`worker_threads`].
-pub fn shard_count() -> usize {
-    match std::env::var("AN2_BENCH_SHARDS") {
-        Ok(v) => v.trim().parse::<usize>().unwrap_or(1).max(1),
-        Err(_) => 8,
     }
 }
 
@@ -69,17 +57,16 @@ where
         })
         .collect();
     let f = &f;
-    crossbeam::thread::scope(|s| {
+    std::thread::scope(|s| {
         let handles: Vec<_> = chunks
             .into_iter()
-            .map(|chunk| s.spawn(move |_| chunk.into_iter().map(f).collect::<Vec<R>>()))
+            .map(|chunk| s.spawn(move || chunk.into_iter().map(f).collect::<Vec<R>>()))
             .collect();
         handles
             .into_iter()
             .flat_map(|h| h.join().expect("sweep worker panicked"))
             .collect()
     })
-    .expect("crossbeam scope")
 }
 
 #[cfg(test)]

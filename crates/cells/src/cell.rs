@@ -15,7 +15,6 @@
 //! the paper's model where "the header of each cell contains its virtual
 //! circuit id" and a routing-table lookup maps it to an output port.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Bytes in a full ATM cell.
@@ -37,7 +36,7 @@ pub const PAYLOAD_BYTES: usize = 48;
 /// let vc = VcId::new(0x00_1234);
 /// assert_eq!(vc.raw(), 0x1234);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct VcId(u32);
 
 impl VcId {
@@ -89,7 +88,7 @@ impl From<VcId> for u32 {
 /// in-band signaling (circuit setup travels "along a separate signaling
 /// circuit", §2) and the link-maintenance traffic used by the monitor (§2)
 /// and the credit protocol (§5).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum CellKind {
     /// User data, more cells of this packet follow.
     Data,
@@ -122,7 +121,7 @@ impl CellKind {
 }
 
 /// The decoded 5-byte cell header.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct CellHeader {
     /// Virtual circuit this cell belongs to.
     pub vc: VcId,
@@ -230,7 +229,7 @@ impl CellHeader {
 /// assert_eq!(wire.len(), 53);
 /// assert_eq!(Cell::decode(&wire).unwrap(), cell);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Cell {
     /// The decoded header.
     pub header: CellHeader,

@@ -13,7 +13,6 @@
 use crate::cell::{Cell, CellKind, VcId, PAYLOAD_BYTES};
 use crate::vcindex::VcIndex;
 use bytes::Bytes;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 const TRAILER_BYTES: usize = 8;
@@ -26,7 +25,7 @@ const TRAILER_BYTES: usize = 8;
 /// assert_eq!(p.len(), 3);
 /// assert_eq!(p.cell_count(), 1);
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct Packet {
     data: Bytes,
 }

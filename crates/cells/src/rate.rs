@@ -7,11 +7,10 @@
 
 use crate::cell::CELL_BYTES;
 use an2_sim::SimDuration;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// The link speeds of the AN2 design.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum LinkRate {
     /// 155.52 Mb/s (OC-3): host attachment links.
     Mbps155,

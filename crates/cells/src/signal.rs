@@ -12,11 +12,10 @@
 //! fixed-layout big-endian so that a decoded value always round-trips.
 
 use crate::cell::{Cell, CellKind, VcId, PAYLOAD_BYTES};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// The service class of a virtual circuit (§1: guaranteed / best-effort).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum TrafficClass {
     /// Variable Bit Rate: no setup reservation, no service guarantee.
     BestEffort,
@@ -39,7 +38,7 @@ impl fmt::Display for TrafficClass {
 }
 
 /// A decoded signaling message.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum SignalMsg {
     /// Establish a circuit along the path this cell travels. Line cards that
     /// forward this cell install a routing-table entry for `circuit`.

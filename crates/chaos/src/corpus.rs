@@ -1,9 +1,9 @@
 //! The repro corpus: minimal failing schedules persisted as plain,
 //! reviewable JSON and replayed as regression tests.
 //!
-//! The offline serde stand-in has no format backend, so this module
-//! carries its own small JSON value type with a recursive-descent parser
-//! and a deterministic pretty-printer. Corpus files hold the full
+//! The workspace builds offline with no serialization crate, so this
+//! module carries its own small JSON value type with a recursive-descent
+//! parser and a deterministic pretty-printer. Corpus files hold the full
 //! [`Schedule`] plus an informational `violations` array (ignored on
 //! load); replaying a file re-runs the oracle from scratch, so corpus
 //! checks stay valid as the implementation evolves.

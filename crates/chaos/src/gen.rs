@@ -14,7 +14,6 @@ use an2_faults::{CrashEvent, FaultSpec, FlapEvent, LinkFaultModel, LossModel};
 use an2_reconfig::skeptic::SkepticConfig;
 use an2_sim::{SimDuration, SimRng};
 use an2_topology::{LinkId, Node, SwitchId, Topology};
-use serde::{Deserialize, Serialize};
 
 /// A slot far beyond any campaign horizon: a flap that never recovers or a
 /// crash that never restarts.
@@ -34,7 +33,7 @@ pub fn slots_per_ms() -> u64 {
 
 /// A fully concrete, replayable chaos run: topology + workload + fault
 /// schedule + seed. Running the same schedule twice is byte-identical.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Schedule {
     /// Campaign name this schedule was generated from.
     pub name: String,

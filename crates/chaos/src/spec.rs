@@ -7,10 +7,9 @@
 //! [`crate::gen::Schedule`].
 
 use an2_topology::{generators, SwitchId, Topology};
-use serde::{Deserialize, Serialize};
 
 /// A topology family the campaign can instantiate.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TopologyKind {
     /// The paper's SRC installation: `switches` dual-homed into a redundant
     /// backbone, `hosts` spread across them.
@@ -49,7 +48,7 @@ impl TopologyKind {
 }
 
 /// What kind of adversity the generator should synthesize.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Scenario {
     /// Repeated down/up flaps on a few backbone links — the §2
     /// reconfiguration-storm driver the skeptic exists to damp.
@@ -99,7 +98,7 @@ impl Scenario {
 
 /// A complete campaign shape. `(CampaignSpec, seed)` fully determines a
 /// run; see [`crate::gen::generate`].
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct CampaignSpec {
     /// Campaign name (report rows, corpus file names).
     pub name: String,

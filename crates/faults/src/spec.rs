@@ -1,16 +1,15 @@
-//! The serializable fault specification.
+//! The fault specification.
 //!
 //! A spec plus a 64-bit seed fully determines a fault run; replaying the
-//! same pair yields byte-identical simulations. Specs are plain serde data
-//! so experiments can log them alongside their results.
+//! same pair yields byte-identical simulations. Specs are plain data, so
+//! the chaos corpus can write them out and read them back.
 
 use an2_reconfig::monitor::MonitorConfig;
 use an2_topology::{LinkId, SwitchId};
-use serde::{Deserialize, Serialize};
 
 /// Per-link loss process applied independently to each transmission
 /// direction's cell and control traffic.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub enum LossModel {
     /// No loss.
     #[default]
@@ -37,7 +36,7 @@ pub enum LossModel {
 }
 
 /// Everything that can go wrong on one link.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct LinkFaultModel {
     /// Loss process for cells and control messages.
     pub loss: LossModel,
@@ -60,7 +59,7 @@ impl LinkFaultModel {
 /// A scheduled link flap: physically down at `down_at`, back up at `up_at`
 /// (both in slots). While down, every transmission on the link is lost and
 /// pings fail.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FlapEvent {
     /// The link that flaps.
     pub link: LinkId,
@@ -73,7 +72,7 @@ pub struct FlapEvent {
 /// A scheduled line-card (switch) crash: the switch loses all buffered
 /// cells at `at` and ignores arriving traffic until `restart_at`. Its
 /// routing table survives (it lives in the hardware map, reloaded on boot).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CrashEvent {
     /// The switch that crashes.
     pub switch: SwitchId,
@@ -85,7 +84,7 @@ pub struct CrashEvent {
 
 /// The complete fault scenario for one run. The default spec is inert:
 /// no loss, no events, resync off, invariant checks off.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct FaultSpec {
     /// Fault model applied to every link not listed in `per_link`.
     pub default_link: LinkFaultModel,

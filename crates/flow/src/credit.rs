@@ -1,6 +1,5 @@
 //! The two ends of a flow-controlled link, per virtual circuit.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Error raised when a cell arrives at a downstream line card with no buffer
@@ -37,7 +36,7 @@ impl std::error::Error for Overflow {}
 /// s.on_credit();
 /// assert!(s.try_send());
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CreditSender {
     capacity: u32,
     balance: u32,
@@ -148,7 +147,7 @@ impl CreditSender {
 
 /// Downstream state for one virtual circuit: the buffer pool and the
 /// absolute forwarded counter.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CreditReceiver {
     capacity: u32,
     occupied: u32,

@@ -27,10 +27,9 @@
 //! overflow remains impossible.
 
 use crate::credit::{CreditReceiver, CreditSender};
-use serde::{Deserialize, Serialize};
 
 /// A resynchronization marker, sent upstream → downstream in-band.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Marker {
     /// The new credit epoch.
     pub epoch: u32,
@@ -41,7 +40,7 @@ pub struct Marker {
 }
 
 /// The downstream reply to a [`Marker`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Reply {
     /// Echoes the marker's epoch.
     pub epoch: u32,

@@ -40,12 +40,11 @@ pub mod stp;
 
 use an2_sim::SimTime;
 use an2_topology::{LinkId, SwitchId};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A reconfiguration tag: epoch number, then initiating switch id. Total
 /// order; higher tags supersede lower ones (§2).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct Tag {
     /// The epoch number (larger = newer).
     pub epoch: u64,
@@ -82,7 +81,7 @@ impl fmt::Display for Tag {
 /// corresponding virtual time `at`, so experiments can measure per-phase
 /// latencies (detect → propose → quiesce → routes installed) without
 /// reverse-engineering tuple logs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ReconfigEvent {
     /// A [`monitor::LinkMonitor`] declared `link` dead (detect).
     LinkDead {

@@ -11,11 +11,10 @@
 
 use crate::skeptic::{Skeptic, SkepticConfig};
 use an2_sim::{SimDuration, SimTime};
-use serde::{Deserialize, Serialize};
 
 /// The monitor's verdict on a link — the clean abstraction handed to the
 /// reconfiguration algorithm.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum LinkVerdict {
     /// The link may carry traffic.
     Working,
@@ -36,7 +35,7 @@ pub struct Transition {
 /// link whose pings look healthy again. While quarantined, every recovery
 /// the raw thresholds would have granted is *suppressed* — the damping
 /// that prevents a flapping link from triggering a reconfiguration storm.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct QuarantineEdge {
     /// `true` when the link entered quarantine, `false` when it left
     /// (either readmitted, or its pings started failing again).
@@ -48,7 +47,7 @@ pub struct QuarantineEdge {
 }
 
 /// Tunables for a [`LinkMonitor`].
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct MonitorConfig {
     /// Interval between pings.
     pub ping_interval: SimDuration,
@@ -74,7 +73,7 @@ impl Default for MonitorConfig {
 
 /// Per-link monitor state machine. Feed it ping outcomes; it reports
 /// verdict transitions.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct LinkMonitor {
     cfg: MonitorConfig,
     verdict: LinkVerdict,

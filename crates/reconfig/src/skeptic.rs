@@ -13,10 +13,9 @@
 //! design.
 
 use an2_sim::{SimDuration, SimTime};
-use serde::{Deserialize, Serialize};
 
 /// Tunables for a [`Skeptic`].
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct SkepticConfig {
     /// Wait required after the first failure.
     pub base_wait: SimDuration,
@@ -47,7 +46,7 @@ impl Default for SkepticConfig {
 /// assert!(!sk.may_recover(t0 + SimDuration::from_millis(50)));
 /// assert!(sk.may_recover(t0 + SimDuration::from_millis(100)));
 /// ```
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Skeptic {
     cfg: SkepticConfig,
     level: u32,

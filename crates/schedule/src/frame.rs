@@ -13,12 +13,11 @@
 //! conflict remains — at most N swaps for an N×N switch (Figure 3).
 
 use crate::reservation::ReservationMatrix;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// One displacement performed by the insertion algorithm: `conn` was placed
 /// into `slot`, displacing `displaced` (if any) into the other working slot.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Move {
     /// The slot written.
     pub slot: u32,
@@ -30,7 +29,7 @@ pub struct Move {
 
 /// The record of one insertion: which slots were touched and every
 /// displacement, reproducing the italics/boldface trace of Figure 3.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct InsertTrace {
     /// Slot chosen because the input was free (`p` in the paper), which is
     /// also where the new connection was first placed.
@@ -100,7 +99,7 @@ const IDLE: u16 = u16::MAX;
 /// s.insert(1, 0).unwrap(); // paper's 2→1, 0-based
 /// assert_eq!(s.scheduled_cells(1, 0), 1);
 /// ```
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct FrameSchedule {
     n: usize,
     frame: u32,

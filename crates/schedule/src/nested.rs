@@ -15,10 +15,9 @@
 
 use crate::frame::FrameSchedule;
 use crate::reservation::ReservationMatrix;
-use serde::{Deserialize, Serialize};
 
 /// A frame schedule composed of independently scheduled subframes.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct NestedFrameSchedule {
     n: usize,
     subframes: Vec<FrameSchedule>,

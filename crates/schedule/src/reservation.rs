@@ -6,7 +6,6 @@
 //! or output link is committed beyond the frame size — the premise of the
 //! Slepian–Duguid theorem.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Why a reservation could not be added.
@@ -73,7 +72,7 @@ impl std::error::Error for ReservationError {}
 /// assert_eq!(r.cells(1, 0), 2);
 /// assert!(r.reserve(1, 2, 2).is_err()); // input 1 would need 4 > 3 slots
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ReservationMatrix {
     n: usize,
     frame: u32,

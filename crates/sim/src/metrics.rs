@@ -2,13 +2,12 @@
 //! sample histograms with percentiles and named phase spans.
 
 use crate::time::SimDuration;
-use serde::{Deserialize, Serialize};
 
 /// HDR-style log-linear buckets: values below `1 << sub_bits` land in their
 /// own bucket (exact); above that, each power-of-two range is split into
 /// `1 << sub_bits` equal sub-buckets, bounding the relative quantization
 /// error at `2^-sub_bits`.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 struct Buckets {
     sub_bits: u32,
     /// Bucket occupancy, grown on demand (index via [`Buckets::index_of`]).
@@ -87,12 +86,12 @@ impl Buckets {
 /// then carry a bounded relative quantization error of `2^-sub_bits`
 /// (reported values are bucket lower edges, so they never exceed the true
 /// quantile's bucket).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Histogram {
     repr: Repr,
 }
 
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 enum Repr {
     Exact { samples: Vec<u64>, sorted: bool },
     Bucketed(Buckets),
@@ -406,7 +405,7 @@ impl Extend<u64> for Histogram {
 
 /// One named interval on the simulation timeline — a control-plane phase
 /// (detect, converge, install, …) with explicit start/end stamps.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PhaseSpan {
     /// Phase name (e.g. `"converge"`).
     pub name: String,
@@ -438,7 +437,7 @@ impl PhaseSpan {
 /// assert_eq!(r.spans().len(), 1);
 /// assert_eq!(r.total("converge"), SimDuration::from_micros(5));
 /// ```
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct PhaseRecorder {
     spans: Vec<PhaseSpan>,
 }

@@ -8,10 +8,7 @@
 //! all of its streams from it.
 //!
 //! The generator is xoshiro256**, seeded through splitmix64 — the standard
-//! construction recommended by its authors. It also implements
-//! [`rand::RngCore`] so it can drive distributions from the `rand` crate.
-
-use rand::RngCore;
+//! construction recommended by its authors.
 
 /// A small, fast, seedable PRNG (xoshiro256**) with support for deriving
 /// independent child streams.
@@ -156,28 +153,6 @@ impl SimRng {
     pub fn gen_exp(&mut self, mean: f64) -> f64 {
         let u = self.gen_f64().max(f64::MIN_POSITIVE);
         -mean * u.ln()
-    }
-}
-
-impl RngCore for SimRng {
-    fn next_u32(&mut self) -> u32 {
-        (self.next_u64() >> 32) as u32
-    }
-
-    fn next_u64(&mut self) -> u64 {
-        SimRng::next_u64(self)
-    }
-
-    fn fill_bytes(&mut self, dest: &mut [u8]) {
-        for chunk in dest.chunks_mut(8) {
-            let bytes = self.next_u64().to_le_bytes();
-            chunk.copy_from_slice(&bytes[..chunk.len()]);
-        }
-    }
-
-    fn try_fill_bytes(&mut self, dest: &mut [u8]) -> Result<(), rand::Error> {
-        self.fill_bytes(dest);
-        Ok(())
     }
 }
 
@@ -329,13 +304,5 @@ mod tests {
         let total: f64 = (0..n).map(|_| rng.gen_exp(3.0)).sum();
         let mean = total / n as f64;
         assert!((mean - 3.0).abs() < 0.1, "exp mean {mean}");
-    }
-
-    #[test]
-    fn rng_core_fill_bytes() {
-        let mut rng = SimRng::new(1);
-        let mut buf = [0u8; 13];
-        rng.fill_bytes(&mut buf);
-        assert_ne!(buf, [0u8; 13]);
     }
 }

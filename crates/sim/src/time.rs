@@ -5,7 +5,6 @@
 //! kernel keeps time at nanosecond resolution in a `u64`, which covers about
 //! 584 years of simulated time: far more than any experiment needs.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::iter::Sum;
 use std::ops::{Add, AddAssign, Div, Mul, Sub, SubAssign};
@@ -21,9 +20,7 @@ use std::ops::{Add, AddAssign, Div, Mul, Sub, SubAssign};
 /// let t = SimTime::ZERO + SimDuration::from_micros(2);
 /// assert_eq!(t.as_nanos(), 2_000);
 /// ```
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct SimTime(u64);
 
 impl SimTime {
@@ -116,9 +113,7 @@ impl Sub<SimTime> for SimTime {
 /// let slot = SimDuration::from_nanos(680); // one ATM cell slot at 622 Mb/s
 /// assert_eq!((slot * 1024).as_micros(), 696); // ~0.7 ms frame
 /// ```
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct SimDuration(u64);
 
 impl SimDuration {

@@ -3,10 +3,11 @@
 //! This is the map-based implementation the slab rewrite in
 //! `crate::switch` replaced: per-input `BTreeMap<VcId, VecDeque<_>>`
 //! queues, a `BTreeMap` routing table and a `BTreeMap` credit table. It is
-//! kept (a) as the baseline side of the criterion `fabric` benches and
-//! (b) as the behavioural oracle for the reference-equivalence property
-//! tests — both implementations must produce byte-identical departures and
-//! consume the RNG stream identically on any seeded workload.
+//! kept (a) under the baseline side of experiment N2 (`an2::reference`
+//! steps it) and (b) as the behavioural oracle for the
+//! reference-equivalence property tests — both implementations must produce
+//! byte-identical departures and consume the RNG stream identically on any
+//! seeded workload.
 //!
 //! Mirrors the PR 1 pattern of `an2_xbar::reference`. Do not optimise this
 //! module; its value is that it stays exactly what shipped before.

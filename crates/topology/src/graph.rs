@@ -1,14 +1,13 @@
 //! The network graph: switches, hosts, ports and full-duplex links.
 
 use an2_sim::SimDuration;
-use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
 use std::fmt;
 
 /// Identifies a switch. The paper's tie-breaking rules ("up is toward the
 /// higher-numbered switch", §5) and epoch ordering (§2) both rely on switch
 /// ids being totally ordered.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct SwitchId(pub u16);
 
 impl fmt::Display for SwitchId {
@@ -18,7 +17,7 @@ impl fmt::Display for SwitchId {
 }
 
 /// Identifies a host (workstation + its network controller).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct HostId(pub u16);
 
 impl fmt::Display for HostId {
@@ -28,7 +27,7 @@ impl fmt::Display for HostId {
 }
 
 /// Either kind of network node.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum Node {
     /// A switch.
     Switch(SwitchId),
@@ -59,7 +58,7 @@ impl From<HostId> for Node {
 
 /// A port number on a switch or host. AN2 switches have up to 16 ports (one
 /// per line card); AN1 switches had 12 (§1).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct Port(pub u8);
 
 impl fmt::Display for Port {
@@ -69,7 +68,7 @@ impl fmt::Display for Port {
 }
 
 /// One end of a link.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Endpoint {
     /// The node this end attaches to.
     pub node: Node,
@@ -84,7 +83,7 @@ impl fmt::Display for Endpoint {
 }
 
 /// Identifies a link in a [`Topology`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct LinkId(pub u32);
 
 impl fmt::Display for LinkId {
@@ -95,7 +94,7 @@ impl fmt::Display for LinkId {
 
 /// The state the link monitor reports for a link (§2: "the reconfiguration
 /// algorithm assumes that each link is unambiguously working or dead").
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum LinkState {
     /// Passing traffic.
     #[default]
@@ -104,7 +103,7 @@ pub enum LinkState {
     Dead,
 }
 
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 struct Link {
     a: Endpoint,
     b: Endpoint,
@@ -151,7 +150,7 @@ impl std::error::Error for TopologyError {}
 /// t.attach_host(h, a).unwrap();
 /// assert!(t.switches_connected());
 /// ```
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct Topology {
     switch_ports: Vec<u8>,
     host_ports: Vec<u8>,

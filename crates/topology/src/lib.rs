@@ -19,15 +19,12 @@
 //!   (waiting-graph) analysis, and path-inflation measurement.
 //! * [`paths`] — unrestricted shortest paths, for comparison and for AN2's
 //!   per-VC routing where up\*/down\* is not required.
-//! * [`partition_switches`] — greedy balanced, connected, min-cut-ish
-//!   partitions of the switch graph.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod generators;
 mod graph;
-mod partition;
 pub mod paths;
 mod spanning;
 pub mod updown;
@@ -35,5 +32,4 @@ pub mod updown;
 pub use graph::{
     Endpoint, HostId, LinkId, LinkState, Node, Port, SwitchId, Topology, TopologyError,
 };
-pub use partition::{cut_links, partition_switches};
 pub use spanning::SpanningTree;

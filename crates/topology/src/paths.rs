@@ -101,6 +101,31 @@ pub fn host_route(topo: &Topology, src: HostId, dst: HostId) -> Option<HostRoute
     best.map(|switches| HostRoute { src, dst, switches })
 }
 
+/// A host-to-host route made concrete: `(switches, links, src_link,
+/// dst_link)` — the switch path, the link taken at each hop, and the
+/// attachment link at each end.
+pub type Wiring = (Vec<SwitchId>, Vec<LinkId>, LinkId, LinkId);
+
+/// [`host_route`] materialised into a [`Wiring`]: the lowest-id working link
+/// at each hop, and each host's attachment link to its end of the path.
+/// Returns `None` when [`host_route`] does.
+pub fn host_wiring(topo: &Topology, src: HostId, dst: HostId) -> Option<Wiring> {
+    let switches = host_route(topo, src, dst)?.switches;
+    let links = switches
+        .windows(2)
+        .map(|w| topo.links_between(w[0], w[1]).first().copied())
+        .collect::<Option<Vec<LinkId>>>()?;
+    let attachment = |host, end: SwitchId| {
+        topo.host_attachments(host)
+            .into_iter()
+            .find(|&(_, s)| s == end)
+            .map(|(l, _)| l)
+    };
+    let src_link = attachment(src, *switches.first()?)?;
+    let dst_link = attachment(dst, *switches.last()?)?;
+    Some((switches, links, src_link, dst_link))
+}
+
 /// Like [`shortest_path`], but treating `avoid` as if it had failed —
 /// equivalent to probing a clone of the topology with that link marked
 /// dead, without the clone. Same lower-numbered-switch tie-break.

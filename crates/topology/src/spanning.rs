@@ -7,7 +7,6 @@
 //! algorithm produced them.
 
 use crate::graph::{SwitchId, Topology};
-use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
 
 /// A rooted spanning tree (or forest fragment) of the switch subgraph.
@@ -24,7 +23,7 @@ use std::collections::VecDeque;
 /// assert_eq!(tree.depth(c), Some(2));
 /// assert_eq!(tree.parent(c), Some(b));
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SpanningTree {
     root: SwitchId,
     /// Parent of each switch (dense by switch id); `None` for the root and

@@ -1,5 +1,7 @@
 //! The adjacency index answers exactly what a scan of every link answers,
-//! in the same order — BFS tie-breaks, and so every route, depend on it.
+//! in the same order — BFS tie-breaks, and so every route, depend on it —
+//! and `paths::host_wiring` materialises those routes the way every caller
+//! used to by hand.
 
 use an2_sim::SimRng;
 use an2_topology::{
@@ -77,6 +79,28 @@ fn scan_host_route(t: &Topology, src: HostId, dst: HostId) -> Option<Vec<u16>> {
     best
 }
 
+/// `paths::host_wiring` as its callers wrote it out before it existed: the
+/// first (lowest-id) working link at each hop, the first attachment link to
+/// the switch at each end.
+fn wiring_by_hand(t: &Topology, src: HostId, dst: HostId) -> Option<paths::Wiring> {
+    let switches = paths::host_route(t, src, dst)?.switches;
+    let mut links = Vec::new();
+    for w in switches.windows(2) {
+        links.push(*t.links_between(w[0], w[1]).first()?);
+    }
+    let src_link = t
+        .host_attachments(src)
+        .into_iter()
+        .find(|&(_, s)| s == switches[0])
+        .map(|(l, _)| l)?;
+    let dst_link = t
+        .host_attachments(dst)
+        .into_iter()
+        .find(|&(_, s)| s == *switches.last().expect("non-empty route"))
+        .map(|(l, _)| l)?;
+    Some((switches, links, src_link, dst_link))
+}
+
 fn assert_index_matches_scan(t: &Topology, what: &str) {
     let nodes = t
         .switches()
@@ -94,6 +118,11 @@ fn assert_index_matches_scan(t: &Topology, what: &str) {
             let route = paths::host_route(t, a, b)
                 .map(|r| r.switches.iter().map(|s| s.0).collect::<Vec<_>>());
             assert_eq!(route, scan_host_route(t, a, b), "{what}: {a} -> {b}");
+            assert_eq!(
+                paths::host_wiring(t, a, b),
+                wiring_by_hand(t, a, b),
+                "{what}: wiring {a} -> {b}"
+            );
         }
     }
 }
@@ -142,4 +171,32 @@ fn index_equals_full_scan_through_failures_and_revivals() {
         }
         assert_index_matches_scan(&t, &format!("{name}, all revived"));
     }
+}
+
+#[test]
+fn host_wiring_takes_the_lowest_working_link_and_reports_no_route() {
+    // a == b by two parallel links, b - c by one; a host on a and on c.
+    let mut t = Topology::new();
+    let [a, b, c] = [0; 3].map(|_| t.add_switch());
+    let low = t.link_switches(a, b).unwrap();
+    let high = t.link_switches(a, b).unwrap();
+    let bc = t.link_switches(b, c).unwrap();
+    let (ha, hc) = (t.add_host(), t.add_host());
+    let la = t.attach_host(ha, a).unwrap();
+    let lc = t.attach_host(hc, c).unwrap();
+    assert!(low < high);
+
+    let wired = |t: &Topology| paths::host_wiring(t, ha, hc);
+    assert_eq!(wired(&t), Some((vec![a, b, c], vec![low, bc], la, lc)));
+    t.set_link_state(low, LinkState::Dead);
+    assert_eq!(wired(&t), Some((vec![a, b, c], vec![high, bc], la, lc)));
+    assert_eq!(wired(&t), wiring_by_hand(&t, ha, hc));
+    t.set_link_state(bc, LinkState::Dead);
+    assert_eq!(wired(&t), None);
+    assert_eq!(wiring_by_hand(&t, ha, hc), None);
+    // A host talking to itself never leaves its switch.
+    assert_eq!(
+        paths::host_wiring(&t, ha, ha),
+        Some((vec![a], vec![], la, la))
+    );
 }

@@ -5,12 +5,11 @@
 //! `an2-sim` so that every other layer — cells, topology, crossbar, flow,
 //! faults, switch, fabric, network — can depend on it without a cycle.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// What a metric or event is about: the whole run, one switch, one port of
 /// a switch, one link, one virtual circuit, or one host.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum Entity {
     /// The whole installation.
     Global,
@@ -63,7 +62,7 @@ impl Entity {
 
 /// Why a cell was destroyed inside the fabric (wire losses are
 /// [`TraceEvent::FaultDraw`] outcomes instead).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum DropReason {
     /// Scheduled onto an output whose link had already been failed.
     DeadLink,
@@ -85,7 +84,7 @@ impl DropReason {
 }
 
 /// The fate the fault injector drew for one wire crossing.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FaultOutcome {
     /// Delivered intact.
     Deliver,
@@ -107,7 +106,7 @@ impl FaultOutcome {
 }
 
 /// A reconfiguration phase on the control-plane timeline (§2).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Phase {
     /// Protocol convergence: epoch opened → every live agent agrees.
     Converge,
@@ -130,7 +129,7 @@ impl Phase {
 /// The protocol arena races several control planes over the same fabric;
 /// tagging phase records lets sinks separate their converge/install spans
 /// without needing a run-level side channel.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ProtocolTag {
     /// The paper's up*/down* three-phase reconfiguration (§2).
     UpDown,
@@ -156,7 +155,7 @@ impl ProtocolTag {
 /// The catalog mirrors the observatory's `SloSpec`: loss spikes and credit
 /// stalls are judged per link, the delivery floor, latency budget and
 /// control-storm detectors over the whole installation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum DetectorKind {
     /// EWMA/z-score spike in per-link loss events (lost cells + failed
     /// pings) against the link's own recent baseline.
@@ -197,7 +196,7 @@ impl DetectorKind {
 }
 
 /// Whether a [`TraceEvent::ReconfigPhase`] opens or closes its phase.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PhaseEdge {
     /// The phase began.
     Begin,
@@ -206,7 +205,7 @@ pub enum PhaseEdge {
 }
 
 /// One step of a sampled cell's hop-by-hop journey.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Hop {
     /// The cell arrived at a switch's input buffers.
     SwitchIn {
@@ -233,7 +232,7 @@ pub enum Hop {
 ///
 /// Every variant is a plain value: recording copies a few words, consumes
 /// no randomness, and never blocks the simulation's control flow.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TraceEvent {
     /// A cell joined a per-circuit input queue at a switch.
     CellEnqueue {

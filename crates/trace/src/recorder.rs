@@ -1,11 +1,10 @@
 //! The bounded flight recorder: a ring buffer of stamped events.
 
 use crate::event::TraceEvent;
-use serde::{Deserialize, Serialize};
 
 /// One recorded event, stamped with the fabric slot and virtual time it
 /// happened at.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TraceRecord {
     /// Fabric slot of the event.
     pub slot: u64,

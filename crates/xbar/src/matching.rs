@@ -9,7 +9,6 @@
 //! level; either way "which unmatched inputs want this output" is a handful
 //! of `AND`s instead of an `N`-element scan.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Largest switch the bitmask representation supports.
@@ -107,7 +106,7 @@ pub(crate) fn nth_set(words: &[u64], k: usize) -> usize {
 /// assert_eq!(s.iter().collect::<Vec<_>>(), vec![3, 97]);
 /// assert_eq!(s.nth(1), 97);
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PortSet {
     n: usize,
     words: Vec<u64>,
@@ -228,7 +227,7 @@ impl PortSet {
 /// assert_eq!(d.row_mask(0), 0b100);
 /// assert_eq!(d.col_mask(2), 0b001);
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DemandMatrix {
     n: usize,
     /// Words per port set: `words_for(n)`, 1 for every AN2-sized switch.
@@ -422,7 +421,7 @@ impl DemandMatrix {
 /// and give schedulers the free-port sets ([`Matching::free_inputs`] on
 /// single-word switches, [`Matching::free_input_ports`] at any width) as
 /// whole words.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Matching {
     /// `pair[i] = Some(o)` when input `i` transmits to output `o`.
     pair: Vec<Option<usize>>,
