@@ -41,7 +41,9 @@ use std::sync::Mutex;
 /// Fabric-wide configuration.
 #[derive(Debug, Clone)]
 pub struct FabricConfig {
-    /// Per-switch configuration.
+    /// Per-switch configuration, except `ports`, which a fabric does not
+    /// read: it builds each switch as wide as the topology cables it
+    /// ([`Topology::cabled_ports`]).
     pub switch: SwitchConfig,
     /// Link propagation delay in cell slots (uniform across links).
     pub link_latency_slots: u64,
@@ -587,24 +589,22 @@ impl std::fmt::Debug for Fabric {
 impl Fabric {
     /// Builds the data plane for a topology.
     pub fn new(topo: Topology, cfg: FabricConfig, seed: u64) -> Self {
-        let switches: Vec<Switch> = (0..topo.switch_count())
-            .map(|_| Switch::new(cfg.switch.clone()))
+        // A switch is as wide as its cabling (an uncabled one keeps a
+        // single idle port): traffic only ever names cabled ports, and a
+        // switch's behaviour does not depend on ports it never sees.
+        let switches: Vec<Switch> = topo
+            .switches()
+            .map(|s| {
+                Switch::new(SwitchConfig {
+                    ports: topo.cabled_ports(s).max(1),
+                    ..cfg.switch.clone()
+                })
+            })
             .collect();
         let hosts = (0..topo.host_count())
             .map(|_| HostState::default())
             .collect();
-        // Ports are bounded by the switch config, but be safe against
-        // topologies wired wider than the config claims.
-        let max_port = topo
-            .links()
-            .flat_map(|l| {
-                let (a, b) = topo.endpoints(l);
-                [a, b]
-            })
-            .map(|end| end.port.0 as usize + 1)
-            .max()
-            .unwrap_or(0);
-        let port_stride = cfg.switch.ports.max(max_port);
+        let port_stride = switches.iter().map(Switch::ports).max().unwrap_or(0);
         let horizon = cfg.signal_processing_slots + cfg.link_latency_slots;
         let switch_rngs = SimRng::new(seed).fork_n(topo.switch_count());
         let mut fabric = Fabric {

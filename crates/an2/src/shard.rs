@@ -17,7 +17,7 @@
 
 use an2_cells::{Cell, VcId};
 use an2_sim::SimRng;
-use an2_switch::{Departure, Switch};
+use an2_switch::{Departure, StepScratch, Switch};
 use an2_trace::{MetricOp, TraceRecord, TraceSink};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 
@@ -147,6 +147,10 @@ pub(crate) struct Lane {
     pub trace_bounds: Vec<(u32, u32, u32)>,
     /// The flush's merge cursor into `trace_bounds` (0 between flushes).
     pub trace_flushed: usize,
+    /// The working memory every switch of the lane steps through, one after
+    /// another: about a kilobyte at fat-tree widths, so it stays in L1 for
+    /// the whole switch phase.
+    pub scratch: StepScratch,
 }
 
 impl Lane {
@@ -203,7 +207,7 @@ impl Lane {
                 if sw.total_backlog() > 0 {
                     self.busy += 1;
                 }
-                sw.step_into(rng, &mut self.departures);
+                sw.step_with(rng, &mut self.scratch, &mut self.departures);
                 let end = self.departures.len() as u32;
                 if end != self.bounds.last().map_or(0, |b| b.1) {
                     self.bounds.push((base + i as u32, end));

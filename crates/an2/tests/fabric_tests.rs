@@ -2,7 +2,7 @@
 
 use an2::{Fabric, FabricConfig, TrafficClass};
 use an2_cells::{Cell, CellKind, Segmenter, VcId, PAYLOAD_BYTES};
-use an2_topology::{generators, HostId, LinkId, Node, SwitchId, Topology};
+use an2_topology::{generators, paths, HostId, LinkId, Node, SwitchId, Topology};
 
 /// host0 - sw0 - sw1 - host1, returning (topology, src link, inter-switch
 /// link, dst link).
@@ -207,4 +207,54 @@ fn is_idle_tracks_activity() {
     assert!(!f.is_idle(vc, 10), "in-flight cells are activity");
     f.step(200);
     assert!(f.is_idle(vc, 10), "drained and quiet again");
+}
+
+/// A hub cabled wider than `FabricConfig::default()`'s 16-port switch: the
+/// fabric sizes the switch from the 24 cables, not from the config, so
+/// circuits between the hosts on ports 20 and 23 open and carry cells.
+#[test]
+fn hub_cabled_wider_than_the_config_carries_traffic() {
+    let mut f = Fabric::new(generators::wide_hub(24), FabricConfig::default(), 5);
+    assert_eq!(f.switch_mut(SwitchId(0)).ports(), 24);
+    let packet = an2_cells::Packet::from_bytes(vec![9; 300]);
+    for (vc, src, dst) in [(1u32, HostId(20), HostId(23)), (2, HostId(23), HostId(20))] {
+        let vc = VcId::new(vc);
+        let (switches, links, src_link, dst_link) =
+            paths::host_wiring(f.topology(), src, dst).expect("both hosts hang off the hub");
+        assert_eq!(topo_port(&f, src_link, SwitchId(0)), src.0 as usize);
+        f.open_circuit(
+            vc,
+            src,
+            dst,
+            TrafficClass::BestEffort,
+            switches,
+            links,
+            src_link,
+            dst_link,
+        );
+        f.send_cells(vc, Segmenter::new(vc).segment(&packet));
+    }
+    f.step(200);
+    for (vc, dst) in [(1u32, HostId(23)), (2, HostId(20))] {
+        let got = f.take_received(dst);
+        assert_eq!(got.len(), 1, "circuit {vc}");
+        assert_eq!(got[0].1.as_bytes(), packet.as_bytes());
+        let s = f.stats(VcId::new(vc));
+        assert!(s.sent_cells > 0 && s.sent_cells == s.delivered_cells);
+    }
+}
+
+/// Every switch of a 2-ary 4-level fat-tree is built as wide as it is
+/// cabled — two hosts or two down-links plus two up-links, and only the two
+/// down-links at the top level — whatever `cfg.switch.ports` says.
+#[test]
+fn fabric_switches_are_as_wide_as_their_cabling() {
+    let topo = generators::fat_tree(2, 4);
+    let mut f = Fabric::new(topo.clone(), FabricConfig::default(), 1);
+    for s in topo.switches() {
+        let top_level = s.0 as usize >= 3 * 8;
+        let want = if top_level { 2 } else { 4 };
+        assert_eq!(topo.cabled_ports(s), want, "{s}");
+        assert_eq!(f.switch_mut(s).ports(), want, "{s}");
+    }
 }

@@ -28,6 +28,8 @@ fn fnv(h: &mut u64, bytes: &[u8]) {
     }
 }
 
+/// `an2::Fabric` sizes the hub from its cabling; only the map-based
+/// `an2::reference::Fabric` still reads `switch.ports`.
 fn wide_cfg(ports: usize) -> FabricConfig {
     let mut cfg = FabricConfig::default();
     cfg.switch.ports = ports;

@@ -22,6 +22,8 @@
 #![warn(missing_docs)]
 
 pub mod reference;
+mod scratch;
 mod switch;
 
+pub use scratch::StepScratch;
 pub use switch::{Departure, Switch, SwitchConfig, SwitchError};

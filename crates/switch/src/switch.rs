@@ -21,13 +21,18 @@ use an2_cells::{Cell, CellPool, CellQueue, VcId, VcIndex};
 use an2_schedule::FrameSchedule;
 use an2_sim::SimRng;
 use an2_trace::{Entity, MetricId, MetricOp, TraceEvent, TraceLane, TraceRecord, Tracer};
-use an2_xbar::{CrossbarScheduler, DemandMatrix, Matching, Pim, Scratch};
+use an2_xbar::{CrossbarScheduler, Pim};
 use std::fmt;
+
+use crate::scratch::{OldestCand, StepScratch};
 
 /// Configuration of one switch.
 #[derive(Debug, Clone)]
 pub struct SwitchConfig {
-    /// Line cards / crossbar ports (AN2: 16).
+    /// Line cards / crossbar ports (AN2: up to 16). Every per-port table of
+    /// the switch is this wide, and a switch behaves identically at any
+    /// width that covers the ports its traffic uses — which is why a fabric
+    /// ignores this field and builds each switch as wide as its cabling.
     pub ports: usize,
     /// Slots per guaranteed-traffic frame (AN2: 1024).
     pub frame_slots: u32,
@@ -128,21 +133,6 @@ fn entry_slot(e: u64) -> u32 {
     e as u32
 }
 
-/// One slot's oldest-eligible dequeue candidate for an (input, output) pair.
-/// Valid only while `tag` equals the switch's current slot.
-#[derive(Debug, Clone, Copy)]
-struct OldestCand {
-    tag: u64,
-    stamp: u64,
-    si: u32,
-}
-
-const STALE_CAND: OldestCand = OldestCand {
-    tag: u64::MAX,
-    stamp: 0,
-    si: 0,
-};
-
 /// Inserts `si` into an active list kept sorted by raw VC id. No-op if
 /// already present.
 fn activate(list: &mut Vec<u64>, vcs: &[VcSlot], si: u32) {
@@ -198,20 +188,15 @@ pub struct Switch {
     /// External events (enqueues, credits, route/schedule changes) clamp it
     /// back down; the fabric skips `step` entirely while `slot` is below it.
     watermark: u64,
-    /// Whether [`Switch::step_into`] may use the per-slot oldest-eligible
-    /// cache (on by default; the unbatched baseline turns it off — results
-    /// are byte-identical either way).
+    /// Whether a step may use the per-step oldest-eligible cache (on by
+    /// default; the unbatched baseline turns it off — results are
+    /// byte-identical either way).
     batched: bool,
-    /// Per (input, output): the oldest eligible best-effort candidate found
-    /// while building this slot's demand (`tag` marks the slot it belongs
-    /// to), replicating `take_oldest`'s min-stamp / lowest-VC-id tie-break
-    /// so dequeues on matched pairs are O(1) lookups instead of rescans.
-    oldest: Vec<OldestCand>,
-    // Reused per-step buffers (allocation-free steady state).
-    demand: DemandMatrix,
-    matching: Matching,
-    crossbar: Matching,
-    scratch: Scratch,
+    /// The scratch [`Switch::step`] and [`Switch::step_into`] run over,
+    /// boxed on a standalone switch's first step. `None` for life on a
+    /// switch whose stepper brings its own to [`Switch::step_with`] (every
+    /// fabric switch: the lane owns one for all of them).
+    own_scratch: Option<Box<StepScratch>>,
     /// Flight-recorder lane, Option-gated like the fabric's fault layer.
     trace: Option<Box<SwitchTrace>>,
 }
@@ -279,11 +264,7 @@ impl Switch {
             ctrl_reserved: vec![0; ports],
             watermark: 0,
             batched: true,
-            oldest: vec![STALE_CAND; ports * ports],
-            demand: DemandMatrix::new(ports),
-            matching: Matching::empty(ports),
-            crossbar: Matching::empty(ports),
-            scratch: Scratch::new(),
+            own_scratch: None,
             trace: None,
         }
     }
@@ -418,23 +399,9 @@ impl Switch {
         self.slot
     }
 
-    /// Advances the slot counter by `n` without stepping, for callers that
-    /// have proven the switch idle (zero backlog). Stepping an empty switch
-    /// matches no ports, draws no randomness and emits nothing — its only
-    /// effect is `slot += 1` — so fast-forwarding `n` idle slots is
-    /// byte-identical to stepping them one at a time.
-    ///
-    /// # Panics
-    ///
-    /// Debug-asserts the backlog really is zero.
-    pub fn advance_idle(&mut self, n: u64) {
-        debug_assert_eq!(self.total_backlog(), 0, "advance_idle on a busy switch");
-        self.slot += n;
-    }
-
     /// The earliest future slot at which stepping this switch could change
     /// anything (see the `watermark` field); `u64::MAX` when no internally
-    /// scheduled work remains. Recomputed by every [`Switch::step_into`] and
+    /// scheduled work remains. Recomputed by every [`Switch::step_with`] and
     /// clamped down by every externally visible mutation (enqueues, credits,
     /// routes, schedule access), so a caller that skips `step` while
     /// `slot < next_event_slot()` observes byte-identical behaviour: a
@@ -455,9 +422,8 @@ impl Switch {
 
     /// Advances the slot counter to `target` without stepping, for callers
     /// that have proven the intervening slots unproductive via
-    /// [`Switch::next_event_slot`]. Unlike [`Switch::advance_idle`] this is
-    /// legal with cells buffered, as long as none becomes eligible before
-    /// `target`.
+    /// [`Switch::next_event_slot`]. Legal with cells buffered, as long as
+    /// none becomes eligible before `target`.
     ///
     /// # Panics
     ///
@@ -718,13 +684,36 @@ impl Switch {
     }
 
     /// As [`Switch::step`], but appending into a caller-owned buffer —
-    /// without clearing it, so the fabric's slot loop can batch several
-    /// switches' departures into one reused allocation and commit them
-    /// after the whole compute phase.
+    /// without clearing it, so a caller can batch several steps' departures
+    /// into one reused allocation.
     pub fn step_into(&mut self, rng: &mut SimRng, departures: &mut Vec<Departure>) {
+        let mut scratch = self.own_scratch.take().unwrap_or_default();
+        self.step_with(rng, &mut scratch, departures);
+        self.own_scratch = Some(scratch);
+    }
+
+    /// The step itself, over working memory the caller owns: appends this
+    /// slot's departures to `departures` (not cleared) and leaves nothing
+    /// in `scratch` that a later step reads, so one scratch can serve every
+    /// switch a thread steps — the fabric's lanes do exactly that, and the
+    /// tables stay cache-hot from one switch to the next.
+    pub fn step_with(
+        &mut self,
+        rng: &mut SimRng,
+        scratch: &mut StepScratch,
+        departures: &mut Vec<Departure>,
+    ) {
         let n = self.cfg.ports;
         let frame_slot = (self.slot % self.cfg.frame_slots as u64) as u32;
-        self.crossbar.reset(n);
+        let step = scratch.begin(n);
+        let StepScratch {
+            demand,
+            matching,
+            crossbar,
+            xbar,
+            oldest,
+            ..
+        } = scratch;
         if let Some(t) = &mut self.trace {
             t.lane.set_slot(self.slot);
         }
@@ -733,7 +722,8 @@ impl Switch {
         // With no guaranteed cell buffered anywhere the phase cannot touch
         // the crossbar (an idle reservation leaves its pair free), so an
         // all-best-effort switch skips the schedule lookups entirely.
-        if self.gt_active.iter().any(|l| !l.is_empty()) {
+        let gt_queued = self.gt_active.iter().any(|l| !l.is_empty());
+        if gt_queued {
             for input in 0..n {
                 if let Some(output) = self.schedule.output_in_slot(frame_slot, input) {
                     if self.ctrl_reserved[output] > self.slot {
@@ -751,7 +741,7 @@ impl Switch {
                         output,
                         false,
                     ) {
-                        self.crossbar.set(input, output);
+                        crossbar.set(input, output);
                         let departure = Departure {
                             output,
                             cell,
@@ -777,14 +767,16 @@ impl Switch {
         // PIM's grant/accept rounds read only the request *masks*, never the
         // queue depths, so registering one cell per pair yields the same
         // matching and the same RNG stream as registering the full count.
-        self.demand.clear();
         let mut any_demand = false;
         // The earliest future slot an entry examined here becomes eligible
         // (pipeline depth or reservation expiry) — the watermark candidate
         // when nothing moves this slot.
         let mut wake = u64::MAX;
+        // Only phase 1 claims ports ahead of this scan: when it did not run
+        // every port is free, and the scan — the step's hot loop — leaves
+        // the claims alone.
         for input in 0..n {
-            if !self.crossbar.input_free(input) {
+            if gt_queued && !crossbar.input_free(input) {
                 continue;
             }
             for &e in &self.be_active[input] {
@@ -793,7 +785,9 @@ impl Switch {
                 let Some(route) = s.route else {
                     continue;
                 };
-                if !self.crossbar.output_free(route.output) || s.credits.is_some_and(|c| c == 0) {
+                if (gt_queued && !crossbar.output_free(route.output))
+                    || s.credits.is_some_and(|c| c == 0)
+                {
                     // A claimed output means the crossbar is non-empty (the
                     // watermark lands on the next slot anyway); a starved
                     // circuit is woken by the credit's arrival.
@@ -810,16 +804,16 @@ impl Switch {
                         // `take_oldest`'s exact tie-break (strict improvement
                         // over a list sorted by VC id), so a matched pair
                         // dequeues without rescanning the active list.
-                        let c = &mut self.oldest[input * n + route.output];
-                        if c.tag != self.slot || stamp < c.stamp {
+                        let c = &mut oldest[input * n + route.output];
+                        if c.tag != step || stamp < c.stamp {
                             *c = OldestCand {
-                                tag: self.slot,
+                                tag: step,
                                 stamp,
                                 si: si as u32,
                             };
                         }
                     }
-                    self.demand.add(input, route.output, 1);
+                    demand.add(input, route.output, 1);
                     any_demand = true;
                 } else {
                     wake = wake.min(eligible_at);
@@ -835,26 +829,25 @@ impl Switch {
         // randomness (no output has requesters), so skipping it — and the
         // walk over the stale matching — is observationally identical.
         if any_demand {
-            self.pim
-                .schedule_into(&self.demand, rng, &mut self.scratch, &mut self.matching);
+            self.pim.schedule_into(demand, rng, xbar, matching);
             if let Some(t) = &mut self.trace {
-                for (input, output) in self.matching.iter() {
+                for (input, output) in matching.iter() {
                     t.lane.emit(TraceEvent::XbarGrant {
                         switch: t.switch_id,
                         input: input as u16,
                         output: output as u16,
                     });
                 }
-                t.lane.add(t.grants, self.matching.len() as u64);
+                t.lane.add(t.grants, matching.len() as u64);
             }
-            for (input, output) in self.matching.iter() {
+            for (input, output) in matching.iter() {
                 let (cell, enqueued_slot, trace) = if self.batched {
                     // The demand scan already found the oldest eligible
                     // circuit for this pair (same candidate set, same
                     // tie-break as `take_oldest`): dequeue it directly
                     // instead of rescanning the active list.
-                    let c = self.oldest[input * n + output];
-                    debug_assert_eq!(c.tag, self.slot, "stale cache for a matched pair");
+                    let c = oldest[input * n + output];
+                    debug_assert_eq!(c.tag, step, "stale cache for a matched pair");
                     let si = c.si;
                     if let Some(cr) = self.vcs[si as usize].credits.as_mut() {
                         *cr -= 1;
@@ -880,7 +873,7 @@ impl Switch {
                     )
                 }
                 .expect("PIM matched a pair with demand");
-                self.crossbar.set(input, output);
+                crossbar.set(input, output);
                 let departure = Departure {
                     output,
                     cell,
@@ -905,10 +898,11 @@ impl Switch {
         // guaranteed cell is never more than one frame from service — we
         // conservatively stay slot-by-slot). Otherwise the earliest future
         // eligibility seen in the demand scan is the next event; external
-        // arrivals clamp the watermark down through `wake_at`.
-        let gt_busy = self.gt_active.iter().any(|l| !l.is_empty());
+        // arrivals clamp the watermark down through `wake_at`. (A step
+        // only ever removes guaranteed cells, hence the short-circuit.)
+        let gt_busy = gt_queued && self.gt_active.iter().any(|l| !l.is_empty());
         self.slot += 1;
-        self.watermark = if !self.crossbar.is_empty() || any_demand || gt_busy {
+        self.watermark = if !crossbar.is_empty() || any_demand || gt_busy {
             self.slot
         } else {
             wake

@@ -39,8 +39,7 @@ pub fn ring(n: usize) -> Topology {
 
 /// A single wide-radix switch with `hosts` directly-attached hosts — the
 /// smallest topology that exercises the multi-word port sets (> 64 ports)
-/// in the crossbar schedulers. Pair it with a `SwitchConfig` whose `ports`
-/// is at least `hosts`.
+/// in the crossbar schedulers.
 ///
 /// # Panics
 ///

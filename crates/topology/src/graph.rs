@@ -269,6 +269,20 @@ impl Topology {
             .any(|&id| self.near_end(id, node).port == port)
     }
 
+    /// How wide `s` is cabled: one past its highest port with a link on it,
+    /// whatever the link's state (0 = nothing cabled). Links are never
+    /// removed, only marked dead, so this can grow with the topology but
+    /// never shrink — it is the port count a data-plane switch needs to
+    /// serve every cable `s` will ever see traffic on.
+    pub fn cabled_ports(&self, s: SwitchId) -> usize {
+        let node = Node::Switch(s);
+        self.links_of(node)
+            .iter()
+            .map(|&id| self.near_end(id, node).port.0 as usize + 1)
+            .max()
+            .unwrap_or(0)
+    }
+
     /// The lowest-numbered free port on `node`, if any.
     pub fn free_port(&self, node: Node) -> Option<Port> {
         (0..self.port_count(node))

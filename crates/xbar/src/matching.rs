@@ -246,11 +246,7 @@ impl DemandMatrix {
     ///
     /// Panics if `n == 0` or `n >` [`MAX_PORTS`].
     pub fn new(n: usize) -> Self {
-        assert!(n > 0, "switch size must be positive");
-        assert!(
-            n <= MAX_PORTS,
-            "bitmask port sets support at most {MAX_PORTS} ports (got {n})"
-        );
+        Self::check_size(n);
         let words = words_for(n);
         DemandMatrix {
             n,
@@ -259,6 +255,14 @@ impl DemandMatrix {
             row_masks: vec![0; n * words],
             col_masks: vec![0; n * words],
         }
+    }
+
+    fn check_size(n: usize) {
+        assert!(n > 0, "switch size must be positive");
+        assert!(
+            n <= MAX_PORTS,
+            "bitmask port sets support at most {MAX_PORTS} ports (got {n})"
+        );
     }
 
     /// Switch size.
@@ -352,6 +356,28 @@ impl DemandMatrix {
             }
         }
         self.col_masks.fill(0);
+    }
+
+    /// Resets to an `n × n` matrix with no demand, reusing the allocations:
+    /// [`DemandMatrix::clear`] when the size is unchanged, and once the
+    /// buffers have held the largest size no reset allocates. For a matrix
+    /// shared by switches of different widths.
+    ///
+    /// # Panics
+    ///
+    /// As [`DemandMatrix::new`].
+    pub fn reset(&mut self, n: usize) {
+        self.clear();
+        if n == self.n {
+            return;
+        }
+        Self::check_size(n);
+        // `clear` left every word zero, so re-striding is a resize.
+        self.n = n;
+        self.words = words_for(n);
+        self.queued.resize(n * n, 0);
+        self.row_masks.resize(n * self.words, 0);
+        self.col_masks.resize(n * self.words, 0);
     }
 
     /// Removes one queued cell (used when a matching dispatches it).
@@ -814,6 +840,26 @@ mod tests {
         assert_eq!(m.free_outputs(), 0b1001);
         assert_eq!(m.to_string(), "{0->2, 3->1}");
         assert!(outputs_unique(&m));
+    }
+
+    #[test]
+    fn demand_reset_restrides_without_stale_demand() {
+        let mut d = DemandMatrix::new(4);
+        d.add(3, 2, 5);
+        d.add(1, 3, 1);
+        // Narrower, wider past a word boundary, and back: always equal to a
+        // fresh matrix of that size, whatever was queued before.
+        for n in [2, 100, 4, 4] {
+            d.reset(n);
+            assert_eq!(d, DemandMatrix::new(n));
+            d.add(n - 1, 0, 2);
+            d.add(0, n - 1, 1);
+            assert_eq!(d.queued(n - 1, 0), 2);
+            assert_eq!(d.requests_of(0), vec![n - 1]);
+        }
+        let cap = d.queued.capacity();
+        d.reset(100);
+        assert_eq!(d.queued.capacity(), cap, "the largest size is kept");
     }
 
     #[test]
