@@ -23,6 +23,13 @@ for dir in compat/*/; do
         { echo "compat/$name: no manifest depends on it"; exit 1; }
 done
 
+echo "== no file under crates/an2/src over 1200 lines"
+# ROADMAP item 1's bar. The cure for a file that trips it is a part with its
+# own state behind private fields (crates/an2/src/fabric/), not a second
+# `impl` block moved to a new file.
+find crates/an2/src -name '*.rs' -exec wc -l {} + |
+    awk '$2 != "total" && $1 > 1200 { print; over = 1 } END { exit over }'
+
 echo "== cargo clippy (deny warnings)"
 cargo clippy --workspace --all-targets -- -D warnings
 
@@ -34,8 +41,11 @@ if [[ "${1:-}" != "quick" ]]; then
     cargo test -q -p an2 --test reference_equiv
     cargo test -q -p an2-bench --release fabric_exp
 
-    echo "== shard equivalence (parallel data plane is byte-identical)"
+    echo "== shard equivalence (parallel data plane is byte-identical) + fabric pins (absolute behaviour, captured before the split)"
     cargo test -q -p an2 --test shard_equiv
+    # In release, the build the benchmark measures (`cargo test --workspace`
+    # above ran it in debug).
+    cargo test -q --release -p an2 --test fabric_pins
 
     echo "== fault soak (N3 asserts its claims in-process)"
     cargo run -q -p an2-bench --release --bin experiments -- n3

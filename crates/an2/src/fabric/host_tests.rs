@@ -4,9 +4,9 @@
 //! many circuits interleaved into one host.
 
 use super::*;
-use an2_cells::Segmenter;
-use an2_faults::{LinkFaultModel, LossModel};
-use an2_topology::generators;
+use an2_cells::{Packet, Segmenter};
+use an2_faults::{FaultSpec, LinkFaultModel, LossModel};
+use an2_topology::{generators, HostId};
 
 /// Every host's ready set equals the predicate, bit for bit.
 fn assert_ready_sets_exact(f: &Fabric, when: &str) {
@@ -33,7 +33,10 @@ fn starved_entries(f: &Fabric, h: usize) -> usize {
         .outbox
         .iter()
         .filter(|(raw, q)| {
-            !q.is_empty() && f.circuit(VcId::new(*raw)).is_some_and(|c| !c.gate_open())
+            !q.is_empty()
+                && f.circuits
+                    .get(VcId::new(*raw))
+                    .is_some_and(|c| !c.gate_open())
         })
         .count()
 }
@@ -150,10 +153,10 @@ fn ready_set_tracks_the_predicate_through_every_transition() {
     // refills.
     let (mut saw_starved, mut saw_tokens_out, mut saw_refill) = (false, false, false);
     for _ in 0..1_500 {
-        let tokens_before = r.f.circuit(gt).unwrap().gt_tokens;
+        let tokens_before = r.f.circuits.get(gt).unwrap().gt_tokens;
         step_checked(&mut r.f, 1, "drain");
         saw_starved |= starved_entries(&r.f, 0) >= 70 && starved_entries(&r.f, 1) > 0;
-        let tokens = r.f.circuit(gt).unwrap().gt_tokens;
+        let tokens = r.f.circuits.get(gt).unwrap().gt_tokens;
         saw_tokens_out |= tokens == Some(0);
         saw_refill |= tokens_before == Some(0) && tokens == Some(3);
     }
@@ -265,7 +268,7 @@ fn ready_set_tracks_the_predicate_under_loss_and_resync() {
     assert!(stuck > 10, "loss closed only {stuck} host gates for good");
     // Forced resyncs on every circuit; the replies land over the next
     // slots and rewrite host gates, until every cell has been sent.
-    let all: Vec<VcId> = r.f.vcs.iter().map(|e| e.vc).collect();
+    let all: Vec<VcId> = r.f.circuits.iter().map(|(_, vc, _)| vc).collect();
     for round in 0..200 {
         if r.f.pool.live() == 0 {
             break;
@@ -303,13 +306,13 @@ fn three_hundred_interleaved_circuits_reassemble_per_circuit() {
         r.f.send_cells(vc, cells);
     }
     // Run until the circuit to be rerouted is mid-packet at the far host.
-    while r.f.circuit(moved).unwrap().partial.is_empty() {
+    while r.f.circuits.get(moved).unwrap().partial.is_empty() {
         r.f.step(1);
     }
     let mid_packet =
-        r.f.vcs
+        r.f.circuits
             .iter()
-            .filter(|e| e.circuit.as_ref().is_some_and(|c| !c.partial.is_empty()))
+            .filter(|(_, _, c)| !c.partial.is_empty())
             .count();
     assert!(mid_packet > 100, "only {mid_packet} circuits mid-packet");
     r.f.reroute_circuit(
@@ -320,7 +323,7 @@ fn three_hundred_interleaved_circuits_reassemble_per_circuit() {
         r.far,
     );
     assert!(
-        r.f.circuit(moved).unwrap().partial.is_empty(),
+        r.f.circuits.get(moved).unwrap().partial.is_empty(),
         "a reroute discards the packet under reassembly"
     );
     r.f.step(5_000);
@@ -341,6 +344,6 @@ fn three_hundred_interleaved_circuits_reassemble_per_circuit() {
         let corrupted = u64::from(vc == bad || vc == moved);
         assert_eq!(s.packets_corrupted, corrupted, "{vc}");
         assert_eq!(s.packets_delivered, 1 - corrupted, "{vc}");
-        assert!(r.f.circuit(vc).unwrap().partial.is_empty(), "{vc}");
+        assert!(r.f.circuits.get(vc).unwrap().partial.is_empty(), "{vc}");
     }
 }

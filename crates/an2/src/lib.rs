@@ -41,19 +41,16 @@
 #![warn(missing_docs)]
 
 mod central;
-mod control;
 mod error;
 mod fabric;
-mod host;
 mod network;
 pub mod reference;
 mod shard;
 
 pub use central::BandwidthCentral;
-pub use control::ControlPlaneConfig;
 pub use error::NetError;
 pub use fabric::{CtrlCounters, Fabric, FabricConfig, FaultCounters, PhaseProfile, VcStats};
-pub use network::{Network, NetworkBuilder};
+pub use network::{ControlPlaneConfig, Network, NetworkBuilder};
 
 pub use an2_cells::signal::TrafficClass;
 pub use an2_cells::{Packet, VcId};

@@ -1,21 +1,27 @@
 //! The public network API: open circuits, send packets, inject failures.
 
+mod control;
+
+pub use control::ControlPlaneConfig;
+
 use crate::central::BandwidthCentral;
-use crate::control::{self, ControlPlane, ControlPlaneConfig};
 use crate::error::NetError;
 use crate::fabric::{CtrlCounters, Fabric, FabricConfig, FaultCounters, PhaseProfile, VcStats};
 use an2_cells::signal::TrafficClass;
 use an2_cells::{LinkRate, Packet, Segmenter, VcId};
 use an2_faults::FaultSpec;
 use an2_reconfig::monitor::{LinkMonitor, LinkVerdict};
-use an2_reconfig::protocol::{LinkEvent, ProtocolKind};
+use an2_reconfig::protocol::ProtocolKind;
 use an2_reconfig::skeptic::SkepticConfig;
-use an2_reconfig::{ReconfigEvent, Tag};
-use an2_sim::metrics::PhaseRecorder;
+use an2_reconfig::ReconfigEvent;
 use an2_sim::{SimDuration, SimTime};
 use an2_topology::{generators, paths, HostId, LinkId, Node, SwitchId, Topology};
-use an2_trace::{Entity, Phase, PhaseEdge, TraceConfig, TraceEvent, Tracer};
+use an2_trace::{Entity, TraceConfig, TraceEvent, Tracer};
+use control::ControlPlane;
 use std::collections::HashMap;
+
+/// The link rate that converts slots to wall-clock time: AN2's 622 Mb/s.
+const RATE: LinkRate = LinkRate::Mbps622;
 
 /// Builds a [`Network`].
 ///
@@ -30,7 +36,6 @@ pub struct NetworkBuilder {
     topo: Topology,
     seed: u64,
     fabric: FabricConfig,
-    rate: LinkRate,
     shards: usize,
     skeptic: Option<SkepticConfig>,
     protocol: ProtocolKind,
@@ -42,7 +47,6 @@ impl Default for NetworkBuilder {
             topo: generators::src_installation(4, 4),
             seed: 0,
             fabric: FabricConfig::default(),
-            rate: LinkRate::Mbps622,
             shards: 1,
             skeptic: None,
             protocol: ProtocolKind::default(),
@@ -97,24 +101,6 @@ impl NetworkBuilder {
         self
     }
 
-    /// Downstream buffers per best-effort circuit per hop (default 8).
-    pub fn best_effort_credits(mut self, credits: u32) -> Self {
-        self.fabric.be_credits = credits;
-        self
-    }
-
-    /// PIM iterations per slot (default 3, the AN2 hardware value).
-    pub fn pim_iterations(mut self, iterations: usize) -> Self {
-        self.fabric.switch.pim_iterations = iterations;
-        self
-    }
-
-    /// Link rate used to convert slots to wall-clock time (default 622 Mb/s).
-    pub fn link_rate(mut self, rate: LinkRate) -> Self {
-        self.rate = rate;
-        self
-    }
-
     /// Data-plane shards (default 1 = sequential stepping). See
     /// [`Network::set_shards`].
     pub fn shards(mut self, shards: usize) -> Self {
@@ -159,7 +145,6 @@ impl NetworkBuilder {
             meta: HashMap::new(),
             broken: HashMap::new(),
             next_vc: 32, // leave room below for well-known circuits
-            rate: self.rate,
             faults: None,
             control: None,
             skeptic_override: self.skeptic,
@@ -209,7 +194,6 @@ pub struct Network {
     /// statistics they had accumulated.
     broken: HashMap<VcId, VcStats>,
     next_vc: u32,
-    rate: LinkRate,
     faults: Option<FaultCtl>,
     /// The embedded control plane, when
     /// [`Network::enable_control_plane`] has been called: per-switch
@@ -246,12 +230,12 @@ impl Network {
     /// Virtual time corresponding to the current slot at the configured
     /// link rate.
     pub fn now(&self) -> SimTime {
-        SimTime::ZERO + self.rate.slot_duration() * self.fabric.slot()
+        SimTime::ZERO + RATE.slot_duration() * self.fabric.slot()
     }
 
     /// Duration of one cell slot.
     pub fn slot_duration(&self) -> SimDuration {
-        self.rate.slot_duration()
+        RATE.slot_duration()
     }
 
     /// Splits the data plane into `shards` switch groups worked by threads
@@ -292,9 +276,23 @@ impl Network {
         self.fabric.profile()
     }
 
-    fn fresh_vc(&mut self) -> VcId {
+    /// Enters a new circuit in the books under a fresh id.
+    fn register(
+        &mut self,
+        src: HostId,
+        dst: HostId,
+        class: TrafficClass,
+        reservation: Option<Reservation>,
+    ) -> VcId {
         let vc = VcId::new(self.next_vc);
         self.next_vc += 1;
+        let meta = CircuitMeta {
+            src,
+            dst,
+            class,
+            reservation,
+        };
+        self.meta.insert(vc, meta);
         vc
     }
 
@@ -316,28 +314,11 @@ impl Network {
     ///
     /// [`NetError::NoRoute`] when the hosts are not mutually reachable.
     pub fn open_best_effort(&mut self, src: HostId, dst: HostId) -> Result<VcId, NetError> {
-        let route = self.best_effort_route(src, dst)?;
-        let vc = self.fresh_vc();
-        let (switches, links, src_link, dst_link) = route;
-        self.fabric.open_circuit(
-            vc,
-            src,
-            dst,
-            TrafficClass::BestEffort,
-            switches,
-            links,
-            src_link,
-            dst_link,
-        );
-        self.meta.insert(
-            vc,
-            CircuitMeta {
-                src,
-                dst,
-                class: TrafficClass::BestEffort,
-                reservation: None,
-            },
-        );
+        let (switches, links, src_link, dst_link) = self.best_effort_route(src, dst)?;
+        let class = TrafficClass::BestEffort;
+        let vc = self.register(src, dst, class, None);
+        self.fabric
+            .open_circuit(vc, src, dst, class, switches, links, src_link, dst_link);
         Ok(vc)
     }
 
@@ -360,18 +341,9 @@ impl Network {
         dst: HostId,
     ) -> Result<VcId, NetError> {
         let (switches, links, src_link, dst_link) = self.best_effort_route(src, dst)?;
-        let vc = self.fresh_vc();
+        let vc = self.register(src, dst, TrafficClass::BestEffort, None);
         self.fabric
             .open_circuit_signaled(vc, src, dst, switches, links, src_link, dst_link);
-        self.meta.insert(
-            vc,
-            CircuitMeta {
-                src,
-                dst,
-                class: TrafficClass::BestEffort,
-                reservation: None,
-            },
-        );
         Ok(vc)
     }
 
@@ -395,54 +367,44 @@ impl Network {
         dst: HostId,
         cells_per_frame: u16,
     ) -> Result<VcId, NetError> {
-        let cells = cells_per_frame as u32;
-        // Borrow the topology from the fabric; `central` is a disjoint
-        // field, so no clone is needed.
-        let topo = self.fabric.topology();
-        let (src_link, src_sw) = self.central.best_attachment(topo, src, cells, true).ok_or(
-            NetError::InsufficientBandwidth {
-                requested: cells_per_frame,
-            },
-        )?;
-        let (dst_link, dst_sw) = self
-            .central
-            .best_attachment(topo, dst, cells, false)
+        let (wiring, reservation) = self
+            .admit_guaranteed(src, dst, cells_per_frame as u32)
             .ok_or(NetError::InsufficientBandwidth {
                 requested: cells_per_frame,
             })?;
-        let (switches, links) = self.central.find_route(topo, src_sw, dst_sw, cells).ok_or(
-            NetError::InsufficientBandwidth {
-                requested: cells_per_frame,
-            },
-        )?;
+        let (switches, links, src_link, dst_link) = wiring;
+        let class = TrafficClass::Guaranteed { cells_per_frame };
+        let vc = self.register(src, dst, class, Some(reservation));
+        self.fabric
+            .open_circuit(vc, src, dst, class, switches, links, src_link, dst_link);
+        Ok(vc)
+    }
+
+    /// Bandwidth central's admission (§4): picks the attachments and the
+    /// route with `cells` per frame to spare on today's topology and
+    /// commits the reservation. `None` when no path can carry it.
+    fn admit_guaranteed(
+        &mut self,
+        src: HostId,
+        dst: HostId,
+        cells: u32,
+    ) -> Option<(paths::Wiring, Reservation)> {
+        // Borrow the topology from the fabric; `central` is a disjoint
+        // field, so no clone is needed.
+        let topo = self.fabric.topology();
+        let (src_link, src_sw) = self.central.best_attachment(topo, src, cells, true)?;
+        let (dst_link, dst_sw) = self.central.best_attachment(topo, dst, cells, false)?;
+        let (switches, links) = self.central.find_route(topo, src_sw, dst_sw, cells)?;
         let host_links = vec![
             (src_link, Node::Host(src)),
             (dst_link, Node::Switch(dst_sw)),
         ];
         self.central
             .commit(topo, &switches, &links, &host_links, cells);
-        let vc = self.fresh_vc();
-        let class = TrafficClass::Guaranteed { cells_per_frame };
-        self.fabric.open_circuit(
-            vc,
-            src,
-            dst,
-            class,
-            switches.clone(),
-            links.clone(),
-            src_link,
-            dst_link,
-        );
-        self.meta.insert(
-            vc,
-            CircuitMeta {
-                src,
-                dst,
-                class,
-                reservation: Some((switches, links, host_links, cells)),
-            },
-        );
-        Ok(vc)
+        Some((
+            (switches.clone(), links.clone(), src_link, dst_link),
+            (switches, links, host_links, cells),
+        ))
     }
 
     /// Closes a circuit, releasing any reserved bandwidth. Returns its
@@ -600,7 +562,7 @@ impl Network {
             return;
         };
         let slot = self.fabric.slot();
-        let now = SimTime::ZERO + self.rate.slot_duration() * slot;
+        let now = SimTime::ZERO + RATE.slot_duration() * slot;
         let mut transitions: Vec<(LinkId, LinkVerdict)> = Vec::new();
         for (link, monitor) in ctl.monitors.iter_mut() {
             let ok = self.fabric.ping_link(*link);
@@ -747,7 +709,7 @@ impl Network {
             })
             .map(|l| (l, LinkMonitor::new(mon_cfg)))
             .collect();
-        let slot_ns = self.rate.slot_duration().as_nanos().max(1);
+        let slot_ns = RATE.slot_duration().as_nanos().max(1);
         let ping_every_slots = (spec.monitor.ping_interval.as_nanos() / slot_ns).max(1);
         self.faults = Some(FaultCtl {
             monitors,
@@ -774,11 +736,11 @@ impl Network {
     /// Returns a handle sharing the recorder; clone it freely.
     pub fn attach_tracer(&mut self, cfg: TraceConfig) -> Tracer {
         let mut cfg = cfg;
-        cfg.slot_ns = self.rate.slot_duration().as_nanos().max(1);
+        cfg.slot_ns = RATE.slot_duration().as_nanos().max(1);
         let tracer = Tracer::new(cfg);
         self.fabric.attach_tracer(tracer.clone());
         if let Some(cp) = self.control.as_mut() {
-            cp.tracer = Some(tracer.clone());
+            cp.attach_tracer(tracer.clone());
         }
         tracer
     }
@@ -804,7 +766,7 @@ impl Network {
     ) -> Tracer {
         let tracer = self.attach_tracer(trace_cfg);
         if cfg.every_slots == 0 {
-            let slot_ns = self.rate.slot_duration().as_nanos().max(1);
+            let slot_ns = RATE.slot_duration().as_nanos().max(1);
             cfg.every_slots = (1_000_000 / slot_ns).max(1);
         }
         tracer.enable_observatory(cfg);
@@ -852,409 +814,10 @@ impl Network {
         })
     }
 
-    /// Embeds the selected control protocol in this network's timeline
-    /// (§2): one [`an2_reconfig::protocol::ControlProtocol`] state machine
-    /// per switch — the paper's up\*/down\* reconfiguration agents by
-    /// default, or a rival picked with [`NetworkBuilder::protocol`] —
-    /// booted with its local link knowledge. From here on, link-monitor
-    /// verdicts feed the protocol instead of the centralized
-    /// [`Network::fail_link`], protocol messages travel as control cells
-    /// over the same lossy links as data, and on quiescence the protocol's
-    /// own routes are installed switch-by-switch — tearing down and
-    /// re-establishing only the circuits whose paths changed.
-    ///
-    /// Guaranteed circuits stay with the *centralized* bandwidth central
-    /// on failure, as §4 prescribes — reservations need global capacity
-    /// accounting that the distributed agents do not carry.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless [`Network::attach_faults`] was called first: the
-    /// agents are driven by monitor verdicts and the control cells need
-    /// the fault layer's loss processes to be meaningful.
-    pub fn enable_control_plane(&mut self, cfg: ControlPlaneConfig) {
-        assert!(
-            self.faults.is_some(),
-            "enable_control_plane requires attach_faults first"
-        );
-        let slot_ns = self.rate.slot_duration().as_nanos().max(1);
-        let mut cp = Box::new(ControlPlane::new(
-            self.topology().switch_count(),
-            cfg,
-            slot_ns,
-            self.protocol,
-        ));
-        // A tracer attached before the control plane still sees its phase
-        // transitions, including the boot epoch's.
-        cp.tracer = self.fabric.tracer().cloned();
-        let slot = self.fabric.slot();
-        let now = self.now();
-        // Boot: each end of each working inter-switch link learns of it
-        // locally, exactly as the oracle harness seeds its agents.
-        let topo = self.fabric.topology();
-        let mut boots: Vec<(LinkId, SwitchId, SwitchId)> = Vec::new();
-        for l in topo.links() {
-            if topo.link_state(l) != an2_topology::LinkState::Working {
-                continue;
-            }
-            let (a, b) = topo.endpoints(l);
-            if let (Node::Switch(x), Node::Switch(y)) = (a.node, b.node) {
-                boots.push((l, x, y));
-            }
-        }
-        let mut ctl = self.faults.take().expect("asserted above");
-        for (l, x, y) in boots {
-            for (sw, other) in [(x, y), (y, x)] {
-                cp.deliver(
-                    &mut self.fabric,
-                    now,
-                    sw,
-                    control::Input::Event(LinkEvent::Up {
-                        link: l,
-                        neighbor: other,
-                    }),
-                );
-            }
-        }
-        cp.observe_epoch(slot, now, &mut ctl.log);
-        cp.last_activity_slot = slot;
-        self.faults = Some(ctl);
-        self.control = Some(cp);
-    }
-
-    /// Whether the embedded control plane is enabled.
-    pub fn control_enabled(&self) -> bool {
-        self.control.is_some()
-    }
-
-    /// Drains arrived control cells into their agents, ships the replies,
-    /// and — when an open epoch has fully drained — checks for quiescence
-    /// and installs the agreed topology's routes.
-    fn pump_control(&mut self) {
-        let (Some(mut cp), Some(mut ctl)) = (self.control.take(), self.faults.take()) else {
-            unreachable!("control plane requires the fault layer");
-        };
-        let slot = self.fabric.slot();
-        let now = self.now();
-        let arrivals = self.fabric.take_ctrl_arrivals();
-        if !arrivals.is_empty() {
-            cp.last_activity_slot = slot;
-        }
-        for (sw, _link, msg) in arrivals {
-            if self.fabric.switch_crashed(sw) {
-                continue; // the line card that would handle this is down
-            }
-            cp.deliver(&mut self.fabric, now, sw, control::Input::Message(msg));
-        }
-        cp.observe_epoch(slot, now, &mut ctl.log);
-        if cp.epoch_open && self.fabric.ctrl_inflight_count() == 0 {
-            if let Some(tag) = cp.converged_tag(&self.fabric) {
-                ctl.log.push(ReconfigEvent::Quiesced {
-                    slot,
-                    at: now,
-                    tag,
-                    messages: cp.total_messages(),
-                });
-                cp.phases.end("converge", now);
-                if let Some(t) = &cp.tracer {
-                    t.emit_at_ns(
-                        now.as_nanos(),
-                        TraceEvent::ReconfigPhase {
-                            phase: Phase::Converge,
-                            edge: PhaseEdge::End,
-                            epoch: tag.epoch,
-                            protocol: cp.trace_tag(),
-                        },
-                    );
-                }
-                cp.epoch_open = false;
-                self.install_routes(&mut cp, &mut ctl.log, slot, now, tag);
-            } else if let Some(sw) = cp.retry_candidate(&self.fabric, slot) {
-                // Lost control cells left the epoch stalled: the lowest
-                // disagreeing live switch re-initiates with fresh progress.
-                cp.deliver(&mut self.fabric, now, sw, control::Input::Timer);
-                cp.observe_epoch(slot, now, &mut ctl.log);
-            }
-        }
-        self.faults = Some(ctl);
-        self.control = Some(cp);
-    }
-
-    /// Embedded-mode reaction to a dead-link verdict: fail the fabric
-    /// link, strand its best-effort circuits until routes are reinstalled
-    /// (guaranteed circuits go back to bandwidth central at once), and let
-    /// the agents at both ends observe the loss locally. When a parallel
-    /// link keeps the adjacency alive the topology view is unchanged, so
-    /// the stranded circuits are re-established immediately instead of
-    /// waiting for a reconfiguration that will never start.
-    fn on_verdict_dead(
-        &mut self,
-        link: LinkId,
-        slot: u64,
-        now: SimTime,
-        log: &mut Vec<ReconfigEvent>,
-    ) {
-        let (ea, eb) = self.topology().endpoints(link);
-        let (Node::Switch(a), Node::Switch(b)) = (ea.node, eb.node) else {
-            return; // monitors only watch inter-switch links
-        };
-        let victims = self.fabric.circuits_using(link);
-        self.fabric.fail_link(link);
-        for vc in victims {
-            let Some(meta) = self.meta.get(&vc) else {
-                continue;
-            };
-            match meta.class {
-                TrafficClass::BestEffort => {
-                    if let Some(stats) = self.fabric.close_circuit(vc) {
-                        self.broken.insert(vc, stats);
-                    }
-                }
-                TrafficClass::Guaranteed { .. } => self.repair(vc),
-            }
-        }
-        let mut cp = self.control.take().expect("caller checked");
-        cp.protocol.invalidate_edge(a, b);
-        if self.topology().links_between(a, b).is_empty() {
-            for (sw, other) in [(a, b), (b, a)] {
-                if !self.fabric.switch_crashed(sw) {
-                    cp.deliver(
-                        &mut self.fabric,
-                        now,
-                        sw,
-                        control::Input::Event(LinkEvent::Down { neighbor: other }),
-                    );
-                }
-            }
-            cp.observe_epoch(slot, now, log);
-            cp.last_activity_slot = slot;
-        } else {
-            let tag = cp.best_tag;
-            self.install_routes(&mut cp, log, slot, now, tag);
-        }
-        self.control = Some(cp);
-    }
-
-    /// Embedded-mode reaction to a working-again verdict: revive the
-    /// fabric link, hand stranded guaranteed circuits back to bandwidth
-    /// central, and — when the adjacency was gone — let both agents
-    /// observe the new link (opening a reconfiguration epoch). A restored
-    /// parallel link changes no topology view, so stranded best-effort
-    /// circuits are re-established on the spot.
-    fn on_verdict_working(
-        &mut self,
-        link: LinkId,
-        slot: u64,
-        now: SimTime,
-        log: &mut Vec<ReconfigEvent>,
-    ) {
-        let (ea, eb) = self.topology().endpoints(link);
-        let (Node::Switch(a), Node::Switch(b)) = (ea.node, eb.node) else {
-            return;
-        };
-        let adjacency_before = !self.topology().links_between(a, b).is_empty();
-        if !self.fabric.revive_link(link) {
-            return;
-        }
-        let mut stranded: Vec<VcId> = self
-            .broken
-            .keys()
-            .copied()
-            .filter(|vc| {
-                self.meta
-                    .get(vc)
-                    .is_some_and(|m| matches!(m.class, TrafficClass::Guaranteed { .. }))
-            })
-            .collect();
-        stranded.sort_unstable();
-        for vc in stranded {
-            self.reattach_broken(vc);
-        }
-        let mut cp = self.control.take().expect("caller checked");
-        if adjacency_before {
-            let tag = cp.best_tag;
-            self.install_routes(&mut cp, log, slot, now, tag);
-        } else {
-            cp.protocol.invalidate_all();
-            for (sw, other) in [(a, b), (b, a)] {
-                if !self.fabric.switch_crashed(sw) {
-                    cp.deliver(
-                        &mut self.fabric,
-                        now,
-                        sw,
-                        control::Input::Event(LinkEvent::Up {
-                            link,
-                            neighbor: other,
-                        }),
-                    );
-                }
-            }
-            cp.observe_epoch(slot, now, log);
-            cp.last_activity_slot = slot;
-        }
-        self.control = Some(cp);
-    }
-
-    /// Installs the protocol's routes for the current topology
-    /// switch-by-switch (the canonical up*/down* forest for the paper's
-    /// protocol; tree paths or path-vector tables for the rivals): every
-    /// best-effort circuit is compared against its canonical wiring, and
-    /// only circuits whose paths changed are torn down and re-established
-    /// (§2's reduced-disruption goal). Stranded circuits come back with
-    /// their accumulated statistics; circuits whose endpoints are
-    /// partitioned stay broken.
-    fn install_routes(
-        &mut self,
-        cp: &mut ControlPlane,
-        log: &mut Vec<ReconfigEvent>,
-        slot: u64,
-        now: SimTime,
-        tag: Tag,
-    ) {
-        cp.phases.begin("install", now);
-        if let Some(t) = &cp.tracer {
-            t.emit_at_ns(
-                now.as_nanos(),
-                TraceEvent::ReconfigPhase {
-                    phase: Phase::Install,
-                    edge: PhaseEdge::Begin,
-                    epoch: tag.epoch,
-                    protocol: cp.trace_tag(),
-                },
-            );
-        }
-        let (live, edges) = control::live_edges(&self.fabric);
-        cp.protocol
-            .prepare_routes(self.topology().switch_count(), &live, &edges);
-        let mut vcs: Vec<VcId> = self
-            .meta
-            .iter()
-            .filter(|(_, m)| matches!(m.class, TrafficClass::BestEffort))
-            .map(|(&vc, _)| vc)
-            .collect();
-        vcs.sort_unstable();
-        let (mut rerouted, mut kept, mut unroutable) = (0u64, 0u64, 0u64);
-        for vc in vcs {
-            if self.fabric.is_paged_out(vc) {
-                continue; // holds no path; pages back in on fresh traffic
-            }
-            let meta = self.meta[&vc].clone();
-            let target = control::canonical_wiring(
-                cp.protocol.as_mut(),
-                self.fabric.topology(),
-                meta.src,
-                meta.dst,
-            );
-            let current = self.fabric.circuit_wiring(vc);
-            match (current, target) {
-                (Some(cur), Some((switches, links, src_link, dst_link))) => {
-                    // Sticky: an unchanged switch path over working links
-                    // is left alone, even if its concrete parallel links
-                    // are not the canonical choice — rerouting drops
-                    // in-flight cells for no topological reason.
-                    let topo = self.fabric.topology();
-                    let alive = cur
-                        .1
-                        .iter()
-                        .chain([&cur.2, &cur.3])
-                        .all(|&l| topo.link_state(l) == an2_topology::LinkState::Working);
-                    if cur.0 == switches && alive {
-                        kept += 1;
-                    } else {
-                        self.fabric
-                            .reroute_circuit(vc, switches, links, src_link, dst_link);
-                        rerouted += 1;
-                    }
-                }
-                (Some(_), None) => {
-                    if let Some(stats) = self.fabric.close_circuit(vc) {
-                        self.broken.insert(vc, stats);
-                    }
-                    unroutable += 1;
-                }
-                (None, Some((switches, links, src_link, dst_link))) => {
-                    self.fabric.open_circuit(
-                        vc,
-                        meta.src,
-                        meta.dst,
-                        TrafficClass::BestEffort,
-                        switches,
-                        links,
-                        src_link,
-                        dst_link,
-                    );
-                    if let Some(stats) = self.broken.remove(&vc) {
-                        self.fabric.restore_stats(vc, stats);
-                    }
-                    rerouted += 1;
-                }
-                (None, None) => unroutable += 1,
-            }
-        }
-        log.push(ReconfigEvent::RoutesInstalled {
-            slot,
-            at: now,
-            tag,
-            rerouted,
-            kept,
-            unroutable,
-        });
-        cp.phases.end("install", now);
-        if let Some(t) = &cp.tracer {
-            t.emit_at_ns(
-                now.as_nanos(),
-                TraceEvent::ReconfigPhase {
-                    phase: Phase::Install,
-                    edge: PhaseEdge::End,
-                    epoch: tag.epoch,
-                    protocol: cp.trace_tag(),
-                },
-            );
-            t.counter_add("reconfig.routes_installed", Entity::Global, 1);
-        }
-    }
-
-    /// The topology view held by switch `s`'s embedded agent, as
-    /// normalized sorted edges. `None` without a control plane or before
-    /// the agent's first completed reconfiguration.
-    pub fn agent_view_edges(&self, s: SwitchId) -> Option<Vec<(SwitchId, SwitchId)>> {
-        self.control.as_ref().and_then(|cp| cp.view_edges(s))
-    }
-
-    /// The largest reconfiguration tag switch `s`'s embedded agent has
-    /// seen. `None` without a control plane.
-    pub fn agent_tag(&self, s: SwitchId) -> Option<Tag> {
-        self.control.as_ref().and_then(|cp| cp.agent_tag(s))
-    }
-
-    /// Whether the embedded agents have converged: no control cells in
-    /// flight, no open epoch, and every live agent's view equal to its
-    /// partition's surviving topology.
-    pub fn control_converged(&self) -> bool {
-        self.control.as_ref().is_some_and(|cp| {
-            !cp.epoch_open
-                && self.fabric.ctrl_inflight_count() == 0
-                && cp.converged_tag(&self.fabric).is_some()
-        })
-    }
-
-    /// Converge/install phase spans recorded by the control plane, on the
-    /// virtual clock. `None` without a control plane.
-    pub fn control_phases(&self) -> Option<&PhaseRecorder> {
-        self.control.as_ref().map(|cp| &cp.phases)
-    }
-
     /// Control-cell transport counters (messages and cells sent, messages
     /// destroyed by loss, dead links, or crashed line cards).
     pub fn ctrl_counters(&self) -> CtrlCounters {
         self.fabric.ctrl_counters()
-    }
-
-    /// The control plane's route-emission `(hits, misses)` (route-cache
-    /// hits and misses for up*/down*; `(0, queries)` for the rivals, which
-    /// recompute per query), if enabled.
-    pub fn route_cache_stats(&self) -> Option<(u64, u64)> {
-        self.control.as_ref().map(|cp| cp.protocol.route_stats())
     }
 
     /// An open circuit's full wiring: switch path, inter-switch links, and
@@ -1271,10 +834,37 @@ impl Network {
         if !self.fabric.revive_link(link) {
             return;
         }
-        let mut stranded: Vec<VcId> = self.broken.keys().copied().collect();
+        self.reattach_stranded(|_| true);
+    }
+
+    /// Tries to rebuild the broken circuits whose class `wanted` accepts,
+    /// in id order.
+    fn reattach_stranded(&mut self, wanted: impl Fn(TrafficClass) -> bool) {
+        let mut stranded: Vec<VcId> = self
+            .broken
+            .keys()
+            .copied()
+            .filter(|vc| self.meta.get(vc).is_some_and(|m| wanted(m.class)))
+            .collect();
         stranded.sort_unstable();
         for vc in stranded {
             self.reattach_broken(vc);
+        }
+    }
+
+    /// Today's path for a circuit of `meta`'s class: the shortest working
+    /// route for best-effort, bandwidth central's admission — committed,
+    /// with the reservation to book — for guaranteed.
+    fn route_for(&mut self, meta: &CircuitMeta) -> Option<(paths::Wiring, Option<Reservation>)> {
+        match meta.class {
+            TrafficClass::BestEffort => {
+                Some((self.best_effort_route(meta.src, meta.dst).ok()?, None))
+            }
+            TrafficClass::Guaranteed { cells_per_frame } => {
+                let (wiring, reservation) =
+                    self.admit_guaranteed(meta.src, meta.dst, cells_per_frame as u32)?;
+                Some((wiring, Some(reservation)))
+            }
         }
     }
 
@@ -1284,60 +874,15 @@ impl Network {
         let Some(meta) = self.meta.get(&vc).cloned() else {
             return;
         };
-        match meta.class {
-            TrafficClass::BestEffort => {
-                let Ok((switches, links, src_link, dst_link)) =
-                    self.best_effort_route(meta.src, meta.dst)
-                else {
-                    return;
-                };
-                self.fabric.open_circuit(
-                    vc,
-                    meta.src,
-                    meta.dst,
-                    TrafficClass::BestEffort,
-                    switches,
-                    links,
-                    src_link,
-                    dst_link,
-                );
-            }
-            TrafficClass::Guaranteed { cells_per_frame } => {
-                let cells = cells_per_frame as u32;
-                let topo = self.fabric.topology();
-                let admitted = self
-                    .central
-                    .best_attachment(topo, meta.src, cells, true)
-                    .and_then(|(src_link, src_sw)| {
-                        let (dst_link, dst_sw) =
-                            self.central.best_attachment(topo, meta.dst, cells, false)?;
-                        let (switches, links) =
-                            self.central.find_route(topo, src_sw, dst_sw, cells)?;
-                        Some((src_link, dst_link, dst_sw, switches, links))
-                    });
-                let Some((src_link, dst_link, dst_sw, switches, links)) = admitted else {
-                    return;
-                };
-                let host_links = vec![
-                    (src_link, Node::Host(meta.src)),
-                    (dst_link, Node::Switch(dst_sw)),
-                ];
-                self.central
-                    .commit(topo, &switches, &links, &host_links, cells);
-                self.fabric.open_circuit(
-                    vc,
-                    meta.src,
-                    meta.dst,
-                    meta.class,
-                    switches.clone(),
-                    links.clone(),
-                    src_link,
-                    dst_link,
-                );
-                if let Some(m) = self.meta.get_mut(&vc) {
-                    m.reservation = Some((switches, links, host_links, cells));
-                }
-            }
+        let Some(((switches, links, src_link, dst_link), reservation)) = self.route_for(&meta)
+        else {
+            return;
+        };
+        self.fabric.open_circuit(
+            vc, meta.src, meta.dst, meta.class, switches, links, src_link, dst_link,
+        );
+        if let Some(m) = self.meta.get_mut(&vc) {
+            m.reservation = reservation;
         }
         if let Some(stats) = self.broken.remove(&vc) {
             self.fabric.restore_stats(vc, stats);
@@ -1489,66 +1034,27 @@ impl Network {
         let Some(meta) = self.meta.get(&vc).cloned() else {
             return;
         };
-        match meta.class {
-            TrafficClass::BestEffort => match self.best_effort_route(meta.src, meta.dst) {
-                Ok((switches, links, src_link, dst_link)) => {
-                    self.fabric
-                        .reroute_circuit(vc, switches, links, src_link, dst_link);
-                    self.broken.remove(&vc);
+        // Release a guaranteed circuit's old reservation (links that died
+        // release capacity nobody can use; harmless).
+        if let Some((switches, links, host_links, amount)) =
+            self.meta.get_mut(&vc).and_then(|m| m.reservation.take())
+        {
+            let topo = self.fabric.topology();
+            self.central
+                .release(topo, &switches, &links, &host_links, amount);
+        }
+        match self.route_for(&meta) {
+            Some(((switches, links, src_link, dst_link), reservation)) => {
+                self.fabric
+                    .reroute_circuit(vc, switches, links, src_link, dst_link);
+                if let Some(m) = self.meta.get_mut(&vc) {
+                    m.reservation = reservation;
                 }
-                Err(_) => {
-                    if let Some(stats) = self.fabric.close_circuit(vc) {
-                        self.broken.insert(vc, stats);
-                    }
-                }
-            },
-            TrafficClass::Guaranteed { cells_per_frame } => {
-                let cells = cells_per_frame as u32;
-                // Release the old reservation (links that died release
-                // capacity nobody can use; harmless). Borrowed topology:
-                // `central` and `meta` are disjoint fields.
-                let topo = self.fabric.topology();
-                if let Some((switches, links, host_links, amount)) =
-                    self.meta.get_mut(&vc).and_then(|m| m.reservation.take())
-                {
-                    self.central
-                        .release(topo, &switches, &links, &host_links, amount);
-                }
-                let admitted = self
-                    .central
-                    .best_attachment(topo, meta.src, cells, true)
-                    .and_then(|(src_link, src_sw)| {
-                        let (dst_link, dst_sw) =
-                            self.central.best_attachment(topo, meta.dst, cells, false)?;
-                        let (switches, links) =
-                            self.central.find_route(topo, src_sw, dst_sw, cells)?;
-                        Some((src_link, dst_link, dst_sw, switches, links))
-                    });
-                match admitted {
-                    Some((src_link, dst_link, dst_sw, switches, links)) => {
-                        let host_links = vec![
-                            (src_link, Node::Host(meta.src)),
-                            (dst_link, Node::Switch(dst_sw)),
-                        ];
-                        self.central
-                            .commit(topo, &switches, &links, &host_links, cells);
-                        self.fabric.reroute_circuit(
-                            vc,
-                            switches.clone(),
-                            links.clone(),
-                            src_link,
-                            dst_link,
-                        );
-                        if let Some(m) = self.meta.get_mut(&vc) {
-                            m.reservation = Some((switches, links, host_links, cells));
-                        }
-                        self.broken.remove(&vc);
-                    }
-                    None => {
-                        if let Some(stats) = self.fabric.close_circuit(vc) {
-                            self.broken.insert(vc, stats);
-                        }
-                    }
+                self.broken.remove(&vc);
+            }
+            None => {
+                if let Some(stats) = self.fabric.close_circuit(vc) {
+                    self.broken.insert(vc, stats);
                 }
             }
         }

@@ -20,6 +20,7 @@ use an2_sim::SimRng;
 use an2_switch::{Departure, StepScratch, Switch};
 use an2_trace::{MetricOp, TraceRecord, TraceSink};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::Mutex;
 
 /// Consecutive switch ids dealt to one lane as a unit. Sixteen `SimRng`s or
 /// `Switch` headers span several cache lines, so neighbouring lanes share a
@@ -279,7 +280,7 @@ pub(crate) fn flush_traces(lanes: &mut [Lane], sink: &mut TraceSink<'_>) {
 
 /// What the lead asks every worker to do in one round.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum Cmd {
+enum Cmd {
     /// Work the lanes for this slot.
     Step(u64),
     /// Advance every switch clock to this slot without stepping.
@@ -357,7 +358,7 @@ impl HandOff {
 }
 
 /// The lead's end of the hand-off.
-pub(crate) struct Lead<'a> {
+struct Lead<'a> {
     hand: &'a HandOff,
     workers: usize,
 }
@@ -393,7 +394,7 @@ impl Lead<'_> {
 /// # Panics
 ///
 /// A panic on any thread of the crew ends every wait and propagates.
-pub(crate) fn run_crew<W, R>(workers: Vec<W>, lead: impl FnOnce(&Lead<'_>) -> R) -> R
+fn run_crew<W, R>(workers: Vec<W>, lead: impl FnOnce(&Lead<'_>) -> R) -> R
 where
     W: FnMut(Cmd) + Send,
 {
@@ -429,10 +430,151 @@ where
     })
 }
 
+/// The lanes one thread of a crew works, each with its switches.
+pub(crate) type Hand<'sw> = Vec<(usize, Vec<Chunk<'sw>>)>;
+
+/// Moves the clocks of a thread's switches to `target` (a proven-quiet
+/// stretch).
+fn advance_chunks(hand: &mut Hand<'_>, target: u64) {
+    for (_, chunks) in hand {
+        for sw in chunks.iter_mut().flat_map(|c| c.switches.iter_mut()) {
+            sw.advance_to(target);
+        }
+    }
+}
+
+/// The lead's view of a running crew: the threads working the shard lanes
+/// for one `Fabric::step` call (see [`deal`] and [`Crew::run`]).
+pub(crate) struct Crew<'a, 'sw> {
+    lead: &'a Lead<'a>,
+    /// Where lanes worked by other threads cross over and back.
+    cells: &'a [Mutex<Lane>],
+    /// The lanes the lead works itself, with their switches.
+    own: &'a mut Hand<'sw>,
+    threads: usize,
+    batching: bool,
+    /// Minimum of the lanes' quiet bounds as of the last switch phase.
+    pub quiet_bound: u64,
+}
+
+/// Deals every run's switches to its lane and lane `l` to thread
+/// `l % threads` (thread 0 is the caller's): one [`Hand`] per thread.
+pub(crate) fn deal<'sw>(
+    runs: &[Run],
+    lanes: usize,
+    threads: usize,
+    switches: &'sw mut [Switch],
+    rngs: &'sw mut [SimRng],
+) -> Vec<Hand<'sw>> {
+    let mut lane_chunks: Vec<Vec<Chunk<'_>>> = (0..lanes).map(|_| Vec::new()).collect();
+    let (mut sw_rest, mut rng_rest) = (switches, rngs);
+    for run in runs {
+        let (sw, rest) = std::mem::take(&mut sw_rest).split_at_mut(run.len as usize);
+        sw_rest = rest;
+        let (rg, rest) = std::mem::take(&mut rng_rest).split_at_mut(run.len as usize);
+        rng_rest = rest;
+        lane_chunks[run.lane as usize].push(Chunk {
+            base: run.base,
+            switches: sw,
+            rngs: rg,
+        });
+    }
+    let mut hands: Vec<Hand<'_>> = (0..threads).map(|_| Vec::new()).collect();
+    for (lane, chunks) in lane_chunks.into_iter().enumerate() {
+        hands[lane % threads].push((lane, chunks));
+    }
+    hands
+}
+
+impl<'sw> Crew<'_, 'sw> {
+    /// Starts a thread for every hand but the first and runs `lead` with
+    /// the crew at its call. The switches stay borrowed for the duration:
+    /// the lead's slot code cannot touch one by accident, and each worker
+    /// holds plain `&mut` borrows.
+    pub fn run<R>(
+        mut hands: Vec<Hand<'sw>>,
+        batching: bool,
+        quiet_bound: u64,
+        lead: impl FnOnce(&mut Crew<'_, 'sw>) -> R,
+    ) -> R {
+        let threads = hands.len();
+        let lanes: usize = hands.iter().map(Vec::len).sum();
+        let mut own = hands.remove(0);
+        // Lanes cross to their worker and back through these cells; the
+        // hand-off's release and join say whose turn it is, the mutex makes
+        // the exchange safe code.
+        let cells: Vec<Mutex<Lane>> = (0..lanes).map(|_| Mutex::default()).collect();
+        let workers: Vec<_> = hands
+            .into_iter()
+            .map(|mut mine| {
+                let cells = &cells;
+                move |cmd| match cmd {
+                    Cmd::Step(slot) => {
+                        for (lane, chunks) in &mut mine {
+                            cells[*lane]
+                                .lock()
+                                .expect("a lane cell is poisoned only after a crew thread panicked")
+                                .work(chunks, slot, batching);
+                        }
+                    }
+                    Cmd::SkipTo(target) => advance_chunks(&mut mine, target),
+                }
+            })
+            .collect();
+        run_crew(workers, |lead_end| {
+            lead(&mut Crew {
+                lead: lead_end,
+                cells: &cells,
+                own: &mut own,
+                threads,
+                batching,
+                quiet_bound,
+            })
+        })
+    }
+
+    /// Swaps every lane another thread works with its cell: called before
+    /// the release (lane out, with its inbox filled) and after the join
+    /// (lane back, with its departures).
+    fn exchange_lanes(&self, lanes: &mut [Lane]) {
+        for (l, lane) in lanes.iter_mut().enumerate() {
+            if l % self.threads != 0 {
+                let mut cell = self.cells[l].lock().expect("workers are between rounds");
+                std::mem::swap(lane, &mut cell);
+            }
+        }
+    }
+
+    /// One slot's switch phase: hands the other threads' lanes over,
+    /// releases the crew, works the lead's own lanes, and takes the lanes
+    /// back at the join.
+    pub fn step(&mut self, lanes: &mut [Lane], slot: u64) {
+        self.exchange_lanes(lanes);
+        let (own, batching) = (&mut *self.own, self.batching);
+        self.lead.round(Cmd::Step(slot), || {
+            for (lane, chunks) in own.iter_mut() {
+                lanes[*lane].work(chunks, slot, batching);
+            }
+        });
+        self.exchange_lanes(lanes);
+        self.quiet_bound = lanes
+            .iter()
+            .map(|l| l.quiet_bound)
+            .min()
+            .expect("at least one lane");
+    }
+
+    /// Moves every switch clock to `target` without stepping.
+    pub fn skip_to(&mut self, target: u64) {
+        let own = &mut *self.own;
+        self.lead
+            .round(Cmd::SkipTo(target), || advance_chunks(own, target));
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::Mutex;
 
     #[test]
     fn block_plan_deals_contiguous_blocks_round_robin() {

@@ -217,19 +217,13 @@ enum Leg {
     Faulted,
     /// Fallback: a signalled set-up in flight when `step` is entered.
     SignalledSetup,
-    /// Fallback: zero link latency, where nothing separates two switches.
-    ZeroLatency,
 }
 
 /// Bursts of best-effort traffic on the 12-switch fat-tree separated by
 /// long quiet gaps, digested like [`drive`]. Also returns how many shard
 /// lanes stepped a backlogged switch.
 fn leg_run(leg: Leg, shards: usize) -> (u64, usize) {
-    let cfg = FabricConfig {
-        link_latency_slots: if leg == Leg::ZeroLatency { 0 } else { 2 },
-        ..FabricConfig::default()
-    };
-    let mut f = Fabric::new(generators::fat_tree(2, 3), cfg, 41);
+    let mut f = Fabric::new(generators::fat_tree(2, 3), FabricConfig::default(), 41);
     f.set_shards(if leg == Leg::ReshardMidRun { 3 } else { shards });
     let tracer = (leg == Leg::Traced).then(|| {
         let t = an2_trace::Tracer::new(TraceConfig::default());
@@ -270,14 +264,12 @@ fn leg_run(leg: Leg, shards: usize) -> (u64, usize) {
         }
     }
 
-    if leg != Leg::ZeroLatency {
-        for &vc in &vcs {
-            let s = f.stats(vc);
-            assert_eq!(
-                s.sent_cells, s.delivered_cells,
-                "{leg:?}: {vc} did not drain"
-            );
-        }
+    for &vc in &vcs {
+        let s = f.stats(vc);
+        assert_eq!(
+            s.sent_cells, s.delivered_cells,
+            "{leg:?}: {vc} did not drain"
+        );
     }
     let lanes_worked = f.shard_work().iter().filter(|&&w| w > 0).count();
     (digest_run(&mut f, &vcs, tracer.as_ref()).0, lanes_worked)
@@ -305,12 +297,25 @@ fn every_engine_path_matches_the_sequential_run() {
             "traced run at {shards} shards stepped switches on {lanes_worked} lane(s)"
         );
     }
-    for leg in [Leg::Faulted, Leg::SignalledSetup, Leg::ZeroLatency] {
+    for leg in [Leg::Faulted, Leg::SignalledSetup] {
         let (base, _) = leg_run(leg, 1);
         for shards in [2usize, 5] {
             assert_eq!(base, leg_run(leg, shards).0, "{leg:?} at {shards} shards");
         }
     }
+}
+
+/// Nothing separates two switches without link latency — a cell launched in
+/// a slot would be due after that slot's deliveries had run, and never
+/// arrive — so the value is refused where it enters.
+#[test]
+#[should_panic(expected = "link_latency_slots")]
+fn zero_link_latency_is_rejected() {
+    let cfg = FabricConfig {
+        link_latency_slots: 0,
+        ..FabricConfig::default()
+    };
+    let _ = Fabric::new(generators::fat_tree(2, 3), cfg, 41);
 }
 
 /// The lossy + live-control-plane leg: the full `Network` with independent

@@ -81,7 +81,6 @@ pub struct PvProtocol {
     messages_sent: u64,
     /// Snapshot taken by `prepare_routes`: per-switch route tables.
     table: Vec<BTreeMap<SwitchId, Vec<SwitchId>>>,
-    route_queries: u64,
 }
 
 impl PvProtocol {
@@ -98,7 +97,6 @@ impl PvProtocol {
             switch_count,
             messages_sent: 0,
             table: Vec::new(),
-            route_queries: 0,
         }
     }
 
@@ -315,13 +313,6 @@ impl ControlProtocol for PvProtocol {
         Ok(best)
     }
 
-    fn tag_of(&self, sw: SwitchId) -> Option<Tag> {
-        self.switches.get(sw.0 as usize).map(|st| Tag {
-            epoch: st.gen,
-            initiator: SwitchId(0),
-        })
-    }
-
     fn view_edges(&self, _sw: SwitchId) -> Option<Vec<Edge>> {
         None // a path-vector speaker never learns the full topology
     }
@@ -342,7 +333,6 @@ impl ControlProtocol for PvProtocol {
         src: SwitchId,
         dst: SwitchId,
     ) -> Option<Vec<SwitchId>> {
-        self.route_queries += 1;
         let stored = self.table.get(src.0 as usize)?.get(&dst)?;
         let mut path = Vec::with_capacity(stored.len() + 1);
         path.push(src);
@@ -356,9 +346,5 @@ impl ControlProtocol for PvProtocol {
 
     fn invalidate_all(&mut self) {
         self.table.clear();
-    }
-
-    fn route_stats(&self) -> (u64, u64) {
-        (0, self.route_queries)
     }
 }

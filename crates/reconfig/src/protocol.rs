@@ -160,9 +160,6 @@ pub trait ControlProtocol {
     /// disagreeing partition (the stall-retry candidate).
     fn convergence(&self, lv: &LiveView<'_>) -> Result<Tag, SwitchId>;
 
-    /// The epoch tag switch `sw` has reached.
-    fn tag_of(&self, sw: SwitchId) -> Option<Tag>;
-
     /// Switch `sw`'s converged adjacency view as normalized sorted edges,
     /// when the protocol carries full-topology views (`None` for rivals
     /// that only hold routes or trees).
@@ -190,9 +187,6 @@ pub trait ControlProtocol {
 
     /// Drops every memoized route.
     fn invalidate_all(&mut self);
-
-    /// Route-memo `(hits, misses)` counters, when the protocol keeps one.
-    fn route_stats(&self) -> (u64, u64);
 }
 
 /// The paper's §2 protocol behind the trait: one [`SwitchAgent`] per
@@ -285,10 +279,6 @@ impl ControlProtocol for UpDownProtocol {
         )
     }
 
-    fn tag_of(&self, sw: SwitchId) -> Option<Tag> {
-        self.agents.get(sw.0 as usize).map(SwitchAgent::tag)
-    }
-
     fn view_edges(&self, sw: SwitchId) -> Option<Vec<Edge>> {
         let view = self.agents.get(sw.0 as usize)?.public().view.as_ref();
         view.map(|v| v.edges.clone())
@@ -318,9 +308,5 @@ impl ControlProtocol for UpDownProtocol {
 
     fn invalidate_all(&mut self) {
         self.cache.invalidate_all();
-    }
-
-    fn route_stats(&self) -> (u64, u64) {
-        self.cache.stats()
     }
 }

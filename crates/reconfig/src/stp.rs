@@ -59,17 +59,6 @@ impl StpMsg {
     }
 }
 
-/// The role a port (neighbor adjacency) plays in the converged tree.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum PortRole {
-    /// The port toward the root (this switch's parent).
-    Root,
-    /// A port this switch forwards on toward its subtree.
-    Designated,
-    /// A redundant port kept out of the tree.
-    Blocked,
-}
-
 #[derive(Debug)]
 struct StpSwitch {
     /// Physical neighbors and whether the adjacency is up.
@@ -105,7 +94,6 @@ pub struct StpProtocol {
     messages_sent: u64,
     /// Snapshot taken by `prepare_routes`: per switch `(root, parent)`.
     table: Vec<(SwitchId, Option<SwitchId>)>,
-    route_queries: u64,
 }
 
 impl StpProtocol {
@@ -128,7 +116,6 @@ impl StpProtocol {
             switches,
             messages_sent: 0,
             table: Vec::new(),
-            route_queries: 0,
         }
     }
 
@@ -210,31 +197,6 @@ impl StpProtocol {
                 self.send(out, p, StpMsg::Tcn { gen, from: sw });
             }
         }
-    }
-
-    /// The role `neighbor`'s port plays at `sw` in the current generation.
-    pub fn port_role(&self, sw: SwitchId, neighbor: SwitchId) -> Option<PortRole> {
-        let st = self.switches.get(sw.0 as usize)?;
-        if !st.neighbors.get(&neighbor).copied().unwrap_or(false) {
-            return None;
-        }
-        if st.parent == Some(neighbor) {
-            return Some(PortRole::Root);
-        }
-        // A neighbor that never offered anything as good as our own claim
-        // is downstream of us: we are designated for it. Anything else is
-        // a redundant path and stays blocked.
-        match st.heard.get(&neighbor) {
-            Some(&(root, dist)) if (root, dist) <= (st.root, st.dist) => Some(PortRole::Blocked),
-            _ => Some(PortRole::Designated),
-        }
-    }
-
-    /// The elected root and distance at `sw` (diagnostics and tests).
-    pub fn election(&self, sw: SwitchId) -> Option<(u64, SwitchId, u32, Option<SwitchId>)> {
-        self.switches
-            .get(sw.0 as usize)
-            .map(|st| (st.gen, st.root, st.dist, st.parent))
     }
 
     /// Walks `s`'s parent chain in the snapshot to the root. `None` on a
@@ -414,13 +376,6 @@ impl ControlProtocol for StpProtocol {
         Ok(best)
     }
 
-    fn tag_of(&self, sw: SwitchId) -> Option<Tag> {
-        self.switches.get(sw.0 as usize).map(|st| Tag {
-            epoch: st.gen,
-            initiator: st.root,
-        })
-    }
-
     fn view_edges(&self, _sw: SwitchId) -> Option<Vec<Edge>> {
         None // the tree is the only topology a bridge learns
     }
@@ -446,7 +401,6 @@ impl ControlProtocol for StpProtocol {
         src: SwitchId,
         dst: SwitchId,
     ) -> Option<Vec<SwitchId>> {
-        self.route_queries += 1;
         if self.table.get(src.0 as usize)?.0 != self.table.get(dst.0 as usize)?.0 {
             return None; // different trees: partitioned
         }
@@ -469,9 +423,5 @@ impl ControlProtocol for StpProtocol {
 
     fn invalidate_all(&mut self) {
         self.table.clear();
-    }
-
-    fn route_stats(&self) -> (u64, u64) {
-        (0, self.route_queries)
     }
 }

@@ -29,6 +29,3 @@ mod reservation;
 
 pub use frame::{FrameSchedule, InsertError, InsertTrace, Move};
 pub use reservation::{ReservationError, ReservationMatrix};
-
-/// The standard AN2 frame size: 1024 cell slots (§4).
-pub const FRAME_SLOTS: u32 = 1024;

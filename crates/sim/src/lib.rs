@@ -9,8 +9,7 @@
 //! * [`SimRng`] — a seedable, splittable pseudo-random generator so that every
 //!   experiment is exactly reproducible from a single seed.
 //! * [`metrics`] — [`metrics::Histogram`] (exact or log-bucketed samples with
-//!   percentiles) and [`metrics::PhaseRecorder`] (named spans on the
-//!   timeline), used by every experiment harness.
+//!   percentiles), used by every experiment harness.
 //!
 //! There is no event engine here. The two event loops in the reproduction
 //! each live next to the transport they model: the slot-synchronous fabric

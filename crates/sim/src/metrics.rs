@@ -1,5 +1,5 @@
 //! Measurement utilities shared by every experiment in the reproduction:
-//! sample histograms with percentiles and named phase spans.
+//! sample histograms with percentiles.
 
 use crate::time::SimDuration;
 
@@ -400,100 +400,6 @@ impl Extend<u64> for Histogram {
         for v in iter {
             self.record(v);
         }
-    }
-}
-
-/// One named interval on the simulation timeline — a control-plane phase
-/// (detect, converge, install, …) with explicit start/end stamps.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct PhaseSpan {
-    /// Phase name (e.g. `"converge"`).
-    pub name: String,
-    /// When the phase began.
-    pub started: crate::time::SimTime,
-    /// When the phase ended; `None` while still open.
-    pub ended: Option<crate::time::SimTime>,
-}
-
-impl PhaseSpan {
-    /// The span's length, if it has ended.
-    pub fn duration(&self) -> Option<SimDuration> {
-        self.ended.map(|e| e.duration_since(self.started))
-    }
-}
-
-/// Records named, possibly repeating phases against simulation time — the
-/// per-phase instrumentation the embedded control plane feeds (failure
-/// detection → protocol convergence → route installation) and experiments
-/// read back as latency spans.
-///
-/// ```
-/// use an2_sim::metrics::PhaseRecorder;
-/// use an2_sim::{SimDuration, SimTime};
-/// let mut r = PhaseRecorder::new();
-/// let t0 = SimTime::ZERO;
-/// r.begin("converge", t0);
-/// r.end("converge", t0 + SimDuration::from_micros(5));
-/// assert_eq!(r.spans().len(), 1);
-/// assert_eq!(r.total("converge"), SimDuration::from_micros(5));
-/// ```
-#[derive(Debug, Clone, Default)]
-pub struct PhaseRecorder {
-    spans: Vec<PhaseSpan>,
-}
-
-impl PhaseRecorder {
-    /// An empty recorder.
-    pub fn new() -> Self {
-        PhaseRecorder { spans: Vec::new() }
-    }
-
-    /// Opens a new span named `name` at `now`. Phases may repeat; each
-    /// `begin` appends a fresh span.
-    pub fn begin(&mut self, name: &str, now: crate::time::SimTime) {
-        self.spans.push(PhaseSpan {
-            name: name.to_string(),
-            started: now,
-            ended: None,
-        });
-    }
-
-    /// Closes the most recent open span named `name` at `now`. Unmatched
-    /// ends are ignored (a phase aborted by a newer epoch simply stays
-    /// open-ended).
-    pub fn end(&mut self, name: &str, now: crate::time::SimTime) {
-        if let Some(s) = self
-            .spans
-            .iter_mut()
-            .rev()
-            .find(|s| s.ended.is_none() && s.name == name)
-        {
-            s.ended = Some(now);
-        }
-    }
-
-    /// Every recorded span, in begin order.
-    pub fn spans(&self) -> &[PhaseSpan] {
-        &self.spans
-    }
-
-    /// Closed spans named `name`, in begin order.
-    pub fn spans_named<'a>(&'a self, name: &'a str) -> impl Iterator<Item = &'a PhaseSpan> + 'a {
-        self.spans.iter().filter(move |s| s.name == name)
-    }
-
-    /// Sum of the durations of every *closed* span named `name`.
-    pub fn total(&self, name: &str) -> SimDuration {
-        self.spans_named(name)
-            .filter_map(PhaseSpan::duration)
-            .fold(SimDuration::ZERO, |acc, d| acc + d)
-    }
-
-    /// The last closed span named `name`, if any.
-    pub fn last_closed(&self, name: &str) -> Option<&PhaseSpan> {
-        self.spans
-            .iter()
-            .rfind(|s| s.name == name && s.ended.is_some())
     }
 }
 

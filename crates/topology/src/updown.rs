@@ -306,16 +306,6 @@ impl RouteCache {
         }
     }
 
-    /// The installed forest.
-    pub fn forest(&self) -> &[SpanningTree] {
-        &self.forest
-    }
-
-    /// The tree containing `s`, if any.
-    pub fn tree_of(&self, s: SwitchId) -> Option<&SpanningTree> {
-        self.forest.iter().find(|t| t.contains(s))
-    }
-
     /// The memoized up\*/down\* route from `src` to `dst` over `topo`'s
     /// working links, or `None` if they are in different partitions (also
     /// memoized). `topo` must be consistent with the installed forest.

@@ -178,15 +178,6 @@ impl IntervalSnapshot {
             .map(|&(_, _, v)| v)
     }
 
-    /// Sum of gauge `name` over every entity (0 when absent).
-    pub fn gauge_total(&self, name: &str) -> i64 {
-        self.gauges
-            .iter()
-            .filter(|(n, _, _)| *n == name)
-            .map(|&(_, _, v)| v)
-            .sum()
-    }
-
     /// The histogram summary for `name`/`entity`, if any sample landed.
     pub fn hist(&self, name: &str, entity: Entity) -> Option<&HistStat> {
         self.hists
@@ -304,11 +295,6 @@ impl Observatory {
             ctrl_raised: false,
             health: Vec::new(),
         }
-    }
-
-    /// The scrape cadence in slots.
-    pub fn every_slots(&self) -> u64 {
-        self.every
     }
 
     /// `true` when `slot` has crossed the next interval boundary.

@@ -241,11 +241,6 @@ impl Tracer {
         self.lock().observatory = Some(Observatory::new(cfg));
     }
 
-    /// `true` when an observatory is attached.
-    pub fn observatory_enabled(&self) -> bool {
-        self.lock().observatory.is_some()
-    }
-
     /// Forces any due boundaries to scrape now (useful at end of run when
     /// the clock stopped mid-interval).
     pub fn scrape_now(&self) {
