@@ -63,12 +63,16 @@ if [[ "${1:-}" != "quick" ]]; then
     echo "== sharded data plane on the clock (N6 asserts digest equality at every shard count + 2 shards beating 1 on >= 2 cores; nproc = $(nproc))"
     cargo run -q -p an2-bench --release --bin experiments -- n6
 
-    echo "== watermark + wide-radix + port-width equivalence (batched engine is byte-identical; a switch does not depend on ports it never sees)"
+    echo "== watermark + wide-radix + port-width equivalence (batched engine is byte-identical, under a fault layer too; a switch does not depend on ports it never sees)"
     cargo test -q -p an2 --test watermark_equiv --test wide_fabric_equiv
     cargo test -q -p an2-xbar --test wide_equiv
     # Again in release, the build the benchmark measures (`cargo test
-    # --workspace` above ran it in debug).
+    # --workspace` above ran them in debug, where `Switch::advance_to`
+    # asserts the watermark under every jump): the port-width suite, and
+    # the fault legs — a jump bounded by the fault layer against
+    # `set_batching(false)` stepping every slot.
     cargo test -q --release -p an2-switch --test width_equiv
+    cargo test -q --release -p an2 --test watermark_equiv
 
     echo "== batched data plane scaling (N7 asserts digest equality + monotone curve)"
     cargo run -q -p an2-bench --release --bin experiments -- n7

@@ -366,7 +366,8 @@ impl Fabric {
     /// cell, so the skip is byte-identical to stepping; the
     /// `watermark_equiv` tests pin that down. Turning batching off forces
     /// the legacy slot-by-slot path, which the N7 experiment benchmarks
-    /// against.
+    /// against; with a fault layer attached it steps every slot, quiet or
+    /// not, which is what the fault legs of those tests compare against.
     pub fn set_batching(&mut self, on: bool) {
         self.batching = on;
         for sw in &mut self.switches {
@@ -480,8 +481,10 @@ impl Fabric {
     /// queued or in flight anywhere, the only per-slot work is clock
     /// bookkeeping, so the fabric jumps straight to the next scheduled
     /// event (clamped to the next guaranteed-token frame boundary, which
-    /// must still execute). This is the data-plane twin of the fault-mode
-    /// deadline batching in `Network::step`.
+    /// must still execute, and under a fault layer to its next scripted
+    /// transition and periodic resync). `Network::step` cuts its calls at
+    /// the network layer's own deadlines — ping rounds, control arrivals —
+    /// so one mechanism fast-forwards faulted and fault-free runs alike.
     ///
     /// With shards configured ([`Fabric::set_shards`]) the call starts its
     /// worker threads once, here, and keeps them until it returns.
@@ -501,6 +504,15 @@ impl Fabric {
         // forced resyncs) happens at the slot about to run, the instant
         // the network layer's own records carry.
         if let Some(t) = &mut self.trace {
+            // A call that ended in a jump left the tracer's own clock at
+            // the last slot stepped. Bring it to the last slot passed, as
+            // stepping leaves it: what other holders of the tracer record
+            // between calls (ping rounds, the injector) is then stamped,
+            // and falls on the side of each scrape boundary, as it would
+            // have without the jump. Once per call, not per skipped slot.
+            if slots > 0 {
+                t.tracer.set_slot(self.slot - 1);
+            }
             t.lane.set_slot(self.slot);
         }
     }
@@ -555,16 +567,17 @@ impl Fabric {
     /// slot (≤ `end`) it may fast-forward to; `None` when anything at all
     /// is pending. Checks are ordered cheapest-first so busy slots pay two
     /// flag tests and one arena counter read; `switch_bound` — the earliest
-    /// slot at which some switch needs stepping — is asked last.
+    /// slot at which some switch needs stepping — and then the fault
+    /// layer's bound ([`Fabric::fault_quiet_bound`]) are asked last.
     ///
     /// With batching on, a backlogged switch no longer blocks the jump: its
     /// next-event watermark bounds how far the fabric may skip, and the
     /// fabric jumps to the earliest watermark / agenda deadline. With
     /// batching off, any backlog anywhere pins the fabric to slot-by-slot
-    /// stepping, as before PR 7.
+    /// stepping, as before PR 7, and a fault layer pins it outright.
     fn quiet_until(&self, end: u64, switch_bound: impl FnOnce(&Self) -> u64) -> Option<u64> {
-        if self.fault.is_some() || !self.ctrl.is_idle() {
-            return None; // fault layer draws randomness every slot
+        if !self.ctrl.is_idle() {
+            return None; // a control message is on a wire
         }
         if self.pool.live() != 0 {
             return None; // some host outbox still holds cells
@@ -582,7 +595,10 @@ impl Fabric {
         // that slot must run normally, so never skip past it.
         let frame = self.cfg.switch.frame_slots as u64;
         let refill = self.slot + (frame - 1 - self.slot % frame);
-        Some(wake.min(bound).min(end).min(refill))
+        // An attached fault layer bounds the jump like everything above
+        // does (no layer, no bound); asked last, it is the dearest.
+        let fault = self.fault_quiet_bound()?;
+        Some(wake.min(bound).min(end).min(refill).min(fault))
     }
 
     /// The earliest slot at which some switch needs stepping (`u64::MAX` =
@@ -619,8 +635,12 @@ impl Fabric {
             }
             Some(crew) => crew.skip_to(target),
         }
+        let n = target - self.slot;
         for h in &mut self.hosts {
-            h.idle_slots(target - self.slot);
+            h.idle_slots(n);
+        }
+        if let Some(f) = &mut self.fault {
+            f.idle_slots(n);
         }
         self.slot = target;
     }

@@ -86,6 +86,12 @@ impl FaultLayer {
         self.injector.crashed(s)
     }
 
+    /// The layer's share of a jump over `n` slots [`Fabric::fault_quiet_bound`]
+    /// allowed: the Gilbert–Elliott chains take their `n` draws.
+    pub(super) fn idle_slots(&mut self, n: u64) {
+        self.injector.advance_idle(n);
+    }
+
     fn hop_mut(&mut self, ci: usize, hop: usize) -> Option<&mut HopFlow> {
         self.ledger.get_mut(ci)?.get_mut(hop)
     }
@@ -641,14 +647,68 @@ impl Fabric {
         }
     }
 
+    /// How far the fault layer lets a quiet fabric jump from the current
+    /// slot: `u64::MAX` with no layer attached, `None` when the layer needs
+    /// this very slot stepped. The injector's only per-slot work is its
+    /// Gilbert–Elliott chains, which [`FaultLayer::idle_slots`] advances in
+    /// bulk; the rest of the layer's per-slot duties are deadlines, and
+    /// each bounds the jump so its slot still executes:
+    ///
+    /// * the next scripted flap or crash not yet applied;
+    /// * the next positive multiple of the resync interval, whose slot
+    ///   walks every circuit for credits to reconcile;
+    /// * with invariant checking on, any slot at all unless every check
+    ///   passes now: violations are counted per slot, and a quiet stretch
+    ///   changes no gate, ledger entry or buffer, so a clean state stays
+    ///   clean over every skipped slot while a dirty one must keep being
+    ///   stepped to keep being counted.
+    ///
+    /// With batching off a faulted fabric steps every slot: the oracle the
+    /// `watermark_equiv` fault legs compare the jump against.
+    ///
+    /// Ask it after every other quiet test has passed — the clean-state
+    /// test walks every circuit.
+    pub(super) fn fault_quiet_bound(&self) -> Option<u64> {
+        let Some(f) = self.fault.as_deref() else {
+            return Some(u64::MAX);
+        };
+        if !self.batching {
+            return None;
+        }
+        let slot = self.slot;
+        let mut bound = f.injector.next_transition(slot).unwrap_or(u64::MAX);
+        if f.resync_interval > 0 {
+            // Slot 0 is a multiple but not a positive one.
+            bound = bound.min(slot.max(1).next_multiple_of(f.resync_interval));
+        }
+        if bound <= slot || (f.check_invariants && self.invariant_violations(f) != 0) {
+            return None;
+        }
+        Some(bound)
+    }
+
     /// Soak-mode invariant checks, run once per slot after every phase has
-    /// settled (when the spec asked for them): credit conservation per
-    /// hop, ledger/hardware gate agreement, and ledger/hardware buffer
-    /// agreement.
+    /// settled (when the spec asked for them).
     pub(super) fn check_invariants_slot(&mut self) {
-        let Some(f) = self.fault.as_mut().filter(|f| f.check_invariants) else {
+        let Some(f) = self.fault.as_deref().filter(|f| f.check_invariants) else {
             return;
         };
+        let violations = self.invariant_violations(f);
+        if violations > 0 {
+            let f = self.fault.as_mut().expect("checked above");
+            f.counters.invariant_violations += violations;
+            if let Some(t) = &mut self.trace {
+                t.lane
+                    .emit(TraceEvent::InvariantViolation { count: violations });
+                t.count("faults.invariant_violations", Entity::Global, violations);
+            }
+        }
+    }
+
+    /// The invariants the current state breaks: credit conservation per
+    /// hop, ledger/hardware gate agreement, and ledger/hardware buffer
+    /// agreement.
+    fn invariant_violations(&self, f: &FaultLayer) -> u64 {
         let mut violations = 0u64;
         for (ci, vc, c) in self.circuits.iter() {
             let hops = f.hops(ci);
@@ -678,13 +738,6 @@ impl Fabric {
                 }
             }
         }
-        if violations > 0 {
-            f.counters.invariant_violations += violations;
-            if let Some(t) = &mut self.trace {
-                t.lane
-                    .emit(TraceEvent::InvariantViolation { count: violations });
-                t.count("faults.invariant_violations", Entity::Global, violations);
-            }
-        }
+        violations
     }
 }

@@ -231,9 +231,9 @@ impl Fabric {
         if self.pool.live() == 0 {
             // Every outbox queue is empty (the pool holds exactly the
             // buffered host cells), so no entry is ready: make each host's
-            // nothing-ready rotor step without reading its ready set. A
-            // fault-mode fabric steps every slot of a mostly idle run, so
-            // an idle slot's cost shows (a tenth of chaos-schedule time).
+            // nothing-ready rotor step without reading its ready set
+            // (cells in flight or queued in switches keep such slots from
+            // being jumped, so they are stepped and their cost shows).
             for h in &mut self.hosts {
                 h.idle_slots(1);
             }

@@ -4,9 +4,14 @@
 //! gets its own RNG stream (forked from the seed in link-id order), so the
 //! fate of a transmission depends only on the spec, the seed, and the
 //! deterministic order of transmissions on that link — never on traffic
-//! elsewhere. Gilbert–Elliott chains advance once per slot in
-//! [`FaultInjector::begin_slot`], keyed to *time* rather than traffic, so a
-//! burst hits whatever happens to be in flight.
+//! elsewhere. Gilbert–Elliott chains are keyed to *time* rather than
+//! traffic, so a burst hits whatever happens to be in flight: each takes one
+//! draw from its link's stream per slot — one at a time in
+//! [`FaultInjector::begin_slot`], or `n` at a time in
+//! [`FaultInjector::advance_idle`] over a stretch the fabric has proven
+//! quiet. Everything else the injector does per slot is a deadline known in
+//! advance ([`FaultInjector::next_transition`]); every other draw is per
+//! transmission.
 
 use crate::spec::{FaultSpec, LinkFaultModel, LossModel};
 use crate::{CELL_BITS, HEADER_BITS};
@@ -95,12 +100,34 @@ struct LinkRt {
     last_due: [u64; 2],
 }
 
+/// A Gilbert–Elliott link's transition probabilities as integer thresholds
+/// on the 53 random bits [`SimRng::gen_f64`] is made of (see
+/// [`f64_threshold`]).
+#[derive(Debug, Clone, Copy)]
+struct GeChain {
+    link: usize,
+    good_to_bad: u64,
+    bad_to_good: u64,
+}
+
+/// The `t` with `(k as f64) * 2⁻⁵³ < p ⇔ k < t` for every `k < 2⁵³`: the
+/// predicate `gen_f64() < p` asked of the bits `k = next_u64() >> 11`
+/// themselves. Exact because `k * 2⁻⁵³` and `p * 2⁵³` are both exact in
+/// `f64` (scaling by a power of two). A NaN or non-positive `p` never hits.
+fn f64_threshold(p: f64) -> u64 {
+    // The cast saturates: negatives and NaN to 0, `p >= 1` caps at 2⁵³.
+    ((p * (1u64 << 53) as f64).ceil() as u64).min(1 << 53)
+}
+
 /// Per-run fault state: link RNG streams, Gilbert–Elliott chains, physical
 /// link up/down and switch crashed/alive status, and the sorted transition
 /// script derived from the spec's flap and crash events.
 #[derive(Debug, Clone)]
 pub struct FaultInjector {
     links: Vec<LinkRt>,
+    /// The links whose loss model is Gilbert–Elliott, in link order: the
+    /// only ones with per-slot work.
+    chains: Vec<GeChain>,
     crashed: Vec<bool>,
     script: Vec<(u64, TransitionKind)>,
     cursor: usize,
@@ -115,13 +142,29 @@ impl FaultInjector {
     /// link-id order so the construction is deterministic.
     pub fn new(spec: &FaultSpec, seed: u64, link_count: usize, switch_count: usize) -> Self {
         let mut root = SimRng::new(seed);
-        let links = (0..link_count)
+        let links: Vec<LinkRt> = (0..link_count)
             .map(|i| LinkRt {
                 model: spec.model_for(LinkId(i as u32)),
                 rng: root.fork(i as u64),
                 up: true,
                 ge_bad: false,
                 last_due: [0, 0],
+            })
+            .collect();
+        let chains = links
+            .iter()
+            .enumerate()
+            .filter_map(|(link, l)| match l.model.loss {
+                LossModel::GilbertElliott {
+                    p_good_to_bad,
+                    p_bad_to_good,
+                    ..
+                } => Some(GeChain {
+                    link,
+                    good_to_bad: f64_threshold(p_good_to_bad),
+                    bad_to_good: f64_threshold(p_bad_to_good),
+                }),
+                _ => None,
             })
             .collect();
         let mut script: Vec<(u64, TransitionKind)> = Vec::new();
@@ -136,6 +179,7 @@ impl FaultInjector {
         script.sort_unstable();
         FaultInjector {
             links,
+            chains,
             crashed: vec![false; switch_count],
             script,
             cursor: 0,
@@ -151,27 +195,43 @@ impl FaultInjector {
         self.tracer = Some(tracer);
     }
 
+    /// Advances every Gilbert–Elliott chain by `n` slots in which no
+    /// scripted transition falls: exactly `n` draws from each chain-bearing
+    /// link's own stream, no other link touched. Streams are per link, so
+    /// this leaves the injector in the state `n` calls of
+    /// [`FaultInjector::begin_slot`] that found no transition would —
+    /// which lets the fabric jump a quiet stretch in one call.
+    pub fn advance_idle(&mut self, n: u64) {
+        for c in &self.chains {
+            let l = &mut self.links[c.link];
+            // Locals, so the loop runs in registers: this is what is left
+            // of an idle chaos run (a draw per link per skipped slot).
+            let (mut rng, mut bad) = (l.rng.clone(), l.ge_bad);
+            for _ in 0..n {
+                let k = rng.next_u64() >> 11;
+                bad = if bad {
+                    k >= c.bad_to_good
+                } else {
+                    k < c.good_to_bad
+                };
+            }
+            l.rng = rng;
+            l.ge_bad = bad;
+        }
+    }
+
+    /// The slot of the next scripted flap or crash transition not yet
+    /// applied, `None` past the last. An entry [`FaultInjector::begin_slot`]
+    /// has not been called late enough to apply is due at `now`.
+    pub fn next_transition(&self, now: u64) -> Option<u64> {
+        self.script.get(self.cursor).map(|&(at, _)| at.max(now))
+    }
+
     /// Advances per-slot state: Gilbert–Elliott chains step once per link
     /// (keyed to time, not traffic), then any flap/crash transitions due at
     /// `slot` are applied and returned for the fabric to act on.
     pub fn begin_slot(&mut self, slot: u64) -> SlotFaults {
-        for l in &mut self.links {
-            if let LossModel::GilbertElliott {
-                p_good_to_bad,
-                p_bad_to_good,
-                ..
-            } = l.model.loss
-            {
-                let u = l.rng.gen_f64();
-                if l.ge_bad {
-                    if u < p_bad_to_good {
-                        l.ge_bad = false;
-                    }
-                } else if u < p_good_to_bad {
-                    l.ge_bad = true;
-                }
-            }
-        }
+        self.advance_idle(1);
         let mut out = SlotFaults::default();
         while self.cursor < self.script.len() && self.script[self.cursor].0 <= slot {
             let (_, kind) = self.script[self.cursor];
@@ -609,6 +669,164 @@ mod tests {
         assert_eq!(tracer.counter_total("faults.deliver"), delivered);
         // Only non-deliver fates hit the ring.
         assert_eq!(tracer.events_seen(), lost + corrupt);
+    }
+
+    /// Gilbert–Elliott on link 0, independent loss on link 1 (the default),
+    /// lossless link 2 — each with corruption or jitter so every kind of
+    /// transmission draw is live.
+    fn mixed_spec() -> FaultSpec {
+        let mut spec = spec_with(LinkFaultModel {
+            loss: LossModel::Independent { p: 0.3 },
+            corrupt_per_cell: 0.1,
+            jitter_slots: 2,
+        });
+        spec.per_link.push((
+            LinkId(0),
+            LinkFaultModel {
+                loss: LossModel::GilbertElliott {
+                    p_good_to_bad: 0.05,
+                    p_bad_to_good: 0.2,
+                    loss_good: 0.01,
+                    loss_bad: 0.6,
+                },
+                corrupt_per_cell: 0.05,
+                jitter_slots: 3,
+            },
+        ));
+        spec.per_link.push((
+            LinkId(2),
+            LinkFaultModel {
+                jitter_slots: 4,
+                ..Default::default()
+            },
+        ));
+        spec
+    }
+
+    /// The next 64 outcomes of every kind on every link: equal between two
+    /// injectors iff their link streams, chain states and FIFO clamps are.
+    fn outcomes(inj: &mut FaultInjector, links: u32) -> Vec<(Fate, bool, bool)> {
+        (0..64u64)
+            .flat_map(|k| (0..links).map(move |l| (k, LinkId(l))))
+            .map(|(k, l)| {
+                (
+                    inj.transmit_cell(l, (k & 1) as usize, k + 2),
+                    inj.transmit_ctrl(l),
+                    inj.ping(l),
+                )
+            })
+            .collect()
+    }
+
+    #[test]
+    fn idle_advance_equals_that_many_begin_slots() {
+        let spec = mixed_spec();
+        for n in [0u64, 1, 2, 63, 1_000] {
+            let mut stepped = FaultInjector::new(&spec, 21, 3, 1);
+            let mut jumped = FaultInjector::new(&spec, 21, 3, 1);
+            // Some history first, so the chain is not at its initial state.
+            for slot in 0..50 {
+                stepped.begin_slot(slot);
+                jumped.begin_slot(slot);
+            }
+            for slot in 50..50 + n {
+                assert!(stepped.begin_slot(slot).is_empty());
+            }
+            jumped.advance_idle(n);
+            let bad =
+                |inj: &FaultInjector| -> Vec<bool> { inj.links.iter().map(|l| l.ge_bad).collect() };
+            assert_eq!(bad(&stepped), bad(&jumped), "chain states after {n}");
+            // Untouched links drew nothing; the chain link drew exactly n.
+            assert_eq!(
+                outcomes(&mut stepped, 3),
+                outcomes(&mut jumped, 3),
+                "outcomes after {n}"
+            );
+        }
+        // n = 0 is the identity, against an injector that did nothing.
+        let mut idle = FaultInjector::new(&spec, 21, 3, 1);
+        let mut fresh = FaultInjector::new(&spec, 21, 3, 1);
+        idle.advance_idle(0);
+        assert_eq!(outcomes(&mut idle, 3), outcomes(&mut fresh, 3));
+    }
+
+    #[test]
+    fn chain_walks_only_gilbert_elliott_links() {
+        assert!(FaultInjector::new(&FaultSpec::default(), 1, 5, 1)
+            .chains
+            .is_empty());
+        let inj = FaultInjector::new(&mixed_spec(), 1, 3, 1);
+        assert_eq!(
+            inj.chains.iter().map(|c| c.link).collect::<Vec<_>>(),
+            vec![0]
+        );
+    }
+
+    #[test]
+    fn integer_threshold_is_the_float_predicate() {
+        let scale = 1.0 / (1u64 << 53) as f64;
+        let top = (1u64 << 53) - 1;
+        for p in [
+            -1.0,
+            0.0,
+            f64::MIN_POSITIVE,
+            1e-300,
+            2.0f64.powi(-53),
+            1.5 * 2.0f64.powi(-53),
+            0.0026,
+            0.05,
+            0.2,
+            0.5,
+            1.0 - 2.0f64.powi(-53),
+            1.0,
+            7.0,
+            f64::INFINITY,
+            f64::NAN,
+        ] {
+            let t = f64_threshold(p);
+            // Either side of the threshold, and the ends of the range.
+            for k in [0, 1, t.saturating_sub(1), t, t + 1, top - 1, top] {
+                let k = k.min(top);
+                assert_eq!(k as f64 * scale < p, k < t, "p = {p:e}, k = {k}");
+            }
+        }
+    }
+
+    #[test]
+    fn next_transition_walks_the_script_in_order() {
+        let spec = FaultSpec {
+            flaps: vec![FlapEvent {
+                link: LinkId(0),
+                down_at: 10,
+                up_at: 30,
+            }],
+            crashes: vec![CrashEvent {
+                switch: SwitchId(0),
+                at: 20,
+                restart_at: 25,
+            }],
+            ..Default::default()
+        };
+        let mut inj = FaultInjector::new(&spec, 1, 1, 1);
+        assert_eq!(inj.next_transition(0), Some(10));
+        // Nothing applied yet: an overdue entry is due now.
+        assert_eq!(inj.next_transition(17), Some(17));
+        let mut seen = Vec::new();
+        let mut slot = 0;
+        while let Some(at) = inj.next_transition(slot) {
+            // Idle slots up to the transition, then the slot that runs it.
+            inj.advance_idle(at - slot);
+            assert!(!inj.begin_slot(at).is_empty(), "slot {at} applies one");
+            seen.push(at);
+            slot = at + 1;
+        }
+        assert_eq!(seen, vec![10, 20, 25, 30]);
+        assert_eq!(inj.next_transition(slot), None);
+        assert!(inj.link_up(LinkId(0)) && !inj.crashed(SwitchId(0)));
+        assert_eq!(
+            FaultInjector::new(&FaultSpec::default(), 1, 1, 1).next_transition(0),
+            None
+        );
     }
 
     #[test]
