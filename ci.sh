@@ -37,73 +37,36 @@ if [[ "${1:-}" != "quick" ]]; then
     echo "== cargo test"
     cargo test -q --workspace
 
-    echo "== fabric determinism (slab vs reference oracle)"
-    cargo test -q -p an2 --test reference_equiv
-    cargo test -q -p an2-bench --release fabric_exp
-
-    echo "== shard equivalence (parallel data plane is byte-identical) + fabric pins (absolute behaviour, captured before the split)"
-    cargo test -q -p an2 --test shard_equiv
-    # In release, the build the benchmark measures (`cargo test --workspace`
-    # above ran it in debug).
+    # `cargo test --workspace` has just run every suite in debug, where
+    # `Switch::advance_to` asserts the watermark under every jump and each
+    # injection asserts the ready set. What follows re-runs in release, the
+    # build the benchmark measures, the suites that pin or compare the data
+    # plane, the fault layer and the control protocols.
+    echo "== release: fabric pins (absolute behaviour), port-width and watermark equivalence (fault legs against set_batching(false))"
     cargo test -q --release -p an2 --test fabric_pins
-
-    echo "== fault soak (N3 asserts its claims in-process)"
-    cargo run -q -p an2-bench --release --bin experiments -- n3
-
-    echo "== embedded control plane (N4 asserts its claims in-process)"
-    cargo run -q -p an2-bench --release --bin experiments -- n4
-
-    echo "== flight recorder + observatory (determinism digests, golden trace, counter tracks)"
-    cargo test -q --test trace_determinism --test golden_trace
-
-    echo "== tracing overhead (N5: asserts traced/untraced <= 1.5x, equal event counts) + traced N4 export (asserts span < 200 ms)"
-    cargo run -q -p an2-bench --release --bin experiments -- n5
-    cargo run -q -p an2-bench --release --bin experiments -- n4 --trace
-
-    echo "== sharded data plane on the clock (N6 asserts digest equality at every shard count + 2 shards beating 1 on >= 2 cores; nproc = $(nproc))"
-    cargo run -q -p an2-bench --release --bin experiments -- n6
-
-    echo "== watermark + wide-radix + port-width equivalence (batched engine is byte-identical, under a fault layer too; a switch does not depend on ports it never sees)"
-    cargo test -q -p an2 --test watermark_equiv --test wide_fabric_equiv
-    cargo test -q -p an2-xbar --test wide_equiv
-    # Again in release, the build the benchmark measures (`cargo test
-    # --workspace` above ran them in debug, where `Switch::advance_to`
-    # asserts the watermark under every jump): the port-width suite, and
-    # the fault legs — a jump bounded by the fault layer against
-    # `set_batching(false)` stepping every slot.
     cargo test -q --release -p an2-switch --test width_equiv
     cargo test -q --release -p an2 --test watermark_equiv
 
-    echo "== batched data plane scaling (N7 asserts digest equality + monotone curve)"
-    cargo run -q -p an2-bench --release --bin experiments -- n7
-
-    echo "== chaos smoke (bounded fixed-seed campaign grid + shrinker pipeline)"
+    echo "== release: chaos smoke, corpus replay, skeptic liveness, rival convergence"
     cargo test -q --release -p an2-chaos --test smoke
-
-    echo "== chaos corpus replay (every pinned repro: zero violations, identical digests)"
     cargo test -q --release --test chaos_corpus
-
-    echo "== skeptic liveness (healed links always readmitted, levels decay)"
     cargo test -q --release -p an2-reconfig --test skeptic_liveness
-
-    echo "== chaos campaigns + skeptic damping (N8 asserts its claims in-process)"
-    cargo run -q -p an2-bench --release --bin experiments -- n8
-
-    echo "== protocol-trait equivalence (up*/down* byte-identical behind ControlProtocol)"
-    cargo test -q -p an2 --test protocol_equiv
-
-    echo "== rival convergence (spanning tree + path vector reach their own quiescence)"
     cargo test -q --release -p an2 --test rival_convergence
 
-    echo "== protocol arena (N9 races all three control planes, asserts its claims in-process)"
-    cargo run -q -p an2-bench --release --bin experiments -- n9
+    echo "== every figure and claim: experiments all against its golden (each experiment also asserts its claims in-process)"
+    # No experiment reads a clock or the environment, so the 23 reports are
+    # one text. The gate reads the golden and never writes it; a change that
+    # means to move a report regenerates it:
+    #   cargo run -q -p an2-bench --release --bin experiments -- all > crates/bench/goldens/experiments.txt
+    cargo run -q -p an2-bench --release --bin experiments -- all |
+        diff -u crates/bench/goldens/experiments.txt -
 
-    echo "== telemetry observatory (N10 scores detection vs ground-truth labels in-process)"
-    cargo run -q -p an2-bench --release --bin experiments -- n10
+    echo "== traced N4 export (asserts span < 200 ms, run byte-identical to untraced)"
+    cargo run -q -p an2-bench --release --bin experiments -- n4 --trace
 
-    echo "== a mistyped experiment id or a retired flag fails its gate"
+    echo "== a mistyped or retired experiment id, a retired flag, or --trace without n4 fails its gate"
     # (`set -e` ignores a bare `! cmd`, hence the explicit branch.)
-    for probe in "nope" "n3 --json"; do
+    for probe in "nope" "n6" "n3 --json" "e3 --trace"; do
         # Unquoted on purpose: the probe is a word list.
         if cargo run -q -p an2-bench --release --bin experiments -- $probe >/dev/null 2>&1; then
             echo "experiments accepted '$probe'"

@@ -217,13 +217,17 @@ enum Leg {
     Faulted,
     /// Fallback: a signalled set-up in flight when `step` is entered.
     SignalledSetup,
+    /// `Plain` one level deeper: 32 switches, so 8 shards are 8 real lanes.
+    DeepTree,
 }
 
 /// Bursts of best-effort traffic on the 12-switch fat-tree separated by
-/// long quiet gaps, digested like [`drive`]. Also returns how many shard
-/// lanes stepped a backlogged switch.
-fn leg_run(leg: Leg, shards: usize) -> (u64, usize) {
-    let mut f = Fabric::new(generators::fat_tree(2, 3), FabricConfig::default(), 41);
+/// long quiet gaps, digested like [`drive`]. Also returns each shard
+/// lane's count of backlogged switch steps.
+fn leg_run(leg: Leg, shards: usize) -> (u64, Vec<u64>) {
+    let levels = if leg == Leg::DeepTree { 4 } else { 3 };
+    let topo = generators::fat_tree(2, levels);
+    let mut f = Fabric::new(topo, FabricConfig::default(), 41);
     f.set_shards(if leg == Leg::ReshardMidRun { 3 } else { shards });
     let tracer = (leg == Leg::Traced).then(|| {
         let t = an2_trace::Tracer::new(TraceConfig::default());
@@ -271,8 +275,8 @@ fn leg_run(leg: Leg, shards: usize) -> (u64, usize) {
             "{leg:?}: {vc} did not drain"
         );
     }
-    let lanes_worked = f.shard_work().iter().filter(|&&w| w > 0).count();
-    (digest_run(&mut f, &vcs, tracer.as_ref()).0, lanes_worked)
+    let work = f.shard_work().to_vec();
+    (digest_run(&mut f, &vcs, tracer.as_ref()).0, work)
 }
 
 /// Every way into the slot engine gives the sequential run's digest: each
@@ -290,7 +294,8 @@ fn every_engine_path_matches_the_sequential_run() {
     // work really spread over the lanes (not funnelled through one).
     let (traced, _) = leg_run(Leg::Traced, 1);
     for shards in [2usize, 3, 5] {
-        let (digest, lanes_worked) = leg_run(Leg::Traced, shards);
+        let (digest, work) = leg_run(Leg::Traced, shards);
+        let lanes_worked = work.iter().filter(|&&w| w > 0).count();
         assert_eq!(traced, digest, "trace at {shards} shards");
         assert!(
             lanes_worked > 1,
@@ -303,6 +308,17 @@ fn every_engine_path_matches_the_sequential_run() {
             assert_eq!(base, leg_run(leg, shards).0, "{leg:?} at {shards} shards");
         }
     }
+    // Eight real lanes digest as one, and a 4-way block plan spreads the
+    // switch phase: no lane holds half the backlogged steps (sum/max > 2).
+    let (deep, _) = leg_run(Leg::DeepTree, 1);
+    assert_eq!(deep, leg_run(Leg::DeepTree, 8).0, "DeepTree at 8 shards");
+    let (digest, work) = leg_run(Leg::DeepTree, 4);
+    assert_eq!(deep, digest, "DeepTree at 4 shards");
+    let busiest = *work.iter().max().expect("four lanes");
+    assert!(
+        work.iter().sum::<u64>() > 2 * busiest,
+        "4-way plan leaves one lane most of the work: {work:?}"
+    );
 }
 
 /// Nothing separates two switches without link latency — a cell launched in

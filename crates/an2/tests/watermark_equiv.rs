@@ -493,7 +493,8 @@ fn a_persisting_violation_is_still_counted_every_slot() {
 
 /// Sparse bursts with long quiet gaps on the 12-switch fat-tree, profiled.
 /// Returns `(digest, skipped_slots, skipped_switch_steps, phases_ns,
-/// wall_ns)`.
+/// wall_ns)`, having asserted that the watermark skipped more switch-steps
+/// than the run executed.
 fn sparse_profiled_run(shards: usize) -> (u64, u64, u64, u64, u64) {
     let mut f = an2::Fabric::new(generators::fat_tree(2, 3), FabricConfig::default(), 9);
     f.set_shards(shards);
@@ -528,6 +529,10 @@ fn sparse_profiled_run(shards: usize) -> (u64, u64, u64, u64, u64) {
         }
     }
     fnv(&mut digest, &f.slot().to_le_bytes());
+    assert!(
+        p.skipped_switch_steps > p.stepped_switch_steps,
+        "{shards} shards: most switch-steps of a sparse run should be skipped: {p:?}"
+    );
     let phases_ns = p.enqueue_ns + p.schedule_ns + p.commit_ns + p.fast_forward_ns;
     (
         digest,

@@ -20,18 +20,14 @@
 //!   hops across surviving circuits (the spanning tree pays here: every
 //!   route must climb to the tree, shortcuts are blocked).
 
+use crate::{backbone_links, quiet_spec, NEVER};
 use an2::{
-    ControlPlaneConfig, FaultSpec, FlapEvent, LossModel, Network, ProtocolKind, ReconfigEvent,
-    SwitchId,
+    ControlPlaneConfig, FlapEvent, LossModel, Network, ProtocolKind, ReconfigEvent, SwitchId,
 };
 use an2_cells::Packet;
-use an2_sim::SimDuration;
-use an2_topology::{generators, LinkId, Node, Topology};
+use an2_topology::{generators, Topology};
 use std::collections::VecDeque;
 use std::fmt::Write;
-
-/// Far-future slot: the failed link never recovers within the horizon.
-const NEVER: u64 = 1_000_000_000;
 
 /// One (protocol, topology, loss) cell's measured outcome.
 pub struct ArenaRow {
@@ -58,28 +54,6 @@ pub struct ArenaRow {
     pub surviving: u64,
     /// Whether the protocol reconverged within the horizon.
     pub converged: bool,
-}
-
-fn quiet_spec() -> FaultSpec {
-    let mut spec = FaultSpec {
-        check_invariants: true,
-        ..Default::default()
-    };
-    spec.monitor.ping_interval = SimDuration::from_millis(1);
-    spec
-}
-
-/// Inter-switch links of the topology, in id order.
-fn backbone_links(topo: &Topology) -> Vec<(LinkId, SwitchId, SwitchId)> {
-    topo.links()
-        .filter_map(|l| {
-            let (a, b) = topo.endpoints(l);
-            match (a.node, b.node) {
-                (Node::Switch(x), Node::Switch(y)) => Some((l, x, y)),
-                _ => None,
-            }
-        })
-        .collect()
 }
 
 /// BFS hop count between two switches over the current working adjacency.

@@ -12,18 +12,18 @@
 //! recorded reconfiguration span beats 200 ms and that tracing left the
 //! run byte-identical.
 //!
-//! The sweep experiments (E3/E4/E5/E7) fan their grids across threads; set
-//! `AN2_BENCH_THREADS=1` to force a serial run (results are identical
-//! either way).
-//!
-//! Reports go to stdout and nowhere else: the experiments assert their
-//! claims in-process, and wall-clock numbers of record come from
+//! Every report is a function of the seeds in the code: no experiment
+//! reads a clock or the environment, and the sweeps (E3/E4/E5/E7) fan their
+//! grids across however many cores there are with identical results. So
+//! `experiments all` is one text, committed as `goldens/experiments.txt`
+//! and diffed by `ci.sh`; a change that means to move a report regenerates
+//! it with the same command and `>`. Wall-clock numbers of record come from
 //! `benchmark/run.sh`. Outputs are recorded against the paper's statements
 //! in EXPERIMENTS.md.
 
 use an2_bench::{
-    arena_exp, batch_exp, chaos_exp, control_exp, extensions_exp, fabric_exp, faults_exp, figures,
-    flow_exp, network_exp, observe_exp, parallel_exp, reconfig_exp, schedule_exp, xbar_exp,
+    arena_exp, chaos_exp, control_exp, extensions_exp, faults_exp, figures, flow_exp, network_exp,
+    observe_exp, reconfig_exp, schedule_exp, xbar_exp,
 };
 
 /// What the command line selects besides experiment ids.
@@ -102,9 +102,6 @@ const EXPERIMENTS: &[Experiment] = &[
     ("n1", "N1: whole-network load sweep", |_| {
         network_exp::n1_network_load_sweep().1
     }),
-    ("n2", "N2: fabric data plane, slab vs reference", |_| {
-        fabric_exp::n2_fabric_dataplane().1
-    }),
     (
         "n3",
         "N3: chaos soak — loss, flaps, crashes, resync",
@@ -120,21 +117,6 @@ const EXPERIMENTS: &[Experiment] = &[
                 control_exp::n4_control_plane().1
             }
         },
-    ),
-    (
-        "n5",
-        "N5: tracing overhead — flight recorder on vs off",
-        |_| fabric_exp::n5_trace_overhead().1,
-    ),
-    (
-        "n6",
-        "N6: parallel data plane — shard scaling on the 1024-switch fat-tree",
-        |_| parallel_exp::n6_parallel_dataplane().1,
-    ),
-    (
-        "n7",
-        "N7: batched data plane — watermark skips at 1k/10k/100k circuits",
-        |_| batch_exp::n7_batched_dataplane().1,
     ),
     (
         "n8",
@@ -154,7 +136,8 @@ const EXPERIMENTS: &[Experiment] = &[
 ];
 
 /// Resolves the command line against the table: no ids, or `all` among
-/// them, selects every experiment once, in table order.
+/// them, selects every experiment once, in table order. `--trace` is read
+/// by N4 alone, so it is refused unless `n4` is among the picked.
 fn parse(args: &[String]) -> Result<(Opts, Vec<&'static Experiment>), String> {
     let mut opts = Opts { trace: false };
     let mut picked = Vec::new();
@@ -167,12 +150,17 @@ fn parse(args: &[String]) -> Result<(Opts, Vec<&'static Experiment>), String> {
             }
             "all" => all = true,
             id => picked.push(EXPERIMENTS.iter().find(|e| e.0 == id).ok_or_else(|| {
-                format!("unknown experiment id '{id}' (use f1-f4, e1-e12, x1, n1-n10, all)")
+                format!(
+                    "unknown experiment id '{id}' (use f1-f4, e1-e12, x1, n1 n3 n4 n8-n10, all)"
+                )
             })?),
         }
     }
     if all || picked.is_empty() {
         picked = EXPERIMENTS.iter().collect();
+    }
+    if opts.trace && !picked.iter().any(|e| e.0 == "n4") {
+        return Err("--trace is read by n4 only, which is not among the ids given".into());
     }
     Ok((opts, picked))
 }
@@ -186,9 +174,14 @@ fn main() {
         std::process::exit(2);
     });
     for (_, title, run) in picked {
-        println!("\n=== {title} {}\n", "=".repeat(66 - title.len().min(60)));
+        println!("\n{}\n", banner(title));
         print!("{}", run(&opts));
     }
+}
+
+/// The line that opens an experiment's report.
+fn banner(title: &str) -> String {
+    format!("=== {title} {}", "=".repeat(66 - title.len().min(60)))
 }
 
 #[cfg(test)]
@@ -205,11 +198,11 @@ mod tests {
     fn the_table_has_each_experiment_once() {
         let unique: BTreeSet<&str> = EXPERIMENTS.iter().map(|e| e.0).collect();
         assert_eq!(unique.len(), EXPERIMENTS.len(), "duplicate id");
-        for (family, count) in [("f", 4), ("e", 12), ("x", 1), ("n", 10)] {
+        for (family, count) in [("f", 4), ("e", 12), ("x", 1), ("n", 6)] {
             let n = unique.iter().filter(|id| id.starts_with(family)).count();
             assert_eq!(n, count, "family {family}");
         }
-        assert_eq!(EXPERIMENTS.len(), 27);
+        assert_eq!(EXPERIMENTS.len(), 23);
         for (id, title, _) in EXPERIMENTS {
             let prefix = format!("{}:", id.to_uppercase());
             assert!(title.starts_with(&prefix), "{id} is titled '{title}'");
@@ -227,7 +220,10 @@ mod tests {
 
     #[test]
     fn unknown_ids_and_retired_flags_are_errors() {
-        assert!(ids(&["nope"]).unwrap_err().contains("'nope'"));
+        // N2/N5/N6/N7 are `benchmark/` workloads, not experiments.
+        for id in ["nope", "n2", "n5", "n6", "n7"] {
+            assert!(ids(&[id]).unwrap_err().contains(&format!("'{id}'")));
+        }
         assert!(ids(&["e3", "nope"]).is_err());
         for flag in [
             "--json",
@@ -240,5 +236,20 @@ mod tests {
         }
         let args = ["n4".to_string(), "--trace".to_string()];
         assert!(parse(&args).unwrap().0.trace);
+        // Only N4 reads the flag; `all` (or no id) picks N4.
+        assert!(ids(&["e3", "--trace"]).unwrap_err().contains("n4"));
+        assert!(ids(&["--trace", "e3", "n4"]).is_ok());
+        assert!(ids(&["--trace"]).is_ok());
+    }
+
+    /// The golden `ci.sh` diffs holds one banner per table entry, in table
+    /// order: an experiment added, dropped, retitled or moved without
+    /// regenerating it fails here, without running any experiment.
+    #[test]
+    fn the_golden_has_the_tables_banners_in_table_order() {
+        let golden = include_str!("../../goldens/experiments.txt");
+        let banners: Vec<&str> = golden.lines().filter(|l| l.starts_with("=== ")).collect();
+        let table: Vec<String> = EXPERIMENTS.iter().map(|e| banner(e.1)).collect();
+        assert_eq!(banners, table);
     }
 }

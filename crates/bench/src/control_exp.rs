@@ -21,19 +21,15 @@
 //! - **replay**: the same `(spec, seed)` replays byte-identically — log,
 //!   control-transport counters, and per-circuit stats all digest equal.
 
+use crate::{backbone_links, fnv, quiet_spec, NEVER};
 use an2::{
     sink, ControlPlaneConfig, CrashEvent, FaultSpec, FlapEvent, Hop, HostId, LinkId, Network,
     Phase, ReconfigEvent, SwitchId, TraceConfig, TraceEvent, VcId,
 };
 use an2_cells::Packet;
 use an2_reconfig::harness::ReconfigNet;
-use an2_sim::SimDuration;
-use an2_topology::{updown, LinkState, Node, Topology};
+use an2_topology::{updown, LinkState, Topology};
 use std::fmt::Write;
-
-/// Far-future slot: a flap that never recovers / a crash that never
-/// restarts within the experiment horizon.
-const NEVER: u64 = 1_000_000_000;
 
 /// One cell's measured outcome, for the JSON baseline.
 pub struct ControlRow {
@@ -60,35 +56,6 @@ pub struct ControlRow {
     pub oracle_ok: bool,
     /// Whether a replay from the same `(spec, seed)` was byte-identical.
     pub replay_ok: bool,
-}
-
-fn fnv(h: &mut u64, x: u64) {
-    for b in x.to_le_bytes() {
-        *h ^= b as u64;
-        *h = h.wrapping_mul(0x1_0000_01b3);
-    }
-}
-
-fn quiet_spec() -> FaultSpec {
-    let mut spec = FaultSpec {
-        check_invariants: true,
-        ..Default::default()
-    };
-    spec.monitor.ping_interval = SimDuration::from_millis(1);
-    spec
-}
-
-/// Inter-switch links of the topology, in id order.
-fn backbone_links(topo: &Topology) -> Vec<(LinkId, SwitchId, SwitchId)> {
-    topo.links()
-        .filter_map(|l| {
-            let (a, b) = topo.endpoints(l);
-            match (a.node, b.node) {
-                (Node::Switch(x), Node::Switch(y)) => Some((l, x, y)),
-                _ => None,
-            }
-        })
-        .collect()
 }
 
 /// The surviving adjacency among non-crashed switches, normalized sorted.

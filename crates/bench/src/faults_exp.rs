@@ -18,6 +18,7 @@
 //!   slot; the run drains clean and replays byte-identically from the
 //!   same `(spec, seed)`.
 
+use crate::fnv;
 use an2::{CrashEvent, FaultSpec, FlapEvent, LinkFaultModel, LossModel, Network, VcId};
 use an2_cells::Packet;
 use an2_sim::SimDuration;
@@ -58,13 +59,6 @@ struct Outcome {
     restored: bool,
     log: Vec<an2::ReconfigEvent>,
     digest: u64,
-}
-
-fn fnv(h: &mut u64, x: u64) {
-    for b in x.to_le_bytes() {
-        *h ^= b as u64;
-        *h = h.wrapping_mul(0x1_0000_01b3);
-    }
 }
 
 /// Drives `circuits` best-effort circuits over a 4-switch SRC installation

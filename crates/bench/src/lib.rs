@@ -14,22 +14,58 @@
 #![warn(missing_docs)]
 
 pub mod arena_exp;
-pub mod batch_exp;
 pub mod chaos_exp;
 pub mod control_exp;
 pub mod extensions_exp;
-pub mod fabric_exp;
 pub mod faults_exp;
 pub mod figures;
 pub mod flow_exp;
 pub mod network_exp;
 pub mod observe_exp;
 pub mod parallel;
-pub mod parallel_exp;
 pub mod reconfig_exp;
-pub mod scenario;
 pub mod schedule_exp;
 pub mod xbar_exp;
+
+use an2::{FaultSpec, LinkId, SwitchId};
+use an2_sim::SimDuration;
+use an2_topology::{Node, Topology};
+
+/// Far-future slot: a flap that never recovers, a crash that never
+/// restarts, within any experiment's horizon.
+pub(crate) const NEVER: u64 = 1_000_000_000;
+
+/// One FNV-1a step per byte of `x`: the replay digests of N3 and N4.
+pub(crate) fn fnv(h: &mut u64, x: u64) {
+    for b in x.to_le_bytes() {
+        *h ^= b as u64;
+        *h = h.wrapping_mul(0x1_0000_01b3);
+    }
+}
+
+/// A fault layer that injects nothing, with the invariant checker on and
+/// the monitor pinging every millisecond: what N4 and N9 script onto.
+pub(crate) fn quiet_spec() -> FaultSpec {
+    let mut spec = FaultSpec {
+        check_invariants: true,
+        ..Default::default()
+    };
+    spec.monitor.ping_interval = SimDuration::from_millis(1);
+    spec
+}
+
+/// Inter-switch links of the topology, in id order.
+pub(crate) fn backbone_links(topo: &Topology) -> Vec<(LinkId, SwitchId, SwitchId)> {
+    topo.links()
+        .filter_map(|l| {
+            let (a, b) = topo.endpoints(l);
+            match (a.node, b.node) {
+                (Node::Switch(x), Node::Switch(y)) => Some((l, x, y)),
+                _ => None,
+            }
+        })
+        .collect()
+}
 
 /// Formats a fraction as a percent with one decimal.
 ///

@@ -28,7 +28,6 @@ use an2_cells::LinkRate;
 use an2_chaos::gen::slots_per_ms;
 use an2_chaos::{generate, run_schedule, run_schedule_observed, CampaignSpec, Scenario};
 use an2_trace::{score_detections, DetectorKind, ObservatoryConfig};
-use std::time::Instant;
 
 /// One grid point's detection scorecard.
 #[derive(Debug, Clone)]
@@ -53,9 +52,6 @@ pub struct ObserveRow {
     pub digest_match: bool,
     /// Interval snapshots scraped on the observed leg.
     pub intervals: u64,
-    /// Wall-clock overhead of the observed leg vs. the plain leg, percent
-    /// (noisy; reported, never asserted).
-    pub overhead_pct: f64,
 }
 
 /// Per-detector totals pooled across the grid.
@@ -117,9 +113,7 @@ pub fn n10_observatory() -> (Vec<ObserveRow>, Vec<DetectorRow>, String) {
             let cell = format!("{}@{seed}", spec.name);
 
             // Leg 1: plain.
-            let t0 = Instant::now();
             let plain = run_schedule(&sched);
-            let t_plain = t0.elapsed();
             assert!(
                 plain.violations.is_empty(),
                 "{cell} plain leg violated the oracle: {:?}",
@@ -127,10 +121,8 @@ pub fn n10_observatory() -> (Vec<ObserveRow>, Vec<DetectorRow>, String) {
             );
 
             // Leg 2: observed — byte-identical digest, every label caught.
-            let t1 = Instant::now();
             let (observed, tracer) =
                 run_schedule_observed(&sched, ProtocolKind::UpDown, ObservatoryConfig::default());
-            let t_obs = t1.elapsed();
             assert_eq!(
                 plain.digest, observed.digest,
                 "{cell}: scrape-enabled run diverged from scrape-disabled"
@@ -178,8 +170,6 @@ pub fn n10_observatory() -> (Vec<ObserveRow>, Vec<DetectorRow>, String) {
                     .collect::<Vec<_>>()
             );
 
-            let overhead_pct =
-                (t_obs.as_secs_f64() / t_plain.as_secs_f64().max(1e-9) - 1.0) * 100.0;
             rows.push(ObserveRow {
                 cell,
                 labels: score.labels as u64,
@@ -191,7 +181,6 @@ pub fn n10_observatory() -> (Vec<ObserveRow>, Vec<DetectorRow>, String) {
                 control_alerts,
                 digest_match: plain.digest == observed.digest,
                 intervals: tracer.intervals_seen(),
-                overhead_pct,
             });
         }
     }
@@ -207,12 +196,12 @@ pub fn n10_observatory() -> (Vec<ObserveRow>, Vec<DetectorRow>, String) {
 
     let mut text = String::new();
     text.push_str(&format!(
-        "{:<22} {:>6} {:>9} {:>9} {:>5} {:>6} {:>5} {:>6} {:>9}\n",
-        "cell", "found", "med_ttd", "max_ttd", "fp", "ctrl", "match", "ivals", "overhead"
+        "{:<22} {:>6} {:>9} {:>9} {:>5} {:>6} {:>5} {:>6}\n",
+        "cell", "found", "med_ttd", "max_ttd", "fp", "ctrl", "match", "ivals"
     ));
     for r in &rows {
         text.push_str(&format!(
-            "{:<22} {:>3}/{:<2} {:>7.2}ms {:>7.2}ms {:>5} {:>6} {:>5} {:>6} {:>8.1}%\n",
+            "{:<22} {:>3}/{:<2} {:>7.2}ms {:>7.2}ms {:>5} {:>6} {:>5} {:>6}\n",
             r.cell,
             r.detected,
             r.labels,
@@ -222,7 +211,6 @@ pub fn n10_observatory() -> (Vec<ObserveRow>, Vec<DetectorRow>, String) {
             r.control_alerts,
             r.digest_match,
             r.intervals,
-            r.overhead_pct,
         ));
     }
     text.push_str(&format!(

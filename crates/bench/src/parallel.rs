@@ -8,27 +8,16 @@
 //! the harness output byte-identical to a single-thread run (asserted by the
 //! determinism tests).
 
-/// Worker threads to use for sweeps: the `AN2_BENCH_THREADS` environment
-/// variable if set (values below 1 mean 1, i.e. fully serial), otherwise the
-/// machine's available parallelism.
-pub fn worker_threads() -> usize {
-    match std::env::var("AN2_BENCH_THREADS") {
-        Ok(v) => v.trim().parse::<usize>().unwrap_or(1).max(1),
-        Err(_) => std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1),
-    }
-}
-
-/// Maps `f` over `items` on [`worker_threads`] scoped threads, returning
-/// results in input order.
+/// Maps `f` over `items` on as many scoped threads as the machine has
+/// cores, returning results in input order.
 pub fn par_map<T, R, F>(items: Vec<T>, f: F) -> Vec<R>
 where
     T: Send,
     R: Send,
     F: Fn(T) -> R + Sync,
 {
-    par_map_threads(items, worker_threads(), f)
+    let threads = std::thread::available_parallelism().map_or(1, |n| n.get());
+    par_map_threads(items, threads, f)
 }
 
 /// [`par_map`] with an explicit thread count. `threads <= 1` runs serially

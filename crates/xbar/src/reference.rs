@@ -3,20 +3,15 @@
 //! These are the original scan-and-`Vec` schedulers from before the bitmask
 //! fast path: candidate sets built by filtering `0..n` into freshly
 //! allocated `Vec`s, one allocation (or several) per port per iteration.
-//! They are kept for two jobs:
-//!
-//! 1. **Correctness oracle.** The bitmask schedulers were written to consume
-//!    the RNG stream identically — an output's requester list was always
-//!    materialised in ascending port order, so "pick element `k` of the
-//!    sorted `Vec`" and "pick the `k`-th set bit of the mask" choose the
-//!    same port. Property tests drive both from the same seed and assert
-//!    bit-identical matchings.
-//! 2. **Performance baseline.** The Criterion benches in `an2-bench` measure
-//!    the fast path's speedup against these (the acceptance bar is ≥2× on a
-//!    16×16 switch).
+//! They are kept as the correctness oracle. The bitmask schedulers were
+//! written to consume the RNG stream identically — an output's requester
+//! list was always materialised in ascending port order, so "pick element
+//! `k` of the sorted `Vec`" and "pick the `k`-th set bit of the mask" choose
+//! the same port. Property tests (`tests/proptests.rs`, `wide_equiv`) drive
+//! both from the same seed and assert bit-identical matchings.
 //!
 //! Nothing else should use this module; it is `#[doc(hidden)]` from the
-//! crate root's perspective but public so the bench crate can reach it.
+//! crate root's perspective but public so those suites can reach it.
 
 use crate::matching::{DemandMatrix, Matching};
 use crate::scratch::Scratch;
