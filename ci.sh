@@ -23,6 +23,21 @@ for dir in compat/*/; do
         { echo "compat/$name: no manifest depends on it"; exit 1; }
 done
 
+echo "== one hasher: the FNV prime appears in no .rs file under crates/ or tests/ outside crates/sim/src/"
+# A digest two suites compute two ways is not a contract. Everything that
+# hashes goes through an2_sim::Fnv; what "byte-identical" covers is
+# Network::digest / Fabric::digest in crates/an2/src.
+if grep -rn --include='*.rs' '01b3' crates tests | grep -v '^crates/sim/src/'; then
+    echo "a second FNV loop: use an2_sim::Fnv"
+    exit 1
+fi
+# Fnv::replay() is the multiplier benchmark/goldens.json was captured
+# under, kept for the library walk alone until those are recaptured.
+if grep -rn --include='*.rs' 'Fnv::replay' crates tests | grep -v '^crates/sim/src/\|^crates/an2/src/'; then
+    echo "Fnv::replay() is for Network::digest / Fabric::digest only: use Fnv::new()"
+    exit 1
+fi
+
 echo "== no file under crates/an2/src over 1200 lines"
 # ROADMAP item 1's bar. The cure for a file that trips it is a part with its
 # own state behind private fields (crates/an2/src/fabric/), not a second

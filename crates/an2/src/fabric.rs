@@ -27,6 +27,7 @@
 mod agenda;
 mod circuits;
 mod ctrl;
+mod digest;
 mod faults;
 mod host;
 #[cfg(test)]
@@ -365,9 +366,9 @@ impl Fabric {
     /// agenda agree. An idle switch's step draws no randomness and moves no
     /// cell, so the skip is byte-identical to stepping; the
     /// `watermark_equiv` tests pin that down. Turning batching off forces
-    /// the legacy slot-by-slot path, which the N7 experiment benchmarks
+    /// the legacy slot-by-slot path, the oracle those tests compare
     /// against; with a fault layer attached it steps every slot, quiet or
-    /// not, which is what the fault legs of those tests compare against.
+    /// not, which is what their fault legs compare against.
     pub fn set_batching(&mut self, on: bool) {
         self.batching = on;
         for sw in &mut self.switches {

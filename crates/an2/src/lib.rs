@@ -50,7 +50,7 @@ mod shard;
 pub use central::BandwidthCentral;
 pub use error::NetError;
 pub use fabric::{CtrlCounters, Fabric, FabricConfig, FaultCounters, PhaseProfile, VcStats};
-pub use network::{ControlPlaneConfig, Network, NetworkBuilder};
+pub use network::{Network, NetworkBuilder};
 
 pub use an2_cells::signal::TrafficClass;
 pub use an2_cells::{Packet, VcId};

@@ -2,8 +2,6 @@
 
 mod control;
 
-pub use control::ControlPlaneConfig;
-
 use crate::central::BandwidthCentral;
 use crate::error::NetError;
 use crate::fabric::{CtrlCounters, Fabric, FabricConfig, FaultCounters, PhaseProfile, VcStats};
@@ -12,9 +10,8 @@ use an2_cells::{LinkRate, Packet, Segmenter, VcId};
 use an2_faults::FaultSpec;
 use an2_reconfig::monitor::{LinkMonitor, LinkVerdict};
 use an2_reconfig::protocol::ProtocolKind;
-use an2_reconfig::skeptic::SkepticConfig;
 use an2_reconfig::ReconfigEvent;
-use an2_sim::{SimDuration, SimTime};
+use an2_sim::{Fnv, SimDuration, SimTime};
 use an2_topology::{generators, paths, HostId, LinkId, Node, SwitchId, Topology};
 use an2_trace::{Entity, TraceConfig, TraceEvent, Tracer};
 use control::ControlPlane;
@@ -36,8 +33,6 @@ pub struct NetworkBuilder {
     topo: Topology,
     seed: u64,
     fabric: FabricConfig,
-    shards: usize,
-    skeptic: Option<SkepticConfig>,
     protocol: ProtocolKind,
 }
 
@@ -47,8 +42,6 @@ impl Default for NetworkBuilder {
             topo: generators::src_installation(4, 4),
             seed: 0,
             fabric: FabricConfig::default(),
-            shards: 1,
-            skeptic: None,
             protocol: ProtocolKind::default(),
         }
     }
@@ -101,26 +94,6 @@ impl NetworkBuilder {
         self
     }
 
-    /// Data-plane shards (default 1 = sequential stepping). See
-    /// [`Network::set_shards`].
-    pub fn shards(mut self, shards: usize) -> Self {
-        self.shards = shards;
-        self
-    }
-
-    /// Overrides the skeptic tuning used by every link monitor this
-    /// network creates in [`Network::attach_faults`], taking precedence
-    /// over the fault spec's `monitor.skeptic`. The defaults
-    /// ([`SkepticConfig::default`]: 100 ms base wait, level cap 10, 60 s
-    /// decay) match the paper's AN1 heritage; `base_wait = 0` with
-    /// `max_level = 0` disables the holddown entirely (every recovery is
-    /// granted as soon as the ping thresholds allow — the storm-prone
-    /// behaviour the skeptic exists to damp).
-    pub fn skeptic(mut self, cfg: SkepticConfig) -> Self {
-        self.skeptic = Some(cfg);
-        self
-    }
-
     /// Selects the control protocol [`Network::enable_control_plane`]
     /// embeds (default: the paper's up\*/down\* reconfiguration). The
     /// rivals — [`ProtocolKind::SpanningTree`] and
@@ -135,10 +108,7 @@ impl NetworkBuilder {
     pub fn build(self) -> Network {
         let frame = self.fabric.switch.frame_slots;
         let central = BandwidthCentral::new(&self.topo, frame);
-        let mut fabric = Fabric::new(self.topo, self.fabric, self.seed);
-        if self.shards > 1 {
-            fabric.set_shards(self.shards);
-        }
+        let fabric = Fabric::new(self.topo, self.fabric, self.seed);
         Network {
             fabric,
             central,
@@ -147,7 +117,6 @@ impl NetworkBuilder {
             next_vc: 32, // leave room below for well-known circuits
             faults: None,
             control: None,
-            skeptic_override: self.skeptic,
             protocol: self.protocol,
         }
     }
@@ -199,9 +168,6 @@ pub struct Network {
     /// [`Network::enable_control_plane`] has been called: per-switch
     /// reconfiguration agents on the fabric timeline.
     control: Option<Box<ControlPlane>>,
-    /// Builder-supplied skeptic tuning; wins over the fault spec's
-    /// `monitor.skeptic` when monitors are created.
-    skeptic_override: Option<SkepticConfig>,
     /// The control protocol [`Network::enable_control_plane`] will embed.
     protocol: ProtocolKind,
 }
@@ -696,10 +662,6 @@ impl Network {
     /// traffic; attaching mid-flight leaves earlier cells un-faulted.
     pub fn attach_faults(&mut self, spec: &FaultSpec, seed: u64) {
         self.fabric.attach_faults(spec, seed);
-        let mut mon_cfg = spec.monitor;
-        if let Some(sk) = self.skeptic_override {
-            mon_cfg.skeptic = sk;
-        }
         let topo = self.fabric.topology();
         let monitors: Vec<(LinkId, LinkMonitor)> = topo
             .links()
@@ -707,7 +669,7 @@ impl Network {
                 let (a, b) = topo.endpoints(l);
                 matches!(a.node, Node::Switch(_)) && matches!(b.node, Node::Switch(_))
             })
-            .map(|l| (l, LinkMonitor::new(mon_cfg)))
+            .map(|l| (l, LinkMonitor::new(spec.monitor)))
             .collect();
         let slot_ns = RATE.slot_duration().as_nanos().max(1);
         let ping_every_slots = (spec.monitor.ping_interval.as_nanos() / slot_ns).max(1);
@@ -754,21 +716,15 @@ impl Network {
     /// streaming telemetry tier enabled: the observatory scrapes the
     /// registry into interval snapshots on the fabric's virtual clock and
     /// runs the SLO watchdog over every interval, mirroring its
-    /// [`an2_trace::HealthEvent`]s into the flight recorder. The interval
-    /// length defaults to ~1 ms of virtual time at this network's link
-    /// rate when `cfg.every_slots` is zero. Scraping reads the registry
-    /// and nothing else — an observed run stays byte-identical to an
-    /// unobserved (and to an untraced) one.
+    /// [`an2_trace::HealthEvent`]s into the flight recorder. Scraping reads
+    /// the registry and nothing else — an observed run stays byte-identical
+    /// to an unobserved (and to an untraced) one.
     pub fn attach_observatory(
         &mut self,
         trace_cfg: TraceConfig,
-        mut cfg: an2_trace::ObservatoryConfig,
+        cfg: an2_trace::ObservatoryConfig,
     ) -> Tracer {
         let tracer = self.attach_tracer(trace_cfg);
-        if cfg.every_slots == 0 {
-            let slot_ns = RATE.slot_duration().as_nanos().max(1);
-            cfg.every_slots = (1_000_000 / slot_ns).max(1);
-        }
         tracer.enable_observatory(cfg);
         tracer
     }
@@ -818,6 +774,49 @@ impl Network {
     /// destroyed by loss, dead links, or crashed line cards).
     pub fn ctrl_counters(&self) -> CtrlCounters {
         self.fabric.ctrl_counters()
+    }
+
+    /// The replay digest: what "byte-identical" means for two runs of a
+    /// network. [`Fabric::digest`]'s walk with every circuit this layer
+    /// holds broken standing in `VcId` order as a marker, then the typed
+    /// reconfiguration log (per event: slot, kind, and the link, epoch,
+    /// message count, route counts or quarantine edge it carries), then
+    /// the recoveries the skeptic suppressed. Reads only — two calls are
+    /// equal and [`Network::take_received`] afterwards loses nothing — and
+    /// equal across shard counts, batching and tracing. N8 prints it and
+    /// `benchmark/goldens.json` stores it, so the order of terms is fixed.
+    pub fn digest(&self) -> u64 {
+        let mut h = Fnv::replay();
+        self.fabric.digest_into(&mut h, self.broken.keys().copied());
+        for e in self.reconfig_log() {
+            h.add(e.slot());
+            match *e {
+                ReconfigEvent::LinkDead { link, .. } => h.add(0x100 | u64::from(link.0)),
+                ReconfigEvent::LinkWorking { link, .. } => h.add(0x200 | u64::from(link.0)),
+                ReconfigEvent::EpochStarted { tag, .. } => h.add(0x300 | tag.epoch),
+                ReconfigEvent::Quiesced { messages, .. } => h.add(0x400_0000 | messages),
+                ReconfigEvent::RoutesInstalled {
+                    rerouted,
+                    kept,
+                    unroutable,
+                    ..
+                } => {
+                    h.add(0x500);
+                    h.add((rerouted << 20) | (kept << 10) | unroutable);
+                }
+                ReconfigEvent::LinkQuarantined {
+                    link,
+                    entered,
+                    level,
+                    ..
+                } => {
+                    h.add(0x600 | u64::from(link.0));
+                    h.add((u64::from(entered) << 32) | u64::from(level));
+                }
+            }
+        }
+        h.add(self.suppressed_recoveries());
+        h.finish()
     }
 
     /// An open circuit's full wiring: switch path, inter-switch links, and

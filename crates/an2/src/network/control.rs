@@ -22,7 +22,7 @@
 //! Convergence under message loss is guaranteed by a bounded retry: if an
 //! epoch is open, nothing is in flight, and the protocol still disagrees,
 //! the lowest live switch of the disagreeing partition gets a timer kick
-//! after a quiet interval ([`ControlPlaneConfig::retry`]) and re-initiates
+//! after a quiet interval (`RETRY`, 5 ms) and re-initiates
 //! with fresh progress (a higher tag / generation).
 
 use super::Network;
@@ -48,30 +48,16 @@ fn norm(a: SwitchId, b: SwitchId) -> Edge {
     }
 }
 
-/// Tuning for the embedded control plane.
-#[derive(Debug, Clone, Copy)]
-pub struct ControlPlaneConfig {
-    /// Line-card software time spent handling one protocol message before
-    /// its replies hit the wire (the harness oracle's default is 100 µs).
-    pub processing: SimDuration,
-    /// How long an open epoch may sit with nothing in flight and
-    /// disagreeing views before a stale switch re-initiates. Covers
-    /// protocol messages destroyed by link loss or crashed line cards.
-    pub retry: SimDuration,
-    /// Upper bound on re-initiations, so a partitioned or hopeless run
-    /// cannot spin forever.
-    pub max_retries: u32,
-}
-
-impl Default for ControlPlaneConfig {
-    fn default() -> Self {
-        ControlPlaneConfig {
-            processing: SimDuration::from_micros(100),
-            retry: SimDuration::from_millis(5),
-            max_retries: 64,
-        }
-    }
-}
+/// Line-card software time spent handling one protocol message before its
+/// replies hit the wire (the harness oracle's default too).
+const PROCESSING: SimDuration = SimDuration::from_micros(100);
+/// How long an open epoch may sit with nothing in flight and disagreeing
+/// views before a stale switch re-initiates. Covers protocol messages
+/// destroyed by link loss or crashed line cards.
+const RETRY: SimDuration = SimDuration::from_millis(5);
+/// Upper bound on re-initiations, so a partitioned or hopeless run cannot
+/// spin forever.
+const MAX_RETRIES: u32 = 64;
 
 /// What the control plane feeds the protocol: a local link event, a peer
 /// message off the wire, or the stall-retry timer.
@@ -90,11 +76,10 @@ enum Input {
 pub(super) struct ControlPlane {
     /// The pluggable protocol (selected by `Network::builder().protocol`).
     protocol: Box<dyn ControlProtocol>,
-    /// `cfg.processing` in slots, added to every outbound control send.
+    /// `PROCESSING` in slots, added to every outbound control send.
     processing_slots: u64,
-    /// `cfg.retry` in slots.
+    /// `RETRY` in slots.
     retry_slots: u64,
-    max_retries: u32,
     retries_used: u32,
     /// An epoch is open: the protocol's progress tag advanced past the
     /// last installed configuration and quiescence has not been declared
@@ -124,13 +109,12 @@ impl fmt::Debug for ControlPlane {
 impl ControlPlane {
     /// One protocol instance per switch, all idle. Boot knowledge is
     /// delivered by [`crate::Network::enable_control_plane`].
-    fn new(switch_count: usize, cfg: ControlPlaneConfig, slot_ns: u64, kind: ProtocolKind) -> Self {
+    fn new(switch_count: usize, slot_ns: u64, kind: ProtocolKind) -> Self {
         let slot_ns = slot_ns.max(1);
         ControlPlane {
             protocol: kind.build(switch_count),
-            processing_slots: (cfg.processing.as_nanos() / slot_ns).max(1),
-            retry_slots: (cfg.retry.as_nanos() / slot_ns).max(1),
-            max_retries: cfg.max_retries,
+            processing_slots: (PROCESSING.as_nanos() / slot_ns).max(1),
+            retry_slots: (RETRY.as_nanos() / slot_ns).max(1),
             retries_used: 0,
             epoch_open: false,
             best_tag: Tag::ZERO,
@@ -248,7 +232,7 @@ impl ControlPlane {
     /// `None` while the quiet interval has not elapsed or once the retry
     /// budget is spent.
     fn retry_candidate(&mut self, fabric: &Fabric, slot: u64) -> Option<SwitchId> {
-        if self.retries_used >= self.max_retries
+        if self.retries_used >= MAX_RETRIES
             || slot.saturating_sub(self.last_activity_slot) < self.retry_slots
         {
             return None;
@@ -337,7 +321,7 @@ impl Network {
     /// Panics unless [`Network::attach_faults`] was called first: the
     /// agents are driven by monitor verdicts and the control cells need
     /// the fault layer's loss processes to be meaningful.
-    pub fn enable_control_plane(&mut self, cfg: ControlPlaneConfig) {
+    pub fn enable_control_plane(&mut self) {
         assert!(
             self.faults.is_some(),
             "enable_control_plane requires attach_faults first"
@@ -345,7 +329,6 @@ impl Network {
         let slot_ns = self.slot_duration().as_nanos().max(1);
         let mut cp = Box::new(ControlPlane::new(
             self.topology().switch_count(),
-            cfg,
             slot_ns,
             self.protocol,
         ));

@@ -4,11 +4,10 @@
 //! `crate::fabric` replaced: `HashMap` circuit tables, per-host
 //! `BTreeMap<VcId, VecDeque<Cell>>` outboxes and credit tables, a
 //! `BTreeMap<u64, Vec<Event>>` agenda, and the pre-slab
-//! [`an2_switch::reference::ReferenceSwitch`] per switch. It is kept (a) as
-//! the baseline side of experiment N2 and (b) as the behavioural oracle
-//! for the reference-equivalence property tests — both fabrics must produce
-//! byte-identical `VcStats`, latency histograms and delivered packets on
-//! any seeded workload.
+//! [`an2_switch::reference::ReferenceSwitch`] per switch. It is kept as the
+//! behavioural oracle of the `reference_equiv` and `wide_fabric_equiv`
+//! suites — both fabrics must produce byte-identical `VcStats`, latency
+//! histograms and delivered packets on any seeded workload.
 //!
 //! Mirrors the PR 1 pattern of `an2_xbar::reference`. Do not optimise this
 //! module; its value is that it stays exactly what shipped before.

@@ -8,9 +8,7 @@
 //! demand the embedded agents reach byte-identical views, and that every
 //! circuit lands on the byte-identical canonical up*/down* path.
 
-use an2::{
-    ControlPlaneConfig, CrashEvent, FaultSpec, FlapEvent, Network, ReconfigEvent, SwitchId, VcId,
-};
+use an2::{CrashEvent, FaultSpec, FlapEvent, Network, ReconfigEvent, SwitchId, VcId};
 use an2_cells::Packet;
 use an2_reconfig::harness::ReconfigNet;
 use an2_sim::SimDuration;
@@ -187,7 +185,7 @@ fn build(
         }
     }
     net.attach_faults(spec, seed);
-    net.enable_control_plane(ControlPlaneConfig::default());
+    net.enable_control_plane();
     (net, circuits)
 }
 
@@ -334,9 +332,8 @@ fn switch_crash_converges_excluding_victim() {
     );
 }
 
-/// Digest of everything the replay contract covers: the typed log, the
-/// control transport counters, and per-circuit stats.
-fn run_digest(seed: u64) -> Vec<u64> {
+/// The replay digest of a run with a long flap under steady load.
+fn run_digest(seed: u64) -> u64 {
     let topo = an2_topology::generators::src_installation(4, 8);
     let victim = backbone_links(&topo)[2].0;
     let mut spec = quiet_spec();
@@ -352,44 +349,7 @@ fn run_digest(seed: u64) -> Vec<u64> {
         }
         net.step(5_000);
     }
-    let mut d = Vec::new();
-    for e in net.reconfig_log() {
-        d.push(e.slot());
-        d.push(match e {
-            ReconfigEvent::LinkDead { link, .. } => 0x100 | link.0 as u64,
-            ReconfigEvent::LinkWorking { link, .. } => 0x200 | link.0 as u64,
-            ReconfigEvent::EpochStarted { tag, .. } => 0x300 | tag.epoch,
-            ReconfigEvent::Quiesced { messages, .. } => 0x400 | messages,
-            ReconfigEvent::RoutesInstalled {
-                rerouted,
-                kept,
-                unroutable,
-                ..
-            } => 0x500 | (rerouted << 20) | (kept << 10) | unroutable,
-            ReconfigEvent::LinkQuarantined {
-                link,
-                entered,
-                level,
-                ..
-            } => 0x600 | ((*entered as u64) << 40) | ((*level as u64) << 20) | link.0 as u64,
-        });
-    }
-    let c = net.ctrl_counters();
-    d.extend([c.messages_sent, c.messages_lost, c.cells_sent]);
-    for &(vc, _, _) in &circuits {
-        let s = if net.is_broken(vc) {
-            continue;
-        } else {
-            net.stats(vc).clone()
-        };
-        d.extend([
-            s.sent_cells,
-            s.delivered_cells,
-            s.lost_cells,
-            s.dropped_cells,
-        ]);
-    }
-    d
+    net.digest()
 }
 
 #[test]

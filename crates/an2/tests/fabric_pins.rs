@@ -17,14 +17,14 @@
 //! configurations.
 
 use an2::{
-    ControlPlaneConfig, CrashEvent, Fabric, FabricConfig, FaultSpec, FlapEvent, LinkFaultModel,
-    LossModel, Network, SkepticConfig, TraceConfig, Tracer, TrafficClass, VcStats,
+    CrashEvent, Fabric, FabricConfig, FaultSpec, FlapEvent, LinkFaultModel, LossModel, Network,
+    SkepticConfig, TraceConfig, Tracer, TrafficClass, VcStats,
 };
 use an2_cells::{Packet, Segmenter, VcId};
 use an2_reconfig::agent::Msg;
 use an2_reconfig::protocol::ProtocolMsg;
 use an2_reconfig::Tag;
-use an2_sim::{SimDuration, SimRng};
+use an2_sim::{Fnv, SimDuration, SimRng};
 use an2_topology::{generators, paths, HostId, LinkId, LinkState, Node, SwitchId, Topology};
 
 const TOPOLOGIES: [&str; 3] = ["line3", "tree2x3", "src4x6"];
@@ -44,44 +44,24 @@ fn topology(name: &str) -> Topology {
     }
 }
 
-/// FNV-1a, one little-endian word at a time.
-#[derive(Clone, Copy)]
-struct Fnv(u64);
-
-impl Fnv {
-    fn new() -> Self {
-        Fnv(0xcbf2_9ce4_8422_2325)
+/// Every field of a circuit's statistics, then every latency sample.
+fn hash_stats(h: &mut Fnv, s: &VcStats) {
+    for x in [
+        s.sent_cells,
+        s.delivered_cells,
+        s.dropped_cells,
+        s.packets_delivered,
+        s.packets_corrupted,
+        s.pages_out,
+        s.pages_in,
+        s.lost_cells,
+        s.corrupted_cells,
+        s.latency_slots.count() as u64,
+    ] {
+        h.add(x);
     }
-
-    fn bytes(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.0 ^= u64::from(b);
-            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    }
-
-    fn word(&mut self, x: u64) {
-        self.bytes(&x.to_le_bytes());
-    }
-
-    fn stats(&mut self, s: &VcStats) {
-        for x in [
-            s.sent_cells,
-            s.delivered_cells,
-            s.dropped_cells,
-            s.packets_delivered,
-            s.packets_corrupted,
-            s.pages_out,
-            s.pages_in,
-            s.lost_cells,
-            s.corrupted_cells,
-            s.latency_slots.count() as u64,
-        ] {
-            self.word(x);
-        }
-        for &sample in s.latency_slots.samples() {
-            self.word(sample);
-        }
+    for &sample in s.latency_slots.samples() {
+        h.add(sample);
     }
 }
 
@@ -181,12 +161,12 @@ struct Outcome {
 fn trace_part(tracer: &Tracer) -> String {
     let mut h = Fnv::new();
     for r in tracer.records() {
-        h.word(r.slot);
-        h.word(r.at_ns);
+        h.add(r.slot);
+        h.add(r.at_ns);
         h.bytes(format!("{:?}", r.event).as_bytes());
     }
     h.bytes(tracer.metrics_json().as_bytes());
-    format!("{}:{:016x}", tracer.events_seen(), h.0)
+    format!("{}:{:016x}", tracer.events_seen(), h.finish())
 }
 
 fn counters_part(f: Option<an2::FaultCounters>, c: an2::CtrlCounters) -> String {
@@ -313,15 +293,15 @@ fn fabric_run(name: &str, seed: u64, mode: Mode, shards: usize, traced: bool) ->
                     edges: (0..20).map(|k| (SwitchId(k), SwitchId(k + 1))).collect(),
                     parents: vec![(a, b)],
                 });
-                misc.word(u64::from(f.send_ctrl(a, b, l, invite, 3)));
-                misc.word(u64::from(f.send_ctrl(b, a, l, report, 0)));
+                misc.add(u64::from(f.send_ctrl(a, b, l, invite, 3)));
+                misc.add(u64::from(f.send_ctrl(b, a, l, report, 0)));
             }
         }
         f.step(40 + wl.gen_range(60) as u64);
         for (sw, link, msg) in f.take_ctrl_arrivals() {
-            misc.word(u64::from(sw.0) << 32 | u64::from(link.0));
-            misc.word(msg.wire_bytes() as u64);
-            misc.word(f.slot());
+            misc.add(u64::from(sw.0) << 32 | u64::from(link.0));
+            misc.add(msg.wire_bytes() as u64);
+            misc.add(f.slot());
         }
         if round == 5 {
             let victim = f.topology().links().find(|&l| {
@@ -349,17 +329,17 @@ fn fabric_run(name: &str, seed: u64, mode: Mode, shards: usize, traced: bool) ->
         }
         if round == 7 {
             for &(vc, _, _) in &vcs {
-                misc.word(u64::from(f.force_resync(vc)));
-                misc.word(u64::from(f.resync_pending(vc)));
+                misc.add(u64::from(f.force_resync(vc)));
+                misc.add(u64::from(f.resync_pending(vc)));
             }
             for &(l, _, _) in &backbone {
-                misc.word(u64::from(f.ping_link(l)));
-                misc.word(f.inflight_on_link(l) as u64);
+                misc.add(u64::from(f.ping_link(l)));
+                misc.add(f.inflight_on_link(l) as u64);
             }
         }
         if round == 8 {
             if let Some(link) = failed {
-                misc.word(u64::from(f.revive_link(link)));
+                misc.add(u64::from(f.revive_link(link)));
             }
         }
         if round == 9 {
@@ -394,30 +374,30 @@ fn fabric_run(name: &str, seed: u64, mode: Mode, shards: usize, traced: bool) ->
 
     let mut stats = Fnv::new();
     for &(vc, _, _) in &vcs {
-        stats.word(u64::from(f.has_circuit(vc)));
+        stats.add(u64::from(f.has_circuit(vc)));
         if let Some(s) = f.try_stats(vc) {
-            stats.stats(s);
-            stats.word(f.outbox_len(vc) as u64);
-            stats.word(u64::from(f.is_established(vc)));
-            stats.word(u64::from(f.credits_fully_restored(vc)));
+            hash_stats(&mut stats, s);
+            stats.add(f.outbox_len(vc) as u64);
+            stats.add(u64::from(f.is_established(vc)));
+            stats.add(u64::from(f.credits_fully_restored(vc)));
         }
     }
     for s in &closed {
-        stats.stats(s);
+        hash_stats(&mut stats, s);
     }
     let mut bytes = Fnv::new();
     for &h in &hosts {
         for (vc, p) in f.take_received(h) {
-            bytes.word(u64::from(vc.raw()));
+            bytes.add(u64::from(vc.raw()));
             bytes.bytes(p.as_bytes());
         }
     }
     Outcome {
         line: format!(
             "stats={:016x} bytes={:016x} misc={:016x} slot={} paged={} closed={} {}",
-            stats.0,
-            bytes.0,
-            misc.0,
+            stats.finish(),
+            bytes.finish(),
+            misc.finish(),
             f.slot(),
             paged.len(),
             closed.len(),
@@ -435,15 +415,8 @@ fn network_run(row: usize, shards: usize, traced: bool) -> Outcome {
         0 => (Network::builder().src_installation(4, 8), 3u64),
         _ => (Network::builder().ring(4, 8), 17),
     };
-    let mut net = builder
-        .seed(seed)
-        .shards(shards)
-        .skeptic(SkepticConfig {
-            base_wait: SimDuration::from_millis(2),
-            max_level: 4,
-            decay_after: SimDuration::from_secs(60),
-        })
-        .build();
+    let mut net = builder.seed(seed).build();
+    net.set_shards(shards);
     let hosts: Vec<_> = net.hosts().collect();
     let mut circuits = Vec::new();
     for (i, pair) in hosts.chunks(2).enumerate() {
@@ -476,6 +449,11 @@ fn network_run(row: usize, shards: usize, traced: bool) -> Outcome {
         p: [0.002, 0.01][row],
     };
     spec.monitor.ping_interval = SimDuration::from_millis(1);
+    spec.monitor.skeptic = SkepticConfig {
+        base_wait: SimDuration::from_millis(2),
+        max_level: 4,
+        decay_after: SimDuration::from_secs(60),
+    };
     // The tracer attaches before the fault layer in one row, after the
     // control plane in the other.
     let mut tracer = None;
@@ -483,7 +461,7 @@ fn network_run(row: usize, shards: usize, traced: bool) -> Outcome {
         tracer = Some(net.attach_tracer(TraceConfig::default()));
     }
     net.attach_faults(&spec, seed);
-    net.enable_control_plane(ControlPlaneConfig::default());
+    net.enable_control_plane();
     if traced && row == 1 {
         tracer = Some(net.attach_tracer(TraceConfig::default()));
     }
@@ -503,15 +481,15 @@ fn network_run(row: usize, shards: usize, traced: bool) -> Outcome {
 
     let mut stats = Fnv::new();
     for &vc in &circuits {
-        stats.word(u64::from(net.is_broken(vc)));
+        stats.add(u64::from(net.is_broken(vc)));
         if !net.is_broken(vc) {
-            stats.stats(net.stats(vc));
+            hash_stats(&mut stats, net.stats(vc));
         }
     }
     let mut bytes = Fnv::new();
     for &h in &hosts {
         for (vc, p) in net.take_received(h) {
-            bytes.word(u64::from(vc.raw()));
+            bytes.add(u64::from(vc.raw()));
             bytes.bytes(p.as_bytes());
         }
     }
@@ -519,14 +497,14 @@ fn network_run(row: usize, shards: usize, traced: bool) -> Outcome {
     for e in net.reconfig_log() {
         misc.bytes(format!("{e:?}").as_bytes());
     }
-    misc.word(net.suppressed_recoveries());
-    misc.word(u64::from(net.control_converged()));
+    misc.add(net.suppressed_recoveries());
+    misc.add(u64::from(net.control_converged()));
     Outcome {
         line: format!(
             "stats={:016x} bytes={:016x} misc={:016x} slot={} log={} {}",
-            stats.0,
-            bytes.0,
-            misc.0,
+            stats.finish(),
+            bytes.finish(),
+            misc.finish(),
             net.slot(),
             net.reconfig_log().len(),
             counters_part(net.fault_counters(), net.ctrl_counters()),

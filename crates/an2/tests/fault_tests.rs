@@ -55,67 +55,6 @@ fn open_be(f: &mut Fabric, vc: u32, src: LinkId, mid: LinkId, dst: LinkId) -> Vc
     vc
 }
 
-/// FNV-1a over every observable of a finished run — per-circuit stats,
-/// latency samples, delivered payload bytes, and (when a fault layer is
-/// attached) its counters — so two runs can be compared byte for byte.
-fn digest_run(f: &Fabric, vcs: &[VcId], delivered: &[(VcId, Packet)]) -> u64 {
-    let mut h = digest_observables(f, vcs, delivered);
-    let mut eat = |x: u64| {
-        for b in x.to_le_bytes() {
-            h ^= b as u64;
-            h = h.wrapping_mul(0x1_0000_01b3);
-        }
-    };
-    if let Some(c) = f.fault_counters() {
-        for x in [
-            c.cells_lost,
-            c.cells_corrupted,
-            c.credits_lost,
-            c.markers_sent,
-            c.markers_lost,
-            c.replies_lost,
-            c.resyncs_completed,
-            c.crash_dropped_cells,
-            c.invariant_violations,
-        ] {
-            eat(x);
-        }
-    }
-    h
-}
-
-/// The counter-free digest: what traffic saw, independent of whether a
-/// fault layer was watching.
-fn digest_observables(f: &Fabric, vcs: &[VcId], delivered: &[(VcId, Packet)]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    let mut eat = |x: u64| {
-        for b in x.to_le_bytes() {
-            h ^= b as u64;
-            h = h.wrapping_mul(0x1_0000_01b3);
-        }
-    };
-    for &vc in vcs {
-        let s = f.stats(vc);
-        eat(s.sent_cells);
-        eat(s.delivered_cells);
-        eat(s.dropped_cells);
-        eat(s.lost_cells);
-        eat(s.corrupted_cells);
-        eat(s.packets_delivered);
-        eat(s.packets_corrupted);
-        for &l in s.latency_slots.samples() {
-            eat(l);
-        }
-    }
-    for (vc, p) in delivered {
-        eat(vc.raw() as u64);
-        for &b in p.as_bytes() {
-            eat(b as u64);
-        }
-    }
-    h
-}
-
 /// Drives the same workload with and without an inert fault layer and
 /// demands byte-identical results: the fault hooks must be provably free
 /// when no fault is configured.
@@ -133,8 +72,9 @@ fn inert_fault_layer_is_byte_identical() {
             f.send_cells(vc, Segmenter::new(vc).segment(&payload(700, k)));
         }
         f.step(4_000);
-        let got = f.take_received(HostId(1));
-        (digest_observables(&f, &[vc], &got), f.fault_counters())
+        // The library digest (a fabric with no layer digests zero fault
+        // counters, like an inert one) and on top of it the full payloads.
+        ((f.digest(), f.take_received(HostId(1))), f.fault_counters())
     };
     let (bare, none) = run(false);
     let (faulted, counters) = run(true);
@@ -437,8 +377,7 @@ fn replay_is_byte_identical() {
             f.step(900);
         }
         f.step(15_000);
-        let got = f.take_received(HostId(1));
-        digest_run(&f, &[vc], &got)
+        (f.digest(), f.take_received(HostId(1)))
     };
     assert_eq!(
         run(42),

@@ -8,9 +8,9 @@
 //! log, same control-cell counters (same RNG draws on the lossy links),
 //! same per-circuit stats.
 
-use an2::{ControlPlaneConfig, FaultSpec, FlapEvent, Network, ReconfigEvent, SwitchId, VcId};
+use an2::{FaultSpec, FlapEvent, Network, ReconfigEvent, SwitchId, VcId};
 use an2_cells::Packet;
-use an2_sim::SimDuration;
+use an2_sim::{Fnv, SimDuration};
 use an2_topology::{LinkId, Node, Topology};
 
 /// Far-future slot: a flap that never recovers within the horizon.
@@ -86,7 +86,7 @@ fn run_digest(which: u64, seed: u64) -> Vec<u64> {
         }
     }
     net.attach_faults(&spec, seed);
-    net.enable_control_plane(ControlPlaneConfig::default());
+    net.enable_control_plane();
     for k in 0..80u64 {
         for &(vc, _, _) in &circuits {
             let _ = net.send_packet(vc, Packet::from_bytes(vec![(k & 0xFF) as u8; 300]));
@@ -134,14 +134,11 @@ fn run_digest(which: u64, seed: u64) -> Vec<u64> {
 
 /// FNV-1a over the digest words: one pinned u64 per grid cell.
 fn fnv(words: &[u64]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    let mut h = Fnv::new();
     for &w in words {
-        for b in w.to_le_bytes() {
-            h ^= b as u64;
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        }
+        h.add(w);
     }
-    h
+    h.finish()
 }
 
 /// (topology, seed, digest word count, FNV-1a of the digest words),

@@ -10,7 +10,7 @@
 //! every route it installs must be a simple path over working links —
 //! no routing loops, no dead hops.
 
-use an2::{ControlPlaneConfig, FaultSpec, FlapEvent, Network, ProtocolKind, SwitchId, VcId};
+use an2::{FaultSpec, FlapEvent, Network, ProtocolKind, SwitchId, VcId};
 use an2_sim::SimDuration;
 use an2_topology::{generators, LinkId, LinkState, Node, Topology};
 use proptest::prelude::*;
@@ -140,7 +140,7 @@ fn run_case(kind: ProtocolKind, which: usize, seed: u64, victim_choice: usize) {
         up_at: NEVER,
     });
     net.attach_faults(&spec, seed);
-    net.enable_control_plane(ControlPlaneConfig::default());
+    net.enable_control_plane();
 
     let name = match kind {
         ProtocolKind::UpDown => "updown",

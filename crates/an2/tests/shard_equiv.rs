@@ -2,21 +2,21 @@
 //!
 //! A fabric split into any number of shards (switch groups worked by
 //! persistent threads behind one release and one join per slot) must digest
-//! byte-identical to the sequential engine — same per-circuit statistics
-//! including every latency sample, same delivered packet bytes, same final
-//! slot, and, when traced, the same flight-recorder contents in the same
-//! order. A separate leg drives the full `Network` with lossy links and the
+//! byte-identical to the sequential engine — `Fabric::digest` (per-circuit
+//! statistics including every latency sample, received packets, counters)
+//! and on top of it every delivered payload byte, the final slot, and, when
+//! traced, the same flight-recorder contents in the same order. A separate
+//! leg drives the full `Network` with lossy links and the
 //! live embedded control plane, the harshest RNG-adjacent workload we have;
 //! another walks every condition that keeps the switches with the calling
 //! thread, a traced run on the crew, and every way of slicing a run into
 //! `step` calls.
 
 use an2::{
-    ControlPlaneConfig, Fabric, FabricConfig, FaultSpec, LossModel, Network, NetworkBuilder,
-    TraceConfig, TrafficClass,
+    Fabric, FabricConfig, FaultSpec, LossModel, Network, NetworkBuilder, TraceConfig, TrafficClass,
 };
 use an2_cells::{Packet, Segmenter, VcId};
-use an2_sim::{SimDuration, SimRng};
+use an2_sim::{Fnv, SimDuration, SimRng};
 use an2_topology::{generators, paths, HostId, LinkState, Node, SwitchId, Topology};
 use proptest::prelude::*;
 
@@ -32,13 +32,6 @@ fn topology(idx: usize) -> Topology {
         }
         1 => generators::fat_tree(2, 3),
         _ => generators::src_installation(4, 6),
-    }
-}
-
-fn fnv(h: &mut u64, bytes: &[u8]) {
-    for &b in bytes {
-        *h ^= b as u64;
-        *h = h.wrapping_mul(0x1_0000_01b3);
     }
 }
 
@@ -136,43 +129,23 @@ fn drive(topo_idx: usize, seed: u64, wl_seed: u64, shards: usize, traced: bool) 
     digest_run(&mut f, &open, tracer.as_ref())
 }
 
-/// Digests everything a run leaves observable: per-circuit counts and every
-/// latency sample, delivered packet bytes, the final slot and, when traced,
-/// every flight-recorder record in recording order. Also returns the cells
-/// delivered.
+/// [`Fabric::digest`] and, on top, what its walk leaves out: every payload
+/// byte, the final slot and, when traced, every flight-recorder record in
+/// recording order. Also returns the cells delivered.
 fn digest_run(f: &mut Fabric, vcs: &[VcId], tracer: Option<&an2_trace::Tracer>) -> (u64, u64) {
-    let mut digest = 0xcbf2_9ce4_8422_2325u64;
-    let mut delivered = 0u64;
-    for &vc in vcs {
-        let s = f.stats(vc);
-        delivered += s.delivered_cells;
-        for x in [
-            s.sent_cells,
-            s.delivered_cells,
-            s.dropped_cells,
-            s.packets_delivered,
-        ] {
-            fnv(&mut digest, &x.to_le_bytes());
-        }
-        for &sample in s.latency_slots.samples() {
-            fnv(&mut digest, &sample.to_le_bytes());
+    let delivered = vcs.iter().map(|&vc| f.stats(vc).delivered_cells).sum();
+    let mut h = Fnv::new();
+    h.add(f.digest());
+    for host in 0..f.topology().host_count() {
+        for (_, p) in f.take_received(HostId(host as u16)) {
+            h.bytes(p.as_bytes());
         }
     }
-    for h in 0..f.topology().host_count() {
-        for (vc, p) in f.take_received(HostId(h as u16)) {
-            fnv(&mut digest, &vc.raw().to_le_bytes());
-            fnv(&mut digest, p.as_bytes());
-        }
-    }
-    fnv(&mut digest, &f.slot().to_le_bytes());
+    h.add(f.slot());
     if let Some(t) = tracer {
-        for r in t.records() {
-            fnv(&mut digest, &r.slot.to_le_bytes());
-            fnv(&mut digest, &r.at_ns.to_le_bytes());
-            fnv(&mut digest, format!("{:?}", r.event).as_bytes());
-        }
+        h.bytes(format!("{:?}", t.records()).as_bytes());
     }
-    (digest, delivered)
+    (h.finish(), delivered)
 }
 
 proptest! {
@@ -345,7 +318,8 @@ fn network_run(topo: usize, seed: u64, shards: usize) -> (u64, u64) {
         1 => b.src_installation(6, 12),
         _ => b.ring(4, 8),
     };
-    let mut net = b.seed(seed).shards(shards).build();
+    let mut net = b.seed(seed).build();
+    net.set_shards(shards);
     let hosts: Vec<_> = net.hosts().collect();
     let mut circuits = Vec::new();
     for pair in hosts.chunks(2) {
@@ -362,7 +336,7 @@ fn network_run(topo: usize, seed: u64, shards: usize) -> (u64, u64) {
     spec.default_link.loss = LossModel::Independent { p: 0.002 };
     spec.monitor.ping_interval = SimDuration::from_millis(1);
     net.attach_faults(&spec, seed);
-    net.enable_control_plane(ControlPlaneConfig::default());
+    net.enable_control_plane();
     let mut tag = 0u8;
     while net.slot() < 24_000 {
         for &vc in &circuits {
@@ -375,46 +349,12 @@ fn network_run(topo: usize, seed: u64, shards: usize) -> (u64, u64) {
     }
     net.step(8_000);
 
-    let mut digest = 0xcbf2_9ce4_8422_2325u64;
-    let mut delivered = 0u64;
-    for &vc in &circuits {
-        if net.is_broken(vc) {
-            continue;
-        }
-        let s = net.stats(vc);
-        delivered += s.delivered_cells;
-        for x in [
-            s.sent_cells,
-            s.delivered_cells,
-            s.lost_cells,
-            s.dropped_cells,
-        ] {
-            fnv(&mut digest, &x.to_le_bytes());
-        }
-        for &sample in s.latency_slots.samples() {
-            fnv(&mut digest, &sample.to_le_bytes());
-        }
-    }
-    let c = net.ctrl_counters();
-    for x in [c.messages_sent, c.messages_lost, c.cells_sent] {
-        fnv(&mut digest, &x.to_le_bytes());
-    }
-    if let Some(f) = net.fault_counters() {
-        for x in [
-            f.cells_lost,
-            f.cells_corrupted,
-            f.credits_lost,
-            f.markers_sent,
-            f.resyncs_completed,
-            f.invariant_violations,
-        ] {
-            fnv(&mut digest, &x.to_le_bytes());
-        }
-    }
-    for e in net.reconfig_log() {
-        fnv(&mut digest, &e.slot().to_le_bytes());
-    }
-    (digest, delivered)
+    let delivered = circuits
+        .iter()
+        .filter(|&&vc| !net.is_broken(vc))
+        .map(|&vc| net.stats(vc).delivered_cells)
+        .sum();
+    (net.digest(), delivered)
 }
 
 #[test]

@@ -5,9 +5,11 @@
 //! earliest future slot at which stepping it could change anything — and
 //! the fabric jumps idle switches (and whole quiet regions) past slots it
 //! proves uneventful. These tests drive the same seeded mixed workloads
-//! with batching on and off and assert byte-identical digests: per-circuit
-//! statistics including every latency sample, delivered packet bytes,
-//! final slot, and (when traced) the flight-recorder contents in order.
+//! with batching on and off and assert byte-identical digests: the
+//! library's `digest()` (per-circuit statistics including every latency
+//! sample, received packets, counters, the typed log) and on top of it
+//! every payload byte, the final slot, and (when traced) the
+//! flight-recorder contents in order.
 //! One leg crosses batching with sharding, and another checks that a crew
 //! of shard threads skips exactly the quiet slots one thread skips; a third
 //! drives the full `Network` with lossy links and the live embedded control
@@ -20,11 +22,11 @@
 //! the share of its slots the batched run jumped as a floor.
 
 use an2::{
-    ControlPlaneConfig, CrashEvent, FabricConfig, FaultSpec, FlapEvent, LinkFaultModel, LossModel,
-    Network, NetworkBuilder, SkepticConfig, TraceConfig, TrafficClass,
+    CrashEvent, FabricConfig, FaultSpec, FlapEvent, LinkFaultModel, LossModel, Network,
+    NetworkBuilder, SkepticConfig, TraceConfig, TrafficClass, VcStats,
 };
 use an2_cells::{Packet, Segmenter, VcId};
-use an2_sim::{SimDuration, SimRng};
+use an2_sim::{Fnv, SimDuration, SimRng};
 use an2_topology::{generators, paths, HostId, LinkId, LinkState, Node, SwitchId, Topology};
 use proptest::prelude::*;
 
@@ -43,25 +45,29 @@ fn topology(idx: usize) -> Topology {
     }
 }
 
-fn fnv(h: &mut u64, bytes: &[u8]) {
-    for &b in bytes {
-        *h ^= b as u64;
-        *h = h.wrapping_mul(0x1_0000_01b3);
-    }
+/// Folds a value's every field into the hash through its `Debug` form.
+fn hash_debug(h: &mut Fnv, value: &impl std::fmt::Debug) {
+    h.bytes(format!("{value:?}").as_bytes());
 }
 
-/// Folds a value's every field into the digest through its `Debug` form.
-fn fnv_debug(h: &mut u64, value: &impl std::fmt::Debug) {
-    fnv(h, format!("{value:?}").as_bytes());
+/// A hasher holding the library digest and, on top, what its walk leaves
+/// out: every payload byte and the final slot. `digest` must be taken
+/// before `received` is drained — the walk reads each waiting packet's
+/// circuit and length, which is what tells these bytes apart.
+fn on_top_of(digest: u64, received: Vec<(VcId, Packet)>, slot: u64) -> Fnv {
+    let mut h = Fnv::new();
+    h.add(digest);
+    for (_, p) in received {
+        h.bytes(p.as_bytes());
+    }
+    h.add(slot);
+    h
 }
 
-/// The flight recorder as `(record count, FNV of every record in order)`.
-fn fnv_records(h: &mut u64, tracer: &an2_trace::Tracer) {
-    let records = tracer.records();
-    fnv(h, &(records.len() as u64).to_le_bytes());
-    for r in &records {
-        fnv_debug(h, r);
-    }
+/// The two `VcStats` fields the library walk leaves out.
+fn hash_paging(h: &mut Fnv, s: &VcStats) {
+    h.add(s.pages_out);
+    h.add(s.pages_in);
 }
 
 /// Drives a fabric through a seeded mixed workload (best-effort,
@@ -175,41 +181,21 @@ fn drive(
     let skipped = f
         .profile()
         .map_or(0, |p| p.skipped_slots + p.skipped_switch_steps);
-    let mut digest = 0xcbf2_9ce4_8422_2325u64;
-    let mut delivered = 0u64;
-    for &(vc, _, _) in &vcs {
-        if !f.has_circuit(vc) {
-            continue;
-        }
-        let s = f.stats(vc);
-        delivered += s.delivered_cells;
-        for x in [
-            s.sent_cells,
-            s.delivered_cells,
-            s.dropped_cells,
-            s.packets_delivered,
-        ] {
-            fnv(&mut digest, &x.to_le_bytes());
-        }
-        for &sample in s.latency_slots.samples() {
-            fnv(&mut digest, &sample.to_le_bytes());
-        }
-    }
-    for &h in &hosts {
-        for (vc, p) in f.take_received(h) {
-            fnv(&mut digest, &vc.raw().to_le_bytes());
-            fnv(&mut digest, p.as_bytes());
-        }
-    }
-    fnv(&mut digest, &f.slot().to_le_bytes());
+    let delivered = vcs
+        .iter()
+        .filter_map(|&(vc, _, _)| f.try_stats(vc))
+        .map(|s| s.delivered_cells)
+        .sum();
+    let digest = f.digest();
+    let received = hosts
+        .iter()
+        .flat_map(|&host| f.take_received(host))
+        .collect();
+    let mut h = on_top_of(digest, received, f.slot());
     if let Some(t) = tracer {
-        for r in t.records() {
-            fnv(&mut digest, &r.slot.to_le_bytes());
-            fnv(&mut digest, &r.at_ns.to_le_bytes());
-            fnv(&mut digest, format!("{:?}", r.event).as_bytes());
-        }
+        hash_debug(&mut h, &t.records());
     }
-    (digest, delivered, skipped)
+    (h.finish(), delivered, skipped)
 }
 
 proptest! {
@@ -386,31 +372,22 @@ fn fault_drive(
     }
     step_in_chunks(&mut f, 6_500, chunk);
 
-    let mut digest = 0xcbf2_9ce4_8422_2325u64;
-    let mut delivered = 0u64;
+    let delivered = vcs.iter().map(|&vc| f.stats(vc).delivered_cells).sum();
+    let digest = f.digest();
+    let received = hosts
+        .iter()
+        .flat_map(|&host| f.take_received(host))
+        .collect();
+    let mut h = on_top_of(digest, received, f.slot());
     for &vc in &vcs {
-        let s = f.stats(vc);
-        delivered += s.delivered_cells;
-        fnv_debug(&mut digest, s);
-        for &sample in s.latency_slots.samples() {
-            fnv(&mut digest, &sample.to_le_bytes());
-        }
+        hash_paging(&mut h, f.stats(vc));
     }
-    for &h in &hosts {
-        for (vc, p) in f.take_received(h) {
-            fnv(&mut digest, &vc.raw().to_le_bytes());
-            fnv(&mut digest, p.as_bytes());
-        }
-    }
-    fnv_debug(&mut digest, &f.fault_counters());
-    fnv_debug(&mut digest, &f.ctrl_counters());
-    fnv(&mut digest, &f.slot().to_le_bytes());
     if let Some(t) = tracer {
-        fnv_records(&mut digest, &t);
-        fnv_debug(&mut digest, &t.intervals());
+        hash_debug(&mut h, &t.records());
+        hash_debug(&mut h, &t.intervals());
     }
     FaultRun {
-        digest,
+        digest: h.finish(),
         delivered,
         skipped_slots: f.profile().expect("profiling enabled").skipped_slots,
         slots: f.slot(),
@@ -519,16 +496,11 @@ fn sparse_profiled_run(shards: usize) -> (u64, u64, u64, u64, u64) {
     }
     let wall_ns = started.elapsed().as_nanos() as u64;
     let p = f.profile().expect("profiling enabled").clone();
-    let mut digest = 0xcbf2_9ce4_8422_2325u64;
     for &vc in &vcs {
         let s = f.stats(vc);
         assert_eq!(s.sent_cells, s.delivered_cells, "{vc} did not drain");
-        fnv(&mut digest, &s.delivered_cells.to_le_bytes());
-        for &sample in s.latency_slots.samples() {
-            fnv(&mut digest, &sample.to_le_bytes());
-        }
     }
-    fnv(&mut digest, &f.slot().to_le_bytes());
+    let digest = on_top_of(f.digest(), Vec::new(), f.slot()).finish();
     assert!(
         p.skipped_switch_steps > p.stepped_switch_steps,
         "{shards} shards: most switch-steps of a sparse run should be skipped: {p:?}"
@@ -601,7 +573,7 @@ fn network_run(topo: usize, seed: u64, batched: bool, churn: bool) -> FaultRun {
     }
     spec.monitor.ping_interval = SimDuration::from_millis(1);
     net.attach_faults(&spec, seed);
-    net.enable_control_plane(ControlPlaneConfig::default());
+    net.enable_control_plane();
     let mut tag = 0u8;
     while net.slot() < 24_000 {
         for &vc in &circuits {
@@ -631,36 +603,29 @@ fn churn_loss(spec: &mut FaultSpec) {
     spec.resync_interval_slots = 2_048;
 }
 
-/// Everything a `Network` run leaves observable: every field and latency
-/// sample of every live circuit's stats, delivered bytes, fault and control
-/// counters, the typed reconfiguration log and the final slot.
+/// Everything a `Network` run leaves observable: [`Network::digest`] and,
+/// on top, what its walk leaves out — every payload byte, the final slot,
+/// the paging counts, and the reconfiguration log's every field (the walk hashes each event's
+/// slot and payload, not its instant, initiator or the tags of `Quiesced`
+/// and `RoutesInstalled`).
 fn network_digest(net: &mut Network, circuits: &[VcId], hosts: &[HostId]) -> FaultRun {
-    let mut digest = 0xcbf2_9ce4_8422_2325u64;
-    let mut delivered = 0u64;
-    for &vc in circuits {
-        if net.is_broken(vc) {
-            continue;
-        }
-        let s = net.stats(vc);
-        delivered += s.delivered_cells;
-        fnv_debug(&mut digest, s);
-        for &sample in s.latency_slots.samples() {
-            fnv(&mut digest, &sample.to_le_bytes());
-        }
+    let delivered = circuits
+        .iter()
+        .filter(|&&vc| !net.is_broken(vc))
+        .map(|&vc| net.stats(vc).delivered_cells)
+        .sum();
+    let digest = net.digest();
+    let received = hosts
+        .iter()
+        .flat_map(|&host| net.take_received(host))
+        .collect();
+    let mut h = on_top_of(digest, received, net.slot());
+    for &vc in circuits.iter().filter(|&&vc| !net.is_broken(vc)) {
+        hash_paging(&mut h, net.stats(vc));
     }
-    for &h in hosts {
-        for (vc, p) in net.take_received(h) {
-            fnv(&mut digest, &vc.raw().to_le_bytes());
-            fnv(&mut digest, p.as_bytes());
-        }
-    }
-    fnv_debug(&mut digest, &net.ctrl_counters());
-    fnv_debug(&mut digest, &net.fault_counters());
-    fnv_debug(&mut digest, &net.reconfig_log());
-    fnv(&mut digest, &net.suppressed_recoveries().to_le_bytes());
-    fnv(&mut digest, &net.slot().to_le_bytes());
+    hash_debug(&mut h, &net.reconfig_log());
     FaultRun {
-        digest,
+        digest: h.finish(),
         delivered,
         skipped_slots: net.profile().expect("profiling enabled").skipped_slots,
         slots: net.slot(),
@@ -681,14 +646,7 @@ fn skeptic_run(topo: usize, seed: u64, batched: bool, chunk: u64, churn: bool) -
         0 => b.src_installation(4, 8),
         _ => b.ring(4, 8),
     };
-    let mut net = b
-        .seed(seed)
-        .skeptic(SkepticConfig {
-            base_wait: SimDuration::from_millis(5),
-            max_level: 2,
-            decay_after: SimDuration::from_millis(400),
-        })
-        .build();
+    let mut net = b.seed(seed).build();
     net.set_batching(batched);
     net.enable_profiling();
     let hosts: Vec<_> = net.hosts().collect();
@@ -718,6 +676,11 @@ fn skeptic_run(topo: usize, seed: u64, batched: bool, chunk: u64, churn: bool) -
     spec.monitor.ping_interval = SimDuration::from_millis(1);
     spec.monitor.fail_threshold = 3;
     spec.monitor.recover_threshold = 5;
+    spec.monitor.skeptic = SkepticConfig {
+        base_wait: SimDuration::from_millis(5),
+        max_level: 2,
+        decay_after: SimDuration::from_millis(400),
+    };
     // Three flaps per link: downs just past the fail threshold, up-gaps
     // short enough that the skeptic's growing holddown (5 ms, 10 ms, 20 ms)
     // outlasts the recovery streak from the second flap on — so quarantines
@@ -733,7 +696,7 @@ fn skeptic_run(topo: usize, seed: u64, batched: bool, chunk: u64, churn: bool) -
         }
     }
     net.attach_faults(&spec, seed);
-    net.enable_control_plane(ControlPlaneConfig::default());
+    net.enable_control_plane();
     let mut tag = 0u8;
     let mut next_send = 0u64;
     while net.slot() < 150_000 {
@@ -759,9 +722,12 @@ fn skeptic_run(topo: usize, seed: u64, batched: bool, chunk: u64, churn: bool) -
         .iter()
         .filter(|e| matches!(e, an2::ReconfigEvent::LinkQuarantined { entered: true, .. }))
         .count() as u64;
+    let mut h = Fnv::new();
+    h.add(run.digest);
     for &l in &backbone {
-        fnv_debug(&mut run.digest, &net.skeptic_level(l));
+        hash_debug(&mut h, &net.skeptic_level(l));
     }
+    run.digest = h.finish();
     (run, quarantine_entries)
 }
 

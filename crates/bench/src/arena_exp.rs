@@ -21,9 +21,7 @@
 //!   route must climb to the tree, shortcuts are blocked).
 
 use crate::{backbone_links, quiet_spec, NEVER};
-use an2::{
-    ControlPlaneConfig, FlapEvent, LossModel, Network, ProtocolKind, ReconfigEvent, SwitchId,
-};
+use an2::{FlapEvent, LossModel, Network, ProtocolKind, ReconfigEvent, SwitchId};
 use an2_cells::Packet;
 use an2_topology::{generators, Topology};
 use std::collections::VecDeque;
@@ -134,7 +132,7 @@ fn run_cell(kind: ProtocolKind, topo_name: &str, topo: Topology, loss: f64) -> A
         up_at: NEVER,
     });
     net.attach_faults(&spec, seed);
-    net.enable_control_plane(ControlPlaneConfig::default());
+    net.enable_control_plane();
 
     // Steady traffic through boot, failure, and reconvergence. Watch the
     // reconfiguration log for the verdict and the reinstall that follows

@@ -21,10 +21,10 @@
 //! - **replay**: the same `(spec, seed)` replays byte-identically — log,
 //!   control-transport counters, and per-circuit stats all digest equal.
 
-use crate::{backbone_links, fnv, quiet_spec, NEVER};
+use crate::{backbone_links, quiet_spec, Replay, NEVER};
 use an2::{
-    sink, ControlPlaneConfig, CrashEvent, FaultSpec, FlapEvent, Hop, HostId, LinkId, Network,
-    Phase, ReconfigEvent, SwitchId, TraceConfig, TraceEvent, VcId,
+    sink, CrashEvent, FaultSpec, FlapEvent, Hop, HostId, LinkId, Network, Phase, ReconfigEvent,
+    SwitchId, TraceConfig, TraceEvent, VcId,
 };
 use an2_cells::Packet;
 use an2_reconfig::harness::ReconfigNet;
@@ -153,8 +153,8 @@ fn assert_paths_canonical(
     }
 }
 
-/// Everything observable about one finished run, digested for replay
-/// comparison.
+/// One finished run: the totals the report prints, and what a replay of it
+/// is compared on.
 struct Outcome {
     sent: u64,
     delivered: u64,
@@ -162,8 +162,24 @@ struct Outcome {
     rerouted: u64,
     ctrl_messages: u64,
     ctrl_cells: u64,
-    log: Vec<ReconfigEvent>,
-    digest: u64,
+    replay: Replay,
+}
+
+impl Outcome {
+    fn row(&self, cell: &str, converge_ms: f64, oracle_ok: bool, replay_ok: bool) -> ControlRow {
+        ControlRow {
+            cell: cell.into(),
+            converge_ms,
+            sent_cells: self.sent,
+            delivered_cells: self.delivered,
+            lost_cells: self.lost,
+            ctrl_messages: self.ctrl_messages,
+            ctrl_cells: self.ctrl_cells,
+            rerouted: self.rerouted,
+            oracle_ok,
+            replay_ok,
+        }
+    }
 }
 
 /// Builds a dual-homed SRC installation with the embedded control plane,
@@ -192,7 +208,7 @@ fn drive(
     if let Some(cfg) = trace {
         net.attach_tracer(cfg);
     }
-    net.enable_control_plane(ControlPlaneConfig::default());
+    net.enable_control_plane();
     let mut tag = 0u8;
     while net.slot() < slots {
         for &(vc, _, _) in &circuits {
@@ -204,78 +220,29 @@ fn drive(
         net.step(4_000);
     }
     net.step(25_000); // drain the pipeline
+    let ctrl = net.ctrl_counters();
     let mut out = Outcome {
         sent: 0,
         delivered: 0,
         lost: 0,
         rerouted: 0,
-        ctrl_messages: 0,
-        ctrl_cells: 0,
-        log: net.reconfig_log().to_vec(),
-        digest: 0xcbf2_9ce4_8422_2325,
+        ctrl_messages: ctrl.messages_sent,
+        ctrl_cells: ctrl.cells_sent,
+        replay: Replay::of(&net),
     };
+    for e in &out.replay.log {
+        if let ReconfigEvent::RoutesInstalled { rerouted, .. } = *e {
+            out.rerouted += rerouted;
+        }
+    }
     for &(vc, _, _) in &circuits {
         if net.is_broken(vc) {
             continue;
         }
-        let s = net.stats(vc).clone();
+        let s = net.stats(vc);
         out.sent += s.sent_cells;
         out.delivered += s.delivered_cells;
         out.lost += s.lost_cells;
-        for x in [
-            s.sent_cells,
-            s.delivered_cells,
-            s.lost_cells,
-            s.dropped_cells,
-        ] {
-            fnv(&mut out.digest, x);
-        }
-    }
-    let c = net.ctrl_counters();
-    out.ctrl_messages = c.messages_sent;
-    out.ctrl_cells = c.cells_sent;
-    for x in [c.messages_sent, c.messages_lost, c.cells_sent] {
-        fnv(&mut out.digest, x);
-    }
-    for e in &out.log {
-        fnv(&mut out.digest, e.slot());
-        fnv(&mut out.digest, e.at().as_nanos());
-        match *e {
-            ReconfigEvent::LinkDead { link, .. } => {
-                fnv(&mut out.digest, 0x100 | link.0 as u64);
-            }
-            ReconfigEvent::LinkWorking { link, .. } => {
-                fnv(&mut out.digest, 0x200 | link.0 as u64);
-            }
-            ReconfigEvent::EpochStarted { tag, .. } => {
-                fnv(&mut out.digest, 0x300 | tag.epoch);
-                fnv(&mut out.digest, tag.initiator.0 as u64);
-            }
-            ReconfigEvent::Quiesced { tag, messages, .. } => {
-                fnv(&mut out.digest, 0x400 | tag.epoch);
-                fnv(&mut out.digest, messages);
-            }
-            ReconfigEvent::RoutesInstalled {
-                rerouted,
-                kept,
-                unroutable,
-                ..
-            } => {
-                fnv(&mut out.digest, 0x500 | unroutable);
-                fnv(&mut out.digest, rerouted);
-                fnv(&mut out.digest, kept);
-                out.rerouted += rerouted;
-            }
-            ReconfigEvent::LinkQuarantined {
-                link,
-                entered,
-                level,
-                ..
-            } => {
-                fnv(&mut out.digest, 0x600 | link.0 as u64);
-                fnv(&mut out.digest, ((entered as u64) << 32) | level as u64);
-            }
-        }
     }
     (net, circuits, out)
 }
@@ -334,8 +301,8 @@ pub fn n4_control_plane() -> (Vec<ControlRow>, String) {
     });
     let (net, circuits, out) = drive(&fail_spec, 7, 500_000, None);
     assert!(net.control_converged(), "fail cell never converged");
-    let dead = verdict_slot(&out.log, victim, false, down_at);
-    let (_, ms) = install_after(&out.log, dead, down_at, slot_ns);
+    let dead = verdict_slot(&out.replay.log, victim, false, down_at);
+    let (_, ms) = install_after(&out.replay.log, dead, down_at, slot_ns);
     assert!(ms < 200.0, "failure → routes took {ms:.1} ms (≥ 200 ms)");
     let oracle_ok = views_match_oracle(&net, 2, &[]);
     assert_paths_canonical(&net, &circuits, &[]);
@@ -349,18 +316,7 @@ pub fn n4_control_plane() -> (Vec<ControlRow>, String) {
         out.delivered, out.sent, out.lost, out.ctrl_messages, out.ctrl_cells
     )
     .unwrap();
-    rows.push(ControlRow {
-        cell: "fail".into(),
-        converge_ms: ms,
-        sent_cells: out.sent,
-        delivered_cells: out.delivered,
-        lost_cells: out.lost,
-        ctrl_messages: out.ctrl_messages,
-        ctrl_cells: out.ctrl_cells,
-        rerouted: out.rerouted,
-        oracle_ok,
-        replay_ok: true,
-    });
+    rows.push(out.row("fail", ms, oracle_ok, true));
 
     // --- flap: down, then readmitted by the skeptic; both reconfigurations
     // land inside the budget.
@@ -373,11 +329,16 @@ pub fn n4_control_plane() -> (Vec<ControlRow>, String) {
     });
     let (net, circuits, out) = drive(&flap_spec, 11, 700_000, None);
     assert!(net.control_converged(), "flap cell never converged");
-    let dead = verdict_slot(&out.log, victim, false, down_at);
-    let (down_install, down_ms) = install_after(&out.log, dead, down_at, slot_ns);
+    let dead = verdict_slot(&out.replay.log, victim, false, down_at);
+    let (down_install, down_ms) = install_after(&out.replay.log, dead, down_at, slot_ns);
     assert!(down_ms < 200.0, "flap-down reconfig took {down_ms:.1} ms");
-    let readmit = verdict_slot(&out.log, victim, true, up_at);
-    let (_, up_ms) = install_after(&out.log, readmit.max(down_install + 1), readmit, slot_ns);
+    let readmit = verdict_slot(&out.replay.log, victim, true, up_at);
+    let (_, up_ms) = install_after(
+        &out.replay.log,
+        readmit.max(down_install + 1),
+        readmit,
+        slot_ns,
+    );
     assert!(up_ms < 200.0, "flap-up reconfig took {up_ms:.1} ms");
     let oracle_ok = views_match_oracle(&net, 3, &[]);
     assert_paths_canonical(&net, &circuits, &[]);
@@ -390,18 +351,7 @@ pub fn n4_control_plane() -> (Vec<ControlRow>, String) {
         out.delivered, out.sent
     )
     .unwrap();
-    rows.push(ControlRow {
-        cell: "flap".into(),
-        converge_ms: worst,
-        sent_cells: out.sent,
-        delivered_cells: out.delivered,
-        lost_cells: out.lost,
-        ctrl_messages: out.ctrl_messages,
-        ctrl_cells: out.ctrl_cells,
-        rerouted: out.rerouted,
-        oracle_ok,
-        replay_ok: true,
-    });
+    rows.push(out.row("flap", worst, oracle_ok, true));
 
     // --- crash: a line card dies for good; agents converge on the
     // surviving topology and dual-homed hosts keep delivering.
@@ -417,6 +367,7 @@ pub fn n4_control_plane() -> (Vec<ControlRow>, String) {
     // The monitors kill the victim's links one ping round at a time; the
     // reconfiguration that matters starts at the *last* dead verdict.
     let last_dead = out
+        .replay
         .log
         .iter()
         .filter_map(|e| match *e {
@@ -425,7 +376,7 @@ pub fn n4_control_plane() -> (Vec<ControlRow>, String) {
         })
         .max()
         .expect("monitor never declared any of the crashed switch's links dead");
-    let (_, crash_ms) = install_after(&out.log, last_dead, last_dead, slot_ns);
+    let (_, crash_ms) = install_after(&out.replay.log, last_dead, last_dead, slot_ns);
     assert!(
         crash_ms < 200.0,
         "last verdict → converged routes took {crash_ms:.1} ms (≥ 200 ms)"
@@ -446,18 +397,7 @@ pub fn n4_control_plane() -> (Vec<ControlRow>, String) {
         out.rerouted, out.delivered, out.sent
     )
     .unwrap();
-    rows.push(ControlRow {
-        cell: "crash".into(),
-        converge_ms: crash_ms,
-        sent_cells: out.sent,
-        delivered_cells: out.delivered,
-        lost_cells: out.lost,
-        ctrl_messages: out.ctrl_messages,
-        ctrl_cells: out.ctrl_cells,
-        rerouted: out.rerouted,
-        oracle_ok,
-        replay_ok: true,
-    });
+    rows.push(out.row("crash", crash_ms, oracle_ok, true));
 
     // --- replay: same (spec, seed) → byte-identical log, transport
     // counters, and per-circuit stats.
@@ -469,28 +409,17 @@ pub fn n4_control_plane() -> (Vec<ControlRow>, String) {
     });
     let (_, _, first) = drive(&replay_spec, 21, 400_000, None);
     let (_, _, second) = drive(&replay_spec, 21, 400_000, None);
-    let replay_ok = first.digest == second.digest;
+    let replay_ok = first.replay == second.replay;
     assert!(replay_ok, "same (spec, seed) must replay byte-identically");
     writeln!(
         text,
         "replay: two runs from the same (spec, seed) digest equal — log \
          ({} events), {} control messages, per-circuit stats all identical",
-        first.log.len(),
+        first.replay.log.len(),
         first.ctrl_messages
     )
     .unwrap();
-    rows.push(ControlRow {
-        cell: "replay".into(),
-        converge_ms: 0.0,
-        sent_cells: first.sent,
-        delivered_cells: first.delivered,
-        lost_cells: first.lost,
-        ctrl_messages: first.ctrl_messages,
-        ctrl_cells: first.ctrl_cells,
-        rerouted: first.rerouted,
-        oracle_ok: true,
-        replay_ok,
-    });
+    rows.push(first.row("replay", 0.0, true, replay_ok));
 
     (rows, text)
 }
@@ -541,7 +470,7 @@ pub fn n4_trace(out_dir: &str) -> (TraceRow, String) {
     };
     let (net, _, traced) = drive(&spec, 7, 500_000, Some(cfg));
     let (_, _, plain) = drive(&spec, 7, 500_000, None);
-    let identical = traced.digest == plain.digest;
+    let identical = traced.replay == plain.replay;
     assert!(
         identical,
         "tracing perturbed the run: traced and untraced digests differ"

@@ -18,7 +18,7 @@
 //!   slot; the run drains clean and replays byte-identically from the
 //!   same `(spec, seed)`.
 
-use crate::fnv;
+use crate::Replay;
 use an2::{CrashEvent, FaultSpec, FlapEvent, LinkFaultModel, LossModel, Network, VcId};
 use an2_cells::Packet;
 use an2_sim::SimDuration;
@@ -48,8 +48,8 @@ pub struct ChaosRow {
     pub replay_ok: bool,
 }
 
-/// Everything observable about one finished run, digested for replay
-/// comparison.
+/// One finished run: the totals the report prints, and what a replay of it
+/// is compared on.
 struct Outcome {
     sent: u64,
     delivered: u64,
@@ -57,8 +57,23 @@ struct Outcome {
     violations: u64,
     resyncs: u64,
     restored: bool,
-    log: Vec<an2::ReconfigEvent>,
-    digest: u64,
+    replay: Replay,
+}
+
+impl Outcome {
+    fn row(&self, cell: &str, detect_ms: f64, replay_ok: bool) -> ChaosRow {
+        ChaosRow {
+            cell: cell.into(),
+            sent_cells: self.sent,
+            delivered_cells: self.delivered,
+            lost_cells: self.lost,
+            violations: self.violations,
+            resyncs: self.resyncs,
+            detect_ms,
+            restored: self.restored,
+            replay_ok,
+        }
+    }
 }
 
 /// Drives `circuits` best-effort circuits over a 4-switch SRC installation
@@ -68,12 +83,12 @@ struct Outcome {
 fn soak(spec: Option<&FaultSpec>, fault_seed: u64, slots: u64, gap: u64) -> Outcome {
     let mut net = Network::builder().src_installation(4, 12).seed(17).build();
     let hosts: Vec<_> = net.hosts().collect();
-    let mut vcs: Vec<(VcId, usize)> = Vec::new();
+    let mut vcs: Vec<VcId> = Vec::new();
     for i in 0..6 {
         // Offset 6 ≡ 2 (mod 4): routes cross the backbone.
         let (src, dst) = (hosts[i], hosts[(i + 6) % hosts.len()]);
         let vc = net.open_best_effort(src, dst).expect("route exists");
-        vcs.push((vc, (i + 6) % hosts.len()));
+        vcs.push(vc);
     }
     if let Some(spec) = spec {
         net.attach_faults(spec, fault_seed);
@@ -83,7 +98,7 @@ fn soak(spec: Option<&FaultSpec>, fault_seed: u64, slots: u64, gap: u64) -> Outc
     let mut t = 0;
     let mut tag = 0u8;
     while t < slots {
-        for &(vc, _) in &vcs {
+        for &vc in &vcs {
             if !net.is_broken(vc) {
                 let _ = net.send_packet(vc, Packet::from_bytes(vec![tag; 480]));
             }
@@ -97,11 +112,11 @@ fn soak(spec: Option<&FaultSpec>, fault_seed: u64, slots: u64, gap: u64) -> Outc
         for _ in 0..60 {
             let whole = vcs
                 .iter()
-                .all(|&(vc, _)| net.is_broken(vc) || net.credits_fully_restored(vc));
+                .all(|&vc| net.is_broken(vc) || net.credits_fully_restored(vc));
             if whole {
                 break;
             }
-            for &(vc, _) in &vcs {
+            for &vc in &vcs {
                 if !net.is_broken(vc) && !net.credits_fully_restored(vc) {
                     let _ = net.force_resync(vc);
                 }
@@ -109,110 +124,23 @@ fn soak(spec: Option<&FaultSpec>, fault_seed: u64, slots: u64, gap: u64) -> Outc
             net.step(3_000);
         }
     }
+    let faults = net.fault_counters().unwrap_or_default();
     let mut out = Outcome {
         sent: 0,
         delivered: 0,
         lost: 0,
-        violations: 0,
-        resyncs: 0,
+        violations: faults.invariant_violations,
+        resyncs: faults.resyncs_completed,
         restored: true,
-        log: net.reconfig_log().to_vec(),
-        digest: 0xcbf2_9ce4_8422_2325,
+        replay: Replay::of(&net),
     };
-    for &(vc, host_idx) in &vcs {
-        let broken = net.is_broken(vc);
-        let s = net.stats(vc).clone();
+    for &vc in &vcs {
+        let s = net.stats(vc);
         out.sent += s.sent_cells;
         out.delivered += s.delivered_cells;
         out.lost += s.lost_cells;
-        if spec.is_some() && !broken && !net.credits_fully_restored(vc) {
+        if spec.is_some() && !net.is_broken(vc) && !net.credits_fully_restored(vc) {
             out.restored = false;
-        }
-        for x in [
-            s.sent_cells,
-            s.delivered_cells,
-            s.dropped_cells,
-            s.lost_cells,
-            s.corrupted_cells,
-            s.packets_delivered,
-            s.packets_corrupted,
-        ] {
-            fnv(&mut out.digest, x);
-        }
-        for &l in s.latency_slots.samples() {
-            fnv(&mut out.digest, l);
-        }
-        for (pvc, p) in net.take_received(hosts[host_idx]) {
-            fnv(&mut out.digest, pvc.raw() as u64);
-            fnv(&mut out.digest, p.as_bytes().len() as u64);
-            for &b in p.as_bytes().iter().take(8) {
-                fnv(&mut out.digest, b as u64);
-            }
-        }
-    }
-    if let Some(c) = net.fault_counters() {
-        out.violations = c.invariant_violations;
-        out.resyncs = c.resyncs_completed;
-        for x in [
-            c.cells_lost,
-            c.cells_corrupted,
-            c.credits_lost,
-            c.markers_sent,
-            c.markers_lost,
-            c.replies_lost,
-            c.resyncs_completed,
-            c.crash_dropped_cells,
-            c.invariant_violations,
-        ] {
-            fnv(&mut out.digest, x);
-        }
-    }
-    for e in &out.log {
-        fnv(&mut out.digest, e.slot());
-        fnv(&mut out.digest, e.at().as_nanos());
-        match *e {
-            an2::ReconfigEvent::LinkDead { link, .. } => {
-                fnv(&mut out.digest, 1);
-                fnv(&mut out.digest, link.0 as u64);
-            }
-            an2::ReconfigEvent::LinkWorking { link, .. } => {
-                fnv(&mut out.digest, 2);
-                fnv(&mut out.digest, link.0 as u64);
-            }
-            an2::ReconfigEvent::EpochStarted { tag, .. } => {
-                fnv(&mut out.digest, 3);
-                fnv(&mut out.digest, tag.epoch);
-                fnv(&mut out.digest, tag.initiator.0 as u64);
-            }
-            an2::ReconfigEvent::Quiesced { tag, messages, .. } => {
-                fnv(&mut out.digest, 4);
-                fnv(&mut out.digest, tag.epoch);
-                fnv(&mut out.digest, messages);
-            }
-            an2::ReconfigEvent::RoutesInstalled {
-                tag,
-                rerouted,
-                kept,
-                unroutable,
-                ..
-            } => {
-                fnv(&mut out.digest, 5);
-                fnv(&mut out.digest, tag.epoch);
-                fnv(&mut out.digest, rerouted);
-                fnv(&mut out.digest, kept);
-                fnv(&mut out.digest, unroutable);
-            }
-            an2::ReconfigEvent::LinkQuarantined {
-                link,
-                entered,
-                level,
-                ..
-            } => {
-                fnv(&mut out.digest, 6);
-                fnv(&mut out.digest, link.0 as u64);
-                fnv(&mut out.digest, entered as u64);
-                fnv(&mut out.digest, level as u64);
-            }
         }
     }
     out
@@ -245,13 +173,12 @@ pub fn n3_chaos_soak() -> (Vec<ChaosRow>, String) {
     // --- inert: the fault layer must be free when nothing is configured.
     let bare = soak(None, 0, 20_000, 600);
     let inert = soak(Some(&FaultSpec::default()), 9, 20_000, 600);
-    // The bare run digests no counters and no log; compare traffic only.
-    assert_eq!(
-        (bare.sent, bare.delivered, bare.lost),
-        (inert.sent, inert.delivered, inert.lost),
-        "inert fault layer changed traffic"
-    );
-    assert_eq!(inert.violations, 0);
+    // A network without a layer digests zero fault counters and an empty
+    // log, which is what the default spec must leave too: its resync
+    // interval is 0, so not even a marker is counted (a spec that turns
+    // resync on is still `is_inert()`, but its markers show here).
+    assert!(bare.replay == inert.replay, "inert fault layer showed");
+    assert_eq!((inert.violations, inert.resyncs), (0, 0));
     writeln!(
         text,
         "inert:  {} cells sent, {} delivered — identical with and without \
@@ -259,17 +186,7 @@ pub fn n3_chaos_soak() -> (Vec<ChaosRow>, String) {
         bare.sent, bare.delivered
     )
     .unwrap();
-    rows.push(ChaosRow {
-        cell: "inert".into(),
-        sent_cells: inert.sent,
-        delivered_cells: inert.delivered,
-        lost_cells: inert.lost,
-        violations: inert.violations,
-        resyncs: inert.resyncs,
-        detect_ms: 0.0,
-        restored: inert.restored,
-        replay_ok: true,
-    });
+    rows.push(inert.row("inert", 0.0, true));
 
     // --- loss: degraded, never broken; resync makes the credits whole.
     let mut loss_spec = FaultSpec {
@@ -281,7 +198,7 @@ pub fn n3_chaos_soak() -> (Vec<ChaosRow>, String) {
     per_ms_monitor(&mut loss_spec);
     let lossy = soak(Some(&loss_spec), 41, 30_000, 600);
     let replay = soak(Some(&loss_spec), 41, 30_000, 600);
-    let replay_ok = lossy.digest == replay.digest;
+    let replay_ok = lossy.replay == replay.replay;
     assert!(replay_ok, "same (spec, seed) must replay byte-identically");
     assert!(lossy.lost > 0, "the lossy links never fired");
     assert!(
@@ -300,17 +217,7 @@ pub fn n3_chaos_soak() -> (Vec<ChaosRow>, String) {
         lossy.delivered, lossy.sent, lossy.lost, lossy.resyncs
     )
     .unwrap();
-    rows.push(ChaosRow {
-        cell: "loss".into(),
-        sent_cells: lossy.sent,
-        delivered_cells: lossy.delivered,
-        lost_cells: lossy.lost,
-        violations: lossy.violations,
-        resyncs: lossy.resyncs,
-        detect_ms: 0.0,
-        restored: lossy.restored,
-        replay_ok,
-    });
+    rows.push(lossy.row("loss", 0.0, replay_ok));
 
     // --- flap: monitor detection inside 200 ms, then skeptic recovery.
     // Link 0 is an inter-switch backbone link in src_installation.
@@ -331,6 +238,7 @@ pub fn n3_chaos_soak() -> (Vec<ChaosRow>, String) {
     // ten recovery pings both fit.
     let flap = soak(Some(&flap_spec), 5, 700_000, 5_000);
     let death = flap
+        .replay
         .log
         .iter()
         .find_map(|e| match *e {
@@ -341,13 +249,18 @@ pub fn n3_chaos_soak() -> (Vec<ChaosRow>, String) {
             } => Some(slot),
             _ => None,
         })
-        .unwrap_or_else(|| panic!("monitor never declared the flap dead; log={:?}", flap.log));
+        .unwrap_or_else(|| {
+            panic!(
+                "monitor never declared the flap dead; log={:?}",
+                flap.replay.log
+            )
+        });
     let detect_ms = (death - down_at) as f64 * slot_ns as f64 / 1e6;
     assert!(
         detect_ms < 200.0,
         "flap detection took {detect_ms:.1} ms (≥ 200 ms)"
     );
-    let revived = flap.log.iter().any(|e| {
+    let revived = flap.replay.log.iter().any(|e| {
         matches!(
             *e,
             an2::ReconfigEvent::LinkWorking { slot, link, .. } if link == LinkId(0) && slot > up_at
@@ -366,17 +279,7 @@ pub fn n3_chaos_soak() -> (Vec<ChaosRow>, String) {
         flap.delivered, flap.sent
     )
     .unwrap();
-    rows.push(ChaosRow {
-        cell: "flap".into(),
-        sent_cells: flap.sent,
-        delivered_cells: flap.delivered,
-        lost_cells: flap.lost,
-        violations: flap.violations,
-        resyncs: flap.resyncs,
-        detect_ms,
-        restored: flap.restored,
-        replay_ok: true,
-    });
+    rows.push(flap.row("flap", detect_ms, true));
 
     // --- crash: one line card dies and restarts; no partition (dual-homed
     // hosts, redundant backbone), delivery resumes.
@@ -406,17 +309,7 @@ pub fn n3_chaos_soak() -> (Vec<ChaosRow>, String) {
         crash.delivered, crash.sent
     )
     .unwrap();
-    rows.push(ChaosRow {
-        cell: "crash".into(),
-        sent_cells: crash.sent,
-        delivered_cells: crash.delivered,
-        lost_cells: crash.lost,
-        violations: crash.violations,
-        resyncs: crash.resyncs,
-        detect_ms: 0.0,
-        restored: crash.restored,
-        replay_ok: true,
-    });
+    rows.push(crash.row("crash", 0.0, true));
 
     // --- soak: everything at once, replayed.
     let mut soak_spec = FaultSpec {
@@ -438,7 +331,7 @@ pub fn n3_chaos_soak() -> (Vec<ChaosRow>, String) {
     per_ms_monitor(&mut soak_spec);
     let chaos = soak(Some(&soak_spec), 77, 500_000, 5_000);
     let chaos2 = soak(Some(&soak_spec), 77, 500_000, 5_000);
-    let chaos_replay_ok = chaos.digest == chaos2.digest;
+    let chaos_replay_ok = chaos.replay == chaos2.replay;
     assert!(chaos_replay_ok, "chaos soak must replay byte-identically");
     assert_eq!(chaos.violations, 0, "invariant checker fired in the soak");
     assert!(chaos.delivered > 0);
@@ -449,17 +342,7 @@ pub fn n3_chaos_soak() -> (Vec<ChaosRow>, String) {
         chaos.delivered, chaos.sent, chaos.lost, chaos.resyncs
     )
     .unwrap();
-    rows.push(ChaosRow {
-        cell: "soak".into(),
-        sent_cells: chaos.sent,
-        delivered_cells: chaos.delivered,
-        lost_cells: chaos.lost,
-        violations: chaos.violations,
-        resyncs: chaos.resyncs,
-        detect_ms: 0.0,
-        restored: chaos.restored,
-        replay_ok: chaos_replay_ok,
-    });
+    rows.push(chaos.row("soak", 0.0, chaos_replay_ok));
 
     (rows, text)
 }

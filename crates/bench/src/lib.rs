@@ -27,21 +27,13 @@ pub mod reconfig_exp;
 pub mod schedule_exp;
 pub mod xbar_exp;
 
-use an2::{FaultSpec, LinkId, SwitchId};
+use an2::{FaultSpec, LinkId, Network, ReconfigEvent, SwitchId};
 use an2_sim::SimDuration;
 use an2_topology::{Node, Topology};
 
 /// Far-future slot: a flap that never recovers, a crash that never
 /// restarts, within any experiment's horizon.
 pub(crate) const NEVER: u64 = 1_000_000_000;
-
-/// One FNV-1a step per byte of `x`: the replay digests of N3 and N4.
-pub(crate) fn fnv(h: &mut u64, x: u64) {
-    for b in x.to_le_bytes() {
-        *h ^= b as u64;
-        *h = h.wrapping_mul(0x1_0000_01b3);
-    }
-}
 
 /// A fault layer that injects nothing, with the invariant checker on and
 /// the monitor pinging every millisecond: what N4 and N9 script onto.
@@ -52,6 +44,25 @@ pub(crate) fn quiet_spec() -> FaultSpec {
     };
     spec.monitor.ping_interval = SimDuration::from_millis(1);
     spec
+}
+
+/// What N3 and N4 compare two runs on: [`Network::digest`] and, beside
+/// it, the reconfiguration log whole. The walk reads each event's slot and
+/// payload; its instant, its initiator and the tags of `Quiesced` and
+/// `RoutesInstalled` are compared here, and said here only.
+#[derive(PartialEq)]
+pub(crate) struct Replay {
+    pub digest: u64,
+    pub log: Vec<ReconfigEvent>,
+}
+
+impl Replay {
+    pub(crate) fn of(net: &Network) -> Self {
+        Replay {
+            digest: net.digest(),
+            log: net.reconfig_log().to_vec(),
+        }
+    }
 }
 
 /// Inter-switch links of the topology, in id order.

@@ -12,8 +12,8 @@
 
 use crate::cell::{Cell, CellKind, VcId, PAYLOAD_BYTES};
 use crate::vcindex::VcIndex;
-use bytes::Bytes;
 use std::fmt;
+use std::sync::Arc;
 
 const TRAILER_BYTES: usize = 8;
 
@@ -27,7 +27,8 @@ const TRAILER_BYTES: usize = 8;
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct Packet {
-    data: Bytes,
+    /// Shared, so cloning a packet along every hop copies a pointer.
+    data: Arc<[u8]>,
 }
 
 impl Packet {
@@ -40,7 +41,7 @@ impl Packet {
     /// # Panics
     ///
     /// Panics if the payload exceeds [`Packet::MAX_BYTES`].
-    pub fn from_bytes(data: impl Into<Bytes>) -> Self {
+    pub fn from_bytes(data: impl Into<Arc<[u8]>>) -> Self {
         let data = data.into();
         assert!(data.len() <= Self::MAX_BYTES, "packet exceeds maximum size");
         Packet { data }

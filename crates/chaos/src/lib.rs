@@ -23,8 +23,8 @@
 //!
 //! The live-network half of the robustness story — the §2 *skeptic*
 //! quarantining flapping links behind an exponentially growing holddown —
-//! lives in `an2-reconfig` and is wired through
-//! `an2::Network::builder().skeptic(..)`; campaigns here measure its
+//! lives in `an2-reconfig` and is tuned through the fault spec's
+//! `monitor.skeptic`; campaigns here measure its
 //! effect (suppressed recoveries, reconfiguration counts) through the
 //! typed log and the new quarantine trace events.
 

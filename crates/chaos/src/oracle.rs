@@ -23,11 +23,11 @@
 //! 7. **Delivery floor** — aggregate packet delivery on circuits that
 //!    survive to the end must meet the schedule's floor.
 //!
-//! The report also carries an FNV-1a digest of everything observable, so a
-//! replay of the same schedule can be checked byte-for-byte.
+//! The report also carries [`Network::digest`], so a replay of the same
+//! schedule can be checked byte-for-byte.
 
 use crate::gen::Schedule;
-use an2::{ControlPlaneConfig, HostId, Network, ProtocolKind, ReconfigEvent, SwitchId, VcId};
+use an2::{HostId, Network, ProtocolKind, ReconfigEvent, SwitchId, VcId};
 use an2_cells::Packet;
 use an2_reconfig::harness::ReconfigNet;
 use an2_topology::updown;
@@ -113,8 +113,7 @@ impl fmt::Display for Violation {
 pub struct RunReport {
     /// Oracle violations, in check order. Empty = the run survived.
     pub violations: Vec<Violation>,
-    /// FNV-1a digest of stats, received bytes, counters and the typed log —
-    /// the replay contract.
+    /// [`Network::digest`] at the end of the run — the replay contract.
     pub digest: u64,
     /// Packets accepted for sending on circuits that survived to the end.
     pub sent_packets: u64,
@@ -136,13 +135,6 @@ pub struct RunReport {
     pub surviving_circuits: u64,
     /// The fabric slot the run finished at.
     pub final_slot: u64,
-}
-
-fn fnv(h: &mut u64, x: u64) {
-    for b in x.to_le_bytes() {
-        *h ^= b as u64;
-        *h = h.wrapping_mul(0x1_0000_01b3);
-    }
 }
 
 /// Switches permanently crashed over the schedule's horizon.
@@ -317,7 +309,7 @@ fn run_schedule_inner(
         }
     }
     net.attach_faults(&s.fault, s.seed);
-    net.enable_control_plane(ControlPlaneConfig::default());
+    net.enable_control_plane();
     let tracer = observe.map(|cfg| net.attach_observatory(an2_trace::TraceConfig::default(), cfg));
 
     // Adversarial phase: steady traffic under the fault schedule.
@@ -462,121 +454,32 @@ fn run_schedule_inner(
         }
     }
 
-    // Replay digest: per-circuit stats and latency samples, every received
-    // packet, transport and fault counters, the typed reconfiguration log.
-    let mut digest = 0xcbf2_9ce4_8422_2325u64;
-    for &(vc, _, _) in &circuits {
-        if net.is_broken(vc) {
-            fnv(&mut digest, 0xb20ce2);
-            continue;
-        }
-        let st = net.stats(vc).clone();
-        for x in [
-            st.sent_cells,
-            st.delivered_cells,
-            st.dropped_cells,
-            st.lost_cells,
-            st.corrupted_cells,
-            st.packets_delivered,
-            st.packets_corrupted,
-        ] {
-            fnv(&mut digest, x);
-        }
-        for &l in st.latency_slots.samples() {
-            fnv(&mut digest, l);
-        }
-    }
-    for &h in &hosts {
-        for (pvc, p) in net.take_received(h) {
-            fnv(&mut digest, pvc.raw() as u64);
-            fnv(&mut digest, p.as_bytes().len() as u64);
-            for &b in p.as_bytes().iter().take(8) {
-                fnv(&mut digest, b as u64);
-            }
-        }
-    }
-    let cc = net.ctrl_counters();
-    for x in [cc.messages_sent, cc.messages_lost, cc.cells_sent] {
-        fnv(&mut digest, x);
-    }
-    if let Some(c) = net.fault_counters() {
-        for x in [
-            c.cells_lost,
-            c.cells_corrupted,
-            c.credits_lost,
-            c.markers_sent,
-            c.markers_lost,
-            c.replies_lost,
-            c.resyncs_completed,
-            c.crash_dropped_cells,
-            c.invariant_violations,
-        ] {
-            fnv(&mut digest, x);
-        }
-    }
-    let mut epochs = 0u64;
-    let mut verdict_transitions = 0u64;
-    let mut quarantine_entries = 0u64;
-    for e in net.reconfig_log() {
-        fnv(&mut digest, e.slot());
-        match *e {
-            ReconfigEvent::LinkDead { link, .. } => {
-                verdict_transitions += 1;
-                fnv(&mut digest, 0x100 | link.0 as u64);
-            }
-            ReconfigEvent::LinkWorking { link, .. } => {
-                verdict_transitions += 1;
-                fnv(&mut digest, 0x200 | link.0 as u64);
-            }
-            ReconfigEvent::EpochStarted { tag, .. } => {
-                epochs += 1;
-                fnv(&mut digest, 0x300 | tag.epoch);
-            }
-            ReconfigEvent::Quiesced { messages, .. } => {
-                fnv(&mut digest, 0x400_0000 | messages);
-            }
-            ReconfigEvent::RoutesInstalled {
-                rerouted,
-                kept,
-                unroutable,
-                ..
-            } => {
-                fnv(&mut digest, 0x500);
-                fnv(&mut digest, (rerouted << 20) | (kept << 10) | unroutable);
-            }
-            ReconfigEvent::LinkQuarantined {
-                link,
-                entered,
-                level,
-                ..
-            } => {
-                if entered {
-                    quarantine_entries += 1;
-                }
-                fnv(&mut digest, 0x600 | link.0 as u64);
-                fnv(&mut digest, ((entered as u64) << 32) | level as u64);
-            }
-        }
-    }
-    let suppressed = net.suppressed_recoveries();
-    fnv(&mut digest, suppressed);
-
     // Flush any interval still pending at the final boundary (read-only
-    // on the registry — no effect on the digest above).
+    // on the registry — no effect on the digest).
     if let Some(t) = &tracer {
         t.scrape_now();
     }
 
+    let count = |pick: fn(&ReconfigEvent) -> bool| {
+        net.reconfig_log().iter().filter(|e| pick(e)).count() as u64
+    };
     let report = RunReport {
         violations,
-        digest,
+        digest: net.digest(),
         sent_packets: sent,
         delivered_packets: delivered,
         delivery_ratio,
-        epochs,
-        verdict_transitions,
-        quarantine_entries,
-        suppressed_recoveries: suppressed,
+        epochs: count(|e| matches!(e, ReconfigEvent::EpochStarted { .. })),
+        verdict_transitions: count(|e| {
+            matches!(
+                e,
+                ReconfigEvent::LinkDead { .. } | ReconfigEvent::LinkWorking { .. }
+            )
+        }),
+        quarantine_entries: count(|e| {
+            matches!(e, ReconfigEvent::LinkQuarantined { entered: true, .. })
+        }),
+        suppressed_recoveries: net.suppressed_recoveries(),
         broken_circuits,
         surviving_circuits: circuits.len() as u64 - broken_circuits,
         final_slot: net.slot(),

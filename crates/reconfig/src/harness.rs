@@ -7,8 +7,9 @@
 //! hands it to [`SwitchAgent::handle`], and queues every reply one link
 //! latency plus one `processing` time later. Equal-time messages are
 //! delivered in send order, so a run is a pure function of the topology
-//! and the failures injected. (The embedded control plane in `an2::control`
-//! drives the same agents over lossy 53-byte control cells instead.)
+//! and the failures injected. (The embedded control plane in
+//! `an2::network::control` drives the same agents over lossy 53-byte control
+//! cells instead.)
 
 use crate::agent::{Edge, Msg, SwitchAgent, TopoView};
 use crate::quiesce;

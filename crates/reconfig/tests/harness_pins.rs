@@ -8,40 +8,33 @@
 //! led to it.
 
 use an2_reconfig::harness::ReconfigNet;
-use an2_sim::SimRng;
+use an2_sim::{Fnv, SimRng};
 use an2_topology::{generators, LinkId, Node, SwitchId, Topology};
-
-fn fnv(h: &mut u64, word: u64) {
-    for b in word.to_le_bytes() {
-        *h ^= u64::from(b);
-        *h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-}
 
 /// Digest of every switch's view in switch order: tag, completion instant,
 /// sorted edges, and the spanning tree's `(child, parent)` pairs in the
 /// order collection assembled them (itself a function of delivery order).
 fn view_digest(net: &ReconfigNet) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325;
+    let mut h = Fnv::new();
     for s in net.topology().switches() {
         let Some(view) = net.view_of(s) else {
-            fnv(&mut h, u64::MAX);
+            h.add(u64::MAX);
             continue;
         };
-        fnv(&mut h, view.tag.epoch);
-        fnv(&mut h, u64::from(view.tag.initiator.0));
-        fnv(&mut h, view.completed_at.as_nanos());
+        h.add(view.tag.epoch);
+        h.add(u64::from(view.tag.initiator.0));
+        h.add(view.completed_at.as_nanos());
         let edges = net.view_edges_of(s).expect("switch has a view");
-        fnv(&mut h, edges.len() as u64);
+        h.add(edges.len() as u64);
         for (a, b) in edges {
-            fnv(&mut h, u64::from(a.0) << 16 | u64::from(b.0));
+            h.add(u64::from(a.0) << 16 | u64::from(b.0));
         }
-        fnv(&mut h, view.parents.len() as u64);
+        h.add(view.parents.len() as u64);
         for &(child, parent) in &view.parents {
-            fnv(&mut h, u64::from(child.0) << 16 | u64::from(parent.0));
+            h.add(u64::from(child.0) << 16 | u64::from(parent.0));
         }
     }
-    h
+    h.finish()
 }
 
 fn switch_links(topo: &Topology) -> Vec<LinkId> {

@@ -10,6 +10,7 @@
 //!   experiment is exactly reproducible from a single seed.
 //! * [`metrics`] — [`metrics::Histogram`] (exact or log-bucketed samples with
 //!   percentiles), used by every experiment harness.
+//! * [`Fnv`] — the hasher under every replay digest and pinned constant.
 //!
 //! There is no event engine here. The two event loops in the reproduction
 //! each live next to the transport they model: the slot-synchronous fabric
@@ -39,9 +40,11 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+mod fnv;
 pub mod metrics;
 mod rng;
 mod time;
 
+pub use fnv::Fnv;
 pub use rng::SimRng;
 pub use time::{SimDuration, SimTime};

@@ -3,11 +3,10 @@
 //! This is the map-based implementation the slab rewrite in
 //! `crate::switch` replaced: per-input `BTreeMap<VcId, VecDeque<_>>`
 //! queues, a `BTreeMap` routing table and a `BTreeMap` credit table. It is
-//! kept (a) under the baseline side of experiment N2 (`an2::reference`
-//! steps it) and (b) as the behavioural oracle for the
-//! reference-equivalence property tests — both implementations must produce
-//! byte-identical departures and consume the RNG stream identically on any
-//! seeded workload.
+//! kept because `an2::reference` steps it, as the behavioural oracle of
+//! `an2`'s `reference_equiv` and `wide_fabric_equiv` suites — both
+//! implementations must produce byte-identical departures and consume the
+//! RNG stream identically on any seeded workload.
 //!
 //! Mirrors the PR 1 pattern of `an2_xbar::reference`. Do not optimise this
 //! module; its value is that it stays exactly what shipped before.

@@ -440,8 +440,8 @@ impl Switch {
 
     /// Toggles the per-slot oldest-eligible dequeue cache (on by default).
     /// Purely an engine knob: results are byte-identical either way — the
-    /// unbatched baseline exists so the equivalence tests and the N7
-    /// experiment can prove it.
+    /// unbatched baseline exists so `an2`'s `watermark_equiv` suite can
+    /// prove it.
     pub fn set_batched(&mut self, on: bool) {
         self.batched = on;
     }

@@ -177,8 +177,9 @@ pub fn random_connected(n: usize, extra_links: usize, rng: &mut SimRng) -> Topol
 /// `level · k^(n-1) + w`; it links up to the `k` switches at `level + 1`
 /// whose radix-`k` index differs from `w` only in digit `level`. Every
 /// switch uses at most `2k` ports, so `k ≤ 8` fits the 16-port AN2 switch.
-/// This is the scale topology for the N6 parallel-data-plane curve:
-/// `fat_tree(2, 8)` is the 1024-switch, 256-host instance.
+/// This is the scale topology of `benchmark/`'s `tree_sat`, `tree_sat_s2`
+/// and `tree_sparse` workloads: `fat_tree(2, 8)` is the 1024-switch,
+/// 256-host instance.
 ///
 /// # Panics
 ///
@@ -323,7 +324,7 @@ mod tests {
         // Interior switches: k down + k up; top level: k down only.
         assert_eq!(t.switch_neighbors(SwitchId(4)).len(), 4);
         assert_eq!(t.switch_neighbors(SwitchId(8)).len(), 2);
-        // The N6 instance dimensions hold without building it here.
+        // The `tree_sat` instance dimensions hold without building it here.
         assert_eq!(8 * 2usize.pow(7), 1024);
     }
 

@@ -97,7 +97,8 @@ impl Default for SloSpec {
 /// Configuration for [`crate::Tracer::enable_observatory`].
 #[derive(Debug, Clone, Copy)]
 pub struct ObservatoryConfig {
-    /// Scrape cadence in fabric slots (default 1471 ≈ 1 ms at 622 Mb/s).
+    /// Scrape cadence in fabric slots, at least 1 (default 1471 ≈ 1 ms at
+    /// 622 Mb/s).
     pub every_slots: u64,
     /// Interval snapshots retained (bounded ring; default 4096 ≈ 4 s).
     pub ring_capacity: usize,

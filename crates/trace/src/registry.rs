@@ -88,13 +88,14 @@ pub struct MetricsRegistry {
 
 impl MetricsRegistry {
     /// An empty registry whose histograms use `1 << hist_sub_bits`
-    /// sub-buckets per power of two (0 picks the default of 5).
+    /// sub-buckets per power of two (`1..=16`, as
+    /// `an2_sim::metrics::Histogram::bucketed` takes it).
     pub fn new(hist_sub_bits: u32) -> Self {
         MetricsRegistry {
             index: BTreeMap::new(),
             series: Vec::new(),
             touched: 0,
-            hist_sub_bits: if hist_sub_bits == 0 { 5 } else { hist_sub_bits },
+            hist_sub_bits,
         }
     }
 
@@ -429,7 +430,7 @@ mod tests {
 
     #[test]
     fn counters_gauges_histograms_roundtrip() {
-        let mut r = MetricsRegistry::new(0);
+        let mut r = MetricsRegistry::new(5);
         r.counter_add("cells.delivered", Entity::Vc(100), 3);
         r.counter_add("cells.delivered", Entity::Vc(100), 2);
         r.gauge_set("queue.depth", Entity::Switch(1), 7);
@@ -448,7 +449,7 @@ mod tests {
 
     #[test]
     fn delta_since_reports_only_movement() {
-        let mut r = MetricsRegistry::new(0);
+        let mut r = MetricsRegistry::new(5);
         r.counter_add("a", Entity::Global, 1);
         r.gauge_set("b", Entity::Link(2), 10);
         let snap = r.snapshot();
@@ -464,7 +465,7 @@ mod tests {
 
     #[test]
     fn exports_are_deterministic_and_well_formed() {
-        let mut r = MetricsRegistry::new(0);
+        let mut r = MetricsRegistry::new(5);
         r.counter_add("cells.sent", Entity::Vc(7), 9);
         r.gauge_set("credits", Entity::Link(3), 8);
         r.hist_record("latency.slots", Entity::Global, 42);
@@ -481,7 +482,7 @@ mod tests {
 
     #[test]
     fn prometheus_emits_help_type_and_percentile_gauges() {
-        let mut r = MetricsRegistry::new(0);
+        let mut r = MetricsRegistry::new(5);
         r.counter_add("cells.sent", Entity::Vc(7), 9);
         r.gauge_set("credits", Entity::Link(3), 8);
         for v in 1..=100u64 {
@@ -524,7 +525,7 @@ mod tests {
 
     #[test]
     fn resolved_but_untouched_series_are_invisible() {
-        let mut r = MetricsRegistry::new(0);
+        let mut r = MetricsRegistry::new(5);
         r.counter_add("cells", Entity::Link(1), 4);
         let baseline = (r.to_json(), r.to_prometheus());
         let snap = r.snapshot();
@@ -553,7 +554,7 @@ mod tests {
 
     #[test]
     fn name_keyed_and_id_keyed_writes_hit_one_series() {
-        let mut r = MetricsRegistry::new(0);
+        let mut r = MetricsRegistry::new(5);
         let c = r.resolve("cells", Entity::Host(3));
         r.counter_add("cells", Entity::Host(3), 2);
         r.counter_add_id(c, 5);
@@ -579,7 +580,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "metric queue.depth/switch4 is not a counter")]
     fn kind_mismatch_by_id_names_the_series() {
-        let mut r = MetricsRegistry::new(0);
+        let mut r = MetricsRegistry::new(5);
         let id = r.resolve("queue.depth", Entity::Switch(4));
         r.gauge_set_id(id, 1);
         r.counter_add_id(id, 1);
@@ -587,7 +588,7 @@ mod tests {
 
     #[test]
     fn counter_total_sums_across_entities() {
-        let mut r = MetricsRegistry::new(0);
+        let mut r = MetricsRegistry::new(5);
         r.counter_add("x", Entity::Switch(0), 1);
         r.counter_add("x", Entity::Switch(1), 2);
         r.counter_add("y", Entity::Global, 10);

@@ -5,8 +5,8 @@
 //! cells whose hop-by-hop journeys reconstruct end to end.
 
 use an2::{
-    sink, ControlPlaneConfig, FaultSpec, FlapEvent, Network, Phase, PhaseEdge, SkepticConfig,
-    TraceConfig, TraceEvent, Tracer,
+    sink, FaultSpec, FlapEvent, Network, Phase, PhaseEdge, SkepticConfig, TraceConfig, TraceEvent,
+    Tracer,
 };
 use an2_cells::{LinkRate, Packet};
 use an2_sim::SimDuration;
@@ -56,7 +56,7 @@ fn drive_failure() -> (Network, Tracer, LinkId, u64) {
         ring_capacity: 1 << 18,
         ..TraceConfig::default()
     });
-    net.enable_control_plane(ControlPlaneConfig::default());
+    net.enable_control_plane();
     let mut tag = 0u8;
     while net.slot() < 160_000 {
         for &vc in &circuits {
@@ -210,15 +210,7 @@ fn n4_failure_leaves_a_golden_reconfig_trace() {
 /// observatory scrapes the 1 ms interval snapshots the counter tracks
 /// render from.
 fn drive_flap_with_recovery() -> (Network, Tracer, LinkId) {
-    let mut net = Network::builder()
-        .src_installation(4, 8)
-        .seed(7)
-        .skeptic(SkepticConfig {
-            base_wait: SimDuration::from_millis(50),
-            max_level: 3,
-            ..SkepticConfig::default()
-        })
-        .build();
+    let mut net = Network::builder().src_installation(4, 8).seed(7).build();
     let victim = backbone_link(&net);
     let hosts: Vec<_> = net.hosts().collect();
     let mut circuits = Vec::new();
@@ -232,6 +224,11 @@ fn drive_flap_with_recovery() -> (Network, Tracer, LinkId) {
         ..Default::default()
     };
     spec.monitor.ping_interval = SimDuration::from_millis(1);
+    spec.monitor.skeptic = SkepticConfig {
+        base_wait: SimDuration::from_millis(50),
+        max_level: 3,
+        ..SkepticConfig::default()
+    };
     spec.flaps.push(FlapEvent {
         link: victim,
         down_at: 40_000,
@@ -245,7 +242,7 @@ fn drive_flap_with_recovery() -> (Network, Tracer, LinkId) {
         },
         ObservatoryConfig::default(),
     );
-    net.enable_control_plane(ControlPlaneConfig::default());
+    net.enable_control_plane();
     let mut tag = 0u8;
     while net.slot() < 200_000 {
         for &vc in &circuits {

@@ -11,19 +11,10 @@
 //! registry export are pinned per topology × seed, so a change to who
 //! emits what, in which order within a slot, shows up here as a diff.
 
-use an2::{
-    sink, ControlPlaneConfig, FaultSpec, LossModel, Network, NetworkBuilder, TraceConfig, Tracer,
-};
+use an2::{sink, FaultSpec, LossModel, Network, NetworkBuilder, TraceConfig, Tracer};
 use an2_cells::Packet;
-use an2_sim::SimDuration;
+use an2_sim::{Fnv, SimDuration};
 use an2_trace::ObservatoryConfig;
-
-fn fnv(h: &mut u64, x: u64) {
-    for b in x.to_le_bytes() {
-        *h ^= b as u64;
-        *h = h.wrapping_mul(0x1_0000_01b3);
-    }
-}
 
 /// How much observation the run carries.
 #[derive(Clone, Copy, PartialEq)]
@@ -96,7 +87,7 @@ fn run_with_tracer(topo: usize, seed: u64, mode: Mode) -> (u64, u64, Option<Trac
             },
         )),
     };
-    net.enable_control_plane(ControlPlaneConfig::default());
+    net.enable_control_plane();
     let mut tag = 0u8;
     while net.slot() < 30_000 {
         for &vc in &circuits {
@@ -109,57 +100,18 @@ fn run_with_tracer(topo: usize, seed: u64, mode: Mode) -> (u64, u64, Option<Trac
     }
     net.step(10_000);
 
-    let mut digest = 0xcbf2_9ce4_8422_2325u64;
-    let mut delivered = 0;
-    for &vc in &circuits {
-        if net.is_broken(vc) {
-            continue;
-        }
-        let s = net.stats(vc);
-        delivered += s.delivered_cells;
-        for x in [
-            s.sent_cells,
-            s.delivered_cells,
-            s.lost_cells,
-            s.dropped_cells,
-        ] {
-            fnv(&mut digest, x);
-        }
-        for &sample in s.latency_slots.samples() {
-            fnv(&mut digest, sample);
-        }
-    }
-    let c = net.ctrl_counters();
-    for x in [c.messages_sent, c.messages_lost, c.cells_sent] {
-        fnv(&mut digest, x);
-    }
-    if let Some(f) = net.fault_counters() {
-        for x in [
-            f.cells_lost,
-            f.cells_corrupted,
-            f.credits_lost,
-            f.markers_sent,
-            f.resyncs_completed,
-            f.crash_dropped_cells,
-            f.invariant_violations,
-        ] {
-            fnv(&mut digest, x);
-        }
-    }
-    fnv(&mut digest, net.reconfig_log().len() as u64);
-    for e in net.reconfig_log() {
-        fnv(&mut digest, e.slot());
-    }
-    (digest, delivered, tracer)
+    let delivered = circuits
+        .iter()
+        .filter(|&&vc| !net.is_broken(vc))
+        .map(|&vc| net.stats(vc).delivered_cells)
+        .sum();
+    (net.digest(), delivered, tracer)
 }
 
 fn fnv_bytes(bytes: &[u8]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
+    let mut h = Fnv::new();
+    h.bytes(bytes);
+    h.finish()
 }
 
 /// `(topology, seed, records, FNV of the JSONL stream, metrics_json bytes,
