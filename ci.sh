@@ -38,6 +38,16 @@ if grep -rn --include='*.rs' 'Fnv::replay' crates tests | grep -v '^crates/sim/s
     exit 1
 fi
 
+echo "== one index of metric series: no map keyed by (&'static str, Entity) in crates/*/src outside crates/trace/src/registry.rs"
+# What the observatory's last scrape saw is each registry series' mark; a
+# second (name, entity)-keyed table beside the registry's index is a shadow
+# copy of series state that can drift from it.
+if grep -rnE --include='*.rs' "(BTreeMap|HashMap)<\(&'static str, *Entity\)" crates/*/src |
+    grep -v '^crates/trace/src/registry.rs:'; then
+    echo "a second index of metric series: keep per-series state in MetricsRegistry"
+    exit 1
+fi
+
 echo "== no file under crates/an2/src over 1200 lines"
 # ROADMAP item 1's bar. The cure for a file that trips it is a part with its
 # own state behind private fields (crates/an2/src/fabric/), not a second

@@ -61,6 +61,6 @@ pub use an2_reconfig::skeptic::SkepticConfig;
 pub use an2_reconfig::{ReconfigEvent, Tag};
 pub use an2_topology::{HostId, LinkId, SwitchId};
 pub use an2_trace::{
-    sink, DropReason, Entity, FaultOutcome, Hop, MetricsRegistry, MetricsSnapshot, Phase,
-    PhaseEdge, ProtocolTag, TraceConfig, TraceEvent, TraceRecord, Tracer,
+    sink, DropReason, Entity, FaultOutcome, Hop, MetricsRegistry, Phase, PhaseEdge, ProtocolTag,
+    TraceConfig, TraceEvent, TraceRecord, Tracer,
 };

@@ -269,10 +269,7 @@ fn fault_drive(
         });
         // 190 slots: boundaries fall inside jumps, not on the ends of
         // the 1 500-slot calls below.
-        t.enable_observatory(an2_trace::ObservatoryConfig {
-            every_slots: 190,
-            ..Default::default()
-        });
+        t.enable_observatory(an2_trace::ObservatoryConfig { every_slots: 190 });
         f.attach_tracer(t.clone());
         t
     });

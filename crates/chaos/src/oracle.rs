@@ -454,12 +454,6 @@ fn run_schedule_inner(
         }
     }
 
-    // Flush any interval still pending at the final boundary (read-only
-    // on the registry — no effect on the digest).
-    if let Some(t) = &tracer {
-        t.scrape_now();
-    }
-
     let count = |pick: fn(&ReconfigEvent) -> bool| {
         net.reconfig_log().iter().filter(|e| pick(e)).count() as u64
     };

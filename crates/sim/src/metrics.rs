@@ -330,59 +330,75 @@ impl Histogram {
             }
         }
     }
-    /// The distribution of samples recorded since `baseline` was cloned
-    /// off this histogram — `self` minus `baseline`. This is what turns a
-    /// cumulative registry histogram into a *per-interval* one: snapshot a
-    /// clone every scrape and diff against the previous clone.
+
+    /// Summarizes what this bucketed histogram gained since `mark` — its
+    /// bucket counts at an earlier point, empty for "since it was made" —
+    /// and advances `mark` to now. This is what turns a cumulative registry
+    /// histogram into a *per-interval* one without copying it: the walk
+    /// reads each bucket once and writes the mark in the same pass.
     ///
-    /// Same-resolution bucketed pairs subtract bucket-wise (exact relative
-    /// to their shared quantization; the delta's min/max are reported as
-    /// occupied-bucket edges clamped into `self`'s recorded range). Exact
-    /// or mixed-mode pairs fall back to a multiset difference of the raw
-    /// samples. `baseline` must be a prefix of `self`'s history; a
-    /// non-ancestor baseline yields a saturating (never panicking) result.
-    pub fn delta_since(&self, baseline: &Histogram) -> Histogram {
-        match (&self.repr, &baseline.repr) {
-            (Repr::Bucketed(cur), Repr::Bucketed(base)) if cur.sub_bits == base.sub_bits => {
-                let mut d = Buckets::new(cur.sub_bits);
-                d.counts = cur
-                    .counts
-                    .iter()
-                    .enumerate()
-                    .map(|(i, &n)| n.saturating_sub(base.counts.get(i).copied().unwrap_or(0)))
-                    .collect();
-                d.count = cur.count.saturating_sub(base.count);
-                d.sum = cur.sum.saturating_sub(base.sum);
-                if d.count > 0 {
-                    let first = d.counts.iter().position(|&n| n > 0).unwrap_or(0);
-                    let last = d.counts.iter().rposition(|&n| n > 0).unwrap_or(0);
-                    let upper = d.low_edge(last + 1).saturating_sub(1);
-                    d.max = upper.min(cur.max);
-                    d.min = d.low_edge(first).max(cur.min).min(d.max);
-                }
-                Histogram {
-                    repr: Repr::Bucketed(d),
-                }
+    /// The delta is exact relative to the buckets' quantization. Its
+    /// min/max are the edges of the first and last bucket that gained,
+    /// clamped into the recorded range — so against an empty mark they are
+    /// the exact extremes — and its percentiles are nearest-rank bucket
+    /// lower edges clamped into them, as [`Histogram::percentile`]'s are.
+    /// `None` (and `mark` untouched) when nothing was recorded since.
+    ///
+    /// # Panics
+    ///
+    /// Panics on an exact-mode histogram.
+    pub fn delta_since(&self, mark: &mut Vec<u64>) -> Option<HistStat> {
+        let Repr::Bucketed(b) = &self.repr else {
+            panic!("delta_since needs a bucketed histogram");
+        };
+        // Buckets are only ever added, so the mark is a prefix in length.
+        mark.resize(b.counts.len(), 0);
+        let moved = |i: usize| b.counts[i] - mark[i];
+        let first = (0..b.counts.len()).find(|&i| moved(i) > 0)?;
+        let last = (first..b.counts.len()).rfind(|&i| moved(i) > 0)?;
+        let count: u64 = (first..=last).map(moved).sum();
+        let max = b.low_edge(last + 1).saturating_sub(1).min(b.max);
+        let min = b.low_edge(first).max(b.min).min(max);
+        let rank = |q: f64| ((q * count as f64).ceil() as u64).max(1);
+        let (r50, r99) = (rank(0.5), rank(0.99));
+        let (mut p50, mut p99, mut seen) = (None, None, 0);
+        for (i, m) in mark.iter_mut().enumerate().take(last + 1).skip(first) {
+            seen += b.counts[i] - *m;
+            *m = b.counts[i];
+            let edge = || b.low_edge(i).clamp(min, max);
+            if p50.is_none() && seen >= r50 {
+                p50 = Some(edge());
             }
-            _ => {
-                let mut seen = std::collections::BTreeMap::new();
-                for &v in baseline.samples() {
-                    *seen.entry(v).or_insert(0u64) += 1;
-                }
-                let mut out = match &self.repr {
-                    Repr::Exact { .. } => Histogram::new(),
-                    Repr::Bucketed(b) => Histogram::bucketed(b.sub_bits),
-                };
-                for &v in self.samples() {
-                    match seen.get_mut(&v) {
-                        Some(n) if *n > 0 => *n -= 1,
-                        _ => out.record(v),
-                    }
-                }
-                out
+            if p99.is_none() && seen >= r99 {
+                p99 = Some(edge());
             }
         }
+        Some(HistStat {
+            count,
+            min,
+            p50: p50.unwrap_or(max),
+            p99: p99.unwrap_or(max),
+            max,
+        })
     }
+}
+
+/// What one histogram gained over an interval — the summary
+/// [`Histogram::delta_since`] computes.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct HistStat {
+    /// Samples recorded over the interval.
+    pub count: u64,
+    /// Smallest sample: exact against an empty mark, else the lower edge
+    /// of its bucket clamped into the recorded range.
+    pub min: u64,
+    /// Median.
+    pub p50: u64,
+    /// 99th percentile.
+    pub p99: u64,
+    /// Largest sample: exact against an empty mark, else the upper edge
+    /// of its bucket clamped into the recorded range.
+    pub max: u64,
 }
 
 impl FromIterator<u64> for Histogram {
@@ -409,34 +425,38 @@ mod tests {
 
     #[test]
     fn delta_since_recovers_the_interval_distribution() {
-        // Bucketed: the delta of a snapshot pair sees only the new samples.
         let mut h = Histogram::bucketed(5);
-        for v in [10u64, 20, 30] {
+        let mut mark = Vec::new();
+        for v in [10u64, 20, 30, 1000] {
             h.record(v);
         }
-        let base = h.clone();
-        for v in [1000u64, 2000, 3000, 4000] {
+        // Against an empty mark: the whole histogram, exact extremes and
+        // the same percentiles the histogram itself reports.
+        let whole = h.delta_since(&mut mark).unwrap();
+        let mut all = h.clone();
+        let expect = HistStat {
+            count: 4,
+            min: 10,
+            p50: all.percentile(0.5).unwrap(),
+            p99: all.percentile(0.99).unwrap(),
+            max: 1000,
+        };
+        assert_eq!(whole, expect);
+        // Nothing new: no summary, and the mark stays put.
+        let held = mark.clone();
+        assert_eq!(h.delta_since(&mut mark), None);
+        assert_eq!(mark, held);
+        // The next interval sees only its own samples, min/max at bucket
+        // edges clamped into the recorded range.
+        for v in [2000u64, 3000, 4000] {
             h.record(v);
         }
-        let d = h.delta_since(&base);
-        assert_eq!(d.count(), 4);
-        let mut d2 = d.clone();
-        let p50 = d2.percentile(0.5).unwrap();
-        assert!((1900..=2000).contains(&p50), "p50 of delta was {p50}");
-        let dmin = d.min().unwrap();
-        assert!(dmin >= 968, "delta min {dmin} leaked baseline samples");
-        // Empty delta: same snapshot twice.
-        assert_eq!(h.delta_since(&h.clone()).count(), 0);
-
-        // Exact mode falls back to a multiset difference.
-        let mut e: Histogram = [5u64, 5, 7].into_iter().collect();
-        let ebase = e.clone();
-        e.record(9);
-        e.record(5);
-        let ed = e.delta_since(&ebase);
-        let mut got: Vec<u64> = ed.samples().to_vec();
-        got.sort_unstable();
-        assert_eq!(got, vec![5, 9]);
+        let d = h.delta_since(&mut mark).unwrap();
+        assert_eq!(d.count, 3);
+        assert!((1984..=2000).contains(&d.min), "delta min {}", d.min);
+        assert!((2944..=3000).contains(&d.p50), "delta p50 {}", d.p50);
+        assert_eq!(d.max, 4000);
+        assert_eq!(h.delta_since(&mut mark), None);
     }
 
     #[test]

@@ -152,7 +152,7 @@ impl ProtocolTag {
 
 /// Which streaming watchdog detector raised a [`TraceEvent::HealthAlert`].
 ///
-/// The catalog mirrors the observatory's `SloSpec`: loss spikes and credit
+/// The catalog mirrors the observatory's SLO constants: loss spikes and credit
 /// stalls are judged per link, the delivery floor, latency budget and
 /// control-storm detectors over the whole installation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]

@@ -15,8 +15,8 @@
 //!   oldest records fall off the back under pressure.
 //! * [`MetricsRegistry`] — named counters, gauges and (bucketed)
 //!   histograms keyed by [`Entity`] (switch / port / link / VC / host),
-//!   with JSON and Prometheus-text snapshot export and per-slot delta
-//!   queries.
+//!   with JSON and Prometheus-text snapshot export; each series also
+//!   carries the mark the observatory's last scrape left on it.
 //! * [`Tracer`] — the cheap-to-clone handle every layer holds
 //!   `Option`-gated, exactly like the fabric's fault layer: a fabric (or
 //!   switch, link simulator, fault injector) with no tracer
@@ -32,8 +32,8 @@
 //!   reconfiguration storm or credit stall renders as a Perfetto
 //!   timeline, and JSONL/CSV time-series dumps of interval snapshots.
 //! * [`observe`] — the streaming telemetry tier: a virtual-clock interval
-//!   aggregator ([`Observatory`]), a declarative SLO watchdog
-//!   ([`SloSpec`] → [`HealthEvent`]s), and ground-truth time-to-detect
+//!   aggregator ([`Observatory`]), an SLO watchdog with fixed thresholds
+//!   (→ [`HealthEvent`]s), and ground-truth time-to-detect
 //!   scoring against chaos fault schedules ([`score_detections`]).
 //!
 //! ```
@@ -66,8 +66,8 @@ pub use event::{
 pub use lane::TraceLane;
 pub use observe::{
     score_detections, DetectionScore, FaultLabel, HealthEvent, HistStat, IntervalSnapshot,
-    Observatory, ObservatoryConfig, SloSpec,
+    Observatory, ObservatoryConfig,
 };
 pub use recorder::{FlightRecorder, TraceRecord};
-pub use registry::{Metric, MetricId, MetricOp, MetricsRegistry, MetricsSnapshot};
+pub use registry::{Metric, MetricId, MetricOp, MetricsRegistry};
 pub use tracer::{TraceConfig, TraceSink, Tracer};

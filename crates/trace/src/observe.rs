@@ -12,23 +12,25 @@
 //!   virtual time into a bounded ring of [`IntervalSnapshot`]s — counter
 //!   deltas (per-link utilization and loss, ctrl-cell rate), gauge levels
 //!   (per-switch queue depth, link state) and per-interval histogram
-//!   percentiles (via `Histogram::delta_since`).
+//!   percentiles. What the previous scrape saw is each registry series'
+//!   mark, kept beside its value in [`MetricsRegistry`]; the observatory
+//!   keeps no copy.
 //! * A set of streaming detectors (see [`crate::DetectorKind`]) judges
-//!   each interval against a declarative [`SloSpec`] and emits
-//!   virtual-time-stamped [`HealthEvent`]s into the typed log and the
-//!   flight recorder ([`crate::TraceEvent::HealthAlert`]).
+//!   each interval against fixed service-level objectives (the constants
+//!   below) and emits virtual-time-stamped [`HealthEvent`]s into the typed
+//!   log and the flight recorder ([`crate::TraceEvent::HealthAlert`]).
 //! * Because chaos schedules are deterministic `(spec, seed)` expansions,
 //!   [`score_detections`] can measure per-detector time-to-detect and
 //!   false-positive rates against *exact* ground truth ([`FaultLabel`]s) —
 //!   a measurement real networks can never make.
 //!
-//! Everything here is read-only with respect to the simulation: a scrape
-//! draws no randomness and mutates nothing outside the tracer core, so an
+//! Everything here is read-only on the simulation: a scrape draws no
+//! randomness and advances the registry's marks and nothing else, so an
 //! observed run stays byte-identical to an unobserved one.
 
-use crate::event::{DetectorKind, Entity, TraceEvent};
-use crate::registry::{Metric, MetricsRegistry};
-use an2_sim::metrics::Histogram;
+use crate::event::{DetectorKind, Entity};
+use crate::registry::MetricsRegistry;
+pub use an2_sim::metrics::HistStat;
 use std::collections::{BTreeMap, VecDeque};
 
 /// EWMA smoothing factor shared by every streaming detector baseline.
@@ -41,58 +43,49 @@ const MIN_BASELINE_OBS: u64 = 8;
 /// not make every first loss an infinite-sigma outlier.
 const SIGMA_FLOOR: f64 = 0.5;
 
-/// Declarative service-level objectives the watchdog enforces per scrape
-/// interval. Thresholds are plain numbers (mostly thousandths) so specs
-/// stay `Copy`, diffable and exactly reproducible.
-#[derive(Debug, Clone, Copy)]
-pub struct SloSpec {
-    /// Delivery floor in thousandths: interval `delivered/injected` under
-    /// this (while injection is active) raises [`DetectorKind::DeliveryFloor`].
-    pub delivery_floor_milli: u32,
-    /// Injected cells an interval needs before ratio detectors judge it —
-    /// gates out boot, drain and probe phases where ratios are noise.
-    pub min_interval_injected: u64,
-    /// Interval p99 end-to-end latency budget, in slots
-    /// ([`DetectorKind::LatencyBudget`]).
-    pub p99_latency_budget_slots: u64,
-    /// Delivered-cell samples an interval needs before its p99 is judged.
-    pub min_latency_samples: u64,
-    /// Control cells per interval above this raise
-    /// [`DetectorKind::CtrlStorm`] — a reconfiguration storm in progress.
-    pub max_ctrl_cells_per_interval: u64,
-    /// Consecutive zero-traffic, zero-credit intervals on a recently
-    /// active link before [`DetectorKind::CreditStall`] raises.
-    pub credit_stall_intervals: u32,
-    /// Intervals at the start of the run during which no detector raises
-    /// (baselines still learn): covers the boot reconfiguration.
-    pub warmup_intervals: u64,
-    /// z-score threshold in thousandths (4000 = 4σ) for
-    /// [`DetectorKind::LossSpike`].
-    pub z_threshold_milli: u32,
-    /// Absolute floor on windowed loss events before a spike can raise.
-    pub min_loss_events: u64,
-    /// Sliding window (in intervals) the loss detector sums over — three
-    /// 1 ms intervals mirror the monitor's own fail streak, so even a
-    /// quiesced link betrays itself through failed pings alone.
-    pub loss_window_intervals: u32,
-}
+/// Interval snapshots retained (≈ 4 s at the default cadence); older ones
+/// fall off the front of the ring.
+const RING_CAPACITY: usize = 4_096;
 
-impl Default for SloSpec {
-    fn default() -> Self {
-        SloSpec {
-            delivery_floor_milli: 500,
-            min_interval_injected: 20,
-            p99_latency_budget_slots: 15_000,
-            min_latency_samples: 10,
-            max_ctrl_cells_per_interval: 40,
-            credit_stall_intervals: 3,
-            warmup_intervals: 40,
-            z_threshold_milli: 4_000,
-            min_loss_events: 3,
-            loss_window_intervals: 3,
-        }
-    }
-}
+// The service-level objectives every interval is judged against.
+
+/// Intervals after enabling during which no detector raises (baselines
+/// still learn): covers the boot reconfiguration.
+const WARMUP_INTERVALS: u64 = 40;
+
+/// Delivery floor in thousandths: interval `delivered/injected` under this
+/// (while injection is active) raises [`DetectorKind::DeliveryFloor`].
+const DELIVERY_FLOOR_MILLI: i64 = 500;
+
+/// Injected cells an interval needs before ratio detectors judge it —
+/// gates out boot, drain and probe phases where ratios are noise.
+const MIN_INTERVAL_INJECTED: u64 = 20;
+
+/// Interval p99 end-to-end latency budget, in slots
+/// ([`DetectorKind::LatencyBudget`]).
+const P99_LATENCY_BUDGET_SLOTS: u64 = 15_000;
+
+/// Delivered-cell samples an interval needs before its p99 is judged.
+const MIN_LATENCY_SAMPLES: u64 = 10;
+
+/// Control cells per interval above this raise [`DetectorKind::CtrlStorm`]
+/// — a reconfiguration storm in progress.
+const MAX_CTRL_CELLS_PER_INTERVAL: u64 = 40;
+
+/// Consecutive zero-traffic, zero-credit intervals on a recently active
+/// link before [`DetectorKind::CreditStall`] raises.
+const CREDIT_STALL_INTERVALS: u32 = 3;
+
+/// z-score threshold (4σ) for [`DetectorKind::LossSpike`].
+const Z_THRESHOLD: f64 = 4.0;
+
+/// Absolute floor on windowed loss events before a spike can raise.
+const MIN_LOSS_EVENTS: u64 = 3;
+
+/// Sliding window (in intervals) the loss detector sums over — three 1 ms
+/// intervals mirror the monitor's own fail streak, so even a quiesced link
+/// betrays itself through failed pings alone.
+const LOSS_WINDOW_INTERVALS: usize = 3;
 
 /// Configuration for [`crate::Tracer::enable_observatory`].
 #[derive(Debug, Clone, Copy)]
@@ -100,36 +93,12 @@ pub struct ObservatoryConfig {
     /// Scrape cadence in fabric slots, at least 1 (default 1471 ≈ 1 ms at
     /// 622 Mb/s).
     pub every_slots: u64,
-    /// Interval snapshots retained (bounded ring; default 4096 ≈ 4 s).
-    pub ring_capacity: usize,
-    /// The SLOs the watchdog enforces.
-    pub slo: SloSpec,
 }
 
 impl Default for ObservatoryConfig {
     fn default() -> Self {
-        ObservatoryConfig {
-            every_slots: 1_471,
-            ring_capacity: 4_096,
-            slo: SloSpec::default(),
-        }
+        ObservatoryConfig { every_slots: 1_471 }
     }
-}
-
-/// Per-interval summary of one registry histogram, computed from the
-/// bucket-wise delta against the previous scrape.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct HistStat {
-    /// Samples recorded this interval.
-    pub count: u64,
-    /// Smallest sample (bucket lower edge in bucketed mode).
-    pub min: u64,
-    /// Median.
-    pub p50: u64,
-    /// 99th percentile.
-    pub p99: u64,
-    /// Largest sample.
-    pub max: u64,
 }
 
 /// One scrape of the registry: what moved during `[start_slot, end_slot)`.
@@ -137,7 +106,7 @@ pub struct HistStat {
 /// Counters carry their interval *delta* (only series that moved), gauges
 /// their level at the boundary, histograms their per-interval percentile
 /// summary. Series are in deterministic `(name, entity)` order.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct IntervalSnapshot {
     /// Interval ordinal (0-based since the observatory was enabled).
     pub index: u64,
@@ -196,7 +165,7 @@ impl IntervalSnapshot {
 }
 
 /// One typed watchdog judgment, mirrored into the flight recorder as a
-/// [`TraceEvent::HealthAlert`].
+/// [`crate::TraceEvent::HealthAlert`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct HealthEvent {
     /// The interval-boundary slot the alert was judged at.
@@ -265,11 +234,7 @@ pub struct Observatory {
     next_boundary: u64,
     index: u64,
     ring: VecDeque<IntervalSnapshot>,
-    ring_capacity: usize,
     dropped: u64,
-    slo: SloSpec,
-    prev_counters: BTreeMap<(&'static str, Entity), u64>,
-    prev_hists: BTreeMap<(&'static str, Entity), Histogram>,
     links: BTreeMap<u32, LinkState>,
     floor_raised: bool,
     latency_raised: bool,
@@ -278,18 +243,15 @@ pub struct Observatory {
 }
 
 impl Observatory {
-    /// A fresh observatory; the first boundary is one interval in.
-    pub fn new(cfg: ObservatoryConfig) -> Self {
+    /// A fresh observatory whose first interval starts at `start_slot`.
+    pub fn new(cfg: ObservatoryConfig, start_slot: u64) -> Self {
+        let every = cfg.every_slots.max(1);
         Observatory {
-            every: cfg.every_slots.max(1),
-            next_boundary: cfg.every_slots.max(1),
+            every,
+            next_boundary: start_slot + every,
             index: 0,
             ring: VecDeque::new(),
-            ring_capacity: cfg.ring_capacity.max(1),
             dropped: 0,
-            slo: cfg.slo,
-            prev_counters: BTreeMap::new(),
-            prev_hists: BTreeMap::new(),
             links: BTreeMap::new(),
             floor_raised: false,
             latency_raised: false,
@@ -304,22 +266,22 @@ impl Observatory {
     }
 
     /// Scrapes every boundary up to `slot`, appending any health alerts to
-    /// `alerts` as `(boundary_slot, event)` for the caller to record.
+    /// the log ([`Observatory::health_log`]) for the caller to record.
     /// Boundaries after the first in one call see an unchanged registry
     /// and therefore produce empty intervals — exactly right, because the
     /// fabric only jumps the clock over provably quiet regions.
-    pub fn scrape_until(
-        &mut self,
-        slot: u64,
-        slot_ns: u64,
-        registry: &MetricsRegistry,
-        alerts: &mut Vec<(u64, TraceEvent)>,
-    ) {
+    pub fn scrape_until(&mut self, slot: u64, slot_ns: u64, registry: &mut MetricsRegistry) {
         while self.next_boundary <= slot {
             let boundary = self.next_boundary;
-            let snap = self.build_snapshot(boundary, registry);
-            self.run_detectors(&snap, slot_ns, alerts);
-            if self.ring.len() == self.ring_capacity {
+            let mut snap = IntervalSnapshot {
+                index: self.index,
+                start_slot: boundary - self.every,
+                end_slot: boundary,
+                ..IntervalSnapshot::default()
+            };
+            registry.scrape(&mut snap);
+            self.run_detectors(&snap, slot_ns);
+            if self.ring.len() == RING_CAPACITY {
                 self.ring.pop_front();
                 self.dropped += 1;
             }
@@ -329,61 +291,31 @@ impl Observatory {
         }
     }
 
-    fn build_snapshot(&mut self, boundary: u64, registry: &MetricsRegistry) -> IntervalSnapshot {
-        let mut counters = Vec::new();
-        let mut gauges = Vec::new();
-        let mut hists = Vec::new();
-        for (name, entity, metric) in registry.iter() {
-            match metric {
-                Metric::Counter(c) => {
-                    let prev = self.prev_counters.insert((name, entity), *c).unwrap_or(0);
-                    let delta = c.saturating_sub(prev);
-                    if delta > 0 {
-                        counters.push((name, entity, delta));
-                    }
-                }
-                Metric::Gauge(g) => gauges.push((name, entity, *g)),
-                Metric::Histogram(h) => {
-                    let stat = match self.prev_hists.get(&(name, entity)) {
-                        Some(prev) => {
-                            let mut d = h.delta_since(prev);
-                            hist_stat(&mut d)
-                        }
-                        None => {
-                            let mut d = h.clone();
-                            hist_stat(&mut d)
-                        }
-                    };
-                    self.prev_hists.insert((name, entity), h.clone());
-                    if let Some(stat) = stat {
-                        hists.push((name, entity, stat));
-                    }
-                }
-            }
-        }
-        IntervalSnapshot {
-            index: self.index,
-            start_slot: boundary.saturating_sub(self.every),
-            end_slot: boundary,
-            counters,
-            gauges,
-            hists,
-        }
-    }
-
-    fn run_detectors(
-        &mut self,
-        snap: &IntervalSnapshot,
-        slot_ns: u64,
-        alerts: &mut Vec<(u64, TraceEvent)>,
-    ) {
-        let warmed = snap.index >= self.slo.warmup_intervals;
+    fn run_detectors(&mut self, snap: &IntervalSnapshot, slot_ns: u64) {
+        let Observatory {
+            links,
+            floor_raised,
+            latency_raised,
+            ctrl_raised,
+            health,
+            ..
+        } = self;
+        let warmed = snap.index >= WARMUP_INTERVALS;
         let boundary = snap.end_slot;
+        let mut alert = |detector, entity, raised, value_milli, threshold_milli| {
+            health.push(HealthEvent {
+                slot: boundary,
+                at_ns: boundary * slot_ns,
+                detector,
+                entity,
+                raised,
+                value_milli,
+                threshold_milli,
+            });
+        };
         let injected = snap.counter_delta_total("fabric.cells_injected");
         let delivered = snap.counter_delta_total("fabric.cells_delivered");
-        let active = injected >= self.slo.min_interval_injected;
-        let z = self.slo.z_threshold_milli as f64 / 1000.0;
-        let window = self.slo.loss_window_intervals.max(1) as usize;
+        let active = injected >= MIN_INTERVAL_INJECTED;
 
         // Per-link detectors. A link enters the book the first time any
         // per-link series mentions it — healthy pings included, so an idle
@@ -402,17 +334,15 @@ impl Observatory {
             )
         }) {
             if let Entity::Link(l) = entity {
-                self.links.entry(l).or_default();
+                links.entry(l).or_default();
             }
         }
-        let link_ids: Vec<u32> = self.links.keys().copied().collect();
-        for link in link_ids {
+        for (&link, st) in links.iter_mut() {
             let ent = Entity::Link(link);
             let loss = snap.counter_delta("faults.lose", ent)
                 + snap.counter_delta("monitor.ping_failed", ent);
             let util = snap.counter_delta("link.cells", ent);
             let credits = snap.counter_delta("fabric.credits_sent", ent);
-            let st = self.links.get_mut(&link).expect("link entered above");
 
             // Loss spike: z-score of a short sliding sum of loss events
             // against the link's own EWMA baseline. The window mirrors the
@@ -423,7 +353,7 @@ impl Observatory {
             // ramp is normal (and an armed outage never feeds it at all).
             st.loss_window.push_back(loss);
             let mut left_window = None;
-            while st.loss_window.len() > window {
+            while st.loss_window.len() > LOSS_WINDOW_INTERVALS {
                 left_window = st.loss_window.pop_front();
             }
             if let (Some(old), false) = (left_window, st.loss_raised) {
@@ -431,40 +361,23 @@ impl Observatory {
             }
             let x = st.loss_window.iter().sum::<u64>() as f64;
             if !st.loss_raised {
-                let wf = window as f64;
-                let threshold =
-                    wf * st.loss_ewma.mean + z * (st.loss_ewma.std() * wf.sqrt()).max(SIGMA_FLOOR);
+                let wf = LOSS_WINDOW_INTERVALS as f64;
+                let threshold = wf * st.loss_ewma.mean
+                    + Z_THRESHOLD * (st.loss_ewma.std() * wf.sqrt()).max(SIGMA_FLOOR);
                 if warmed
                     && st.loss_ewma.n >= MIN_BASELINE_OBS
-                    && x >= self.slo.min_loss_events as f64
+                    && x >= MIN_LOSS_EVENTS as f64
                     && x > threshold
                 {
                     st.loss_raised = true;
-                    push_alert(
-                        &mut self.health,
-                        alerts,
-                        boundary,
-                        slot_ns,
-                        DetectorKind::LossSpike,
-                        ent,
-                        true,
-                        (x * 1000.0) as i64,
-                        (threshold.max(self.slo.min_loss_events as f64) * 1000.0) as i64,
-                    );
+                    let threshold = threshold.max(MIN_LOSS_EVENTS as f64);
+                    let (x, threshold) = ((x * 1000.0) as i64, (threshold * 1000.0) as i64);
+                    alert(DetectorKind::LossSpike, ent, true, x, threshold);
                 }
-            } else if x < self.slo.min_loss_events as f64 {
+            } else if x < MIN_LOSS_EVENTS as f64 {
                 st.loss_raised = false;
-                push_alert(
-                    &mut self.health,
-                    alerts,
-                    boundary,
-                    slot_ns,
-                    DetectorKind::LossSpike,
-                    ent,
-                    false,
-                    (x * 1000.0) as i64,
-                    (self.slo.min_loss_events * 1000) as i64,
-                );
+                let (x, threshold) = ((x * 1000.0) as i64, (MIN_LOSS_EVENTS * 1000) as i64);
+                alert(DetectorKind::LossSpike, ent, false, x, threshold);
             }
 
             // Credit stall: a recently active link that moves no cells and
@@ -476,64 +389,30 @@ impl Observatory {
             } else {
                 st.stall_count = 0;
             }
+            let threshold = (CREDIT_STALL_INTERVALS as i64) * 1000;
             if st.stall_raised && util > 0 {
                 st.stall_raised = false;
-                push_alert(
-                    &mut self.health,
-                    alerts,
-                    boundary,
-                    slot_ns,
-                    DetectorKind::CreditStall,
-                    ent,
-                    false,
-                    0,
-                    (self.slo.credit_stall_intervals as i64) * 1000,
-                );
+                alert(DetectorKind::CreditStall, ent, false, 0, threshold);
             }
-            if warmed && !st.stall_raised && st.stall_count >= self.slo.credit_stall_intervals {
+            if warmed && !st.stall_raised && st.stall_count >= CREDIT_STALL_INTERVALS {
                 st.stall_raised = true;
-                push_alert(
-                    &mut self.health,
-                    alerts,
-                    boundary,
-                    slot_ns,
-                    DetectorKind::CreditStall,
-                    ent,
-                    true,
-                    (st.stall_count as i64) * 1000,
-                    (self.slo.credit_stall_intervals as i64) * 1000,
-                );
+                let count = (st.stall_count as i64) * 1000;
+                alert(DetectorKind::CreditStall, ent, true, count, threshold);
             }
             st.util_ewma.observe(util as f64);
         }
 
+        // The installation-wide detectors raise on the interval that
+        // breaks their objective and re-arm on the first that meets it.
         // Delivery floor (throughput collapse under sustained injection).
         if warmed && active {
             let ratio_milli = (delivered * 1000 / injected) as i64;
-            let floor = self.slo.delivery_floor_milli as i64;
-            if !self.floor_raised && ratio_milli < floor {
-                self.floor_raised = true;
-                push_alert(
-                    &mut self.health,
-                    alerts,
-                    boundary,
-                    slot_ns,
+            let floor = DELIVERY_FLOOR_MILLI;
+            if let Some(up) = flip(floor_raised, ratio_milli < floor) {
+                alert(
                     DetectorKind::DeliveryFloor,
                     Entity::Global,
-                    true,
-                    ratio_milli,
-                    floor,
-                );
-            } else if self.floor_raised && ratio_milli >= floor {
-                self.floor_raised = false;
-                push_alert(
-                    &mut self.health,
-                    alerts,
-                    boundary,
-                    slot_ns,
-                    DetectorKind::DeliveryFloor,
-                    Entity::Global,
-                    false,
+                    up,
                     ratio_milli,
                     floor,
                 );
@@ -543,34 +422,11 @@ impl Observatory {
         // Latency budget on the interval's own p99.
         if warmed {
             if let Some(hs) = snap.hist("fabric.cell_latency_slots", Entity::Global) {
-                if hs.count >= self.slo.min_latency_samples {
-                    let budget = self.slo.p99_latency_budget_slots;
-                    if !self.latency_raised && hs.p99 > budget {
-                        self.latency_raised = true;
-                        push_alert(
-                            &mut self.health,
-                            alerts,
-                            boundary,
-                            slot_ns,
-                            DetectorKind::LatencyBudget,
-                            Entity::Global,
-                            true,
-                            (hs.p99 as i64) * 1000,
-                            (budget as i64) * 1000,
-                        );
-                    } else if self.latency_raised && hs.p99 <= budget {
-                        self.latency_raised = false;
-                        push_alert(
-                            &mut self.health,
-                            alerts,
-                            boundary,
-                            slot_ns,
-                            DetectorKind::LatencyBudget,
-                            Entity::Global,
-                            false,
-                            (hs.p99 as i64) * 1000,
-                            (budget as i64) * 1000,
-                        );
+                if hs.count >= MIN_LATENCY_SAMPLES {
+                    let budget = P99_LATENCY_BUDGET_SLOTS;
+                    if let Some(up) = flip(latency_raised, hs.p99 > budget) {
+                        let (p99, budget) = ((hs.p99 as i64) * 1000, (budget as i64) * 1000);
+                        alert(DetectorKind::LatencyBudget, Entity::Global, up, p99, budget);
                     }
                 }
             }
@@ -579,33 +435,10 @@ impl Observatory {
         // Control storm.
         let ctrl = snap.counter_delta_total("ctrl.cells_sent");
         if warmed {
-            let max = self.slo.max_ctrl_cells_per_interval;
-            if !self.ctrl_raised && ctrl > max {
-                self.ctrl_raised = true;
-                push_alert(
-                    &mut self.health,
-                    alerts,
-                    boundary,
-                    slot_ns,
-                    DetectorKind::CtrlStorm,
-                    Entity::Global,
-                    true,
-                    (ctrl as i64) * 1000,
-                    (max as i64) * 1000,
-                );
-            } else if self.ctrl_raised && ctrl <= max {
-                self.ctrl_raised = false;
-                push_alert(
-                    &mut self.health,
-                    alerts,
-                    boundary,
-                    slot_ns,
-                    DetectorKind::CtrlStorm,
-                    Entity::Global,
-                    false,
-                    (ctrl as i64) * 1000,
-                    (max as i64) * 1000,
-                );
+            let max = MAX_CTRL_CELLS_PER_INTERVAL;
+            if let Some(up) = flip(ctrl_raised, ctrl > max) {
+                let (ctrl, max) = ((ctrl as i64) * 1000, (max as i64) * 1000);
+                alert(DetectorKind::CtrlStorm, Entity::Global, up, ctrl, max);
             }
         }
     }
@@ -631,51 +464,13 @@ impl Observatory {
     }
 }
 
-/// Summarizes a per-interval histogram delta (None when empty).
-fn hist_stat(d: &mut Histogram) -> Option<HistStat> {
-    if d.is_empty() {
-        return None;
-    }
-    Some(HistStat {
-        count: d.count() as u64,
-        min: d.min().unwrap_or(0),
-        p50: d.percentile(0.5).unwrap_or(0),
-        p99: d.percentile(0.99).unwrap_or(0),
-        max: d.max().unwrap_or(0),
+/// Sets `raised` to `bad` and returns the new state if that flipped it —
+/// the raise and re-arm edges of a detector.
+fn flip(raised: &mut bool, bad: bool) -> Option<bool> {
+    (*raised != bad).then(|| {
+        *raised = bad;
+        bad
     })
-}
-
-#[allow(clippy::too_many_arguments)]
-fn push_alert(
-    health: &mut Vec<HealthEvent>,
-    alerts: &mut Vec<(u64, TraceEvent)>,
-    slot: u64,
-    slot_ns: u64,
-    detector: DetectorKind,
-    entity: Entity,
-    raised: bool,
-    value_milli: i64,
-    threshold_milli: i64,
-) {
-    health.push(HealthEvent {
-        slot,
-        at_ns: slot * slot_ns,
-        detector,
-        entity,
-        raised,
-        value_milli,
-        threshold_milli,
-    });
-    alerts.push((
-        slot,
-        TraceEvent::HealthAlert {
-            detector,
-            entity,
-            raised,
-            value_milli,
-            threshold_milli,
-        },
-    ));
 }
 
 /// Ground truth for one injected link failure: the link was down over
@@ -790,76 +585,106 @@ pub fn score_detections(
 mod tests {
     use super::*;
 
-    fn cfg(every: u64, warmup: u64) -> ObservatoryConfig {
-        ObservatoryConfig {
-            every_slots: every,
-            ring_capacity: 64,
-            slo: SloSpec {
-                warmup_intervals: warmup,
-                ..SloSpec::default()
-            },
-        }
+    /// The detector tests' events start this many intervals in, past the
+    /// warmup.
+    const W: u64 = WARMUP_INTERVALS;
+
+    fn observatory() -> Observatory {
+        Observatory::new(ObservatoryConfig { every_slots: 100 }, 0)
     }
 
     #[test]
     fn aggregator_deltas_and_ring_bound() {
         let mut reg = MetricsRegistry::new(5);
-        let mut obs = Observatory::new(ObservatoryConfig {
-            every_slots: 100,
-            ring_capacity: 3,
-            ..ObservatoryConfig::default()
-        });
-        let mut alerts = Vec::new();
-        for k in 1..=5u64 {
+        let mut obs = observatory();
+        // Resolved and never written: absent from every interval.
+        reg.resolve("link.cells", Entity::Link(9));
+        // Written once, before the first boundary.
+        reg.counter_add("ctrl.cells_sent", Entity::Switch(0), 4);
+        reg.gauge_set("link.up", Entity::Link(2), 1);
+        let n = RING_CAPACITY as u64 + 2;
+        for k in 1..=n {
             reg.counter_add("fabric.cells_injected", Entity::Host(0), 10);
             reg.gauge_set("switch.queue_depth", Entity::Switch(1), k as i64);
-            reg.hist_record("fabric.cell_latency_slots", Entity::Global, 40 * k);
-            obs.scrape_until(k * 100, 680, &reg, &mut alerts);
+            if k % 2 == 1 {
+                reg.hist_record("fabric.cell_latency_slots", Entity::Global, 40 * k);
+            }
+            if k == 3 {
+                // Born after two scrapes: its whole value is this interval's.
+                reg.counter_add("monitor.ping_ok", Entity::Link(2), 7);
+            }
+            obs.scrape_until(k * 100, 680, &mut reg);
+            let s = obs.intervals().last().unwrap();
+            assert_eq!((s.start_slot, s.end_slot), ((k - 1) * 100, k * 100));
+            // Each interval sees only its own movement; an unmoved counter
+            // is absent.
+            let mut counters = vec![("fabric.cells_injected", Entity::Host(0), 10)];
+            if k == 1 {
+                counters.insert(0, ("ctrl.cells_sent", Entity::Switch(0), 4));
+            }
+            if k == 3 {
+                counters.push(("monitor.ping_ok", Entity::Link(2), 7));
+            }
+            assert_eq!(s.counters, counters, "interval {k}");
+            // Every written gauge appears in every interval.
+            assert_eq!(
+                s.gauges,
+                vec![
+                    ("link.up", Entity::Link(2), 1),
+                    ("switch.queue_depth", Entity::Switch(1), k as i64)
+                ]
+            );
+            // A histogram with no new samples yields no summary.
+            match s.hist("fabric.cell_latency_slots", Entity::Global) {
+                Some(h) => {
+                    assert!(k % 2 == 1, "interval {k} summarised no samples");
+                    assert_eq!((h.count, h.max), (1, 40 * k));
+                    assert!(h.p99 <= 40 * k && h.p99 >= 40 * k - 40 * k / 32);
+                }
+                None => assert!(k % 2 == 0, "interval {k} lost its sample"),
+            }
         }
         // Ring is bounded, evictions counted.
-        assert_eq!(obs.intervals().count(), 3);
+        assert_eq!(obs.intervals().count(), RING_CAPACITY);
         assert_eq!(obs.intervals_dropped(), 2);
-        assert_eq!(obs.intervals_seen(), 5);
-        let last = obs.intervals().last().unwrap();
-        assert_eq!(last.start_slot, 400);
-        assert_eq!(last.end_slot, 500);
-        // Each interval sees only its own movement.
-        assert_eq!(
-            last.counter_delta("fabric.cells_injected", Entity::Host(0)),
-            10
-        );
-        assert_eq!(last.gauge("switch.queue_depth", Entity::Switch(1)), Some(5));
-        let h = last
-            .hist("fabric.cell_latency_slots", Entity::Global)
-            .unwrap();
-        assert_eq!(h.count, 1);
-        assert!(h.p99 >= 190 && h.p99 <= 200, "interval p99 was {}", h.p99);
+        assert_eq!(obs.intervals_seen(), n);
+        assert!(obs.health_log().is_empty());
     }
 
     #[test]
     fn catch_up_scrapes_cross_every_boundary_once() {
-        let reg = MetricsRegistry::new(5);
-        let mut obs = Observatory::new(cfg(100, 0));
-        let mut alerts = Vec::new();
+        let mut reg = MetricsRegistry::new(5);
+        let mut obs = observatory();
+        reg.counter_add("link.cells", Entity::Link(1), 5);
+        reg.gauge_set("switch.queue_depth", Entity::Switch(0), 2);
+        reg.hist_record("fabric.cell_latency_slots", Entity::Global, 9);
         // The clock jumps over four boundaries at once (a fabric skip).
-        obs.scrape_until(450, 680, &reg, &mut alerts);
+        obs.scrape_until(450, 680, &mut reg);
         assert_eq!(obs.intervals_seen(), 4);
         let ends: Vec<u64> = obs.intervals().map(|s| s.end_slot).collect();
         assert_eq!(ends, vec![100, 200, 300, 400]);
+        // The first carries the movement; the three after it are empty but
+        // for the gauge's level.
+        let first = obs.intervals().next().unwrap();
+        assert_eq!(first.counters, vec![("link.cells", Entity::Link(1), 5)]);
+        assert_eq!(first.hists.len(), 1);
+        for s in obs.intervals().skip(1) {
+            assert!(s.counters.is_empty() && s.hists.is_empty(), "{s:?}");
+            assert_eq!(s.gauges, vec![("switch.queue_depth", Entity::Switch(0), 2)]);
+        }
     }
 
     #[test]
     fn loss_spike_raises_after_warmup_and_rearms() {
         let mut reg = MetricsRegistry::new(5);
-        let mut obs = Observatory::new(cfg(100, 5));
-        let mut alerts = Vec::new();
+        let mut obs = observatory();
         let link = Entity::Link(7);
         // Quiet baseline: traffic and the occasional healthy ping.
-        for k in 1..=20u64 {
+        for k in 1..=W + 20 {
             reg.counter_add("link.cells", link, 50);
             reg.counter_add("fabric.cells_injected", Entity::Host(0), 50);
             reg.counter_add("fabric.cells_delivered", Entity::Host(1), 50);
-            obs.scrape_until(k * 100, 680, &reg, &mut alerts);
+            obs.scrape_until(k * 100, 680, &mut reg);
         }
         assert!(
             obs.health_log().is_empty(),
@@ -867,11 +692,11 @@ mod tests {
             obs.health_log()
         );
         // The link dies: every cell on it is lost for three intervals.
-        for k in 21..=23u64 {
+        for k in W + 21..=W + 23 {
             reg.counter_add("faults.lose", link, 50);
             reg.counter_add("monitor.ping_failed", link, 1);
             reg.counter_add("fabric.cells_injected", Entity::Host(0), 50);
-            obs.scrape_until(k * 100, 680, &reg, &mut alerts);
+            obs.scrape_until(k * 100, 680, &mut reg);
         }
         let raised: Vec<&HealthEvent> = obs.health_log().iter().filter(|e| e.raised).collect();
         assert!(
@@ -882,18 +707,16 @@ mod tests {
             obs.health_log()
         );
         // Loss stops; the detector re-arms.
-        for k in 24..=30u64 {
+        for k in W + 24..=W + 30 {
             reg.counter_add("link.cells", link, 50);
             reg.counter_add("fabric.cells_injected", Entity::Host(0), 50);
             reg.counter_add("fabric.cells_delivered", Entity::Host(1), 50);
-            obs.scrape_until(k * 100, 680, &reg, &mut alerts);
+            obs.scrape_until(k * 100, 680, &mut reg);
         }
         assert!(obs
             .health_log()
             .iter()
             .any(|e| !e.raised && e.detector == DetectorKind::LossSpike));
-        // Alerts were mirrored for the flight recorder.
-        assert_eq!(alerts.len(), obs.health_log().len());
     }
 
     #[test]
@@ -901,18 +724,17 @@ mod tests {
         // A quiesced link (no data traffic) betrays itself through failed
         // pings alone: the sliding window accumulates the fail streak.
         let mut reg = MetricsRegistry::new(5);
-        let mut obs = Observatory::new(cfg(100, 5));
-        let mut alerts = Vec::new();
-        for k in 1..=15u64 {
+        let mut obs = observatory();
+        for k in 1..=W + 15 {
             reg.counter_add("monitor.ping_ok", Entity::Link(3), 1);
             reg.counter_add("fabric.cells_injected", Entity::Host(0), 50);
             reg.counter_add("link.cells", Entity::Link(3), 1);
-            obs.scrape_until(k * 100, 680, &reg, &mut alerts);
+            obs.scrape_until(k * 100, 680, &mut reg);
         }
-        for k in 16..=19u64 {
+        for k in W + 16..=W + 19 {
             reg.counter_add("monitor.ping_failed", Entity::Link(3), 1);
             reg.counter_add("fabric.cells_injected", Entity::Host(0), 50);
-            obs.scrape_until(k * 100, 680, &reg, &mut alerts);
+            obs.scrape_until(k * 100, 680, &mut reg);
         }
         assert!(
             obs.health_log()
@@ -926,18 +748,17 @@ mod tests {
     #[test]
     fn ctrl_storm_and_delivery_floor_raise_and_rearm() {
         let mut reg = MetricsRegistry::new(5);
-        let mut obs = Observatory::new(cfg(100, 2));
-        let mut alerts = Vec::new();
-        for k in 1..=10u64 {
+        let mut obs = observatory();
+        for k in 1..=W + 10 {
             reg.counter_add("fabric.cells_injected", Entity::Host(0), 100);
             reg.counter_add("fabric.cells_delivered", Entity::Host(1), 100);
-            obs.scrape_until(k * 100, 680, &reg, &mut alerts);
+            obs.scrape_until(k * 100, 680, &mut reg);
         }
         // Storm interval: heavy ctrl chatter, delivery collapses.
         reg.counter_add("ctrl.cells_sent", Entity::Switch(0), 500);
         reg.counter_add("fabric.cells_injected", Entity::Host(0), 100);
         reg.counter_add("fabric.cells_delivered", Entity::Host(1), 10);
-        obs.scrape_until(1_100, 680, &reg, &mut alerts);
+        obs.scrape_until((W + 11) * 100, 680, &mut reg);
         let kinds: Vec<DetectorKind> = obs
             .health_log()
             .iter()
@@ -947,10 +768,10 @@ mod tests {
         assert!(kinds.contains(&DetectorKind::CtrlStorm), "{kinds:?}");
         assert!(kinds.contains(&DetectorKind::DeliveryFloor), "{kinds:?}");
         // Back to normal: both re-arm.
-        for k in 12..=13u64 {
+        for k in W + 12..=W + 13 {
             reg.counter_add("fabric.cells_injected", Entity::Host(0), 100);
             reg.counter_add("fabric.cells_delivered", Entity::Host(1), 100);
-            obs.scrape_until(k * 100, 680, &reg, &mut alerts);
+            obs.scrape_until(k * 100, 680, &mut reg);
         }
         assert!(obs
             .health_log()
@@ -965,21 +786,20 @@ mod tests {
     #[test]
     fn credit_stall_needs_recent_activity_and_live_injection() {
         let mut reg = MetricsRegistry::new(5);
-        let mut obs = Observatory::new(cfg(100, 2));
-        let mut alerts = Vec::new();
+        let mut obs = observatory();
         let link = Entity::Link(4);
-        for k in 1..=8u64 {
+        for k in 1..=W + 8 {
             reg.counter_add("link.cells", link, 30);
             reg.counter_add("fabric.credits_sent", link, 10);
             reg.counter_add("fabric.cells_injected", Entity::Host(0), 60);
             reg.counter_add("fabric.cells_delivered", Entity::Host(1), 60);
-            obs.scrape_until(k * 100, 680, &reg, &mut alerts);
+            obs.scrape_until(k * 100, 680, &mut reg);
         }
         // The link goes silent while hosts keep injecting elsewhere.
-        for k in 9..=12u64 {
+        for k in W + 9..=W + 12 {
             reg.counter_add("fabric.cells_injected", Entity::Host(0), 60);
             reg.counter_add("fabric.cells_delivered", Entity::Host(1), 60);
-            obs.scrape_until(k * 100, 680, &reg, &mut alerts);
+            obs.scrape_until(k * 100, 680, &mut reg);
         }
         assert!(
             obs.health_log()
@@ -989,16 +809,16 @@ mod tests {
             obs.health_log()
         );
         // A run-wide drain (injection stops) must NOT stall-flag links.
-        let mut obs2 = Observatory::new(cfg(100, 2));
+        let mut obs2 = observatory();
         let mut reg2 = MetricsRegistry::new(5);
-        for k in 1..=8u64 {
+        for k in 1..=W + 8 {
             reg2.counter_add("link.cells", link, 30);
             reg2.counter_add("fabric.credits_sent", link, 10);
             reg2.counter_add("fabric.cells_injected", Entity::Host(0), 60);
-            obs2.scrape_until(k * 100, 680, &reg2, &mut alerts);
+            obs2.scrape_until(k * 100, 680, &mut reg2);
         }
-        for k in 9..=16u64 {
-            obs2.scrape_until(k * 100, 680, &reg2, &mut alerts);
+        for k in W + 9..=W + 16 {
+            obs2.scrape_until(k * 100, 680, &mut reg2);
         }
         assert!(
             !obs2

@@ -1,8 +1,9 @@
 //! The unified metrics registry: named counters, gauges and bucketed
-//! histograms keyed by [`Entity`], with JSON / Prometheus snapshot export
-//! and per-slot delta queries.
+//! histograms keyed by [`Entity`], with JSON / Prometheus snapshot export,
+//! and the interval marks the observatory's scrapes advance.
 
 use crate::event::Entity;
+use crate::observe::IntervalSnapshot;
 use an2_sim::metrics::Histogram;
 use std::collections::BTreeMap;
 use std::fmt::Write;
@@ -17,30 +18,6 @@ pub enum Metric {
     /// A bucketed distribution (memory bounded by the value range — see
     /// [`Histogram::bucketed`]).
     Histogram(Histogram),
-}
-
-/// A point-in-time copy of every counter and gauge, for delta queries
-/// (histograms are distributions, not levels, and are excluded).
-#[derive(Debug, Clone, Default)]
-pub struct MetricsSnapshot {
-    values: BTreeMap<(&'static str, Entity), i64>,
-}
-
-impl MetricsSnapshot {
-    /// The snapshotted value of `name`/`entity`, if present.
-    pub fn get(&self, name: &'static str, entity: Entity) -> Option<i64> {
-        self.values.get(&(name, entity)).copied()
-    }
-
-    /// Number of snapshotted series.
-    pub fn len(&self) -> usize {
-        self.values.len()
-    }
-
-    /// `true` when nothing was snapshotted.
-    pub fn is_empty(&self) -> bool {
-        self.values.is_empty()
-    }
 }
 
 /// A resolved handle to one series of one [`MetricsRegistry`]: a dense
@@ -61,7 +38,8 @@ pub enum MetricOp {
     Record(MetricId, u64),
 }
 
-/// One series: its key and, once something has been written, its value.
+/// One series: its key, once something has been written its value, and
+/// what the last [`MetricsRegistry::scrape`] saw of it.
 #[derive(Debug, Clone)]
 struct Series {
     name: &'static str,
@@ -69,6 +47,11 @@ struct Series {
     /// `None` until the first write: a series that was only resolved is
     /// invisible to every reader and export.
     metric: Option<Metric>,
+    /// A counter's value, or a histogram's sample count, at the last scrape.
+    mark: u64,
+    /// A histogram's bucket counts at the last scrape (empty until then,
+    /// and for the other kinds).
+    buckets: Vec<u64>,
 }
 
 /// Named counters / gauges / histograms keyed by entity. Keys are
@@ -76,7 +59,9 @@ struct Series {
 /// `Vec` addressed by [`MetricId`] and a `BTreeMap` keeps the name → index
 /// table, so hot writers resolve once and index afterwards while every
 /// export stays deterministically ordered — a requirement for the
-/// byte-identical trace-diffing workflow.
+/// byte-identical trace-diffing workflow. That table is the only index of
+/// series: the observatory's per-interval state lives here too, as each
+/// series' mark.
 #[derive(Debug, Clone, Default)]
 pub struct MetricsRegistry {
     index: BTreeMap<(&'static str, Entity), MetricId>,
@@ -101,7 +86,7 @@ impl MetricsRegistry {
 
     /// The handle for `name`/`entity`, allocating its slot on first sight.
     /// Resolving writes nothing: the series stays absent from `len`,
-    /// `iter`, snapshots and exports until its first write, which also
+    /// `iter`, scrapes and exports until its first write, which also
     /// fixes its kind.
     pub fn resolve(&mut self, name: &'static str, entity: Entity) -> MetricId {
         let series = &mut self.series;
@@ -111,6 +96,8 @@ impl MetricsRegistry {
                 name,
                 entity,
                 metric: None,
+                mark: 0,
+                buckets: Vec::new(),
             });
             MetricId(id)
         })
@@ -241,37 +228,29 @@ impl MetricsRegistry {
         self.touched == 0
     }
 
-    /// Copies every counter and gauge into a [`MetricsSnapshot`] — the
-    /// anchor for per-slot delta queries.
-    pub fn snapshot(&self) -> MetricsSnapshot {
-        let values = self
-            .iter()
-            .filter_map(|(name, entity, m)| match m {
-                Metric::Counter(c) => Some(((name, entity), *c as i64)),
-                Metric::Gauge(g) => Some(((name, entity), *g)),
-                Metric::Histogram(_) => None,
-            })
-            .collect();
-        MetricsSnapshot { values }
-    }
-
-    /// What moved since `earlier`: every counter/gauge whose value differs,
-    /// as `(name, entity, delta)` in deterministic key order. Series born
-    /// after the snapshot report their full value.
-    pub fn delta_since(&self, earlier: &MetricsSnapshot) -> Vec<(&'static str, Entity, i64)> {
-        let mut out = Vec::new();
-        for (name, entity, m) in self.iter() {
-            let now = match m {
-                Metric::Counter(c) => *c as i64,
-                Metric::Gauge(g) => *g,
-                Metric::Histogram(_) => continue,
-            };
-            let before = earlier.values.get(&(name, entity)).copied().unwrap_or(0);
-            if now != before {
-                out.push((name, entity, now - before));
+    /// One interval for the observatory: appends to `snap` every counter
+    /// that moved since the previous scrape (by how much), every gauge's
+    /// level, and the [`an2_sim::metrics::HistStat`] of every histogram
+    /// that gained samples, each in `(name, entity)` order — then advances
+    /// every mark to what it saw. An unmoved counter or histogram costs one
+    /// comparison: nothing is copied or allocated for it.
+    pub(crate) fn scrape(&mut self, snap: &mut IntervalSnapshot) {
+        for id in self.index.values() {
+            let s = &mut self.series[id.0 as usize];
+            match &s.metric {
+                Some(Metric::Counter(c)) if *c != s.mark => {
+                    snap.counters.push((s.name, s.entity, c - s.mark));
+                    s.mark = *c;
+                }
+                Some(Metric::Gauge(g)) => snap.gauges.push((s.name, s.entity, *g)),
+                Some(Metric::Histogram(h)) if h.count() as u64 != s.mark => {
+                    let stat = h.delta_since(&mut s.buckets);
+                    snap.hists.extend(stat.map(|st| (s.name, s.entity, st)));
+                    s.mark = h.count() as u64;
+                }
+                _ => {}
             }
         }
-        out
     }
 
     /// Renders the whole registry as one JSON object:
@@ -448,22 +427,6 @@ mod tests {
     }
 
     #[test]
-    fn delta_since_reports_only_movement() {
-        let mut r = MetricsRegistry::new(5);
-        r.counter_add("a", Entity::Global, 1);
-        r.gauge_set("b", Entity::Link(2), 10);
-        let snap = r.snapshot();
-        assert_eq!(snap.get("a", Entity::Global), Some(1));
-        r.counter_add("a", Entity::Global, 4);
-        r.counter_add("c", Entity::Global, 2);
-        let delta = r.delta_since(&snap);
-        assert_eq!(
-            delta,
-            vec![("a", Entity::Global, 4), ("c", Entity::Global, 2)]
-        );
-    }
-
-    #[test]
     fn exports_are_deterministic_and_well_formed() {
         let mut r = MetricsRegistry::new(5);
         r.counter_add("cells.sent", Entity::Vc(7), 9);
@@ -523,12 +486,18 @@ mod tests {
         assert_eq!(escape_label_value("a\nb"), "a\\nb");
     }
 
+    fn scrape(r: &mut MetricsRegistry) -> IntervalSnapshot {
+        let mut snap = IntervalSnapshot::default();
+        r.scrape(&mut snap);
+        snap
+    }
+
     #[test]
     fn resolved_but_untouched_series_are_invisible() {
         let mut r = MetricsRegistry::new(5);
         r.counter_add("cells", Entity::Link(1), 4);
         let baseline = (r.to_json(), r.to_prometheus());
-        let snap = r.snapshot();
+        assert_eq!(scrape(&mut r).counters, vec![("cells", Entity::Link(1), 4)]);
         // Resolve a handle per kind and write through none of them.
         let ghosts = [
             r.resolve("cells", Entity::Link(2)),
@@ -541,14 +510,16 @@ mod tests {
         assert!(r.get("depth", Entity::Switch(0)).is_none());
         assert_eq!(r.counter("cells", Entity::Link(2)), 0);
         assert_eq!(r.counter_total("cells"), 4);
-        assert_eq!(r.snapshot().len(), snap.len());
-        assert!(r.delta_since(&snap).is_empty());
+        let idle = scrape(&mut r);
+        assert!(idle.counters.is_empty() && idle.gauges.is_empty() && idle.hists.is_empty());
         assert_eq!((r.to_json(), r.to_prometheus()), baseline);
         // Resolving is idempotent, and the first write makes a series real.
         assert_eq!(r.resolve("depth", Entity::Switch(0)), ghosts[1]);
         r.gauge_set_id(ghosts[1], 3);
         assert_eq!(r.len(), 2);
-        assert_eq!(r.delta_since(&snap), vec![("depth", Entity::Switch(0), 3)]);
+        let next = scrape(&mut r);
+        assert!(next.counters.is_empty() && next.hists.is_empty());
+        assert_eq!(next.gauges, vec![("depth", Entity::Switch(0), 3)]);
         assert!(r.to_json().contains("\"name\":\"depth\""));
     }
 

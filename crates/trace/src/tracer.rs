@@ -3,7 +3,7 @@
 use crate::event::{Entity, TraceEvent};
 use crate::observe::{HealthEvent, IntervalSnapshot, Observatory, ObservatoryConfig};
 use crate::recorder::{FlightRecorder, TraceRecord};
-use crate::registry::{Metric, MetricId, MetricOp, MetricsRegistry, MetricsSnapshot};
+use crate::registry::{Metric, MetricId, MetricOp, MetricsRegistry};
 use std::sync::{Arc, Mutex, MutexGuard};
 
 /// Configuration for a [`Tracer`].
@@ -46,23 +46,28 @@ struct TraceCore {
 
 impl TraceCore {
     /// Runs the observatory over any interval boundaries the virtual clock
-    /// has crossed. The observatory reads the registry and returns its
-    /// alerts; the core mirrors them into the flight recorder. Everything
-    /// here is deterministic bookkeeping — no randomness, no effect on the
-    /// simulation — so scrape-enabled runs stay byte-identical.
+    /// has crossed. The observatory scrapes the registry and logs its
+    /// alerts; the core mirrors the new ones into the flight recorder.
+    /// Everything here is deterministic bookkeeping — no randomness, no
+    /// effect on the simulation — so scrape-enabled runs stay
+    /// byte-identical.
     fn scrape_if_due(&mut self) {
-        let due = self.observatory.as_ref().is_some_and(|o| o.due(self.slot));
-        if !due {
+        let Some(obs) = self.observatory.as_mut().filter(|o| o.due(self.slot)) else {
             return;
-        }
-        let mut obs = self.observatory.take().expect("observatory checked above");
-        let mut alerts = Vec::new();
-        obs.scrape_until(self.slot, self.slot_ns, &self.registry, &mut alerts);
-        for (slot, event) in alerts {
-            let at_ns = slot * self.slot_ns;
+        };
+        let logged = obs.health_log().len();
+        obs.scrape_until(self.slot, self.slot_ns, &mut self.registry);
+        for e in &obs.health_log()[logged..] {
+            let event = TraceEvent::HealthAlert {
+                detector: e.detector,
+                entity: e.entity,
+                raised: e.raised,
+                value_milli: e.value_milli,
+                threshold_milli: e.threshold_milli,
+            };
+            let (slot, at_ns) = (e.slot, e.at_ns);
             self.recorder.push(TraceRecord { slot, at_ns, event });
         }
-        self.observatory = Some(obs);
     }
 }
 
@@ -211,16 +216,6 @@ impl Tracer {
         self.lock().registry.get(name, entity).cloned()
     }
 
-    /// Snapshots every counter and gauge for later delta queries.
-    pub fn snapshot(&self) -> MetricsSnapshot {
-        self.lock().registry.snapshot()
-    }
-
-    /// What moved since `earlier` — see `MetricsRegistry::delta_since`.
-    pub fn delta_since(&self, earlier: &MetricsSnapshot) -> Vec<(&'static str, Entity, i64)> {
-        self.lock().registry.delta_since(earlier)
-    }
-
     /// The registry rendered as JSON.
     pub fn metrics_json(&self) -> String {
         self.lock().registry.to_json()
@@ -235,14 +230,22 @@ impl Tracer {
     /// boundary the virtual clock crosses scrapes the registry into a
     /// bounded ring of [`IntervalSnapshot`]s and runs the SLO watchdog,
     /// which mirrors its [`HealthEvent`]s into the flight recorder as
-    /// [`TraceEvent::HealthAlert`] records. Scraping is read-only with
-    /// respect to the simulation; an observed run stays byte-identical.
+    /// [`TraceEvent::HealthAlert`] records. The first interval starts at
+    /// the tracer's current slot, and what the registry holds by then
+    /// belongs to no interval. Scraping is read-only on the simulation; an
+    /// observed run stays byte-identical.
     pub fn enable_observatory(&self, cfg: ObservatoryConfig) {
-        self.lock().observatory = Some(Observatory::new(cfg));
+        let mut core = self.lock();
+        let core = &mut *core;
+        core.registry.scrape(&mut IntervalSnapshot::default());
+        core.observatory = Some(Observatory::new(cfg, core.slot));
     }
 
-    /// Forces any due boundaries to scrape now (useful at end of run when
-    /// the clock stopped mid-interval).
+    /// Scrapes every interval boundary the tracer's clock has crossed and
+    /// no scrape has covered. [`Tracer::set_slot`], the only writer of
+    /// that clock, already scrapes each one as it crosses it, so this
+    /// finds none and returns without touching the registry. Kept because
+    /// `benchmark/` times it as `trace.scrape_us`.
     pub fn scrape_now(&self) {
         self.lock().scrape_if_due();
     }
@@ -323,10 +326,7 @@ mod tests {
     #[test]
     fn resolved_series_stay_out_of_scrapes_until_written() {
         let t = Tracer::new(TraceConfig::default());
-        t.enable_observatory(ObservatoryConfig {
-            every_slots: 10,
-            ..ObservatoryConfig::default()
-        });
+        t.enable_observatory(ObservatoryConfig { every_slots: 10 });
         let cells = t.resolve("link.cells", Entity::Link(9));
         let depth = t.resolve("switch.queue_depth", Entity::Switch(2));
         t.counter_add("link.cells", Entity::Link(1), 3);
@@ -345,6 +345,62 @@ mod tests {
             second.gauge("switch.queue_depth", Entity::Switch(2)),
             Some(5)
         );
+    }
+
+    #[test]
+    fn an_observatory_enabled_mid_run_starts_its_first_interval_there() {
+        let t = Tracer::new(TraceConfig::default());
+        t.counter_add("link.cells", Entity::Link(1), 5);
+        t.set_slot(10_000);
+        t.enable_observatory(ObservatoryConfig { every_slots: 100 });
+        t.counter_add("link.cells", Entity::Link(1), 2);
+        t.set_slot(10_100);
+        let intervals = t.intervals();
+        assert_eq!(intervals.len(), 1);
+        assert_eq!(
+            (intervals[0].start_slot, intervals[0].end_slot),
+            (10_000, 10_100)
+        );
+        // What the registry held before enabling belongs to no interval.
+        assert_eq!(
+            intervals[0].counters,
+            vec![("link.cells", Entity::Link(1), 2)]
+        );
+    }
+
+    #[test]
+    fn health_alerts_are_mirrored_into_the_recorder() {
+        let t = Tracer::new(TraceConfig::default());
+        t.enable_observatory(ObservatoryConfig { every_slots: 10 });
+        for k in 1..=50u64 {
+            // One storm interval past the warmup: raised, then re-armed.
+            if k == 45 {
+                t.counter_add("ctrl.cells_sent", Entity::Switch(0), 500);
+            }
+            t.set_slot(k * 10);
+        }
+        let health = t.health_events();
+        assert_eq!(health.len(), 2);
+        let storm = |raised| TraceEvent::HealthAlert {
+            detector: crate::DetectorKind::CtrlStorm,
+            entity: Entity::Global,
+            raised,
+            value_milli: if raised { 500_000 } else { 0 },
+            threshold_milli: 40_000,
+        };
+        let recorded: Vec<(u64, u64, TraceEvent)> = t
+            .records()
+            .iter()
+            .map(|r| (r.slot, r.at_ns, r.event))
+            .collect();
+        assert_eq!(
+            recorded,
+            vec![
+                (450, 450 * 680, storm(true)),
+                (460, 460 * 680, storm(false))
+            ]
+        );
+        assert_eq!((health[0].slot, health[1].at_ns), (450, 460 * 680));
     }
 
     #[test]
