@@ -48,6 +48,16 @@ if grep -rnE --include='*.rs' "(BTreeMap|HashMap)<\(&'static str, *Entity\)" cra
     exit 1
 fi
 
+echo "== one scheduling index: no per-input active list or per-step dequeue cache in crates/*/src"
+# What PIM reads — which circuits request which (input, output) pair — is
+# the switch's per-pair request index (crates/switch/src/index.rs). A second
+# structure that rebuilds or caches it per step is a second copy of the
+# oldest-head order that can drift from it.
+if grep -rnE --include='*.rs' 'take_oldest|OldestCand|set_batched|be_active' crates/*/src; then
+    echo "a second scheduling index: read requests from the switch's PairIndex"
+    exit 1
+fi
+
 echo "== no file under crates/an2/src over 1200 lines"
 # ROADMAP item 1's bar. The cure for a file that trips it is a part with its
 # own state behind private fields (crates/an2/src/fabric/), not a second
@@ -63,12 +73,15 @@ if [[ "${1:-}" != "quick" ]]; then
     cargo test -q --workspace
 
     # `cargo test --workspace` has just run every suite in debug, where
-    # `Switch::advance_to` asserts the watermark under every jump and each
-    # injection asserts the ready set. What follows re-runs in release, the
-    # build the benchmark measures, the suites that pin or compare the data
-    # plane, the fault layer and the control protocols.
-    echo "== release: fabric pins (absolute behaviour), port-width and watermark equivalence (fault legs against set_batching(false))"
+    # `Switch::advance_to` asserts the watermark under every jump, every
+    # switch step and route change asserts the request index against its
+    # queues, and each injection asserts the ready set. What follows
+    # re-runs in release, the build the benchmark measures, the suites that
+    # pin or compare the data plane, the fault layer and the control
+    # protocols.
+    echo "== release: fabric and shared-pair pins (absolute behaviour), port-width and watermark equivalence (fault legs against set_batching(false))"
     cargo test -q --release -p an2 --test fabric_pins
+    cargo test -q --release -p an2-switch --test shared_pair_pins
     cargo test -q --release -p an2-switch --test width_equiv
     cargo test -q --release -p an2 --test watermark_equiv
 

@@ -368,12 +368,11 @@ impl Fabric {
     /// `watermark_equiv` tests pin that down. Turning batching off forces
     /// the legacy slot-by-slot path, the oracle those tests compare
     /// against; with a fault layer attached it steps every slot, quiet or
-    /// not, which is what their fault legs compare against.
+    /// not, which is what their fault legs compare against. The switches
+    /// themselves step the same way either way: the toggle is the fabric's
+    /// alone.
     pub fn set_batching(&mut self, on: bool) {
         self.batching = on;
-        for sw in &mut self.switches {
-            sw.set_batched(on);
-        }
     }
 
     /// Starts recording the wall-clock phase breakdown of every subsequent

@@ -40,10 +40,10 @@ pub struct CellQueue {
     head: u32,
     tail: u32,
     len: u32,
-    /// Stamp of the head node, mirrored here so schedulers polling queue
-    /// heads every slot (the switch's demand scan and oldest-cell search)
-    /// read one struct instead of chasing into the arena. Meaningless when
-    /// the queue is empty.
+    /// Stamp of the head node, mirrored here so readers of queue heads (the
+    /// switch re-keys its request index from it after every dequeue) read
+    /// one struct instead of chasing into the arena. Meaningless when the
+    /// queue is empty.
     front_stamp: u64,
 }
 

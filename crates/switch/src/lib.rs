@@ -8,7 +8,10 @@
 //! * a **frame schedule** granting guaranteed circuits their reserved slots
 //!   (§4), with unused reserved slots donated to best-effort traffic,
 //! * **parallel iterative matching** filling every remaining slot with
-//!   best-effort cells (§3), and
+//!   best-effort cells (§3), reading its requests from an index kept per
+//!   (input, output) pair — the circuits queued there, oldest head cell
+//!   first — so a step visits one head per requesting pair, not every
+//!   queued circuit, and
 //! * a **cut-through pipeline** of ~2 µs: "In the absence of contention, the
 //!   first bit of a packet leaves the switch 2 microseconds after it
 //!   arrives" (§1).
@@ -21,6 +24,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+mod index;
 pub mod reference;
 mod scratch;
 mod switch;

@@ -1,27 +1,12 @@
 //! The tables a switch step builds and throws away.
 //!
-//! Demand matrix, the two matchings, the crossbar scheduler's working
-//! memory and the oldest-candidate cache are dead between steps, so they
-//! belong to whoever does the stepping, not to the switch: a fabric lane
-//! steps a thousand switches through one [`StepScratch`] that stays in L1,
-//! where a private copy per switch is a cold miss on every table.
+//! The demand matrix, the two matchings and the crossbar scheduler's
+//! working memory are dead between steps, so they belong to whoever does
+//! the stepping, not to the switch: a fabric lane steps a thousand switches
+//! through one [`StepScratch`] that stays in L1, where a private copy per
+//! switch is a cold miss on every table.
 
 use an2_xbar::{DemandMatrix, Matching, Scratch};
-
-/// One step's oldest-eligible dequeue candidate for an (input, output) pair.
-/// Valid only while `tag` equals the scratch's current step number.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct OldestCand {
-    pub tag: u64,
-    pub stamp: u64,
-    pub si: u32,
-}
-
-const STALE_CAND: OldestCand = OldestCand {
-    tag: u64::MAX,
-    stamp: 0,
-    si: 0,
-};
 
 /// Working memory for [`Switch::step_with`](crate::Switch::step_with):
 /// everything a step computes that the next step does not read. One scratch
@@ -39,16 +24,6 @@ pub struct StepScratch {
     pub(crate) crossbar: Matching,
     /// The crossbar scheduler's own working memory.
     pub(crate) xbar: Scratch,
-    /// Per (input, output) at `input * ports + output`: the oldest eligible
-    /// best-effort candidate found while building this step's demand,
-    /// replicating `take_oldest`'s min-stamp / lowest-VC-id tie-break so
-    /// dequeues on matched pairs are O(1) lookups instead of rescans.
-    pub(crate) oldest: Vec<OldestCand>,
-    /// Steps begun on this scratch: the tag that marks an `oldest` entry as
-    /// this step's. It must name the step, not the slot — two switches
-    /// sharing the scratch step within one slot, and the first one's
-    /// candidate must not win a pair of the second.
-    step: u64,
 }
 
 impl Default for StepScratch {
@@ -58,8 +33,6 @@ impl Default for StepScratch {
             matching: Matching::empty(0),
             crossbar: Matching::empty(0),
             xbar: Scratch::new(),
-            oldest: Vec::new(),
-            step: 0,
         }
     }
 }
@@ -71,16 +44,10 @@ impl StepScratch {
     }
 
     /// Opens a step of an `n`-port switch: empty demand and crossbar at
-    /// that width, and a fresh tag — returned — that orphans every cached
-    /// candidate.
-    pub(crate) fn begin(&mut self, n: usize) -> u64 {
-        self.step += 1;
+    /// that width.
+    pub(crate) fn begin(&mut self, n: usize) {
         self.demand.reset(n);
         self.crossbar.reset(n);
-        if self.oldest.len() < n * n {
-            self.oldest.resize(n * n, STALE_CAND);
-        }
-        self.step
     }
 }
 
@@ -94,10 +61,10 @@ mod tests {
 
     /// A `ports`-wide switch with two ungated best-effort circuits on each
     /// of the pairs (0, 1) and (1, 0) — the pairs every width has — so each
-    /// pair's dequeue goes through the oldest-candidate cache with a real
-    /// choice to make. `rotate` shifts the install order and with it the
-    /// slab slot of every circuit: a candidate leaking from one switch to a
-    /// differently rotated one names a queue of the wrong pair.
+    /// matched pair's dequeue has a real choice to make. `rotate` shifts the
+    /// install order and with it the slab slot of every circuit: anything a
+    /// step left in the scratch that named a circuit of one switch would
+    /// name a queue of the wrong pair in a differently rotated one.
     fn contended(ports: usize, rotate: u32) -> Switch {
         let mut sw = Switch::new(SwitchConfig {
             ports,
@@ -157,24 +124,27 @@ mod tests {
         }
     }
 
+    /// Whatever the last step left behind — demand and crossbar pairs of a
+    /// wider or a narrower switch — `begin` opens the next one on tables
+    /// equal to a fresh scratch's at the new width: re-dimensioned in place,
+    /// with nothing a later step could read.
     #[test]
     fn settles_at_the_widest_switch_it_served() {
         let mut s = StepScratch::new();
-        s.begin(16);
-        let cap = s.oldest.capacity();
-        for n in [4, 2, 16, 4] {
+        for n in [16, 4, 2, 16, 4] {
             s.begin(n);
-            assert_eq!(s.demand.size(), n);
-            assert_eq!(s.crossbar.size(), n);
+            assert_eq!(s.demand, DemandMatrix::new(n), "demand at width {n}");
+            assert_eq!(s.crossbar, Matching::empty(n), "crossbar at width {n}");
+            // Leave a step's worth of state on the widest ports.
+            s.demand.add(n - 1, 0, 3);
+            s.crossbar.set(0, n - 1);
         }
-        assert_eq!(s.oldest.capacity(), cap);
     }
 
     /// Layout tripwire. A `Switch` is what a fabric keeps a thousand of, so
     /// its header is what the slot loop misses cache on: per-step tables
-    /// (demand, matchings, scheduler scratch, the oldest-candidate cache —
-    /// 392 B of `Vec` headers in front of ≈ 10 KB of 16 × 16 tables before
-    /// they moved here) must not move back in.
+    /// (demand, matchings, scheduler scratch — dead between steps, and
+    /// ≈ 10 KB at 16 × 16 when a switch carried them) must not move back in.
     #[test]
     fn switch_header_stays_small() {
         assert!(

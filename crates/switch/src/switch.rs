@@ -7,14 +7,16 @@
 //! per-slot hot path relinks `u32` indices instead of walking B-trees and
 //! touching the allocator.
 //!
-//! Per input port the switch keeps two *active lists* — slab slots with a
-//! non-empty best-effort / guaranteed queue at that input, **sorted by raw
-//! VC id**. The sort order matters: the pre-slab implementation iterated
-//! `BTreeMap<VcId, _>` in ascending id order, and its oldest-cell
-//! tie-breaks resolve toward the smallest id. The slab switch walks the
-//! active lists in the same order, so departures, credit consumption and
-//! PIM's RNG stream are byte-identical to [`crate::reference`] (enforced
-//! by the reference-equivalence property tests in the `an2` crate).
+//! What PIM reads — which (input, output) pairs have a cell waiting — is
+//! kept between steps in a request index per traffic class
+//! ([`crate::index`]): per pair, the circuits queued there, oldest head
+//! first and ties to the lowest raw VC id; per input, a mask of the pairs
+//! that are non-empty. A step reads one head per requesting pair and a
+//! matched pair dequeues that head. The order is the pre-slab
+//! implementation's: it took the oldest head, iterating `BTreeMap<VcId, _>`
+//! in ascending id order, so departures, credit consumption and PIM's RNG
+//! stream are byte-identical to [`crate::reference`] (enforced by the
+//! reference-equivalence suites in the `an2` crate).
 
 use an2_cells::signal::TrafficClass;
 use an2_cells::{Cell, CellPool, CellQueue, VcId, VcIndex};
@@ -24,7 +26,8 @@ use an2_trace::{Entity, MetricId, MetricOp, TraceEvent, TraceLane, TraceRecord, 
 use an2_xbar::{CrossbarScheduler, Pim};
 use std::fmt;
 
-use crate::scratch::{OldestCand, StepScratch};
+use crate::index::{Head, PairIndex};
+use crate::scratch::StepScratch;
 
 /// Configuration of one switch.
 #[derive(Debug, Clone)]
@@ -113,43 +116,6 @@ struct VcSlot {
     pending_q: CellQueue,
 }
 
-/// An active-list entry: the raw VC id in the high half (the sort key) and
-/// the slab slot in the low half. Packing the key into the entry keeps the
-/// hot binary searches inside the list's own cache lines instead of
-/// chasing into the slab per probe.
-///
-/// The packing cannot collide: raw VC ids are 24-bit ([`VcId::MAX`]), so the
-/// shifted key occupies bits 32..56 exactly, and slab indices are `u32`s
-/// (one per interned id, so below 2²⁴) — two entries are equal iff both the
-/// id and the slot agree.
-fn entry(vcs: &[VcSlot], si: u32) -> u64 {
-    let raw = vcs[si as usize].vc.raw();
-    debug_assert!(raw <= VcId::MAX, "VC id wider than the 24-bit key field");
-    ((raw as u64) << 32) | si as u64
-}
-
-/// The slab slot of an active-list entry.
-fn entry_slot(e: u64) -> u32 {
-    e as u32
-}
-
-/// Inserts `si` into an active list kept sorted by raw VC id. No-op if
-/// already present.
-fn activate(list: &mut Vec<u64>, vcs: &[VcSlot], si: u32) {
-    let e = entry(vcs, si);
-    if let Err(pos) = list.binary_search(&e) {
-        list.insert(pos, e);
-    }
-}
-
-/// Removes `si` from an active list if present.
-fn deactivate(list: &mut Vec<u64>, vcs: &[VcSlot], si: u32) {
-    let e = entry(vcs, si);
-    if let Ok(pos) = list.binary_search(&e) {
-        list.remove(pos);
-    }
-}
-
 /// One AN2 switch. See the [crate documentation](crate) for the model.
 pub struct Switch {
     cfg: SwitchConfig,
@@ -163,13 +129,12 @@ pub struct Switch {
     /// (one indexed load on the hot path instead of a chase through a
     /// per-circuit vector).
     queues: Vec<CellQueue>,
-    /// Per input: packed entries (see [`entry`]) for slab slots with a
-    /// non-empty best-effort queue there, sorted by raw VC id (see module
-    /// docs).
-    be_active: Vec<Vec<u64>>,
-    /// Per input: packed entries for slab slots with a non-empty
-    /// guaranteed queue there.
-    gt_active: Vec<Vec<u64>>,
+    /// The best-effort circuits requesting each crossbar pair (PIM's
+    /// input), oldest head first.
+    best_effort: PairIndex,
+    /// The guaranteed circuits queued at each pair, for phase 1's reserved
+    /// pairings.
+    guaranteed: PairIndex,
     pool: CellPool,
     schedule: FrameSchedule,
     pim: Pim,
@@ -188,10 +153,6 @@ pub struct Switch {
     /// External events (enqueues, credits, route/schedule changes) clamp it
     /// back down; the fabric skips `step` entirely while `slot` is below it.
     watermark: u64,
-    /// Whether a step may use the per-step oldest-eligible cache (on by
-    /// default; the unbatched baseline turns it off — results are
-    /// byte-identical either way).
-    batched: bool,
     /// The scratch [`Switch::step`] and [`Switch::step_into`] run over,
     /// boxed on a standalone switch's first step. `None` for life on a
     /// switch whose stepper brings its own to [`Switch::step_with`] (every
@@ -255,15 +216,14 @@ impl Switch {
             lookup: VcIndex::new(),
             vcs: Vec::new(),
             queues: Vec::new(),
-            be_active: vec![Vec::new(); ports],
-            gt_active: vec![Vec::new(); ports],
+            best_effort: PairIndex::new(ports),
+            guaranteed: PairIndex::new(ports),
             pool: CellPool::new(),
             schedule: FrameSchedule::new(ports, frame),
             pim,
             slot: 0,
             ctrl_reserved: vec![0; ports],
             watermark: 0,
-            batched: true,
             own_scratch: None,
             trace: None,
         }
@@ -334,6 +294,105 @@ impl Switch {
     /// The slab slot for `vc`, if it has ever been seen.
     fn slot_of(&self, vc: VcId) -> Option<usize> {
         self.lookup.get(vc).map(|si| si as usize)
+    }
+
+    /// The request index of a traffic class.
+    fn index_mut(&mut self, class: TrafficClass) -> &mut PairIndex {
+        match class {
+            TrafficClass::BestEffort => &mut self.best_effort,
+            TrafficClass::Guaranteed { .. } => &mut self.guaranteed,
+        }
+    }
+
+    /// Appends a cell to routed circuit `si`'s queue at `input`, indexing
+    /// the circuit under its route's pair if the queue was empty. Returns
+    /// the queue's depth after the push.
+    fn push_routed(&mut self, si: usize, input: usize, cell: Cell, stamp: u64, aux: u32) -> u32 {
+        let route = self.vcs[si]
+            .route
+            .expect("only a routed circuit queues cells");
+        let q = &mut self.queues[si * self.cfg.ports + input];
+        let was_empty = q.is_empty();
+        self.pool.push_back(q, cell, stamp, aux);
+        let depth = q.len() as u32;
+        if was_empty {
+            let head = Head {
+                stamp,
+                vc: self.vcs[si].vc.raw(),
+                si: si as u32,
+            };
+            self.index_mut(route.class)
+                .insert(input, route.output, head);
+        }
+        depth
+    }
+
+    /// Pops the head cell of indexed circuit `head.si`'s queue at `input`,
+    /// with the stamp of the cell behind it (`None`: the queue emptied) —
+    /// what the circuit's entry is re-keyed to.
+    fn pop_queue(&mut self, head: Head, input: usize) -> ((Cell, u64, u32), Option<u64>) {
+        let q = &mut self.queues[head.si as usize * self.cfg.ports + input];
+        let popped = self
+            .pool
+            .pop_front(q)
+            .expect("indexed queues are non-empty");
+        (popped, (!q.is_empty()).then(|| q.front_stamp()))
+    }
+
+    /// The first best-effort circuit in pair (input, output)'s list whose
+    /// credit gate is open, with its position: the oldest head a matched
+    /// pair may send. A starved circuit keeps its place and is passed over.
+    #[inline]
+    fn open_head(&self, input: usize, output: usize) -> Option<(usize, Head)> {
+        let list = self.best_effort.list(input, output);
+        let pos = list
+            .iter()
+            .position(|h| self.vcs[h.si as usize].credits != Some(0))?;
+        Some((pos, list[pos]))
+    }
+
+    /// Debug builds: asserts that both request indices hold exactly the
+    /// non-empty queues of routed circuits, each under its route's pair and
+    /// its head's stamp, in order, with every input's mask in step with its
+    /// lists. A no-op in release builds.
+    fn check_index(&self) {
+        if !cfg!(debug_assertions) {
+            return;
+        }
+        self.best_effort.check();
+        self.guaranteed.check();
+        let n = self.cfg.ports;
+        let mut queued = 0;
+        for (si, (s, queues)) in self.vcs.iter().zip(self.queues.chunks(n)).enumerate() {
+            for (input, q) in queues.iter().enumerate() {
+                if q.is_empty() {
+                    continue;
+                }
+                queued += 1;
+                let route = s.route.expect("only a routed circuit queues cells");
+                let index = match route.class {
+                    TrafficClass::BestEffort => &self.best_effort,
+                    TrafficClass::Guaranteed { .. } => &self.guaranteed,
+                };
+                let head = Head {
+                    stamp: q.front_stamp(),
+                    vc: s.vc.raw(),
+                    si: si as u32,
+                };
+                assert!(
+                    index.contains(input, route.output, head),
+                    "{} queued at input {input} is not indexed under its head",
+                    s.vc
+                );
+            }
+        }
+        // Distinct queues have distinct entries, so equal counts leave no
+        // entry without its queue.
+        assert_eq!(
+            self.best_effort.len() + self.guaranteed.len(),
+            queued,
+            "indexed entries against non-empty queues"
+        );
     }
 
     /// Gates a best-effort circuit's outbound transmissions behind a credit
@@ -438,14 +497,6 @@ impl Switch {
         self.slot = target;
     }
 
-    /// Toggles the per-slot oldest-eligible dequeue cache (on by default).
-    /// Purely an engine knob: results are byte-identical either way — the
-    /// unbatched baseline exists so `an2`'s `watermark_equiv` suite can
-    /// prove it.
-    pub fn set_batched(&mut self, on: bool) {
-        self.batched = on;
-    }
-
     /// Claims `output` for control-cell transmission through slot
     /// `until_slot` (exclusive): data traffic is not matched to the port
     /// while the claim is live, giving reconfiguration protocol bursts §2's
@@ -502,21 +553,12 @@ impl Switch {
         // Release held cells in arrival order, preserving their stamps.
         let mut held = std::mem::take(&mut self.vcs[si].pending_q);
         while let Some((cell, stamp, input)) = self.pool.pop_front(&mut held) {
-            let input = input as usize;
-            let q = &mut self.queues[si * self.cfg.ports + input];
-            let was_empty = q.is_empty();
-            self.pool.push_back(q, cell, stamp, 0);
-            if was_empty {
-                let list = match class {
-                    TrafficClass::BestEffort => &mut self.be_active[input],
-                    TrafficClass::Guaranteed { .. } => &mut self.gt_active[input],
-                };
-                activate(list, &self.vcs, si as u32);
-            }
+            self.push_routed(si, input as usize, cell, stamp, 0);
         }
         // Released cells keep their arrival stamps, so the earliest any of
         // them (or a future enqueue) can move is now.
         self.wake_at(self.slot);
+        self.check_index();
         Ok(())
     }
 
@@ -527,19 +569,27 @@ impl Switch {
         let Some(si) = self.slot_of(vc) else {
             return 0;
         };
-        self.vcs[si].route = None;
         let mut dropped = 0;
-        for input in 0..self.cfg.ports {
-            let n = self
-                .pool
-                .clear(&mut self.queues[si * self.cfg.ports + input]);
-            if n > 0 {
-                deactivate(&mut self.be_active[input], &self.vcs, si as u32);
-                deactivate(&mut self.gt_active[input], &self.vcs, si as u32);
+        if let Some(route) = self.vcs[si].route.take() {
+            let raw = self.vcs[si].vc.raw();
+            for input in 0..self.cfg.ports {
+                let q = &mut self.queues[si * self.cfg.ports + input];
+                if q.is_empty() {
+                    continue;
+                }
+                let head = Head {
+                    stamp: q.front_stamp(),
+                    vc: raw,
+                    si: si as u32,
+                };
+                dropped += self.pool.clear(q);
+                self.index_mut(route.class)
+                    .remove(input, route.output, head);
             }
-            dropped += n;
         }
-        dropped + self.pool.clear(&mut self.vcs[si].pending_q)
+        dropped += self.pool.clear(&mut self.vcs[si].pending_q);
+        self.check_index();
+        dropped
     }
 
     /// The output port a circuit is routed to, if any.
@@ -580,33 +630,17 @@ impl Switch {
         }
         let si = self.ensure_slot(cell.vc());
         let slot = self.slot;
-        let depth;
-        match self.vcs[si].route {
-            Some(route) => {
-                let q = &mut self.queues[si * self.cfg.ports + input];
-                let was_empty = q.is_empty();
-                self.pool.push_back(q, cell, slot, trace);
-                depth = q.len() as u32;
-                if was_empty {
-                    let list = match route.class {
-                        TrafficClass::BestEffort => &mut self.be_active[input],
-                        TrafficClass::Guaranteed { .. } => &mut self.gt_active[input],
-                    };
-                    activate(list, &self.vcs, si as u32);
-                }
-            }
-            None => {
-                let q = &mut self.vcs[si].pending_q;
-                self.pool.push_back(q, cell, slot, input as u32);
-                depth = q.len() as u32;
-            }
-        }
-        if self.vcs[si].route.is_some() {
+        let depth = if self.vcs[si].route.is_some() {
             // The cell becomes head-of-queue eligible one pipeline depth
             // from its arrival stamp at the earliest; unrouted cells wake
             // the switch through `install_route` instead.
             self.wake_at(slot + self.cfg.pipeline_slots);
-        }
+            self.push_routed(si, input, cell, slot, trace)
+        } else {
+            let q = &mut self.vcs[si].pending_q;
+            self.pool.push_back(q, cell, slot, input as u32);
+            q.len() as u32
+        };
         if let Some(t) = &mut self.trace {
             t.lane.set_slot(slot);
             t.lane.emit(TraceEvent::CellEnqueue {
@@ -645,19 +679,17 @@ impl Switch {
         for si in 0..self.vcs.len() {
             let mut n = self.pool.clear(&mut self.vcs[si].pending_q);
             for input in 0..self.cfg.ports {
-                let dropped = self
+                n += self
                     .pool
                     .clear(&mut self.queues[si * self.cfg.ports + input]);
-                if dropped > 0 {
-                    deactivate(&mut self.be_active[input], &self.vcs, si as u32);
-                    deactivate(&mut self.gt_active[input], &self.vcs, si as u32);
-                }
-                n += dropped;
             }
             if n > 0 {
                 out.push((self.vcs[si].vc, n));
             }
         }
+        self.best_effort.clear();
+        self.guaranteed.clear();
+        self.check_index();
         out
     }
 
@@ -705,14 +737,12 @@ impl Switch {
     ) {
         let n = self.cfg.ports;
         let frame_slot = (self.slot % self.cfg.frame_slots as u64) as u32;
-        let step = scratch.begin(n);
+        scratch.begin(n);
         let StepScratch {
             demand,
             matching,
             crossbar,
             xbar,
-            oldest,
-            ..
         } = scratch;
         if let Some(t) = &mut self.trace {
             t.lane.set_slot(self.slot);
@@ -722,98 +752,78 @@ impl Switch {
         // With no guaranteed cell buffered anywhere the phase cannot touch
         // the crossbar (an idle reservation leaves its pair free), so an
         // all-best-effort switch skips the schedule lookups entirely.
-        let gt_queued = self.gt_active.iter().any(|l| !l.is_empty());
+        let gt_queued = !self.guaranteed.is_empty();
         if gt_queued {
             for input in 0..n {
-                if let Some(output) = self.schedule.output_in_slot(frame_slot, input) {
-                    if self.ctrl_reserved[output] > self.slot {
-                        continue; // port carrying a control burst this slot
-                    }
-                    if let Some((cell, enqueued_slot, trace)) = take_oldest(
-                        &mut self.pool,
-                        &mut self.vcs,
-                        &mut self.queues,
-                        &mut self.gt_active[input],
-                        self.slot,
-                        self.cfg.pipeline_slots,
-                        self.cfg.ports,
-                        input,
-                        output,
-                        false,
-                    ) {
-                        crossbar.set(input, output);
-                        let departure = Departure {
-                            output,
-                            cell,
-                            enqueued_slot,
-                            trace,
-                        };
-                        if let Some(t) = &mut self.trace {
-                            t.dequeued(&departure, self.slot, self.pool.live(), None);
-                        }
-                        departures.push(departure);
-                    }
-                    // "Best-effort cells can use an allocated slot if no cell
-                    // from the scheduled virtual circuit is present" — by not
-                    // claiming the pair here, it stays free for phase 2.
+                let Some(output) = self.schedule.output_in_slot(frame_slot, input) else {
+                    continue;
+                };
+                if self.ctrl_reserved[output] > self.slot {
+                    continue; // port carrying a control burst this slot
                 }
+                // "Best-effort cells can use an allocated slot if no cell
+                // from the scheduled virtual circuit is present" — by not
+                // claiming the pair without an eligible head, it stays free
+                // for phase 2. The oldest head decides: every later one
+                // arrived no earlier.
+                let Some(&head) = self.guaranteed.list(input, output).first() else {
+                    continue;
+                };
+                if self.slot < head.stamp + self.cfg.pipeline_slots {
+                    continue;
+                }
+                let ((cell, enqueued_slot, trace), next) = self.pop_queue(head, input);
+                self.guaranteed.advance(input, output, 0, next);
+                crossbar.set(input, output);
+                let departure = Departure {
+                    output,
+                    cell,
+                    enqueued_slot,
+                    trace,
+                };
+                if let Some(t) = &mut self.trace {
+                    t.dequeued(&departure, self.slot, self.pool.live(), None);
+                }
+                departures.push(departure);
             }
         }
 
         // Phase 2 — PIM over everything still free (§3). Demand marks the
         // (input, output) pairs with an eligible cell behind a free output.
-        // Stamps are non-decreasing along each queue (FIFO of a monotone
-        // clock), so eligibility is decided by the front cell alone — and
-        // PIM's grant/accept rounds read only the request *masks*, never the
-        // queue depths, so registering one cell per pair yields the same
-        // matching and the same RNG stream as registering the full count.
+        // Stamps are non-decreasing along each queue and a pair's list is
+        // ordered by head stamp, so the pair's first head with an open
+        // credit gate decides its eligibility — and PIM's grant/accept
+        // rounds read only the request *masks*, never the queue depths, so
+        // registering one cell per pair yields the same matching and the
+        // same RNG stream as registering the full count.
         let mut any_demand = false;
-        // The earliest future slot an entry examined here becomes eligible
-        // (pipeline depth or reservation expiry) — the watermark candidate
-        // when nothing moves this slot.
+        // The earliest future slot a pair's head becomes eligible (pipeline
+        // depth or reservation expiry) — the watermark candidate when
+        // nothing moves this slot.
         let mut wake = u64::MAX;
         // Only phase 1 claims ports ahead of this scan: when it did not run
-        // every port is free, and the scan — the step's hot loop — leaves
-        // the claims alone.
-        for input in 0..n {
+        // every port is free, and the scan leaves the claims alone. With no
+        // best-effort cell queued there is nothing to scan.
+        let requesting = if self.best_effort.is_empty() { 0 } else { n };
+        for input in 0..requesting {
             if gt_queued && !crossbar.input_free(input) {
                 continue;
             }
-            for &e in &self.be_active[input] {
-                let si = entry_slot(e) as usize;
-                let s = &self.vcs[si];
-                let Some(route) = s.route else {
-                    continue;
-                };
-                if (gt_queued && !crossbar.output_free(route.output))
-                    || s.credits.is_some_and(|c| c == 0)
-                {
+            for output in self.best_effort.requests(input) {
+                if gt_queued && !crossbar.output_free(output) {
                     // A claimed output means the crossbar is non-empty (the
-                    // watermark lands on the next slot anyway); a starved
-                    // circuit is woken by the credit's arrival.
+                    // watermark lands on the next slot anyway).
                     continue;
                 }
-                // Active lists only hold non-empty queues, and the queue
-                // handle mirrors its head stamp — no pool access needed.
-                let stamp = self.queues[si * n + input].front_stamp();
+                // A pair whose every circuit is starved is woken by the
+                // credit's arrival.
+                let Some((_, head)) = self.open_head(input, output) else {
+                    continue;
+                };
                 let eligible_at =
-                    (stamp + self.cfg.pipeline_slots).max(self.ctrl_reserved[route.output]);
+                    (head.stamp + self.cfg.pipeline_slots).max(self.ctrl_reserved[output]);
                 if self.slot >= eligible_at {
-                    if self.batched {
-                        // Track the oldest eligible candidate per pair with
-                        // `take_oldest`'s exact tie-break (strict improvement
-                        // over a list sorted by VC id), so a matched pair
-                        // dequeues without rescanning the active list.
-                        let c = &mut oldest[input * n + route.output];
-                        if c.tag != step || stamp < c.stamp {
-                            *c = OldestCand {
-                                tag: step,
-                                stamp,
-                                si: si as u32,
-                            };
-                        }
-                    }
-                    demand.add(input, route.output, 1);
+                    demand.add(input, output, 1);
                     any_demand = true;
                 } else {
                     wake = wake.min(eligible_at);
@@ -841,38 +851,17 @@ impl Switch {
                 t.lane.add(t.grants, matching.len() as u64);
             }
             for (input, output) in matching.iter() {
-                let (cell, enqueued_slot, trace) = if self.batched {
-                    // The demand scan already found the oldest eligible
-                    // circuit for this pair (same candidate set, same
-                    // tie-break as `take_oldest`): dequeue it directly
-                    // instead of rescanning the active list.
-                    let c = oldest[input * n + output];
-                    debug_assert_eq!(c.tag, step, "stale cache for a matched pair");
-                    let si = c.si;
-                    if let Some(cr) = self.vcs[si as usize].credits.as_mut() {
-                        *cr -= 1;
-                    }
-                    let q = &mut self.queues[si as usize * n + input];
-                    let popped = self.pool.pop_front(q).expect("cached queue is non-empty");
-                    if q.is_empty() {
-                        deactivate(&mut self.be_active[input], &self.vcs, si);
-                    }
-                    Some(popped)
-                } else {
-                    take_oldest(
-                        &mut self.pool,
-                        &mut self.vcs,
-                        &mut self.queues,
-                        &mut self.be_active[input],
-                        self.slot,
-                        self.cfg.pipeline_slots,
-                        self.cfg.ports,
-                        input,
-                        output,
-                        true,
-                    )
+                // The head that gave the pair its demand: nothing between
+                // the scan and here touched this pair's list or credits.
+                let (pos, head) = self
+                    .open_head(input, output)
+                    .expect("PIM matched a pair with demand");
+                debug_assert!(self.slot >= head.stamp + self.cfg.pipeline_slots);
+                if let Some(c) = self.vcs[head.si as usize].credits.as_mut() {
+                    *c -= 1;
                 }
-                .expect("PIM matched a pair with demand");
+                let ((cell, enqueued_slot, trace), next) = self.pop_queue(head, input);
+                self.best_effort.advance(input, output, pos, next);
                 crossbar.set(input, output);
                 let departure = Departure {
                     output,
@@ -900,64 +889,17 @@ impl Switch {
         // eligibility seen in the demand scan is the next event; external
         // arrivals clamp the watermark down through `wake_at`. (A step
         // only ever removes guaranteed cells, hence the short-circuit.)
-        let gt_busy = gt_queued && self.gt_active.iter().any(|l| !l.is_empty());
+        let gt_busy = gt_queued && !self.guaranteed.is_empty();
         self.slot += 1;
         self.watermark = if !crossbar.is_empty() || any_demand || gt_busy {
             self.slot
         } else {
             wake
         };
+        self.check_index();
     }
 }
 
-/// Dequeues the oldest eligible cell at `input` routed to `output` from the
-/// circuits on `active` (sorted by VC id, so ties on age resolve toward the
-/// smallest id — the B-tree iteration order of the reference switch). With
-/// `consume_credit`, skips credit-starved circuits and charges the winner.
-#[allow(clippy::too_many_arguments)]
-fn take_oldest(
-    pool: &mut CellPool,
-    vcs: &mut [VcSlot],
-    queues: &mut [CellQueue],
-    active: &mut Vec<u64>,
-    slot: u64,
-    pipeline_slots: u64,
-    ports: usize,
-    input: usize,
-    output: usize,
-    consume_credit: bool,
-) -> Option<(Cell, u64, u32)> {
-    let mut best: Option<(u32, u64)> = None;
-    for &e in active.iter() {
-        let si = entry_slot(e);
-        let s = &vcs[si as usize];
-        let routed_here = s.route.map(|r| r.output) == Some(output);
-        if !routed_here || (consume_credit && s.credits.is_some_and(|c| c == 0)) {
-            continue;
-        }
-        // Active lists only hold non-empty queues; the handle's mirrored
-        // head stamp avoids a pool-node dereference per candidate.
-        let stamp = queues[si as usize * ports + input].front_stamp();
-        if slot < stamp + pipeline_slots {
-            continue;
-        }
-        if best.is_none_or(|(_, b)| stamp < b) {
-            best = Some((si, stamp));
-        }
-    }
-    let (si, _) = best?;
-    if consume_credit {
-        if let Some(c) = vcs[si as usize].credits.as_mut() {
-            *c -= 1;
-        }
-    }
-    let q = &mut queues[si as usize * ports + input];
-    let (cell, stamp, trace) = pool.pop_front(q).expect("chosen queue is non-empty");
-    if q.is_empty() {
-        deactivate(active, vcs, si);
-    }
-    Some((cell, stamp, trace))
-}
 #[cfg(test)]
 mod tests {
     use super::*;
