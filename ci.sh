@@ -4,8 +4,7 @@
 #   ./ci.sh            # everything (fmt + clippy + tests)
 #   ./ci.sh quick      # fmt + clippy only
 #
-# The workspace builds fully offline; all third-party deps resolve to the
-# stubs in compat/.
+# The workspace builds fully offline: it has no third-party dependency.
 set -euo pipefail
 cd "$(dirname "$0")"
 
@@ -16,12 +15,22 @@ tracked_before=$(git status --porcelain --untracked-files=no)
 echo "== cargo fmt --check"
 cargo fmt --all -- --check
 
-echo "== every stand-in under compat/ is a dependency of something"
-for dir in compat/*/; do
-    name=$(basename "$dir")
-    grep -qE "^$name = \{ workspace = true" Cargo.toml crates/*/Cargo.toml compat/*/Cargo.toml ||
-        { echo "compat/$name: no manifest depends on it"; exit 1; }
-done
+echo "== no stand-ins: no compat/, no proptest in any manifest or test"
+# Properties walk explicit grids, smallest first, and minimise failing
+# sequences with an2_sim::ddmin; a stand-in crate would be a seeded loop in
+# a costume.
+if [[ -e compat ]]; then
+    echo "compat/ exists: the workspace carries no stand-in crates"
+    exit 1
+fi
+if grep -rn --include=Cargo.toml proptest . --exclude-dir=target --exclude-dir=.bench_build; then
+    echo "a manifest names proptest"
+    exit 1
+fi
+if grep -rnE 'proptest!|prop_assert|prop_assume|ProptestConfig' crates tests src examples; then
+    echo "proptest syntax: walk an explicit grid instead"
+    exit 1
+fi
 
 echo "== one hasher: the FNV prime appears in no .rs file under crates/ or tests/ outside crates/sim/src/"
 # A digest two suites compute two ways is not a contract. Everything that

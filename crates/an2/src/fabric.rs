@@ -64,9 +64,6 @@ pub struct FabricConfig {
     /// hop. Should be at least `2 * link_latency_slots` for full-rate flow
     /// (§5); the default leaves headroom.
     pub be_credits: u32,
-    /// Line-card software time, in slots, to process one signaling cell
-    /// (§2: setup cells "are passed to the processor on the line card").
-    pub signal_processing_slots: u64,
 }
 
 impl Default for FabricConfig {
@@ -75,10 +72,13 @@ impl Default for FabricConfig {
             switch: SwitchConfig::default(),
             link_latency_slots: 2,
             be_credits: 8,
-            signal_processing_slots: 30,
         }
     }
 }
+
+/// Line-card software time, in slots, to process one signaling cell (§2:
+/// setup cells "are passed to the processor on the line card").
+pub const SIGNAL_PROCESSING_SLOTS: u64 = 30;
 
 /// Per-circuit statistics.
 #[derive(Debug, Clone, Default)]
@@ -283,7 +283,7 @@ impl Fabric {
             .map(|_| HostState::default())
             .collect();
         let port_stride = switches.iter().map(Switch::ports).max().unwrap_or(0);
-        let horizon = cfg.signal_processing_slots + cfg.link_latency_slots;
+        let horizon = SIGNAL_PROCESSING_SLOTS + cfg.link_latency_slots;
         let switch_rngs = SimRng::new(seed).fork_n(topo.switch_count());
         let mut fabric = Fabric {
             port_map: vec![None; topo.switch_count() * port_stride],

@@ -10,7 +10,7 @@
 //! [`Circuit::hop_at`]) once it has looked it up.
 
 use super::agenda::Event;
-use super::{Fabric, VcStats};
+use super::{Fabric, VcStats, SIGNAL_PROCESSING_SLOTS};
 use an2_cells::signal::{SignalMsg, TrafficClass};
 use an2_cells::{Cell, PartialPacket, VcId};
 use an2_topology::{HostId, LinkId, LinkState, Node, SwitchId, Topology};
@@ -597,7 +597,7 @@ impl Fabric {
             .expect("signaled path was validated at open");
         // Forward the setup cell out the chosen port, bypassing the data
         // queues (signaling has its own circuit, §2).
-        let depart = self.slot + self.cfg.signal_processing_slots;
+        let depart = self.slot + SIGNAL_PROCESSING_SLOTS;
         self.launch(self.attachment(fwd_link, to), cell, depart, 0);
         // The host consumed one credit to inject the setup cell; the first
         // line card frees that buffer once the cell is processed. No data

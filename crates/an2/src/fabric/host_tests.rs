@@ -82,7 +82,6 @@ fn rig(frame_slots: u32) -> Rig {
         },
         link_latency_slots: 1,
         be_credits: 3,
-        ..FabricConfig::default()
     };
     Rig {
         f: Fabric::new(topo, cfg, 11),

@@ -49,7 +49,10 @@ mod shard;
 
 pub use central::BandwidthCentral;
 pub use error::NetError;
-pub use fabric::{CtrlCounters, Fabric, FabricConfig, FaultCounters, PhaseProfile, VcStats};
+pub use fabric::{
+    CtrlCounters, Fabric, FabricConfig, FaultCounters, PhaseProfile, VcStats,
+    SIGNAL_PROCESSING_SLOTS,
+};
 pub use network::{Network, NetworkBuilder};
 
 pub use an2_cells::signal::TrafficClass;

@@ -12,7 +12,7 @@
 //! Mirrors the PR 1 pattern of `an2_xbar::reference`. Do not optimise this
 //! module; its value is that it stays exactly what shipped before.
 
-use crate::fabric::{FabricConfig, VcStats};
+use crate::fabric::{FabricConfig, VcStats, SIGNAL_PROCESSING_SLOTS};
 use an2_cells::signal::{SignalMsg, TrafficClass};
 use an2_cells::{Cell, CellKind, Packet, Reassembler, VcId};
 use an2_sim::SimRng;
@@ -537,7 +537,7 @@ impl Fabric {
             .expect("signaled path was validated at open");
         // Forward the setup cell out the chosen port, bypassing the data
         // queues (signaling has its own circuit, §2).
-        let depart = self.slot + self.cfg.signal_processing_slots;
+        let depart = self.slot + SIGNAL_PROCESSING_SLOTS;
         let latency = self.cfg.link_latency_slots;
         if k + 1 < plan.switches.len() {
             let next = plan.switches[k + 1];

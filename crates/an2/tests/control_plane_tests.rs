@@ -13,7 +13,6 @@ use an2_cells::Packet;
 use an2_reconfig::harness::ReconfigNet;
 use an2_sim::SimDuration;
 use an2_topology::{updown, LinkId, LinkState, Node, Topology};
-use proptest::prelude::*;
 
 /// Far-future slot: a flap that never recovers / a crash that never
 /// restarts within any test horizon.
@@ -75,8 +74,8 @@ fn surviving_edges(topo: &Topology, crashed: &[SwitchId]) -> Vec<(SwitchId, Swit
 
 /// Every live agent's view must equal the harness oracle's view for the
 /// same switch after the oracle protocol quiesces on the same surviving
-/// topology.
-fn assert_views_match_oracle(net: &Network, oracle_seed: u64, crashed: &[SwitchId]) {
+/// topology. Failures are reported under `at`.
+fn assert_views_match_oracle(at: &str, net: &Network, oracle_seed: u64, crashed: &[SwitchId]) {
     let mut oracle = ReconfigNet::with_defaults(net.topology().clone(), oracle_seed);
     for &s in crashed {
         oracle.kill_switch(s);
@@ -88,16 +87,16 @@ fn assert_views_match_oracle(net: &Network, oracle_seed: u64, crashed: &[SwitchI
         }
         let embedded = net
             .agent_view_edges(s)
-            .unwrap_or_else(|| panic!("no embedded view for {s}"));
+            .unwrap_or_else(|| panic!("{at}: no embedded view for {s}"));
         match oracle.view_edges_of(s) {
             Some(oracle_view) => {
                 assert!(
                     oracle.partition_converged(s),
-                    "oracle harness failed to converge in {s}'s partition"
+                    "{at}: oracle harness failed to converge in {s}'s partition"
                 );
                 assert_eq!(
                     embedded, oracle_view,
-                    "embedded view of {s} diverges from the harness oracle"
+                    "{at}: embedded view of {s} diverges from the harness oracle"
                 );
             }
             // A switch with no working links never boots in the oracle
@@ -105,7 +104,7 @@ fn assert_views_match_oracle(net: &Network, oracle_seed: u64, crashed: &[SwitchI
             // an empty view.
             None => assert!(
                 embedded.is_empty(),
-                "isolated {s} holds a non-empty view {embedded:?}"
+                "{at}: isolated {s} holds a non-empty view {embedded:?}"
             ),
         }
     }
@@ -115,8 +114,10 @@ fn assert_views_match_oracle(net: &Network, oracle_seed: u64, crashed: &[SwitchI
 /// forest over the surviving adjacency, host attachments in link-id
 /// order, first pair the up*/down* router connects — and demands each
 /// open circuit sits on the byte-identical switch path (broken circuits
-/// must be exactly the ones with no canonical route).
+/// must be exactly the ones with no canonical route). Failures are
+/// reported under `at`.
 fn assert_paths_canonical(
+    at: &str,
     net: &Network,
     circuits: &[(VcId, an2::HostId, an2::HostId)],
     crashed: &[SwitchId],
@@ -128,7 +129,7 @@ fn assert_paths_canonical(
     for tree in &forest {
         assert!(
             updown::all_pairs_updown_deadlock_free(topo, tree),
-            "canonical tree rooted at {} admits a channel-dependency cycle",
+            "{at}: canonical tree rooted at {} admits a channel-dependency cycle",
             tree.root()
         );
     }
@@ -149,7 +150,7 @@ fn assert_paths_canonical(
             (Some((switches, _, _, _)), Some(path)) => {
                 assert_eq!(
                     switches, path,
-                    "{vc} is not on its canonical up*/down* path"
+                    "{at}: {vc} is not on its canonical up*/down* path"
                 );
                 let tree = forest
                     .iter()
@@ -157,12 +158,12 @@ fn assert_paths_canonical(
                     .expect("path switches live in some tree");
                 assert!(
                     updown::is_legal_path(tree, &switches),
-                    "{vc} path violates the up*/down* rule"
+                    "{at}: {vc} path violates the up*/down* rule"
                 );
             }
             (None, None) => {} // correctly broken: endpoints partitioned
-            (Some(_), None) => panic!("{vc} is open but has no canonical route"),
-            (None, Some(p)) => panic!("{vc} is broken despite canonical route {p:?}"),
+            (Some(_), None) => panic!("{at}: {vc} is open but has no canonical route"),
+            (None, Some(p)) => panic!("{at}: {vc} is broken despite canonical route {p:?}"),
         }
     }
 }
@@ -204,8 +205,8 @@ fn boot_converges_and_installs_canonical_routes() {
         "boot reconfiguration never installed routes; log={:?}",
         net.reconfig_log()
     );
-    assert_views_match_oracle(&net, 1, &[]);
-    assert_paths_canonical(&net, &circuits, &[]);
+    assert_views_match_oracle("boot", &net, 1, &[]);
+    assert_paths_canonical("boot", &net, &circuits, &[]);
     // Traffic flows on the canonical routes.
     let (vc, src, dst) = circuits[0];
     net.send_packet(vc, Packet::from_bytes(vec![0x5A; 500]))
@@ -266,8 +267,8 @@ fn link_failure_converges_under_200ms_with_live_traffic() {
         "failure → converged routes took {ms:.1} ms (≥ 200 ms)"
     );
     assert!(net.control_converged(), "not converged after failure");
-    assert_views_match_oracle(&net, 2, &[]);
-    assert_paths_canonical(&net, &circuits, &[]);
+    assert_views_match_oracle("link failure", &net, 2, &[]);
+    assert_paths_canonical("link failure", &net, &circuits, &[]);
 }
 
 #[test]
@@ -297,8 +298,8 @@ fn flap_during_reconfiguration_still_converges() {
         net.reconfig_log()
     );
     // b recovered, so only a's adjacency may be missing.
-    assert_views_match_oracle(&net, 5, &[]);
-    assert_paths_canonical(&net, &circuits, &[]);
+    assert_views_match_oracle("flap", &net, 5, &[]);
+    assert_paths_canonical("flap", &net, &circuits, &[]);
 }
 
 #[test]
@@ -318,8 +319,8 @@ fn switch_crash_converges_excluding_victim() {
         "crash never converged; log={:?}",
         net.reconfig_log()
     );
-    assert_views_match_oracle(&net, 9, &[victim]);
-    assert_paths_canonical(&net, &circuits, &[victim]);
+    assert_views_match_oracle("crash", &net, 9, &[victim]);
+    assert_paths_canonical("crash", &net, &circuits, &[victim]);
     // Dual-homing keeps every host pair connected around one dead switch:
     // traffic still flows end to end.
     let (vc, _, dst) = circuits[0];
@@ -361,11 +362,13 @@ fn replay_is_byte_identical() {
     );
 }
 
-fn proptest_topology(which: u64) -> Topology {
-    match which % 3 {
+/// The grid's topologies, fewest switches first: a four-switch
+/// installation, a single-homed five-switch ring, a six-switch
+/// installation.
+fn grid_topology(which: usize) -> Topology {
+    match which {
         0 => an2_topology::generators::src_installation(4, 8),
-        1 => an2_topology::generators::src_installation(6, 12),
-        _ => {
+        1 => {
             let mut t = an2_topology::generators::ring(5);
             for k in 0..10u16 {
                 let h = t.add_host();
@@ -373,42 +376,50 @@ fn proptest_topology(which: u64) -> Topology {
             }
             t
         }
+        _ => an2_topology::generators::src_installation(6, 12),
     }
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(12))]
-
-    /// Across topologies, seeds, and one or two scripted link failures
-    /// (the second possibly landing mid-reconfiguration), the embedded
-    /// agents converge to the harness oracle's views and every circuit
-    /// sits on the canonical deadlock-free up*/down* path.
-    #[test]
-    fn embedded_agents_match_harness_oracle(
-        which in 0u64..3,
-        seed in 1u64..4,
-        first in 0usize..8,
-        second in 0usize..8,
-        two in 0u64..2,
-    ) {
-        let topo = proptest_topology(which);
-        let backbone = backbone_links(&topo);
-        let a = backbone[first % backbone.len()].0;
-        let b = backbone[second % backbone.len()].0;
-        let mut spec = quiet_spec();
-        spec.flaps.push(FlapEvent { link: a, down_at: 40_000, up_at: NEVER });
-        if two == 1 && b != a {
-            // Lands one ping round into the first failure's epoch: a
-            // flap *during* reconfiguration.
-            spec.flaps.push(FlapEvent { link: b, down_at: 42_000, up_at: NEVER });
+/// Across topologies (fewest switches first), one or two scripted link
+/// failures (the second landing mid-reconfiguration) and seeds, the
+/// embedded agents converge to the harness oracle's views and every
+/// circuit sits on the canonical deadlock-free up*/down* path.
+#[test]
+fn embedded_agents_match_harness_oracle() {
+    // Backbone link indices (taken modulo the backbone): the first fails
+    // for good, the second, if any, one ping round into its epoch.
+    let failures = [(0usize, None), (3, None), (0, Some(1)), (5, Some(2))];
+    for which in 0..3 {
+        for (k1, k2) in failures {
+            for seed in 1..4u64 {
+                let at = format!("topology {which}, failures {k1}/{k2:?}, seed {seed}");
+                let topo = grid_topology(which);
+                let backbone = backbone_links(&topo);
+                let mut spec = quiet_spec();
+                let first = backbone[k1 % backbone.len()].0;
+                let second = k2.map(|k| backbone[k % backbone.len()].0);
+                spec.flaps.push(FlapEvent {
+                    link: first,
+                    down_at: 40_000,
+                    up_at: NEVER,
+                });
+                if let Some(second) = second.filter(|&l| l != first) {
+                    spec.flaps.push(FlapEvent {
+                        link: second,
+                        down_at: 42_000,
+                        up_at: NEVER,
+                    });
+                }
+                let (mut net, circuits) = build(topo, seed, &spec);
+                net.step(600_000);
+                assert!(
+                    net.control_converged(),
+                    "{at}: not converged; log={:?}",
+                    net.reconfig_log()
+                );
+                assert_views_match_oracle(&at, &net, seed.wrapping_mul(31) + 1, &[]);
+                assert_paths_canonical(&at, &net, &circuits, &[]);
+            }
         }
-        let (mut net, circuits) = build(topo, seed, &spec);
-        net.step(600_000);
-        prop_assert!(
-            net.control_converged(),
-            "not converged; log={:?}", net.reconfig_log()
-        );
-        assert_views_match_oracle(&net, seed.wrapping_mul(31) + 1, &[]);
-        assert_paths_canonical(&net, &circuits, &[]);
     }
 }

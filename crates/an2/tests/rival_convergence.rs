@@ -8,12 +8,13 @@
 //! convergence predicate (uniform generations and loop-free agreement in
 //! every live partition, checked by `Network::control_converged`), and
 //! every route it installs must be a simple path over working links —
-//! no routing loops, no dead hops.
+//! no routing loops, no dead hops. Each protocol walks the same grid:
+//! three topologies (fewest switches first) × eight victim links × three
+//! seeds.
 
 use an2::{FaultSpec, FlapEvent, Network, ProtocolKind, SwitchId, VcId};
 use an2_sim::SimDuration;
 use an2_topology::{generators, LinkId, LinkState, Node, Topology};
-use proptest::prelude::*;
 
 /// Far-future slot: a flap that never recovers within the test horizon.
 const NEVER: u64 = 1_000_000_000;
@@ -27,13 +28,13 @@ fn quiet_spec() -> FaultSpec {
     spec
 }
 
-/// The three arena topologies: small and large Figure 1–style
-/// installations, and a single-homed ring.
+/// The three arena topologies, fewest switches first: a four-switch
+/// Figure 1–style installation, a single-homed five-switch ring, and a
+/// six-switch installation.
 fn grid_topology(which: usize) -> Topology {
     match which {
         0 => generators::src_installation(4, 8),
-        1 => generators::src_installation(6, 12),
-        _ => {
+        1 => {
             let mut topo = generators::ring(5);
             for k in 0..10 {
                 let h = topo.add_host();
@@ -42,6 +43,7 @@ fn grid_topology(which: usize) -> Topology {
             }
             topo
         }
+        _ => generators::src_installation(6, 12),
     }
 }
 
@@ -106,7 +108,8 @@ fn assert_routes_loop_free(net: &Network, vcs: &[VcId], what: &str) {
 }
 
 /// Boots the protocol on `which` topology, converges, kills one backbone
-/// link, and demands reconvergence with loop-free installed routes.
+/// link (`victim_choice` modulo the backbone), and demands reconvergence
+/// with loop-free installed routes.
 fn run_case(kind: ProtocolKind, which: usize, seed: u64, victim_choice: usize) {
     let topo = grid_topology(which);
     let mut net = Network::builder()
@@ -129,7 +132,7 @@ fn run_case(kind: ProtocolKind, which: usize, seed: u64, victim_choice: usize) {
             }
         }
     }
-    assert!(!vcs.is_empty(), "no circuits opened");
+    assert!(!vcs.is_empty(), "t{which}/s{seed}: no circuits opened");
 
     let backbone = backbone_links(net.topology());
     let (victim, _, _) = backbone[victim_choice % backbone.len()];
@@ -147,55 +150,38 @@ fn run_case(kind: ProtocolKind, which: usize, seed: u64, victim_choice: usize) {
         ProtocolKind::SpanningTree => "stp",
         ProtocolKind::PathVector => "pathvector",
     };
-    step_until_converged(&mut net, 40_000, &format!("{name}/t{which}/s{seed} boot"));
-    assert_routes_loop_free(&net, &vcs, &format!("{name}/t{which}/s{seed} boot"));
+    let at = format!("{name}/t{which}/v{victim_choice}/s{seed}");
+    step_until_converged(&mut net, 40_000, &format!("{at} boot"));
+    assert_routes_loop_free(&net, &vcs, &format!("{at} boot"));
 
     // Ride past the failure and demand reconvergence on the survivor
     // topology.
     while net.slot() < 60_000 {
         net.step(2_000);
     }
-    step_until_converged(
-        &mut net,
-        1_000_000,
-        &format!("{name}/t{which}/s{seed} post-failure"),
-    );
-    assert_routes_loop_free(&net, &vcs, &format!("{name}/t{which}/s{seed} post-failure"));
+    step_until_converged(&mut net, 1_000_000, &format!("{at} post-failure"));
+    assert_routes_loop_free(&net, &vcs, &format!("{at} post-failure"));
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(9))]
-
-    /// Spanning tree: 3 topologies × 3 seeds × a drawn single failure.
-    #[test]
-    fn spanning_tree_converges_after_single_failure(
-        which in 0usize..3,
-        seed_idx in 0usize..3,
-        victim in 0usize..8,
-    ) {
-        run_case(ProtocolKind::SpanningTree, which, [3u64, 7, 21][seed_idx], victim);
-    }
-
-    /// Path vector: same grid, same contract.
-    #[test]
-    fn path_vector_converges_after_single_failure(
-        which in 0usize..3,
-        seed_idx in 0usize..3,
-        victim in 0usize..8,
-    ) {
-        run_case(ProtocolKind::PathVector, which, [3u64, 7, 21][seed_idx], victim);
-    }
-}
-
-/// The full 3×3 grid, deterministically, for both rivals — the proptests
-/// above sample it, this pins every cell.
-#[test]
-fn rival_grid_full_sweep() {
-    for kind in [ProtocolKind::SpanningTree, ProtocolKind::PathVector] {
-        for which in 0..3 {
-            for (i, &seed) in [3u64, 7, 21].iter().enumerate() {
-                run_case(kind, which, seed, i + which);
+/// Every point of the grid, fewest switches first, then victim, then seed.
+fn walk_grid(kind: ProtocolKind) {
+    for which in 0..3 {
+        for victim in 0..8 {
+            for seed in [3u64, 7, 21] {
+                run_case(kind, which, seed, victim);
             }
         }
     }
+}
+
+/// Spanning tree: 3 topologies × 8 victims × 3 seeds.
+#[test]
+fn spanning_tree_converges_after_single_failure() {
+    walk_grid(ProtocolKind::SpanningTree);
+}
+
+/// Path vector: same grid, same contract.
+#[test]
+fn path_vector_converges_after_single_failure() {
+    walk_grid(ProtocolKind::PathVector);
 }

@@ -40,7 +40,7 @@ pub mod spec;
 pub use corpus::{load_dir, load_repro, replay_twice, save_repro, JVal};
 pub use gen::{generate, Schedule, NEVER};
 pub use oracle::{run_schedule, run_schedule_observed, RunReport, Violation};
-pub use shrink::{ddmin, shrink, ShrinkResult};
+pub use shrink::{shrink, ShrinkResult};
 pub use spec::{CampaignSpec, Scenario, TopologyKind};
 
 use std::path::Path;

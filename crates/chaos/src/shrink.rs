@@ -1,7 +1,7 @@
 //! Delta-debugging: minimize a failing [`Schedule`] to the smallest
 //! `(spec, seed)` repro that still violates the oracle.
 //!
-//! The core is Zeller's classic `ddmin` over event lists (flaps, then
+//! The core is Zeller's classic [`ddmin`] over event lists (flaps, then
 //! crashes), followed by greedy structural reductions: drop the loss
 //! models, halve the circuit count, halve the traffic window, shrink the
 //! packets. Every candidate is judged by a full [`crate::oracle`] run, so
@@ -9,54 +9,7 @@
 
 use crate::gen::Schedule;
 use crate::oracle::{run_schedule, RunReport};
-
-/// Minimizes `items` to a 1-minimal subset on which `fails` still returns
-/// `true` (removing any single remaining element makes it pass or cannot
-/// be verified). `items` itself must fail. This is Zeller's ddmin with
-/// chunk-and-complement probing.
-pub fn ddmin<T: Clone>(items: &[T], mut fails: impl FnMut(&[T]) -> bool) -> Vec<T> {
-    let mut current: Vec<T> = items.to_vec();
-    let mut n = 2usize;
-    while current.len() >= 2 {
-        let chunk = current.len().div_ceil(n);
-        let mut reduced = false;
-        // Try each chunk alone.
-        for start in (0..current.len()).step_by(chunk) {
-            let subset: Vec<T> = current[start..(start + chunk).min(current.len())].to_vec();
-            if subset.len() < current.len() && fails(&subset) {
-                current = subset;
-                n = 2;
-                reduced = true;
-                break;
-            }
-        }
-        if reduced {
-            continue;
-        }
-        // Try each complement.
-        if n > 2 || current.len() > 2 {
-            for start in (0..current.len()).step_by(chunk) {
-                let mut complement = current.clone();
-                complement.drain(start..(start + chunk).min(complement.len()));
-                if !complement.is_empty() && complement.len() < current.len() && fails(&complement)
-                {
-                    current = complement;
-                    n = (n - 1).max(2);
-                    reduced = true;
-                    break;
-                }
-            }
-        }
-        if reduced {
-            continue;
-        }
-        if n >= current.len() {
-            break;
-        }
-        n = (2 * n).min(current.len());
-    }
-    current
-}
+use an2_sim::ddmin;
 
 /// Outcome of shrinking one failing schedule.
 #[derive(Debug, Clone)]
@@ -180,37 +133,4 @@ pub fn shrink(original: &Schedule, max_runs: u32) -> Option<ShrinkResult> {
         runs: judge.runs,
         violations,
     })
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn ddmin_finds_single_culprit() {
-        let items: Vec<u32> = (0..20).collect();
-        let min = ddmin(&items, |s| s.contains(&13));
-        assert_eq!(min, vec![13]);
-    }
-
-    #[test]
-    fn ddmin_finds_interacting_pair() {
-        let items: Vec<u32> = (0..16).collect();
-        let min = ddmin(&items, |s| s.contains(&3) && s.contains(&11));
-        assert_eq!(min, vec![3, 11]);
-    }
-
-    #[test]
-    fn ddmin_is_one_minimal_on_monotone_predicates() {
-        let items: Vec<u32> = (0..32).collect();
-        let min = ddmin(&items, |s| s.len() >= 5);
-        assert_eq!(min.len(), 5, "1-minimal: removing any element passes");
-    }
-
-    #[test]
-    fn ddmin_keeps_everything_when_all_needed() {
-        let items: Vec<u32> = vec![1, 2, 3];
-        let min = ddmin(&items, |s| s.len() == 3);
-        assert_eq!(min, items);
-    }
 }

@@ -5,30 +5,55 @@
 //! recovery streak), its escalation level decays back to zero under
 //! sustained good behaviour, and quarantine — the state where pings look
 //! healthy but the skeptic still says no — always ends.
+//!
+//! Each property walks an explicit grid of settings (ping interval
+//! outermost, skeptic level innermost), then its sequence length, then a
+//! seed. A flap pattern that breaks readmission is reported cut down to a
+//! 1-minimal one by [`assert_sequence`].
 
 use an2_reconfig::monitor::{LinkMonitor, LinkVerdict, MonitorConfig};
 use an2_reconfig::skeptic::SkepticConfig;
-use an2_sim::{SimDuration, SimTime};
-use proptest::prelude::*;
+use an2_sim::{assert_sequence, SimDuration, SimRng, SimTime};
 
-fn config(
-    ping_ms: u64,
-    fail_threshold: u32,
-    recover_threshold: u32,
-    base_ms: u64,
-    max_level: u32,
-    decay_ms: u64,
-) -> MonitorConfig {
-    MonitorConfig {
-        ping_interval: SimDuration::from_millis(ping_ms),
-        fail_threshold,
-        recover_threshold,
-        skeptic: SkepticConfig {
-            base_wait: SimDuration::from_millis(base_ms),
-            max_level,
-            decay_after: SimDuration::from_millis(decay_ms),
-        },
+/// Every combination of the given settings, ping interval outermost and
+/// skeptic level innermost, each named for assertion messages. The
+/// skeptic forgives a level after `decay_ms`, or by default after
+/// `base_ms * 64 + 1 s`.
+fn grid(
+    ping_ms: &[u64],
+    fail: &[u32],
+    recover: &[u32],
+    base_ms: &[u64],
+    max_level: &[u32],
+    decay_ms: Option<u64>,
+) -> Vec<(String, MonitorConfig)> {
+    let mut out = Vec::new();
+    for &p in ping_ms {
+        for &f in fail {
+            for &r in recover {
+                for &b in base_ms {
+                    for &l in max_level {
+                        let cfg = MonitorConfig {
+                            ping_interval: SimDuration::from_millis(p),
+                            fail_threshold: f,
+                            recover_threshold: r,
+                            skeptic: SkepticConfig {
+                                base_wait: SimDuration::from_millis(b),
+                                max_level: l,
+                                decay_after: SimDuration::from_millis(
+                                    decay_ms.unwrap_or(b * 64 + 1_000),
+                                ),
+                            },
+                        };
+                        let at =
+                            format!("ping={p}ms fail={f} recover={r} base={b}ms max_level={l}");
+                        out.push((at, cfg));
+                    }
+                }
+            }
+        }
     }
+    out
 }
 
 /// Feeds the monitor a random alternating down/up burst pattern and
@@ -55,158 +80,167 @@ fn readmission_bound(cfg: &MonitorConfig) -> u64 {
     worst_wait.as_nanos() / cfg.ping_interval.as_nanos() + cfg.recover_threshold as u64 + 4
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(64))]
-
-    /// However a link flapped, once it heals for good it is readmitted
-    /// within the worst-case bound — and readmission clears quarantine.
-    #[test]
-    fn healed_link_is_always_readmitted(
-        bursts in proptest::collection::vec((1u32..40, 0u32..60), 1..12),
-        ping_ms in 1u64..15,
-        fail_threshold in 1u32..5,
-        recover_threshold in 1u32..10,
-        base_ms in 1u64..150,
-        max_level in 0u32..7,
-    ) {
-        let cfg = config(ping_ms, fail_threshold, recover_threshold, base_ms, max_level,
-                         base_ms * 64 + 1_000);
-        let interval = cfg.ping_interval;
-        let mut m = LinkMonitor::new(cfg);
-        let mut now = apply_bursts(&mut m, &bursts, interval);
-        let bound = readmission_bound(&cfg);
-        let mut readmitted = m.verdict() == LinkVerdict::Working;
-        for _ in 0..bound {
-            if readmitted {
-                break;
+/// Flaps a link through `bursts` of (down, up) pings, then heals it for
+/// good: it must be readmitted within the worst-case bound, and out of
+/// quarantine.
+fn readmitted_after(cfg: MonitorConfig, bursts: &[(u32, u32)]) -> Result<(), String> {
+    let interval = cfg.ping_interval;
+    let mut m = LinkMonitor::new(cfg);
+    let mut now = apply_bursts(&mut m, bursts, interval);
+    let bound = readmission_bound(&cfg);
+    let mut readmitted = m.verdict() == LinkVerdict::Working;
+    for _ in 0..bound {
+        if readmitted {
+            break;
+        }
+        now += interval;
+        if let Some(t) = m.on_ping(true, now) {
+            if t.to != LinkVerdict::Working {
+                return Err(format!("a clean ping made the link {:?}", t.to));
             }
-            now += interval;
-            if let Some(t) = m.on_ping(true, now) {
-                prop_assert_eq!(t.to, LinkVerdict::Working);
-                readmitted = true;
+            readmitted = true;
+        }
+    }
+    if !readmitted {
+        return Err(format!(
+            "link never readmitted within {bound} clean pings (skeptic level {})",
+            m.skeptic_level()
+        ));
+    }
+    if m.in_quarantine() {
+        return Err("readmission must clear quarantine".to_string());
+    }
+    Ok(())
+}
+
+/// However a link flapped, once it heals for good it is readmitted
+/// within the worst-case bound — and readmission clears quarantine.
+#[test]
+fn healed_link_is_always_readmitted() {
+    for (at, cfg) in grid(&[1, 5, 14], &[1, 4], &[1, 9], &[1, 149], &[0, 3, 6], None) {
+        for len in [1usize, 4, 11] {
+            for seed in 0..2u64 {
+                let mut rng = SimRng::new(seed);
+                let bursts: Vec<(u32, u32)> = (0..len)
+                    .map(|_| (1 + rng.gen_range(39) as u32, rng.gen_range(60) as u32))
+                    .collect();
+                assert_sequence(format!("{at} bursts={len} seed={seed}"), &bursts, |b| {
+                    readmitted_after(cfg, b)
+                });
             }
         }
-        prop_assert!(
-            readmitted,
-            "link never readmitted within {} clean pings (skeptic level {})",
-            bound, m.skeptic_level()
-        );
-        prop_assert!(!m.in_quarantine(), "readmission must clear quarantine");
     }
+}
 
-    /// Quarantine is never permanent: from the moment the monitor reports
-    /// the link quarantined, continued clean operation ends it within the
-    /// worst-case bound (by readmission — a healthy link cannot be exiled).
-    #[test]
-    fn quarantine_always_ends(
-        ping_ms in 1u64..15,
-        fail_threshold in 1u32..5,
-        recover_threshold in 1u32..8,
-        base_ms in 20u64..200,
-        max_level in 1u32..7,
-        repeat_deaths in 1u32..5,
-    ) {
-        let cfg = config(ping_ms, fail_threshold, recover_threshold, base_ms, max_level,
-                         base_ms * 64 + 1_000);
-        let interval = cfg.ping_interval;
-        let mut m = LinkMonitor::new(cfg);
-        let mut now = SimTime::ZERO;
-        // Kill the link repeatedly to escalate the level, healing between
-        // deaths just long enough to recover.
-        for _ in 0..repeat_deaths {
-            for _ in 0..fail_threshold {
+/// Quarantine is never permanent: from the moment the monitor reports
+/// the link quarantined, continued clean operation ends it within the
+/// worst-case bound (by readmission — a healthy link cannot be exiled).
+#[test]
+fn quarantine_always_ends() {
+    for (at, cfg) in grid(&[1, 5, 14], &[1, 4], &[1, 7], &[20, 199], &[1, 6], None) {
+        for repeat_deaths in [1u32, 4] {
+            let at = format!("{at} deaths={repeat_deaths}");
+            let interval = cfg.ping_interval;
+            let mut m = LinkMonitor::new(cfg);
+            let mut now = SimTime::ZERO;
+            // Kill the link repeatedly to escalate the level, healing
+            // between deaths just long enough to recover.
+            for _ in 0..repeat_deaths {
+                for _ in 0..cfg.fail_threshold {
+                    now += interval;
+                    m.on_ping(false, now);
+                }
+                let mut pings = 0;
+                while m.verdict() == LinkVerdict::Dead && pings < readmission_bound(&cfg) {
+                    now += interval;
+                    m.on_ping(true, now);
+                    pings += 1;
+                }
+            }
+            // One final death, then immediate health: the success streak
+            // beats the escalated holddown, so the monitor quarantines.
+            for _ in 0..cfg.fail_threshold {
                 now += interval;
                 m.on_ping(false, now);
             }
-            let mut pings = 0;
-            while m.verdict() == LinkVerdict::Dead && pings < readmission_bound(&cfg) {
+            let mut quarantined = false;
+            let mut pings_in_quarantine = 0u64;
+            let bound = readmission_bound(&cfg);
+            for _ in 0..bound {
                 now += interval;
                 m.on_ping(true, now);
-                pings += 1;
+                if m.in_quarantine() {
+                    quarantined = true;
+                    pings_in_quarantine += 1;
+                    assert!(
+                        pings_in_quarantine <= bound,
+                        "{at}: quarantine outlived the worst-case holddown"
+                    );
+                } else if quarantined {
+                    break; // entered and left: the property holds
+                }
             }
-        }
-        // One final death, then immediate health: the success streak beats
-        // the escalated holddown, so the monitor quarantines.
-        for _ in 0..fail_threshold {
-            now += interval;
-            m.on_ping(false, now);
-        }
-        let mut quarantined = false;
-        let mut pings_in_quarantine = 0u64;
-        let bound = readmission_bound(&cfg);
-        for _ in 0..bound {
-            now += interval;
-            m.on_ping(true, now);
-            if m.in_quarantine() {
-                quarantined = true;
-                pings_in_quarantine += 1;
-                prop_assert!(
-                    pings_in_quarantine <= bound,
-                    "quarantine outlived the worst-case holddown"
-                );
-            } else if quarantined {
-                break; // entered and left: the property holds
-            }
-        }
-        if quarantined {
-            prop_assert!(
-                !m.in_quarantine(),
-                "still quarantined after {} clean pings (level {})",
-                bound, m.skeptic_level()
-            );
-            prop_assert_eq!(m.verdict(), LinkVerdict::Working);
-        } else {
             // Low levels with slow pings may readmit before the streak
             // completes — fine, but the link must then be working.
-            prop_assert_eq!(m.verdict(), LinkVerdict::Working);
+            assert!(
+                !m.in_quarantine(),
+                "{at}: still quarantined after {bound} clean pings (level {})",
+                m.skeptic_level()
+            );
+            assert_eq!(m.verdict(), LinkVerdict::Working, "{at}");
         }
     }
+}
 
-    /// Sustained good behaviour forgives: after readmission, the
-    /// escalation level decays all the way back to zero.
-    #[test]
-    fn level_decays_to_zero_under_sustained_good_behaviour(
-        ping_ms in 1u64..10,
-        fail_threshold in 1u32..4,
-        recover_threshold in 1u32..6,
-        base_ms in 1u64..50,
-        max_level in 1u32..6,
-        deaths in 2u32..6,
+/// Sustained good behaviour forgives: after readmission, the
+/// escalation level decays all the way back to zero.
+#[test]
+fn level_decays_to_zero_under_sustained_good_behaviour() {
+    let decay_ms = 200u64;
+    for (at, cfg) in grid(
+        &[1, 4, 9],
+        &[1, 3],
+        &[1, 5],
+        &[1, 49],
+        &[1, 5],
+        Some(decay_ms),
     ) {
-        let decay_ms = 200u64;
-        let cfg = config(ping_ms, fail_threshold, recover_threshold, base_ms, max_level, decay_ms);
-        let interval = cfg.ping_interval;
-        let mut m = LinkMonitor::new(cfg);
-        let mut now = SimTime::ZERO;
-        for _ in 0..deaths {
-            for _ in 0..fail_threshold {
-                now += interval;
-                m.on_ping(false, now);
+        for deaths in [2u32, 5] {
+            let at = format!("{at} deaths={deaths}");
+            let interval = cfg.ping_interval;
+            let mut m = LinkMonitor::new(cfg);
+            let mut now = SimTime::ZERO;
+            for _ in 0..deaths {
+                for _ in 0..cfg.fail_threshold {
+                    now += interval;
+                    m.on_ping(false, now);
+                }
+                let mut pings = 0;
+                while m.verdict() == LinkVerdict::Dead && pings < readmission_bound(&cfg) {
+                    now += interval;
+                    m.on_ping(true, now);
+                    pings += 1;
+                }
+                assert_eq!(m.verdict(), LinkVerdict::Working, "{at}");
             }
-            let mut pings = 0;
-            while m.verdict() == LinkVerdict::Dead && pings < readmission_bound(&cfg) {
+            let level = m.skeptic_level();
+            assert!(level > 0, "{at}: repeated deaths must escalate");
+            // One decay_after of clean recovered operation forgives one
+            // level; allow a ping of discretization slack per period.
+            let per_level = decay_ms * 1_000_000 / interval.as_nanos() + 2;
+            for _ in 0..(level as u64 + 1) * per_level {
                 now += interval;
                 m.on_ping(true, now);
-                pings += 1;
+                if m.skeptic_level() == 0 {
+                    break;
+                }
             }
-            prop_assert_eq!(m.verdict(), LinkVerdict::Working);
+            assert_eq!(
+                m.skeptic_level(),
+                0,
+                "{at}: level failed to decay under sustained good behaviour"
+            );
+            assert_eq!(m.verdict(), LinkVerdict::Working, "{at}");
         }
-        let level = m.skeptic_level();
-        prop_assert!(level > 0, "repeated deaths must escalate");
-        // One decay_after of clean recovered operation forgives one level;
-        // allow a ping of discretization slack per period.
-        let per_level = decay_ms * 1_000_000 / interval.as_nanos() + 2;
-        for _ in 0..(level as u64 + 1) * per_level {
-            now += interval;
-            m.on_ping(true, now);
-            if m.skeptic_level() == 0 {
-                break;
-            }
-        }
-        prop_assert_eq!(
-            m.skeptic_level(), 0,
-            "level failed to decay under sustained good behaviour"
-        );
-        prop_assert_eq!(m.verdict(), LinkVerdict::Working);
     }
 }

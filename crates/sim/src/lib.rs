@@ -6,11 +6,11 @@
 //! clock. This crate holds what every simulator in the reproduction shares:
 //!
 //! * [`SimTime`] / [`SimDuration`] — nanosecond-resolution virtual time.
-//! * [`SimRng`] — a seedable, splittable pseudo-random generator so that every
-//!   experiment is exactly reproducible from a single seed.
+//! * [`SimRng`] — a seedable, splittable generator: one seed replays a run.
 //! * [`metrics`] — [`metrics::Histogram`] (exact or log-bucketed samples with
 //!   percentiles), used by every experiment harness.
 //! * [`Fnv`] — the hasher under every replay digest and pinned constant.
+//! * [`ddmin`] / [`assert_sequence`] — a failing sequence's 1-minimal part.
 //!
 //! There is no event engine here. The two event loops in the reproduction
 //! each live next to the transport they model: the slot-synchronous fabric
@@ -43,8 +43,10 @@
 mod fnv;
 pub mod metrics;
 mod rng;
+mod shrink;
 mod time;
 
 pub use fnv::Fnv;
 pub use rng::SimRng;
+pub use shrink::{assert_sequence, ddmin};
 pub use time::{SimDuration, SimTime};

@@ -30,4 +30,4 @@ mod scratch;
 mod switch;
 
 pub use scratch::StepScratch;
-pub use switch::{Departure, Switch, SwitchConfig, SwitchError};
+pub use switch::{Departure, Switch, SwitchConfig, SwitchError, PIM_ITERATIONS, PIPELINE_SLOTS};

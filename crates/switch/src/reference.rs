@@ -11,7 +11,7 @@
 //! Mirrors the PR 1 pattern of `an2_xbar::reference`. Do not optimise this
 //! module; its value is that it stays exactly what shipped before.
 
-use crate::{Departure, SwitchConfig, SwitchError};
+use crate::{Departure, SwitchConfig, SwitchError, PIM_ITERATIONS, PIPELINE_SLOTS};
 use an2_cells::signal::TrafficClass;
 use an2_cells::{Cell, VcId};
 use an2_schedule::FrameSchedule;
@@ -67,7 +67,7 @@ impl ReferenceSwitch {
     pub fn new(cfg: SwitchConfig) -> Self {
         let ports = cfg.ports;
         let frame = cfg.frame_slots;
-        let pim = Pim::new(cfg.pim_iterations);
+        let pim = Pim::new(PIM_ITERATIONS);
         ReferenceSwitch {
             cfg,
             routing: BTreeMap::new(),
@@ -232,7 +232,7 @@ impl ReferenceSwitch {
     /// Whether a queued cell is old enough to have cleared the cut-through
     /// pipeline.
     fn eligible(&self, qc: &QueuedCell) -> bool {
-        self.slot >= qc.enqueued_slot + self.cfg.pipeline_slots
+        self.slot >= qc.enqueued_slot + PIPELINE_SLOTS
     }
 
     /// The oldest eligible guaranteed cell at `input` routed to `output`.
@@ -313,7 +313,7 @@ impl ReferenceSwitch {
                 }
                 let eligible = q
                     .iter()
-                    .filter(|qc| self.slot >= qc.enqueued_slot + self.cfg.pipeline_slots)
+                    .filter(|qc| self.slot >= qc.enqueued_slot + PIPELINE_SLOTS)
                     .count() as u64;
                 if eligible > 0 {
                     demand.add(input, route.output, eligible);

@@ -39,12 +39,6 @@ pub struct SwitchConfig {
     pub ports: usize,
     /// Slots per guaranteed-traffic frame (AN2: 1024).
     pub frame_slots: u32,
-    /// PIM iterations per slot (AN2 hardware: 3).
-    pub pim_iterations: usize,
-    /// Cut-through pipeline depth in slots: a cell arriving in slot `t` may
-    /// first cross the crossbar in slot `t + pipeline_slots`. Three ~681 ns
-    /// slots ≈ the paper's 2 µs (§1).
-    pub pipeline_slots: u64,
 }
 
 impl Default for SwitchConfig {
@@ -52,11 +46,17 @@ impl Default for SwitchConfig {
         SwitchConfig {
             ports: 16,
             frame_slots: 1024,
-            pim_iterations: 3,
-            pipeline_slots: 3,
         }
     }
 }
+
+/// PIM iterations per slot (AN2 hardware: 3).
+pub const PIM_ITERATIONS: usize = 3;
+
+/// Cut-through pipeline depth in slots: a cell arriving in slot `t` may
+/// first cross the crossbar in slot `t + PIPELINE_SLOTS`. Three ~681 ns
+/// slots ≈ the paper's 2 µs (§1).
+pub const PIPELINE_SLOTS: u64 = 3;
 
 /// Errors from switch operations.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -210,7 +210,7 @@ impl Switch {
     pub fn new(cfg: SwitchConfig) -> Self {
         let ports = cfg.ports;
         let frame = cfg.frame_slots;
-        let pim = Pim::new(cfg.pim_iterations);
+        let pim = Pim::new(PIM_ITERATIONS);
         Switch {
             cfg,
             lookup: VcIndex::new(),
@@ -634,7 +634,7 @@ impl Switch {
             // The cell becomes head-of-queue eligible one pipeline depth
             // from its arrival stamp at the earliest; unrouted cells wake
             // the switch through `install_route` instead.
-            self.wake_at(slot + self.cfg.pipeline_slots);
+            self.wake_at(slot + PIPELINE_SLOTS);
             self.push_routed(si, input, cell, slot, trace)
         } else {
             let q = &mut self.vcs[si].pending_q;
@@ -769,7 +769,7 @@ impl Switch {
                 let Some(&head) = self.guaranteed.list(input, output).first() else {
                     continue;
                 };
-                if self.slot < head.stamp + self.cfg.pipeline_slots {
+                if self.slot < head.stamp + PIPELINE_SLOTS {
                     continue;
                 }
                 let ((cell, enqueued_slot, trace), next) = self.pop_queue(head, input);
@@ -820,8 +820,7 @@ impl Switch {
                 let Some((_, head)) = self.open_head(input, output) else {
                     continue;
                 };
-                let eligible_at =
-                    (head.stamp + self.cfg.pipeline_slots).max(self.ctrl_reserved[output]);
+                let eligible_at = (head.stamp + PIPELINE_SLOTS).max(self.ctrl_reserved[output]);
                 if self.slot >= eligible_at {
                     demand.add(input, output, 1);
                     any_demand = true;
@@ -856,7 +855,7 @@ impl Switch {
                 let (pos, head) = self
                     .open_head(input, output)
                     .expect("PIM matched a pair with demand");
-                debug_assert!(self.slot >= head.stamp + self.cfg.pipeline_slots);
+                debug_assert!(self.slot >= head.stamp + PIPELINE_SLOTS);
                 if let Some(c) = self.vcs[head.si as usize].credits.as_mut() {
                     *c -= 1;
                 }
@@ -910,8 +909,6 @@ mod tests {
         SwitchConfig {
             ports: 4,
             frame_slots: 8,
-            pim_iterations: 3,
-            pipeline_slots: 3,
         }
     }
 
@@ -929,7 +926,7 @@ mod tests {
 
     #[test]
     fn cut_through_latency_is_pipeline_depth() {
-        // E2: an uncontended cell leaves pipeline_slots after arrival —
+        // E2: an uncontended cell leaves PIPELINE_SLOTS after arrival —
         // 3 slots ≈ 2 µs at 622 Mb/s.
         let mut sw = Switch::new(cfg_small());
         sw.install_route(VcId::new(1), 2, TrafficClass::BestEffort)

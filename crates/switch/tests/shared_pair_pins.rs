@@ -56,7 +56,6 @@ fn run(seed: u64) -> (Row, u64) {
     let mut sw = Switch::new(SwitchConfig {
         ports: PORTS,
         frame_slots: FRAME,
-        ..SwitchConfig::default()
     });
     let mut rng = SimRng::new(seed);
     let mut wl = SimRng::new(seed ^ 0x5ba2_ed0a);

@@ -10,13 +10,13 @@
 //! first cells arrived, routes torn down mid-run and re-installed — and
 //! must agree on every departure of every slot, on backlog, watermark and
 //! credit balances, and on the next value their RNGs draw (PIM consumed the
-//! same stream, so the next slot would agree too).
+//! same stream, so the next slot would agree too). Widths are walked
+//! narrowest first, each under 64 seeds.
 
 use an2_cells::signal::TrafficClass;
 use an2_cells::{Cell, VcId};
 use an2_sim::SimRng;
 use an2_switch::{Switch, SwitchConfig};
-use proptest::prelude::*;
 
 const SLOTS: u64 = 2_000;
 const FRAME: u32 = 16;
@@ -38,11 +38,12 @@ struct Circuit {
 /// Runs `op` on both switches and asserts they answer alike.
 fn both<T: PartialEq + std::fmt::Debug>(
     pair: &mut (Switch, Switch),
+    at: &str,
     what: &str,
     mut op: impl FnMut(&mut Switch) -> T,
 ) -> T {
     let (a, b) = (op(&mut pair.0), op(&mut pair.1));
-    assert_eq!(a, b, "{what}");
+    assert_eq!(a, b, "{at}: {what}");
     a
 }
 
@@ -51,9 +52,9 @@ fn agree(w: usize, seed: u64) {
         Switch::new(SwitchConfig {
             ports,
             frame_slots: FRAME,
-            ..SwitchConfig::default()
         })
     };
+    let at = format!("width {w}, seed {seed}");
     let mut pair = (build(w), build(16));
     let (mut rng_narrow, mut rng_wide) = (SimRng::new(seed), SimRng::new(seed));
     let mut wl = SimRng::new(seed ^ 0x5eed_cafe);
@@ -89,7 +90,7 @@ fn agree(w: usize, seed: u64) {
         for c in &mut circuits {
             if !c.routed && slot >= c.install_at {
                 let (vc, output, class) = (c.vc, c.output, c.class);
-                both(&mut pair, "install_route", |sw| {
+                both(&mut pair, &at, "install_route", |sw| {
                     sw.install_route(vc, output, class)
                 })
                 .expect("the circuit is unrouted and its port is below the width");
@@ -97,14 +98,16 @@ fn agree(w: usize, seed: u64) {
                     let have = pair.0.schedule().scheduled_cells(c.input, output);
                     for _ in have..cells_per_frame as u32 {
                         let input = c.input;
-                        both(&mut pair, "frame insert", |sw| {
+                        both(&mut pair, &at, "frame insert", |sw| {
                             sw.schedule_mut().insert(input, output)
                         })
                         .ok(); // a full link refuses alike on both
                     }
                 }
                 if let Some(credits) = c.gate {
-                    both(&mut pair, "set_credits", |sw| sw.set_credits(vc, credits));
+                    both(&mut pair, &at, "set_credits", |sw| {
+                        sw.set_credits(vc, credits)
+                    });
                 }
                 c.routed = true;
             }
@@ -117,52 +120,53 @@ fn agree(w: usize, seed: u64) {
                     wl.gen_range(w)
                 };
                 let cell = Cell::blank(c.vc);
-                both(&mut pair, "enqueue", |sw| sw.enqueue(input, cell)).expect("port below w");
+                both(&mut pair, &at, "enqueue", |sw| sw.enqueue(input, cell))
+                    .expect("port below w");
             }
             // Credits come back slower than a busy circuit spends them, so
             // gated circuits starve and recover.
             if c.routed && c.gate.is_some() && wl.gen_bool(0.2) {
                 let vc = c.vc;
-                both(&mut pair, "try_add_credit", |sw| sw.try_add_credit(vc));
+                both(&mut pair, &at, "try_add_credit", |sw| sw.try_add_credit(vc));
             }
             if c.routed && wl.gen_bool(0.002) {
                 let vc = c.vc;
-                both(&mut pair, "remove_route", |sw| sw.remove_route(vc));
+                both(&mut pair, &at, "remove_route", |sw| sw.remove_route(vc));
                 c.routed = false;
                 c.install_at = slot + 1 + wl.gen_range(40) as u64;
             }
         }
         if wl.gen_bool(0.03) {
             let (output, until) = (wl.gen_range(w), slot + 1 + wl.gen_range(6) as u64);
-            both(&mut pair, "reserve_output", |sw| {
+            both(&mut pair, &at, "reserve_output", |sw| {
                 sw.reserve_output(output, until)
             });
         }
 
         let narrow = pair.0.step(&mut rng_narrow);
         let wide = pair.1.step(&mut rng_wide);
-        assert_eq!(narrow, wide, "departures of slot {slot} at width {w}");
+        assert_eq!(narrow, wide, "{at}: departures of slot {slot}");
         departed += narrow.len() as u64;
-        both(&mut pair, "total_backlog", |sw| sw.total_backlog());
-        both(&mut pair, "next_event_slot", |sw| sw.next_event_slot());
+        both(&mut pair, &at, "total_backlog", |sw| sw.total_backlog());
+        both(&mut pair, &at, "next_event_slot", |sw| sw.next_event_slot());
     }
-    assert!(departed > SLOTS / 2, "an idle history proves nothing");
+    assert!(departed > SLOTS / 2, "{at}: an idle history proves nothing");
     for c in &circuits {
         let vc = c.vc;
-        both(&mut pair, "credit_balance", |sw| sw.credit_balance(vc));
-        both(&mut pair, "buffered_cells", |sw| sw.buffered_cells(vc));
+        both(&mut pair, &at, "credit_balance", |sw| sw.credit_balance(vc));
+        both(&mut pair, &at, "buffered_cells", |sw| sw.buffered_cells(vc));
     }
     assert_eq!(
         rng_narrow.next_u64(),
         rng_wide.next_u64(),
-        "PIM drew differently at width {w}"
+        "{at}: PIM drew differently"
     );
 }
 
-proptest! {
-    #[test]
-    fn narrow_switch_equals_sixteen_port_switch(seed in 0u64..u64::MAX) {
-        for w in [2, 3, 4, 8] {
+#[test]
+fn narrow_switch_equals_sixteen_port_switch() {
+    for w in [2, 3, 4, 8] {
+        for seed in 0..64 {
             agree(w, seed);
         }
     }
