@@ -32,6 +32,20 @@ if grep -rnE 'proptest!|prop_assert|prop_assume|ProptestConfig' crates tests src
     exit 1
 fi
 
+echo "== no preserved copies: no crates/*/src/reference.rs, and nothing names the retired oracles"
+# The slab fabric, switch and bitmask schedulers are checked against pins of
+# what the pre-rewrite copies answered (reference_equiv, wide_fabric_equiv,
+# wide_equiv, tests/proptests.rs), not against a second copy of the data
+# plane kept beside the first.
+if compgen -G 'crates/*/src/reference.rs' >/dev/null; then
+    echo "a preserved reference implementation: pin its answers instead"
+    exit 1
+fi
+if grep -rnE 'Reference(Pim|Greedy|Islip|Switch)|an2(_switch|_xbar)?::reference' crates tests src examples; then
+    echo "code names a retired oracle: compare against a pin"
+    exit 1
+fi
+
 echo "== one hasher: the FNV prime appears in no .rs file under crates/ or tests/ outside crates/sim/src/"
 # A digest two suites compute two ways is not a contract. Everything that
 # hashes goes through an2_sim::Fnv; what "byte-identical" covers is
@@ -88,8 +102,9 @@ if [[ "${1:-}" != "quick" ]]; then
     # re-runs in release, the build the benchmark measures, the suites that
     # pin or compare the data plane, the fault layer and the control
     # protocols.
-    echo "== release: fabric and shared-pair pins (absolute behaviour), port-width and watermark equivalence (fault legs against set_batching(false))"
+    echo "== release: fabric, pre-slab-fabric and shared-pair pins (absolute behaviour), port-width and watermark equivalence (fault legs against set_batching(false))"
     cargo test -q --release -p an2 --test fabric_pins
+    cargo test -q --release -p an2 --test reference_equiv
     cargo test -q --release -p an2-switch --test shared_pair_pins
     cargo test -q --release -p an2-switch --test width_equiv
     cargo test -q --release -p an2 --test watermark_equiv

@@ -21,8 +21,9 @@
 //! the identity when no layer is attached — rather than beside it as a
 //! second path. The shard lanes and their crew live in [`crate::shard`].
 //! Together the parts keep every per-slot B-tree/hash lookup and allocation
-//! off the hot path while producing byte-identical results to the preserved
-//! map-based oracle in [`crate::reference`] (enforced by property tests).
+//! off the hot path while producing byte-identical results to the map-based
+//! fabric they replaced (pinned by `reference_equiv` and
+//! `wide_fabric_equiv`).
 
 mod agenda;
 mod circuits;
@@ -53,10 +54,10 @@ use host::HostState;
 /// Fabric-wide configuration.
 #[derive(Debug, Clone)]
 pub struct FabricConfig {
-    /// Per-switch configuration, except `ports`, which a fabric does not
-    /// read: it builds each switch as wide as the topology cables it
-    /// ([`Topology::cabled_ports`]).
-    pub switch: SwitchConfig,
+    /// Slots per guaranteed-traffic frame in every switch (§4). A switch's
+    /// width is not configured: each is built as wide as the topology
+    /// cables it ([`Topology::cabled_ports`]).
+    pub frame_slots: u32,
     /// Link propagation delay in cell slots (uniform across links). At
     /// least 1: a cell needs a slot to reach the next switch.
     pub link_latency_slots: u64,
@@ -69,7 +70,7 @@ pub struct FabricConfig {
 impl Default for FabricConfig {
     fn default() -> Self {
         FabricConfig {
-            switch: SwitchConfig::default(),
+            frame_slots: SwitchConfig::default().frame_slots,
             link_latency_slots: 2,
             be_credits: 8,
         }
@@ -275,7 +276,7 @@ impl Fabric {
             .map(|s| {
                 Switch::new(SwitchConfig {
                     ports: topo.cabled_ports(s).max(1),
-                    ..cfg.switch.clone()
+                    frame_slots: cfg.frame_slots,
                 })
             })
             .collect();
@@ -593,7 +594,7 @@ impl Fabric {
         }
         // Token buckets refill in the slot before each frame boundary;
         // that slot must run normally, so never skip past it.
-        let frame = self.cfg.switch.frame_slots as u64;
+        let frame = self.cfg.frame_slots as u64;
         let refill = self.slot + (frame - 1 - self.slot % frame);
         // An attached fault layer bounds the jump like everything above
         // does (no layer, no bound); asked last, it is the dearest.
@@ -772,7 +773,7 @@ impl Fabric {
             p.commit_ns += t1.elapsed().as_nanos() as u64;
         }
         // 4. Refill guaranteed token buckets at frame boundaries.
-        let frame = self.cfg.switch.frame_slots as u64;
+        let frame = self.cfg.frame_slots as u64;
         if (self.slot + 1).is_multiple_of(frame) {
             for ci in 0..self.circuits.len() {
                 if self.circuits.refill_tokens(ci) {

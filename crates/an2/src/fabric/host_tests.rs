@@ -76,10 +76,7 @@ fn rig(frame_slots: u32) -> Rig {
     let near = [NEAR_A, NEAR_B].map(|h| topo.attach_host(h, SwitchId(0)).unwrap());
     let far = topo.attach_host(FAR, SwitchId(1)).unwrap();
     let cfg = FabricConfig {
-        switch: SwitchConfig {
-            frame_slots,
-            ..SwitchConfig::default()
-        },
+        frame_slots,
         link_latency_slots: 1,
         be_credits: 3,
     };

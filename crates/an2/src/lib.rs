@@ -44,7 +44,6 @@ mod central;
 mod error;
 mod fabric;
 mod network;
-pub mod reference;
 mod shard;
 
 pub use central::BandwidthCentral;

@@ -84,7 +84,7 @@ impl NetworkBuilder {
 
     /// Slots per guaranteed-traffic frame (default 1024).
     pub fn frame_slots(mut self, slots: u32) -> Self {
-        self.fabric.switch.frame_slots = slots;
+        self.fabric.frame_slots = slots;
         self
     }
 
@@ -106,7 +106,7 @@ impl NetworkBuilder {
 
     /// Builds the network.
     pub fn build(self) -> Network {
-        let frame = self.fabric.switch.frame_slots;
+        let frame = self.fabric.frame_slots;
         let central = BandwidthCentral::new(&self.topo, frame);
         let fabric = Fabric::new(self.topo, self.fabric, self.seed);
         Network {

@@ -149,10 +149,7 @@ fn guaranteed_circuit_gets_schedule_and_releases_it() {
     let mut f = Fabric::new(
         topo,
         FabricConfig {
-            switch: an2_switch::SwitchConfig {
-                frame_slots: 16,
-                ..Default::default()
-            },
+            frame_slots: 16,
             ..Default::default()
         },
         3,
@@ -246,7 +243,7 @@ fn hub_cabled_wider_than_the_config_carries_traffic() {
 
 /// Every switch of a 2-ary 4-level fat-tree is built as wide as it is
 /// cabled — two hosts or two down-links plus two up-links, and only the two
-/// down-links at the top level — whatever `cfg.switch.ports` says.
+/// down-links at the top level: a fabric has no port-count setting.
 #[test]
 fn fabric_switches_are_as_wide_as_their_cabling() {
     let topo = generators::fat_tree(2, 4);

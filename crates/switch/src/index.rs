@@ -7,7 +7,7 @@
 //! * per (input, output) pair, the circuits with cells queued at `input`
 //!   and routed to `output`, ordered by (head-cell stamp, raw VC id) —
 //!   oldest head first, a tie to the lowest id, which is the order the
-//!   B-tree walk of [`crate::reference`] resolves ties in;
+//!   pre-slab switch's B-tree walk resolved ties in;
 //! * per input, a `⌈n/64⌉`-word mask of the outputs whose list is
 //!   non-empty, so a step visits one list per requesting pair rather than
 //!   every queued circuit.

@@ -25,7 +25,6 @@
 #![warn(missing_docs)]
 
 mod index;
-pub mod reference;
 mod scratch;
 mod switch;
 

@@ -15,8 +15,8 @@
 //! matched pair dequeues that head. The order is the pre-slab
 //! implementation's: it took the oldest head, iterating `BTreeMap<VcId, _>`
 //! in ascending id order, so departures, credit consumption and PIM's RNG
-//! stream are byte-identical to [`crate::reference`] (enforced by the
-//! reference-equivalence suites in the `an2` crate).
+//! stream are byte-identical to it (pinned by the `an2` crate's
+//! `reference_equiv` and `wide_fabric_equiv` suites).
 
 use an2_cells::signal::TrafficClass;
 use an2_cells::{Cell, CellPool, CellQueue, VcId, VcIndex};

@@ -43,10 +43,10 @@
 //! `⌈n/64⌉` words and run the same algorithms one loop level deeper, with
 //! identical RNG-stream behaviour.
 //!
-//! The pre-refactor scan-and-`Vec` schedulers are preserved verbatim in
-//! [`mod@reference`]; property tests assert the fast path produces bit-identical
-//! matchings from the same RNG stream, and the Criterion benches measure the
-//! speedup against them.
+//! The matchings each scheduler returns from a seeded RNG stream are pinned
+//! as the pre-bitmask scan-and-`Vec` schedulers answered them: at widths
+//! 1–8 (`tests/proptests.rs`), and at the AN2's 16 ports and across the
+//! word boundaries up to 139 ports (`wide_equiv`).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -56,7 +56,6 @@ mod islip;
 mod matching;
 mod maximum;
 mod pim;
-pub mod reference;
 mod scratch;
 pub mod simulate;
 

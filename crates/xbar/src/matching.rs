@@ -68,8 +68,8 @@ pub(crate) fn count_set(words: &[u64]) -> usize {
 
 /// The index of the `k`-th (0-based) set bit across a word slice — the
 /// multi-word twin of [`nth_set_bit`], preserving the "same element as an
-/// index into the sorted port list" property that keeps the fast schedulers
-/// on the reference oracles' RNG stream.
+/// index into the sorted port list" property that keeps the schedulers on
+/// the original scan-and-`Vec` implementations' RNG stream.
 ///
 /// # Panics
 ///

@@ -22,11 +22,11 @@
 //!
 //! The request sets themselves are `u64` bitmasks: an output's requesters
 //! are `demand.col_mask(output) & matching.free_inputs()` — one AND, where
-//! the reference implementation scans all N inputs. Random selection picks a
-//! uniform rank and extracts that set bit, which chooses the same port the
-//! reference's sorted-`Vec` indexing would, so both implementations consume
-//! the RNG stream identically and produce identical matchings (see
-//! [`crate::reference`]).
+//! the original implementation scanned all N inputs into a `Vec`. Random
+//! selection picks a uniform rank and extracts that set bit, which chooses
+//! the same port indexing the sorted `Vec` did, so the RNG stream and the
+//! matchings are the original's (pinned by `wide_equiv` and
+//! `tests/proptests.rs`).
 
 use crate::matching::{count_set, nth_set, nth_set_bit, DemandMatrix, Matching};
 use crate::scratch::Scratch;
@@ -89,7 +89,7 @@ impl Pim {
     /// single-word fast path (every AN2-sized switch) or the multi-word
     /// generalization; both visit free outputs then granted inputs in
     /// ascending port order, so they draw from the RNG stream exactly as
-    /// the reference scheduler's sorted-`Vec` indexing does.
+    /// the original scheduler's sorted-`Vec` indexing did.
     fn iterate(
         demand: &DemandMatrix,
         matching: &mut Matching,
