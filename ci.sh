@@ -81,6 +81,22 @@ if grep -rnE --include='*.rs' 'take_oldest|OldestCand|set_batched|be_active' cra
     exit 1
 fi
 
+echo "== one credit balance per hop: no shadow sender/receiver in crates/an2/src, no check_invariants knob"
+# A gated hop's balance is its upstream gate (Circuit::host_credits or the
+# upstream switch's credit_balance) and its occupancy the downstream
+# switch's buffered cells; the fault layer's ledger keeps only the sent
+# count and epochs the hardware lacks. A sender/receiver pair beside the
+# gates is a second copy that can drift from them; with none there is no
+# divergence for an off switch on the invariant checker to hide.
+if grep -rnE 'CreditSender|CreditReceiver|HopFlow' crates/an2/src; then
+    echo "a shadow credit ledger: read the hardware gates and buffers"
+    exit 1
+fi
+if grep -rn 'check_invariants' crates tests src examples; then
+    echo "an invariant-check knob: a fault layer always checks"
+    exit 1
+fi
+
 echo "== no file under crates/an2/src over 1200 lines"
 # ROADMAP item 1's bar. The cure for a file that trips it is a part with its
 # own state behind private fields (crates/an2/src/fabric/), not a second

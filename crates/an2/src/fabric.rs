@@ -781,9 +781,9 @@ impl Fabric {
                 }
             }
         }
-        // 5. Invariant checkers (soak mode): every gate, ledger entry and
-        // buffer is settled now, before the slot counter advances.
-        self.check_invariants_slot();
+        // 5. Invariant check (with a fault layer): every gate and buffer is
+        // settled now, before the slot counter advances.
+        self.count_invariant_violations();
         // 6. Everything the slot recorded reaches the tracer now, so the
         // observatory's scrape at the next `set_slot` reads a settled
         // registry.
@@ -913,10 +913,8 @@ impl Fabric {
         );
         let Some(wire) = self.port_map[from.0 as usize * self.port_stride + output] else {
             // The outbound link died after the cell was scheduled: lost,
-            // and no credit is returned on a dead link.
-            if let Some((ci, hop)) = at {
-                self.ledger_cell_discarded(ci, hop);
-            }
+            // and no credit is returned on a dead link (resync recovers
+            // the buffer it freed).
             if let Some(t) = &mut self.trace {
                 t.cells_dropped(vc, DropReason::DeadLink, 1);
             }
@@ -929,7 +927,7 @@ impl Fabric {
         // §5: forwarding this cell freed a buffer in `from`; return a credit
         // to the upstream hop (only best-effort circuits are gated).
         if let Some((ci, hop)) = at {
-            self.return_credit(ci, hop, true);
+            self.return_credit(ci, hop);
         }
         let (arrives, corrupted) = self.launch(wire, cell, self.slot, trace);
         if corrupted || !arrives {
@@ -997,11 +995,9 @@ impl Fabric {
     }
 
     /// Returns a credit for one buffer freed on hop `hop` of circuit slot
-    /// `ci` to the hop's upstream end. `forwarded_data` is true when a data
-    /// cell left the switch's queues, false for the signal-processing path,
-    /// where the line card frees the setup cell's buffer without a data
-    /// forward.
-    fn return_credit(&mut self, ci: usize, hop: usize, forwarded_data: bool) {
+    /// `ci` to the hop's upstream end: a data cell left the switch's
+    /// queues, or the line card processed a setup cell.
+    fn return_credit(&mut self, ci: usize, hop: usize) {
         let Some(c) = self.circuits.at(ci) else {
             return;
         };
@@ -1011,7 +1007,7 @@ impl Fabric {
         let link = c.hop_link(hop);
         let upstream = hop.checked_sub(1).map(|up| c.switches[up]);
         let vc = self.circuits.vc_at(ci);
-        let Some(epoch) = self.credit_crosses(ci, hop, link, forwarded_data) else {
+        let Some(epoch) = self.credit_crosses(ci, hop, link) else {
             return;
         };
         if let Some(t) = &mut self.trace {

@@ -600,10 +600,9 @@ impl Fabric {
         let depart = self.slot + SIGNAL_PROCESSING_SLOTS;
         self.launch(self.attachment(fwd_link, to), cell, depart, 0);
         // The host consumed one credit to inject the setup cell; the first
-        // line card frees that buffer once the cell is processed. No data
-        // cell was forwarded, so the ledger has no arrival to retire.
+        // line card frees that buffer once the cell is processed.
         if k == 0 {
-            self.return_credit(ci, 0, false);
+            self.return_credit(ci, 0);
         }
     }
 

@@ -7,11 +7,13 @@
 //! ([`Fabric::cell_arrives`]), is this credit still good
 //! ([`Fabric::admit_credit`]), does the credit going back survive
 //! ([`Fabric::credit_crosses`]) — and every answer is "yes, unchanged" when
-//! no layer is attached. What the layer knows that the hardware gates do
-//! not lives in its **credit ledger**: per gated hop, the absolute
-//! sent/forwarded counters and resync epoch that §5's recovery protocol
-//! needs, kept beside the switches' and hosts' own credit counts and
-//! reconciled with them by resync.
+//! no layer is attached. What §5's recovery protocol needs and the hardware
+//! does not hold lives in the layer's **credit ledger**: per gated hop, the
+//! absolute sent counter and the resync epochs of both ends. A hop's
+//! balance is its upstream gate ([`hop_gate`]) and its occupancy the cells
+//! buffered where it ends ([`hop_buffered`]); the ledger keeps no copy of
+//! either, and a completed resync writes the recovered balance straight
+//! into the gate.
 
 use super::agenda::Event;
 use super::circuits::Circuit;
@@ -19,7 +21,8 @@ use super::Fabric;
 use an2_cells::signal::TrafficClass;
 use an2_cells::{Cell, CellKind, VcId};
 use an2_faults::{Fate, FaultInjector, FaultSpec, HEADER_BITS};
-use an2_flow::{resync, CreditReceiver, CreditSender};
+use an2_flow::resync;
+use an2_switch::Switch;
 use an2_topology::{LinkId, Node, SwitchId, Topology};
 use an2_trace::{DropReason, Entity, TraceEvent, Tracer};
 
@@ -44,36 +47,45 @@ pub struct FaultCounters {
     pub resyncs_completed: u64,
     /// Cells destroyed inside switch buffers by line-card crashes.
     pub crash_dropped_cells: u64,
-    /// Invariant-checker violations (credit conservation, buffer bounds,
-    /// ledger/hardware divergence). Zero in a correct run.
+    /// Invariant-checker violations: a hop whose gate plus buffered cells
+    /// exceed its buffers, a data cell reaching a full buffer, a credit
+    /// reaching a full gate. Zero in a correct run.
     pub invariant_violations: u64,
 }
 
-/// One credit-gated hop's §5 flow-control endpoints (hop `k` of a circuit,
-/// see [`Circuit::hop_at`]). Hop 0's sender mirrors the source host's
-/// credits over `src_link`; hop `k`'s sender mirrors switch
-/// `switches[k-1]`'s hardware gate over `links[k-1]`; every hop's receiver
-/// mirrors the cells buffered at `switches[k]`.
-#[derive(Debug)]
-struct HopFlow {
-    sender: CreditSender,
-    receiver: CreditReceiver,
-    /// Epoch of a resync still in flight on this hop, if any.
-    pending_epoch: Option<u32>,
+/// What one credit-gated hop (hop `k` of a circuit, see
+/// [`Circuit::hop_at`]) needs for §5's resync beyond what the hardware
+/// holds. Its balance is the upstream gate and its occupancy the cells
+/// buffered at `switches[k]`.
+#[derive(Debug, Default)]
+struct LedgerRow {
+    /// Cells the upstream gate has spent a credit on since the row opened:
+    /// the count a marker carries.
+    sent: u64,
+    /// The upstream end's resync epoch: markers carry it, and a credit
+    /// stamped with any other is stale.
+    epoch: u32,
+    /// The epoch the downstream end stamps on the credits it returns: that
+    /// of the last marker it answered.
+    credit_epoch: u32,
+    /// Whether a resync begun on this hop has not completed.
+    resync_pending: bool,
 }
 
-/// The attached fault layer: injector, policy knobs, counters, and the
+// One row per gated hop of every best-effort circuit: keep it small.
+const _: () = assert!(std::mem::size_of::<LedgerRow>() == 24);
+
+/// The attached fault layer: injector, resync interval, counters, and the
 /// credit ledger.
 #[derive(Debug)]
 pub(super) struct FaultLayer {
     injector: FaultInjector,
     resync_interval: u64,
-    check_invariants: bool,
     counters: FaultCounters,
-    /// Per circuit slot, one [`HopFlow`] per gated hop: best-effort
+    /// Per circuit slot, one [`LedgerRow`] per gated hop: best-effort
     /// circuits opened (or open at attach) and not paged out; empty for
     /// everything else.
-    ledger: Vec<Vec<HopFlow>>,
+    ledger: Vec<Vec<LedgerRow>>,
 }
 
 impl FaultLayer {
@@ -92,25 +104,22 @@ impl FaultLayer {
         self.injector.advance_idle(n);
     }
 
-    fn hop_mut(&mut self, ci: usize, hop: usize) -> Option<&mut HopFlow> {
+    fn hop_mut(&mut self, ci: usize, hop: usize) -> Option<&mut LedgerRow> {
         self.ledger.get_mut(ci)?.get_mut(hop)
     }
 
-    fn hops(&self, ci: usize) -> &[HopFlow] {
+    fn hops(&self, ci: usize) -> &[LedgerRow] {
         self.ledger.get(ci).map_or(&[], Vec::as_slice)
     }
 
-    /// Fresh gates at full credit for every hop of a best-effort path.
-    fn open_hops(&mut self, ci: usize, circuit: &Circuit, cap: u32) {
+    /// Fresh rows, nothing sent and no resync begun, for every hop of a
+    /// best-effort path.
+    fn open_hops(&mut self, ci: usize, circuit: &Circuit) {
         if self.ledger.len() <= ci {
             self.ledger.resize_with(ci + 1, Vec::new);
         }
         self.ledger[ci] = (0..circuit.switches.len())
-            .map(|_| HopFlow {
-                sender: CreditSender::new(cap),
-                receiver: CreditReceiver::new(cap),
-                pending_epoch: None,
-            })
+            .map(|_| LedgerRow::default())
             .collect();
     }
 }
@@ -122,13 +131,31 @@ fn link_dir(topo: &Topology, link: LinkId, to: Node) -> usize {
     usize::from(a.node != to)
 }
 
+/// Hop `hop`'s credit balance: its upstream gate, the source host's for hop
+/// 0 and switch `switches[hop - 1]`'s otherwise (`None` when ungated).
+fn hop_gate(switches: &[Switch], c: &Circuit, vc: VcId, hop: usize) -> Option<u32> {
+    match hop.checked_sub(1) {
+        None => c.host_credits,
+        Some(up) => switches[c.switches[up].0 as usize].credit_balance(vc),
+    }
+}
+
+/// Hop `hop`'s occupancy: the cells of `vc` buffered at the switch it ends
+/// at.
+fn hop_buffered(switches: &[Switch], c: &Circuit, vc: VcId, hop: usize) -> u32 {
+    switches[c.switches[hop].0 as usize].buffered_cells(vc) as u32
+}
+
 impl Fabric {
     /// Attaches a deterministic fault layer built from `(spec, seed)`.
     /// Replaying the same pair over the same workload is byte-identical.
     ///
-    /// Call before traffic flows: existing best-effort circuits get fresh
-    /// ledger entries at full credit, which is only accurate while their
-    /// hardware gates are still full.
+    /// Every open best-effort circuit gets a ledger row per hop, its sent
+    /// counter at zero. Balances and occupancies are read off the hardware,
+    /// so they are right whenever the layer attaches; attach before traffic
+    /// flows all the same, because a cell sent before the layer is missing
+    /// from the count a resync reconciles against, and a resync while it is
+    /// still buffered would over-grant its buffer.
     pub fn attach_faults(&mut self, spec: &FaultSpec, seed: u64) {
         let mut layer = Box::new(FaultLayer {
             injector: FaultInjector::new(
@@ -138,7 +165,6 @@ impl Fabric {
                 self.topo.switch_count(),
             ),
             resync_interval: spec.resync_interval_slots,
-            check_invariants: spec.check_invariants,
             counters: FaultCounters::default(),
             ledger: Vec::new(),
         });
@@ -148,7 +174,7 @@ impl Fabric {
         }
         for (ci, _, c) in self.circuits.iter() {
             if matches!(c.class, TrafficClass::BestEffort) && !c.paged_out {
-                layer.open_hops(ci, c, self.cfg.be_credits);
+                layer.open_hops(ci, c);
             }
         }
         self.fault = Some(layer);
@@ -166,11 +192,11 @@ impl Fabric {
     }
 
     /// A circuit entered the table at slot `ci`: a best-effort one gets its
-    /// ledger entries.
+    /// ledger rows.
     pub(super) fn ledger_opened(&mut self, ci: usize, circuit: &Circuit) {
         if let Some(f) = self.fault.as_mut() {
             if matches!(circuit.class, TrafficClass::BestEffort) {
-                f.open_hops(ci, circuit, self.cfg.be_credits);
+                f.open_hops(ci, circuit);
             }
         }
     }
@@ -226,8 +252,8 @@ impl Fabric {
 
     /// Whether the line card at `switch` takes a cell the agenda delivers
     /// (always, when no fault layer is attached). A crashed card destroys
-    /// it on arrival; a live one's data cell is booked into the receiver
-    /// of the hop that ends there.
+    /// it on arrival; a live one takes it, and a data cell of a gated hop
+    /// whose buffers are all full counts as a violation.
     #[inline]
     pub(super) fn cell_arrives(&mut self, switch: SwitchId, cell: &Cell) -> bool {
         let Some(f) = self.fault.as_mut() else {
@@ -249,14 +275,17 @@ impl Fabric {
             return false;
         }
         if data {
-            if let Some((ci, hop)) = self.circuits.locate(vc, switch) {
-                if f.hop_mut(ci, hop)
-                    .is_some_and(|h| h.receiver.on_cell().is_err())
-                {
-                    // More cells arrived than the gate ever granted: the
-                    // credit protocol over-estimated somewhere.
-                    f.counters.invariant_violations += 1;
-                }
+            let gated = self
+                .circuits
+                .locate(vc, switch)
+                .is_some_and(|(ci, hop)| hop < f.hops(ci).len());
+            if gated
+                && self.switches[switch.0 as usize].buffered_cells(vc)
+                    >= self.cfg.be_credits as usize
+            {
+                // More cells arrived than the gate ever granted: the
+                // credit protocol over-estimated somewhere.
+                f.counters.invariant_violations += 1;
             }
         }
         true
@@ -264,10 +293,10 @@ impl Fabric {
 
     /// Whether a credit for `vc` that crossed `link` may top up the gate it
     /// reaches — switch `to`'s, or the source host's for `None` (always,
-    /// when no fault layer is attached). A crashed switch loses it; the
-    /// ledger's sender vets the rest: a credit stamped with a stale resync
-    /// epoch is ignored, and one beyond the hop's capacity is dropped and
-    /// counted as a violation rather than overflowing the gate.
+    /// when no fault layer is attached). A crashed switch loses it; of the
+    /// rest, a credit stamped with a stale resync epoch is ignored, and one
+    /// reaching a full gate is dropped and counted as a violation rather
+    /// than overflowing it.
     #[inline]
     pub(super) fn admit_credit(
         &mut self,
@@ -284,70 +313,41 @@ impl Fabric {
             return false;
         }
         let hop = self.circuits.idx_of(vc).and_then(|ci| {
-            let hop = self.circuits.at(ci)?.hop_on(link)?;
-            f.ledger.get_mut(ci)?.get_mut(hop)
+            let c = self.circuits.at(ci)?;
+            let hop = c.hop_on(link)?;
+            let row = f.hops(ci).get(hop)?;
+            Some((row.epoch, hop_gate(&self.switches, c, vc, hop)))
         });
-        let Some(h) = hop else {
+        let Some((current, gate)) = hop else {
             return true;
         };
-        if h.sender.balance() >= h.sender.capacity() {
+        if gate.is_some_and(|g| g >= self.cfg.be_credits) {
             f.counters.invariant_violations += 1;
             return false;
         }
-        h.sender.on_credit_with_epoch(epoch)
+        epoch == current
     }
 
     /// The gate feeding hop `hop` of circuit `ci` spent a credit on a cell
     /// (the source host's for hop 0, a switch's inside `step_into`
-    /// otherwise): mirror it into the ledger before anything can destroy
-    /// the cell. The final host-bound hop is ungated and has no entry.
+    /// otherwise): count it before anything can destroy the cell. The final
+    /// host-bound hop is ungated and has no row.
     #[inline]
     pub(super) fn ledger_cell_sent(&mut self, ci: usize, hop: usize) {
-        if let Some(f) = self.fault.as_mut() {
-            if f.hop_mut(ci, hop).is_some_and(|h| !h.sender.try_send()) {
-                // The hardware sent with an empty ledger gate: divergence.
-                f.counters.invariant_violations += 1;
-            }
-        }
-    }
-
-    /// A cell left hop `hop`'s buffer onto a dead link: the hardware freed
-    /// the buffer but no credit goes back — resync recovers it.
-    #[inline]
-    pub(super) fn ledger_cell_discarded(&mut self, ci: usize, hop: usize) {
-        if let Some(h) = self.fault.as_mut().and_then(|f| f.hop_mut(ci, hop)) {
-            let _ = h.receiver.forward();
+        if let Some(row) = self.fault.as_mut().and_then(|f| f.hop_mut(ci, hop)) {
+            row.sent += 1;
         }
     }
 
     /// A credit for one buffer freed on hop `hop` of circuit `ci` starts
     /// back over `link`: the epoch to stamp it with, or `None` when the
     /// wire eats it (`Some(0)` when no fault layer is attached).
-    /// `forwarded_data` is true when a data cell left the switch's queues
-    /// (the ledger's receiver retires the matching arrival); false for the
-    /// signal-processing path, where the line card frees the setup cell's
-    /// buffer without a data forward.
     #[inline]
-    pub(super) fn credit_crosses(
-        &mut self,
-        ci: usize,
-        hop: usize,
-        link: LinkId,
-        forwarded_data: bool,
-    ) -> Option<u32> {
+    pub(super) fn credit_crosses(&mut self, ci: usize, hop: usize, link: LinkId) -> Option<u32> {
         let Some(f) = self.fault.as_mut() else {
             return Some(0);
         };
-        let mut epoch = 0;
-        if let Some(h) = f.ledger.get_mut(ci).and_then(|hops| hops.get_mut(hop)) {
-            let retired = forwarded_data.then(|| h.receiver.forward()).flatten();
-            if forwarded_data && retired.is_none() {
-                // The hardware forwarded a cell the ledger never saw: the
-                // mirrors have diverged.
-                f.counters.invariant_violations += 1;
-            }
-            epoch = retired.unwrap_or_else(|| h.receiver.credit_epoch());
-        }
+        let epoch = f.hops(ci).get(hop).map_or(0, |row| row.credit_epoch);
         // Credits are control traffic: the upstream wire may eat them.
         if !f.injector.transmit_ctrl(link) {
             f.counters.credits_lost += 1;
@@ -388,7 +388,7 @@ impl Fabric {
     }
 
     /// Starts a resync on every hop of `vc` that is missing credits.
-    /// Returns false without a fault layer or ledger entries.
+    /// Returns false without a fault layer or ledger rows.
     pub fn force_resync(&mut self, vc: VcId) -> bool {
         if self.ledger_of(vc).is_empty() {
             return false;
@@ -399,9 +399,9 @@ impl Fabric {
         true
     }
 
-    /// The ledger entries of `vc` (none without a fault layer, or for a
+    /// The ledger rows of `vc` (none without a fault layer, or for a
     /// circuit that is closed or ungated).
-    fn ledger_of(&self, vc: VcId) -> &[HopFlow] {
+    fn ledger_of(&self, vc: VcId) -> &[LedgerRow] {
         match (&self.fault, self.circuits.idx_of(vc)) {
             (Some(f), Some(ci)) => f.hops(ci),
             _ => &[],
@@ -410,21 +410,25 @@ impl Fabric {
 
     /// Whether any hop of `vc` has a resync in flight.
     pub fn resync_pending(&self, vc: VcId) -> bool {
-        self.ledger_of(vc).iter().any(|h| h.pending_epoch.is_some())
+        self.ledger_of(vc).iter().any(|row| row.resync_pending)
     }
 
     /// Whether every gated hop of `vc` holds its full credit capacity —
     /// the post-resync quiescent state.
     pub fn credits_fully_restored(&self, vc: VcId) -> bool {
-        let hops = self.ledger_of(vc);
-        !hops.is_empty()
-            && hops
-                .iter()
-                .all(|h| h.sender.balance() == h.sender.capacity())
+        let hops = self.ledger_of(vc).len();
+        let full = Some(self.cfg.be_credits);
+        hops > 0
+            && self
+                .circuits
+                .get(vc)
+                .is_some_and(|c| (0..hops).all(|hop| hop_gate(&self.switches, c, vc, hop) == full))
     }
 
-    /// A resync marker reached the downstream end of its hop: compute the
-    /// lossy reply and send it back upstream (itself subject to loss).
+    /// A resync marker reached the downstream end of its hop: stamp its
+    /// epoch on the credits that end returns from now on, and send the
+    /// lossy reply, counted off the switch's buffers, back upstream
+    /// (itself subject to loss).
     pub(super) fn deliver_marker(&mut self, vc: VcId, link: LinkId, marker: resync::Marker) {
         let f = self
             .fault
@@ -433,9 +437,13 @@ impl Fabric {
         let reply = self.circuits.idx_of(vc).and_then(|ci| {
             let c = self.circuits.at(ci)?;
             let p = c.hop_on(link)?;
-            let h = f.ledger.get_mut(ci)?.get_mut(p)?;
-            let downstream_dead = f.injector.crashed(c.switches[p]);
-            (!downstream_dead).then(|| resync::handle_marker_lossy(&mut h.receiver, marker))
+            let row = f.ledger.get_mut(ci)?.get_mut(p)?;
+            if f.injector.crashed(c.switches[p]) {
+                return None;
+            }
+            row.credit_epoch = marker.epoch;
+            let occupied = hop_buffered(&self.switches, c, vc, p);
+            Some(resync::lossy_reply(marker, occupied))
         });
         let Some(reply) = reply else {
             f.counters.markers_lost += 1;
@@ -450,8 +458,8 @@ impl Fabric {
         }
     }
 
-    /// A resync reply reached the upstream end of its hop: apply it and
-    /// sync the hardware gate to the recovered balance.
+    /// A resync reply reached the upstream end of its hop: write the
+    /// recovered balance into the hop's gate.
     pub(super) fn deliver_reply(&mut self, vc: VcId, link: LinkId, reply: resync::Reply) {
         let f = self
             .fault
@@ -464,7 +472,7 @@ impl Fabric {
             return;
         };
         let Some(p) = c.hop_on(link) else { return };
-        let Some(h) = f.ledger.get_mut(ci).and_then(|hops| hops.get_mut(p)) else {
+        let Some(row) = f.ledger.get_mut(ci).and_then(|hops| hops.get_mut(p)) else {
             return;
         };
         let upstream = p.checked_sub(1).map(|u| c.switches[u]);
@@ -472,16 +480,13 @@ impl Fabric {
             f.counters.replies_lost += 1;
             return;
         }
-        if reply.epoch != h.sender.epoch() {
+        if reply.epoch != row.epoch {
             // Replies to superseded markers are ignored (§5: any later
             // resync reconciles everything an older one would have).
             return;
         }
-        resync::finish(&mut h.sender, reply);
-        if h.pending_epoch == Some(reply.epoch) {
-            h.pending_epoch = None;
-        }
-        let balance = h.sender.balance();
+        row.resync_pending = false;
+        let balance = resync::recovered_balance(self.cfg.be_credits, row.sent, reply);
         f.counters.resyncs_completed += 1;
         if let Some(t) = &mut self.trace {
             t.lane.emit(TraceEvent::ResyncComplete {
@@ -531,9 +536,11 @@ impl Fabric {
         }
     }
 
-    /// A line card crashes: every cell buffered in the switch vanishes.
-    /// Routing tables, schedules and hardware credit gates survive (they
-    /// are reloaded from the hardware map on restart).
+    /// A line card crashes: every cell buffered in the switch vanishes, and
+    /// with it the occupancy of every hop ending there, so the next
+    /// lossy-marker resync gives their credits back. Routing tables,
+    /// schedules and hardware credit gates survive (they are reloaded from
+    /// the hardware map on restart).
     fn crash_switch(&mut self, s: SwitchId) {
         let f = self
             .fault
@@ -547,20 +554,11 @@ impl Fabric {
                 // small even for a full line card.
                 t.cells_dropped(vc, DropReason::Crash, n as u64);
             }
-            let Some(ci) = self.circuits.idx_of(vc) else {
-                continue;
-            };
-            let Some(c) = self.circuits.at_mut(ci) else {
-                continue;
-            };
-            c.stats.lost_cells += n as u64;
-            for _ in 0..n {
-                c.inject_slots.pop_front();
-            }
-            // The ledger's receiver loses the same buffered cells; their
-            // credits come back via the next lossy-marker resync.
-            if let Some(h) = c.hop_at(s).and_then(|hop| f.hop_mut(ci, hop)) {
-                h.receiver.drop_buffered(n as u32);
+            if let Some(c) = self.circuits.get_mut(vc) {
+                c.stats.lost_cells += n as u64;
+                for _ in 0..n {
+                    c.inject_slots.pop_front();
+                }
             }
         }
         f.counters.crash_dropped_cells += total;
@@ -614,13 +612,18 @@ impl Fabric {
         };
         let vc = self.circuits.vc_at(ci);
         let base_due = self.slot + self.cfg.link_latency_slots;
+        let full = Some(self.cfg.be_credits);
         let hops = f.ledger.get_mut(ci).map_or(&mut [][..], Vec::as_mut_slice);
-        for (p, h) in hops.iter_mut().enumerate() {
-            if h.sender.balance() == h.sender.capacity() && h.pending_epoch.is_none() {
+        for (p, row) in hops.iter_mut().enumerate() {
+            if !row.resync_pending && hop_gate(&self.switches, c, vc, p) == full {
                 continue; // nothing to reconcile on this hop
             }
-            let marker = resync::begin(&mut h.sender);
-            h.pending_epoch = Some(marker.epoch);
+            row.epoch += 1;
+            row.resync_pending = true;
+            let marker = resync::Marker {
+                epoch: row.epoch,
+                sent: row.sent,
+            };
             let link = c.hop_link(p);
             // The marker rides the data channel (same FIFO clamp), which
             // is what makes the lossy reply safe.
@@ -657,11 +660,10 @@ impl Fabric {
     /// * the next scripted flap or crash not yet applied;
     /// * the next positive multiple of the resync interval, whose slot
     ///   walks every circuit for credits to reconcile;
-    /// * with invariant checking on, any slot at all unless every check
-    ///   passes now: violations are counted per slot, and a quiet stretch
-    ///   changes no gate, ledger entry or buffer, so a clean state stays
-    ///   clean over every skipped slot while a dirty one must keep being
-    ///   stepped to keep being counted.
+    /// * any slot at all unless every invariant holds now: violations are
+    ///   counted per slot, and a quiet stretch changes no gate or buffer,
+    ///   so a clean state stays clean over every skipped slot while a dirty
+    ///   one must keep being stepped to keep being counted.
     ///
     /// With batching off a faulted fabric steps every slot: the oracle the
     /// `watermark_equiv` fault legs compare the jump against.
@@ -681,16 +683,16 @@ impl Fabric {
             // Slot 0 is a multiple but not a positive one.
             bound = bound.min(slot.max(1).next_multiple_of(f.resync_interval));
         }
-        if bound <= slot || (f.check_invariants && self.invariant_violations(f) != 0) {
+        if bound <= slot || self.invariant_violations(f) != 0 {
             return None;
         }
         Some(bound)
     }
 
-    /// Soak-mode invariant checks, run once per slot after every phase has
-    /// settled (when the spec asked for them).
-    pub(super) fn check_invariants_slot(&mut self) {
-        let Some(f) = self.fault.as_deref().filter(|f| f.check_invariants) else {
+    /// The invariant check, run once per slot after every phase has
+    /// settled whenever a fault layer is attached.
+    pub(super) fn count_invariant_violations(&mut self) {
+        let Some(f) = self.fault.as_deref() else {
             return;
         };
         let violations = self.invariant_violations(f);
@@ -705,35 +707,19 @@ impl Fabric {
         }
     }
 
-    /// The invariants the current state breaks: credit conservation per
-    /// hop, ledger/hardware gate agreement, and ledger/hardware buffer
-    /// agreement.
+    /// The gated hops that break credit conservation on the hardware: the
+    /// upstream gate plus the cells buffered downstream exceed the hop's
+    /// buffers (§5's core guarantee — loss may shrink the sum, never grow
+    /// it).
     fn invariant_violations(&self, f: &FaultLayer) -> u64 {
         let mut violations = 0u64;
         for (ci, vc, c) in self.circuits.iter() {
-            let hops = f.hops(ci);
-            if hops.is_empty() || c.paged_out {
+            if c.paged_out {
                 continue;
             }
-            if c.host_credits
-                .is_some_and(|hc| hc != hops[0].sender.balance())
-            {
-                violations += 1;
-            }
-            for (p, h) in hops.iter().enumerate() {
-                // Conservation: credits held plus cells buffered can never
-                // exceed the hop's buffer capacity (§5's core guarantee —
-                // loss may shrink the sum, never grow it).
-                if h.sender.balance() + h.receiver.occupied() > h.sender.capacity() {
-                    violations += 1;
-                }
-                if let Some(up) = p.checked_sub(1).map(|u| c.switches[u]) {
-                    if self.switches[up.0 as usize].credit_balance(vc) != Some(h.sender.balance()) {
-                        violations += 1;
-                    }
-                }
-                let buffered = self.switches[c.switches[p].0 as usize].buffered_cells(vc) as u32;
-                if h.receiver.occupied() != buffered {
+            for hop in 0..f.hops(ci).len() {
+                let gate = hop_gate(&self.switches, c, vc, hop).unwrap_or(0);
+                if gate + hop_buffered(&self.switches, c, vc, hop) > self.cfg.be_credits {
                     violations += 1;
                 }
             }

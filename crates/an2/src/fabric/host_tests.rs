@@ -242,7 +242,6 @@ fn ready_set_tracks_the_predicate_under_loss_and_resync() {
             jitter_slots: 0,
         },
         resync_interval_slots: 0,
-        check_invariants: true,
         ..FaultSpec::default()
     };
     r.f.attach_faults(&spec, 3);

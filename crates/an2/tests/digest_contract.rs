@@ -124,7 +124,6 @@ fn faulted_run(shards: usize, batched: bool, traced: bool) -> u64 {
         .map(|pair| net.open_best_effort(pair[0], pair[1]).unwrap())
         .collect();
     let mut spec = FaultSpec {
-        check_invariants: true,
         resync_interval_slots: 2_000,
         ..Default::default()
     };

@@ -145,7 +145,6 @@ fn spec_for(mode: Mode, topo: &Topology) -> Option<FaultSpec> {
                 restart_at: 330,
             }],
             resync_interval_slots: 256,
-            check_invariants: true,
             ..FaultSpec::default()
         }),
     }
@@ -431,7 +430,6 @@ fn network_run(row: usize, shards: usize, traced: bool) -> Outcome {
     }
     let backbone = switch_links(net.topology());
     let mut spec = FaultSpec {
-        check_invariants: true,
         resync_interval_slots: 2_000,
         flaps: vec![FlapEvent {
             link: backbone[row].0,

@@ -115,7 +115,6 @@ fn lossy_link_recovers_credits_via_resync() {
             },
         )],
         resync_interval_slots: 2_000,
-        check_invariants: true,
         ..Default::default()
     };
     f.attach_faults(&spec, 7);
@@ -178,7 +177,6 @@ fn corruption_is_caught_end_to_end() {
                 ..Default::default()
             },
         )],
-        check_invariants: true,
         ..Default::default()
     };
     f.attach_faults(&spec, 21);
@@ -219,7 +217,6 @@ fn crash_and_restart_resumes_delivery() {
             restart_at: 3_000,
         }],
         resync_interval_slots: 2_000,
-        check_invariants: true,
         ..Default::default()
     };
     f.attach_faults(&spec, 3);
@@ -276,7 +273,6 @@ fn flap_is_detected_and_repaired_by_the_monitor() {
             down_at,
             up_at,
         }],
-        check_invariants: true,
         ..Default::default()
     };
     spec.monitor.ping_interval = SimDuration::from_millis(1);
@@ -367,7 +363,6 @@ fn replay_is_byte_identical() {
                 },
             )],
             resync_interval_slots: 1_000,
-            check_invariants: true,
             ..Default::default()
         };
         f.attach_faults(&spec, seed);

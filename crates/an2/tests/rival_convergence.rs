@@ -20,10 +20,7 @@ use an2_topology::{generators, LinkId, LinkState, Node, Topology};
 const NEVER: u64 = 1_000_000_000;
 
 fn quiet_spec() -> FaultSpec {
-    let mut spec = FaultSpec {
-        check_invariants: true,
-        ..Default::default()
-    };
+    let mut spec = FaultSpec::default();
     spec.monitor.ping_interval = SimDuration::from_millis(1);
     spec
 }

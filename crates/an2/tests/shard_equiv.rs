@@ -333,10 +333,7 @@ fn network_run(topo: usize, seed: u64, shards: usize) -> (u64, u64) {
             }
         }
     }
-    let mut spec = FaultSpec {
-        check_invariants: true,
-        ..Default::default()
-    };
+    let mut spec = FaultSpec::default();
     spec.default_link.loss = LossModel::Independent { p: 0.002 };
     spec.monitor.ping_interval = SimDuration::from_millis(1);
     net.attach_faults(&spec, seed);

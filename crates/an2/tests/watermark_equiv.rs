@@ -309,7 +309,6 @@ fn fault_drive(
             jitter_slots: 80,
         },
         resync_interval_slots: 256,
-        check_invariants: true,
         ..Default::default()
     };
     spec.per_link.push((
@@ -434,13 +433,7 @@ fn a_persisting_violation_is_still_counted_every_slot() {
         let vc = VcId::new(9);
         let upstream = sw[0];
         f.open_circuit(vc, src, dst, TrafficClass::BestEffort, sw, links, sl, dl);
-        f.attach_faults(
-            &FaultSpec {
-                check_invariants: true,
-                ..Default::default()
-            },
-            4,
-        );
+        f.attach_faults(&FaultSpec::default(), 4);
         f.step(1_000);
         let clean_skips = f.profile().expect("profiling enabled").skipped_slots;
         assert_eq!(
@@ -448,8 +441,10 @@ fn a_persisting_violation_is_still_counted_every_slot() {
             batched,
             "an idle clean fabric jumps iff batched"
         );
-        // The hardware gate now disagrees with its ledger entry.
-        f.switch_mut(upstream).set_credits(vc, 3);
+        // The hardware gate now holds one credit more than the hop has
+        // buffers: conservation breaks on an idle hop.
+        f.switch_mut(upstream)
+            .set_credits(vc, FabricConfig::default().be_credits + 1);
         f.step(5_000);
         assert_eq!(
             f.profile().expect("profiling enabled").skipped_slots,
@@ -459,7 +454,7 @@ fn a_persisting_violation_is_still_counted_every_slot() {
         f.fault_counters().expect("attached").invariant_violations
     };
     let stepped = violations(false);
-    assert_eq!(stepped, 5_000, "one disagreement, once per slot");
+    assert_eq!(stepped, 5_000, "one over-full gate, once per slot");
     assert_eq!(violations(true), stepped);
 }
 
@@ -558,10 +553,7 @@ fn network_run(topo: usize, seed: u64, batched: bool, churn: bool) -> FaultRun {
             }
         }
     }
-    let mut spec = FaultSpec {
-        check_invariants: true,
-        ..Default::default()
-    };
+    let mut spec = FaultSpec::default();
     spec.default_link.loss = LossModel::Independent { p: 0.002 };
     if churn {
         churn_loss(&mut spec);
@@ -661,10 +653,7 @@ fn skeptic_run(topo: usize, seed: u64, batched: bool, chunk: u64, churn: bool) -
             matches!((a.node, b.node), (Node::Switch(_), Node::Switch(_)))
         })
         .collect();
-    let mut spec = FaultSpec {
-        check_invariants: true,
-        ..Default::default()
-    };
+    let mut spec = FaultSpec::default();
     if churn {
         churn_loss(&mut spec);
     }

@@ -192,7 +192,6 @@ pub fn n3_chaos_soak() -> (Vec<ChaosRow>, String) {
     let mut loss_spec = FaultSpec {
         default_link: bursty_percent_loss(),
         resync_interval_slots: 2_000,
-        check_invariants: true,
         ..Default::default()
     };
     per_ms_monitor(&mut loss_spec);
@@ -230,7 +229,6 @@ pub fn n3_chaos_soak() -> (Vec<ChaosRow>, String) {
             down_at,
             up_at,
         }],
-        check_invariants: true,
         ..Default::default()
     };
     per_ms_monitor(&mut flap_spec);
@@ -290,7 +288,6 @@ pub fn n3_chaos_soak() -> (Vec<ChaosRow>, String) {
             restart_at: 120_000,
         }],
         resync_interval_slots: 4_000,
-        check_invariants: true,
         ..Default::default()
     };
     per_ms_monitor(&mut crash_spec);
@@ -325,7 +322,6 @@ pub fn n3_chaos_soak() -> (Vec<ChaosRow>, String) {
             restart_at: 320_000,
         }],
         resync_interval_slots: 2_000,
-        check_invariants: true,
         ..Default::default()
     };
     per_ms_monitor(&mut soak_spec);

@@ -38,10 +38,7 @@ pub(crate) const NEVER: u64 = 1_000_000_000;
 /// A fault layer that injects nothing, with the invariant checker on and
 /// the monitor pinging every millisecond: what N4 and N9 script onto.
 pub(crate) fn quiet_spec() -> FaultSpec {
-    let mut spec = FaultSpec {
-        check_invariants: true,
-        ..Default::default()
-    };
+    let mut spec = FaultSpec::default();
     spec.monitor.ping_interval = SimDuration::from_millis(1);
     spec
 }

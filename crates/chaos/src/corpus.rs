@@ -102,13 +102,6 @@ impl JVal {
         }
     }
 
-    fn as_bool(&self) -> Res<bool> {
-        match *self {
-            JVal::Bool(b) => Ok(b),
-            ref other => err(format!("expected bool, got {other:?}")),
-        }
-    }
-
     fn as_str(&self) -> Res<&str> {
         match self {
             JVal::Str(s) => Ok(s),
@@ -545,7 +538,6 @@ pub fn schedule_to_json(s: &Schedule, violations: &[String]) -> JVal {
                     ),
                 ),
                 ("resync_interval_slots", JVal::UInt(f.resync_interval_slots)),
-                ("check_invariants", JVal::Bool(f.check_invariants)),
                 (
                     "monitor",
                     obj(vec![
@@ -619,7 +611,6 @@ pub fn schedule_from_json(v: &JVal) -> Res<Schedule> {
             })
             .collect::<Res<Vec<_>>>()?,
         resync_interval_slots: f.want("resync_interval_slots")?.as_u64()?,
-        check_invariants: f.want("check_invariants")?.as_bool()?,
         monitor: MonitorConfig {
             ping_interval: SimDuration::from_nanos(m.want("ping_interval_ns")?.as_u64()?),
             fail_threshold: m.want("fail_threshold")?.as_u32()?,

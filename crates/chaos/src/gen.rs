@@ -200,7 +200,6 @@ pub fn generate(spec: &CampaignSpec, seed: u64) -> Schedule {
 
     let mut fault = FaultSpec {
         resync_interval_slots: 2_048,
-        check_invariants: true,
         ..Default::default()
     };
     fault.monitor.ping_interval = SimDuration::from_millis(1);

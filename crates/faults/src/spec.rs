@@ -83,7 +83,8 @@ pub struct CrashEvent {
 }
 
 /// The complete fault scenario for one run. The default spec is inert:
-/// no loss, no events, resync off, invariant checks off.
+/// no loss, no events, resync off. (The fabric checks its credit
+/// invariants whenever a fault layer is attached; no spec turns that off.)
 #[derive(Debug, Clone, Default)]
 pub struct FaultSpec {
     /// Fault model applied to every link not listed in `per_link`.
@@ -97,9 +98,6 @@ pub struct FaultSpec {
     /// Emit credit-resync markers on every credit-gated hop each this many
     /// slots; `0` disables resync entirely.
     pub resync_interval_slots: u64,
-    /// Run the per-slot invariant checkers (credit conservation, buffer
-    /// bounds); violations are counted, never panicked on.
-    pub check_invariants: bool,
     /// Monitor/skeptic tuning for the ping loop that watches inter-switch
     /// links.
     pub monitor: MonitorConfig,
@@ -116,8 +114,8 @@ impl FaultSpec {
     }
 
     /// True when the spec can never perturb the run: no loss, corruption,
-    /// jitter, flaps or crashes anywhere. (Resync markers and invariant
-    /// checks may still be active — they are observers, not perturbations.)
+    /// jitter, flaps or crashes anywhere. (Resync markers may still be
+    /// active — they are observers, not perturbations.)
     pub fn is_inert(&self) -> bool {
         self.default_link.is_inert()
             && self.per_link.iter().all(|(_, m)| m.is_inert())
@@ -172,10 +170,9 @@ mod tests {
             ..Default::default()
         };
         assert!(!crasher.is_inert());
-        // Observers alone (resync + invariant checks) leave the spec inert.
+        // An observer alone (resync) leaves the spec inert.
         let observer = FaultSpec {
             resync_interval_slots: 512,
-            check_invariants: true,
             ..Default::default()
         };
         assert!(observer.is_inert());

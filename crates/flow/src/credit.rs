@@ -1,5 +1,6 @@
 //! The two ends of a flow-controlled link, per virtual circuit.
 
+use crate::resync::{self, Reply};
 use std::fmt;
 
 /// Error raised when a cell arrives at a downstream line card with no buffer
@@ -132,16 +133,15 @@ impl CreditSender {
         (self.epoch, self.sent)
     }
 
-    pub(crate) fn finish_resync(&mut self, epoch: u32, forwarded: u64) {
-        if epoch != self.epoch {
+    pub(crate) fn finish_resync(&mut self, reply: Reply) {
+        if reply.epoch != self.epoch {
             return; // reply to an older marker; a newer resync supersedes it
         }
-        let outstanding = self.sent - forwarded;
         debug_assert!(
-            outstanding <= self.capacity as u64 + 1_000_000,
+            reply.forwarded <= self.sent,
             "forwarded counter ran ahead of sent"
         );
-        self.balance = self.capacity.saturating_sub(outstanding as u32);
+        self.balance = resync::recovered_balance(self.capacity, self.sent, reply);
     }
 }
 

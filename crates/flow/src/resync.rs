@@ -83,16 +83,32 @@ pub fn handle_marker(receiver: &mut CreditReceiver, marker: Marker) -> Reply {
 /// remains impossible.
 pub fn handle_marker_lossy(receiver: &mut CreditReceiver, marker: Marker) -> Reply {
     let _own_forwarded = receiver.handle_marker(marker.epoch); // stamps the epoch
+    lossy_reply(marker, receiver.occupied())
+}
+
+/// The reply [`handle_marker_lossy`] sends when `occupied` of the hop's
+/// buffers hold cells at marker time: `marker.sent − occupied`, for any
+/// downstream end that counts its buffered cells (a switch reads them off
+/// its queues).
+pub fn lossy_reply(marker: Marker, occupied: u32) -> Reply {
     Reply {
         epoch: marker.epoch,
-        forwarded: marker.sent.saturating_sub(receiver.occupied() as u64),
+        forwarded: marker.sent.saturating_sub(occupied as u64),
     }
+}
+
+/// The balance a sender that has sent `sent` cells in all recovers from
+/// `reply`: `capacity − (sent − reply.forwarded)`, every buffer not
+/// accounted for by a cell still outstanding.
+pub fn recovered_balance(capacity: u32, sent: u64, reply: Reply) -> u32 {
+    let outstanding = sent.saturating_sub(reply.forwarded);
+    capacity.saturating_sub(outstanding.min(capacity as u64) as u32)
 }
 
 /// Completes the resynchronization at the upstream end. Replies to stale
 /// markers (superseded by a newer resync) are ignored.
 pub fn finish(sender: &mut CreditSender, reply: Reply) {
-    sender.finish_resync(reply.epoch, reply.forwarded);
+    sender.finish_resync(reply);
 }
 
 #[cfg(test)]

@@ -656,8 +656,9 @@ impl Switch {
     }
 
     /// Cells of `vc` buffered anywhere in the switch: every input queue
-    /// plus the unrouted pending buffer. This is the line-card occupancy a
-    /// fault layer's shadow credit receiver must mirror.
+    /// plus the unrouted pending buffer: the occupancy of the credit-gated
+    /// hop that ends here, which a fabric's credit resync and conservation
+    /// check read.
     pub fn buffered_cells(&self, vc: VcId) -> usize {
         let Some(si) = self.slot_of(vc) else {
             return 0;
@@ -673,7 +674,7 @@ impl Switch {
     /// memory. Routing tables, schedules and credit gates survive (a warm
     /// restart); only the buffered cells are gone. Returns how many cells
     /// each circuit lost, in slab order, so the fabric can charge the loss
-    /// to the right circuits and shadow receivers.
+    /// to the right circuits.
     pub fn drop_queued_cells(&mut self) -> Vec<(VcId, usize)> {
         let mut out = Vec::new();
         for si in 0..self.vcs.len() {

@@ -41,10 +41,7 @@ fn drive_failure() -> (Network, Tracer, LinkId, u64) {
         }
     }
     let down_at = 40_000u64;
-    let mut spec = FaultSpec {
-        check_invariants: true,
-        ..Default::default()
-    };
+    let mut spec = FaultSpec::default();
     spec.monitor.ping_interval = SimDuration::from_millis(1);
     spec.flaps.push(FlapEvent {
         link: victim,
@@ -219,10 +216,7 @@ fn drive_flap_with_recovery() -> (Network, Tracer, LinkId) {
             circuits.push(net.open_best_effort(a, b).expect("open circuit"));
         }
     }
-    let mut spec = FaultSpec {
-        check_invariants: true,
-        ..Default::default()
-    };
+    let mut spec = FaultSpec::default();
     spec.monitor.ping_interval = SimDuration::from_millis(1);
     spec.monitor.skeptic = SkepticConfig {
         base_wait: SimDuration::from_millis(50),

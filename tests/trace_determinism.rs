@@ -31,10 +31,7 @@ enum Mode {
 /// Lossy links plus a fast monitor, so the run exercises every RNG-adjacent
 /// path the tracer instruments: fault draws, credit resync, verdicts.
 fn spec() -> FaultSpec {
-    let mut spec = FaultSpec {
-        check_invariants: true,
-        ..Default::default()
-    };
+    let mut spec = FaultSpec::default();
     spec.default_link.loss = LossModel::Independent { p: 0.002 };
     spec.monitor.ping_interval = SimDuration::from_millis(1);
     spec
