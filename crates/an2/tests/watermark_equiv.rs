@@ -21,6 +21,10 @@
 //! `Network` legs under independent and Gilbert–Elliott loss) compare the
 //! two, and each states the share of its slots the batched run jumped as a
 //! floor.
+//!
+//! Every slot-by-slot answer is also a row of a pin table beside its
+//! comparison: per grid point, the digest and the cells delivered (the
+//! quarantines entered, on the skeptic legs).
 
 use an2::{
     CrashEvent, FabricConfig, FaultSpec, FlapEvent, LinkFaultModel, LossModel, Network,
@@ -29,6 +33,9 @@ use an2::{
 use an2_cells::{Packet, Segmenter, VcId};
 use an2_sim::{Fnv, SimDuration, SimRng};
 use an2_topology::{generators, paths, HostId, LinkId, LinkState, Node, SwitchId, Topology};
+
+/// The `Fabric` grids' topologies, as their pin rows name them.
+const TOPOLOGIES: [&str; 3] = ["line3", "src4x6", "fat2x3"];
 
 /// The grids' topologies, fewest switches first: a three-switch line,
 /// the four-switch installation, the twelve-switch fat-tree.
@@ -64,6 +71,14 @@ fn on_top_of(digest: u64, received: Vec<(VcId, Packet)>, slot: u64) -> Fnv {
     }
     h.add(slot);
     h
+}
+
+/// A grid's rows against its pin table; the failure prints both.
+fn assert_pins(grid: &str, actual: &str, pinned: &str) {
+    assert!(
+        actual == pinned,
+        "{grid} moved off the pins.\n--- actual ---\n{actual}--- pinned ---\n{pinned}"
+    );
 }
 
 /// The two `VcStats` fields the library walk leaves out.
@@ -200,16 +215,37 @@ fn drive(
     (h.finish(), delivered, skipped)
 }
 
+/// Topology × seed → the slot-by-slot engine's answer: the untraced and
+/// traced digests and the cells delivered.
+const FAST_FORWARD_PINS: &str = "\
+line3/s0 digest=f92fe8f07d9ae7ef traced=d8dcb278ee8fe060 delivered=148\n\
+line3/s1 digest=c91ac1f0fbdb1b77 traced=f57d86e773638fab delivered=186\n\
+line3/s2 digest=b39dbf3dfc0a66d4 traced=089105dd70e9ebe1 delivered=90\n\
+line3/s3 digest=24d3d8b6738ab2e3 traced=28eaad5d6cfcc422 delivered=48\n\
+src4x6/s0 digest=2333f168f51b815d traced=ea74cf415f947101 delivered=260\n\
+src4x6/s1 digest=8b1996654a5b010e traced=3e49722a77c3330b delivered=254\n\
+src4x6/s2 digest=65da5707241c6951 traced=316c35b80e5968b9 delivered=307\n\
+src4x6/s3 digest=ceba08fed113b7a0 traced=be2a6861579bddf6 delivered=199\n\
+fat2x3/s0 digest=c9f80bcda085efa3 traced=313b96dfe3f6a379 delivered=256\n\
+fat2x3/s1 digest=1d599efec9cb6c30 traced=eae4b48c1793c679 delivered=250\n\
+fat2x3/s2 digest=b537d2dce54638f9 traced=634e931b5e0b9e80 delivered=268\n\
+fat2x3/s3 digest=4d227cae034fea88 traced=d9ca967cb41d9e99 delivered=178\n\
+";
+
 /// Each topology, fewest switches first, under four seeds: batched runs
 /// digest as slot-by-slot ones, traced and untraced, and with two shards.
 #[test]
 fn fast_forwarding_is_invisible() {
-    for topo_idx in 0..3usize {
+    let mut actual = String::new();
+    for (topo_idx, name) in TOPOLOGIES.into_iter().enumerate() {
         for seed in 0..4u64 {
-            let at = format!("topo {topo_idx}, seed {seed}");
+            let at = format!("{name}/s{seed}");
             let wl_seed = seed + 100;
             let (base, delivered, _) = drive(topo_idx, seed, wl_seed, false, 1, false);
             let (base_traced, _, _) = drive(topo_idx, seed, wl_seed, false, 1, true);
+            actual += &format!(
+                "{at} digest={base:016x} traced={base_traced:016x} delivered={delivered}\n"
+            );
             assert!(delivered > 0, "{at}: workload moved no traffic");
             let (batched, b_delivered, skipped) = drive(topo_idx, seed, wl_seed, true, 1, false);
             assert_eq!(base, batched, "{at}: batching diverged from slot-by-slot");
@@ -225,6 +261,7 @@ fn fast_forwarding_is_invisible() {
             assert_eq!(base, batched_sharded, "{at}: batching + 2 shards diverged");
         }
     }
+    assert_pins("fast-forwarding", &actual, FAST_FORWARD_PINS);
 }
 
 /// Steps `slots` slots in calls of at most `chunk`.
@@ -389,17 +426,45 @@ fn fault_drive(
     }
 }
 
+/// Topology × seed × tracing → the slot-by-slot engine's answer under the
+/// fault layer: the digest and the cells delivered.
+const FAULT_PINS: &str = "\
+line3/s0 traced=false digest=55e412daf167594e delivered=175\n\
+line3/s0 traced=true digest=370b832ede78eea1 delivered=175\n\
+line3/s1 traced=false digest=edead097c79c9ec1 delivered=128\n\
+line3/s1 traced=true digest=58d04c31d5ae1109 delivered=128\n\
+line3/s2 traced=false digest=b9914b70d42e5e27 delivered=150\n\
+line3/s2 traced=true digest=d8460d4b96264e43 delivered=150\n\
+src4x6/s0 traced=false digest=c68b0e5995e238b8 delivered=177\n\
+src4x6/s0 traced=true digest=8b3f4ab9920304aa delivered=177\n\
+src4x6/s1 traced=false digest=25e4721f3c88255b delivered=130\n\
+src4x6/s1 traced=true digest=9017307011281921 delivered=130\n\
+src4x6/s2 traced=false digest=7306b509c366f653 delivered=172\n\
+src4x6/s2 traced=true digest=bef259cca77df3b8 delivered=172\n\
+fat2x3/s0 traced=false digest=cfd838d18005a09e delivered=172\n\
+fat2x3/s0 traced=true digest=b57cf0a355b74c74 delivered=172\n\
+fat2x3/s1 traced=false digest=2e55c7d814dbb7a8 delivered=114\n\
+fat2x3/s1 traced=true digest=ee625a5d2efee18d delivered=114\n\
+fat2x3/s2 traced=false digest=6462729a5d818855 delivered=161\n\
+fat2x3/s2 traced=true digest=0e62b81ea69c0ef3 delivered=161\n\
+";
+
 /// The fault layer bounds the jump: batched against `set_batching(false)`,
 /// which steps a faulted fabric slot by slot, on each topology (fewest
 /// switches first) under three seeds.
 #[test]
 fn fast_forwarding_under_a_fault_layer_is_invisible() {
-    for topo_idx in 0..3usize {
+    let mut actual = String::new();
+    for (topo_idx, name) in TOPOLOGIES.into_iter().enumerate() {
         for seed in 0..3u64 {
             let wl_seed = seed + 100;
             for traced in [false, true] {
-                let at = format!("topo {topo_idx}, seed {seed}, traced {traced}");
+                let at = format!("{name}/s{seed} traced={traced}");
                 let base = fault_drive(topo_idx, seed, wl_seed, false, traced, u64::MAX);
+                actual += &format!(
+                    "{at} digest={:016x} delivered={}\n",
+                    base.digest, base.delivered
+                );
                 assert!(base.delivered > 0, "{at}: no traffic moved");
                 assert_eq!(base.skipped_slots, 0, "{at}: the oracle jumped");
                 for chunk in [u64::MAX, 1, 997] {
@@ -417,6 +482,7 @@ fn fast_forwarding_under_a_fault_layer_is_invisible() {
             }
         }
     }
+    assert_pins("the fault legs", &actual, FAULT_PINS);
 }
 
 /// A violation that persists is counted once per slot, so a dirty state
@@ -726,12 +792,29 @@ fn assert_jumped(run: &FaultRun, floor_pct: u64, leg: &str) {
     );
 }
 
+/// The skeptic legs' topologies, as their pin rows name them.
+const SKEPTIC_TOPOLOGIES: [&str; 2] = ["src4x8", "ring4x8"];
+
+/// Churn × topology → the slot-by-slot engine's answer under the skeptic:
+/// the digest and the quarantines entered.
+const SKEPTIC_PINS: &str = "\
+src4x8 churn=false digest=bc23e74533b8fe4a quarantines=4\n\
+ring4x8 churn=false digest=968c610a91650a8f quarantines=4\n\
+src4x8 churn=true digest=dcfd6de90c00a7f8 quarantines=3\n\
+ring4x8 churn=true digest=c26a869c5f65fba6 quarantines=3\n\
+";
+
 #[test]
 fn batched_stepping_never_skips_a_ping_or_holddown_expiry() {
+    let mut actual = String::new();
     for churn in [false, true] {
-        for topo in 0..2usize {
+        for (topo, name) in SKEPTIC_TOPOLOGIES.into_iter().enumerate() {
             let leg = format!("skeptic (topo {topo}, churn {churn})");
             let (base, quarantines) = skeptic_run(topo, 5, false, 3_000, churn);
+            actual += &format!(
+                "{name} churn={churn} digest={:016x} quarantines={quarantines}\n",
+                base.digest
+            );
             assert!(
                 quarantines > 0,
                 "the scripted flap train never quarantined ({leg}) — the leg proves nothing"
@@ -758,15 +841,47 @@ fn batched_stepping_never_skips_a_ping_or_holddown_expiry() {
             }
         }
     }
+    assert_pins("the skeptic legs", &actual, SKEPTIC_PINS);
 }
+
+/// The `Network` legs' topologies, as their pin rows name them.
+const NETWORK_TOPOLOGIES: [&str; 3] = ["src4x8", "src6x12", "ring4x8"];
+
+/// Churn × topology × seed → the slot-by-slot engine's answer on the full
+/// `Network`: the digest and the cells delivered.
+const NETWORK_PINS: &str = "\
+src4x8/s3 churn=false digest=53e417d6a107196f delivered=222\n\
+src4x8/s17 churn=false digest=49887262d088529e delivered=223\n\
+src4x8/s91 churn=false digest=f3814a6643b3e191 delivered=222\n\
+src6x12/s3 churn=false digest=7f579cdc81e60350 delivered=334\n\
+src6x12/s17 churn=false digest=c531170764382196 delivered=332\n\
+src6x12/s91 churn=false digest=59d1a8de9b182ae9 delivered=335\n\
+ring4x8/s3 churn=false digest=0d20a671b156cec1 delivered=223\n\
+ring4x8/s17 churn=false digest=3cb7eb345e019120 delivered=224\n\
+ring4x8/s91 churn=false digest=57d6af796fe9c8c5 delivered=223\n\
+src4x8/s3 churn=true digest=ba61464901fa8bfe delivered=218\n\
+src4x8/s17 churn=true digest=d38cd04f6c5fcd19 delivered=214\n\
+src4x8/s91 churn=true digest=7e46c26f9e943204 delivered=223\n\
+src6x12/s3 churn=true digest=4c681eb5c5189289 delivered=330\n\
+src6x12/s17 churn=true digest=dbbe89802bba9e1c delivered=327\n\
+src6x12/s91 churn=true digest=db1cd0bbfd3cd488 delivered=328\n\
+ring4x8/s3 churn=true digest=3e8373205bf9186e delivered=217\n\
+ring4x8/s17 churn=true digest=5685efdda31525ca delivered=216\n\
+ring4x8/s91 churn=true digest=1116cb4fd9e557d4 delivered=221\n\
+";
 
 #[test]
 fn batched_network_survives_loss_and_reconfiguration_identically() {
+    let mut actual = String::new();
     for churn in [false, true] {
-        for topo in 0..3usize {
+        for (topo, name) in NETWORK_TOPOLOGIES.into_iter().enumerate() {
             for seed in [3u64, 17, 91] {
                 let leg = format!("network (topo {topo}, seed {seed}, churn {churn})");
                 let base = network_run(topo, seed, false, churn);
+                actual += &format!(
+                    "{name}/s{seed} churn={churn} digest={:016x} delivered={}\n",
+                    base.digest, base.delivered
+                );
                 assert!(base.delivered > 0, "workload moved no traffic ({leg})");
                 assert_eq!(base.skipped_slots, 0, "{leg}: the oracle jumped");
                 let batched = network_run(topo, seed, true, churn);
@@ -780,4 +895,5 @@ fn batched_network_survives_loss_and_reconfiguration_identically() {
             }
         }
     }
+    assert_pins("the network legs", &actual, NETWORK_PINS);
 }
