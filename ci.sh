@@ -97,6 +97,16 @@ if grep -rn 'check_invariants' crates tests src examples; then
     exit 1
 fi
 
+echo "== one stepping engine: no batching toggle in crates, tests, src or examples"
+# Every switch is stepped only when its next-event watermark is due, and the
+# whole fabric jumps what no switch, wire or fault deadline needs. The
+# slot-by-slot engine that once ran beside it is pinned in watermark_equiv;
+# a switch to bring it back would be a second engine the pins do not cover.
+if grep -rnE 'set_batching|batching: bool|\.batching' crates tests src examples; then
+    echo "a batching toggle: the fabric has one stepping engine"
+    exit 1
+fi
+
 echo "== no file under crates/an2/src over 1200 lines"
 # ROADMAP item 1's bar. The cure for a file that trips it is a part with its
 # own state behind private fields (crates/an2/src/fabric/), not a second
@@ -118,7 +128,7 @@ if [[ "${1:-}" != "quick" ]]; then
     # re-runs in release, the build the benchmark measures, the suites that
     # pin or compare the data plane, the fault layer and the control
     # protocols.
-    echo "== release: fabric, pre-slab-fabric and shared-pair pins (absolute behaviour), port-width and watermark equivalence (fault legs against set_batching(false))"
+    echo "== release: fabric, pre-slab-fabric and shared-pair pins (absolute behaviour), port-width and watermark equivalence (fault legs assert the slot-by-slot engine's pins at every chunking)"
     cargo test -q --release -p an2 --test fabric_pins
     cargo test -q --release -p an2 --test reference_equiv
     cargo test -q --release -p an2-switch --test shared_pair_pins

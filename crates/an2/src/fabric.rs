@@ -171,10 +171,6 @@ pub struct Fabric {
     ctrl: CtrlTransport,
     // Reused per-slot buffers.
     events_scratch: Vec<(u64, Event)>,
-    /// Watermark-driven batching: per-switch idle skips and wide quiet-slot
-    /// jumps (default on; [`Fabric::set_batching`] turns it off to force the
-    /// slot-by-slot legacy path, which must stay byte-identical).
-    batching: bool,
     /// Wall-clock phase breakdown (`None` until
     /// [`Fabric::enable_profiling`]); the hot path pays one branch per phase
     /// when disabled. Timing reads the OS clock but feeds nothing back into
@@ -306,7 +302,6 @@ impl Fabric {
             trace: None,
             ctrl: CtrlTransport::default(),
             events_scratch: Vec::new(),
-            batching: true,
             profile: None,
         };
         fabric.rebuild_port_map();
@@ -356,24 +351,6 @@ impl Fabric {
     /// alone could gain from the threads.
     pub fn shard_work(&self) -> &[u64] {
         &self.shard_work
-    }
-
-    /// Turns watermark-driven batching on or off (on by default).
-    ///
-    /// With batching on, every switch maintains a *next-event watermark* —
-    /// the earliest slot at which stepping it could change anything — and
-    /// the fabric skips `step` for switches whose watermark lies in the
-    /// future, jumping whole quiet stretches when every switch and the
-    /// agenda agree. An idle switch's step draws no randomness and moves no
-    /// cell, so the skip is byte-identical to stepping; the
-    /// `watermark_equiv` tests pin that down. Turning batching off forces
-    /// the legacy slot-by-slot path, the oracle those tests compare
-    /// against; with a fault layer attached it steps every slot, quiet or
-    /// not, which is what their fault legs compare against. The switches
-    /// themselves step the same way either way: the toggle is the fabric's
-    /// alone.
-    pub fn set_batching(&mut self, on: bool) {
-        self.batching = on;
     }
 
     /// Starts recording the wall-clock phase breakdown of every subsequent
@@ -477,29 +454,36 @@ impl Fabric {
         self.agenda.count_matching(|e| e.link() == link)
     }
 
-    /// Advances the fabric by `slots` cell slots, fast-forwarding through
-    /// provably quiet stretches: when no cell, credit or control message is
-    /// queued or in flight anywhere, the only per-slot work is clock
-    /// bookkeeping, so the fabric jumps straight to the next scheduled
-    /// event (clamped to the next guaranteed-token frame boundary, which
-    /// must still execute, and under a fault layer to its next scripted
-    /// transition and periodic resync). `Network::step` cuts its calls at
-    /// the network layer's own deadlines — ping rounds, control arrivals —
-    /// so one mechanism fast-forwards faulted and fault-free runs alike.
+    /// Advances the fabric by `slots` cell slots, stepping only what can
+    /// change. Every switch keeps a *next-event watermark* — the earliest
+    /// slot at which stepping it could change anything — and a switch whose
+    /// watermark lies in the future only has its clock moved: its step
+    /// would draw no randomness and move no cell. When no cell, credit or
+    /// control message is queued or in flight anywhere either, the only
+    /// per-slot work is clock bookkeeping, so the fabric jumps straight to
+    /// the next scheduled event (clamped to the next guaranteed-token frame
+    /// boundary, which must still execute, and under a fault layer to its
+    /// next scripted transition and periodic resync). `Network::step` cuts
+    /// its calls at the network layer's own deadlines — ping rounds,
+    /// control arrivals — so one mechanism fast-forwards faulted and
+    /// fault-free runs alike.
     ///
     /// With shards configured ([`Fabric::set_shards`]) the call starts its
     /// worker threads once, here, and keeps them until it returns.
     pub fn step(&mut self, slots: u64) {
         let end = self.slot + slots;
+        // Outside calls may have moved any watermark since the last call;
+        // inside it, the lanes report them after every stepped slot.
+        let bound = self.switches_quiet_bound();
         // Everything that needs the lead's state in the middle of a slot
         // keeps the switches with the lead. None of these can change while
         // the call runs: attaching is an outside call, and set-ups only
         // complete.
         let lead_only = self.fault.is_some() || self.circuits.setups_in_flight() != 0;
         if self.crew_threads > 1 && !lead_only && slots > 0 {
-            self.step_with_crew(end);
+            self.step_with_crew(end, bound);
         } else {
-            self.run_slots(end, None);
+            self.run_slots(end, bound, None);
         }
         // What the fabric records between `step` calls (control sends,
         // forced resyncs) happens at the slot about to run, the instant
@@ -519,15 +503,13 @@ impl Fabric {
     }
 
     /// The slot loop every shard count shares: fast-forward when the whole
-    /// fabric is quiet, otherwise step one slot.
-    fn run_slots(&mut self, end: u64, mut crew: Option<&mut Crew<'_, '_>>) {
+    /// fabric is quiet, otherwise step one slot. `bound` is the earliest
+    /// switch watermark: after a stepped slot the lanes, which saw every
+    /// switch, report it afresh, and a jump moves no watermark.
+    fn run_slots(&mut self, end: u64, mut bound: u64, mut crew: Option<&mut Crew<'_, '_>>) {
         while self.slot < end {
             let t0 = self.profile.is_some().then(std::time::Instant::now);
-            let target = match &crew {
-                None => self.quiet_until(end, Self::switches_quiet_bound),
-                Some(c) => self.quiet_until(end, |_| c.quiet_bound),
-            }
-            .filter(|&t| t > self.slot);
+            let target = self.quiet_until(end, bound).filter(|&t| t > self.slot);
             if let Some(t0) = t0 {
                 let p = self.profile.as_mut().expect("profiling enabled");
                 p.fast_forward_ns += t0.elapsed().as_nanos() as u64;
@@ -540,14 +522,19 @@ impl Fabric {
                 continue;
             }
             self.step_one(crew.as_deref_mut());
+            bound = self
+                .lanes
+                .iter()
+                .map(|l| l.quiet_bound)
+                .min()
+                .unwrap_or(u64::MAX);
         }
     }
 
     /// Runs the slot loop with the shard lanes dealt to a crew of
     /// `crew_threads` threads (this one included) for the whole call. The
     /// switches leave `self` for the duration.
-    fn step_with_crew(&mut self, end: u64) {
-        let quiet_bound = self.switches_quiet_bound();
+    fn step_with_crew(&mut self, end: u64, bound: u64) {
         let mut switches = std::mem::take(&mut self.switches);
         let mut rngs = std::mem::take(&mut self.switch_rngs);
         let hands = shard::deal(
@@ -557,9 +544,7 @@ impl Fabric {
             &mut switches,
             &mut rngs,
         );
-        Crew::run(hands, self.batching, quiet_bound, |crew| {
-            self.run_slots(end, Some(crew));
-        });
+        Crew::run(hands, |crew| self.run_slots(end, bound, Some(crew)));
         self.switches = switches;
         self.switch_rngs = rngs;
     }
@@ -567,16 +552,13 @@ impl Fabric {
     /// If the fabric is provably quiet at the current slot, the furthest
     /// slot (≤ `end`) it may fast-forward to; `None` when anything at all
     /// is pending. Checks are ordered cheapest-first so busy slots pay two
-    /// flag tests and one arena counter read; `switch_bound` — the earliest
-    /// slot at which some switch needs stepping — and then the fault
-    /// layer's bound ([`Fabric::fault_quiet_bound`]) are asked last.
+    /// flag tests and one arena counter read; the fault layer's bound
+    /// ([`Fabric::fault_quiet_bound`]) is asked last.
     ///
-    /// With batching on, a backlogged switch no longer blocks the jump: its
-    /// next-event watermark bounds how far the fabric may skip, and the
-    /// fabric jumps to the earliest watermark / agenda deadline. With
-    /// batching off, any backlog anywhere pins the fabric to slot-by-slot
-    /// stepping, as before PR 7, and a fault layer pins it outright.
-    fn quiet_until(&self, end: u64, switch_bound: impl FnOnce(&Self) -> u64) -> Option<u64> {
+    /// A backlogged switch does not block the jump: `switch_bound`, the
+    /// earliest switch watermark, bounds it like the agenda's next
+    /// deadline, the next token refill and `end` do.
+    fn quiet_until(&self, end: u64, switch_bound: u64) -> Option<u64> {
         if !self.ctrl.is_idle() {
             return None; // a control message is on a wire
         }
@@ -588,8 +570,7 @@ impl Fabric {
             Some(due) => due,
             None => u64::MAX,
         };
-        let bound = switch_bound(self);
-        if bound <= self.slot {
+        if switch_bound <= self.slot {
             return None;
         }
         // Token buckets refill in the slot before each frame boundary;
@@ -599,24 +580,20 @@ impl Fabric {
         // An attached fault layer bounds the jump like everything above
         // does (no layer, no bound); asked last, it is the dearest.
         let fault = self.fault_quiet_bound()?;
-        Some(wake.min(bound).min(end).min(refill).min(fault))
+        Some(wake.min(switch_bound).min(end).min(refill).min(fault))
     }
 
     /// The earliest slot at which some switch needs stepping (`u64::MAX` =
-    /// none scheduled), read off the switches themselves; gives up at the
-    /// first switch that is due now. The crew keeps the same bound per lane
-    /// ([`Lane::quiet_bound`]) because it cannot see the switches.
+    /// none scheduled), read off the switches themselves at the start of a
+    /// [`Fabric::step`] call; gives up at the first switch that is due now.
+    /// Within the call the lanes keep it ([`Lane::quiet_bound`]).
     fn switches_quiet_bound(&self) -> u64 {
         let mut bound = u64::MAX;
-        if self.batching {
-            for s in &self.switches {
-                bound = bound.min(s.next_event_slot());
-                if bound <= self.slot {
-                    break;
-                }
+        for s in &self.switches {
+            bound = bound.min(s.next_event_slot());
+            if bound <= self.slot {
+                break;
             }
-        } else if self.switches.iter().any(|s| s.total_backlog() != 0) {
-            bound = 0;
         }
         bound
     }
@@ -810,7 +787,7 @@ impl Fabric {
     /// one lock, in the canonical order: the fabric's own lane, then the
     /// switches' output in ascending switch id. The record stream is thus a
     /// function of (slot, emitter, emission order) alone — the same at any
-    /// shard count, batching mode or `step` chunking.
+    /// shard count or `step` chunking.
     fn flush_trace(&mut self) {
         let Some(t) = self.trace.as_mut() else {
             return;
@@ -841,7 +818,6 @@ impl Fabric {
                 &mut self.switches[span.clone()],
                 &mut self.switch_rngs[span],
                 self.slot,
-                self.batching,
             );
         }
     }

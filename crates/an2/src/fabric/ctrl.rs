@@ -163,7 +163,7 @@ impl Fabric {
     }
 
     /// The earliest slot a control message in flight is due, if any — the
-    /// batching bound for [`crate::Network::step`]'s chunked stepping.
+    /// deadline that ends a chunk of [`crate::Network::step`].
     pub fn next_ctrl_due(&self) -> Option<u64> {
         self.ctrl.next_due()
     }

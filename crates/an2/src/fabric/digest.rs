@@ -1,9 +1,9 @@
 //! The replay contract: one walk over everything a run leaves observable.
 //!
-//! "Byte-identical" between two runs — across shard counts, batching on
-//! and off, traced and untraced, and from one commit to the next — means
-//! this digest is equal. `Network::digest` continues the same hasher with
-//! the network-layer terms. The word order is pinned outside this
+//! "Byte-identical" between two runs — across shard counts, traced and
+//! untraced, and from one commit to the next — means this digest is
+//! equal. `Network::digest` continues the same hasher with the
+//! network-layer terms. The word order is pinned outside this
 //! workspace (N8's golden line, `benchmark/goldens.json`): a term may be
 //! appended by a change that regenerates both, never reordered.
 

@@ -665,8 +665,9 @@ impl Fabric {
     ///   so a clean state stays clean over every skipped slot while a dirty
     ///   one must keep being stepped to keep being counted.
     ///
-    /// With batching off a faulted fabric steps every slot: the oracle the
-    /// `watermark_equiv` fault legs compare the jump against.
+    /// Drop any of these and a `watermark_equiv` test fails: the first two
+    /// move the pinned fault legs off their rows, the third lets a
+    /// persisting violation go uncounted.
     ///
     /// Ask it after every other quiet test has passed — the clean-state
     /// test walks every circuit.
@@ -674,9 +675,6 @@ impl Fabric {
         let Some(f) = self.fault.as_deref() else {
             return Some(u64::MAX);
         };
-        if !self.batching {
-            return None;
-        }
         let slot = self.slot;
         let mut bound = f.injector.next_transition(slot).unwrap_or(u64::MAX);
         if f.resync_interval > 0 {

@@ -224,13 +224,6 @@ impl Network {
         self.fabric.shard_work()
     }
 
-    /// Turns watermark-driven batching on or off (on by default). Off
-    /// forces the pre-PR-7 slot-by-slot data plane; results are
-    /// byte-identical either way. See [`Fabric::set_batching`].
-    pub fn set_batching(&mut self, on: bool) {
-        self.fabric.set_batching(on);
-    }
-
     /// Starts recording the data plane's wall-clock phase breakdown. See
     /// [`Fabric::enable_profiling`].
     pub fn enable_profiling(&mut self) {
@@ -478,12 +471,9 @@ impl Network {
     /// to the next *deadline* — the next ping boundary or the next
     /// control-cell arrival, whichever is sooner — so chaos runs keep the
     /// calendar ring's throughput instead of paying per-slot overhead at
-    /// the network layer.
+    /// the network layer. With neither a fault layer nor the control plane
+    /// there is no deadline, and the whole call is one chunk.
     pub fn step(&mut self, slots: u64) {
-        if self.faults.is_none() && self.control.is_none() {
-            self.fabric.step(slots);
-            return;
-        }
         let mut remaining = slots;
         while remaining > 0 {
             let every = self
@@ -783,8 +773,9 @@ impl Network {
     /// message count, route counts or quarantine edge it carries), then
     /// the recoveries the skeptic suppressed. Reads only — two calls are
     /// equal and [`Network::take_received`] afterwards loses nothing — and
-    /// equal across shard counts, batching and tracing. N8 prints it and
-    /// `benchmark/goldens.json` stores it, so the order of terms is fixed.
+    /// equal across shard counts, tracing and `step` chunkings. N8 prints
+    /// it and `benchmark/goldens.json` stores it, so the order of terms is
+    /// fixed.
     pub fn digest(&self) -> u64 {
         let mut h = Fnv::replay();
         self.fabric.digest_into(&mut h, self.broken.keys().copied());

@@ -167,7 +167,7 @@ impl Lane {
     }
 
     /// A worker's whole slot: apply the inbox, then step every chunk.
-    pub fn work(&mut self, chunks: &mut [Chunk<'_>], slot: u64, batching: bool) {
+    pub fn work(&mut self, chunks: &mut [Chunk<'_>], slot: u64) {
         self.begin();
         for delivery in self.inbox.drain(..) {
             match delivery {
@@ -185,7 +185,7 @@ impl Lane {
             }
         }
         for c in chunks {
-            self.step_chunk(c.base, c.switches, c.rngs, slot, batching);
+            self.step_chunk(c.base, c.switches, c.rngs, slot);
         }
     }
 
@@ -198,10 +198,9 @@ impl Lane {
         switches: &mut [Switch],
         rngs: &mut [SimRng],
         slot: u64,
-        batching: bool,
     ) {
         for (i, (sw, rng)) in switches.iter_mut().zip(rngs).enumerate() {
-            if batching && sw.next_event_slot() > slot {
+            if sw.next_event_slot() > slot {
                 sw.advance_to(slot + 1);
                 self.skipped += 1;
             } else {
@@ -215,16 +214,7 @@ impl Lane {
                 }
                 self.stepped += 1;
             }
-            // Without batching any backlog pins the fabric to slot-by-slot
-            // stepping, as the sequential fast-forward check does.
-            let bound = if batching {
-                sw.next_event_slot()
-            } else if sw.total_backlog() != 0 {
-                0
-            } else {
-                u64::MAX
-            };
-            self.quiet_bound = self.quiet_bound.min(bound);
+            self.quiet_bound = self.quiet_bound.min(sw.next_event_slot());
         }
         if self.traced {
             // Every switch, stepped or not: a skipped one may still have
@@ -452,9 +442,6 @@ pub(crate) struct Crew<'a, 'sw> {
     /// The lanes the lead works itself, with their switches.
     own: &'a mut Hand<'sw>,
     threads: usize,
-    batching: bool,
-    /// Minimum of the lanes' quiet bounds as of the last switch phase.
-    pub quiet_bound: u64,
 }
 
 /// Deals every run's switches to its lane and lane `l` to thread
@@ -491,12 +478,7 @@ impl<'sw> Crew<'_, 'sw> {
     /// the crew at its call. The switches stay borrowed for the duration:
     /// the lead's slot code cannot touch one by accident, and each worker
     /// holds plain `&mut` borrows.
-    pub fn run<R>(
-        mut hands: Vec<Hand<'sw>>,
-        batching: bool,
-        quiet_bound: u64,
-        lead: impl FnOnce(&mut Crew<'_, 'sw>) -> R,
-    ) -> R {
+    pub fn run<R>(mut hands: Vec<Hand<'sw>>, lead: impl FnOnce(&mut Crew<'_, 'sw>) -> R) -> R {
         let threads = hands.len();
         let lanes: usize = hands.iter().map(Vec::len).sum();
         let mut own = hands.remove(0);
@@ -514,7 +496,7 @@ impl<'sw> Crew<'_, 'sw> {
                             cells[*lane]
                                 .lock()
                                 .expect("a lane cell is poisoned only after a crew thread panicked")
-                                .work(chunks, slot, batching);
+                                .work(chunks, slot);
                         }
                     }
                     Cmd::SkipTo(target) => advance_chunks(&mut mine, target),
@@ -527,8 +509,6 @@ impl<'sw> Crew<'_, 'sw> {
                 cells: &cells,
                 own: &mut own,
                 threads,
-                batching,
-                quiet_bound,
             })
         })
     }
@@ -550,18 +530,13 @@ impl<'sw> Crew<'_, 'sw> {
     /// back at the join.
     pub fn step(&mut self, lanes: &mut [Lane], slot: u64) {
         self.exchange_lanes(lanes);
-        let (own, batching) = (&mut *self.own, self.batching);
+        let own = &mut *self.own;
         self.lead.round(Cmd::Step(slot), || {
             for (lane, chunks) in own.iter_mut() {
-                lanes[*lane].work(chunks, slot, batching);
+                lanes[*lane].work(chunks, slot);
             }
         });
         self.exchange_lanes(lanes);
-        self.quiet_bound = lanes
-            .iter()
-            .map(|l| l.quiet_bound)
-            .min()
-            .expect("at least one lane");
     }
 
     /// Moves every switch clock to `target` without stepping.

@@ -1,8 +1,8 @@
 //! `Network::digest` / `Fabric::digest` — what every equivalence suite and
 //! the chaos oracle mean by "byte-identical" — held to their own contract:
 //! reading is repeatable and takes nothing; each class of observable the
-//! walk claims to cover moves the value on its own; shard count, batching
-//! and tracing do not.
+//! walk claims to cover moves the value on its own; shard count and
+//! tracing do not.
 
 use an2::{FaultSpec, FlapEvent, LinkId, LossModel, Network, SwitchId, TraceConfig, VcId};
 use an2_cells::Packet;
@@ -114,10 +114,9 @@ fn one_class_apart() -> Vec<(&'static str, u64, u64)> {
 
 /// Lossy links, a flap long enough to be voted dead and repaired around,
 /// and the live control plane on a dual-homed SRC installation.
-fn faulted_run(shards: usize, batched: bool, traced: bool) -> u64 {
+fn faulted_run(shards: usize, traced: bool) -> u64 {
     let mut net = Network::builder().src_installation(4, 8).seed(3).build();
     net.set_shards(shards);
-    net.set_batching(batched);
     let hosts: Vec<_> = net.hosts().collect();
     let circuits: Vec<VcId> = hosts
         .chunks(2)
@@ -168,14 +167,11 @@ fn digest_is_repeatable_moved_by_each_observable_and_by_no_engine_setting() {
         assert_ne!(before, after, "the digest did not move with {class}");
     }
 
-    let base = faulted_run(1, true, false);
+    let base = faulted_run(1, false);
     for shards in [1, 3] {
-        for (batched, traced) in [(true, false), (true, true), (false, false), (false, true)] {
-            let run = faulted_run(shards, batched, traced);
-            assert_eq!(
-                base, run,
-                "{shards} shards, batched {batched}, traced {traced}"
-            );
+        for traced in [false, true] {
+            let run = faulted_run(shards, traced);
+            assert_eq!(base, run, "{shards} shards, traced {traced}");
         }
     }
 }

@@ -1,6 +1,6 @@
 //! Direct tests of the cell-level fabric, below the `Network` API.
 
-use an2::{Fabric, FabricConfig, TrafficClass};
+use an2::{Fabric, FabricConfig, FaultSpec, LossModel, TrafficClass};
 use an2_cells::{Cell, CellKind, Segmenter, VcId, PAYLOAD_BYTES};
 use an2_topology::{generators, paths, HostId, LinkId, Node, SwitchId, Topology};
 
@@ -186,6 +186,47 @@ fn guaranteed_circuit_gets_schedule_and_releases_it() {
 
 fn topo_port(f: &Fabric, link: LinkId, on: SwitchId) -> usize {
     f.topology().near_end(link, Node::Switch(on)).port.0 as usize
+}
+
+/// A guaranteed circuit's token bucket refills in the slot before each
+/// frame boundary, so a quiet jump must stop there. Every link loses every
+/// cell: the spent token's cell leaves the fabric quiet with the bucket
+/// empty, and only the refill slots stepped inside the jump let the second
+/// cell out.
+#[test]
+fn a_quiet_jump_still_refills_guaranteed_tokens() {
+    let (topo, src, mid, dst) = two_switch_line();
+    let mut f = Fabric::new(
+        topo,
+        FabricConfig {
+            frame_slots: 64,
+            ..Default::default()
+        },
+        1,
+    );
+    f.enable_profiling();
+    let vc = VcId::new(400);
+    f.open_circuit(
+        vc,
+        HostId(0),
+        HostId(1),
+        TrafficClass::Guaranteed { cells_per_frame: 1 },
+        vec![SwitchId(0), SwitchId(1)],
+        vec![mid],
+        src,
+        dst,
+    );
+    let mut spec = FaultSpec::default();
+    spec.default_link.loss = LossModel::Independent { p: 1.0 };
+    f.attach_faults(&spec, 1);
+    let cell = || vec![Cell::new(vc, CellKind::Data, [1; PAYLOAD_BYTES])];
+    f.send_cells(vc, cell());
+    f.step(200);
+    let skipped = f.profile().expect("profiling enabled").skipped_slots;
+    assert!(skipped > 64, "jumped only {skipped} of 200 quiet slots");
+    f.send_cells(vc, cell());
+    f.step(1);
+    assert_eq!(f.stats(vc).sent_cells, 2, "the bucket was never refilled");
 }
 
 #[test]

@@ -1,30 +1,30 @@
 //! The batched data plane's central guarantee: fast-forwarding is
 //! invisible.
 //!
-//! With batching on, every switch keeps a *next-event watermark* — the
-//! earliest future slot at which stepping it could change anything — and
-//! the fabric jumps idle switches (and whole quiet regions) past slots it
-//! proves uneventful. These tests drive the same seeded mixed workloads
-//! with batching on and off and assert byte-identical digests: the
-//! library's `digest()` (per-circuit statistics including every latency
-//! sample, received packets, counters, the typed log) and on top of it
-//! every payload byte, the final slot, and (when traced) the
-//! flight-recorder contents in order.
-//! One leg crosses batching with sharding, and another checks that a crew
-//! of shard threads skips exactly the quiet slots one thread skips; a third
-//! drives the full `Network` with lossy links and the live embedded control
-//! plane — the harshest source of asynchronous watermark clamps we have.
+//! Every switch keeps a *next-event watermark* — the earliest future slot
+//! at which stepping it could change anything — and the fabric jumps idle
+//! switches (and whole quiet regions) past slots it proves uneventful.
+//! These tests drive seeded mixed workloads and hold each grid point's
+//! digest to a pin: the library's `digest()` (per-circuit statistics
+//! including every latency sample, received packets, counters, the typed
+//! log) and on top of it every payload byte, the final slot, and (when
+//! traced) the flight-recorder contents in order. One leg adds sharding,
+//! and another checks that a crew of shard threads skips exactly the quiet
+//! slots one thread skips; a third drives the full `Network` with lossy
+//! links and the live embedded control plane — the harshest source of
+//! asynchronous watermark clamps we have.
 //!
-//! A fault layer bounds the whole-fabric jump instead of forbidding it, and
-//! `set_batching(false)` on a faulted fabric still steps every slot: the
-//! fault legs (a `Fabric`-level grid of topologies and seeds, and the
-//! `Network` legs under independent and Gilbert–Elliott loss) compare the
-//! two, and each states the share of its slots the batched run jumped as a
-//! floor.
-//!
-//! Every slot-by-slot answer is also a row of a pin table beside its
-//! comparison: per grid point, the digest and the cells delivered (the
-//! quarantines entered, on the skeptic legs).
+//! The pins are the answers of the slot-by-slot engine the fabric once had
+//! beside this one, which stepped a faulted fabric every slot, recorded
+//! while that engine still ran beside each comparison: per grid point, the
+//! digest and the cells delivered (the quarantines entered, on the skeptic
+//! legs). A fault layer bounds the whole-fabric jump instead of forbidding
+//! it; the fault legs (a `Fabric`-level grid of topologies and seeds, and
+//! the `Network` legs under independent and Gilbert–Elliott loss) run at
+//! several `step` chunkings, each asserts the same pins, and each states
+//! the share of its slots it jumped as a floor. A row moves only in a
+//! commit that changes no simulation code; the failure prints the actual
+//! rows.
 
 use an2::{
     CrashEvent, FabricConfig, FaultSpec, FlapEvent, LinkFaultModel, LossModel, Network,
@@ -90,17 +90,9 @@ fn hash_paging(h: &mut Fnv, s: &VcStats) {
 /// Drives a fabric through a seeded mixed workload (best-effort,
 /// guaranteed and signaled circuits; a mid-run link failure with reroutes)
 /// and digests everything observable. Returns `(digest, delivered,
-/// skipped_slots)` — the caller asserts the batched run actually skipped.
-fn drive(
-    topo_idx: usize,
-    seed: u64,
-    wl_seed: u64,
-    batched: bool,
-    shards: usize,
-    traced: bool,
-) -> (u64, u64, u64) {
+/// skipped_slots)` — the caller asserts the run actually skipped.
+fn drive(topo_idx: usize, seed: u64, wl_seed: u64, shards: usize, traced: bool) -> (u64, u64, u64) {
     let mut f = an2::Fabric::new(topology(topo_idx), FabricConfig::default(), seed);
-    f.set_batching(batched);
     f.set_shards(shards);
     f.enable_profiling();
     let tracer = traced.then(|| {
@@ -232,8 +224,8 @@ fat2x3/s2 digest=b537d2dce54638f9 traced=634e931b5e0b9e80 delivered=268\n\
 fat2x3/s3 digest=4d227cae034fea88 traced=d9ca967cb41d9e99 delivered=178\n\
 ";
 
-/// Each topology, fewest switches first, under four seeds: batched runs
-/// digest as slot-by-slot ones, traced and untraced, and with two shards.
+/// Each topology, fewest switches first, under four seeds: runs digest as
+/// the slot-by-slot engine's pins, traced and untraced, and with two shards.
 #[test]
 fn fast_forwarding_is_invisible() {
     let mut actual = String::new();
@@ -241,24 +233,15 @@ fn fast_forwarding_is_invisible() {
         for seed in 0..4u64 {
             let at = format!("{name}/s{seed}");
             let wl_seed = seed + 100;
-            let (base, delivered, _) = drive(topo_idx, seed, wl_seed, false, 1, false);
-            let (base_traced, _, _) = drive(topo_idx, seed, wl_seed, false, 1, true);
-            actual += &format!(
-                "{at} digest={base:016x} traced={base_traced:016x} delivered={delivered}\n"
-            );
+            let (digest, delivered, skipped) = drive(topo_idx, seed, wl_seed, 1, false);
+            let (traced, _, _) = drive(topo_idx, seed, wl_seed, 1, true);
+            actual +=
+                &format!("{at} digest={digest:016x} traced={traced:016x} delivered={delivered}\n");
             assert!(delivered > 0, "{at}: workload moved no traffic");
-            let (batched, b_delivered, skipped) = drive(topo_idx, seed, wl_seed, true, 1, false);
-            assert_eq!(base, batched, "{at}: batching diverged from slot-by-slot");
-            assert_eq!(delivered, b_delivered, "{at}");
-            assert!(skipped > 0, "{at}: batched run never fast-forwarded");
-            let (batched_traced, _, _) = drive(topo_idx, seed, wl_seed, true, 1, true);
-            assert_eq!(
-                base_traced, batched_traced,
-                "{at}: batching perturbed the trace"
-            );
-            // Batching composes with sharding: same digest again.
-            let (batched_sharded, _, _) = drive(topo_idx, seed, wl_seed, true, 2, false);
-            assert_eq!(base, batched_sharded, "{at}: batching + 2 shards diverged");
+            assert!(skipped > 0, "{at}: the run never fast-forwarded");
+            // Fast-forwarding composes with sharding: same digest again.
+            let (sharded, _, _) = drive(topo_idx, seed, wl_seed, 2, false);
+            assert_eq!(digest, sharded, "{at}: 2 shards diverged from one");
         }
     }
     assert_pins("fast-forwarding", &actual, FAST_FORWARD_PINS);
@@ -287,16 +270,8 @@ struct FaultRun {
 /// crash with a restart, a 256-slot resync interval and the per-slot
 /// invariant checker — under bursts of traffic 1 500 slots apart, so whole
 /// resync intervals pass with nothing in flight.
-fn fault_drive(
-    topo_idx: usize,
-    seed: u64,
-    wl_seed: u64,
-    batched: bool,
-    traced: bool,
-    chunk: u64,
-) -> FaultRun {
+fn fault_drive(topo_idx: usize, seed: u64, wl_seed: u64, traced: bool, chunk: u64) -> FaultRun {
     let mut f = an2::Fabric::new(topology(topo_idx), FabricConfig::default(), seed);
-    f.set_batching(batched);
     f.enable_profiling();
     let tracer = traced.then(|| {
         let t = an2_trace::Tracer::new(TraceConfig {
@@ -449,30 +424,25 @@ fat2x3/s2 traced=false digest=6462729a5d818855 delivered=161\n\
 fat2x3/s2 traced=true digest=0e62b81ea69c0ef3 delivered=161\n\
 ";
 
-/// The fault layer bounds the jump: batched against `set_batching(false)`,
-/// which steps a faulted fabric slot by slot, on each topology (fewest
-/// switches first) under three seeds.
+/// The fault layer bounds the jump: on each topology (fewest switches
+/// first) under three seeds, at three `step` chunkings, the run digests as
+/// the slot-by-slot engine's pins.
 #[test]
 fn fast_forwarding_under_a_fault_layer_is_invisible() {
-    let mut actual = String::new();
+    const CHUNKS: [u64; 3] = [u64::MAX, 1, 997];
+    let mut actual = CHUNKS.map(|_| String::new());
     for (topo_idx, name) in TOPOLOGIES.into_iter().enumerate() {
         for seed in 0..3u64 {
             let wl_seed = seed + 100;
             for traced in [false, true] {
                 let at = format!("{name}/s{seed} traced={traced}");
-                let base = fault_drive(topo_idx, seed, wl_seed, false, traced, u64::MAX);
-                actual += &format!(
-                    "{at} digest={:016x} delivered={}\n",
-                    base.digest, base.delivered
-                );
-                assert!(base.delivered > 0, "{at}: no traffic moved");
-                assert_eq!(base.skipped_slots, 0, "{at}: the oracle jumped");
-                for chunk in [u64::MAX, 1, 997] {
-                    let run = fault_drive(topo_idx, seed, wl_seed, true, traced, chunk);
-                    assert_eq!(
-                        base.digest, run.digest,
-                        "{at}, chunk {chunk}: the jump showed"
+                for (rows, chunk) in actual.iter_mut().zip(CHUNKS) {
+                    let run = fault_drive(topo_idx, seed, wl_seed, traced, chunk);
+                    *rows += &format!(
+                        "{at} digest={:016x} delivered={}\n",
+                        run.digest, run.delivered
                     );
+                    assert!(run.delivered > 0, "{at}, chunk {chunk}: no traffic moved");
                     // Between a burst and the resync rounds that unstick
                     // its circuits the fabric waits (measured: 49-86 %
                     // jumped; the rest is mostly the guaranteed circuit's
@@ -482,46 +452,46 @@ fn fast_forwarding_under_a_fault_layer_is_invisible() {
             }
         }
     }
-    assert_pins("the fault legs", &actual, FAULT_PINS);
+    for (rows, chunk) in actual.iter().zip(CHUNKS) {
+        assert_pins(
+            &format!("the fault legs at chunk {chunk}"),
+            rows,
+            FAULT_PINS,
+        );
+    }
 }
 
 /// A violation that persists is counted once per slot, so a dirty state
-/// refuses the jump: without the clean-state test the batched run would
-/// count the one slot it lands on after each jump.
+/// refuses the jump: without the clean-state test the run would count
+/// only the one slot it lands on after each jump.
 #[test]
 fn a_persisting_violation_is_still_counted_every_slot() {
-    let violations = |batched: bool| {
-        let mut f = an2::Fabric::new(topology(0), FabricConfig::default(), 4);
-        f.set_batching(batched);
-        f.enable_profiling();
-        let (src, dst) = (HostId(0), HostId(2));
-        let (sw, links, sl, dl) = paths::host_wiring(f.topology(), src, dst).expect("line");
-        let vc = VcId::new(9);
-        let upstream = sw[0];
-        f.open_circuit(vc, src, dst, TrafficClass::BestEffort, sw, links, sl, dl);
-        f.attach_faults(&FaultSpec::default(), 4);
-        f.step(1_000);
-        let clean_skips = f.profile().expect("profiling enabled").skipped_slots;
-        assert_eq!(
-            clean_skips > 0,
-            batched,
-            "an idle clean fabric jumps iff batched"
-        );
-        // The hardware gate now holds one credit more than the hop has
-        // buffers: conservation breaks on an idle hop.
-        f.switch_mut(upstream)
-            .set_credits(vc, FabricConfig::default().be_credits + 1);
-        f.step(5_000);
-        assert_eq!(
-            f.profile().expect("profiling enabled").skipped_slots,
-            clean_skips,
-            "a dirty state was jumped over"
-        );
-        f.fault_counters().expect("attached").invariant_violations
-    };
-    let stepped = violations(false);
-    assert_eq!(stepped, 5_000, "one over-full gate, once per slot");
-    assert_eq!(violations(true), stepped);
+    let mut f = an2::Fabric::new(topology(0), FabricConfig::default(), 4);
+    f.enable_profiling();
+    let (src, dst) = (HostId(0), HostId(2));
+    let (sw, links, sl, dl) = paths::host_wiring(f.topology(), src, dst).expect("line");
+    let vc = VcId::new(9);
+    let upstream = sw[0];
+    f.open_circuit(vc, src, dst, TrafficClass::BestEffort, sw, links, sl, dl);
+    f.attach_faults(&FaultSpec::default(), 4);
+    f.step(1_000);
+    let clean_skips = f.profile().expect("profiling enabled").skipped_slots;
+    assert!(clean_skips > 0, "an idle clean fabric never jumped");
+    // The hardware gate now holds one credit more than the hop has
+    // buffers: conservation breaks on an idle hop.
+    f.switch_mut(upstream)
+        .set_credits(vc, FabricConfig::default().be_credits + 1);
+    f.step(5_000);
+    assert_eq!(
+        f.profile().expect("profiling enabled").skipped_slots,
+        clean_skips,
+        "a dirty state was jumped over"
+    );
+    assert_eq!(
+        f.fault_counters().expect("attached").invariant_violations,
+        5_000,
+        "one over-full gate, once per slot"
+    );
 }
 
 /// Sparse bursts with long quiet gaps on the 12-switch fat-tree, profiled.
@@ -600,7 +570,7 @@ fn a_crew_skips_the_same_quiet_slots_as_one_thread() {
 /// Faults fire and control messages expire on their own clocks, each of
 /// which must clamp the affected switch watermarks down — a missed clamp
 /// shows up here as a digest mismatch.
-fn network_run(topo: usize, seed: u64, batched: bool, churn: bool) -> FaultRun {
+fn network_run(topo: usize, seed: u64, churn: bool) -> FaultRun {
     let b = Network::builder();
     let b: NetworkBuilder = match topo {
         0 => b.src_installation(4, 8),
@@ -608,7 +578,6 @@ fn network_run(topo: usize, seed: u64, batched: bool, churn: bool) -> FaultRun {
         _ => b.ring(4, 8),
     };
     let mut net = b.seed(seed).build();
-    net.set_batching(batched);
     net.enable_profiling();
     let hosts: Vec<_> = net.hosts().collect();
     let mut circuits = Vec::new();
@@ -693,14 +662,13 @@ fn network_digest(net: &mut Network, circuits: &[VcId], hosts: &[HostId]) -> Fau
 /// that skipped a ping would shift a verdict transition; one that skipped a
 /// holddown expiry would shift a quarantine exit — both land in the digest
 /// via the typed reconfiguration log.
-fn skeptic_run(topo: usize, seed: u64, batched: bool, chunk: u64, churn: bool) -> (FaultRun, u64) {
+fn skeptic_run(topo: usize, seed: u64, chunk: u64, churn: bool) -> (FaultRun, u64) {
     let b = Network::builder();
     let b: NetworkBuilder = match topo {
         0 => b.src_installation(4, 8),
         _ => b.ring(4, 8),
     };
     let mut net = b.seed(seed).build();
-    net.set_batching(batched);
     net.enable_profiling();
     let hosts: Vec<_> = net.hosts().collect();
     let mut circuits = Vec::new();
@@ -781,8 +749,8 @@ fn skeptic_run(topo: usize, seed: u64, batched: bool, chunk: u64, churn: bool) -
     (run, quarantine_entries)
 }
 
-/// A batched fault leg must have jumped, by at least the share of its
-/// slots stated at the call site.
+/// A fault leg must have jumped, by at least the share of its slots stated
+/// at the call site.
 fn assert_jumped(run: &FaultRun, floor_pct: u64, leg: &str) {
     assert!(
         run.skipped_slots * 100 >= run.slots * floor_pct,
@@ -806,42 +774,37 @@ ring4x8 churn=true digest=c26a869c5f65fba6 quarantines=3\n\
 
 #[test]
 fn batched_stepping_never_skips_a_ping_or_holddown_expiry() {
-    let mut actual = String::new();
+    // Odd chunk sizes move every step boundary relative to ping deadlines
+    // and holddown expiries; the digest must not move.
+    const CHUNKS: [u64; 3] = [3_000, 997, 7_919];
+    let mut actual = CHUNKS.map(|_| String::new());
     for churn in [false, true] {
         for (topo, name) in SKEPTIC_TOPOLOGIES.into_iter().enumerate() {
-            let leg = format!("skeptic (topo {topo}, churn {churn})");
-            let (base, quarantines) = skeptic_run(topo, 5, false, 3_000, churn);
-            actual += &format!(
-                "{name} churn={churn} digest={:016x} quarantines={quarantines}\n",
-                base.digest
-            );
-            assert!(
-                quarantines > 0,
-                "the scripted flap train never quarantined ({leg}) — the leg proves nothing"
-            );
-            assert_eq!(base.skipped_slots, 0, "{leg}: the oracle jumped");
-            let (batched, batched_quarantines) = skeptic_run(topo, 5, true, 3_000, churn);
-            assert_eq!(
-                base.digest, batched.digest,
-                "deadline batching diverged under the skeptic ({leg})"
-            );
-            assert_eq!(quarantines, batched_quarantines);
-            // A packet per circuit every 3 000 slots and a ping round every
-            // 1 468: the rest is waiting (measured: 93-94 % jumped).
-            assert_jumped(&batched, 90, &leg);
-            // Odd chunk sizes move every step boundary relative to ping
-            // deadlines and holddown expiries; the digest must not move.
-            for chunk in [997u64, 7_919] {
-                let (odd, _) = skeptic_run(topo, 5, true, chunk, churn);
-                assert_eq!(
-                    base.digest, odd.digest,
-                    "chunk size {chunk} changed the run ({leg})"
+            for (rows, chunk) in actual.iter_mut().zip(CHUNKS) {
+                let leg = format!("skeptic (topo {topo}, churn {churn}, chunk {chunk})");
+                let (run, quarantines) = skeptic_run(topo, 5, chunk, churn);
+                *rows += &format!(
+                    "{name} churn={churn} digest={:016x} quarantines={quarantines}\n",
+                    run.digest
                 );
-                assert_jumped(&odd, 90, &leg);
+                assert!(
+                    quarantines > 0,
+                    "the scripted flap train never quarantined ({leg}) — the leg proves nothing"
+                );
+                // A packet per circuit every 3 000 slots and a ping round
+                // every 1 468: the rest is waiting (measured: 93-94 %
+                // jumped).
+                assert_jumped(&run, 90, &leg);
             }
         }
     }
-    assert_pins("the skeptic legs", &actual, SKEPTIC_PINS);
+    for (rows, chunk) in actual.iter().zip(CHUNKS) {
+        assert_pins(
+            &format!("the skeptic legs at chunk {chunk}"),
+            rows,
+            SKEPTIC_PINS,
+        );
+    }
 }
 
 /// The `Network` legs' topologies, as their pin rows name them.
@@ -877,21 +840,14 @@ fn batched_network_survives_loss_and_reconfiguration_identically() {
         for (topo, name) in NETWORK_TOPOLOGIES.into_iter().enumerate() {
             for seed in [3u64, 17, 91] {
                 let leg = format!("network (topo {topo}, seed {seed}, churn {churn})");
-                let base = network_run(topo, seed, false, churn);
+                let run = network_run(topo, seed, churn);
                 actual += &format!(
                     "{name}/s{seed} churn={churn} digest={:016x} delivered={}\n",
-                    base.digest, base.delivered
+                    run.digest, run.delivered
                 );
-                assert!(base.delivered > 0, "workload moved no traffic ({leg})");
-                assert_eq!(base.skipped_slots, 0, "{leg}: the oracle jumped");
-                let batched = network_run(topo, seed, true, churn);
-                assert_eq!(
-                    base.digest, batched.digest,
-                    "batching diverged under faults ({leg})"
-                );
-                assert_eq!(base.delivered, batched.delivered);
+                assert!(run.delivered > 0, "workload moved no traffic ({leg})");
                 // Measured: 89-96 % jumped.
-                assert_jumped(&batched, 85, &leg);
+                assert_jumped(&run, 85, &leg);
             }
         }
     }
