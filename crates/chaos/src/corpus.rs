@@ -1,12 +1,11 @@
 //! The repro corpus: minimal failing schedules persisted as plain,
 //! reviewable JSON and replayed as regression tests.
 //!
-//! The workspace builds offline with no serialization crate, so this
-//! module carries its own small JSON value type with a recursive-descent
-//! parser and a deterministic pretty-printer. Corpus files hold the full
-//! [`Schedule`] plus an informational `violations` array (ignored on
-//! load); replaying a file re-runs the oracle from scratch, so corpus
-//! checks stay valid as the implementation evolves.
+//! This module is the schedule codec and the file I/O; the JSON itself —
+//! value type, parser, pretty printer — is [`an2_sim::json`]. Corpus files
+//! hold the full [`Schedule`] plus an informational `violations` array
+//! (ignored on load); replaying a file re-runs the oracle from scratch, so
+//! corpus checks stay valid as the implementation evolves.
 
 use crate::gen::Schedule;
 use crate::oracle::{run_schedule, RunReport};
@@ -14,390 +13,16 @@ use crate::spec::TopologyKind;
 use an2_faults::{CrashEvent, FaultSpec, FlapEvent, LinkFaultModel, LossModel};
 use an2_reconfig::monitor::MonitorConfig;
 use an2_reconfig::skeptic::SkepticConfig;
+use an2_sim::json::{obj, JVal, JsonError};
 use an2_sim::SimDuration;
 use an2_topology::{LinkId, SwitchId};
-use std::fmt;
 use std::fs;
 use std::path::{Path, PathBuf};
 
-/// A JSON value. Integers keep their own variants so 64-bit slot counts
-/// and seeds survive the round trip exactly.
-#[derive(Debug, Clone, PartialEq)]
-pub enum JVal {
-    /// `null`
-    Null,
-    /// `true` / `false`
-    Bool(bool),
-    /// A non-negative integer token.
-    UInt(u64),
-    /// A negative integer token.
-    Int(i64),
-    /// A fractional or exponent-bearing number.
-    Num(f64),
-    /// A string.
-    Str(String),
-    /// An array.
-    Arr(Vec<JVal>),
-    /// An object, field order preserved.
-    Obj(Vec<(String, JVal)>),
-}
-
-/// A corpus error: parse failure or schema mismatch, with context.
-#[derive(Debug)]
-pub struct CorpusError(pub String);
-
-impl fmt::Display for CorpusError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "corpus: {}", self.0)
-    }
-}
-
-impl std::error::Error for CorpusError {}
-
-impl From<std::io::Error> for CorpusError {
-    fn from(e: std::io::Error) -> Self {
-        CorpusError(format!("io: {e}"))
-    }
-}
-
-type Res<T> = Result<T, CorpusError>;
+type Res<T> = Result<T, JsonError>;
 
 fn err<T>(msg: impl Into<String>) -> Res<T> {
-    Err(CorpusError(msg.into()))
-}
-
-impl JVal {
-    /// Field lookup on an object.
-    pub fn get(&self, key: &str) -> Option<&JVal> {
-        match self {
-            JVal::Obj(fields) => fields.iter().find(|(k, _)| k == key).map(|(_, v)| v),
-            _ => None,
-        }
-    }
-
-    fn want(&self, key: &str) -> Res<&JVal> {
-        self.get(key)
-            .ok_or_else(|| CorpusError(format!("missing field `{key}`")))
-    }
-
-    fn as_u64(&self) -> Res<u64> {
-        match *self {
-            JVal::UInt(x) => Ok(x),
-            JVal::Num(x) if x >= 0.0 && x.fract() == 0.0 => Ok(x as u64),
-            ref other => err(format!("expected unsigned integer, got {other:?}")),
-        }
-    }
-
-    fn as_u32(&self) -> Res<u32> {
-        let x = self.as_u64()?;
-        u32::try_from(x).map_err(|_| CorpusError(format!("{x} overflows u32")))
-    }
-
-    fn as_f64(&self) -> Res<f64> {
-        match *self {
-            JVal::UInt(x) => Ok(x as f64),
-            JVal::Int(x) => Ok(x as f64),
-            JVal::Num(x) => Ok(x),
-            ref other => err(format!("expected number, got {other:?}")),
-        }
-    }
-
-    fn as_str(&self) -> Res<&str> {
-        match self {
-            JVal::Str(s) => Ok(s),
-            other => err(format!("expected string, got {other:?}")),
-        }
-    }
-
-    fn as_arr(&self) -> Res<&[JVal]> {
-        match self {
-            JVal::Arr(v) => Ok(v),
-            other => err(format!("expected array, got {other:?}")),
-        }
-    }
-
-    /// Renders with 2-space indentation and a trailing newline —
-    /// deterministic, diff-friendly corpus files.
-    pub fn render(&self) -> String {
-        let mut out = String::new();
-        self.write(&mut out, 0);
-        out.push('\n');
-        out
-    }
-
-    fn write(&self, out: &mut String, indent: usize) {
-        match self {
-            JVal::Null => out.push_str("null"),
-            JVal::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
-            JVal::UInt(x) => out.push_str(&x.to_string()),
-            JVal::Int(x) => out.push_str(&x.to_string()),
-            JVal::Num(x) => {
-                if !x.is_finite() {
-                    // JSON has no NaN or infinity: an undefined metric is null.
-                    out.push_str("null");
-                } else if x.fract() == 0.0 && x.abs() < 9e15 {
-                    out.push_str(&format!("{:.1}", x));
-                } else {
-                    out.push_str(&format!("{}", x));
-                }
-            }
-            JVal::Str(s) => {
-                out.push('"');
-                for c in s.chars() {
-                    match c {
-                        '"' => out.push_str("\\\""),
-                        '\\' => out.push_str("\\\\"),
-                        '\n' => out.push_str("\\n"),
-                        '\t' => out.push_str("\\t"),
-                        '\r' => out.push_str("\\r"),
-                        c if (c as u32) < 0x20 => {
-                            out.push_str(&format!("\\u{:04x}", c as u32));
-                        }
-                        c => out.push(c),
-                    }
-                }
-                out.push('"');
-            }
-            JVal::Arr(items) => {
-                if items.is_empty() {
-                    out.push_str("[]");
-                    return;
-                }
-                out.push_str("[\n");
-                for (i, v) in items.iter().enumerate() {
-                    out.push_str(&"  ".repeat(indent + 1));
-                    v.write(out, indent + 1);
-                    if i + 1 < items.len() {
-                        out.push(',');
-                    }
-                    out.push('\n');
-                }
-                out.push_str(&"  ".repeat(indent));
-                out.push(']');
-            }
-            JVal::Obj(fields) => {
-                if fields.is_empty() {
-                    out.push_str("{}");
-                    return;
-                }
-                out.push_str("{\n");
-                for (i, (k, v)) in fields.iter().enumerate() {
-                    out.push_str(&"  ".repeat(indent + 1));
-                    out.push_str(&format!("\"{k}\": "));
-                    v.write(out, indent + 1);
-                    if i + 1 < fields.len() {
-                        out.push(',');
-                    }
-                    out.push('\n');
-                }
-                out.push_str(&"  ".repeat(indent));
-                out.push('}');
-            }
-        }
-    }
-
-    /// Parses one JSON document (trailing whitespace allowed).
-    pub fn parse(text: &str) -> Res<JVal> {
-        let bytes = text.as_bytes();
-        let mut pos = 0usize;
-        let v = parse_value(bytes, &mut pos)?;
-        skip_ws(bytes, &mut pos);
-        if pos != bytes.len() {
-            return err(format!("trailing garbage at byte {pos}"));
-        }
-        Ok(v)
-    }
-}
-
-fn skip_ws(b: &[u8], pos: &mut usize) {
-    while *pos < b.len() && matches!(b[*pos], b' ' | b'\t' | b'\n' | b'\r') {
-        *pos += 1;
-    }
-}
-
-fn parse_value(b: &[u8], pos: &mut usize) -> Res<JVal> {
-    skip_ws(b, pos);
-    let Some(&c) = b.get(*pos) else {
-        return err("unexpected end of input");
-    };
-    match c {
-        b'{' => {
-            *pos += 1;
-            let mut fields = Vec::new();
-            skip_ws(b, pos);
-            if b.get(*pos) == Some(&b'}') {
-                *pos += 1;
-                return Ok(JVal::Obj(fields));
-            }
-            loop {
-                skip_ws(b, pos);
-                let key = match parse_value(b, pos)? {
-                    JVal::Str(s) => s,
-                    other => return err(format!("object key must be a string, got {other:?}")),
-                };
-                skip_ws(b, pos);
-                if b.get(*pos) != Some(&b':') {
-                    return err(format!("expected ':' at byte {pos}", pos = *pos));
-                }
-                *pos += 1;
-                let val = parse_value(b, pos)?;
-                fields.push((key, val));
-                skip_ws(b, pos);
-                match b.get(*pos) {
-                    Some(&b',') => *pos += 1,
-                    Some(&b'}') => {
-                        *pos += 1;
-                        return Ok(JVal::Obj(fields));
-                    }
-                    _ => return err(format!("expected ',' or '}}' at byte {pos}", pos = *pos)),
-                }
-            }
-        }
-        b'[' => {
-            *pos += 1;
-            let mut items = Vec::new();
-            skip_ws(b, pos);
-            if b.get(*pos) == Some(&b']') {
-                *pos += 1;
-                return Ok(JVal::Arr(items));
-            }
-            loop {
-                items.push(parse_value(b, pos)?);
-                skip_ws(b, pos);
-                match b.get(*pos) {
-                    Some(&b',') => *pos += 1,
-                    Some(&b']') => {
-                        *pos += 1;
-                        return Ok(JVal::Arr(items));
-                    }
-                    _ => return err(format!("expected ',' or ']' at byte {pos}", pos = *pos)),
-                }
-            }
-        }
-        b'"' => {
-            *pos += 1;
-            let mut s = String::new();
-            loop {
-                let Some(&c) = b.get(*pos) else {
-                    return err("unterminated string");
-                };
-                *pos += 1;
-                match c {
-                    b'"' => return Ok(JVal::Str(s)),
-                    b'\\' => {
-                        let Some(&e) = b.get(*pos) else {
-                            return err("unterminated escape");
-                        };
-                        *pos += 1;
-                        match e {
-                            b'"' => s.push('"'),
-                            b'\\' => s.push('\\'),
-                            b'/' => s.push('/'),
-                            b'n' => s.push('\n'),
-                            b't' => s.push('\t'),
-                            b'r' => s.push('\r'),
-                            b'b' => s.push('\u{8}'),
-                            b'f' => s.push('\u{c}'),
-                            b'u' => {
-                                if *pos + 4 > b.len() {
-                                    return err("truncated \\u escape");
-                                }
-                                let hex = std::str::from_utf8(&b[*pos..*pos + 4])
-                                    .map_err(|_| CorpusError("bad \\u escape".into()))?;
-                                let code = u32::from_str_radix(hex, 16)
-                                    .map_err(|_| CorpusError("bad \\u escape".into()))?;
-                                *pos += 4;
-                                s.push(char::from_u32(code).unwrap_or('\u{fffd}'));
-                            }
-                            _ => return err(format!("bad escape \\{}", e as char)),
-                        }
-                    }
-                    c => {
-                        // Re-decode multi-byte UTF-8 runs from the source.
-                        if c < 0x80 {
-                            s.push(c as char);
-                        } else {
-                            let start = *pos - 1;
-                            let mut end = *pos;
-                            while end < b.len() && (b[end] & 0xC0) == 0x80 {
-                                end += 1;
-                            }
-                            let chunk = std::str::from_utf8(&b[start..end])
-                                .map_err(|_| CorpusError("invalid utf-8 in string".into()))?;
-                            s.push_str(chunk);
-                            *pos = end;
-                        }
-                    }
-                }
-            }
-        }
-        b't' => {
-            expect_word(b, pos, "true")?;
-            Ok(JVal::Bool(true))
-        }
-        b'f' => {
-            expect_word(b, pos, "false")?;
-            Ok(JVal::Bool(false))
-        }
-        b'n' => {
-            expect_word(b, pos, "null")?;
-            Ok(JVal::Null)
-        }
-        _ => {
-            let start = *pos;
-            if b[*pos] == b'-' {
-                *pos += 1;
-            }
-            let mut fractional = false;
-            while *pos < b.len() {
-                match b[*pos] {
-                    b'0'..=b'9' => *pos += 1,
-                    b'.' | b'e' | b'E' | b'+' | b'-' => {
-                        fractional = true;
-                        *pos += 1;
-                    }
-                    _ => break,
-                }
-            }
-            let tok = std::str::from_utf8(&b[start..*pos])
-                .map_err(|_| CorpusError("bad number".into()))?;
-            if tok.is_empty() || tok == "-" {
-                return err(format!("expected a value at byte {start}"));
-            }
-            if fractional {
-                tok.parse::<f64>()
-                    .map(JVal::Num)
-                    .map_err(|_| CorpusError(format!("bad number `{tok}`")))
-            } else if let Some(stripped) = tok.strip_prefix('-') {
-                stripped
-                    .parse::<i64>()
-                    .map(|x| JVal::Int(-x))
-                    .map_err(|_| CorpusError(format!("bad number `{tok}`")))
-            } else {
-                tok.parse::<u64>()
-                    .map(JVal::UInt)
-                    .map_err(|_| CorpusError(format!("bad number `{tok}`")))
-            }
-        }
-    }
-}
-
-fn expect_word(b: &[u8], pos: &mut usize, word: &str) -> Res<()> {
-    if b[*pos..].starts_with(word.as_bytes()) {
-        *pos += word.len();
-        Ok(())
-    } else {
-        err(format!("expected `{word}` at byte {pos}", pos = *pos))
-    }
-}
-
-fn obj(fields: Vec<(&str, JVal)>) -> JVal {
-    JVal::Obj(
-        fields
-            .into_iter()
-            .map(|(k, v)| (k.to_string(), v))
-            .collect(),
-    )
+    Err(JsonError(msg.into()))
 }
 
 fn loss_to_json(loss: &LossModel) -> JVal {
@@ -648,9 +273,9 @@ pub fn save_repro(dir: &Path, schedule: &Schedule, violations: &[String]) -> Res
 /// Loads one corpus file.
 pub fn load_repro(path: &Path) -> Res<Schedule> {
     let text =
-        fs::read_to_string(path).map_err(|e| CorpusError(format!("{}: {e}", path.display())))?;
-    let v = JVal::parse(&text).map_err(|e| CorpusError(format!("{}: {e}", path.display())))?;
-    schedule_from_json(&v).map_err(|e| CorpusError(format!("{}: {e}", path.display())))
+        fs::read_to_string(path).map_err(|e| JsonError(format!("{}: {e}", path.display())))?;
+    let v = JVal::parse(&text).map_err(|e| JsonError(format!("{}: {e}", path.display())))?;
+    schedule_from_json(&v).map_err(|e| JsonError(format!("{}: {e}", path.display())))
 }
 
 /// Loads every `.json` schedule in `dir`, sorted by file name. An empty or
@@ -684,33 +309,6 @@ mod tests {
     use super::*;
     use crate::gen::generate;
     use crate::spec::{CampaignSpec, Scenario};
-
-    #[test]
-    fn json_value_round_trips() {
-        let text =
-            r#"{"a": [1, -2, 3.5, "x\ny"], "b": {"c": true, "d": null}, "big": 1099511627776}"#;
-        let v = JVal::parse(text).unwrap();
-        let rendered = v.render();
-        let v2 = JVal::parse(&rendered).unwrap();
-        assert_eq!(v, v2);
-        assert_eq!(v.get("big").unwrap().as_u64().unwrap(), 1 << 40);
-    }
-
-    #[test]
-    fn non_finite_numbers_render_as_null() {
-        let v = JVal::Arr(vec![JVal::Num(f64::NAN), JVal::Num(f64::INFINITY)]);
-        let back = JVal::parse(&v.render()).unwrap();
-        assert_eq!(back, JVal::Arr(vec![JVal::Null, JVal::Null]));
-    }
-
-    #[test]
-    fn parse_rejects_garbage() {
-        assert!(JVal::parse("{").is_err());
-        assert!(JVal::parse("[1, 2").is_err());
-        assert!(JVal::parse("{\"a\": }").is_err());
-        assert!(JVal::parse("nulle").is_err());
-        assert!(JVal::parse("").is_err());
-    }
 
     #[test]
     fn schedule_round_trips_through_json() {

@@ -37,7 +37,8 @@ pub mod oracle;
 pub mod shrink;
 pub mod spec;
 
-pub use corpus::{load_dir, load_repro, replay_twice, save_repro, JVal};
+pub use an2_sim::json::JVal;
+pub use corpus::{load_dir, load_repro, replay_twice, save_repro};
 pub use gen::{generate, Schedule, NEVER};
 pub use oracle::{run_schedule, run_schedule_observed, RunReport, Violation};
 pub use shrink::{shrink, ShrinkResult};

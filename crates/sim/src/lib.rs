@@ -11,6 +11,9 @@
 //!   percentiles), used by every experiment harness.
 //! * [`Fnv`] — the hasher under every replay digest and pinned constant.
 //! * [`ddmin`] / [`assert_sequence`] — a failing sequence's 1-minimal part.
+//! * [`json`] — the one JSON value type ([`json::JVal`]) with its parser,
+//!   and the streaming writers every trace, metrics and corpus export
+//!   writes through.
 //!
 //! There is no event engine here. The two event loops in the reproduction
 //! each live next to the transport they model: the slot-synchronous fabric
@@ -41,6 +44,7 @@
 #![warn(missing_docs)]
 
 mod fnv;
+pub mod json;
 pub mod metrics;
 mod rng;
 mod shrink;
