@@ -5,6 +5,7 @@
 //! `an2-sim` so that every other layer — cells, topology, crossbar, flow,
 //! faults, switch, fabric, network — can depend on it without a cycle.
 
+use an2_sim::json::{ObjWriter, Text};
 use std::fmt;
 
 /// What a metric or event is about: the whole run, one switch, one port of
@@ -435,10 +436,9 @@ impl TraceEvent {
         }
     }
 
-    /// Appends this event's payload as `"key":value` JSON members (no
-    /// surrounding braces, no leading comma) — shared by both sinks.
-    pub fn write_fields(&self, out: &mut String) {
-        use std::fmt::Write;
+    /// Writes this event's payload as members of the open object `o` —
+    /// shared by both sinks.
+    pub fn write_fields(&self, o: &mut ObjWriter<'_>) {
         match *self {
             TraceEvent::CellEnqueue {
                 switch,
@@ -446,11 +446,10 @@ impl TraceEvent {
                 vc,
                 depth,
             } => {
-                write!(
-                    out,
-                    "\"switch\":{switch},\"input\":{input},\"vc\":{vc},\"depth\":{depth}"
-                )
-                .expect("string write");
+                o.field("switch", switch)
+                    .field("input", input)
+                    .field("vc", vc)
+                    .field("depth", depth);
             }
             TraceEvent::CellDequeue {
                 switch,
@@ -458,60 +457,54 @@ impl TraceEvent {
                 vc,
                 queued_slots,
             } => {
-                write!(
-                    out,
-                    "\"switch\":{switch},\"output\":{output},\"vc\":{vc},\"queued_slots\":{queued_slots}"
-                )
-                .expect("string write");
+                o.field("switch", switch)
+                    .field("output", output)
+                    .field("vc", vc)
+                    .field("queued_slots", queued_slots);
             }
             TraceEvent::CellDrop { vc, reason } => {
-                write!(out, "\"vc\":{vc},\"reason\":\"{}\"", reason.name()).expect("string write");
+                o.field("vc", vc).field("reason", reason.name());
             }
             TraceEvent::XbarGrant {
                 switch,
                 input,
                 output,
             } => {
-                write!(
-                    out,
-                    "\"switch\":{switch},\"input\":{input},\"output\":{output}"
-                )
-                .expect("string write");
+                o.field("switch", switch)
+                    .field("input", input)
+                    .field("output", output);
             }
             TraceEvent::CreditConsume { vc, balance } => {
-                write!(out, "\"vc\":{vc},\"balance\":{balance}").expect("string write");
+                o.field("vc", vc).field("balance", balance);
             }
-            TraceEvent::CreditSend { vc, link, epoch } => {
-                write!(out, "\"vc\":{vc},\"link\":{link},\"epoch\":{epoch}").expect("string write");
-            }
-            TraceEvent::ResyncBegin { vc, link, epoch }
+            TraceEvent::CreditSend { vc, link, epoch }
+            | TraceEvent::ResyncBegin { vc, link, epoch }
             | TraceEvent::ResyncComplete { vc, link, epoch } => {
-                write!(out, "\"vc\":{vc},\"link\":{link},\"epoch\":{epoch}").expect("string write");
+                o.field("vc", vc).field("link", link).field("epoch", epoch);
             }
             TraceEvent::CtrlTx {
                 switch,
                 link,
                 cells,
             } => {
-                write!(out, "\"switch\":{switch},\"link\":{link},\"cells\":{cells}")
-                    .expect("string write");
+                o.field("switch", switch)
+                    .field("link", link)
+                    .field("cells", cells);
             }
             TraceEvent::CtrlRx { switch, link } => {
-                write!(out, "\"switch\":{switch},\"link\":{link}").expect("string write");
+                o.field("switch", switch).field("link", link);
             }
             TraceEvent::MonitorVerdict { link, up } => {
-                write!(out, "\"link\":{link},\"up\":{up}").expect("string write");
+                o.field("link", link).field("up", up);
             }
             TraceEvent::SkepticQuarantine {
                 link,
                 entered,
                 level,
             } => {
-                write!(
-                    out,
-                    "\"link\":{link},\"entered\":{entered},\"level\":{level}"
-                )
-                .expect("string write");
+                o.field("link", link)
+                    .field("entered", entered)
+                    .field("level", level);
             }
             TraceEvent::ReconfigPhase {
                 phase,
@@ -519,28 +512,25 @@ impl TraceEvent {
                 epoch,
                 protocol,
             } => {
-                write!(
-                    out,
-                    "\"phase\":\"{}\",\"edge\":\"{}\",\"epoch\":{epoch},\"protocol\":\"{}\"",
-                    phase.name(),
-                    match edge {
-                        PhaseEdge::Begin => "begin",
-                        PhaseEdge::End => "end",
-                    },
-                    protocol.name()
-                )
-                .expect("string write");
+                let edge = match edge {
+                    PhaseEdge::Begin => "begin",
+                    PhaseEdge::End => "end",
+                };
+                o.field("phase", phase.name())
+                    .field("edge", edge)
+                    .field("epoch", epoch)
+                    .field("protocol", protocol.name());
             }
             TraceEvent::FaultDraw { link, outcome } => {
-                write!(out, "\"link\":{link},\"outcome\":\"{}\"", outcome.name())
-                    .expect("string write");
+                o.field("link", link).field("outcome", outcome.name());
             }
             TraceEvent::InvariantViolation { count } => {
-                write!(out, "\"count\":{count}").expect("string write");
+                o.field("count", count);
             }
             TraceEvent::CellInject { vc, host, trace_id } => {
-                write!(out, "\"vc\":{vc},\"host\":{host},\"trace_id\":{trace_id}")
-                    .expect("string write");
+                o.field("vc", vc)
+                    .field("host", host)
+                    .field("trace_id", trace_id);
             }
             TraceEvent::CellDeliver {
                 vc,
@@ -548,31 +538,27 @@ impl TraceEvent {
                 latency_slots,
                 trace_id,
             } => {
-                write!(
-                    out,
-                    "\"vc\":{vc},\"host\":{host},\"latency_slots\":{latency_slots},\"trace_id\":{trace_id}"
-                )
-                .expect("string write");
+                o.field("vc", vc)
+                    .field("host", host)
+                    .field("latency_slots", latency_slots)
+                    .field("trace_id", trace_id);
             }
             TraceEvent::CellHop { trace_id, vc, hop } => {
-                write!(out, "\"trace_id\":{trace_id},\"vc\":{vc},").expect("string write");
+                o.field("trace_id", trace_id).field("vc", vc);
                 match hop {
                     Hop::SwitchIn { switch } => {
-                        write!(out, "\"hop\":\"switch_in\",\"switch\":{switch}")
-                            .expect("string write");
+                        o.field("hop", "switch_in").field("switch", switch);
                     }
                     Hop::SwitchOut {
                         switch,
                         queued_slots,
                     } => {
-                        write!(
-                            out,
-                            "\"hop\":\"switch_out\",\"switch\":{switch},\"queued_slots\":{queued_slots}"
-                        )
-                        .expect("string write");
+                        o.field("hop", "switch_out")
+                            .field("switch", switch)
+                            .field("queued_slots", queued_slots);
                     }
                     Hop::Wire { link } => {
-                        write!(out, "\"hop\":\"wire\",\"link\":{link}").expect("string write");
+                        o.field("hop", "wire").field("link", link);
                     }
                 }
             }
@@ -583,12 +569,11 @@ impl TraceEvent {
                 value_milli,
                 threshold_milli,
             } => {
-                write!(
-                    out,
-                    "\"detector\":\"{}\",\"entity\":\"{entity}\",\"raised\":{raised},\"value_milli\":{value_milli},\"threshold_milli\":{threshold_milli}",
-                    detector.name()
-                )
-                .expect("string write");
+                o.field("detector", detector.name())
+                    .field("entity", Text(entity))
+                    .field("raised", raised)
+                    .field("value_milli", value_milli)
+                    .field("threshold_milli", threshold_milli);
             }
         }
     }

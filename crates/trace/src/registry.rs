@@ -4,6 +4,7 @@
 
 use crate::event::Entity;
 use crate::observe::IntervalSnapshot;
+use an2_sim::json::{ObjWriter, Text};
 use an2_sim::metrics::Histogram;
 use std::collections::BTreeMap;
 use std::fmt::Write;
@@ -258,37 +259,28 @@ impl MetricsRegistry {
     /// count / mean / min / max / p50 / p99 (`&mut` because percentile
     /// queries walk cumulative buckets on a clone).
     pub fn to_json(&self) -> String {
-        let mut out = String::from("{\"metrics\":[");
-        let mut first = true;
+        let mut out = String::new();
+        let mut doc = ObjWriter::new(&mut out);
+        let mut metrics = doc.arr("metrics");
         for (name, entity, m) in self.iter() {
-            if !first {
-                out.push(',');
-            }
-            first = false;
-            write!(out, "{{\"name\":\"{name}\",\"entity\":\"{entity}\",").expect("string write");
+            let mut o = metrics.obj();
+            o.field("name", name).field("entity", Text(entity));
             match m {
-                Metric::Counter(c) => {
-                    write!(out, "\"type\":\"counter\",\"value\":{c}}}").expect("string write");
-                }
-                Metric::Gauge(g) => {
-                    write!(out, "\"type\":\"gauge\",\"value\":{g}}}").expect("string write");
-                }
+                Metric::Counter(c) => o.field("type", "counter").field("value", c),
+                Metric::Gauge(g) => o.field("type", "gauge").field("value", g),
                 Metric::Histogram(h) => {
                     let mut h = h.clone();
-                    write!(
-                        out,
-                        "\"type\":\"histogram\",\"count\":{},\"min\":{},\"max\":{},\"p50\":{},\"p99\":{}}}",
-                        h.count(),
-                        h.min().unwrap_or(0),
-                        h.max().unwrap_or(0),
-                        h.percentile(0.5).unwrap_or(0),
-                        h.percentile(0.99).unwrap_or(0),
-                    )
-                    .expect("string write");
+                    o.field("type", "histogram")
+                        .field("count", h.count())
+                        .field("min", h.min().unwrap_or(0))
+                        .field("max", h.max().unwrap_or(0))
+                        .field("p50", h.percentile(0.5).unwrap_or(0))
+                        .field("p99", h.percentile(0.99).unwrap_or(0))
                 }
-            }
+            };
         }
-        out.push_str("]}");
+        metrics.end();
+        doc.end();
         out
     }
 
