@@ -30,7 +30,7 @@
 //! * [`sink`] — exporters: JSONL for machine diffing, the Chrome
 //!   trace-event format (spans, flows, and counter tracks) so a
 //!   reconfiguration storm or credit stall renders as a Perfetto
-//!   timeline, and JSONL/CSV time-series dumps of interval snapshots.
+//!   timeline, and a JSONL time-series dump of interval snapshots.
 //! * [`observe`] — the streaming telemetry tier: a virtual-clock interval
 //!   aggregator ([`Observatory`]), an SLO watchdog with fixed thresholds
 //!   (→ [`HealthEvent`]s), and ground-truth time-to-detect
