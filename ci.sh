@@ -71,6 +71,17 @@ if grep -rnE --include='*.rs' "(BTreeMap|HashMap)<\(&'static str, *Entity\)" cra
     exit 1
 fi
 
+echo "== one JSON value: JVal and its parser only in crates/sim/src/json.rs, no event fields written into a String"
+# How a key or string is escaped and how a number prints is decided once, in
+# an2_sim::json; every exporter streams through its ObjWriter/ArrWriter. A
+# second value type, parser, or event writer building a String by hand is a
+# second format that can drift from it.
+if grep -rnE --include='*.rs' 'pub enum JVal|fn parse_value|fn write_fields\(&self, out: &mut String' crates |
+    grep -v '^crates/sim/src/json.rs:'; then
+    echo "a second JSON writer or parser: use an2_sim::json"
+    exit 1
+fi
+
 echo "== one scheduling index: no per-input active list or per-step dequeue cache in crates/*/src"
 # What PIM reads — which circuits request which (input, output) pair — is
 # the switch's per-pair request index (crates/switch/src/index.rs). A second
