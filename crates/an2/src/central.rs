@@ -66,7 +66,7 @@ impl BandwidthCentral {
     /// hop still has `cells` unreserved capacity (in the traversal
     /// direction), together with the specific links used. Returns `None`
     /// when no such path exists — the request must be denied.
-    pub fn find_route(
+    pub(crate) fn find_route(
         &self,
         topo: &Topology,
         src: SwitchId,
@@ -121,8 +121,7 @@ impl BandwidthCentral {
     /// # Panics
     ///
     /// Panics if any hop lacks capacity — callers must reserve only routes
-    /// returned by [`BandwidthCentral::find_route`] (plus host links they
-    /// checked with [`BandwidthCentral::host_link_capacity_ok`]).
+    /// the central found with room on every switch hop and host link.
     pub fn commit(
         &mut self,
         topo: &Topology,
@@ -178,7 +177,7 @@ impl BandwidthCentral {
 
     /// Whether a host attachment link still has `cells` unreserved in the
     /// direction leaving `from`.
-    pub fn host_link_capacity_ok(
+    pub(crate) fn host_link_capacity_ok(
         &self,
         topo: &Topology,
         link: an2_topology::LinkId,
@@ -194,7 +193,7 @@ impl BandwidthCentral {
     /// alternate links. `from_host` selects the direction that must have
     /// capacity: `true` for a traffic source (host → switch), `false` for a
     /// destination (switch → host).
-    pub fn best_attachment(
+    pub(crate) fn best_attachment(
         &self,
         topo: &Topology,
         host: HostId,

@@ -301,7 +301,7 @@ impl Fabric {
     }
 
     /// The first non-working link on the circuit's current path, if any.
-    pub fn dead_link_on_path(&self, vc: VcId) -> Option<LinkId> {
+    pub(crate) fn dead_link_on_path(&self, vc: VcId) -> Option<LinkId> {
         self.circuits
             .get(vc)?
             .path_links()
@@ -310,7 +310,7 @@ impl Fabric {
 
     /// Best-effort circuit count per inter-switch link — the load measure
     /// used by the §2 load-balancing reroute extension.
-    pub fn link_circuit_counts(&self) -> Vec<(LinkId, usize)> {
+    pub(crate) fn link_circuit_counts(&self) -> Vec<(LinkId, usize)> {
         let mut counts: Vec<(LinkId, usize)> = self
             .topo
             .links()

@@ -164,12 +164,12 @@ impl Fabric {
 
     /// The earliest slot a control message in flight is due, if any — the
     /// deadline that ends a chunk of [`crate::Network::step`].
-    pub fn next_ctrl_due(&self) -> Option<u64> {
+    pub(crate) fn next_ctrl_due(&self) -> Option<u64> {
         self.ctrl.next_due()
     }
 
     /// Control messages currently on wires.
-    pub fn ctrl_inflight_count(&self) -> usize {
+    pub(crate) fn ctrl_inflight_count(&self) -> usize {
         self.ctrl.inflight.len()
     }
 

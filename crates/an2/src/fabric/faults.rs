@@ -187,7 +187,7 @@ impl Fabric {
 
     /// Whether `s`'s line card is currently crashed (false without a fault
     /// layer).
-    pub fn switch_crashed(&self, s: SwitchId) -> bool {
+    pub(crate) fn switch_crashed(&self, s: SwitchId) -> bool {
         self.fault.as_ref().is_some_and(|f| f.injector.crashed(s))
     }
 

@@ -119,14 +119,14 @@ impl Fabric {
     ///
     /// # Panics
     ///
-    /// Panics on an unknown circuit; [`Fabric::try_outbox_len`] does not.
+    /// Panics on an unknown circuit.
     pub fn outbox_len(&self, vc: VcId) -> usize {
         self.try_outbox_len(vc).expect("unknown circuit")
     }
 
     /// Cells still waiting at the source controller, or `None` for a
     /// circuit that was never opened or is already closed.
-    pub fn try_outbox_len(&self, vc: VcId) -> Option<usize> {
+    pub(crate) fn try_outbox_len(&self, vc: VcId) -> Option<usize> {
         let src = self.circuits.get(vc)?.src;
         let h = &self.hosts[src.0 as usize];
         Some(

@@ -67,7 +67,7 @@ pub(crate) struct ShardLayout {
 }
 
 impl ShardLayout {
-    pub fn from_plan(plan: &[u32], lanes: usize) -> Self {
+    pub(crate) fn from_plan(plan: &[u32], lanes: usize) -> Self {
         let mut runs: Vec<Run> = Vec::new();
         let mut home = Vec::with_capacity(plan.len());
         let mut chunks_in_lane = vec![0u32; lanes];
@@ -192,7 +192,7 @@ impl Lane {
     /// Steps one run of switches into the lane's departure buffer. The
     /// watermark proves a skipped switch's step is a no-op (no cell moves,
     /// no RNG drawn), so only its clock advances.
-    pub fn step_chunk(
+    pub(crate) fn step_chunk(
         &mut self,
         base: u32,
         switches: &mut [Switch],
@@ -540,7 +540,7 @@ impl<'sw> Crew<'_, 'sw> {
     }
 
     /// Moves every switch clock to `target` without stepping.
-    pub fn skip_to(&mut self, target: u64) {
+    pub(crate) fn skip_to(&mut self, target: u64) {
         let own = &mut *self.own;
         self.lead
             .round(Cmd::SkipTo(target), || advance_chunks(own, target));

@@ -25,7 +25,7 @@ pub struct InsertCost {
 /// One E7 cell: fills an (N, frame) schedule to ~90% capacity, measuring
 /// displacement moves. Each cell seeds its own RNG from (N, frame), so
 /// cells can run on any thread in any order.
-pub fn e7_cell(n: usize, frame: u32) -> InsertCost {
+pub(crate) fn e7_cell(n: usize, frame: u32) -> InsertCost {
     let mut rng = SimRng::new(700 + n as u64 + frame as u64);
     let mut res = ReservationMatrix::new(n, frame);
     let mut sched = FrameSchedule::new(n, frame);

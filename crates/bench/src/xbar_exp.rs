@@ -82,7 +82,7 @@ fn run_one(
 }
 
 /// The E3 grid: (load × {FIFO, PIM-3+VOQ}) cells in report order.
-pub fn e3_cells(n: usize, slots: u64) -> Vec<SweepCell> {
+pub(crate) fn e3_cells(n: usize, slots: u64) -> Vec<SweepCell> {
     let mut cells = Vec::new();
     for load in [0.4, 0.5, 0.55, 0.6, 0.7, 0.85, 1.0] {
         cells.push(SweepCell {
@@ -156,7 +156,7 @@ pub struct PimConvergence {
 /// One E4 cell: convergence statistics for a single switch size, on a
 /// forked RNG stream derived from the size so the result is independent of
 /// which thread runs it.
-pub fn e4_cell(n: usize, trials: u64) -> PimConvergence {
+pub(crate) fn e4_cell(n: usize, trials: u64) -> PimConvergence {
     let mut rng = SimRng::new(42).fork(n as u64);
     let mut total = 0u64;
     let mut within4 = 0u64;
@@ -254,7 +254,7 @@ fn e5_patterns() -> [PatternCase; 3] {
 }
 
 /// The E5 grid: pattern × load × discipline cells, in report order.
-pub fn e5_cells(n: usize, slots: u64) -> Vec<SweepCell> {
+pub(crate) fn e5_cells(n: usize, slots: u64) -> Vec<SweepCell> {
     let mut cells = Vec::new();
     for (_, make_pattern) in e5_patterns() {
         for load in [0.5, 0.8, 0.95] {

@@ -261,11 +261,6 @@ impl Cell {
         self.header.vc
     }
 
-    /// `true` when this cell ends a packet.
-    pub fn is_end_of_packet(&self) -> bool {
-        self.header.kind == CellKind::DataEnd
-    }
-
     /// Encodes to the 53-byte wire form.
     pub fn encode(&self) -> [u8; CELL_BYTES] {
         let mut out = [0u8; CELL_BYTES];
@@ -366,14 +361,14 @@ mod tests {
         let cell = Cell::new(VcId::new(0x12_3456), CellKind::DataEnd, payload);
         let wire = cell.encode();
         assert_eq!(Cell::decode(&wire).unwrap(), cell);
-        assert!(cell.is_end_of_packet());
+        assert_eq!(cell.header.kind, CellKind::DataEnd);
         assert_eq!(cell.vc(), VcId::new(0x12_3456));
     }
 
     #[test]
     fn blank_cell_is_data() {
         let c = Cell::blank(VcId::new(1));
-        assert!(!c.is_end_of_packet());
+        assert_eq!(c.header.kind, CellKind::Data);
         assert_eq!(c.payload, [0; PAYLOAD_BYTES]);
     }
 

@@ -8,7 +8,9 @@
 //! The framing follows AAL5: the payload is padded so that payload + an
 //! 8-byte trailer fill a whole number of cells; the trailer carries the true
 //! length and a CRC-32 over the padded payload; the last cell of a packet is
-//! marked in the cell header's payload-type field.
+//! marked in the cell header's payload-type field. Unlike AAL5's CPCS-PDU,
+//! the CRC does not cover the length field, so a corrupted length can
+//! deliver a packet of the wrong length undetected.
 
 use crate::cell::{Cell, CellKind, VcId, PAYLOAD_BYTES};
 use crate::vcindex::VcIndex;
@@ -358,19 +360,6 @@ impl Reassembler {
         let done = self.partial[slot].push(cell)?;
         Ok(done.map(|packet| (cell.vc(), packet)))
     }
-
-    /// Circuits with partially reassembled packets.
-    pub fn partial_circuits(&self) -> usize {
-        self.partial.iter().filter(|p| !p.is_empty()).count()
-    }
-
-    /// Drops any partial packet state for `vc` (used when a circuit is torn
-    /// down or rerouted and in-flight cells were lost).
-    pub fn reset_circuit(&mut self, vc: VcId) {
-        if let Some(slot) = self.index.get(vc) {
-            self.partial[slot as usize] = PartialPacket::new();
-        }
-    }
 }
 
 #[cfg(test)]
@@ -395,7 +384,7 @@ mod tests {
         let (vc, got) = done.expect("last cell completes the packet");
         assert_eq!(vc, VcId::new(3));
         assert_eq!(got.as_bytes(), &data[..]);
-        assert_eq!(r.partial_circuits(), 0);
+        assert!(r.partial.iter().all(PartialPacket::is_empty));
     }
 
     #[test]
@@ -449,7 +438,7 @@ mod tests {
         }
         assert!(matches!(result, Err(ReassemblyError::BadChecksum { .. })));
         // State for the circuit was discarded.
-        assert_eq!(r.partial_circuits(), 0);
+        assert!(r.partial.iter().all(PartialPacket::is_empty));
     }
 
     #[test]
@@ -473,17 +462,6 @@ mod tests {
         let mut r = Reassembler::new();
         let cell = Cell::new(VcId::new(1), CellKind::Management, [0; PAYLOAD_BYTES]);
         assert_eq!(r.push(&cell), Err(ReassemblyError::UnexpectedKind));
-    }
-
-    #[test]
-    fn reset_circuit_discards_partial() {
-        let packet = Packet::from_bytes(vec![1; 200]);
-        let cells = Segmenter::new(VcId::new(6)).segment(&packet);
-        let mut r = Reassembler::new();
-        r.push(&cells[0]).unwrap();
-        assert_eq!(r.partial_circuits(), 1);
-        r.reset_circuit(VcId::new(6));
-        assert_eq!(r.partial_circuits(), 0);
     }
 
     #[test]
@@ -540,7 +518,7 @@ mod tests {
                 }
             }
             if round == 1 {
-                assert_eq!(r.partial_circuits(), 300);
+                assert!(!r.partial.iter().any(PartialPacket::is_empty));
             }
         }
         assert_eq!(failed, [150]);
@@ -549,7 +527,7 @@ mod tests {
             let i = ((vc.raw() - 5_000) / 97) as usize;
             assert_eq!(p, packets[i]);
         }
-        assert_eq!(r.partial_circuits(), 0);
+        assert!(r.partial.iter().all(PartialPacket::is_empty));
     }
 
     #[test]

@@ -22,7 +22,7 @@ pub enum LinkRate {
 
 impl LinkRate {
     /// Bits per second.
-    pub fn bits_per_sec(self) -> u64 {
+    pub(crate) fn bits_per_sec(self) -> u64 {
         match self {
             LinkRate::Mbps155 => 155_520_000,
             LinkRate::Mbps622 => 622_080_000,
@@ -36,11 +36,6 @@ impl LinkRate {
     pub fn slot_duration(self) -> SimDuration {
         let bits = (CELL_BYTES * 8) as u64;
         SimDuration::from_nanos(bits * 1_000_000_000 / self.bits_per_sec())
-    }
-
-    /// Time to transmit one 1024-slot frame at this rate (§4).
-    pub fn frame_duration(self, slots_per_frame: u32) -> SimDuration {
-        self.slot_duration() * slots_per_frame as u64
     }
 
     /// Cells per second at full utilisation.
@@ -77,7 +72,7 @@ mod tests {
     fn gigabit_frame_under_half_millisecond() {
         // The paper: "With 1 gigabit-per-second links, it takes less than
         // half a millisecond to transmit a frame" (1024 slots).
-        let frame = LinkRate::Gbps1.frame_duration(1024);
+        let frame = LinkRate::Gbps1.slot_duration() * 1024;
         assert!(frame < SimDuration::from_micros(500), "frame = {frame}");
     }
 

@@ -194,7 +194,7 @@ impl SignalMsg {
     ///
     /// ```
     /// use an2_cells::signal::{SignalMsg, TrafficClass, SIGNALING_VC};
-    /// use an2_cells::VcId;
+    /// use an2_cells::{CellKind, VcId};
     /// let msg = SignalMsg::Setup {
     ///     circuit: VcId::new(0x99),
     ///     src_host: 1,
@@ -202,19 +202,11 @@ impl SignalMsg {
     ///     class: TrafficClass::BestEffort,
     /// };
     /// let cell = msg.to_cell(SIGNALING_VC);
-    /// assert_eq!(SignalMsg::from_cell(&cell), Some(msg));
+    /// assert_eq!(cell.header.kind, CellKind::Signal);
+    /// assert_eq!(SignalMsg::decode(&cell.payload), Ok(msg));
     /// ```
     pub fn to_cell(&self, signaling_vc: VcId) -> Cell {
         Cell::new(signaling_vc, CellKind::Signal, self.encode())
-    }
-
-    /// Extracts a signaling message from a cell; `None` if the cell is not a
-    /// signaling cell or fails to decode.
-    pub fn from_cell(cell: &Cell) -> Option<Self> {
-        if cell.header.kind != CellKind::Signal {
-            return None;
-        }
-        SignalMsg::decode(&cell.payload).ok()
     }
 }
 
@@ -270,7 +262,8 @@ mod tests {
         for msg in all_messages() {
             let cell = msg.to_cell(SIGNALING_VC);
             assert_eq!(cell.vc(), SIGNALING_VC);
-            assert_eq!(SignalMsg::from_cell(&cell), Some(msg));
+            assert_eq!(cell.header.kind, CellKind::Signal);
+            assert_eq!(SignalMsg::decode(&cell.payload), Ok(msg));
         }
     }
 
@@ -295,12 +288,6 @@ mod tests {
         let err = SignalMsg::decode(&p).unwrap_err();
         assert_eq!(err.tag, 0xEE);
         assert!(err.to_string().contains("0xee"));
-    }
-
-    #[test]
-    fn data_cell_is_not_signal() {
-        let cell = Cell::blank(VcId::new(1));
-        assert_eq!(SignalMsg::from_cell(&cell), None);
     }
 
     #[test]

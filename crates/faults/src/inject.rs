@@ -264,12 +264,6 @@ impl FaultInjector {
         out
     }
 
-    /// Whether the link is physically up (flap scripts only; the monitor's
-    /// *verdict* lives in the topology's [`LinkState`](an2_topology::LinkState)).
-    pub fn link_up(&self, link: LinkId) -> bool {
-        self.links[link.0 as usize].up
-    }
-
     /// Whether the switch is currently crashed.
     pub fn crashed(&self, switch: SwitchId) -> bool {
         self.crashed[switch.0 as usize]
@@ -623,14 +617,13 @@ mod tests {
                 _ => assert!(sf.is_empty()),
             }
             let up = !(10..20).contains(&slot);
-            assert_eq!(inj.link_up(LinkId(1)), up);
             assert_eq!(inj.ping(LinkId(1)), up);
             assert_eq!(
                 inj.transmit_cell(LinkId(1), 0, slot + 2).arrives(),
                 up,
                 "slot {slot}"
             );
-            assert!(inj.link_up(LinkId(0)), "other links unaffected");
+            assert!(inj.ping(LinkId(0)), "other links unaffected");
         }
     }
 
@@ -822,7 +815,7 @@ mod tests {
         }
         assert_eq!(seen, vec![10, 20, 25, 30]);
         assert_eq!(inj.next_transition(slot), None);
-        assert!(inj.link_up(LinkId(0)) && !inj.crashed(SwitchId(0)));
+        assert!(inj.ping(LinkId(0)) && !inj.crashed(SwitchId(0)));
         assert_eq!(
             FaultInjector::new(&FaultSpec::default(), 1, 1, 1).next_transition(0),
             None

@@ -105,7 +105,7 @@ pub struct FaultSpec {
 
 impl FaultSpec {
     /// The model in force on `link`.
-    pub fn model_for(&self, link: LinkId) -> LinkFaultModel {
+    pub(crate) fn model_for(&self, link: LinkId) -> LinkFaultModel {
         self.per_link
             .iter()
             .find(|(l, _)| *l == link)

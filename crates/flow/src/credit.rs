@@ -82,11 +82,6 @@ impl CreditSender {
         self.epoch
     }
 
-    /// Whether the circuit may transmit this slot.
-    pub fn can_send(&self) -> bool {
-        self.balance > 0
-    }
-
     /// Consumes one credit to transmit a cell. Returns `false` (and sends
     /// nothing) when the balance is zero.
     pub fn try_send(&mut self) -> bool {
@@ -208,7 +203,7 @@ impl CreditReceiver {
     }
 
     /// Whether a cell is buffered and could be forwarded this slot.
-    pub fn has_cell(&self) -> bool {
+    pub(crate) fn has_cell(&self) -> bool {
         self.occupied > 0
     }
 
@@ -248,10 +243,8 @@ mod tests {
         assert_eq!(s.capacity(), 3);
         assert_eq!(s.balance(), 3);
         for _ in 0..3 {
-            assert!(s.can_send());
             assert!(s.try_send());
         }
-        assert!(!s.can_send());
         assert!(!s.try_send());
         assert_eq!(s.sent(), 3);
         s.on_credit();

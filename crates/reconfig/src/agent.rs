@@ -471,14 +471,13 @@ impl SwitchAgent {
 mod tests {
     use super::*;
     use crate::harness::ReconfigNet;
-    use an2_sim::SimDuration;
     use an2_topology::generators;
 
     // Two-switch behaviour runs on the harness transport; single-agent
     // behaviour calls `handle` directly. Full networks are covered in
     // harness.rs.
     fn two_switch_net() -> ReconfigNet {
-        ReconfigNet::new(generators::line(2), 1, SimDuration::from_micros(10))
+        ReconfigNet::with_defaults(generators::line(2), 1)
     }
 
     fn view(net: &ReconfigNet, s: u16) -> TopoView {

@@ -4,8 +4,8 @@
 //!
 //! The harness is the whole event loop: it owns the agents and one heap of
 //! in-flight messages keyed `(deliver_at, send_seq)`, pops the earliest,
-//! hands it to [`SwitchAgent::handle`], and queues every reply one link
-//! latency plus one `processing` time later. Equal-time messages are
+//! hands it to [`SwitchAgent::handle`], and queues every reply
+//! [`LINK_LATENCY`] plus [`PROCESSING`] later. Equal-time messages are
 //! delivered in send order, so a run is a pure function of the topology
 //! and the failures injected. (The embedded control plane in
 //! `an2::network::control` drives the same agents over lossy 53-byte control
@@ -16,12 +16,17 @@ use crate::quiesce;
 use an2_sim::{SimDuration, SimTime};
 use an2_topology::{LinkId, LinkState, Node, SpanningTree, SwitchId, Topology};
 use std::cmp::Ordering;
-use std::collections::{BTreeMap, BinaryHeap};
+use std::collections::BinaryHeap;
 
-/// Default per-message software processing time on a line-card CPU. AN1's
+/// Per-message software processing time on a line-card CPU. AN1's
 /// measured sub-200 ms reconfigurations imply per-message costs in the
 /// high-microsecond range; 100 µs is deliberately conservative.
-pub const DEFAULT_PROCESSING: SimDuration = SimDuration::from_micros(100);
+pub const PROCESSING: SimDuration = SimDuration::from_micros(100);
+
+/// One-way latency of every switch-to-switch link on the ideal transport:
+/// SRC's LAN is building-scale, so 1 µs. The fabric times its links in
+/// slots instead (`an2::FabricConfig::link_latency_slots`).
+pub const LINK_LATENCY: SimDuration = SimDuration::from_micros(1);
 
 /// A message on the ideal transport, due at `at`.
 struct InFlight {
@@ -57,10 +62,6 @@ pub struct ReconfigNet {
     queue: BinaryHeap<InFlight>,
     now: SimTime,
     next_seq: u64,
-    processing: SimDuration,
-    /// One-way latency `(from, to)` of each switch adjacency, as announced
-    /// at boot.
-    latency: BTreeMap<(SwitchId, SwitchId), SimDuration>,
 }
 
 impl ReconfigNet {
@@ -70,7 +71,7 @@ impl ReconfigNet {
     /// `seed` is unread: nothing on the ideal transport is random. It stays
     /// in the signature because every caller (experiments, oracles, the
     /// benchmark of record) passes one.
-    pub fn new(topo: Topology, _seed: u64, processing: SimDuration) -> Self {
+    pub fn with_defaults(topo: Topology, _seed: u64) -> Self {
         let agents = topo.switches().map(SwitchAgent::new).collect();
         let mut net = ReconfigNet {
             topo,
@@ -78,8 +79,6 @@ impl ReconfigNet {
             queue: BinaryHeap::new(),
             now: SimTime::ZERO,
             next_seq: 0,
-            processing,
-            latency: BTreeMap::new(),
         };
         // Announce every working inter-switch adjacency to both endpoints.
         let links: Vec<LinkId> = net.topo.links().collect();
@@ -89,19 +88,11 @@ impl ReconfigNet {
             }
             let (ea, eb) = net.topo.endpoints(link);
             if let (Node::Switch(a), Node::Switch(b)) = (ea.node, eb.node) {
-                let latency = net.topo.link_latency(link);
-                net.latency.insert((a, b), latency);
-                net.latency.insert((b, a), latency);
                 net.send_now(a, Msg::LinkUp { link, neighbor: b });
                 net.send_now(b, Msg::LinkUp { link, neighbor: a });
             }
         }
         net
-    }
-
-    /// Convenience constructor with the default processing cost.
-    pub fn with_defaults(topo: Topology, seed: u64) -> Self {
-        ReconfigNet::new(topo, seed, DEFAULT_PROCESSING)
     }
 
     /// Queues `msg` for delivery to `to` at `at`.
@@ -122,11 +113,9 @@ impl ReconfigNet {
         while let Some(m) = self.queue.pop() {
             debug_assert!(m.at >= self.now, "message from the past");
             self.now = m.at;
-            let from = m.to;
-            self.agents[from.0 as usize].handle(m.at, m.msg, &mut out);
+            self.agents[m.to.0 as usize].handle(m.at, m.msg, &mut out);
             for (to, reply) in out.drain(..) {
-                let delay = self.latency[&(from, to)] + self.processing;
-                self.send_at(m.at + delay, to, reply);
+                self.send_at(m.at + LINK_LATENCY + PROCESSING, to, reply);
             }
         }
     }
@@ -175,11 +164,6 @@ impl ReconfigNet {
                 self.send_now(b, Msg::LinkDownDelta { neighbor: a });
             }
         }
-    }
-
-    /// Total incremental deltas applied across all switches.
-    pub fn total_deltas_applied(&self) -> u64 {
-        self.agents.iter().map(|a| a.public().deltas_applied).sum()
     }
 
     /// Pulls the plug on a switch: every incident link dies and all its
@@ -543,7 +527,8 @@ mod tests {
         for s in net.topology().switches() {
             assert_eq!(net.view_edges_of(s).unwrap(), edges, "{s} has a stale view");
         }
-        assert!(net.total_deltas_applied() >= 10);
+        let deltas: u64 = net.agents.iter().map(|a| a.public().deltas_applied).sum();
+        assert!(deltas >= 10);
     }
 
     #[test]

@@ -210,24 +210,6 @@ impl LinkMonitor {
     }
 }
 
-/// Drives a monitor over a synthetic ping-outcome sequence and counts
-/// verdict transitions — used by experiment E12's flapping-link study.
-pub fn count_transitions(
-    monitor: &mut LinkMonitor,
-    outcomes: impl IntoIterator<Item = bool>,
-    ping_interval: SimDuration,
-) -> u32 {
-    let mut transitions = 0;
-    let mut now = SimTime::ZERO;
-    for ok in outcomes {
-        now += ping_interval;
-        if monitor.on_ping(ok, now).is_some() {
-            transitions += 1;
-        }
-    }
-    transitions
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -388,14 +370,17 @@ mod tests {
     }
 
     #[test]
-    fn count_transitions_helper() {
+    fn failures_then_sustained_success_transition_twice() {
         let mut m = LinkMonitor::new(cfg());
         // 3 failures (1 transition to dead), then sustained success long
         // enough for the skeptic: one transition back.
-        let outcomes: Vec<bool> = std::iter::repeat_n(false, 3)
-            .chain(std::iter::repeat_n(true, 50))
-            .collect();
-        let n = count_transitions(&mut m, outcomes, SimDuration::from_millis(10));
+        let outcomes = std::iter::repeat_n(false, 3).chain(std::iter::repeat_n(true, 50));
+        let mut now = SimTime::ZERO;
+        let mut n = 0;
+        for ok in outcomes {
+            now += SimDuration::from_millis(10);
+            n += u32::from(m.on_ping(ok, now).is_some());
+        }
         assert_eq!(n, 2);
         assert_eq!(m.verdict(), LinkVerdict::Working);
     }

@@ -43,19 +43,19 @@ pub struct LiveView<'a> {
 
 impl<'a> LiveView<'a> {
     /// A view over `topo` with no crashed switches.
-    pub fn all_live(topo: &'a Topology) -> Self {
+    pub(crate) fn all_live(topo: &'a Topology) -> Self {
         LiveView { topo, crashed: &[] }
     }
 
     /// Whether switch `s` is crashed.
-    pub fn is_crashed(&self, s: SwitchId) -> bool {
+    pub(crate) fn is_crashed(&self, s: SwitchId) -> bool {
         self.crashed.get(s.0 as usize).copied().unwrap_or(false)
     }
 
     /// The live (non-crashed) members of every partition of the working
     /// link graph, in the topology's canonical partition order. Partitions
     /// whose members all crashed are omitted.
-    pub fn live_partitions(&self) -> Vec<Vec<SwitchId>> {
+    pub(crate) fn live_partitions(&self) -> Vec<Vec<SwitchId>> {
         self.topo
             .switch_partitions()
             .into_iter()
@@ -70,7 +70,7 @@ impl<'a> LiveView<'a> {
 
     /// The live members of the partition containing `reference`, or
     /// `None` if `reference` is crashed or unknown.
-    pub fn live_partition_of(&self, reference: SwitchId) -> Option<Vec<SwitchId>> {
+    pub(crate) fn live_partition_of(&self, reference: SwitchId) -> Option<Vec<SwitchId>> {
         if self.is_crashed(reference) {
             return None;
         }
@@ -84,7 +84,7 @@ impl<'a> LiveView<'a> {
     /// The adjacency set among `live` members over working links:
     /// normalized, sorted, deduplicated — what every member's converged
     /// view must equal.
-    pub fn expected_edges(&self, live: &[SwitchId]) -> Vec<Edge> {
+    pub(crate) fn expected_edges(&self, live: &[SwitchId]) -> Vec<Edge> {
         let mut expected: Vec<Edge> = Vec::new();
         for &a in live {
             for b in self.topo.switch_neighbors(a) {
@@ -103,7 +103,7 @@ impl<'a> LiveView<'a> {
 /// first member's, and every member's view passes `view_matches` against
 /// the partition's expected edge set. `Ok` carries the agreed tag, `Err`
 /// the partition's lowest live switch (the stall-retry candidate).
-pub fn partition_uniform(
+pub(crate) fn partition_uniform(
     lv: &LiveView<'_>,
     live: &[SwitchId],
     tag_of: &mut dyn FnMut(SwitchId) -> Tag,
@@ -129,7 +129,7 @@ pub fn partition_uniform(
 /// The full quiescence predicate over every live partition: all partitions
 /// uniform ⇒ `Ok` with the largest agreed tag; otherwise `Err` with the
 /// lowest live switch of the *first* partition still in disagreement.
-pub fn uniform_views(
+pub(crate) fn uniform_views(
     lv: &LiveView<'_>,
     tag_of: &mut dyn FnMut(SwitchId) -> Tag,
     view_matches: &mut dyn FnMut(SwitchId, Tag, &[Edge]) -> bool,

@@ -35,16 +35,30 @@ impl Default for SkepticConfig {
     }
 }
 
-/// Per-link skeptic state.
+/// Per-link skeptic state, held by each [`LinkMonitor`](crate::monitor::LinkMonitor).
 ///
 /// ```
-/// use an2_reconfig::skeptic::{Skeptic, SkepticConfig};
-/// use an2_sim::{SimTime, SimDuration};
-/// let mut sk = Skeptic::new(SkepticConfig::default());
-/// let t0 = SimTime::ZERO;
-/// sk.on_failure(t0);
-/// assert!(!sk.may_recover(t0 + SimDuration::from_millis(50)));
-/// assert!(sk.may_recover(t0 + SimDuration::from_millis(100)));
+/// use an2_reconfig::monitor::{LinkMonitor, LinkVerdict, MonitorConfig};
+/// use an2_sim::{SimDuration, SimTime};
+/// // Pings every 10 ms: 3 misses kill the link, 10 clean pings plus the
+/// // skeptic's wait (100 ms at level 0) revive it.
+/// let mut m = LinkMonitor::new(MonitorConfig::default());
+/// let mut now = SimTime::ZERO;
+/// let mut pings = |m: &mut LinkMonitor, ok: bool, n: u32| {
+///     for _ in 0..n {
+///         now += SimDuration::from_millis(10);
+///         m.on_ping(ok, now);
+///     }
+///     m.verdict()
+/// };
+/// assert_eq!(pings(&mut m, false, 3), LinkVerdict::Dead);
+/// assert_eq!(pings(&mut m, true, 10), LinkVerdict::Working);
+/// // A recurring failure doubles the wait: 100 ms of clean pings no
+/// // longer suffice.
+/// assert_eq!(pings(&mut m, false, 3), LinkVerdict::Dead);
+/// assert_eq!(pings(&mut m, true, 10), LinkVerdict::Dead);
+/// assert_eq!(m.skeptic_level(), 1);
+/// assert_eq!(pings(&mut m, true, 10), LinkVerdict::Working);
 /// ```
 #[derive(Debug, Clone)]
 pub struct Skeptic {
@@ -71,14 +85,14 @@ impl Skeptic {
     }
 
     /// The clean-operation period currently required before recovery.
-    pub fn required_wait(&self) -> SimDuration {
+    pub(crate) fn required_wait(&self) -> SimDuration {
         let exp = self.level.min(self.cfg.max_level).min(62);
         self.cfg.base_wait * (1u64 << exp)
     }
 
     /// Records a link failure at `now`: escalates the level and restarts
     /// the recovery clock.
-    pub fn on_failure(&mut self, now: SimTime) {
+    pub(crate) fn on_failure(&mut self, now: SimTime) {
         // Escalate only if this failure comes after a recovery (a recurring
         // fault); the very first failure starts at level 0.
         if self.last_failure.is_some() {
@@ -90,7 +104,7 @@ impl Skeptic {
 
     /// Whether the link, failure-free since the last failure, may be
     /// declared recovered at `now`.
-    pub fn may_recover(&self, now: SimTime) -> bool {
+    pub(crate) fn may_recover(&self, now: SimTime) -> bool {
         match self.last_failure {
             None => true,
             Some(t) => now.saturating_duration_since(t) >= self.required_wait(),
@@ -99,7 +113,7 @@ impl Skeptic {
 
     /// Records that the link was declared recovered at `now`; starts the
     /// decay clock.
-    pub fn on_recovery(&mut self, now: SimTime) {
+    pub(crate) fn on_recovery(&mut self, now: SimTime) {
         self.clean_since = Some(now);
     }
 

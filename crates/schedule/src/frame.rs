@@ -174,7 +174,7 @@ impl FrameSchedule {
     }
 
     /// The input transmitting to `output` in `slot`, if any.
-    pub fn input_in_slot(&self, slot: u32, output: usize) -> Option<usize> {
+    pub(crate) fn input_in_slot(&self, slot: u32, output: usize) -> Option<usize> {
         self.lookup(&self.in_of_output, slot, output)
     }
 

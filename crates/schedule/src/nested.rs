@@ -95,11 +95,6 @@ impl NestedFrameSchedule {
         self.subframe_slots * self.subframes.len() as u32
     }
 
-    /// Slots per subframe (the re-ordering unit).
-    pub fn subframe_slots(&self) -> u32 {
-        self.subframe_slots
-    }
-
     /// The output scheduled for `input` at absolute slot `slot`.
     pub fn output_in_slot(&self, slot: u32, input: usize) -> Option<usize> {
         let sf = (slot / self.subframe_slots) as usize;
@@ -190,7 +185,7 @@ mod tests {
             }
         }
         assert_eq!(nested.frame(), 128);
-        assert_eq!(nested.subframe_slots(), 16);
+        assert_eq!(nested.subframe_slots, 16);
         assert_eq!(nested.size(), 4);
     }
 
@@ -212,7 +207,7 @@ mod tests {
             nested_gap < flat_gap,
             "nested gap {nested_gap} !< flat gap {flat_gap}"
         );
-        assert!(nested_gap <= 2 * nested.subframe_slots());
+        assert!(nested_gap <= 2 * nested.subframe_slots);
     }
 
     #[test]

@@ -132,12 +132,12 @@ impl ReservationMatrix {
     }
 
     /// Total cells reserved on an input link.
-    pub fn input_load(&self, input: usize) -> u32 {
+    pub(crate) fn input_load(&self, input: usize) -> u32 {
         (0..self.n).map(|o| self.cells(input, o)).sum()
     }
 
     /// Total cells reserved on an output link.
-    pub fn output_load(&self, output: usize) -> u32 {
+    pub(crate) fn output_load(&self, output: usize) -> u32 {
         (0..self.n).map(|i| self.cells(i, output)).sum()
     }
 

@@ -1,8 +1,6 @@
 //! Measurement utilities shared by every experiment in the reproduction:
 //! sample histograms with percentiles.
 
-use crate::time::SimDuration;
-
 /// HDR-style log-linear buckets: values below `1 << sub_bits` land in their
 /// own bucket (exact); above that, each power-of-two range is split into
 /// `1 << sub_bits` equal sub-buckets, bounding the relative quantization
@@ -127,11 +125,6 @@ impl Histogram {
         }
     }
 
-    /// `true` when this histogram stores buckets rather than raw samples.
-    pub fn is_bucketed(&self) -> bool {
-        matches!(self.repr, Repr::Bucketed(_))
-    }
-
     /// Records a sample.
     pub fn record(&mut self, value: u64) {
         match &mut self.repr {
@@ -141,11 +134,6 @@ impl Histogram {
             }
             Repr::Bucketed(b) => b.record(value),
         }
-    }
-
-    /// Records a duration sample in nanoseconds.
-    pub fn record_duration(&mut self, d: SimDuration) {
-        self.record(d.as_nanos());
     }
 
     /// Number of recorded samples.
@@ -237,38 +225,9 @@ impl Histogram {
         }
     }
 
-    /// The fraction of samples `<= threshold`. In bucketed mode a sample
-    /// counts when its bucket's lower edge is `<= threshold` (the boundary
-    /// bucket is counted whole, consistent with [`Histogram::percentile`]'s
-    /// lower-edge convention).
-    pub fn fraction_at_most(&self, threshold: u64) -> f64 {
-        match &self.repr {
-            Repr::Exact { samples, .. } => {
-                if samples.is_empty() {
-                    return 0.0;
-                }
-                let hits = samples.iter().filter(|&&s| s <= threshold).count();
-                hits as f64 / samples.len() as f64
-            }
-            Repr::Bucketed(b) => {
-                if b.count == 0 {
-                    return 0.0;
-                }
-                let hits: u64 = b
-                    .counts
-                    .iter()
-                    .enumerate()
-                    .filter(|&(i, _)| b.low_edge(i) <= threshold)
-                    .map(|(_, &n)| n)
-                    .sum();
-                hits as f64 / b.count as f64
-            }
-        }
-    }
-
     /// Read-only view of the raw samples (unsorted order not guaranteed).
     /// Bucketed histograms do not retain raw samples and return an empty
-    /// slice; gate on [`Histogram::is_bucketed`] where it matters.
+    /// slice.
     pub fn samples(&self) -> &[u64] {
         match &self.repr {
             Repr::Exact { samples, .. } => samples,
@@ -478,21 +437,12 @@ mod tests {
         assert!(h.is_empty());
         assert_eq!(h.mean(), None);
         assert_eq!(h.percentile(0.5), None);
-        assert_eq!(h.fraction_at_most(10), 0.0);
     }
 
     #[test]
-    fn histogram_fraction_at_most() {
-        let h: Histogram = vec![1, 2, 3, 4, 5, 6, 7, 8, 9, 10].into_iter().collect();
-        assert_eq!(h.fraction_at_most(4), 0.4);
-        assert_eq!(h.fraction_at_most(0), 0.0);
-        assert_eq!(h.fraction_at_most(10), 1.0);
-    }
-
-    #[test]
-    fn histogram_merge_and_duration() {
+    fn histogram_merge() {
         let mut a = Histogram::new();
-        a.record_duration(SimDuration::from_micros(2));
+        a.record(2000);
         let b: Histogram = vec![1000].into_iter().collect();
         a.merge(&b);
         assert_eq!(a.count(), 2);
@@ -527,7 +477,6 @@ mod tests {
     #[test]
     fn bucketed_tracks_exact_extremes_and_mean() {
         let mut h = Histogram::bucketed(5);
-        assert!(h.is_bucketed());
         for v in 1..=100_000u64 {
             h.record(v);
         }
@@ -584,7 +533,6 @@ mod tests {
         assert_eq!(h.percentile(0.0), Some(0));
         assert_eq!(h.percentile(0.5), Some(2));
         assert_eq!(h.percentile(1.0), Some(63));
-        assert_eq!(h.fraction_at_most(3), 4.0 / 6.0);
     }
 
     #[test]

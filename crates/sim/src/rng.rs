@@ -147,13 +147,6 @@ impl SimRng {
         let u = self.gen_f64().max(f64::MIN_POSITIVE);
         (u.ln() / (1.0 - p).ln()).floor() as u64 + 1
     }
-
-    /// A sample from the exponential distribution with the given mean.
-    /// Used for Poisson arrival processes.
-    pub fn gen_exp(&mut self, mean: f64) -> f64 {
-        let u = self.gen_f64().max(f64::MIN_POSITIVE);
-        -mean * u.ln()
-    }
 }
 
 #[cfg(test)]
@@ -295,14 +288,5 @@ mod tests {
             "geometric mean {mean} vs {}",
             1.0 / p
         );
-    }
-
-    #[test]
-    fn exponential_mean_close() {
-        let mut rng = SimRng::new(22);
-        let n = 50_000;
-        let total: f64 = (0..n).map(|_| rng.gen_exp(3.0)).sum();
-        let mean = total / n as f64;
-        assert!((mean - 3.0).abs() < 0.1, "exp mean {mean}");
     }
 }

@@ -169,12 +169,6 @@ impl SimDuration {
     pub fn saturating_sub(self, rhs: SimDuration) -> SimDuration {
         SimDuration(self.0.saturating_sub(rhs.0))
     }
-
-    /// Multiplies the duration by a float factor, rounding to the nearest
-    /// nanosecond. Useful for jittering timers.
-    pub fn mul_f64(self, factor: f64) -> SimDuration {
-        SimDuration((self.0 as f64 * factor).round() as u64)
-    }
 }
 
 impl fmt::Display for SimDuration {
@@ -308,13 +302,6 @@ mod tests {
     fn sum_of_durations() {
         let total: SimDuration = (1..=4).map(SimDuration::from_micros).sum();
         assert_eq!(total, SimDuration::from_micros(10));
-    }
-
-    #[test]
-    fn mul_f64_rounds() {
-        let d = SimDuration::from_nanos(1000);
-        assert_eq!(d.mul_f64(1.5), SimDuration::from_nanos(1500));
-        assert_eq!(d.mul_f64(0.0004), SimDuration::ZERO);
     }
 
     #[test]

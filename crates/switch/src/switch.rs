@@ -510,12 +510,6 @@ impl Switch {
         }
     }
 
-    /// The slot until which `output` is claimed by control cells
-    /// (exclusive); `0` means never claimed.
-    pub fn ctrl_reserved_until(&self, output: usize) -> u64 {
-        self.ctrl_reserved.get(output).copied().unwrap_or(0)
-    }
-
     /// The guaranteed-traffic frame schedule (for reservation surgery).
     /// Handing out the mutable borrow conservatively wakes the switch: a new
     /// reservation can make the very next slot productive.
@@ -590,13 +584,6 @@ impl Switch {
         dropped += self.pool.clear(&mut self.vcs[si].pending_q);
         self.check_index();
         dropped
-    }
-
-    /// The output port a circuit is routed to, if any.
-    pub fn route_of(&self, vc: VcId) -> Option<usize> {
-        self.slot_of(vc)
-            .and_then(|si| self.vcs[si].route)
-            .map(|r| r.output)
     }
 
     /// Accepts a cell on an input port. Routed cells join their circuit's
@@ -956,7 +943,7 @@ mod tests {
             .unwrap();
         sw.enqueue(0, cell(1)).unwrap();
         sw.reserve_output(2, 6);
-        assert_eq!(sw.ctrl_reserved_until(2), 6);
+        assert_eq!(sw.ctrl_reserved[2], 6);
         let mut rng = SimRng::new(1);
         let mut deps = Vec::new();
         for s in 0..10u64 {
@@ -996,8 +983,11 @@ mod tests {
             sw.install_route(VcId::new(1), 2, TrafficClass::BestEffort),
             Err(SwitchError::RouteExists(VcId::new(1)))
         );
-        assert_eq!(sw.route_of(VcId::new(1)), Some(1));
         assert!(sw.enqueue(7, cell(1)).is_err());
+        // The rejected reinstall left the first route in place.
+        sw.enqueue(0, cell(1)).unwrap();
+        let deps = run_slots(&mut sw, &mut SimRng::new(3), 5);
+        assert_eq!(deps.iter().map(|d| d.output).collect::<Vec<_>>(), [1]);
         assert!(SwitchError::BadPort(9).to_string().contains("9"));
     }
 
@@ -1010,7 +1000,10 @@ mod tests {
         sw.enqueue(1, cell(5)).unwrap();
         assert_eq!(sw.remove_route(VcId::new(5)), 2);
         assert_eq!(sw.total_backlog(), 0);
-        assert_eq!(sw.route_of(VcId::new(5)), None);
+        // The route is gone, so it installs afresh.
+        assert!(sw
+            .install_route(VcId::new(5), 1, TrafficClass::BestEffort)
+            .is_ok());
     }
 
     #[test]

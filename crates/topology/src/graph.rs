@@ -1,6 +1,5 @@
 //! The network graph: switches, hosts, ports and full-duplex links.
 
-use an2_sim::SimDuration;
 use std::collections::VecDeque;
 use std::fmt;
 
@@ -108,7 +107,6 @@ struct Link {
     a: Endpoint,
     b: Endpoint,
     state: LinkState,
-    latency: SimDuration,
 }
 
 /// Errors from topology construction.
@@ -138,7 +136,10 @@ impl fmt::Display for TopologyError {
 impl std::error::Error for TopologyError {}
 
 /// The physical network: switches, hosts, and full-duplex point-to-point
-/// links in an arbitrary pattern.
+/// links in an arbitrary pattern. Links carry no latency: the fabric times
+/// them in slots (`an2::FabricConfig::link_latency_slots`) and the
+/// reconfiguration harness with one constant
+/// (`an2_reconfig::harness::LINK_LATENCY`).
 ///
 /// ```
 /// use an2_topology::Topology;
@@ -162,12 +163,7 @@ pub struct Topology {
     /// so failing and reviving links needs no upkeep here.
     switch_links: Vec<Vec<LinkId>>,
     host_links: Vec<Vec<LinkId>>,
-    default_latency: SimDuration,
 }
-
-/// Default one-way link latency: 500 m of fibre ≈ 2.5 µs? No — SRC's LAN is
-/// building-scale; we default to 1 µs, and generators may override per link.
-const DEFAULT_LATENCY: SimDuration = SimDuration::from_micros(1);
 
 /// Ports per AN2 switch (16 line cards, §1).
 pub const AN2_SWITCH_PORTS: u8 = 16;
@@ -177,19 +173,7 @@ pub const HOST_PORTS: u8 = 2;
 impl Topology {
     /// An empty network.
     pub fn new() -> Self {
-        Topology {
-            switch_ports: Vec::new(),
-            host_ports: Vec::new(),
-            links: Vec::new(),
-            switch_links: Vec::new(),
-            host_links: Vec::new(),
-            default_latency: DEFAULT_LATENCY,
-        }
-    }
-
-    /// Sets the default one-way latency applied to subsequently added links.
-    pub fn set_default_latency(&mut self, latency: SimDuration) {
-        self.default_latency = latency;
+        Topology::default()
     }
 
     /// Adds a switch with the standard AN2 port count and returns its id.
@@ -198,7 +182,7 @@ impl Topology {
     }
 
     /// Adds a switch with a custom port count (AN1 used 12).
-    pub fn add_switch_with_ports(&mut self, ports: u8) -> SwitchId {
+    pub(crate) fn add_switch_with_ports(&mut self, ports: u8) -> SwitchId {
         self.switch_ports.push(ports);
         self.switch_links.push(Vec::new());
         SwitchId((self.switch_ports.len() - 1) as u16)
@@ -284,7 +268,7 @@ impl Topology {
     }
 
     /// The lowest-numbered free port on `node`, if any.
-    pub fn free_port(&self, node: Node) -> Option<Port> {
+    pub(crate) fn free_port(&self, node: Node) -> Option<Port> {
         (0..self.port_count(node))
             .map(Port)
             .find(|&p| !self.port_in_use(node, p))
@@ -295,7 +279,7 @@ impl Topology {
     /// # Errors
     ///
     /// Fails on self-loops, host-to-host links, or port exhaustion.
-    pub fn connect(&mut self, a: Node, b: Node) -> Result<LinkId, TopologyError> {
+    pub(crate) fn connect(&mut self, a: Node, b: Node) -> Result<LinkId, TopologyError> {
         if a == b {
             return Err(TopologyError::SelfLoop(a));
         }
@@ -316,7 +300,11 @@ impl Topology {
     ///
     /// Fails if either port is cabled already, on self-loops, or host-to-host
     /// links.
-    pub fn connect_ports(&mut self, a: Endpoint, b: Endpoint) -> Result<LinkId, TopologyError> {
+    pub(crate) fn connect_ports(
+        &mut self,
+        a: Endpoint,
+        b: Endpoint,
+    ) -> Result<LinkId, TopologyError> {
         if a.node == b.node {
             return Err(TopologyError::SelfLoop(a.node));
         }
@@ -335,7 +323,6 @@ impl Topology {
             a,
             b,
             state: LinkState::Working,
-            latency: self.default_latency,
         });
         let id = LinkId((self.links.len() - 1) as u32);
         self.links_of_mut(a.node).push(id);
@@ -343,20 +330,20 @@ impl Topology {
         Ok(id)
     }
 
-    /// Convenience: connect two switches on free ports.
+    /// Connects two switches on free ports.
     ///
     /// # Errors
     ///
-    /// Same conditions as [`Topology::connect`].
+    /// Fails on a self-loop or port exhaustion.
     pub fn link_switches(&mut self, a: SwitchId, b: SwitchId) -> Result<LinkId, TopologyError> {
         self.connect(Node::Switch(a), Node::Switch(b))
     }
 
-    /// Convenience: attach a host to a switch on free ports.
+    /// Attaches a host to a switch on free ports.
     ///
     /// # Errors
     ///
-    /// Same conditions as [`Topology::connect`].
+    /// Fails on port exhaustion.
     pub fn attach_host(&mut self, h: HostId, s: SwitchId) -> Result<LinkId, TopologyError> {
         self.connect(Node::Host(h), Node::Switch(s))
     }
@@ -377,22 +364,12 @@ impl Topology {
         self.links[id.0 as usize].state = state;
     }
 
-    /// One-way latency of a link.
-    pub fn link_latency(&self, id: LinkId) -> SimDuration {
-        self.links[id.0 as usize].latency
-    }
-
-    /// Overrides a link's one-way latency.
-    pub fn set_link_latency(&mut self, id: LinkId, latency: SimDuration) {
-        self.links[id.0 as usize].latency = latency;
-    }
-
     /// Given a link and one of its endpoint nodes, the far endpoint.
     ///
     /// # Panics
     ///
     /// Panics if `from` is not an endpoint of the link.
-    pub fn far_end(&self, id: LinkId, from: Node) -> Endpoint {
+    pub(crate) fn far_end(&self, id: LinkId, from: Node) -> Endpoint {
         let l = &self.links[id.0 as usize];
         if l.a.node == from {
             l.b
@@ -764,18 +741,6 @@ mod tests {
         assert!(t.switch_neighbors(a).is_empty());
         // b-c link survives.
         assert_eq!(t.switch_neighbors(SwitchId(1)), vec![SwitchId(2)]);
-    }
-
-    #[test]
-    fn latency_defaults_and_overrides() {
-        let mut t = Topology::new();
-        t.set_default_latency(SimDuration::from_nanos(500));
-        let a = t.add_switch();
-        let b = t.add_switch();
-        let l = t.link_switches(a, b).unwrap();
-        assert_eq!(t.link_latency(l), SimDuration::from_nanos(500));
-        t.set_link_latency(l, SimDuration::from_micros(50));
-        assert_eq!(t.link_latency(l), SimDuration::from_micros(50));
     }
 
     #[test]

@@ -2,31 +2,11 @@
 //!
 //! AN2 routes each virtual circuit along a path chosen by line-card software
 //! "based on the topology information obtained during reconfiguration" (§2).
-//! This module supplies the path machinery: BFS shortest paths, hop-count
-//! tables, and host-to-host route construction through each host's attached
-//! switches.
+//! This module supplies the path machinery: BFS shortest paths and
+//! host-to-host route construction through each host's attached switches.
 
 use crate::graph::{HostId, LinkId, SwitchId, Topology};
 use std::collections::VecDeque;
-
-/// Hop distances from `src` to every switch over working links
-/// (`None` = unreachable). Index by `SwitchId::0`.
-pub fn distances_from(topo: &Topology, src: SwitchId) -> Vec<Option<u32>> {
-    let mut dist = vec![None; topo.switch_count()];
-    dist[src.0 as usize] = Some(0);
-    let mut q = VecDeque::new();
-    q.push_back(src);
-    while let Some(s) = q.pop_front() {
-        let d = dist[s.0 as usize].unwrap();
-        for t in topo.switch_neighbors(s) {
-            if dist[t.0 as usize].is_none() {
-                dist[t.0 as usize] = Some(d + 1);
-                q.push_back(t);
-            }
-        }
-    }
-    dist
-}
 
 /// A shortest switch-to-switch path (inclusive of both ends), or `None` when
 /// unreachable. Ties are broken toward lower-numbered switches, so the result
@@ -72,14 +52,6 @@ pub struct HostRoute {
     pub dst: HostId,
     /// Switches traversed, first = source's attachment, last = destination's.
     pub switches: Vec<SwitchId>,
-}
-
-impl HostRoute {
-    /// Number of switches on the route — the `p` of the paper's `p*(2f+l)`
-    /// guaranteed-latency bound (§4).
-    pub fn path_length(&self) -> usize {
-        self.switches.len()
-    }
 }
 
 /// The shortest working route between two hosts, trying every combination of
@@ -129,7 +101,7 @@ pub fn host_wiring(topo: &Topology, src: HostId, dst: HostId) -> Option<Wiring> 
 /// Like [`shortest_path`], but treating `avoid` as if it had failed —
 /// equivalent to probing a clone of the topology with that link marked
 /// dead, without the clone. Same lower-numbered-switch tie-break.
-pub fn shortest_path_avoiding(
+pub(crate) fn shortest_path_avoiding(
     topo: &Topology,
     src: SwitchId,
     dst: SwitchId,
@@ -205,41 +177,11 @@ pub fn host_route_avoiding(
     best.map(|switches| HostRoute { src, dst, switches })
 }
 
-/// Average shortest-path hop count over all ordered switch pairs (a
-/// topology-quality metric used by the up\*/down\* inflation experiment).
-/// Returns `None` if the graph is disconnected or has fewer than 2 switches.
-pub fn mean_shortest_hops(topo: &Topology) -> Option<f64> {
-    let n = topo.switch_count();
-    if n < 2 {
-        return None;
-    }
-    let mut total = 0u64;
-    let mut pairs = 0u64;
-    for s in topo.switches() {
-        let dist = distances_from(topo, s);
-        for t in topo.switches() {
-            if s == t {
-                continue;
-            }
-            total += dist[t.0 as usize]? as u64;
-            pairs += 1;
-        }
-    }
-    Some(total as f64 / pairs as f64)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::generators;
-    use crate::graph::{LinkState, Topology};
-
-    #[test]
-    fn distances_on_line() {
-        let topo = generators::line(5);
-        let d = distances_from(&topo, SwitchId(0));
-        assert_eq!(d, vec![Some(0), Some(1), Some(2), Some(3), Some(4)]);
-    }
+    use crate::graph::LinkState;
 
     #[test]
     fn shortest_path_on_ring_takes_short_side() {
@@ -264,8 +206,6 @@ mod tests {
         let mut topo = generators::line(2);
         let lonely = topo.add_switch();
         assert_eq!(shortest_path(&topo, SwitchId(0), lonely), None);
-        let d = distances_from(&topo, SwitchId(0));
-        assert_eq!(d[lonely.0 as usize], None);
     }
 
     #[test]
@@ -291,7 +231,6 @@ mod tests {
         let r = host_route(&topo, h1, h2).unwrap();
         // Best pair is sw1..sw2 (2 switches), not sw0..sw3 (4 switches).
         assert_eq!(r.switches, vec![SwitchId(1), SwitchId(2)]);
-        assert_eq!(r.path_length(), 2);
     }
 
     #[test]
@@ -342,18 +281,5 @@ mod tests {
                 "host route diverges avoiding {avoid}"
             );
         }
-    }
-
-    #[test]
-    fn mean_hops_values() {
-        assert_eq!(mean_shortest_hops(&generators::line(1)), None);
-        let ring4 = generators::ring(4);
-        // Distances in C4: 1,2,1 per node → mean 4/3.
-        let m = mean_shortest_hops(&ring4).unwrap();
-        assert!((m - 4.0 / 3.0).abs() < 1e-12);
-        let mut disc = Topology::new();
-        disc.add_switch();
-        disc.add_switch();
-        assert_eq!(mean_shortest_hops(&disc), None);
     }
 }

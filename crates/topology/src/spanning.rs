@@ -148,22 +148,6 @@ impl SpanningTree {
             .collect()
     }
 
-    /// The path from `s` up to the root, inclusive of both.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `s` is not in the tree.
-    pub fn path_to_root(&self, s: SwitchId) -> Vec<SwitchId> {
-        assert!(self.contains(s), "{s} is not in the spanning tree");
-        let mut path = vec![s];
-        let mut cur = s;
-        while let Some(p) = self.parent(cur) {
-            path.push(p);
-            cur = p;
-        }
-        path
-    }
-
     /// The maximum depth of any member switch.
     pub fn height(&self) -> u32 {
         self.depth.iter().flatten().copied().max().unwrap_or(0)
@@ -198,26 +182,15 @@ mod tests {
     }
 
     #[test]
-    fn children_and_path_to_root() {
+    fn children_and_parent_on_star() {
         let topo = generators::star(4); // sw0 hub, sw1..4 leaves
         let tree = SpanningTree::bfs(&topo, SwitchId(0));
         assert_eq!(
             tree.children(SwitchId(0)),
             vec![SwitchId(1), SwitchId(2), SwitchId(3), SwitchId(4)]
         );
-        assert_eq!(
-            tree.path_to_root(SwitchId(3)),
-            vec![SwitchId(3), SwitchId(0)]
-        );
-    }
-
-    #[test]
-    #[should_panic(expected = "not in the spanning tree")]
-    fn path_to_root_outside_tree_panics() {
-        let mut topo = generators::line(2);
-        let lonely = topo.add_switch();
-        let tree = SpanningTree::bfs(&topo, SwitchId(0));
-        tree.path_to_root(lonely);
+        assert_eq!(tree.parent(SwitchId(3)), Some(SwitchId(0)));
+        assert_eq!(tree.parent(SwitchId(0)), None);
     }
 
     #[test]

@@ -27,7 +27,7 @@ use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet, VecDeque};
 /// # Panics
 ///
 /// Panics if either switch is outside the spanning tree.
-pub fn is_up(tree: &SpanningTree, from: SwitchId, to: SwitchId) -> bool {
+pub(crate) fn is_up(tree: &SpanningTree, from: SwitchId, to: SwitchId) -> bool {
     let df = tree.depth(from).expect("from outside spanning tree");
     let dt = tree.depth(to).expect("to outside spanning tree");
     match dt.cmp(&df) {

@@ -438,7 +438,7 @@ impl TraceEvent {
 
     /// Writes this event's payload as members of the open object `o` —
     /// shared by both sinks.
-    pub fn write_fields(&self, o: &mut ObjWriter<'_>) {
+    pub(crate) fn write_fields(&self, o: &mut ObjWriter<'_>) {
         match *self {
             TraceEvent::CellEnqueue {
                 switch,

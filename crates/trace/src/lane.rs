@@ -178,7 +178,7 @@ mod tests {
         // Nothing is visible before the flush.
         assert!(!lane.is_empty());
         assert_eq!(t.events_seen(), 0);
-        assert_eq!(t.with_registry(|r| r.len()), 0);
+        assert!(t.metric("cells", Entity::Switch(1)).is_none());
         lane.flush();
         assert!(lane.is_empty());
         assert_eq!(t.counter("cells", Entity::Switch(1)), 5, "counter sums");

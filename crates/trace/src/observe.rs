@@ -124,7 +124,7 @@ pub struct IntervalSnapshot {
 
 impl IntervalSnapshot {
     /// The interval delta of counter `name`/`entity` (0 when unmoved).
-    pub fn counter_delta(&self, name: &str, entity: Entity) -> u64 {
+    pub(crate) fn counter_delta(&self, name: &str, entity: Entity) -> u64 {
         self.counters
             .iter()
             .find(|(n, e, _)| *n == name && *e == entity)
@@ -132,7 +132,7 @@ impl IntervalSnapshot {
     }
 
     /// Sum of counter `name`'s interval deltas over every entity.
-    pub fn counter_delta_total(&self, name: &str) -> u64 {
+    pub(crate) fn counter_delta_total(&self, name: &str) -> u64 {
         self.counters
             .iter()
             .filter(|(n, _, _)| *n == name)
@@ -140,16 +140,8 @@ impl IntervalSnapshot {
             .sum()
     }
 
-    /// The gauge `name`/`entity` level at the boundary, if registered.
-    pub fn gauge(&self, name: &str, entity: Entity) -> Option<i64> {
-        self.gauges
-            .iter()
-            .find(|(n, e, _)| *n == name && *e == entity)
-            .map(|&(_, _, v)| v)
-    }
-
     /// The histogram summary for `name`/`entity`, if any sample landed.
-    pub fn hist(&self, name: &str, entity: Entity) -> Option<&HistStat> {
+    pub(crate) fn hist(&self, name: &str, entity: Entity) -> Option<&HistStat> {
         self.hists
             .iter()
             .find(|(n, e, _)| *n == name && *e == entity)
@@ -158,7 +150,7 @@ impl IntervalSnapshot {
 
     /// Per-link utilization in thousandths of the link's cell capacity
     /// (one cell per slot): `link.cells delta * 1000 / interval length`.
-    pub fn link_utilization_milli(&self, link: u32) -> u64 {
+    pub(crate) fn link_utilization_milli(&self, link: u32) -> u64 {
         let slots = (self.end_slot - self.start_slot).max(1);
         self.counter_delta("link.cells", Entity::Link(link)) * 1000 / slots
     }
@@ -234,7 +226,6 @@ pub struct Observatory {
     next_boundary: u64,
     index: u64,
     ring: VecDeque<IntervalSnapshot>,
-    dropped: u64,
     links: BTreeMap<u32, LinkState>,
     floor_raised: bool,
     latency_raised: bool,
@@ -251,7 +242,6 @@ impl Observatory {
             next_boundary: start_slot + every,
             index: 0,
             ring: VecDeque::new(),
-            dropped: 0,
             links: BTreeMap::new(),
             floor_raised: false,
             latency_raised: false,
@@ -270,7 +260,7 @@ impl Observatory {
     /// Boundaries after the first in one call see an unchanged registry
     /// and therefore produce empty intervals — exactly right, because the
     /// fabric only jumps the clock over provably quiet regions.
-    pub fn scrape_until(&mut self, slot: u64, slot_ns: u64, registry: &mut MetricsRegistry) {
+    pub(crate) fn scrape_until(&mut self, slot: u64, slot_ns: u64, registry: &mut MetricsRegistry) {
         while self.next_boundary <= slot {
             let boundary = self.next_boundary;
             let mut snap = IntervalSnapshot {
@@ -283,7 +273,6 @@ impl Observatory {
             self.run_detectors(&snap, slot_ns);
             if self.ring.len() == RING_CAPACITY {
                 self.ring.pop_front();
-                self.dropped += 1;
             }
             self.ring.push_back(snap);
             self.index += 1;
@@ -448,18 +437,13 @@ impl Observatory {
         self.ring.iter()
     }
 
-    /// Snapshots evicted off the front of the ring.
-    pub fn intervals_dropped(&self) -> u64 {
-        self.dropped
-    }
-
     /// Intervals scraped so far (including evicted ones).
     pub fn intervals_seen(&self) -> u64 {
         self.index
     }
 
     /// The full typed health log, in emission order.
-    pub fn health_log(&self) -> &[HealthEvent] {
+    pub(crate) fn health_log(&self) -> &[HealthEvent] {
         &self.health
     }
 }
@@ -602,12 +586,13 @@ mod tests {
         // Written once, before the first boundary.
         reg.counter_add("ctrl.cells_sent", Entity::Switch(0), 4);
         reg.gauge_set("link.up", Entity::Link(2), 1);
+        let latency = reg.resolve("fabric.cell_latency_slots", Entity::Global);
         let n = RING_CAPACITY as u64 + 2;
         for k in 1..=n {
             reg.counter_add("fabric.cells_injected", Entity::Host(0), 10);
             reg.gauge_set("switch.queue_depth", Entity::Switch(1), k as i64);
             if k % 2 == 1 {
-                reg.hist_record("fabric.cell_latency_slots", Entity::Global, 40 * k);
+                reg.hist_record_id(latency, 40 * k);
             }
             if k == 3 {
                 // Born after two scrapes: its whole value is this interval's.
@@ -644,9 +629,9 @@ mod tests {
                 None => assert!(k % 2 == 0, "interval {k} lost its sample"),
             }
         }
-        // Ring is bounded, evictions counted.
+        // Ring is bounded: the two oldest intervals were evicted.
         assert_eq!(obs.intervals().count(), RING_CAPACITY);
-        assert_eq!(obs.intervals_dropped(), 2);
+        assert_eq!(obs.intervals().next().map(|s| s.index), Some(2));
         assert_eq!(obs.intervals_seen(), n);
         assert!(obs.health_log().is_empty());
     }
@@ -657,7 +642,8 @@ mod tests {
         let mut obs = observatory();
         reg.counter_add("link.cells", Entity::Link(1), 5);
         reg.gauge_set("switch.queue_depth", Entity::Switch(0), 2);
-        reg.hist_record("fabric.cell_latency_slots", Entity::Global, 9);
+        let latency = reg.resolve("fabric.cell_latency_slots", Entity::Global);
+        reg.hist_record_id(latency, 9);
         // The clock jumps over four boundaries at once (a fabric skip).
         obs.scrape_until(450, 680, &mut reg);
         assert_eq!(obs.intervals_seen(), 4);

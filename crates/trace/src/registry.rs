@@ -125,7 +125,7 @@ impl MetricsRegistry {
     ///
     /// Panics if the series already holds another kind of metric (as do
     /// the other writers).
-    pub fn counter_add_id(&mut self, id: MetricId, n: u64) {
+    pub(crate) fn counter_add_id(&mut self, id: MetricId, n: u64) {
         match self.value(id, |_| Metric::Counter(0)) {
             (Metric::Counter(c), ..) => *c += n,
             (_, name, entity) => panic!("metric {name}/{entity} is not a counter"),
@@ -133,7 +133,7 @@ impl MetricsRegistry {
     }
 
     /// Sets the gauge behind `id`.
-    pub fn gauge_set_id(&mut self, id: MetricId, value: i64) {
+    pub(crate) fn gauge_set_id(&mut self, id: MetricId, value: i64) {
         match self.value(id, |_| Metric::Gauge(0)) {
             (Metric::Gauge(g), ..) => *g = value,
             (_, name, entity) => panic!("metric {name}/{entity} is not a gauge"),
@@ -141,7 +141,7 @@ impl MetricsRegistry {
     }
 
     /// Records `value` into the bucketed histogram behind `id`.
-    pub fn hist_record_id(&mut self, id: MetricId, value: u64) {
+    pub(crate) fn hist_record_id(&mut self, id: MetricId, value: u64) {
         match self.value(id, |bits| Metric::Histogram(Histogram::bucketed(bits))) {
             (Metric::Histogram(h), ..) => h.record(value),
             (_, name, entity) => panic!("metric {name}/{entity} is not a histogram"),
@@ -167,21 +167,6 @@ impl MetricsRegistry {
     pub fn gauge_set(&mut self, name: &'static str, entity: Entity, value: i64) {
         let id = self.resolve(name, entity);
         self.gauge_set_id(id, value);
-    }
-
-    /// Adds `delta` (possibly negative) to the gauge `name`/`entity`.
-    pub fn gauge_add(&mut self, name: &'static str, entity: Entity, delta: i64) {
-        let id = self.resolve(name, entity);
-        match self.value(id, |_| Metric::Gauge(0)) {
-            (Metric::Gauge(g), ..) => *g += delta,
-            _ => panic!("metric {name}/{entity} is not a gauge"),
-        }
-    }
-
-    /// Records `value` into the bucketed histogram `name`/`entity`.
-    pub fn hist_record(&mut self, name: &'static str, entity: Entity, value: u64) {
-        let id = self.resolve(name, entity);
-        self.hist_record_id(id, value);
     }
 
     /// The metric `name`/`entity`, if anything was ever written to it.
@@ -258,7 +243,7 @@ impl MetricsRegistry {
     /// `{"metrics":[{"name":…,"entity":…,"type":…,…}]}`. Histograms export
     /// count / mean / min / max / p50 / p99 (`&mut` because percentile
     /// queries walk cumulative buckets on a clone).
-    pub fn to_json(&self) -> String {
+    pub(crate) fn to_json(&self) -> String {
         let mut out = String::new();
         let mut doc = ObjWriter::new(&mut out);
         let mut metrics = doc.arr("metrics");
@@ -291,7 +276,7 @@ impl MetricsRegistry {
     /// count plus min/max/p50/p99 gauge series, and label values are
     /// escaped per the exposition-format rules. Samples of one series are
     /// grouped under its header, series in deterministic name order.
-    pub fn to_prometheus(&self) -> String {
+    pub(crate) fn to_prometheus(&self) -> String {
         // series name -> (prometheus type, source metric name, samples)
         let mut series: BTreeMap<String, (&'static str, &'static str, Vec<String>)> =
             BTreeMap::new();
@@ -405,9 +390,10 @@ mod tests {
         r.counter_add("cells.delivered", Entity::Vc(100), 3);
         r.counter_add("cells.delivered", Entity::Vc(100), 2);
         r.gauge_set("queue.depth", Entity::Switch(1), 7);
-        r.gauge_add("queue.depth", Entity::Switch(1), -2);
+        r.gauge_set("queue.depth", Entity::Switch(1), 5);
+        let latency = r.resolve("latency", Entity::Global);
         for v in [10u64, 20, 30] {
-            r.hist_record("latency", Entity::Global, v);
+            r.hist_record_id(latency, v);
         }
         assert_eq!(r.counter("cells.delivered", Entity::Vc(100)), 5);
         assert_eq!(r.counter("cells.delivered", Entity::Vc(999)), 0);
@@ -423,7 +409,8 @@ mod tests {
         let mut r = MetricsRegistry::new(5);
         r.counter_add("cells.sent", Entity::Vc(7), 9);
         r.gauge_set("credits", Entity::Link(3), 8);
-        r.hist_record("latency.slots", Entity::Global, 42);
+        let latency = r.resolve("latency.slots", Entity::Global);
+        r.hist_record_id(latency, 42);
         let json = r.to_json();
         assert!(json.starts_with("{\"metrics\":["));
         assert!(json.contains("\"entity\":\"vc7\""));
@@ -440,8 +427,9 @@ mod tests {
         let mut r = MetricsRegistry::new(5);
         r.counter_add("cells.sent", Entity::Vc(7), 9);
         r.gauge_set("credits", Entity::Link(3), 8);
+        let latency = r.resolve("latency.slots", Entity::Global);
         for v in 1..=100u64 {
-            r.hist_record("latency.slots", Entity::Global, v * 10);
+            r.hist_record_id(latency, v * 10);
         }
         let prom = r.to_prometheus();
         // Every series carries HELP and TYPE headers.
@@ -525,14 +513,14 @@ mod tests {
         assert_eq!(r.counter("cells", Entity::Host(3)), 8);
         let g = r.resolve("depth", Entity::Switch(1));
         r.gauge_set_id(g, 7);
-        r.gauge_add("depth", Entity::Switch(1), -2);
+        r.gauge_set("depth", Entity::Switch(1), 5);
         assert!(matches!(
             r.get("depth", Entity::Switch(1)),
             Some(Metric::Gauge(5))
         ));
         let h = r.resolve("latency", Entity::Global);
         r.hist_record_id(h, 10);
-        r.hist_record("latency", Entity::Global, 20);
+        r.apply(MetricOp::Record(h, 20));
         match r.get("latency", Entity::Global) {
             Some(Metric::Histogram(h)) => assert_eq!(h.count(), 2),
             other => panic!("unexpected {other:?}"),

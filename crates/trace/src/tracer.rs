@@ -171,16 +171,6 @@ impl Tracer {
         self.lock().registry.gauge_set(name, entity, value);
     }
 
-    /// Adds `delta` to a registry gauge.
-    pub fn gauge_add(&self, name: &'static str, entity: Entity, delta: i64) {
-        self.lock().registry.gauge_add(name, entity, delta);
-    }
-
-    /// Records `value` into a registry histogram.
-    pub fn hist_record(&self, name: &'static str, entity: Entity, value: u64) {
-        self.lock().registry.hist_record(name, entity, value);
-    }
-
     /// A copy of the retained records, oldest first.
     pub fn records(&self) -> Vec<TraceRecord> {
         self.lock().recorder.to_vec()
@@ -194,11 +184,6 @@ impl Tracer {
     /// Events evicted off the back of the ring.
     pub fn events_dropped(&self) -> u64 {
         self.lock().recorder.dropped()
-    }
-
-    /// Runs `f` against the metrics registry (read-only snapshot access).
-    pub fn with_registry<R>(&self, f: impl FnOnce(&MetricsRegistry) -> R) -> R {
-        f(&self.lock().registry)
     }
 
     /// The registry counter `name`/`entity` (0 when untouched).
@@ -342,8 +327,8 @@ mod tests {
         let second = &t.intervals()[1];
         assert_eq!(second.counter_delta("link.cells", Entity::Link(9)), 2);
         assert_eq!(
-            second.gauge("switch.queue_depth", Entity::Switch(2)),
-            Some(5)
+            second.gauges,
+            vec![("switch.queue_depth", Entity::Switch(2), 5)]
         );
     }
 

@@ -93,8 +93,7 @@ pub(crate) fn nth_set(words: &[u64], k: usize) -> usize {
 /// This is the public face of the schedulers' internal multi-word masks:
 /// switches up to 64 ports use exactly one word (the hot paths specialize on
 /// that), larger switches spread over `⌈n/64⌉` words. The set knows its
-/// capacity, so complement-style queries ([`Matching::free_input_ports`])
-/// stay well-defined past the last port.
+/// capacity, so [`PortSet::full`] stays well-defined past the last port.
 ///
 /// ```
 /// use an2_xbar::PortSet;
@@ -141,15 +140,6 @@ impl PortSet {
             *w = word_all(n, wi);
         }
         s
-    }
-
-    /// Wraps an existing word slice (little-endian port order).
-    pub(crate) fn from_words(n: usize, words: &[u64]) -> Self {
-        debug_assert_eq!(words.len(), words_for(n));
-        PortSet {
-            n,
-            words: words.to_vec(),
-        }
     }
 
     /// The number of ports the set ranges over (not the member count).
@@ -203,11 +193,6 @@ impl PortSet {
     /// Members in ascending order.
     pub fn iter(&self) -> impl Iterator<Item = usize> + '_ {
         (0..self.n).filter(move |&p| self.contains(p))
-    }
-
-    /// The backing words, 64 ports each, little-endian port order.
-    pub fn as_words(&self) -> &[u64] {
-        &self.words
     }
 }
 
@@ -289,7 +274,7 @@ impl DemandMatrix {
 
     /// The outputs requested by `input`, as a single-word bitmask. Only
     /// valid on switches of ≤ 64 ports; wider switches use
-    /// [`DemandMatrix::row_ports`].
+    /// [`DemandMatrix::wants`].
     #[inline]
     pub fn row_mask(&self, input: usize) -> u64 {
         debug_assert_eq!(self.words, 1, "row_mask on a >64-port switch");
@@ -298,21 +283,11 @@ impl DemandMatrix {
 
     /// The inputs requesting `output`, as a single-word bitmask. Only valid
     /// on switches of ≤ 64 ports; wider switches use
-    /// [`DemandMatrix::col_ports`].
+    /// [`DemandMatrix::wants`].
     #[inline]
     pub fn col_mask(&self, output: usize) -> u64 {
         debug_assert_eq!(self.words, 1, "col_mask on a >64-port switch");
         self.col_masks[output]
-    }
-
-    /// The outputs requested by `input`, at any switch width.
-    pub fn row_ports(&self, input: usize) -> PortSet {
-        PortSet::from_words(self.n, self.row(input))
-    }
-
-    /// The inputs requesting `output`, at any switch width.
-    pub fn col_ports(&self, output: usize) -> PortSet {
-        PortSet::from_words(self.n, self.col(output))
     }
 
     /// The words of input `i`'s request set.
@@ -385,7 +360,7 @@ impl DemandMatrix {
     /// # Panics
     ///
     /// Panics if no cell is queued there.
-    pub fn take_one(&mut self, input: usize, output: usize) {
+    pub(crate) fn take_one(&mut self, input: usize, output: usize) {
         let q = &mut self.queued[input * self.n + output];
         assert!(*q > 0, "no cell queued at ({input}, {output})");
         *q -= 1;
@@ -396,7 +371,7 @@ impl DemandMatrix {
     }
 
     /// Outputs requested by `input`, in ascending order.
-    pub fn requests_of(&self, input: usize) -> Vec<usize> {
+    pub(crate) fn requests_of(&self, input: usize) -> Vec<usize> {
         let row = self.row(input);
         let mut out = Vec::with_capacity(count_set(row));
         for (wi, &w) in row.iter().enumerate() {
@@ -444,9 +419,7 @@ impl DemandMatrix {
 /// output and vice versa.
 ///
 /// Matched-port bitmasks make `input_free` / `output_free` single bit tests
-/// and give schedulers the free-port sets ([`Matching::free_inputs`] on
-/// single-word switches, [`Matching::free_input_ports`] at any width) as
-/// whole words.
+/// and give schedulers the free-port sets as whole words.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Matching {
     /// `pair[i] = Some(o)` when input `i` transmits to output `o`.
@@ -479,19 +452,6 @@ impl Matching {
         }
     }
 
-    /// Builds from an explicit input→output table.
-    ///
-    /// # Panics
-    ///
-    /// Panics if two inputs claim the same output (illegal configuration).
-    pub fn from_pairs(n: usize, pairs: impl IntoIterator<Item = (usize, usize)>) -> Self {
-        let mut m = Matching::empty(n);
-        for (i, o) in pairs {
-            m.set(i, o);
-        }
-        m
-    }
-
     /// Resets to the empty matching of size `n`, reusing the allocation.
     pub fn reset(&mut self, n: usize) {
         assert!(
@@ -517,11 +477,6 @@ impl Matching {
         self.pair[input]
     }
 
-    /// The input matched to `output`, if any.
-    pub fn input_of(&self, output: usize) -> Option<usize> {
-        self.pair.iter().position(|&p| p == Some(output))
-    }
-
     /// Whether `input` is unmatched.
     #[inline]
     pub fn input_free(&self, input: usize) -> bool {
@@ -536,34 +491,20 @@ impl Matching {
 
     /// The unmatched inputs, as a single-word bitmask. Only valid on
     /// switches of ≤ 64 ports; wider switches use
-    /// [`Matching::free_input_ports`].
+    /// [`Matching::write_free_inputs`].
     #[inline]
-    pub fn free_inputs(&self) -> u64 {
+    pub(crate) fn free_inputs(&self) -> u64 {
         debug_assert_eq!(self.words, 1, "free_inputs on a >64-port switch");
         !self.matched_in[0] & all_ports(self.pair.len())
     }
 
     /// The unmatched outputs, as a single-word bitmask. Only valid on
     /// switches of ≤ 64 ports; wider switches use
-    /// [`Matching::free_output_ports`].
+    /// [`Matching::write_free_outputs`].
     #[inline]
-    pub fn free_outputs(&self) -> u64 {
+    pub(crate) fn free_outputs(&self) -> u64 {
         debug_assert_eq!(self.words, 1, "free_outputs on a >64-port switch");
         !self.matched_out[0] & all_ports(self.pair.len())
-    }
-
-    /// The unmatched inputs, at any switch width.
-    pub fn free_input_ports(&self) -> PortSet {
-        let mut s = PortSet::empty(self.pair.len().max(1));
-        self.write_free_inputs(&mut s.words);
-        s
-    }
-
-    /// The unmatched outputs, at any switch width.
-    pub fn free_output_ports(&self) -> PortSet {
-        let mut s = PortSet::empty(self.pair.len().max(1));
-        self.write_free_outputs(&mut s.words);
-        s
     }
 
     /// Writes the free-input words into a caller buffer (alloc-free wide
@@ -767,8 +708,10 @@ mod tests {
         d.add(100, 65, 1);
         assert!(d.wants(0, 129) && d.wants(100, 65));
         assert_eq!(d.requests_of(100), vec![3, 65]);
-        assert_eq!(d.row_ports(100).iter().collect::<Vec<_>>(), vec![3, 65]);
-        assert_eq!(d.col_ports(3).iter().collect::<Vec<_>>(), vec![100]);
+        assert_eq!(
+            (0..n).filter(|&i| d.wants(i, 3)).collect::<Vec<_>>(),
+            vec![100]
+        );
         d.take_one(100, 65);
         assert!(!d.wants(100, 65));
         d.clear();
@@ -776,14 +719,16 @@ mod tests {
         assert_eq!(d.queued(0, 129), 0);
 
         let mut m = Matching::empty(n);
-        assert_eq!(m.free_input_ports().len(), n);
+        let mut free = [0u64; 3];
+        m.write_free_inputs(&mut free);
+        assert_eq!(count_set(&free), n);
         m.set(129, 64);
         assert!(!m.input_free(129) && !m.output_free(64));
         assert!(m.input_free(128) && m.output_free(65));
-        assert_eq!(m.free_output_ports().len(), n - 1);
+        m.write_free_outputs(&mut free);
+        assert_eq!(count_set(&free), n - 1);
         assert_eq!(m.len(), 1);
         assert_eq!(m.output_of(129), Some(64));
-        assert_eq!(m.input_of(64), Some(129));
     }
 
     #[test]
@@ -793,7 +738,8 @@ mod tests {
         d.add(68, 69, 1);
         let m = Matching::empty(n);
         assert!(!m.is_maximal(&d), "68->69 still possible");
-        let m2 = Matching::from_pairs(n, [(68, 69)]);
+        let mut m2 = Matching::empty(n);
+        m2.set(68, 69);
         assert!(m2.is_maximal(&d));
         assert!(m2.is_legal(&d));
     }
@@ -815,7 +761,6 @@ mod tests {
         s.remove(64);
         s.remove(1_000); // out of range: no-op
         assert!(s.is_empty());
-        assert_eq!(s.as_words().len(), 2);
     }
 
     #[test]
@@ -832,8 +777,8 @@ mod tests {
         m.set(3, 1);
         assert_eq!(m.len(), 2);
         assert_eq!(m.output_of(0), Some(2));
-        assert_eq!(m.input_of(1), Some(3));
-        assert_eq!(m.input_of(0), None);
+        assert_eq!(m.output_of(3), Some(1));
+        assert_eq!(m.output_of(1), None);
         assert!(m.input_free(1));
         assert!(!m.output_free(2));
         assert_eq!(m.free_inputs(), 0b0110);
@@ -909,16 +854,20 @@ mod tests {
         d.add(0, 1, 1);
         d.add(1, 1, 1);
         // {0->0, 1->1} is legal and maximal.
-        let m = Matching::from_pairs(3, [(0, 0), (1, 1)]);
+        let mut m = Matching::empty(3);
+        m.set(0, 0);
+        m.set(1, 1);
         assert!(m.is_legal(&d));
         assert!(m.is_maximal(&d));
         // {0->0} alone is legal but not maximal: input 1 / output 1 could
         // still be paired.
-        let m2 = Matching::from_pairs(3, [(0, 0)]);
+        let mut m2 = Matching::empty(3);
+        m2.set(0, 0);
         assert!(m2.is_legal(&d));
         assert!(!m2.is_maximal(&d), "1->1 still possible");
         // A matching using a pair with no demand is illegal.
-        let m3 = Matching::from_pairs(3, [(2, 2)]);
+        let mut m3 = Matching::empty(3);
+        m3.set(2, 2);
         assert!(!m3.is_legal(&d));
     }
 

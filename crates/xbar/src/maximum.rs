@@ -37,7 +37,7 @@ impl MaximumMatching {
     /// Like [`solve`](MaximumMatching::solve), writing into `out` (reset
     /// first). Hopcroft–Karp's layer structures are still allocated per
     /// call — this scheduler is the rejected baseline, not the hot path.
-    pub fn solve_into(demand: &DemandMatrix, out: &mut Matching) {
+    pub(crate) fn solve_into(demand: &DemandMatrix, out: &mut Matching) {
         let n = demand.size();
         const NIL: usize = usize::MAX;
         let adj: Vec<Vec<usize>> = (0..n).map(|i| demand.requests_of(i)).collect();

@@ -297,11 +297,6 @@ impl SwitchReport {
         self.delivered as f64 / (self.slots as f64 * self.ports as f64)
     }
 
-    /// Offered load as a fraction of aggregate link capacity.
-    pub fn offered_load(&self) -> f64 {
-        self.offered as f64 / (self.slots as f64 * self.ports as f64)
-    }
-
     /// Mean cell delay in slots, if any cell was delivered.
     pub fn mean_delay(&self) -> Option<f64> {
         self.delay.mean()
@@ -783,8 +778,9 @@ mod tests {
             5_000,
             11,
         );
-        assert!((r.offered_load() - 0.3).abs() < 0.03);
-        assert!(r.throughput() <= r.offered_load() + 1e-9);
+        let offered_load = r.offered as f64 / (r.slots as f64 * r.ports as f64);
+        assert!((offered_load - 0.3).abs() < 0.03);
+        assert!(r.throughput() <= offered_load + 1e-9);
         assert!(r.peak_backlog > 0);
     }
 

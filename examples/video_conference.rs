@@ -6,7 +6,7 @@
 //! Run with: `cargo run --example video_conference --release`
 
 use an2::Network;
-use an2_workload::{CbrStream, FileTransfer};
+use an2_repro::workload::{CbrStream, FileTransfer};
 
 fn main() -> Result<(), an2::NetError> {
     let frame: u32 = 256;

@@ -1,17 +1,17 @@
-//! # an2-workload — application traffic for the AN2 network
+//! Application traffic for the AN2 network.
 //!
 //! The paper motivates AN2's two service classes with concrete
 //! applications: "a guaranteed traffic stream [...] is well suited to
 //! transmitting multi-media data", while "file transfers and
 //! remote-procedure call are examples of applications where best-effort
-//! scheduling is most appropriate" (§1). This crate provides those
+//! scheduling is most appropriate" (§1). This module provides those
 //! workloads as drivers over [`an2::Network`]:
 //!
 //! * [`CbrStream`] — a constant-bit-rate multimedia source on a guaranteed
 //!   circuit (fixed-size packets on a fixed period).
 //! * [`FileTransfer`] — a windowed bulk transfer on a best-effort circuit.
-//! * [`RpcPair`] — request/response traffic with client-side latency
-//!   measurement.
+//! * [`RpcPair`] — request/response traffic, one request outstanding at a
+//!   time.
 //! * [`PoissonMix`] — background load: Poisson packet arrivals over a set
 //!   of circuits.
 //!
@@ -19,12 +19,8 @@
 //! drivers never block and are deterministic given the network's seed and
 //! their own.
 
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
-
 use an2::{Network, VcId};
 use an2_cells::Packet;
-use an2_sim::metrics::Histogram;
 use an2_sim::SimRng;
 use an2_topology::HostId;
 
@@ -89,8 +85,6 @@ pub struct FileTransfer {
     packet_bytes: usize,
     remaining: u64,
     window: usize,
-    started_slot: Option<u64>,
-    finished_slot: Option<u64>,
 }
 
 impl FileTransfer {
@@ -101,8 +95,6 @@ impl FileTransfer {
             packet_bytes,
             remaining: total_packets,
             window: window.max(1),
-            started_slot: None,
-            finished_slot: None,
         }
     }
 
@@ -111,34 +103,21 @@ impl FileTransfer {
         self.remaining
     }
 
-    /// Slot at which the last packet was queued, once done.
-    pub fn finished_slot(&self) -> Option<u64> {
-        self.finished_slot
-    }
-
     /// Tops the outbox up to the window.
     ///
     /// # Errors
     ///
     /// Propagates [`an2::NetError`].
     pub fn tick(&mut self, net: &mut Network) -> Result<(), an2::NetError> {
-        if self.remaining == 0 {
-            return Ok(());
-        }
-        self.started_slot.get_or_insert(net.slot());
         while self.remaining > 0 && net.outbox_len(self.vc) < self.window {
             net.send_packet(self.vc, Packet::from_bytes(vec![0xF1; self.packet_bytes]))?;
             self.remaining -= 1;
-        }
-        if self.remaining == 0 {
-            self.finished_slot = Some(net.slot());
         }
         Ok(())
     }
 }
 
-/// Request/response RPC over a pair of circuits (one per direction), with
-/// client-observed round-trip latency.
+/// Request/response RPC over a pair of circuits (one per direction).
 #[derive(Debug)]
 pub struct RpcPair {
     client: HostId,
@@ -147,9 +126,8 @@ pub struct RpcPair {
     to_client: VcId,
     request_bytes: usize,
     reply_bytes: usize,
-    outstanding: Option<u64>,
+    outstanding: bool,
     completed: u64,
-    rtt_slots: Histogram,
 }
 
 impl RpcPair {
@@ -169,20 +147,14 @@ impl RpcPair {
             to_client,
             request_bytes,
             reply_bytes,
-            outstanding: None,
+            outstanding: false,
             completed: 0,
-            rtt_slots: Histogram::new(),
         }
     }
 
     /// Completed round trips.
     pub fn completed(&self) -> u64 {
         self.completed
-    }
-
-    /// Round-trip latency samples, in slots.
-    pub fn rtt_slots(&mut self) -> &mut Histogram {
-        &mut self.rtt_slots
     }
 
     /// Drives both sides: the server answers arrived requests; the client
@@ -206,20 +178,17 @@ impl RpcPair {
         // Client: consume replies.
         let replies = net.take_received(self.client);
         for (vc, _rep) in replies {
-            if vc == self.to_client {
-                if let Some(t0) = self.outstanding.take() {
-                    self.rtt_slots.record(net.slot() - t0);
-                    self.completed += 1;
-                }
+            if vc == self.to_client && std::mem::take(&mut self.outstanding) {
+                self.completed += 1;
             }
         }
         // Client: issue the next request.
-        if self.outstanding.is_none() {
+        if !self.outstanding {
             net.send_packet(
                 self.to_server,
                 Packet::from_bytes(vec![0x11; self.request_bytes]),
             )?;
-            self.outstanding = Some(net.slot());
+            self.outstanding = true;
         }
         Ok(())
     }
@@ -311,7 +280,6 @@ mod tests {
             guard += 1;
             assert!(guard < 1_000, "transfer stalled");
         }
-        assert!(ft.finished_slot().is_some());
         n.step(20_000);
         assert_eq!(n.stats(vc).packets_delivered, 40);
     }
@@ -333,8 +301,6 @@ mod tests {
             "only {} RPCs completed",
             rpc.completed()
         );
-        let p50 = rpc.rtt_slots().percentile(0.5).unwrap();
-        assert!(p50 > 0);
     }
 
     #[test]

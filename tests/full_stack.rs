@@ -3,9 +3,9 @@
 
 use an2::{Network, VcId};
 use an2_cells::Packet;
+use an2_repro::workload::{CbrStream, FileTransfer, PoissonMix, RpcPair};
 use an2_sim::SimRng;
 use an2_topology::SwitchId;
-use an2_workload::{CbrStream, FileTransfer, PoissonMix, RpcPair};
 
 #[test]
 fn heavy_mixed_workload_conserves_cells() {
