@@ -153,16 +153,36 @@ impl std::error::Error for TopologyError {}
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct Topology {
-    switch_ports: Vec<u8>,
-    host_ports: Vec<u8>,
+    switches: Vec<Cabling>,
+    hosts: Vec<Cabling>,
     links: Vec<Link>,
-    /// Adjacency index: the links cabled to each switch / host, dead ones
-    /// included, in ascending [`LinkId`] order (appended as links are
-    /// added) — the order a scan of `links` yields, which BFS tie-breaks
-    /// and therefore every route depend on. Readers filter by link state,
-    /// so failing and reviving links needs no upkeep here.
-    switch_links: Vec<Vec<LinkId>>,
-    host_links: Vec<Vec<LinkId>>,
+}
+
+/// One switch's or host's ports and what is cabled to them.
+#[derive(Debug, Clone)]
+struct Cabling {
+    /// How many ports the node has.
+    ports: u8,
+    /// The cabled ports, bit `p` for port `p` (a `u8`, so four words
+    /// cover every port), set as links are added. Links are never
+    /// removed, so a bit is never cleared.
+    cabled: [u64; 4],
+    /// Adjacency index: the links cabled to the node, dead ones included,
+    /// in ascending [`LinkId`] order (appended as links are added) — the
+    /// order a scan of `links` yields, which BFS tie-breaks and therefore
+    /// every route depend on. Readers filter by link state, so failing
+    /// and reviving links needs no upkeep here.
+    links: Vec<LinkId>,
+}
+
+impl Cabling {
+    fn new(ports: u8) -> Self {
+        Cabling {
+            ports,
+            cabled: [0; 4],
+            links: Vec::new(),
+        }
+    }
 }
 
 /// Ports per AN2 switch (16 line cards, §1).
@@ -183,36 +203,34 @@ impl Topology {
 
     /// Adds a switch with a custom port count (AN1 used 12).
     pub(crate) fn add_switch_with_ports(&mut self, ports: u8) -> SwitchId {
-        self.switch_ports.push(ports);
-        self.switch_links.push(Vec::new());
-        SwitchId((self.switch_ports.len() - 1) as u16)
+        self.switches.push(Cabling::new(ports));
+        SwitchId((self.switches.len() - 1) as u16)
     }
 
     /// Adds a host (two ports: active + alternate).
     pub fn add_host(&mut self) -> HostId {
-        self.host_ports.push(HOST_PORTS);
-        self.host_links.push(Vec::new());
-        HostId((self.host_ports.len() - 1) as u16)
+        self.hosts.push(Cabling::new(HOST_PORTS));
+        HostId((self.hosts.len() - 1) as u16)
     }
 
     /// Number of switches.
     pub fn switch_count(&self) -> usize {
-        self.switch_ports.len()
+        self.switches.len()
     }
 
     /// Number of hosts.
     pub fn host_count(&self) -> usize {
-        self.host_ports.len()
+        self.hosts.len()
     }
 
     /// All switch ids.
     pub fn switches(&self) -> impl Iterator<Item = SwitchId> + '_ {
-        (0..self.switch_ports.len()).map(|i| SwitchId(i as u16))
+        (0..self.switches.len()).map(|i| SwitchId(i as u16))
     }
 
     /// All host ids.
     pub fn hosts(&self) -> impl Iterator<Item = HostId> + '_ {
-        (0..self.host_ports.len()).map(|i| HostId(i as u16))
+        (0..self.hosts.len()).map(|i| HostId(i as u16))
     }
 
     /// All link ids (including dead links).
@@ -225,32 +243,31 @@ impl Topology {
         self.links.len()
     }
 
-    fn port_count(&self, node: Node) -> u8 {
+    fn cabling(&self, node: Node) -> &Cabling {
         match node {
-            Node::Switch(s) => self.switch_ports[s.0 as usize],
-            Node::Host(h) => self.host_ports[h.0 as usize],
+            Node::Switch(s) => &self.switches[s.0 as usize],
+            Node::Host(h) => &self.hosts[h.0 as usize],
         }
+    }
+
+    fn cabling_mut(&mut self, node: Node) -> &mut Cabling {
+        match node {
+            Node::Switch(s) => &mut self.switches[s.0 as usize],
+            Node::Host(h) => &mut self.hosts[h.0 as usize],
+        }
+    }
+
+    fn port_count(&self, node: Node) -> u8 {
+        self.cabling(node).ports
     }
 
     /// Every link cabled to `node` (dead ones included), ascending.
     fn links_of(&self, node: Node) -> &[LinkId] {
-        match node {
-            Node::Switch(s) => &self.switch_links[s.0 as usize],
-            Node::Host(h) => &self.host_links[h.0 as usize],
-        }
-    }
-
-    fn links_of_mut(&mut self, node: Node) -> &mut Vec<LinkId> {
-        match node {
-            Node::Switch(s) => &mut self.switch_links[s.0 as usize],
-            Node::Host(h) => &mut self.host_links[h.0 as usize],
-        }
+        &self.cabling(node).links
     }
 
     fn port_in_use(&self, node: Node, port: Port) -> bool {
-        self.links_of(node)
-            .iter()
-            .any(|&id| self.near_end(id, node).port == port)
+        self.cabling(node).cabled[port.0 as usize / 64] >> (port.0 % 64) & 1 != 0
     }
 
     /// How wide `s` is cabled: one past its highest port with a link on it,
@@ -259,19 +276,19 @@ impl Topology {
     /// never shrink — it is the port count a data-plane switch needs to
     /// serve every cable `s` will ever see traffic on.
     pub fn cabled_ports(&self, s: SwitchId) -> usize {
-        let node = Node::Switch(s);
-        self.links_of(node)
-            .iter()
-            .map(|&id| self.near_end(id, node).port.0 as usize + 1)
-            .max()
-            .unwrap_or(0)
+        let mask = &self.switches[s.0 as usize].cabled;
+        (0..mask.len())
+            .rev()
+            .find(|&w| mask[w] != 0)
+            .map_or(0, |w| w * 64 + 64 - mask[w].leading_zeros() as usize)
     }
 
     /// The lowest-numbered free port on `node`, if any.
     pub(crate) fn free_port(&self, node: Node) -> Option<Port> {
-        (0..self.port_count(node))
-            .map(Port)
-            .find(|&p| !self.port_in_use(node, p))
+        let mask = &self.cabling(node).cabled;
+        let w = mask.iter().position(|&bits| bits != !0)?;
+        let port = w * 64 + mask[w].trailing_ones() as usize;
+        (port < self.port_count(node) as usize).then_some(Port(port as u8))
     }
 
     /// Connects two nodes on automatically chosen free ports.
@@ -325,8 +342,11 @@ impl Topology {
             state: LinkState::Working,
         });
         let id = LinkId((self.links.len() - 1) as u32);
-        self.links_of_mut(a.node).push(id);
-        self.links_of_mut(b.node).push(id);
+        for end in [a, b] {
+            let node = self.cabling_mut(end.node);
+            node.links.push(id);
+            node.cabled[end.port.0 as usize / 64] |= 1 << (end.port.0 % 64);
+        }
         Ok(id)
     }
 
@@ -424,10 +444,14 @@ impl Topology {
     /// Working links from switch `s` to switch `t` (there may be several in
     /// redundant installations).
     pub fn links_between(&self, s: SwitchId, t: SwitchId) -> Vec<LinkId> {
-        self.working_links_of(Node::Switch(s))
-            .into_iter()
-            .filter(|(_, far)| far.node == Node::Switch(t))
-            .map(|(id, _)| id)
+        let node = Node::Switch(s);
+        self.links_of(node)
+            .iter()
+            .copied()
+            .filter(|&id| {
+                self.links[id.0 as usize].state == LinkState::Working
+                    && self.far_end(id, node).node == Node::Switch(t)
+            })
             .collect()
     }
 
@@ -533,7 +557,7 @@ impl Topology {
 
     /// Marks every link incident to a switch dead — a switch crash/power-off.
     pub fn kill_switch(&mut self, s: SwitchId) {
-        for &id in &self.switch_links[s.0 as usize] {
+        for &id in &self.switches[s.0 as usize].links {
             self.links[id.0 as usize].state = LinkState::Dead;
         }
     }
@@ -602,6 +626,59 @@ mod tests {
             t.connect(h1.into(), h2.into()),
             Err(TopologyError::HostToHost)
         );
+    }
+
+    #[test]
+    fn port_masks_agree_with_a_scan_of_the_links() {
+        use crate::generators::{fat_tree, line, ring, src_installation, star, wide_hub};
+        // The definitions the masks replace: a port is in use iff some link
+        // of the node has it as its near end, dead links included.
+        let scan_free = |t: &Topology, node: Node| {
+            (0..t.port_count(node)).map(Port).find(|&p| {
+                !t.links_of(node)
+                    .iter()
+                    .any(|&id| t.near_end(id, node).port == p)
+            })
+        };
+        let scan_cabled = |t: &Topology, s: SwitchId| {
+            let node = Node::Switch(s);
+            t.links_of(node)
+                .iter()
+                .map(|&id| t.near_end(id, node).port.0 as usize + 1)
+                .max()
+                .unwrap_or(0)
+        };
+        let topologies = [
+            ("line(3)", line(3)),
+            ("line(9)", line(9)),
+            ("ring(4)", ring(4)),
+            ("ring(12)", ring(12)),
+            ("star(3)", star(3)),
+            ("star(15)", star(15)),
+            ("fat_tree(2,2)", fat_tree(2, 2)),
+            ("fat_tree(2,3)", fat_tree(2, 3)),
+            ("wide_hub(20)", wide_hub(20)),
+            ("wide_hub(255)", wide_hub(255)),
+            ("src_installation(4,8)", src_installation(4, 8)),
+            ("src_installation(12,40)", src_installation(12, 40)),
+        ];
+        for (name, mut t) in topologies {
+            // Dead links keep their ports: kill one and check again.
+            for round in 0..2 {
+                let nodes = t
+                    .switches()
+                    .map(Node::Switch)
+                    .chain(t.hosts().map(Node::Host));
+                for node in nodes {
+                    let at = format!("{name} round {round} {node}");
+                    assert_eq!(t.free_port(node), scan_free(&t, node), "{at}");
+                    if let Node::Switch(s) = node {
+                        assert_eq!(t.cabled_ports(s), scan_cabled(&t, s), "{at}");
+                    }
+                }
+                t.set_link_state(LinkId(0), LinkState::Dead);
+            }
+        }
     }
 
     #[test]
