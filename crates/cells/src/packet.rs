@@ -5,12 +5,13 @@
 //! them into cells to transmit to the network. The controller at the
 //! receiving host will re-assemble the cells into packets." (paper, §1)
 //!
-//! The framing follows AAL5: the payload is padded so that payload + an
-//! 8-byte trailer fill a whole number of cells; the trailer carries the true
-//! length and a CRC-32 over the padded payload; the last cell of a packet is
-//! marked in the cell header's payload-type field. Unlike AAL5's CPCS-PDU,
-//! the CRC does not cover the length field, so a corrupted length can
-//! deliver a packet of the wrong length undetected.
+//! The framing follows AAL5: the payload is padded by 0 to 47 bytes so that
+//! payload + an 8-byte trailer fill a whole number of cells; the trailer
+//! carries the true length and a CRC-32 over everything before the CRC
+//! field (payload, padding and length, as in AAL5's CPCS-PDU); the last cell
+//! of a packet is marked in the cell header's payload-type field. A length
+//! that leaves a whole cell or more of padding is rejected, as no segmenter
+//! sends one.
 
 use crate::cell::{Cell, CellKind, VcId, PAYLOAD_BYTES};
 use crate::vcindex::VcIndex;
@@ -184,9 +185,9 @@ impl Segmenter {
         let padded = n_cells * PAYLOAD_BYTES;
         let mut buf = vec![0u8; padded];
         buf[..body.len()].copy_from_slice(body);
-        // Trailer: [len u32 | crc32 u32] over everything before the trailer.
-        let crc = crc32(&buf[..padded - TRAILER_BYTES]);
+        // Trailer: [len u32 | crc32 u32], the CRC over everything before it.
         buf[padded - 8..padded - 4].copy_from_slice(&(body.len() as u32).to_be_bytes());
+        let crc = crc32(&buf[..padded - 4]);
         buf[padded - 4..].copy_from_slice(&crc.to_be_bytes());
 
         buf.chunks_exact(PAYLOAD_BYTES)
@@ -216,7 +217,8 @@ pub enum ReassemblyError {
         computed: u32,
     },
     /// The length field in the trailer is impossible for the number of cells
-    /// received (corrupt trailer, or a lost cell shortened the packet).
+    /// received: more bytes than arrived, or so few that a whole cell or
+    /// more would be padding (a lost or spliced cell, or a bad trailer).
     BadLength {
         /// Length claimed by the trailer.
         claimed: usize,
@@ -306,15 +308,13 @@ impl PartialPacket {
                 let claimed =
                     u32::from_be_bytes(buf[total - 8..total - 4].try_into().unwrap()) as usize;
                 let expected = u32::from_be_bytes(buf[total - 4..].try_into().unwrap());
-                let computed = crc32(&buf[..total - TRAILER_BYTES]);
+                let computed = crc32(&buf[..total - 4]);
                 if computed != expected {
                     return Err(ReassemblyError::BadChecksum { expected, computed });
                 }
-                if claimed > total - TRAILER_BYTES {
-                    return Err(ReassemblyError::BadLength {
-                        claimed,
-                        available: total - TRAILER_BYTES,
-                    });
+                let available = total - TRAILER_BYTES;
+                if claimed > available || available - claimed >= PAYLOAD_BYTES {
+                    return Err(ReassemblyError::BadLength { claimed, available });
                 }
                 buf.truncate(claimed);
                 Ok(Some(Packet::from_bytes(buf)))
@@ -439,6 +439,84 @@ mod tests {
         assert!(matches!(result, Err(ReassemblyError::BadChecksum { .. })));
         // State for the circuit was discarded.
         assert!(r.partial.iter().all(PartialPacket::is_empty));
+    }
+
+    /// Reassembles `cells` on a fresh circuit: the last cell's outcome,
+    /// after checking that every earlier one only buffered.
+    fn reassemble(cells: &[Cell]) -> Result<Option<Packet>, ReassemblyError> {
+        let mut partial = PartialPacket::new();
+        let (last, body) = cells.split_last().expect("at least one cell");
+        for c in body {
+            assert_eq!(partial.push(c), Ok(None));
+        }
+        partial.push(last)
+    }
+
+    #[test]
+    fn every_single_bit_flip_is_caught_or_harmless() {
+        // One flipped payload bit anywhere in the frame, trailer included,
+        // either fails reassembly or leaves the packet exactly as sent.
+        for len in [0, 1, 10, 39, 40, 41, 100, 1500] {
+            let data: Vec<u8> = (0..len).map(|i| (i * 29 + 5) as u8).collect();
+            let packet = Packet::from_bytes(data);
+            let cells = Segmenter::new(VcId::new(6)).segment(&packet);
+            for k in 0..cells.len() {
+                for bit in 0..PAYLOAD_BYTES * 8 {
+                    let mut flipped = cells.clone();
+                    flipped[k].payload[bit / 8] ^= 1 << (bit % 8);
+                    match reassemble(&flipped) {
+                        Err(_) => {}
+                        Ok(got) => assert_eq!(
+                            got.as_ref(),
+                            Some(&packet),
+                            "len {len}, cell {k}, bit {bit}: a wrong packet delivered"
+                        ),
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_cell_of_padding_is_a_bad_length() {
+        // A frame whose CRC is right but whose length leaves a whole cell
+        // or more of padding: AAL5 pads by 0..=47 bytes, so no segmenter
+        // sends it.
+        let frame = |cells: usize, claimed: u32| -> Vec<Cell> {
+            let mut buf = vec![0x5A; cells * PAYLOAD_BYTES];
+            let total = buf.len();
+            buf[total - 8..total - 4].copy_from_slice(&claimed.to_be_bytes());
+            let crc = crc32(&buf[..total - 4]);
+            buf[total - 4..].copy_from_slice(&crc.to_be_bytes());
+            buf.chunks_exact(PAYLOAD_BYTES)
+                .enumerate()
+                .map(|(i, chunk)| {
+                    let kind = if i + 1 == cells {
+                        CellKind::DataEnd
+                    } else {
+                        CellKind::Data
+                    };
+                    Cell::new(VcId::new(2), kind, chunk.try_into().unwrap())
+                })
+                .collect()
+        };
+        // Two cells carry 88 bytes before the trailer: 41 leaves 47 bytes
+        // of padding, 40 leaves 48, a whole cell.
+        assert_eq!(reassemble(&frame(2, 41)).unwrap().unwrap().len(), 41);
+        for claimed in [40, 10, 0] {
+            assert_eq!(
+                reassemble(&frame(2, claimed)),
+                Err(ReassemblyError::BadLength {
+                    claimed: claimed as usize,
+                    available: 88
+                }),
+                "claimed {claimed}"
+            );
+        }
+        assert!(matches!(
+            reassemble(&frame(2, 89)),
+            Err(ReassemblyError::BadLength { claimed: 89, .. })
+        ));
     }
 
     #[test]
