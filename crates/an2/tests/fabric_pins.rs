@@ -553,7 +553,7 @@ tree2x3/s2/plain stats=2c3770242886c4f4 bytes=4e88296f4276007a misc=9edbee8c5a09
 tree2x3/s2/lossy stats=3f0f89089aa6a1aa bytes=4b6d8f48186fbc17 misc=0346a6a66e9a304d slot=4972 paged=5 closed=1 faults=80,83,75,74,1,2,71,0,0 ctrl=128,5,256 trace=36616:78aaac60b28c1626\n\
 tree2x3/s2/chaos stats=3d6eabb4b5e995f0 bytes=9cd49a63408405cb misc=697eb07d27c49765 slot=4972 paged=5 closed=1 faults=57,0,33,84,6,3,75,16,0 ctrl=128,7,256 trace=35532:be2b02b6c32ca0ec\n\
 src4x6/s1/plain stats=ef398664896acf05 bytes=1010d580b236a05d misc=dc3004b469aa5ed0 slot=4806 paged=5 closed=1 faults=- ctrl=48,2,96 trace=13156:6d2e3367bceaf9a0\n\
-src4x6/s1/lossy stats=abfd65587110d033 bytes=d70f8750403ebe81 misc=470e6e6b35e8c59f slot=4806 paged=5 closed=1 faults=43,29,17,33,0,1,32,0,0 ctrl=48,2,96 trace=13030:14215308bbb9996f\n\
+src4x6/s1/lossy stats=ebe35984f6cafb2d bytes=9604c67ac5b1356b misc=470e6e6b35e8c59f slot=4806 paged=5 closed=1 faults=43,29,17,33,0,1,32,0,0 ctrl=48,2,96 trace=13030:14215308bbb9996f\n\
 src4x6/s1/chaos stats=168dee3aeb17e1c4 bytes=153383cb8c23e4ef misc=ffc8f511ee471a09 slot=4806 paged=5 closed=1 faults=36,0,8,31,3,1,27,2,0 ctrl=48,5,96 trace=12780:49fcd1a725aa904b\n\
 src4x6/s2/plain stats=6948e7387176cc4b bytes=40ecf20d01be4d4c misc=740327978329defc slot=4972 paged=5 closed=1 faults=- ctrl=48,2,96 trace=14346:609ffa10b790a26f\n\
 src4x6/s2/lossy stats=affff62dbb554631 bytes=40b75e05e5452a30 misc=eed98323c1d53b37 slot=4972 paged=5 closed=1 faults=36,39,25,29,1,2,26,0,0 ctrl=48,3,96 trace=14042:f0f99f9bd5c0f815\n\
