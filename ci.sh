@@ -108,6 +108,15 @@ if grep -rn 'check_invariants' crates tests src examples; then
     exit 1
 fi
 
+echo "== one cell arena, per switch: no CellPool or CellQueue in crates/an2/src"
+# Queued cells live in each switch's pool; a host outbox adopts the buffers
+# its cells were handed over in (crates/an2/src/fabric/host.rs). A second
+# arena in the fabric would copy every cell a host sends once more.
+if grep -rnE 'CellPool|CellQueue' crates/an2/src; then
+    echo "a fabric-side cell arena: outboxes adopt the caller's batches"
+    exit 1
+fi
+
 echo "== one stepping engine: no batching toggle in crates, tests, src or examples"
 # Every switch is stepped only when its next-event watermark is due, and the
 # whole fabric jumps what no switch, wire or fault deadline needs. The

@@ -40,7 +40,7 @@ pub use faults::FaultCounters;
 use crate::shard::{self, Crew, Delivery, Lane, ShardLayout};
 use agenda::{Agenda, Event};
 use an2_cells::signal::TrafficClass;
-use an2_cells::{Cell, CellKind, CellPool, VcId};
+use an2_cells::{Cell, CellKind, VcId};
 use an2_sim::metrics::Histogram;
 use an2_sim::SimRng;
 use an2_switch::{Switch, SwitchConfig};
@@ -134,8 +134,10 @@ pub struct Fabric {
     port_map: Vec<Option<Attachment>>,
     port_stride: usize,
     agenda: Agenda,
-    /// Shared arena for outbox cells.
-    pool: CellPool,
+    /// Cells waiting in every host outbox together: the sum of their
+    /// lengths, so a slot can tell that no host has anything to send
+    /// without visiting one.
+    outbox_cells: usize,
     slot: u64,
     /// One RNG stream per switch, forked from the seed in switch-id order.
     /// Giving every switch its own stream (instead of one fabric-wide
@@ -294,7 +296,7 @@ impl Fabric {
             switches,
             hosts,
             circuits: CircuitTable::default(),
-            pool: CellPool::new(),
+            outbox_cells: 0,
             slot: 0,
             switch_rngs,
             shard_work: vec![0],
@@ -552,7 +554,7 @@ impl Fabric {
     /// If the fabric is provably quiet at the current slot, the furthest
     /// slot (≤ `end`) it may fast-forward to; `None` when anything at all
     /// is pending. Checks are ordered cheapest-first so busy slots pay two
-    /// flag tests and one arena counter read; the fault layer's bound
+    /// flag tests and one counter read; the fault layer's bound
     /// ([`Fabric::fault_quiet_bound`]) is asked last.
     ///
     /// A backlogged switch does not block the jump: `switch_bound`, the
@@ -562,7 +564,7 @@ impl Fabric {
         if !self.ctrl.is_idle() {
             return None; // a control message is on a wire
         }
-        if self.pool.live() != 0 {
+        if self.outbox_cells != 0 {
             return None; // some host outbox still holds cells
         }
         let wake = match self.agenda.next_due() {

@@ -8,13 +8,69 @@
 //! that picking the next sender costs a few word scans however many
 //! circuits share the host, and a credit-starved host touches no circuit
 //! state at all.
+//!
+//! An outbox holds the cells a host handed over the way it handed them:
+//! each [`Fabric::send_cells`] call is one batch, adopted whole, so a
+//! segmented packet passed as a `Vec` reaches the wire from the buffer it
+//! was segmented into, with no copy.
 
 use super::circuits::Circuit;
 use super::Fabric;
 use an2_cells::signal::TrafficClass;
-use an2_cells::{Cell, CellKind, CellQueue, Packet, VcId};
+use an2_cells::{Cell, CellKind, Packet, VcId};
 use an2_topology::{HostId, Node};
 use an2_trace::TraceEvent;
+use std::collections::VecDeque;
+
+/// One circuit's cells waiting at its source controller: the batches
+/// handed to [`Fabric::send_cells`], oldest first, each drained from the
+/// front and dropped once empty. No batch in the queue is empty.
+#[derive(Debug, Default)]
+pub(super) struct Outbox {
+    batches: VecDeque<std::vec::IntoIter<Cell>>,
+    /// Cells left over all batches.
+    len: usize,
+}
+
+impl Outbox {
+    pub(super) fn len(&self) -> usize {
+        self.len
+    }
+
+    pub(super) fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    /// The batches still holding cells, oldest first.
+    #[cfg(test)]
+    pub(super) fn batches(&self) -> &VecDeque<std::vec::IntoIter<Cell>> {
+        &self.batches
+    }
+
+    /// Appends `cells` as one batch and returns how many there were. A
+    /// `Vec` is adopted with its buffer (collecting a `vec::IntoIter` into
+    /// a `Vec` reuses the allocation); any other iterator is collected once.
+    fn push(&mut self, cells: impl IntoIterator<Item = Cell>) -> usize {
+        let batch: Vec<Cell> = cells.into_iter().collect();
+        let n = batch.len();
+        if n > 0 {
+            self.batches.push_back(batch.into_iter());
+            self.len += n;
+        }
+        n
+    }
+
+    /// Takes the oldest cell, dropping its batch if that emptied it.
+    fn pop(&mut self) -> Option<Cell> {
+        let front = self.batches.front_mut()?;
+        let cell = front.next().expect("no batch in the queue is empty");
+        if front.len() == 0 {
+            self.batches.pop_front();
+        }
+        self.len -= 1;
+        Some(cell)
+    }
+}
 
 #[derive(Debug, Default)]
 pub(super) struct HostState {
@@ -22,7 +78,7 @@ pub(super) struct HostState {
     /// by id, the iteration order of the `BTreeMap` it replaced. Entries
     /// persist when drained (the injection rotor counts them) and are
     /// removed only at circuit close.
-    pub(super) outbox: Vec<(u32, CellQueue)>,
+    pub(super) outbox: Vec<(u32, Outbox)>,
     /// The ready set: bit `e` is set iff outbox entry `e` passes the
     /// fabric's readiness predicate. One word per 64 entries, exactly
     /// `outbox.len().div_ceil(64)` of them, bits at or past `outbox.len()`
@@ -105,7 +161,10 @@ impl HostState {
 }
 
 impl Fabric {
-    /// Queues cells at the source controller for injection.
+    /// Queues cells at the source controller for injection, behind any it
+    /// still holds. The cells form one batch: a `Vec` is adopted whole,
+    /// buffer and all, so the call costs O(1) however many cells it holds;
+    /// any other iterator is collected into a `Vec` once.
     ///
     /// # Panics
     ///
@@ -141,7 +200,7 @@ impl Fabric {
         std::mem::take(&mut self.hosts[host.0 as usize].received)
     }
 
-    /// Appends cells to a host's per-circuit outbox queue: one entry
+    /// Appends cells to a host's per-circuit outbox as one batch: one entry
     /// look-up and one ready-bit refresh however many cells.
     pub(super) fn push_outbox(
         &mut self,
@@ -155,15 +214,12 @@ impl Fabric {
             Err(pos) => {
                 self.hosts[h]
                     .outbox
-                    .insert(pos, (vc.raw(), CellQueue::new()));
+                    .insert(pos, (vc.raw(), Outbox::default()));
                 self.rederive_ready_from(h, pos);
                 pos
             }
         };
-        for cell in cells {
-            self.pool
-                .push_back(&mut self.hosts[h].outbox[e].1, cell, 0, 0);
-        }
+        self.outbox_cells += self.hosts[h].outbox[e].1.push(cells);
         self.refresh_ready(h, e);
     }
 
@@ -172,8 +228,8 @@ impl Fabric {
     pub(super) fn drop_outbox(&mut self, host: HostId, vc: VcId) {
         let h = host.0 as usize;
         if let Ok(e) = self.hosts[h].outbox_entry(vc.raw()) {
-            let (_, mut q) = self.hosts[h].outbox.remove(e);
-            self.pool.clear(&mut q);
+            let (_, outbox) = self.hosts[h].outbox.remove(e);
+            self.outbox_cells -= outbox.len();
             self.rederive_ready_from(h, e);
         }
     }
@@ -228,9 +284,17 @@ impl Fabric {
     /// moves one past the pick — or one past where it stood when nothing is
     /// ready, the step an idle slot's fruitless look costs.
     pub(super) fn inject_from_hosts(&mut self) {
-        if self.pool.live() == 0 {
-            // Every outbox queue is empty (the pool holds exactly the
-            // buffered host cells), so no entry is ready: make each host's
+        debug_assert_eq!(
+            self.outbox_cells,
+            self.hosts
+                .iter()
+                .flat_map(|h| &h.outbox)
+                .map(|(_, outbox)| outbox.len())
+                .sum::<usize>(),
+            "the outbox cell count disagrees with the outboxes"
+        );
+        if self.outbox_cells == 0 {
+            // Every outbox is empty, so no entry is ready: make each host's
             // nothing-ready rotor step without reading its ready set
             // (cells in flight or queued in switches keep such slots from
             // being jumped, so they are stepped and their cost shows).
@@ -269,10 +333,11 @@ impl Fabric {
         let ci = self.circuits.idx_of(vc).expect(OPEN);
         let circuit = self.circuits.at(ci).expect(OPEN);
         let (first, link) = (circuit.switches[0], circuit.src_link);
-        let (cell, _, _) = self
-            .pool
-            .pop_front(&mut self.hosts[h].outbox[e].1)
-            .expect("a ready entry's queue is non-empty");
+        let cell = self.hosts[h].outbox[e]
+            .1
+            .pop()
+            .expect("a ready entry's outbox is non-empty");
+        self.outbox_cells -= 1;
         let is_signal = cell.header.kind == CellKind::Signal;
         // The sampling counter is the tracer's own, independent of the
         // simulation RNG, so tracing never perturbs the run.
@@ -375,7 +440,7 @@ mod tests {
 
     fn host_with(n: usize, ready: &[usize]) -> HostState {
         let mut h = HostState {
-            outbox: (0..n as u32).map(|raw| (raw, CellQueue::new())).collect(),
+            outbox: (0..n as u32).map(|raw| (raw, Outbox::default())).collect(),
             ..HostState::default()
         };
         h.fit_ready_to_outbox();

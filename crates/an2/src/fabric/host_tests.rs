@@ -187,13 +187,13 @@ fn ready_set_tracks_the_predicate_through_every_transition() {
     // Let everything drain, then page a circuit out and back in and use it
     // again.
     for _ in 0..20_000 {
-        if r.f.pool.live() == 0 {
+        if r.f.outbox_cells == 0 {
             break;
         }
         step_checked(&mut r.f, 1, "drain out");
     }
     step_checked(&mut r.f, 1_000, "switch buffers empty");
-    assert_eq!(r.f.pool.live(), 0, "every outbox drained");
+    assert_eq!(r.f.outbox_cells, 0, "every outbox drained");
     let paged = ids[3];
     assert!(r.f.page_out_circuit(paged));
     assert_ready_sets_exact(&r.f, "page out");
@@ -265,7 +265,7 @@ fn ready_set_tracks_the_predicate_under_loss_and_resync() {
     // slots and rewrite host gates, until every cell has been sent.
     let all: Vec<VcId> = r.f.circuits.iter().map(|(_, vc, _)| vc).collect();
     for round in 0..200 {
-        if r.f.pool.live() == 0 {
+        if r.f.outbox_cells == 0 {
             break;
         }
         for &vc in &all {
@@ -274,7 +274,7 @@ fn ready_set_tracks_the_predicate_under_loss_and_resync() {
         assert_ready_sets_exact(&r.f, &format!("forced resync, round {round}"));
         step_checked(&mut r.f, 150, "after resync");
     }
-    assert_eq!(r.f.pool.live(), 0, "resync reopens every gate");
+    assert_eq!(r.f.outbox_cells, 0, "resync reopens every gate");
     let c = r.f.fault_counters().unwrap();
     assert!(c.credits_lost > 0 && c.resyncs_completed > 0, "{c:?}");
     assert_eq!(c.invariant_violations, 0);
@@ -341,4 +341,149 @@ fn three_hundred_interleaved_circuits_reassemble_per_circuit() {
         assert_eq!(s.packets_delivered, 1 - corrupted, "{vc}");
         assert!(r.f.circuits.get(vc).unwrap().partial.is_empty(), "{vc}");
     }
+}
+
+/// The outbox of `vc` at its source host.
+fn outbox_of(f: &Fabric, vc: VcId) -> &host::Outbox {
+    let h = &f.hosts[f.circuits.get(vc).unwrap().src.0 as usize];
+    &h.outbox[h.outbox_entry(vc.raw()).unwrap()].1
+}
+
+/// The fabric-wide count against every outbox, entry by entry.
+fn assert_outbox_cells_exact(f: &Fabric, when: &str) {
+    let sum: usize = f
+        .hosts
+        .iter()
+        .flat_map(|h| &h.outbox)
+        .map(|(_, outbox)| outbox.len())
+        .sum();
+    assert_eq!(f.outbox_cells, sum, "{when}");
+}
+
+#[test]
+fn a_vec_handed_to_send_cells_is_adopted_not_copied() {
+    let mut r = rig(64);
+    let vc = VcId::new(7);
+    r.open(vc, NEAR_A, TrafficClass::BestEffort, 0);
+    let cells = Segmenter::new(vc).segment(&Packet::from_bytes(vec![7; 1_000]));
+    let (ptr, n) = (cells.as_ptr(), cells.len());
+    r.f.send_cells(vc, cells);
+    let batches = outbox_of(&r.f, vc).batches();
+    assert_eq!(batches.len(), 1);
+    assert_eq!(batches[0].as_slice().as_ptr(), ptr, "the caller's buffer");
+    assert_eq!(batches[0].len(), n);
+    assert_eq!(r.f.outbox_len(vc), n);
+}
+
+#[test]
+fn outbox_is_fifo_across_batches_of_mixed_sizes() {
+    let mut r = rig(64);
+    let vc = VcId::new(7);
+    r.open(vc, NEAR_A, TrafficClass::BestEffort, 0);
+    let seg = Segmenter::new(vc);
+    let packets = [200, 10, 100].map(|n| Packet::from_bytes(vec![n as u8; n]));
+    let [a, b, c] = [0, 1, 2].map(|i| seg.segment(&packets[i]));
+    assert_eq!([a.len(), b.len(), c.len()], [5, 1, 3]);
+    // Packet a split over two batches (a `Vec`, then an iterator), b as an
+    // array, c as a `Vec`: four batches of 2, 3, 1 and 3 cells.
+    r.f.send_cells(vc, a[..2].to_vec());
+    r.f.send_cells(vc, a[2..].iter().copied());
+    r.f.send_cells(vc, b);
+    r.f.send_cells(vc, c);
+    let sizes =
+        |f: &Fabric| -> Vec<usize> { outbox_of(f, vc).batches().iter().map(|b| b.len()).collect() };
+    assert_eq!(sizes(&r.f), [2, 3, 1, 3]);
+    // Each injection takes the front cell, and a batch goes once emptied.
+    let mut left = 9;
+    while left > 0 {
+        r.f.step(1);
+        let now = r.f.outbox_len(vc);
+        assert!(now == left || now + 1 == left, "one cell per slot at most");
+        left = now;
+        let s = sizes(&r.f);
+        assert_eq!(s.iter().sum::<usize>(), left);
+        assert!(s.iter().all(|&n| n > 0), "an empty batch was kept: {s:?}");
+        assert_outbox_cells_exact(&r.f, "draining");
+    }
+    r.f.step(100);
+    let got: Vec<Packet> = r.f.take_received(FAR).into_iter().map(|(_, p)| p).collect();
+    assert_eq!(got, packets, "the packets arrive whole and in order");
+}
+
+#[test]
+fn an_empty_send_adds_no_batch() {
+    let mut r = rig(64);
+    let vc = VcId::new(7);
+    r.open(vc, NEAR_A, TrafficClass::BestEffort, 0);
+    r.f.send_cells(vc, Vec::new());
+    r.f.send_cells(vc, std::iter::empty());
+    assert!(outbox_of(&r.f, vc).batches().is_empty());
+    assert_eq!((r.f.outbox_len(vc), r.f.outbox_cells), (0, 0));
+    assert_ready_sets_exact(&r.f, "empty send");
+    r.send(vc, 100);
+    r.f.send_cells(vc, Vec::new());
+    assert_eq!(outbox_of(&r.f, vc).batches().len(), 1);
+}
+
+#[test]
+fn exhausted_batches_are_dropped_across_top_ups() {
+    // The benchmark's steady top-up: between stretches of slots, each
+    // circuit is refilled one packet per call until it holds a floor.
+    let mut r = rig(64);
+    let vcs = [VcId::new(7), VcId::new(8)];
+    for (i, &vc) in vcs.iter().enumerate() {
+        r.open(vc, [NEAR_A, NEAR_B][i], TrafficClass::BestEffort, 0);
+    }
+    let packets = vcs.map(|vc| Segmenter::new(vc).segment(&Packet::from_bytes(vec![1; 300])));
+    let floor = 3 * packets[0].len();
+    // Per circuit, the running total of cells pushed at each call's end.
+    let mut call_ends: [Vec<usize>; 2] = Default::default();
+    let mut pushed = [0usize; 2];
+    for round in 0..100 {
+        for (i, &vc) in vcs.iter().enumerate() {
+            while r.f.outbox_len(vc) < floor {
+                r.f.send_cells(vc, packets[i].iter().copied());
+                pushed[i] += packets[i].len();
+                call_ends[i].push(pushed[i]);
+            }
+        }
+        r.f.step(7);
+        for (i, &vc) in vcs.iter().enumerate() {
+            let sent = pushed[i] - r.f.outbox_len(vc);
+            let undrained = call_ends[i].iter().filter(|&&end| end > sent).count();
+            let batches = outbox_of(&r.f, vc).batches().len();
+            assert!(
+                batches <= undrained,
+                "round {round}, vc {vc}: {batches} batches for {undrained} undrained calls"
+            );
+        }
+        assert_outbox_cells_exact(&r.f, "top-up");
+    }
+    let calls = call_ends.each_ref().map(Vec::len);
+    assert!(calls.iter().all(|&n| n > 10), "too few top-ups: {calls:?}");
+}
+
+#[test]
+fn closing_a_circuit_takes_its_cells_off_the_count() {
+    let mut r = rig(64);
+    let ids = scattered_ids(12);
+    for (i, &vc) in ids.iter().enumerate() {
+        r.open(vc, [NEAR_A, NEAR_B][i % 2], TrafficClass::BestEffort, 0);
+        r.send(vc, 500 + 100 * i);
+        r.send(vc, 50);
+    }
+    r.f.step(30);
+    assert_outbox_cells_exact(&r.f, "loaded");
+    for (i, &vc) in ids.iter().enumerate().filter(|(i, _)| i % 3 != 0) {
+        let queued = r.f.outbox_len(vc);
+        assert!(queued > 0, "circuit {i} drained early");
+        let before = r.f.outbox_cells;
+        r.f.close_circuit(vc).unwrap();
+        assert_eq!(r.f.outbox_cells, before - queued, "close {vc}");
+        assert_outbox_cells_exact(&r.f, "after close");
+        assert_ready_sets_exact(&r.f, "after close");
+    }
+    r.f.step(5_000);
+    assert_eq!(r.f.outbox_cells, 0);
+    assert_outbox_cells_exact(&r.f, "drained");
 }

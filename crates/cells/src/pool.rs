@@ -1,11 +1,13 @@
 //! A slab-backed pool of [`Cell`]s with intrusive FIFO queues.
 //!
-//! The switch and fabric data planes keep tens of queues per port (one per
-//! virtual circuit). Backing each with its own `VecDeque<Cell>` means every
-//! queue owns a separate allocation and every enqueue may reallocate. The
-//! pool flips that around: **one** growable arena of nodes shared by all
-//! queues, with a free list, so that in steady state cells move between
-//! queues by relinking `u32` indices — zero allocator traffic per slot.
+//! A switch keeps tens of queues per port (one per virtual circuit), and
+//! each switch owns one pool; a host controller's outbox needs none, as it
+//! adopts the buffers its cells were handed over in. Backing each switch
+//! queue with its own `VecDeque<Cell>` would give every queue a separate
+//! allocation and let every enqueue reallocate. The pool flips that
+//! around: **one** growable arena of nodes shared by all queues, with a
+//! free list, so that in steady state cells move between queues by
+//! relinking `u32` indices — zero allocator traffic per slot.
 //!
 //! A [`CellQueue`] is a 12-byte handle (`head`, `tail`, `len`); all
 //! operations go through the pool that owns the storage. Each node carries
