@@ -313,13 +313,9 @@ impl Fabric {
     pub(crate) fn link_circuit_counts(&self) -> Vec<(LinkId, usize)> {
         let mut counts: Vec<(LinkId, usize)> = self
             .topo
-            .links()
-            .filter(|&l| {
-                let (a, b) = self.topo.endpoints(l);
-                matches!((a.node, b.node), (Node::Switch(_), Node::Switch(_)))
-                    && self.topo.link_state(l) == LinkState::Working
-            })
-            .map(|l| (l, 0))
+            .switch_links()
+            .filter(|&(l, _, _)| self.topo.link_state(l) == LinkState::Working)
+            .map(|(l, _, _)| (l, 0))
             .collect();
         for (_, _, c) in self.circuits.iter() {
             if c.paged_out || !matches!(c.class, TrafficClass::BestEffort) {

@@ -5,8 +5,12 @@
 use super::*;
 use an2_reconfig::agent::Msg;
 
+/// A wire message that fits one control cell (an invitation, 12 bytes).
 fn msg() -> CtrlMsg {
-    CtrlMsg::UpDown(Msg::Boot)
+    CtrlMsg::UpDown(Msg::Invite {
+        tag: an2_reconfig::Tag::ZERO,
+        from: SwitchId(0),
+    })
 }
 
 fn arrived(t: &mut CtrlTransport) -> Vec<(u16, u32)> {

@@ -47,11 +47,9 @@ impl Outbox {
         &self.batches
     }
 
-    /// Appends `cells` as one batch and returns how many there were. A
-    /// `Vec` is adopted with its buffer (collecting a `vec::IntoIter` into
-    /// a `Vec` reuses the allocation); any other iterator is collected once.
-    fn push(&mut self, cells: impl IntoIterator<Item = Cell>) -> usize {
-        let batch: Vec<Cell> = cells.into_iter().collect();
+    /// Appends `batch` whole, buffer and all, and returns how many cells
+    /// it held.
+    fn push(&mut self, batch: Vec<Cell>) -> usize {
         let n = batch.len();
         if n > 0 {
             self.batches.push_back(batch.into_iter());
@@ -168,7 +166,8 @@ impl Fabric {
     ///
     /// # Panics
     ///
-    /// Panics on an unknown circuit.
+    /// Panics on an unknown circuit. Debug builds also panic if a cell's
+    /// header names another circuit.
     pub fn send_cells(&mut self, vc: VcId, cells: impl IntoIterator<Item = Cell>) {
         let src = self.circuits.get(vc).expect("unknown circuit").src;
         self.push_outbox(src, vc, cells);
@@ -201,13 +200,26 @@ impl Fabric {
     }
 
     /// Appends cells to a host's per-circuit outbox as one batch: one entry
-    /// look-up and one ready-bit refresh however many cells.
+    /// look-up and one ready-bit refresh however many cells. A `Vec` is
+    /// adopted with its buffer (collecting a `vec::IntoIter` into a `Vec`
+    /// reuses the allocation); any other iterator is collected once.
+    ///
+    /// # Panics
+    ///
+    /// Debug builds panic if a cell's header VC is not `vc`: the cell
+    /// would wait in `vc`'s outbox and leave on `vc`'s link, but every
+    /// switch would forward it by its own header's circuit.
     pub(super) fn push_outbox(
         &mut self,
         host: HostId,
         vc: VcId,
         cells: impl IntoIterator<Item = Cell>,
     ) {
+        let batch: Vec<Cell> = cells.into_iter().collect();
+        debug_assert!(
+            batch.iter().all(|c| c.vc() == vc),
+            "a cell handed to {vc} carries another circuit's header"
+        );
         let h = host.0 as usize;
         let e = match self.hosts[h].outbox_entry(vc.raw()) {
             Ok(e) => e,
@@ -219,7 +231,7 @@ impl Fabric {
                 pos
             }
         };
-        self.outbox_cells += self.hosts[h].outbox[e].1.push(cells);
+        self.outbox_cells += self.hosts[h].outbox[e].1.push(batch);
         self.refresh_ready(h, e);
     }
 

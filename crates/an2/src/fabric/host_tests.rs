@@ -410,6 +410,18 @@ fn outbox_is_fifo_across_batches_of_mixed_sizes() {
     assert_eq!(got, packets, "the packets arrive whole and in order");
 }
 
+#[cfg(debug_assertions)]
+#[test]
+#[should_panic(expected = "carries another circuit's header")]
+fn another_circuits_cells_are_refused() {
+    let mut r = rig(64);
+    let (seven, eight) = (VcId::new(7), VcId::new(8));
+    r.open(seven, NEAR_A, TrafficClass::BestEffort, 0);
+    r.open(eight, NEAR_A, TrafficClass::BestEffort, 0);
+    let cells = Segmenter::new(seven).segment(&Packet::from_bytes(vec![7; 100]));
+    r.f.send_cells(eight, cells);
+}
+
 #[test]
 fn an_empty_send_adds_no_batch() {
     let mut r = rig(64);

@@ -654,12 +654,8 @@ impl Network {
         self.fabric.attach_faults(spec, seed);
         let topo = self.fabric.topology();
         let monitors: Vec<(LinkId, LinkMonitor)> = topo
-            .links()
-            .filter(|&l| {
-                let (a, b) = topo.endpoints(l);
-                matches!(a.node, Node::Switch(_)) && matches!(b.node, Node::Switch(_))
-            })
-            .map(|l| (l, LinkMonitor::new(spec.monitor)))
+            .switch_links()
+            .map(|(l, _, _)| (l, LinkMonitor::new(spec.monitor)))
             .collect();
         let slot_ns = RATE.slot_duration().as_nanos().max(1);
         let ping_every_slots = (spec.monitor.ping_interval.as_nanos() / slot_ns).max(1);

@@ -25,7 +25,7 @@ use an2_reconfig::agent::Msg;
 use an2_reconfig::protocol::ProtocolMsg;
 use an2_reconfig::Tag;
 use an2_sim::{Fnv, SimDuration, SimRng};
-use an2_topology::{generators, paths, HostId, LinkId, LinkState, Node, SwitchId, Topology};
+use an2_topology::{generators, paths, HostId, LinkId, LinkState, SwitchId, Topology};
 
 const TOPOLOGIES: [&str; 3] = ["line3", "tree2x3", "src4x6"];
 
@@ -84,20 +84,8 @@ const MODES: [(Mode, &str); 3] = [
     (Mode::Chaos, "chaos"),
 ];
 
-fn switch_links(topo: &Topology) -> Vec<(LinkId, SwitchId, SwitchId)> {
-    topo.links()
-        .filter_map(|l| {
-            let (a, b) = topo.endpoints(l);
-            match (a.node, b.node) {
-                (Node::Switch(x), Node::Switch(y)) => Some((l, x, y)),
-                _ => None,
-            }
-        })
-        .collect()
-}
-
 fn spec_for(mode: Mode, topo: &Topology) -> Option<FaultSpec> {
-    let links = switch_links(topo);
+    let links: Vec<_> = topo.switch_links().collect();
     match mode {
         Mode::Plain => None,
         Mode::Lossy => Some(FaultSpec {
@@ -200,7 +188,7 @@ fn counters_part(f: Option<an2::FaultCounters>, c: an2::CtrlCounters) -> String 
 fn fabric_run(name: &str, seed: u64, mode: Mode, shards: usize, traced: bool) -> Outcome {
     let topo = topology(name);
     let spec = spec_for(mode, &topo);
-    let backbone = switch_links(&topo);
+    let backbone: Vec<_> = topo.switch_links().collect();
     let mut f = Fabric::new(topo, FabricConfig::default(), seed);
     f.set_shards(shards);
     let mut wl = SimRng::new(seed ^ 0x5eed);
@@ -303,11 +291,8 @@ fn fabric_run(name: &str, seed: u64, mode: Mode, shards: usize, traced: bool) ->
             misc.add(f.slot());
         }
         if round == 5 {
-            let victim = f.topology().links().find(|&l| {
-                let (a, b) = f.topology().endpoints(l);
-                matches!((a.node, b.node), (Node::Switch(_), Node::Switch(_)))
-                    && f.topology().link_state(l) == LinkState::Working
-                    && !f.circuits_using(l).is_empty()
+            let victim = f.topology().switch_links().map(|(l, _, _)| l).find(|&l| {
+                f.topology().link_state(l) == LinkState::Working && !f.circuits_using(l).is_empty()
             });
             if let Some(link) = victim {
                 failed = Some(link);
@@ -428,7 +413,7 @@ fn network_run(row: usize, shards: usize, traced: bool) -> Outcome {
             circuits.extend(vc);
         }
     }
-    let backbone = switch_links(net.topology());
+    let backbone: Vec<_> = net.topology().switch_links().collect();
     let mut spec = FaultSpec {
         resync_interval_slots: 2_000,
         flaps: vec![FlapEvent {

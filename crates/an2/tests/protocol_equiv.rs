@@ -11,7 +11,7 @@
 use an2::{FaultSpec, FlapEvent, Network, ReconfigEvent, SwitchId, VcId};
 use an2_cells::Packet;
 use an2_sim::{Fnv, SimDuration};
-use an2_topology::{LinkId, Node, Topology};
+use an2_topology::Topology;
 
 /// Far-future slot: a flap that never recovers within the horizon.
 const NEVER: u64 = 1_000_000_000;
@@ -20,18 +20,6 @@ fn quiet_spec() -> FaultSpec {
     let mut spec = FaultSpec::default();
     spec.monitor.ping_interval = SimDuration::from_millis(1);
     spec
-}
-
-fn backbone_links(topo: &Topology) -> Vec<(LinkId, SwitchId, SwitchId)> {
-    topo.links()
-        .filter_map(|l| {
-            let (a, b) = topo.endpoints(l);
-            match (a.node, b.node) {
-                (Node::Switch(x), Node::Switch(y)) => Some((l, x, y)),
-                _ => None,
-            }
-        })
-        .collect()
 }
 
 fn grid_topology(which: u64) -> Topology {
@@ -55,7 +43,7 @@ fn grid_topology(which: u64) -> Topology {
 /// stats — everything the replay contract covers.
 fn run_digest(which: u64, seed: u64) -> Vec<u64> {
     let topo = grid_topology(which);
-    let backbone = backbone_links(&topo);
+    let backbone: Vec<_> = topo.switch_links().collect();
     let victim = backbone[2 % backbone.len()].0;
     let mut spec = quiet_spec();
     // Light independent loss so every control burst draws from the

@@ -14,7 +14,7 @@
 use an2::{Fabric, FabricConfig, TrafficClass};
 use an2_cells::{Packet, Segmenter, VcId};
 use an2_sim::{Fnv, SimRng};
-use an2_topology::{generators, paths, HostId, LinkState, Node, SwitchId, Topology};
+use an2_topology::{generators, paths, HostId, LinkState, SwitchId, Topology};
 
 /// The three topology families, in the order the grid walks them.
 const TOPOLOGIES: [&str; 3] = ["line3", "ring4", "src4x6"];
@@ -97,11 +97,8 @@ fn drive(label: &str, mut f: Fabric, wl_seed: u64) -> String {
         if round == 4 {
             // Cut the first loaded inter-switch link; reroute or close
             // every circuit that used it.
-            let victim_link = f.topology().links().find(|&l| {
-                let (a, b) = f.topology().endpoints(l);
-                matches!((a.node, b.node), (Node::Switch(_), Node::Switch(_)))
-                    && f.topology().link_state(l) == LinkState::Working
-                    && !f.circuits_using(l).is_empty()
+            let victim_link = f.topology().switch_links().map(|(l, _, _)| l).find(|&l| {
+                f.topology().link_state(l) == LinkState::Working && !f.circuits_using(l).is_empty()
             });
             if let Some(link) = victim_link {
                 let victims = f.circuits_using(link);

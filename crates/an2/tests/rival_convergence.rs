@@ -14,7 +14,7 @@
 
 use an2::{FaultSpec, FlapEvent, Network, ProtocolKind, SwitchId, VcId};
 use an2_sim::SimDuration;
-use an2_topology::{generators, LinkId, LinkState, Node, Topology};
+use an2_topology::{generators, LinkState, Topology};
 
 /// Far-future slot: a flap that never recovers within the test horizon.
 const NEVER: u64 = 1_000_000_000;
@@ -42,19 +42,6 @@ fn grid_topology(which: usize) -> Topology {
         }
         _ => generators::src_installation(6, 12),
     }
-}
-
-/// Inter-switch links of the current topology, in id order.
-fn backbone_links(topo: &Topology) -> Vec<(LinkId, SwitchId, SwitchId)> {
-    topo.links()
-        .filter_map(|l| {
-            let (a, b) = topo.endpoints(l);
-            match (a.node, b.node) {
-                (Node::Switch(x), Node::Switch(y)) => Some((l, x, y)),
-                _ => None,
-            }
-        })
-        .collect()
 }
 
 fn step_until_converged(net: &mut Network, cap_slots: u64, what: &str) {
@@ -131,7 +118,7 @@ fn run_case(kind: ProtocolKind, which: usize, seed: u64, victim_choice: usize) {
     }
     assert!(!vcs.is_empty(), "t{which}/s{seed}: no circuits opened");
 
-    let backbone = backbone_links(net.topology());
+    let backbone: Vec<_> = net.topology().switch_links().collect();
     let (victim, _, _) = backbone[victim_choice % backbone.len()];
     let mut spec = quiet_spec();
     spec.flaps.push(FlapEvent {

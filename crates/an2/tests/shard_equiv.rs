@@ -17,7 +17,7 @@ use an2::{
 };
 use an2_cells::{Packet, Segmenter, VcId};
 use an2_sim::{Fnv, SimDuration, SimRng};
-use an2_topology::{generators, paths, HostId, LinkState, Node, SwitchId, Topology};
+use an2_topology::{generators, paths, HostId, LinkState, SwitchId, Topology};
 
 /// The grid's topologies, fewest switches first: a three-switch line,
 /// the four-switch installation, the twelve-switch fat-tree.
@@ -95,11 +95,8 @@ fn drive(topo_idx: usize, seed: u64, wl_seed: u64, shards: usize, traced: bool) 
         }
         f.step(20 + wl.gen_range(40) as u64);
         if round == 4 {
-            let victim = f.topology().links().find(|&l| {
-                let (a, b) = f.topology().endpoints(l);
-                matches!((a.node, b.node), (Node::Switch(_), Node::Switch(_)))
-                    && f.topology().link_state(l) == LinkState::Working
-                    && !f.circuits_using(l).is_empty()
+            let victim = f.topology().switch_links().map(|(l, _, _)| l).find(|&l| {
+                f.topology().link_state(l) == LinkState::Working && !f.circuits_using(l).is_empty()
             });
             if let Some(link) = victim {
                 let victims = f.circuits_using(link);

@@ -32,7 +32,7 @@ use an2::{
 };
 use an2_cells::{Packet, Segmenter, VcId};
 use an2_sim::{Fnv, SimDuration, SimRng};
-use an2_topology::{generators, paths, HostId, LinkId, LinkState, Node, SwitchId, Topology};
+use an2_topology::{generators, paths, HostId, LinkId, LinkState, SwitchId, Topology};
 
 /// The `Fabric` grids' topologies, as their pin rows name them.
 const TOPOLOGIES: [&str; 3] = ["line3", "src4x6", "fat2x3"];
@@ -156,11 +156,8 @@ fn drive(topo_idx: usize, seed: u64, wl_seed: u64, shards: usize, traced: bool) 
         }
         f.step(20 + wl.gen_range(40) as u64);
         if round == 4 {
-            let victim = f.topology().links().find(|&l| {
-                let (a, b) = f.topology().endpoints(l);
-                matches!((a.node, b.node), (Node::Switch(_), Node::Switch(_)))
-                    && f.topology().link_state(l) == LinkState::Working
-                    && !f.circuits_using(l).is_empty()
+            let victim = f.topology().switch_links().map(|(l, _, _)| l).find(|&l| {
+                f.topology().link_state(l) == LinkState::Working && !f.circuits_using(l).is_empty()
             });
             if let Some(link) = victim {
                 let victims = f.circuits_using(link);
@@ -679,14 +676,7 @@ fn skeptic_run(topo: usize, seed: u64, chunk: u64, churn: bool) -> (FaultRun, u6
             }
         }
     }
-    let backbone: Vec<LinkId> = net
-        .topology()
-        .links()
-        .filter(|&l| {
-            let (a, b) = net.topology().endpoints(l);
-            matches!((a.node, b.node), (Node::Switch(_), Node::Switch(_)))
-        })
-        .collect();
+    let backbone: Vec<LinkId> = net.topology().switch_links().map(|(l, _, _)| l).collect();
     let mut spec = FaultSpec::default();
     if churn {
         churn_loss(&mut spec);

@@ -20,7 +20,7 @@
 //!   hops across surviving circuits (the spanning tree pays here: every
 //!   route must climb to the tree, shortcuts are blocked).
 
-use crate::{backbone_links, quiet_spec, NEVER};
+use crate::{quiet_spec, NEVER};
 use an2::{FlapEvent, LossModel, Network, ProtocolKind, ReconfigEvent, SwitchId};
 use an2_cells::Packet;
 use an2_topology::{generators, Topology};
@@ -122,10 +122,11 @@ fn run_cell(kind: ProtocolKind, topo_name: &str, topo: Topology, loss: f64) -> A
     // Fail the highest-id backbone link: present in every arena topology,
     // and in the dual-homed installation it cuts a backbone adjacency
     // rather than an access link.
-    let victim = backbone_links(net.topology())
+    let (victim, _, _) = net
+        .topology()
+        .switch_links()
         .last()
-        .expect("arena topologies have a backbone")
-        .0;
+        .expect("arena topologies have a backbone");
     spec.flaps.push(FlapEvent {
         link: victim,
         down_at: FAIL_AT,

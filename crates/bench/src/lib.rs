@@ -27,9 +27,8 @@ pub mod reconfig_exp;
 pub mod schedule_exp;
 pub mod xbar_exp;
 
-use an2::{FaultSpec, LinkId, Network, ReconfigEvent, SwitchId};
+use an2::{FaultSpec, Network, ReconfigEvent};
 use an2_sim::SimDuration;
-use an2_topology::{Node, Topology};
 
 /// Far-future slot: a flap that never recovers, a crash that never
 /// restarts, within any experiment's horizon.
@@ -60,19 +59,6 @@ impl Replay {
             log: net.reconfig_log().to_vec(),
         }
     }
-}
-
-/// Inter-switch links of the topology, in id order.
-pub(crate) fn backbone_links(topo: &Topology) -> Vec<(LinkId, SwitchId, SwitchId)> {
-    topo.links()
-        .filter_map(|l| {
-            let (a, b) = topo.endpoints(l);
-            match (a.node, b.node) {
-                (Node::Switch(x), Node::Switch(y)) => Some((l, x, y)),
-                _ => None,
-            }
-        })
-        .collect()
 }
 
 /// Formats a fraction as a percent with one decimal.

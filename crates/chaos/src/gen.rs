@@ -95,7 +95,7 @@ impl Schedule {
 }
 
 /// Inter-switch links of `topo`, in id order.
-pub fn backbone_links(topo: &Topology) -> Vec<LinkId> {
+fn backbone_links(topo: &Topology) -> Vec<LinkId> {
     topo.links()
         .filter(|&l| {
             let (a, b) = topo.endpoints(l);

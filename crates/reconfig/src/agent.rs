@@ -1,46 +1,27 @@
 //! The per-switch reconfiguration protocol state machine.
 //!
 //! Each switch is a pure state machine exchanging messages with its
-//! physical neighbours only; whoever owns the agents owns the transport.
+//! physical neighbours only. The agents' one owner is
+//! [`crate::protocol::UpDownProtocol`]; the transport belongs to whoever
+//! drives it (the ideal-transport harness or the embedded control plane).
 //! The implementation follows §2's three phases
 //! (propagation / collection / distribution) with epoch tags for overlapping
 //! reconfigurations: "a switch that sees multiple configurations
 //! participates in the one with the largest tag and eventually ignores all
 //! others."
 
+use crate::protocol::{LinkEvent, ProtocolMsg};
+use crate::quiesce::{edge, Edge};
 use crate::Tag;
 use an2_sim::SimTime;
-use an2_topology::{LinkId, SwitchId};
+use an2_topology::SwitchId;
 use std::collections::{BTreeMap, BTreeSet};
 
-/// An undirected switch-to-switch edge, stored with the lower id first.
-pub type Edge = (SwitchId, SwitchId);
-
-fn edge(a: SwitchId, b: SwitchId) -> Edge {
-    if a <= b {
-        (a, b)
-    } else {
-        (b, a)
-    }
-}
-
-/// Messages exchanged during reconfiguration (plus harness events).
+/// The messages switches exchange during reconfiguration. Local link
+/// events reach the agent as [`LinkEvent`]s instead; nothing here is
+/// local.
 #[derive(Debug, Clone)]
 pub enum Msg {
-    /// Harness: the switch powers on and initiates a reconfiguration.
-    Boot,
-    /// Harness: a link to `neighbor` came up (or exists at boot).
-    LinkUp {
-        /// The physical link.
-        link: LinkId,
-        /// The switch at the far end.
-        neighbor: SwitchId,
-    },
-    /// Harness: the link to `neighbor` was declared dead.
-    LinkDown {
-        /// The switch at the far end of the dead link.
-        neighbor: SwitchId,
-    },
     /// Propagation phase: invitation to join the tag's spanning tree.
     Invite {
         /// The reconfiguration this invitation belongs to.
@@ -76,13 +57,6 @@ pub enum Msg {
         edges: Vec<Edge>,
         /// The complete spanning tree as (child, parent) pairs.
         parents: Vec<(SwitchId, SwitchId)>,
-    },
-    /// Harness: the link to `neighbor` died, but handle it with the §2
-    /// *reduced-disruption* extension — originate an incremental delta
-    /// flood instead of a full reconfiguration.
-    LinkDownDelta {
-        /// The switch at the far end of the dead link.
-        neighbor: SwitchId,
     },
     /// §2 extension: an incremental topology update, flooded through the
     /// network. Duplicate-suppressed by `(origin, seq)`.
@@ -150,7 +124,7 @@ pub struct SwitchAgent {
 
 impl SwitchAgent {
     /// Creates an idle agent for switch `id`.
-    pub fn new(id: SwitchId) -> Self {
+    pub(crate) fn new(id: SwitchId) -> Self {
         SwitchAgent {
             id,
             neighbors: BTreeMap::new(),
@@ -193,7 +167,7 @@ impl SwitchAgent {
     /// Floods a delta to every working neighbour.
     fn flood_delta(
         &mut self,
-        out: &mut Vec<(SwitchId, Msg)>,
+        out: &mut Vec<(SwitchId, ProtocolMsg)>,
         origin: SwitchId,
         seq: u64,
         edge: Edge,
@@ -218,15 +192,15 @@ impl SwitchAgent {
             .collect()
     }
 
-    fn send(&mut self, out: &mut Vec<(SwitchId, Msg)>, to: SwitchId, msg: Msg) {
+    fn send(&mut self, out: &mut Vec<(SwitchId, ProtocolMsg)>, to: SwitchId, msg: Msg) {
         if !self.neighbors[&to] {
             return; // link died under us; the message would be lost anyway
         }
         self.public.messages_sent += 1;
-        out.push((to, msg));
+        out.push((to, ProtocolMsg::UpDown(msg)));
     }
 
-    fn start_reconfig(&mut self, now: SimTime, out: &mut Vec<(SwitchId, Msg)>) {
+    fn start_reconfig(&mut self, now: SimTime, out: &mut Vec<(SwitchId, ProtocolMsg)>) {
         self.tag = self.tag.successor(self.id);
         self.public.initiated += 1;
         let invitees: BTreeSet<SwitchId> = self.up_neighbors().into_iter().collect();
@@ -246,7 +220,13 @@ impl SwitchAgent {
         self.try_advance(now, out);
     }
 
-    fn join(&mut self, now: SimTime, out: &mut Vec<(SwitchId, Msg)>, tag: Tag, parent: SwitchId) {
+    fn join(
+        &mut self,
+        now: SimTime,
+        out: &mut Vec<(SwitchId, ProtocolMsg)>,
+        tag: Tag,
+        parent: SwitchId,
+    ) {
         self.tag = tag;
         let invitees: BTreeSet<SwitchId> = self
             .up_neighbors()
@@ -280,7 +260,7 @@ impl SwitchAgent {
     /// Collection / completion: once every invited neighbour has answered
     /// and every child has reported, a non-root reports to its parent and
     /// the root completes and distributes.
-    fn try_advance(&mut self, now: SimTime, out: &mut Vec<(SwitchId, Msg)>) {
+    fn try_advance(&mut self, now: SimTime, out: &mut Vec<(SwitchId, ProtocolMsg)>) {
         let Some(part) = &self.part else { return };
         if part.reported || !part.awaiting_acks.is_empty() || !part.awaiting_reports.is_empty() {
             return;
@@ -317,7 +297,7 @@ impl SwitchAgent {
     fn complete_and_distribute(
         &mut self,
         now: SimTime,
-        out: &mut Vec<(SwitchId, Msg)>,
+        out: &mut Vec<(SwitchId, ProtocolMsg)>,
         tag: Tag,
         edges: Vec<Edge>,
         parents: Vec<(SwitchId, SwitchId)>,
@@ -346,20 +326,23 @@ impl SwitchAgent {
         }
     }
 
-    /// Runs the state machine on one message, transport-free: every message
-    /// the agent wants delivered is appended to `out` as a `(destination,
-    /// payload)` pair, in send order. The caller owns delivery — the
-    /// harness queues each pair for link latency plus processing time
-    /// later, while the embedded control plane segments the payload into
-    /// control cells and ships them over the (lossy) fabric links.
-    pub fn handle(&mut self, now: SimTime, msg: Msg, out: &mut Vec<(SwitchId, Msg)>) {
-        match msg {
-            Msg::Boot => self.start_reconfig(now, out),
-            Msg::LinkUp { neighbor, .. } => {
+    /// Runs the state machine on one local link event: boot, a link up,
+    /// or the last link to a neighbour down (§2's reduced-disruption
+    /// extension in its delta form). Replies go to `out` as for
+    /// [`Self::handle`].
+    pub(crate) fn on_event(
+        &mut self,
+        now: SimTime,
+        ev: LinkEvent,
+        out: &mut Vec<(SwitchId, ProtocolMsg)>,
+    ) {
+        match ev {
+            LinkEvent::Boot => self.start_reconfig(now, out),
+            LinkEvent::Up { neighbor, .. } => {
                 self.neighbors.insert(neighbor, true);
                 self.start_reconfig(now, out);
             }
-            Msg::LinkDown { neighbor } => {
+            LinkEvent::Down { neighbor } => {
                 if let Some(up) = self.neighbors.get_mut(&neighbor) {
                     if *up {
                         *up = false;
@@ -367,6 +350,43 @@ impl SwitchAgent {
                     }
                 }
             }
+            LinkEvent::DownDelta { neighbor } => {
+                let Some(up) = self.neighbors.get_mut(&neighbor) else {
+                    return;
+                };
+                if !*up {
+                    return;
+                }
+                *up = false;
+                // No reconfiguration: patch the local view and flood a
+                // delta. The spanning tree is left as-is — the §2 trade-off:
+                // "it should often be possible to restrict participation to
+                // switches near the failing component".
+                let dead = edge(self.id, neighbor);
+                self.delta_seq += 1;
+                let seq = self.delta_seq;
+                self.apply_delta(dead);
+                let me = self.id;
+                self.delta_seen.insert(me, seq);
+                self.flood_delta(out, me, seq, dead);
+            }
+        }
+    }
+
+    /// Runs the state machine on one message from a neighbour,
+    /// transport-free: every message the agent wants delivered is appended
+    /// to `out` as a `(destination, ProtocolMsg::UpDown(..))` pair, in send
+    /// order, straight into the driver's buffer. The caller owns delivery —
+    /// [`crate::protocol::UpDownProtocol`] is the one caller, and its
+    /// drivers queue each pair on the harness's ideal links or segment it
+    /// into control cells on the fabric's lossy ones.
+    pub(crate) fn handle(
+        &mut self,
+        now: SimTime,
+        msg: Msg,
+        out: &mut Vec<(SwitchId, ProtocolMsg)>,
+    ) {
+        match msg {
             Msg::Invite { tag, from } => {
                 // Drop protocol traffic from neighbours we consider dead.
                 if self.neighbors.get(&from) != Some(&true) {
@@ -434,26 +454,6 @@ impl SwitchAgent {
                 }
                 self.complete_and_distribute(now, out, tag, edges, parents);
             }
-            Msg::LinkDownDelta { neighbor } => {
-                let Some(up) = self.neighbors.get_mut(&neighbor) else {
-                    return;
-                };
-                if !*up {
-                    return;
-                }
-                *up = false;
-                // No reconfiguration: patch the local view and flood a
-                // delta. The spanning tree is left as-is — the §2 trade-off:
-                // "it should often be possible to restrict participation to
-                // switches near the failing component".
-                let dead = edge(self.id, neighbor);
-                self.delta_seq += 1;
-                let seq = self.delta_seq;
-                self.apply_delta(dead);
-                let me = self.id;
-                self.delta_seen.insert(me, seq);
-                self.flood_delta(out, me, seq, dead);
-            }
             Msg::Delta { origin, seq, edge } => {
                 let seen = self.delta_seen.get(&origin).copied().unwrap_or(0);
                 if seq <= seen {
@@ -471,10 +471,10 @@ impl SwitchAgent {
 mod tests {
     use super::*;
     use crate::harness::ReconfigNet;
-    use an2_topology::generators;
+    use an2_topology::{generators, LinkId};
 
     // Two-switch behaviour runs on the harness transport; single-agent
-    // behaviour calls `handle` directly. Full networks are covered in
+    // behaviour calls `on_event` directly. Full networks are covered in
     // harness.rs.
     fn two_switch_net() -> ReconfigNet {
         ReconfigNet::with_defaults(generators::line(2), 1)
@@ -503,7 +503,7 @@ mod tests {
     fn isolated_switch_completes_with_empty_topology() {
         let mut a = SwitchAgent::new(SwitchId(4));
         let mut out = Vec::new();
-        a.handle(SimTime::ZERO, Msg::Boot, &mut out);
+        a.on_event(SimTime::ZERO, LinkEvent::Boot, &mut out);
         assert!(out.is_empty(), "nobody to invite");
         let v = a.public().view.clone().unwrap();
         assert!(v.edges.is_empty());
@@ -532,17 +532,17 @@ mod tests {
     fn duplicate_link_down_is_idempotent() {
         let mut a = SwitchAgent::new(SwitchId(0));
         let mut out = Vec::new();
-        let up = Msg::LinkUp {
+        let up = LinkEvent::Up {
             link: LinkId(0),
             neighbor: SwitchId(1),
         };
-        a.handle(SimTime::ZERO, up, &mut out);
+        a.on_event(SimTime::ZERO, up, &mut out);
         let initiated_before = a.public().initiated;
         for _ in 0..2 {
-            let down = Msg::LinkDown {
+            let down = LinkEvent::Down {
                 neighbor: SwitchId(1),
             };
-            a.handle(SimTime::from_nanos(1), down, &mut out);
+            a.on_event(SimTime::from_nanos(1), down, &mut out);
         }
         let initiated_after = a.public().initiated;
         assert_eq!(
@@ -550,11 +550,5 @@ mod tests {
             1,
             "second LinkDown for a dead link must not reconfigure again"
         );
-    }
-
-    #[test]
-    fn edge_helper_normalizes() {
-        assert_eq!(edge(SwitchId(5), SwitchId(2)), (SwitchId(2), SwitchId(5)));
-        assert_eq!(edge(SwitchId(1), SwitchId(1)), (SwitchId(1), SwitchId(1)));
     }
 }

@@ -1,18 +1,20 @@
-//! Runs switch agents over a physical [`Topology`] on an ideal transport,
-//! injects failures, and checks convergence — the apparatus for the
-//! reconfiguration experiments (E1, E12).
+//! Runs the paper's reconfiguration protocol over a physical [`Topology`]
+//! on an ideal transport, injects failures, and checks convergence — the
+//! apparatus for the reconfiguration experiments (E1, E12).
 //!
-//! The harness is the whole event loop: it owns the agents and one heap of
-//! in-flight messages keyed `(deliver_at, send_seq)`, pops the earliest,
-//! hands it to [`SwitchAgent::handle`], and queues every reply
-//! [`LINK_LATENCY`] plus [`PROCESSING`] later. Equal-time messages are
-//! delivered in send order, so a run is a pure function of the topology
-//! and the failures injected. (The embedded control plane in
-//! `an2::network::control` drives the same agents over lossy 53-byte control
-//! cells instead.)
+//! The harness is a driver, as the embedded control plane in
+//! `an2::network::control` is: it owns one [`UpDownProtocol`] and one
+//! heap of [`Input`]s keyed `(deliver_at, send_seq)`. It pops the earliest,
+//! hands it to [`ControlProtocol::on_input`], and queues every reply
+//! [`LINK_LATENCY`] plus [`PROCESSING`] later. Failures are queued as
+//! [`LinkEvent`]s at the current instant. Equal-time inputs are delivered
+//! in send order, so a run is a pure function of the topology and the
+//! failures injected. (The embedded plane drives the same protocol over
+//! lossy 53-byte control cells instead.)
 
-use crate::agent::{Edge, Msg, SwitchAgent, TopoView};
-use crate::quiesce;
+use crate::agent::TopoView;
+use crate::protocol::{ControlProtocol, Input, LinkEvent, UpDownProtocol};
+use crate::quiesce::{self, Edge};
 use an2_sim::{SimDuration, SimTime};
 use an2_topology::{LinkId, LinkState, Node, SpanningTree, SwitchId, Topology};
 use std::cmp::Ordering;
@@ -20,7 +22,8 @@ use std::collections::BinaryHeap;
 
 /// Per-message software processing time on a line-card CPU. AN1's
 /// measured sub-200 ms reconfigurations imply per-message costs in the
-/// high-microsecond range; 100 µs is deliberately conservative.
+/// high-microsecond range; 100 µs is deliberately conservative. The
+/// embedded control plane charges the same time per message.
 pub const PROCESSING: SimDuration = SimDuration::from_micros(100);
 
 /// One-way latency of every switch-to-switch link on the ideal transport:
@@ -28,12 +31,12 @@ pub const PROCESSING: SimDuration = SimDuration::from_micros(100);
 /// slots instead (`an2::FabricConfig::link_latency_slots`).
 pub const LINK_LATENCY: SimDuration = SimDuration::from_micros(1);
 
-/// A message on the ideal transport, due at `at`.
+/// An input on the ideal transport, due at `at`.
 struct InFlight {
     at: SimTime,
     seq: u64,
     to: SwitchId,
-    msg: Msg,
+    input: Input,
 }
 
 impl PartialEq for InFlight {
@@ -55,10 +58,10 @@ impl Ord for InFlight {
     }
 }
 
-/// A network of reconfiguration agents over a physical topology.
+/// The §2 protocol over a physical topology on perfect links.
 pub struct ReconfigNet {
     topo: Topology,
-    agents: Vec<SwitchAgent>,
+    protocol: UpDownProtocol,
     queue: BinaryHeap<InFlight>,
     now: SimTime,
     next_seq: u64,
@@ -72,50 +75,47 @@ impl ReconfigNet {
     /// in the signature because every caller (experiments, oracles, the
     /// benchmark of record) passes one.
     pub fn with_defaults(topo: Topology, _seed: u64) -> Self {
-        let agents = topo.switches().map(SwitchAgent::new).collect();
+        let mut boots = Vec::with_capacity(topo.link_count());
+        boots.extend(
+            topo.switch_links()
+                .filter(|&(l, _, _)| topo.link_state(l) == LinkState::Working),
+        );
         let mut net = ReconfigNet {
+            protocol: UpDownProtocol::new(topo.switch_count()),
             topo,
-            agents,
             queue: BinaryHeap::new(),
             now: SimTime::ZERO,
             next_seq: 0,
         };
         // Announce every working inter-switch adjacency to both endpoints.
-        let links: Vec<LinkId> = net.topo.links().collect();
-        for link in links {
-            if net.topo.link_state(link) != LinkState::Working {
-                continue;
-            }
-            let (ea, eb) = net.topo.endpoints(link);
-            if let (Node::Switch(a), Node::Switch(b)) = (ea.node, eb.node) {
-                net.send_now(a, Msg::LinkUp { link, neighbor: b });
-                net.send_now(b, Msg::LinkUp { link, neighbor: a });
-            }
+        for (link, a, b) in boots {
+            net.send_now(a, LinkEvent::Up { link, neighbor: b });
+            net.send_now(b, LinkEvent::Up { link, neighbor: a });
         }
         net
     }
 
-    /// Queues `msg` for delivery to `to` at `at`.
-    fn send_at(&mut self, at: SimTime, to: SwitchId, msg: Msg) {
+    /// Queues `input` for delivery to `to` at `at`.
+    fn send_at(&mut self, at: SimTime, to: SwitchId, input: Input) {
         let seq = self.next_seq;
         self.next_seq += 1;
-        self.queue.push(InFlight { at, seq, to, msg });
+        self.queue.push(InFlight { at, seq, to, input });
     }
 
-    /// Queues a harness event for `to` at the current instant.
-    fn send_now(&mut self, to: SwitchId, msg: Msg) {
-        self.send_at(self.now, to, msg);
+    /// Queues a local link event for `to` at the current instant.
+    fn send_now(&mut self, to: SwitchId, ev: LinkEvent) {
+        self.send_at(self.now, to, Input::Event(ev));
     }
 
-    /// Runs the protocol until no messages remain in flight.
+    /// Runs the protocol until nothing remains in flight.
     pub fn run_to_quiescence(&mut self) {
         let mut out = Vec::new();
         while let Some(m) = self.queue.pop() {
             debug_assert!(m.at >= self.now, "message from the past");
             self.now = m.at;
-            self.agents[m.to.0 as usize].handle(m.at, m.msg, &mut out);
+            self.protocol.on_input(m.at, m.to, m.input, &mut out);
             for (to, reply) in out.drain(..) {
-                self.send_at(m.at + LINK_LATENCY + PROCESSING, to, reply);
+                self.send_at(m.at + LINK_LATENCY + PROCESSING, to, Input::Message(reply));
             }
         }
     }
@@ -135,17 +135,7 @@ impl ReconfigNet {
     /// adjacency survives and no notification is sent (the line card fails
     /// over transparently).
     pub fn kill_link(&mut self, link: LinkId) {
-        if self.topo.link_state(link) != LinkState::Working {
-            return;
-        }
-        self.topo.set_link_state(link, LinkState::Dead);
-        let (ea, eb) = self.topo.endpoints(link);
-        if let (Node::Switch(a), Node::Switch(b)) = (ea.node, eb.node) {
-            if self.topo.links_between(a, b).is_empty() {
-                self.send_now(a, Msg::LinkDown { neighbor: b });
-                self.send_now(b, Msg::LinkDown { neighbor: a });
-            }
-        }
+        self.cut(link, |neighbor| LinkEvent::Down { neighbor });
     }
 
     /// Kills a physical link but handles it with the §2 reduced-disruption
@@ -153,17 +143,15 @@ impl ReconfigNet {
     /// triggering a full reconfiguration. Stale spanning-tree state is the
     /// documented trade-off.
     pub fn kill_link_delta(&mut self, link: LinkId) {
+        self.cut(link, |neighbor| LinkEvent::DownDelta { neighbor });
+    }
+
+    fn cut(&mut self, link: LinkId, event: fn(SwitchId) -> LinkEvent) {
         if self.topo.link_state(link) != LinkState::Working {
             return;
         }
         self.topo.set_link_state(link, LinkState::Dead);
-        let (ea, eb) = self.topo.endpoints(link);
-        if let (Node::Switch(a), Node::Switch(b)) = (ea.node, eb.node) {
-            if self.topo.links_between(a, b).is_empty() {
-                self.send_now(a, Msg::LinkDownDelta { neighbor: b });
-                self.send_now(b, Msg::LinkDownDelta { neighbor: a });
-            }
-        }
+        self.notify_down(&[link], event, None);
     }
 
     /// Pulls the plug on a switch: every incident link dies and all its
@@ -173,19 +161,40 @@ impl ReconfigNet {
     pub fn kill_switch(&mut self, victim: SwitchId) {
         let incident: Vec<LinkId> = self
             .topo
-            .links()
-            .filter(|&l| {
-                let (ea, eb) = self.topo.endpoints(l);
-                (ea.node == Node::Switch(victim) || eb.node == Node::Switch(victim))
-                    && self.topo.link_state(l) == LinkState::Working
-            })
+            .working_links_of(Node::Switch(victim))
+            .into_iter()
+            .map(|(l, _)| l)
             .collect();
-        for link in incident {
-            self.topo.set_link_state(link, LinkState::Dead);
+        self.topo.kill_switch(victim);
+        self.notify_down(
+            &incident,
+            |neighbor| LinkEvent::Down { neighbor },
+            Some(victim),
+        );
+    }
+
+    /// The one notify path for dead links: for each of `links` (already
+    /// dead) whose adjacency no working link still carries, queues
+    /// `event(far end)` at both of its switches except `silenced`, in link
+    /// order.
+    fn notify_down(
+        &mut self,
+        links: &[LinkId],
+        event: fn(SwitchId) -> LinkEvent,
+        silenced: Option<SwitchId>,
+    ) {
+        for &link in links {
             let (ea, eb) = self.topo.endpoints(link);
-            if let (Node::Switch(a), Node::Switch(b)) = (ea.node, eb.node) {
-                let survivor = if a == victim { b } else { a };
-                self.send_now(survivor, Msg::LinkDown { neighbor: victim });
+            let (Node::Switch(a), Node::Switch(b)) = (ea.node, eb.node) else {
+                continue;
+            };
+            if !self.topo.links_between(a, b).is_empty() {
+                continue;
+            }
+            for (sw, other) in [(a, b), (b, a)] {
+                if Some(sw) != silenced {
+                    self.send_now(sw, event(other));
+                }
             }
         }
     }
@@ -207,18 +216,13 @@ impl ReconfigNet {
     /// A switch's current topology view, if any reconfiguration has
     /// completed there.
     pub fn view_of(&self, s: SwitchId) -> Option<&TopoView> {
-        self.agents[s.0 as usize].public().view.as_ref()
+        self.protocol.agent(s).public().view.as_ref()
     }
 
     /// The (sorted, deduplicated) edges of a switch's current topology
     /// view, if it has one — for external consistency checks.
     pub fn view_edges_of(&self, s: SwitchId) -> Option<Vec<Edge>> {
-        self.view_of(s).map(|v| {
-            let mut e: Vec<Edge> = v.edges.clone();
-            e.sort_unstable();
-            e.dedup();
-            e
-        })
+        self.protocol.view_edges(s)
     }
 
     /// Whether every switch in the same partition as `reference` holds a
@@ -238,7 +242,7 @@ impl ReconfigNet {
             &lv,
             &part,
             &mut |s| self.view_of(s).map_or(crate::Tag::ZERO, |v| v.tag),
-            &mut |s, _, expected| self.view_edges_of(s).as_deref() == Some(expected),
+            &mut |s, _, expected| self.view_of(s).is_some_and(|v| v.edges == expected),
         )
         .is_ok()
     }
@@ -265,12 +269,15 @@ impl ReconfigNet {
 
     /// Total protocol messages sent by all switches so far.
     pub fn total_messages(&self) -> u64 {
-        self.agents.iter().map(|a| a.public().messages_sent).sum()
+        self.protocol.messages_sent()
     }
 
     /// Total reconfigurations initiated across all switches.
     pub fn total_initiated(&self) -> u64 {
-        self.agents.iter().map(|a| a.public().initiated).sum()
+        self.topo
+            .switches()
+            .map(|s| self.protocol.agent(s).public().initiated)
+            .sum()
     }
 
     /// Reconstructs the propagation-order spanning tree from the converged
@@ -294,6 +301,8 @@ impl ReconfigNet {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::agent::Msg;
+    use crate::protocol::ProtocolMsg;
     use an2_topology::generators;
 
     fn converge(topo: Topology, seed: u64) -> ReconfigNet {
@@ -307,19 +316,36 @@ mod tests {
     fn ties_delivered_in_send_order() {
         let mut net = converge(generators::line(3), 1);
         let t = net.now() + SimDuration::from_nanos(100);
-        for s in [2, 0, 1] {
-            net.send_at(t, SwitchId(s), Msg::Boot);
-        }
+        let invite = Msg::Invite {
+            tag: crate::Tag::ZERO,
+            from: SwitchId(1),
+        };
+        // Events, messages and timer kicks share one heap and one order.
+        net.send_at(t, SwitchId(2), Input::Event(LinkEvent::Boot));
+        net.send_at(t, SwitchId(0), Input::Message(ProtocolMsg::UpDown(invite)));
+        net.send_at(t, SwitchId(1), Input::Timer);
         // Sent last but due first: time outranks send order.
         let early = net.now() + SimDuration::from_nanos(50);
-        net.send_at(early, SwitchId(1), Msg::Boot);
-        let order: Vec<(SimTime, u16)> = std::iter::from_fn(|| net.queue.pop())
-            .map(|m| (m.at, m.to.0))
+        net.send_at(early, SwitchId(1), Input::Event(LinkEvent::Boot));
+        let order: Vec<(SimTime, u16, &str)> = std::iter::from_fn(|| net.queue.pop())
+            .map(|m| {
+                let kind = match m.input {
+                    Input::Event(_) => "event",
+                    Input::Message(_) => "message",
+                    Input::Timer => "timer",
+                };
+                (m.at, m.to.0, kind)
+            })
             .collect();
         assert_eq!(
             order,
-            vec![(early, 1), (t, 2), (t, 0), (t, 1)],
-            "equal-time messages arrive in send order"
+            vec![
+                (early, 1, "event"),
+                (t, 2, "event"),
+                (t, 0, "message"),
+                (t, 1, "timer")
+            ],
+            "equal-time inputs arrive in send order"
         );
     }
 
@@ -429,6 +455,33 @@ mod tests {
     }
 
     #[test]
+    fn kill_switch_silences_the_victim_and_the_survivors_agree() {
+        // A parallel pair to the victim: each of its dead links queues a
+        // notification for the survivor and none for the victim.
+        let mut topo = generators::ring(5);
+        topo.link_switches(SwitchId(0), SwitchId(1)).unwrap();
+        for victim in topo.switches() {
+            let mut net = converge(topo.clone(), 31);
+            let state = |net: &ReconfigNet| {
+                let agent = net.protocol.agent(victim);
+                let public = agent.public();
+                (agent.tag(), public.view.clone(), public.messages_sent)
+            };
+            let before = state(&net);
+            net.kill_switch(victim);
+            net.run_to_quiescence();
+            assert_eq!(
+                state(&net),
+                before,
+                "{victim} ran after its plug was pulled"
+            );
+            let survivor = SwitchId((victim.0 + 1) % 5);
+            assert!(net.partition_converged(survivor), "killing {victim}");
+            assert_eq!(net.view_edges_of(survivor), Some(net.actual_edges()));
+        }
+    }
+
+    #[test]
     fn partition_converges_per_side() {
         // A line partitions when the middle link dies.
         let mut net = converge(generators::line(4), 5);
@@ -527,7 +580,11 @@ mod tests {
         for s in net.topology().switches() {
             assert_eq!(net.view_edges_of(s).unwrap(), edges, "{s} has a stale view");
         }
-        let deltas: u64 = net.agents.iter().map(|a| a.public().deltas_applied).sum();
+        let deltas: u64 = net
+            .topology()
+            .switches()
+            .map(|s| net.protocol.agent(s).public().deltas_applied)
+            .sum();
         assert!(deltas >= 10);
     }
 

@@ -205,7 +205,7 @@ impl ControlProtocol for PvProtocol {
                 // The direct route is the shortest possible: adopt it.
                 st.routes.insert(neighbor, vec![neighbor]);
             }
-            LinkEvent::Down { neighbor } => {
+            LinkEvent::Down { neighbor } | LinkEvent::DownDelta { neighbor } => {
                 let st = &mut self.switches[sw.0 as usize];
                 if !st.neighbors.get(&neighbor).copied().unwrap_or(false) {
                     return;

@@ -43,6 +43,27 @@ pub enum LinkEvent {
         /// The switch at the far end.
         neighbor: SwitchId,
     },
+    /// As [`Self::Down`], handled with §2's reduced-disruption extension:
+    /// up\*/down\* floods an incremental delta instead of reconfiguring.
+    /// Protocols without a delta form treat it as a plain `Down`.
+    DownDelta {
+        /// The switch at the far end.
+        neighbor: SwitchId,
+    },
+}
+
+/// What a driver feeds one switch's protocol instance: a local link
+/// event, a peer message off the wire, or the stall-retry timer. Both
+/// drivers — the ideal-transport harness and the embedded control plane —
+/// queue these and hand each to [`ControlProtocol::on_input`].
+#[derive(Debug)]
+pub enum Input {
+    /// A local link-state change.
+    Event(LinkEvent),
+    /// A protocol message from a neighbour.
+    Message(ProtocolMsg),
+    /// The stall-retry timer: re-initiate.
+    Timer,
 }
 
 /// The wire envelope for every protocol's messages. The fabric segments
@@ -66,9 +87,6 @@ impl ProtocolMsg {
     pub fn wire_bytes(&self) -> usize {
         match self {
             ProtocolMsg::UpDown(m) => match m {
-                Msg::Boot => 2,
-                Msg::LinkUp { .. } => 16,
-                Msg::LinkDown { .. } | Msg::LinkDownDelta { .. } => 4,
                 Msg::Invite { .. } => 12,
                 Msg::InviteAck { .. } => 13,
                 Msg::Delta { .. } => 16,
@@ -148,6 +166,22 @@ pub trait ControlProtocol {
     /// must make fresh progress (a new epoch / generation).
     fn on_timer(&mut self, now: SimTime, sw: SwitchId, out: &mut Vec<(SwitchId, ProtocolMsg)>);
 
+    /// Feeds one queued [`Input`] to `sw`'s instance: the drivers' one
+    /// dispatch.
+    fn on_input(
+        &mut self,
+        now: SimTime,
+        sw: SwitchId,
+        input: Input,
+        out: &mut Vec<(SwitchId, ProtocolMsg)>,
+    ) {
+        match input {
+            Input::Event(ev) => self.on_link_event(now, sw, ev, out),
+            Input::Message(msg) => self.on_message(now, sw, msg, out),
+            Input::Timer => self.on_timer(now, sw, out),
+        }
+    }
+
     /// The largest epoch tag any switch has reached — monotonically
     /// non-decreasing; growth past the last installed configuration opens
     /// an epoch. Protocols without native tags synthesize one from their
@@ -190,9 +224,11 @@ pub trait ControlProtocol {
 }
 
 /// The paper's §2 protocol behind the trait: one [`SwitchAgent`] per
-/// switch, byte-identical to the pre-refactor control plane — link events
-/// and timer kicks map to exactly the `Msg` values the plane used to
-/// deliver, and replies come back in the agent's send order.
+/// switch, and the agents' only owner and only driver (the agent's
+/// `on_event` and `handle` are crate-private). Link events go to
+/// `on_event` and messages to `handle`; replies come back in the agent's
+/// send order, and a timer kick is a [`LinkEvent::Boot`] (re-initiate
+/// with a fresh tag).
 pub struct UpDownProtocol {
     agents: Vec<SwitchAgent>,
     cache: RouteCache,
@@ -209,16 +245,11 @@ impl UpDownProtocol {
         }
     }
 
-    fn handle(
-        &mut self,
-        now: SimTime,
-        sw: SwitchId,
-        msg: Msg,
-        out: &mut Vec<(SwitchId, ProtocolMsg)>,
-    ) {
-        let mut raw = Vec::new();
-        self.agents[sw.0 as usize].handle(now, msg, &mut raw);
-        out.extend(raw.into_iter().map(|(to, m)| (to, ProtocolMsg::UpDown(m))));
+    /// Switch `sw`'s agent, for what only up\*/down\* can answer: the
+    /// full [`crate::agent::TopoView`], counters such as reconfigurations
+    /// initiated.
+    pub(crate) fn agent(&self, sw: SwitchId) -> &SwitchAgent {
+        &self.agents[sw.0 as usize]
     }
 }
 
@@ -234,12 +265,7 @@ impl ControlProtocol for UpDownProtocol {
         ev: LinkEvent,
         out: &mut Vec<(SwitchId, ProtocolMsg)>,
     ) {
-        let msg = match ev {
-            LinkEvent::Boot => Msg::Boot,
-            LinkEvent::Up { link, neighbor } => Msg::LinkUp { link, neighbor },
-            LinkEvent::Down { neighbor } => Msg::LinkDown { neighbor },
-        };
-        self.handle(now, sw, msg, out);
+        self.agents[sw.0 as usize].on_event(now, ev, out);
     }
 
     fn on_message(
@@ -250,14 +276,12 @@ impl ControlProtocol for UpDownProtocol {
         out: &mut Vec<(SwitchId, ProtocolMsg)>,
     ) {
         if let ProtocolMsg::UpDown(m) = msg {
-            self.handle(now, sw, m, out);
+            self.agents[sw.0 as usize].handle(now, m, out);
         }
     }
 
     fn on_timer(&mut self, now: SimTime, sw: SwitchId, out: &mut Vec<(SwitchId, ProtocolMsg)>) {
-        // Stall recovery re-initiates with a fresh (higher) tag — the
-        // plane's pre-refactor re-kick delivered exactly a Boot.
-        self.handle(now, sw, Msg::Boot, out);
+        self.on_link_event(now, sw, LinkEvent::Boot, out);
     }
 
     fn progress_tag(&self) -> Tag {
@@ -308,5 +332,86 @@ impl ControlProtocol for UpDownProtocol {
 
     fn invalidate_all(&mut self) {
         self.cache.invalidate_all();
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use an2_topology::{generators, LinkState};
+    use std::collections::VecDeque;
+
+    /// Delivers everything queued, first in first out, dropping messages
+    /// with no working link to their destination; logs every send.
+    fn settle(
+        p: &mut dyn ControlProtocol,
+        topo: &Topology,
+        queue: &mut VecDeque<(SwitchId, Input)>,
+        log: &mut Vec<String>,
+    ) {
+        let mut out = Vec::new();
+        while let Some((sw, input)) = queue.pop_front() {
+            p.on_input(SimTime::ZERO, sw, input, &mut out);
+            for (to, m) in out.drain(..) {
+                log.push(format!("{sw}->{to} {m:?}"));
+                if !topo.links_between(sw, to).is_empty() {
+                    queue.push_back((to, Input::Message(m)));
+                }
+            }
+        }
+    }
+
+    /// Boots `kind` on a ring of five, kills the 0 — 1 adjacency with
+    /// `down` at both ends, and settles: every message sent, in order,
+    /// then the protocol's progress tag, message count, convergence and
+    /// routes between every pair of switches.
+    fn after_kill(kind: ProtocolKind, down: fn(SwitchId) -> LinkEvent) -> String {
+        let mut topo = generators::ring(5);
+        let mut p = kind.build(topo.switch_count());
+        let (mut queue, mut log) = (VecDeque::new(), Vec::new());
+        for (link, a, b) in topo.switch_links() {
+            queue.push_back((a, Input::Event(LinkEvent::Up { link, neighbor: b })));
+            queue.push_back((b, Input::Event(LinkEvent::Up { link, neighbor: a })));
+        }
+        settle(p.as_mut(), &topo, &mut queue, &mut log);
+        let link = topo.links_between(SwitchId(0), SwitchId(1))[0];
+        topo.set_link_state(link, LinkState::Dead);
+        queue.push_back((SwitchId(0), Input::Event(down(SwitchId(1)))));
+        queue.push_back((SwitchId(1), Input::Event(down(SwitchId(0)))));
+        settle(p.as_mut(), &topo, &mut queue, &mut log);
+        let lv = LiveView::all_live(&topo);
+        let live: Vec<SwitchId> = topo.switches().collect();
+        p.prepare_routes(live.len(), &live, &lv.expected_edges(&live));
+        let routes: Vec<_> = live
+            .iter()
+            .flat_map(|&s| live.iter().map(move |&t| (s, t)))
+            .map(|(s, t)| p.switch_route(&topo, s, t))
+            .collect();
+        format!(
+            "{log:#?}\ntag {:?} sent {} converged {:?}\nroutes {routes:?}",
+            p.progress_tag(),
+            p.messages_sent(),
+            p.convergence(&lv),
+        )
+    }
+
+    #[test]
+    fn rivals_treat_a_delta_down_as_a_plain_down() {
+        let plain = |neighbor| LinkEvent::Down { neighbor };
+        let delta = |neighbor| LinkEvent::DownDelta { neighbor };
+        for kind in [ProtocolKind::SpanningTree, ProtocolKind::PathVector] {
+            assert_eq!(
+                after_kill(kind, delta),
+                after_kill(kind, plain),
+                "{}: a delta down differs from a plain down",
+                kind.name()
+            );
+        }
+        // The comparison sees the difference where there is one:
+        // up*/down* floods a delta instead of reconfiguring.
+        assert_ne!(
+            after_kill(ProtocolKind::UpDown, delta),
+            after_kill(ProtocolKind::UpDown, plain)
+        );
     }
 }

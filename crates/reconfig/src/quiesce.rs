@@ -13,6 +13,11 @@
 //! for the tag and the view check, so the up\*/down\* agent, the
 //! spanning-tree rival, and the path-vector rival all report convergence
 //! through the same machinery (each with its own notion of "view").
+//!
+//! The module also holds the one spelling of an undirected adjacency,
+//! [`Edge`], and its one normaliser, [`edge`]: the agents' views, the
+//! embedded plane's route input and the chaos oracle's path reference
+//! all build their edges with it.
 
 use crate::Tag;
 use an2_topology::{SwitchId, Topology};
@@ -20,7 +25,8 @@ use an2_topology::{SwitchId, Topology};
 /// An undirected switch adjacency, lower id first.
 pub type Edge = (SwitchId, SwitchId);
 
-fn norm(a: SwitchId, b: SwitchId) -> Edge {
+/// The adjacency between `a` and `b`, lower id first.
+pub fn edge(a: SwitchId, b: SwitchId) -> Edge {
     if a <= b {
         (a, b)
     } else {
@@ -89,7 +95,7 @@ impl<'a> LiveView<'a> {
         for &a in live {
             for b in self.topo.switch_neighbors(a) {
                 if b > a && live.contains(&b) {
-                    expected.push(norm(a, b));
+                    expected.push(edge(a, b));
                 }
             }
         }
@@ -145,6 +151,12 @@ pub(crate) fn uniform_views(
 mod tests {
     use super::*;
     use an2_topology::{generators, LinkState};
+
+    #[test]
+    fn edge_puts_the_lower_id_first() {
+        assert_eq!(edge(SwitchId(5), SwitchId(2)), (SwitchId(2), SwitchId(5)));
+        assert_eq!(edge(SwitchId(1), SwitchId(1)), (SwitchId(1), SwitchId(1)));
+    }
 
     #[test]
     fn expected_edges_follow_working_links() {

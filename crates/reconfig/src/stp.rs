@@ -239,7 +239,7 @@ impl ControlProtocol for StpProtocol {
                     .neighbors
                     .insert(neighbor, true);
             }
-            LinkEvent::Down { neighbor } => {
+            LinkEvent::Down { neighbor } | LinkEvent::DownDelta { neighbor } => {
                 let st = &mut self.switches[sw.0 as usize];
                 if !st.neighbors.get(&neighbor).copied().unwrap_or(false) {
                     return; // already down: nothing changed

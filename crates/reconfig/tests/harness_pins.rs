@@ -1,15 +1,15 @@
 //! Pins the ideal-transport harness: message counts, initiations, the last
 //! completion instant and an FNV digest over every switch's view, for six
 //! topologies × five scripts. The values were captured at the last commit
-//! whose `ReconfigNet` ran on the generic actor engine; the harness now
-//! owns its own `(deliver_at, send_seq)` heap and must reproduce them
+//! whose `ReconfigNet` ran on the generic actor engine; the harness's
+//! `(deliver_at, send_seq)` heap of protocol inputs must reproduce them
 //! exactly. This is the only suite that notices a changed equal-time
 //! tie-break: every other test asserts convergence, not the order that
 //! led to it.
 
 use an2_reconfig::harness::ReconfigNet;
 use an2_sim::{Fnv, SimRng};
-use an2_topology::{generators, LinkId, Node, SwitchId, Topology};
+use an2_topology::{generators, LinkId, SwitchId, Topology};
 
 /// Digest of every switch's view in switch order: tag, completion instant,
 /// sorted edges, and the spanning tree's `(child, parent)` pairs in the
@@ -24,9 +24,15 @@ fn view_digest(net: &ReconfigNet) -> u64 {
         h.add(view.tag.epoch);
         h.add(u64::from(view.tag.initiator.0));
         h.add(view.completed_at.as_nanos());
-        let edges = net.view_edges_of(s).expect("switch has a view");
+        // The edges as the view holds them: normalised, strictly
+        // increasing (so already what a sort and dedup would give).
+        let edges = &view.edges;
+        assert!(
+            edges.iter().all(|&(a, b)| a <= b) && edges.windows(2).all(|w| w[0] < w[1]),
+            "{s}'s view edges are not normalised and strictly increasing: {edges:?}"
+        );
         h.add(edges.len() as u64);
-        for (a, b) in edges {
+        for &(a, b) in edges {
             h.add(u64::from(a.0) << 16 | u64::from(b.0));
         }
         h.add(view.parents.len() as u64);
@@ -35,15 +41,6 @@ fn view_digest(net: &ReconfigNet) -> u64 {
         }
     }
     h.finish()
-}
-
-fn switch_links(topo: &Topology) -> Vec<LinkId> {
-    topo.links()
-        .filter(|&l| {
-            let (a, b) = topo.endpoints(l);
-            matches!((a.node, b.node), (Node::Switch(_), Node::Switch(_)))
-        })
-        .collect()
 }
 
 fn row(name: &str, script: &str, net: &ReconfigNet) -> String {
@@ -61,7 +58,7 @@ fn row(name: &str, script: &str, net: &ReconfigNet) -> String {
 type Inject<'a> = &'a dyn Fn(&mut ReconfigNet);
 
 fn rows(name: &str, topo: &Topology, seed: u64) -> String {
-    let links = switch_links(topo);
+    let links: Vec<LinkId> = topo.switch_links().map(|(l, _, _)| l).collect();
     let (first, last) = (links[0], links[links.len() - 1]);
     let victim = SwitchId(topo.switch_count() as u16 - 1);
     let booted = || {

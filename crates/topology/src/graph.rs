@@ -238,6 +238,18 @@ impl Topology {
         (0..self.links.len()).map(|i| LinkId(i as u32))
     }
 
+    /// Every switch-to-switch link, dead ones included, with its two
+    /// switches as cabled, in link-id order.
+    pub fn switch_links(&self) -> impl Iterator<Item = (LinkId, SwitchId, SwitchId)> + '_ {
+        self.links().filter_map(|l| {
+            let (a, b) = self.endpoints(l);
+            match (a.node, b.node) {
+                (Node::Switch(x), Node::Switch(y)) => Some((l, x, y)),
+                _ => None,
+            }
+        })
+    }
+
     /// Number of links (including dead ones).
     pub fn link_count(&self) -> usize {
         self.links.len()
@@ -509,11 +521,7 @@ impl Topology {
         if !self.switches_connected() {
             return false;
         }
-        for id in self.links() {
-            let (a, b) = self.endpoints(id);
-            if !matches!((a.node, b.node), (Node::Switch(_), Node::Switch(_))) {
-                continue;
-            }
+        for (id, _, _) in self.switch_links() {
             if self.link_state(id) != LinkState::Working {
                 continue;
             }
@@ -576,6 +584,25 @@ mod tests {
         t.link_switches(b, c).unwrap();
         t.link_switches(c, a).unwrap();
         (t, [a, b, c])
+    }
+
+    #[test]
+    fn switch_links_skip_hosts_and_keep_dead_links_in_id_order() {
+        let (mut t, [a, b, c]) = triangle();
+        let h = t.add_host();
+        t.attach_host(h, b).unwrap();
+        let parallel = t.link_switches(c, a).unwrap();
+        t.set_link_state(LinkId(1), LinkState::Dead);
+        let links: Vec<_> = t.switch_links().collect();
+        assert_eq!(
+            links,
+            [
+                (LinkId(0), a, b),
+                (LinkId(1), b, c),
+                (LinkId(2), c, a),
+                (parallel, c, a)
+            ]
+        );
     }
 
     #[test]

@@ -11,7 +11,7 @@ use an2::{
 use an2_cells::{LinkRate, Packet};
 use an2_sim::json::JVal;
 use an2_sim::SimDuration;
-use an2_topology::{LinkId, Node};
+use an2_topology::LinkId;
 use an2_trace::ObservatoryConfig;
 
 /// 200 ms, in nanoseconds of virtual time.
@@ -19,13 +19,8 @@ const BUDGET_NS: u64 = 200_000_000;
 
 /// The first inter-switch link of the topology — the N4 victim.
 fn backbone_link(net: &Network) -> LinkId {
-    let topo = net.topology();
-    topo.links()
-        .find(|&l| {
-            let (a, b) = topo.endpoints(l);
-            matches!((a.node, b.node), (Node::Switch(_), Node::Switch(_)))
-        })
-        .expect("installation has no inter-switch link")
+    let (link, _, _) = net.topology().switch_links().next().expect("a backbone");
+    link
 }
 
 /// The N4 fail cell, traced: a backbone link dies for good at slot 40 000
