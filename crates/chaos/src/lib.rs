@@ -14,8 +14,9 @@
 //! 3. [`oracle::run_schedule`] drives the schedule through a real
 //!    [`an2::Network`] (fault layer + embedded control plane) and checks
 //!    the strengthened oracle: zero invariant violations, post-quiescence
-//!    agent views byte-equal to the harness oracle, circuits on canonical
-//!    up*/down* paths, no stuck circuits, credits whole, and a delivery
+//!    agent views byte-equal to the harness oracle, a deadlock-free
+//!    canonical forest, circuits on canonical, legal up*/down* paths, no
+//!    stuck circuits, credits whole, and a delivery
 //!    floor on surviving paths. Violations are *collected*, not panicked.
 //! 4. On violation, [`shrink::shrink`] delta-debugs the schedule to a
 //!    minimal `(spec, seed)` repro and [`corpus`] persists it as plain
