@@ -36,8 +36,8 @@ pub(super) enum Event {
     },
     /// A §5 resync marker travelling downstream on a hop's link. Markers
     /// ride the same FIFO channel as data cells (same jitter clamp), which
-    /// is what makes the lossy reply sound — see
-    /// [`an2_flow::resync::handle_marker_lossy`].
+    /// is what makes the marker rule sound — see
+    /// [`an2_flow::resync::handle_marker`].
     ResyncMarker {
         vc: VcId,
         link: LinkId,

@@ -1,9 +1,8 @@
 //! Figures F1–F4: the paper's four illustrations, regenerated as artifacts.
 
-use an2_flow::{LinkSim, LinkSimConfig};
+use crate::flow_exp::{round_trip_slots, CreditLine};
 use an2_schedule::{FrameSchedule, ReservationMatrix};
-use an2_sim::SimRng;
-use an2_topology::{generators, Topology};
+use an2_topology::{generators, SwitchId, Topology};
 use std::fmt::Write;
 
 /// F1 — the Figure 1 sample installation, with its fault-tolerance
@@ -176,15 +175,15 @@ pub fn figure3() -> String {
     out
 }
 
-/// F4 — credit flow control across one link (paper Figure 4), shown as a
-/// short timeline of sends, forwards and returning credits.
+/// F4 — credit flow control across one link (paper Figure 4), on the
+/// fabric's host0 – sw0 – sw1 – host1 line, shown one credit round trip at
+/// a time: with fewer credits than the round trip needs, each window
+/// carries exactly one cell per credit.
 pub fn figure4() -> String {
-    let cfg = LinkSimConfig {
-        credits: 3,
-        latency_slots: 2,
-        forward_prob: 1.0,
-        ..Default::default()
-    };
+    const CREDITS: u32 = 3;
+    const LATENCY: u64 = 2;
+    let window = round_trip_slots(LATENCY);
+    let mut line = CreditLine::new(CREDITS, LATENCY, 4 * window);
     let mut out = String::new();
     let _ = writeln!(
         out,
@@ -192,29 +191,38 @@ pub fn figure4() -> String {
     );
     let _ = writeln!(
         out,
-        "one circuit, {} downstream buffers, {}-slot link latency:",
-        cfg.credits, cfg.latency_slots
+        "host0 -> sw0 -> sw1 -> host1, {CREDITS} buffers per hop, {LATENCY}-slot links: \
+         a credit spent comes back {window} slots later"
     );
-    let mut sim = LinkSim::new(cfg.clone());
-    let mut rng = SimRng::new(4);
-    for window in 0..4u64 {
-        let r = sim.run(5, &mut rng);
+    let (mut sent, mut delivered) = (0, 0);
+    for w in 0..4 {
+        line.fabric.step(window);
+        let s = line.stats();
+        let (now_sent, now_delivered) = (s.sent_cells, s.delivered_cells);
+        // In the steady state every round trip returns every credit once.
+        assert!(w == 0 || now_sent - sent == CREDITS as u64, "F4 window {w}");
         let _ = writeln!(
             out,
-            "  slots {:>2}-{:>2}: sent {} cells, downstream forwarded {}, \
-             sender balance now {}, downstream occupancy {}",
-            window * 5,
-            window * 5 + 4,
-            r.sent,
-            r.forwarded,
-            sim.sender_balance(),
-            sim.receiver_occupied(),
+            "  slots {:>2}-{:>2}: host0 sent {} cells, host1 received {}, \
+             sw0 balance now {}, sw1 buffers {}, {} cells and credits on the sw0-sw1 wire",
+            w * window,
+            (w + 1) * window - 1,
+            now_sent - sent,
+            now_delivered - delivered,
+            line.fabric
+                .switch_mut(SwitchId(0))
+                .credit_balance(line.vc)
+                .unwrap(),
+            line.fabric.switch_mut(SwitchId(1)).buffered_cells(line.vc),
+            line.fabric.inflight_on_link(line.mid),
         );
+        (sent, delivered) = (now_sent, now_delivered);
     }
     let _ = writeln!(
         out,
         "steady state: every forwarded cell frees a buffer and returns one \
-         credit; the sender transmits only with a positive balance."
+         credit; the sender transmits only with a positive balance, so the \
+         circuit runs at {CREDITS}/{window} of the link."
     );
     out
 }

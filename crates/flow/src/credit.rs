@@ -77,11 +77,6 @@ impl CreditSender {
         self.sent
     }
 
-    /// The sender's current resync epoch.
-    pub fn epoch(&self) -> u32 {
-        self.epoch
-    }
-
     /// Consumes one credit to transmit a cell. Returns `false` (and sends
     /// nothing) when the balance is zero.
     pub fn try_send(&mut self) -> bool {
@@ -141,12 +136,11 @@ impl CreditSender {
 }
 
 /// Downstream state for one virtual circuit: the buffer pool and the
-/// absolute forwarded counter.
+/// resync epoch stamped on the credits it returns.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CreditReceiver {
     capacity: u32,
     occupied: u32,
-    forwarded: u64,
     epoch: u32,
 }
 
@@ -161,7 +155,6 @@ impl CreditReceiver {
         CreditReceiver {
             capacity,
             occupied: 0,
-            forwarded: 0,
             epoch: 0,
         }
     }
@@ -174,16 +167,6 @@ impl CreditReceiver {
     /// Buffers allocated to the circuit.
     pub fn capacity(&self) -> u32 {
         self.capacity
-    }
-
-    /// Total cells ever forwarded onward (the resync counter).
-    pub fn forwarded(&self) -> u64 {
-        self.forwarded
-    }
-
-    /// The epoch stamped onto outgoing credits.
-    pub fn credit_epoch(&self) -> u32 {
-        self.epoch
     }
 
     /// Accepts an arriving cell into a buffer.
@@ -202,11 +185,6 @@ impl CreditReceiver {
         Ok(())
     }
 
-    /// Whether a cell is buffered and could be forwarded this slot.
-    pub(crate) fn has_cell(&self) -> bool {
-        self.occupied > 0
-    }
-
     /// Forwards one buffered cell through the crossbar, freeing its buffer.
     /// Returns the epoch to stamp on the credit sent upstream, or `None` if
     /// nothing was buffered.
@@ -215,19 +193,18 @@ impl CreditReceiver {
             return None;
         }
         self.occupied -= 1;
-        self.forwarded += 1;
         Some(self.epoch)
     }
 
-    pub(crate) fn handle_marker(&mut self, epoch: u32) -> u64 {
+    /// Stamps `epoch`, a resync marker's, on the credits returned from
+    /// now on.
+    pub(crate) fn stamp_epoch(&mut self, epoch: u32) {
         self.epoch = epoch;
-        self.forwarded
     }
 
     /// Discards `n` buffered cells without forwarding them — a line-card
-    /// crash losing its buffers. The forwarded counter is *not* advanced:
-    /// the dropped cells stay outstanding until a resync reconciles them
-    /// against the sender's `sent` counter.
+    /// crash losing its buffers. The dropped cells stay outstanding until
+    /// a resync reconciles them against the sender's `sent` counter.
     pub fn drop_buffered(&mut self, n: u32) {
         self.occupied = self.occupied.saturating_sub(n);
     }
@@ -277,14 +254,12 @@ mod tests {
     #[test]
     fn receiver_buffers_and_forwards() {
         let mut r = CreditReceiver::new(2);
-        assert!(!r.has_cell());
         r.on_cell().unwrap();
         r.on_cell().unwrap();
         assert_eq!(r.occupied(), 2);
         assert_eq!(r.on_cell(), Err(Overflow { capacity: 2 }));
         assert_eq!(r.forward(), Some(0));
         assert_eq!(r.occupied(), 1);
-        assert_eq!(r.forwarded(), 1);
         assert_eq!(r.capacity(), 2);
         r.forward();
         assert_eq!(r.forward(), None);
@@ -298,8 +273,7 @@ mod tests {
 
     #[test]
     fn end_to_end_conservation() {
-        // sent - forwarded == in flight + buffered; the balance equals
-        // capacity - (sent - credits_received).
+        // The balance equals capacity - (sent - credits received).
         let mut s = CreditSender::new(4);
         let mut r = CreditReceiver::new(4);
         for _ in 0..3 {
@@ -313,7 +287,7 @@ mod tests {
             assert!(s.on_credit_with_epoch(e));
         }
         assert_eq!(s.balance(), 3);
-        assert_eq!(s.sent() - r.forwarded(), 1); // one still buffered
-        assert_eq!(r.occupied(), 1);
+        assert_eq!(s.sent(), 3);
+        assert_eq!(r.occupied(), 1); // one still buffered
     }
 }

@@ -9,28 +9,31 @@
 //! transmitted back to the upstream switch [...] Cells are only transmitted
 //! for circuits with non-zero credit balances."
 //!
+//! There is one model of a credit link, the fabric's (`an2::Fabric`): its
+//! switches hold the gates and buffers, and experiments F4 and E10 measure
+//! it. This crate states the protocol those gates follow:
+//!
 //! * [`CreditSender`] / [`CreditReceiver`] — the per-circuit state machines
-//!   at the two ends of a link (Figure 4).
+//!   at the two ends of a link (Figure 4), for the property tests and the
+//!   benchmark's credit replay.
 //! * [`resync`] — the credit resynchronization protocol the paper leaves as
 //!   "an interesting problem in distributed computing": absolute counters
-//!   plus credit epochs (see DESIGN.md §4).
+//!   plus credit epochs (see DESIGN.md §4). The fabric runs its marker rule
+//!   and balance recovery.
 //! * [`round_trip_credits`] — buffer sizing: full link rate requires credits
 //!   covering one link round-trip.
-//! * [`LinkSim`] — a slot-stepped simulator of one flow-controlled link with
-//!   credit loss injection, used by experiments F4 and E10.
 //! * [`sharing`] — the paper's dynamic-buffer-allocation extension: one
-//!   link's circuits drawing downstream buffers from a shared pool.
+//!   link's circuits drawing downstream buffers from a shared pool. Its
+//!   simulator is a side model, since the fabric has no shared pool (X1c).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod credit;
-mod link;
 pub mod resync;
 pub mod sharing;
 
 pub use credit::{CreditReceiver, CreditSender, Overflow};
-pub use link::{LinkSim, LinkSimConfig, LinkSimReport};
 
 use an2_cells::LinkRate;
 use an2_sim::SimDuration;

@@ -8,22 +8,25 @@
 //!
 //! The protocol implemented here (documented in DESIGN.md §4):
 //!
-//! 1. Both ends keep monotone absolute counters — `sent` upstream,
-//!    `forwarded` downstream — which are never lost because they are local.
-//! 2. The upstream end sends a **marker** `(epoch, sent)`; each marker
-//!    increments the epoch.
+//! 1. Both ends keep monotone absolute counters, which are never lost
+//!    because they are local: `sent` upstream, and downstream the cells
+//!    it holds in its buffers.
+//! 2. The upstream end sends a **marker** `(epoch, sent)` in-band, behind
+//!    the cells it has sent; each marker increments the epoch.
 //! 3. The downstream end records the epoch (stamping it on all subsequent
-//!    credits) and replies `(epoch, forwarded)`.
+//!    credits) and replies `(epoch, marker.sent − occupied)`: every cell
+//!    sent before the marker that is not in a buffer now has been
+//!    forwarded or destroyed on the way, and both free their buffer.
 //! 4. On the reply, the upstream end sets
-//!    `balance = capacity − (sent − forwarded)`: exactly the buffers not
-//!    occupied by cells that are in flight or still queued downstream.
+//!    `balance = capacity − (sent − reply.forwarded)`: exactly the buffers
+//!    not occupied by cells that are in flight or still queued downstream.
 //! 5. Credits stamped with an older epoch are ignored — they are already
-//!    accounted for inside `forwarded`, so double-counting is impossible.
+//!    accounted for inside the reply, so double-counting is impossible.
 //!
-//! The protocol is idempotent and tolerates arbitrary loss of markers,
-//! replies and credits: any later resync supersedes an incomplete one.
-//! It can only *under*-estimate the balance transiently (cells in flight at
-//! marker time count as outstanding), never over-estimate, so buffer
+//! The protocol is idempotent and tolerates arbitrary loss of cells,
+//! markers, replies and credits: any later resync supersedes an incomplete
+//! one. It can only *under*-estimate the balance transiently (cells sent
+//! after the marker count as outstanding), never over-estimate, so buffer
 //! overflow remains impossible.
 
 use crate::credit::{CreditReceiver, CreditSender};
@@ -33,9 +36,8 @@ use crate::credit::{CreditReceiver, CreditSender};
 pub struct Marker {
     /// The new credit epoch.
     pub epoch: u32,
-    /// The sender's absolute sent counter at marker time. The plain
-    /// [`handle_marker`] ignores it (and makes traces self-describing);
-    /// [`handle_marker_lossy`] uses it to reconcile cells lost on the link.
+    /// The sender's absolute sent counter at marker time, which
+    /// [`handle_marker`] reconciles against the cells buffered downstream.
     pub sent: u64,
 }
 
@@ -55,41 +57,26 @@ pub fn begin(sender: &mut CreditSender) -> Marker {
     Marker { epoch, sent }
 }
 
-/// Handles a marker at the downstream end, producing the reply. All credits
-/// emitted after this carry the new epoch.
-pub fn handle_marker(receiver: &mut CreditReceiver, marker: Marker) -> Reply {
-    let forwarded = receiver.handle_marker(marker.epoch);
-    Reply {
-        epoch: marker.epoch,
-        forwarded,
-    }
-}
-
-/// Handles a marker at the downstream end of a link that may *lose cells in
-/// flight* (a faulty wire or a crashed line card), producing the reply.
-///
-/// The plain [`handle_marker`] reply reports the receiver's own `forwarded`
-/// counter, which never accounts for cells that vanished between the ends —
-/// their credits would stay lost forever. This variant instead reports
-/// `marker.sent − occupied`: every cell the sender had sent by marker time
-/// that is not sitting in a buffer right now has either been forwarded or
-/// destroyed, and both deserve their credit back.
+/// Handles a marker at the downstream end, producing the reply: stamps
+/// the marker's epoch on every credit `receiver` returns from now on and
+/// answers [`lossy_reply`] for the cells it holds.
 ///
 /// **Safety requirement:** the marker must travel the same FIFO channel as
 /// the data cells, so that when it arrives every cell sent before it has
 /// either arrived (occupied or forwarded) or been lost. Then
 /// `reply.forwarded ≤ marker.sent ≤ sender.sent`, the balance computed by
 /// [`finish`] never exceeds `capacity − in-flight`, and over-estimation
-/// remains impossible.
-pub fn handle_marker_lossy(receiver: &mut CreditReceiver, marker: Marker) -> Reply {
-    let _own_forwarded = receiver.handle_marker(marker.epoch); // stamps the epoch
+/// remains impossible. On a link that loses nothing the reply is the
+/// number of cells the receiver has forwarded.
+pub fn handle_marker(receiver: &mut CreditReceiver, marker: Marker) -> Reply {
+    receiver.stamp_epoch(marker.epoch);
     lossy_reply(marker, receiver.occupied())
 }
 
-/// The reply [`handle_marker_lossy`] sends when `occupied` of the hop's
-/// buffers hold cells at marker time: `marker.sent − occupied`, for any
-/// downstream end that counts its buffered cells (a switch reads them off
-/// its queues).
+/// The reply [`handle_marker`] sends when `occupied` of the hop's buffers
+/// hold cells at marker time: `marker.sent − occupied`, for any downstream
+/// end that counts its buffered cells (a switch reads them off its
+/// queues).
 pub fn lossy_reply(marker: Marker, occupied: u32) -> Reply {
     Reply {
         epoch: marker.epoch,
@@ -146,20 +133,21 @@ mod tests {
     fn resync_counts_outstanding_cells() {
         let mut s = CreditSender::new(4);
         let mut r = CreditReceiver::new(4);
-        // Two cells sent; only one delivered+forwarded (credit lost), one
-        // still in flight.
+        // Two cells sent; one delivered+forwarded (credit lost), one in
+        // flight ahead of the marker.
         assert!(s.try_send());
         assert!(s.try_send());
         r.on_cell().unwrap();
         let _lost_credit = r.forward().unwrap();
         let marker = begin(&mut s);
+        // The marker rides behind the second cell, which lands first.
+        r.on_cell().unwrap();
         let reply = handle_marker(&mut r, marker);
         finish(&mut s, reply);
-        // sent=2, forwarded=1 → one outstanding → balance 3.
+        // sent=2, one buffered → one outstanding → balance 3.
         assert_eq!(s.balance(), 3);
-        // The in-flight cell arrives and is forwarded; its credit carries
-        // the new epoch and is accepted.
-        r.on_cell().unwrap();
+        // The buffered cell is forwarded; its credit carries the new epoch
+        // and is accepted.
         let e = r.forward().unwrap();
         assert!(s.on_credit_with_epoch(e));
         assert_eq!(s.balance(), 4);
@@ -222,7 +210,7 @@ mod tests {
     }
 
     #[test]
-    fn lossy_marker_recovers_cells_destroyed_on_the_link() {
+    fn marker_recovers_cells_destroyed_on_the_link() {
         let mut s = CreditSender::new(4);
         let mut r = CreditReceiver::new(4);
         // Three cells sent; one destroyed on the wire, one buffered, one
@@ -235,11 +223,11 @@ mod tests {
         let _lost_credit = r.forward().unwrap();
         assert_eq!(s.balance(), 1);
         let marker = begin(&mut s);
-        // Plain handle_marker would report forwarded=1, leaving the
-        // destroyed cell outstanding forever (balance 2 of 4). The lossy
-        // variant reports sent − occupied = 3 − 1 = 2: the destroyed cell's
-        // credit comes back, only the buffered cell stays outstanding.
-        let reply = handle_marker_lossy(&mut r, marker);
+        // The receiver's own forwarded count (1) would leave the destroyed
+        // cell outstanding forever (balance 2 of 4). The reply is instead
+        // sent − occupied = 3 − 1 = 2: the destroyed cell's credit comes
+        // back, only the buffered cell stays outstanding.
+        let reply = handle_marker(&mut r, marker);
         assert_eq!(reply.forwarded, 2);
         finish(&mut s, reply);
         assert_eq!(s.balance(), 3);
@@ -250,7 +238,7 @@ mod tests {
     }
 
     #[test]
-    fn lossy_marker_recovers_crash_dropped_buffers() {
+    fn marker_recovers_crash_dropped_buffers() {
         let mut s = CreditSender::new(4);
         let mut r = CreditReceiver::new(4);
         for _ in 0..3 {
@@ -262,7 +250,7 @@ mod tests {
         assert_eq!(r.occupied(), 0);
         assert_eq!(s.balance(), 1);
         let marker = begin(&mut s);
-        let reply = handle_marker_lossy(&mut r, marker);
+        let reply = handle_marker(&mut r, marker);
         finish(&mut s, reply);
         assert_eq!(
             s.balance(),
@@ -272,7 +260,7 @@ mod tests {
     }
 
     #[test]
-    fn lossy_marker_never_over_estimates() {
+    fn marker_never_over_estimates() {
         // Cells sent after the marker are still counted as outstanding.
         let mut s = CreditSender::new(8);
         let mut r = CreditReceiver::new(8);
@@ -284,7 +272,7 @@ mod tests {
         // Two more cells leave after the marker (still in flight).
         assert!(s.try_send());
         assert!(s.try_send());
-        let reply = handle_marker_lossy(&mut r, marker);
+        let reply = handle_marker(&mut r, marker);
         finish(&mut s, reply);
         // sent=4, reply.forwarded = 2−2 = 0 → all four outstanding.
         assert_eq!(s.balance(), 4);

@@ -16,7 +16,9 @@
 //! recent arrivals (with a one-buffer floor so no circuit deadlocks).
 //! Reallocations take effect as cells drain: a circuit can never hold more
 //! cells than its previous allocation admitted, so the pool is never
-//! physically over-committed.
+//! physically over-committed. It is a side model: the fabric gives every
+//! circuit private buffers per hop and has no shared pool, so experiment
+//! X1c runs here rather than on `an2::Fabric`.
 
 use an2_sim::SimRng;
 use std::collections::VecDeque;

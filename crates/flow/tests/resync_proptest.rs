@@ -23,7 +23,7 @@ use an2_sim::{assert_sequence, SimRng};
 use std::collections::VecDeque;
 
 /// In-flight item on the downstream wire (sender → receiver). FIFO order
-/// between cells and markers is what makes the lossy reply sound.
+/// between cells and markers is what makes the marker rule sound.
 #[derive(Debug, Clone, Copy)]
 enum Down {
     Cell,
@@ -93,7 +93,7 @@ impl Hop {
                         .expect("receiver overflow: the credit protocol over-estimated under loss");
                 }
                 Some(Down::Marker(m)) => {
-                    let reply = resync::handle_marker_lossy(&mut self.r, m);
+                    let reply = resync::handle_marker(&mut self.r, m);
                     self.up.push_back(Up::Reply(reply));
                 }
                 None => {}
@@ -145,7 +145,7 @@ impl Hop {
             match item {
                 Down::Cell => self.r.on_cell().expect("overflow during drain"),
                 Down::Marker(m) => {
-                    let reply = resync::handle_marker_lossy(&mut self.r, m);
+                    let reply = resync::handle_marker(&mut self.r, m);
                     self.up.push_back(Up::Reply(reply));
                 }
             }
@@ -163,7 +163,7 @@ impl Hop {
         }
         // One clean marker/reply round trip reconciles everything lost.
         let m = resync::begin(&mut self.s);
-        let reply = resync::handle_marker_lossy(&mut self.r, m);
+        let reply = resync::handle_marker(&mut self.r, m);
         resync::finish(&mut self.s, reply);
     }
 }
