@@ -41,21 +41,21 @@ pub fn x1_delta_vs_full() -> (Vec<DeltaVsFull>, String) {
         };
         // Full reconfiguration.
         let mut full = ReconfigNet::with_defaults(topo.clone(), 77);
-        full.run_to_quiescence();
+        full.run_to_quiescence().expect("the protocol quiesces");
         assert!(full.converged());
         let before = full.total_messages();
         let link = victim(&full);
         full.kill_link(link);
-        full.run_to_quiescence();
+        full.run_to_quiescence().expect("the protocol quiesces");
         let full_messages = full.total_messages() - before;
         let full_ok = full.converged();
         // Delta flood.
         let mut delta = ReconfigNet::with_defaults(topo, 77);
-        delta.run_to_quiescence();
+        delta.run_to_quiescence().expect("the protocol quiesces");
         let before = delta.total_messages();
         let link = victim(&delta);
         delta.kill_link_delta(link);
-        delta.run_to_quiescence();
+        delta.run_to_quiescence().expect("the protocol quiesces");
         let delta_messages = delta.total_messages() - before;
         let edges = delta.actual_edges();
         let delta_ok = delta

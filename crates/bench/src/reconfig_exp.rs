@@ -36,14 +36,14 @@ pub fn e1_pull_the_plug() -> (Vec<ReconfigRun>, String) {
     for (name, topo) in cases {
         let switches = topo.switch_count();
         let mut net = ReconfigNet::with_defaults(topo, 1000);
-        net.run_to_quiescence();
+        net.run_to_quiescence().expect("the protocol quiesces");
         assert!(net.converged());
         let msgs_before = net.total_messages();
         let t0 = net.now();
         // Kill a middle switch, as the demo pulls an arbitrary plug.
         let victim = SwitchId((switches / 2) as u16);
         net.kill_switch(victim);
-        net.run_to_quiescence();
+        net.run_to_quiescence().expect("the protocol quiesces");
         let survivor = SwitchId(0);
         let converged = net.partition_converged(survivor);
         let reconfig_time = net
@@ -111,7 +111,7 @@ pub fn e12_reconfig_behaviour() -> (E12Report, String) {
         ),
     ] {
         let mut net = ReconfigNet::with_defaults(topo, 11);
-        net.run_to_quiescence();
+        net.run_to_quiescence().expect("the protocol quiesces");
         assert!(net.converged());
         let tree = net.spanning_tree(SwitchId(0));
         let bfs = SpanningTree::bfs(net.topology(), tree.root());
@@ -120,12 +120,12 @@ pub fn e12_reconfig_behaviour() -> (E12Report, String) {
 
     // Overlapping reconfigurations: kill three links at the same instant.
     let mut net = ReconfigNet::with_defaults(generators::torus(4, 4), 13);
-    net.run_to_quiescence();
+    net.run_to_quiescence().expect("the protocol quiesces");
     for (a, b) in [(0u16, 1u16), (5, 6), (10, 11)] {
         let link = net.topology().links_between(SwitchId(a), SwitchId(b))[0];
         net.kill_link(link);
     }
-    net.run_to_quiescence();
+    net.run_to_quiescence().expect("the protocol quiesces");
     let overlap_converged = net.converged();
 
     // Skeptic damping: a worst-case flapper, transitions per window.

@@ -12,7 +12,8 @@
 //!    sit in quarantine.
 //! 3. **Views** — every live agent's topology view must equal the
 //!    ideal-transport `an2-reconfig` harness's view for the same
-//!    surviving topology (partitions handled per the harness).
+//!    surviving topology (partitions handled per the harness); a harness
+//!    that spends its delivery budget is a violation of its own.
 //! 4. **Canonical paths** — every open circuit must sit on the
 //!    byte-identical canonical up*/down* path recomputed independently;
 //!    broken circuits must be exactly those with no canonical route.
@@ -64,6 +65,14 @@ pub enum Violation {
         /// What was wrong.
         detail: String,
     },
+    /// The ideal-transport harness behind the view reference spent its
+    /// delivery budget without quiescing.
+    HarnessStorm {
+        /// Inputs the harness delivered.
+        delivered: u64,
+        /// Inputs still in flight when it gave up.
+        in_flight: usize,
+    },
     /// A surviving circuit failed to deliver a post-convergence probe.
     StuckCircuit {
         /// The circuit's raw VC id.
@@ -102,6 +111,13 @@ impl fmt::Display for Violation {
             Violation::PathNotCanonical { vc, detail } => {
                 write!(f, "vc{vc} not canonical: {detail}")
             }
+            Violation::HarnessStorm {
+                delivered,
+                in_flight,
+            } => write!(
+                f,
+                "harness stormed: {delivered} inputs delivered, {in_flight} in flight"
+            ),
             Violation::StuckCircuit { vc } => {
                 write!(f, "vc{vc} stuck: post-convergence probe undelivered")
             }
@@ -167,13 +183,19 @@ fn crashed_switches(s: &Schedule) -> Vec<SwitchId> {
 /// surviving topology (`crashed` switches pulled), with the harness's
 /// partition converged. A switch with no working links never boots in
 /// the harness; its embedded view must then be empty. Returns one
-/// [`Violation::ViewMismatch`] per switch that fails.
+/// [`Violation::ViewMismatch`] per switch that fails, or the one
+/// [`Violation::HarnessStorm`] when the harness does not quiesce.
 pub fn check_views(net: &Network, crashed: &[SwitchId]) -> Vec<Violation> {
     let mut oracle = ReconfigNet::with_defaults(net.topology().clone(), 0);
     for &sw in crashed {
         oracle.kill_switch(sw);
     }
-    oracle.run_to_quiescence();
+    if let Err(storm) = oracle.run_to_quiescence() {
+        return vec![Violation::HarnessStorm {
+            delivered: storm.delivered,
+            in_flight: storm.in_flight,
+        }];
+    }
     net.topology()
         .switches()
         .filter(|sw| !crashed.contains(sw))

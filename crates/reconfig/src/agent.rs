@@ -489,7 +489,7 @@ mod tests {
     #[test]
     fn two_switches_agree_on_topology() {
         let mut net = two_switch_net();
-        net.run_to_quiescence();
+        net.run_to_quiescence().expect("the protocol quiesces");
         let va = view(&net, 0);
         let vb = view(&net, 1);
         assert_eq!(va.tag, vb.tag);
@@ -514,12 +514,12 @@ mod tests {
     #[test]
     fn link_down_triggers_new_epoch() {
         let mut net = two_switch_net();
-        net.run_to_quiescence();
+        net.run_to_quiescence().expect("the protocol quiesces");
         let epoch_before = view(&net, 0).tag.epoch;
         // Tell both ends the link died.
         let link = net.topology().links_between(SwitchId(0), SwitchId(1))[0];
         net.kill_link(link);
-        net.run_to_quiescence();
+        net.run_to_quiescence().expect("the protocol quiesces");
         let va = view(&net, 0);
         let vb = view(&net, 1);
         assert!(va.tag.epoch > epoch_before);

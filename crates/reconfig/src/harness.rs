@@ -31,6 +31,22 @@ pub const PROCESSING: SimDuration = SimDuration::from_micros(100);
 /// slots instead (`an2::FabricConfig::link_latency_slots`).
 pub const LINK_LATENCY: SimDuration = SimDuration::from_micros(1);
 
+/// Inputs [`ReconfigNet::run_to_quiescence`] may deliver per switch per
+/// link before it reports a [`Storm`]. No test or experiment needs more
+/// than 3.5 (seven on a two-switch line); the most any run delivers is
+/// 1 920, on 32 switches and 64 links.
+pub const STORM_DELIVERIES: u64 = 64;
+
+/// A run of the ideal transport that spent its delivery budget with
+/// inputs still in flight: the protocol did not quiesce.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Storm {
+    /// Inputs delivered before the run gave up.
+    pub delivered: u64,
+    /// Inputs still queued when it did.
+    pub in_flight: usize,
+}
+
 /// An input on the ideal transport, due at `at`.
 struct InFlight {
     at: SimTime,
@@ -108,16 +124,41 @@ impl ReconfigNet {
     }
 
     /// Runs the protocol until nothing remains in flight.
-    pub fn run_to_quiescence(&mut self) {
+    ///
+    /// # Errors
+    ///
+    /// [`Storm`] once the inputs delivered plus those still queued exceed
+    /// [`STORM_DELIVERIES`] per switch per link. Every queued input of a
+    /// run that quiesces is delivered in the end, so the bound is on its
+    /// deliveries; a protocol that keeps answering itself fails here,
+    /// however fast its queue grows, instead of running on. The inputs
+    /// still queued stay queued.
+    pub fn run_to_quiescence(&mut self) -> Result<(), Storm> {
+        let scale = self.topo.switch_count() as u64 * self.topo.link_count() as u64;
+        self.run_within(STORM_DELIVERIES * scale.max(1))
+    }
+
+    /// [`ReconfigNet::run_to_quiescence`] with a budget of `budget` inputs.
+    fn run_within(&mut self, budget: u64) -> Result<(), Storm> {
         let mut out = Vec::new();
+        let mut delivered = 0;
         while let Some(m) = self.queue.pop() {
+            delivered += 1;
             debug_assert!(m.at >= self.now, "message from the past");
             self.now = m.at;
             self.protocol.on_input(m.at, m.to, m.input, &mut out);
             for (to, reply) in out.drain(..) {
                 self.send_at(m.at + LINK_LATENCY + PROCESSING, to, Input::Message(reply));
             }
+            let in_flight = self.queue.len();
+            if delivered + in_flight as u64 > budget {
+                return Err(Storm {
+                    delivered,
+                    in_flight,
+                });
+            }
         }
+        Ok(())
     }
 
     /// Current virtual time.
@@ -307,9 +348,26 @@ mod tests {
 
     fn converge(topo: Topology, seed: u64) -> ReconfigNet {
         let mut net = ReconfigNet::with_defaults(topo, seed);
-        net.run_to_quiescence();
+        net.run_to_quiescence().expect("the protocol quiesces");
         assert!(net.converged(), "initial boot must converge");
         net
+    }
+
+    #[test]
+    fn a_spent_delivery_budget_is_a_storm_and_keeps_the_queue() {
+        let mut net = ReconfigNet::with_defaults(generators::ring(4), 1);
+        let storm = net
+            .run_within(1)
+            .expect_err("eight boots exceed a budget of one");
+        assert_eq!(storm.delivered, 1);
+        assert_eq!(storm.in_flight, net.queue.len());
+        assert!(storm.in_flight >= 7, "the other boots stay queued");
+        // Resumed, the run reaches what an uninterrupted one does.
+        net.run_to_quiescence().expect("the protocol quiesces");
+        let whole = converge(generators::ring(4), 1);
+        assert!(net.converged());
+        assert_eq!(net.total_messages(), whole.total_messages());
+        assert_eq!(net.now(), whole.now());
     }
 
     #[test]
@@ -353,12 +411,12 @@ mod tests {
     fn time_only_moves_forward() {
         let mut net = ReconfigNet::with_defaults(generators::ring(6), 1);
         assert_eq!(net.now(), SimTime::ZERO);
-        net.run_to_quiescence();
+        net.run_to_quiescence().expect("the protocol quiesces");
         let booted = net.now();
         assert!(booted > SimTime::ZERO);
         let link = net.topology().links_between(SwitchId(0), SwitchId(1))[0];
         net.kill_link(link);
-        net.run_to_quiescence();
+        net.run_to_quiescence().expect("the protocol quiesces");
         assert!(net.now() > booted);
         for s in net.topology().switches() {
             let done = net.view_of(s).expect("reconverged").completed_at;
@@ -373,12 +431,12 @@ mod tests {
     fn quiescence_is_an_empty_queue() {
         let mut net = ReconfigNet::with_defaults(generators::ring(6), 1);
         assert!(!net.queue.is_empty(), "boot announcements are queued");
-        net.run_to_quiescence();
+        net.run_to_quiescence().expect("the protocol quiesces");
         assert!(net.queue.is_empty());
         // Nothing in flight: running again delivers nothing and the clock
         // stays put.
         let (now, messages) = (net.now(), net.total_messages());
-        net.run_to_quiescence();
+        net.run_to_quiescence().expect("the protocol quiesces");
         assert_eq!((net.now(), net.total_messages()), (now, messages));
     }
 
@@ -423,7 +481,7 @@ mod tests {
         // Kill a backbone ring link.
         let link = net.topology().links_between(SwitchId(0), SwitchId(1))[0];
         net.kill_link(link);
-        net.run_to_quiescence();
+        net.run_to_quiescence().expect("the protocol quiesces");
         assert!(net.converged(), "must reconverge after link failure");
         let done = net.last_completion(SwitchId(0)).unwrap();
         let elapsed = done.duration_since(t0);
@@ -441,7 +499,7 @@ mod tests {
         for victim in topo.switches() {
             let mut net = converge(topo.clone(), 11);
             net.kill_switch(victim);
-            net.run_to_quiescence();
+            net.run_to_quiescence().expect("the protocol quiesces");
             // The survivors' partition must agree on the reduced topology.
             let survivor = topo
                 .switches()
@@ -469,7 +527,7 @@ mod tests {
             };
             let before = state(&net);
             net.kill_switch(victim);
-            net.run_to_quiescence();
+            net.run_to_quiescence().expect("the protocol quiesces");
             assert_eq!(
                 state(&net),
                 before,
@@ -487,7 +545,7 @@ mod tests {
         let mut net = converge(generators::line(4), 5);
         let link = net.topology().links_between(SwitchId(1), SwitchId(2))[0];
         net.kill_link(link);
-        net.run_to_quiescence();
+        net.run_to_quiescence().expect("the protocol quiesces");
         assert!(net.partition_converged(SwitchId(0)));
         assert!(net.partition_converged(SwitchId(3)));
         // Sides disagree (as they must: different partitions).
@@ -506,7 +564,7 @@ mod tests {
         let l2 = net.topology().links_between(SwitchId(4), SwitchId(5))[0];
         net.kill_link(l1);
         net.kill_link(l2);
-        net.run_to_quiescence();
+        net.run_to_quiescence().expect("the protocol quiesces");
         assert!(net.converged());
     }
 
@@ -538,7 +596,7 @@ mod tests {
         let links = net.topology().links_between(SwitchId(0), SwitchId(1));
         assert_eq!(links.len(), 2);
         net.kill_link(links[0]);
-        net.run_to_quiescence();
+        net.run_to_quiescence().expect("the protocol quiesces");
         assert_eq!(net.total_initiated(), initiated_before);
         assert!(net.converged());
     }
@@ -572,7 +630,7 @@ mod tests {
         let initiated_before = net.total_initiated();
         let link = net.topology().links_between(SwitchId(2), SwitchId(3))[0];
         net.kill_link_delta(link);
-        net.run_to_quiescence();
+        net.run_to_quiescence().expect("the protocol quiesces");
         // No new reconfiguration was triggered...
         assert_eq!(net.total_initiated(), initiated_before);
         // ...yet every switch's view matches the new reality.
@@ -596,14 +654,14 @@ mod tests {
         let before = full.total_messages();
         let link = full.topology().links_between(SwitchId(4), SwitchId(5))[0];
         full.kill_link(link);
-        full.run_to_quiescence();
+        full.run_to_quiescence().expect("the protocol quiesces");
         let full_cost = full.total_messages() - before;
         // Delta cost on the same failure.
         let mut delta = converge(topo, 72);
         let before = delta.total_messages();
         let link = delta.topology().links_between(SwitchId(4), SwitchId(5))[0];
         delta.kill_link_delta(link);
-        delta.run_to_quiescence();
+        delta.run_to_quiescence().expect("the protocol quiesces");
         let delta_cost = delta.total_messages() - before;
         assert!(
             delta_cost < full_cost,
@@ -624,7 +682,7 @@ mod tests {
         let before = net.total_messages();
         let link = net.topology().links_between(SwitchId(0), SwitchId(1))[0];
         net.kill_link_delta(link);
-        net.run_to_quiescence();
+        net.run_to_quiescence().expect("the protocol quiesces");
         let cost = net.total_messages() - before;
         // Two origins, each flooding over ~11 remaining links in both
         // directions: comfortably under 4*E + 2*N.

@@ -63,7 +63,7 @@ fn rows(name: &str, topo: &Topology, seed: u64) -> String {
     let victim = SwitchId(topo.switch_count() as u16 - 1);
     let booted = || {
         let mut net = ReconfigNet::with_defaults(topo.clone(), seed);
-        net.run_to_quiescence();
+        net.run_to_quiescence().expect("the protocol quiesces");
         net
     };
     let mut out = row(name, "boot", &booted());
@@ -81,7 +81,7 @@ fn rows(name: &str, topo: &Topology, seed: u64) -> String {
     for (script, inject) in scripts {
         let mut net = booted();
         inject(&mut net);
-        net.run_to_quiescence();
+        net.run_to_quiescence().expect("the protocol quiesces");
         out += &row(name, script, &net);
     }
     out

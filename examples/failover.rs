@@ -21,7 +21,7 @@ fn main() -> Result<(), an2::NetError> {
     // --- Part 1: reconfiguration timing --------------------------------
     let topo = generators::src_installation(12, 0);
     let mut recon = ReconfigNet::with_defaults(topo, 99);
-    recon.run_to_quiescence();
+    recon.run_to_quiescence().expect("the protocol quiesces");
     assert!(recon.converged());
     println!(
         "boot: {} switches converged at t = {} using {} messages",
@@ -33,7 +33,7 @@ fn main() -> Result<(), an2::NetError> {
     let victim = SwitchId(5);
     let t0 = recon.now();
     recon.kill_switch(victim);
-    recon.run_to_quiescence();
+    recon.run_to_quiescence().expect("the protocol quiesces");
     let survivor = SwitchId(0);
     assert!(recon.partition_converged(survivor));
     let elapsed = recon

@@ -14,9 +14,9 @@ use an2_xbar::Pim;
 fn reconfiguration_is_deterministic() {
     let run = |seed: u64| {
         let mut net = ReconfigNet::with_defaults(generators::src_installation(12, 0), seed);
-        net.run_to_quiescence();
+        net.run_to_quiescence().expect("the protocol quiesces");
         net.kill_switch(SwitchId(5));
-        net.run_to_quiescence();
+        net.run_to_quiescence().expect("the protocol quiesces");
         (
             net.now().as_nanos(),
             net.total_messages(),

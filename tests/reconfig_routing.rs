@@ -9,7 +9,7 @@ use an2_topology::{generators, updown, SwitchId};
 
 fn converged_net(topo: an2_topology::Topology, seed: u64) -> ReconfigNet {
     let mut net = ReconfigNet::with_defaults(topo, seed);
-    net.run_to_quiescence();
+    net.run_to_quiescence().expect("the protocol quiesces");
     assert!(net.converged());
     net
 }
@@ -49,7 +49,7 @@ fn updown_routes_recomputed_after_failure() {
     // Fail a backbone link, reconverge, rebuild the tree and routes.
     let link = net.topology().links_between(SwitchId(2), SwitchId(3))[0];
     net.kill_link(link);
-    net.run_to_quiescence();
+    net.run_to_quiescence().expect("the protocol quiesces");
     assert!(net.converged());
     let tree = net.spanning_tree(SwitchId(0));
     for s in net.topology().switches() {
