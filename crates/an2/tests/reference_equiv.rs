@@ -211,7 +211,7 @@ src4x6/s5 slot=2323 vcs=5 stats=05497d47837f1f8f bytes=31022bb7b781cd50 closed=0
 ";
 
 #[test]
-fn slab_fabric_matches_reference() {
+fn fabric_runs_reproduce_pinned_stats_and_bytes() {
     let mut actual = String::new();
     for name in TOPOLOGIES {
         for seed in 0..6u64 {

@@ -115,7 +115,7 @@ s73 slot=3161 stats=39351a167e619f40 bytes=2e25b2cd0192803a\n\
 ";
 
 #[test]
-fn wide_hub_matches_reference_oracle() {
+fn wide_hub_runs_reproduce_pinned_stats_and_bytes() {
     let mut actual = String::new();
     for seed in [5u64, 29, 73] {
         actual += &drive_hub(seed);
