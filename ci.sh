@@ -108,6 +108,19 @@ if grep -rn 'check_invariants' crates tests src examples; then
     exit 1
 fi
 
+echo "== one model of a credit link: CreditSender and CreditReceiver are built only in crates/flow/src"
+# F4 and E10 measure the fabric's credit gates and switch buffers
+# (crates/bench/src/flow_exp.rs). A sender/receiver pair built in another
+# crate's source is a second model of the link, with a timing of its own
+# that drifts from the fabric's (the retired LinkSim reached full rate at
+# 2L credits, the fabric at 2L + 3). The property tests and the
+# benchmark's credit replay build them outside crates/*/src.
+if grep -rnE --include='*.rs' '(CreditSender|CreditReceiver)::new' crates/*/src |
+    grep -v '^crates/flow/src/'; then
+    echo "a second credit-link model: measure the fabric's gates and buffers"
+    exit 1
+fi
+
 echo "== one cell arena, per switch: no CellPool or CellQueue in crates/an2/src"
 # Queued cells live in each switch's pool; a host outbox adopts the buffers
 # its cells were handed over in (crates/an2/src/fabric/host.rs). A second
