@@ -62,8 +62,10 @@ pub struct FabricConfig {
     /// least 1: a cell needs a slot to reach the next switch.
     pub link_latency_slots: u64,
     /// Downstream buffers (= initial credits) per best-effort circuit per
-    /// hop. Should be at least `2 * link_latency_slots` for full-rate flow
-    /// (§5); the default leaves headroom.
+    /// hop. Full-rate flow needs at least `2 * link_latency_slots + 3`
+    /// (§5): a credit returns one link each way plus the switch's 3-slot
+    /// pipeline after its cell left (E10a). The default, 8 on 2-slot links,
+    /// covers the 7-slot round trip with one to spare.
     pub be_credits: u32,
 }
 
