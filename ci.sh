@@ -140,6 +140,16 @@ if grep -rnE 'set_batching|batching: bool|\.batching' crates tests src examples;
     exit 1
 fi
 
+echo "== one grid: the an2 pin suites build their shapes only in crates/an2/tests/grid/"
+# Every pin suite under crates/an2/tests takes its shapes, circuit mix,
+# link cut, digest, engine walk and pin assertion from grid/mod.rs. A
+# private topology builder beside it is a second copy of a shape whose
+# pins can drift from the grid's.
+if grep -nE 'fn topology|fn grid_topology|generators::line\(3\)|generators::ring\(5\)' crates/an2/tests/*.rs; then
+    echo "a private shape builder in a pin suite: build it in crates/an2/tests/grid/mod.rs"
+    exit 1
+fi
+
 echo "== one driver for the control agents: only UpDownProtocol calls a SwitchAgent, and agent::Msg holds no local event"
 # UpDownProtocol (crates/reconfig/src/protocol.rs) owns the agents, and
 # the ideal-transport harness and the embedded control plane both drive it
@@ -223,7 +233,7 @@ if [[ "${1:-}" != "quick" ]]; then
     # re-runs in release, the build the benchmark measures, the suites that
     # pin or compare the data plane, the fault layer and the control
     # protocols.
-    echo "== release: fabric, pre-slab-fabric and shared-pair pins (absolute behaviour), port-width and watermark equivalence (fault legs assert the slot-by-slot engine's pins at every chunking)"
+    echo "== release: fabric, pre-slab-fabric and shared-pair pins (absolute behaviour), port-width and watermark equivalence (the slot-by-slot engine's pins at every shard count, tracing and chunking)"
     cargo test -q --release -p an2 --test fabric_pins
     cargo test -q --release -p an2 --test reference_equiv
     cargo test -q --release -p an2-switch --test shared_pair_pins

@@ -4,10 +4,11 @@
 //! walk claims to cover moves the value on its own; shard count and
 //! tracing do not.
 
+mod grid;
+
 use an2::{FaultSpec, FlapEvent, LinkId, LossModel, Network, SwitchId, TraceConfig, VcId};
 use an2_cells::Packet;
 use an2_reconfig::{agent::Msg, protocol::ProtocolMsg, Tag};
-use an2_sim::SimDuration;
 use an2_topology::{generators, HostId};
 
 /// host0 - sw0 - sw1 - host1 with one best-effort circuit across it, one
@@ -35,8 +36,7 @@ fn link_between(net: &Network, a: u16, b: u16) -> LinkId {
 /// log's single event names the link, and nothing else tells two apart.
 fn one_verdict(from: u16) -> Network {
     let mut net = Network::builder().ring(4, 4).seed(1).build();
-    let mut spec = FaultSpec::default();
-    spec.monitor.ping_interval = SimDuration::from_millis(1);
+    let mut spec = grid::pinged_spec();
     spec.flaps.push(FlapEvent {
         link: link_between(&net, from, from + 1),
         down_at: 1_000,
@@ -114,43 +114,32 @@ fn one_class_apart() -> Vec<(&'static str, u64, u64)> {
 
 /// Lossy links, a flap long enough to be voted dead and repaired around,
 /// and the live control plane on a dual-homed SRC installation.
-fn faulted_run(shards: usize, traced: bool) -> u64 {
-    let mut net = Network::builder().src_installation(4, 8).seed(3).build();
-    net.set_shards(shards);
-    let hosts: Vec<_> = net.hosts().collect();
-    let circuits: Vec<VcId> = hosts
-        .chunks(2)
-        .map(|pair| net.open_best_effort(pair[0], pair[1]).unwrap())
-        .collect();
+fn faulted_run(e: grid::Engine) -> grid::Outcome<u64> {
+    let mut net = Network::builder().topology(grid::src4x8()).seed(3).build();
+    net.set_shards(e.shards);
+    let circuits = grid::open_pairs(&mut net, usize::MAX, None);
+    assert_eq!(circuits.len(), 4);
     let mut spec = FaultSpec {
         resync_interval_slots: 2_000,
-        ..Default::default()
+        ..grid::pinged_spec()
     };
     spec.default_link.loss = LossModel::Independent { p: 0.002 };
-    spec.monitor.ping_interval = SimDuration::from_millis(1);
     spec.flaps.push(FlapEvent {
         link: link_between(&net, 0, 1),
         down_at: 4_000,
         up_at: 14_000,
     });
     net.attach_faults(&spec, 3);
-    if traced {
+    if e.traced {
         net.attach_tracer(TraceConfig::default());
     }
     net.enable_control_plane();
-    for tag in 0..8 {
-        for &vc in &circuits {
-            if !net.is_broken(vc) {
-                let _ = net.send_packet(vc, Packet::from_bytes(vec![tag; 300]));
-            }
-        }
-        net.step(3_000);
-    }
+    grid::send_rounds(&mut net, &circuits, 8, 3_000, 300);
     net.step(8_000);
     assert!(net.fault_counters().unwrap().cells_lost > 0);
     assert!(net.ctrl_counters().messages_sent > 0);
     assert!(net.reconfig_log().len() > 2, "{:?}", net.reconfig_log());
-    net.digest()
+    grid::Outcome::untraced(net.digest())
 }
 
 #[test]
@@ -167,11 +156,8 @@ fn digest_is_repeatable_moved_by_each_observable_and_by_no_engine_setting() {
         assert_ne!(before, after, "the digest did not move with {class}");
     }
 
-    let base = faulted_run(1, false);
-    for shards in [1, 3] {
-        for traced in [false, true] {
-            let run = faulted_run(shards, traced);
-            assert_eq!(base, run, "{shards} shards, traced {traced}");
-        }
-    }
+    // The first engine twice: a run repeats itself.
+    let mut engines = grid::engines(&[1, 3], &[false, true], &[grid::WHOLE]);
+    engines.insert(0, engines[0]);
+    grid::walk("the faulted run", &engines, faulted_run);
 }

@@ -12,37 +12,30 @@
 //! that notices a reordered RNG draw or trace emission on the fault path.
 //!
 //! A row's values do not depend on the shard count or on tracing (that is
-//! `shard_equiv`'s and `trace_determinism`'s claim), so the table holds one
-//! line per (topology, seed, mode) and every line is checked in all four
-//! configurations.
+//! `watermark_equiv`'s and `trace_determinism`'s claim), so the table holds
+//! one line per (topology, seed, mode) and the grid's engine walk checks
+//! every line in all four configurations.
+
+mod grid;
 
 use an2::{
     CrashEvent, Fabric, FabricConfig, FaultSpec, FlapEvent, LinkFaultModel, LossModel, Network,
-    SkepticConfig, TraceConfig, Tracer, TrafficClass, VcStats,
+    SkepticConfig, TraceConfig, Tracer, VcStats,
 };
-use an2_cells::{Packet, Segmenter, VcId};
+use an2_cells::{Packet, Segmenter};
 use an2_reconfig::agent::Msg;
 use an2_reconfig::protocol::ProtocolMsg;
 use an2_reconfig::Tag;
 use an2_sim::{Fnv, SimDuration, SimRng};
-use an2_topology::{generators, paths, HostId, LinkId, LinkState, SwitchId, Topology};
+use an2_topology::{paths, LinkId, SwitchId, Topology};
+use grid::{Engine, Outcome, Shape};
 
-const TOPOLOGIES: [&str; 3] = ["line3", "tree2x3", "src4x6"];
-
-fn topology(name: &str) -> Topology {
-    match name {
-        "line3" => {
-            let mut t = generators::line(3);
-            for s in [0u16, 0, 2, 2] {
-                let h = t.add_host();
-                t.attach_host(h, SwitchId(s)).unwrap();
-            }
-            t
-        }
-        "tree2x3" => generators::fat_tree(2, 3),
-        _ => generators::src_installation(4, 6),
-    }
-}
+/// The fabric rows' shapes; this table calls the fat-tree `tree2x3`.
+const SHAPES: [Shape; 3] = [
+    ("line3", grid::line3),
+    ("tree2x3", grid::fat2x3),
+    ("src4x6", grid::src4x6),
+];
 
 /// Every field of a circuit's statistics, then every latency sample.
 fn hash_stats(h: &mut Fnv, s: &VcStats) {
@@ -138,13 +131,6 @@ fn spec_for(mode: Mode, topo: &Topology) -> Option<FaultSpec> {
     }
 }
 
-/// What a run leaves behind, as one table line (without the trace part)
-/// and the trace part.
-struct Outcome {
-    line: String,
-    trace: Option<String>,
-}
-
 fn trace_part(tracer: &Tracer) -> String {
     let mut h = Fnv::new();
     for r in tracer.records() {
@@ -185,86 +171,35 @@ fn counters_part(f: Option<an2::FaultCounters>, c: an2::CtrlCounters) -> String 
 /// messages on the inter-switch wires, a mid-run `fail_link` with reroutes
 /// and a later revival, forced resyncs and pings, a circuit closed with
 /// cells in flight, and a page-out/page-in after the drain.
-fn fabric_run(name: &str, seed: u64, mode: Mode, shards: usize, traced: bool) -> Outcome {
-    let topo = topology(name);
+fn fabric_run(shape: fn() -> Topology, seed: u64, mode: Mode, e: Engine) -> Outcome<String> {
+    let topo = shape();
     let spec = spec_for(mode, &topo);
     let backbone: Vec<_> = topo.switch_links().collect();
     let mut f = Fabric::new(topo, FabricConfig::default(), seed);
-    f.set_shards(shards);
+    f.set_shards(e.shards);
     let mut wl = SimRng::new(seed ^ 0x5eed);
-    let hosts: Vec<HostId> = (0..f.topology().host_count())
-        .map(|h| HostId(h as u16))
-        .collect();
     let mut misc = Fnv::new();
-    let mut vcs: Vec<(VcId, HostId, HostId)> = Vec::new();
-    let mut open_some = |f: &mut Fabric, wl: &mut SimRng, range: std::ops::Range<u32>| {
-        for i in range {
-            let vc = VcId::new(100 + i);
-            let src = hosts[wl.gen_range(hosts.len())];
-            let mut dst = hosts[wl.gen_range(hosts.len())];
-            if dst == src {
-                dst = hosts[(src.0 as usize + 1) % hosts.len()];
-            }
-            let Some((sw, links, sl, dl)) = paths::host_wiring(f.topology(), src, dst) else {
-                continue;
-            };
-            match i % 4 {
-                0 => f.open_circuit(
-                    vc,
-                    src,
-                    dst,
-                    TrafficClass::Guaranteed { cells_per_frame: 2 },
-                    sw,
-                    links,
-                    sl,
-                    dl,
-                ),
-                1 => f.open_circuit_signaled(vc, src, dst, sw, links, sl, dl),
-                _ => f.open_circuit(vc, src, dst, TrafficClass::BestEffort, sw, links, sl, dl),
-            }
-            vcs.push((vc, src, dst));
-        }
-    };
     // Circuits on both sides of the attach, and the two attaches in either
     // order: the ledger is built for open circuits and for later ones, and
     // the injector sees the tracer whichever came first.
-    open_some(&mut f, &mut wl, 0..4);
+    let mut vcs = grid::open_mixed(&mut f, &mut wl, 0..4);
     let mut tracer = None;
-    let attach_tracer = |f: &mut Fabric| {
-        let t = Tracer::new(TraceConfig {
-            sample_every: 8,
-            ..TraceConfig::default()
-        });
-        f.attach_tracer(t.clone());
-        t
-    };
     let tracer_first = !seed.is_multiple_of(2);
-    if traced && tracer_first {
-        tracer = Some(attach_tracer(&mut f));
+    if e.traced && tracer_first {
+        tracer = Some(grid::attach_tracer(&mut f, 8));
     }
     if let Some(spec) = &spec {
         f.attach_faults(spec, seed.wrapping_mul(31) + 7);
     }
-    if traced && !tracer_first {
-        tracer = Some(attach_tracer(&mut f));
+    if e.traced && !tracer_first {
+        tracer = Some(grid::attach_tracer(&mut f, 8));
     }
-    open_some(&mut f, &mut wl, 4..8);
+    vcs.extend(grid::open_mixed(&mut f, &mut wl, 4..8));
 
     let mut failed: Option<LinkId> = None;
     let mut closed: Vec<VcStats> = Vec::new();
     for round in 0..12 {
-        for &(vc, _, _) in &vcs {
-            if !f.has_circuit(vc) || f.is_paged_out(vc) {
-                continue;
-            }
-            for _ in 0..3 {
-                if wl.gen_bool(0.8) {
-                    let len = 40 + wl.gen_range(700);
-                    let pkt = Packet::from_bytes(vec![(len % 251) as u8; len]);
-                    f.send_cells(vc, Segmenter::new(vc).segment(&pkt));
-                }
-            }
-        }
+        grid::offer(&mut f, &mut wl, &vcs, 3, 0.8, 700);
         if round % 3 == 1 {
             // Control messages both ways on every inter-switch wire: a
             // one-cell invitation and a report long enough to segment.
@@ -291,24 +226,9 @@ fn fabric_run(name: &str, seed: u64, mode: Mode, shards: usize, traced: bool) ->
             misc.add(f.slot());
         }
         if round == 5 {
-            let victim = f.topology().switch_links().map(|(l, _, _)| l).find(|&l| {
-                f.topology().link_state(l) == LinkState::Working && !f.circuits_using(l).is_empty()
-            });
-            if let Some(link) = victim {
-                failed = Some(link);
-                let victims = f.circuits_using(link);
-                f.fail_link(link);
-                for vc in victims {
-                    let (src, dst) = vcs
-                        .iter()
-                        .find(|(v, _, _)| *v == vc)
-                        .map(|&(_, s, d)| (s, d))
-                        .expect("victim was opened by this test");
-                    match paths::host_wiring(f.topology(), src, dst) {
-                        Some((sw, links, sl, dl)) => f.reroute_circuit(vc, sw, links, sl, dl),
-                        None => closed.extend(f.close_circuit(vc)),
-                    }
-                }
+            if let Some(cut) = grid::cut_loaded_link(&mut f, &vcs) {
+                failed = Some(cut.link);
+                closed.extend(cut.closed.into_iter().map(|(_, s)| s));
             }
         }
         if round == 7 {
@@ -370,7 +290,7 @@ fn fabric_run(name: &str, seed: u64, mode: Mode, shards: usize, traced: bool) ->
         hash_stats(&mut stats, s);
     }
     let mut bytes = Fnv::new();
-    for &h in &hosts {
+    for h in f.topology().hosts().collect::<Vec<_>>() {
         for (vc, p) in f.take_received(h) {
             bytes.add(u64::from(vc.raw()));
             bytes.bytes(p.as_bytes());
@@ -394,25 +314,15 @@ fn fabric_run(name: &str, seed: u64, mode: Mode, shards: usize, traced: bool) ->
 /// The full `Network` under light loss with the embedded control plane: a
 /// backbone link flaps long enough to be voted dead and earn its way back,
 /// and a line card crashes and restarts while the agents reconfigure.
-fn network_run(row: usize, shards: usize, traced: bool) -> Outcome {
-    let (builder, seed) = match row {
-        0 => (Network::builder().src_installation(4, 8), 3u64),
-        _ => (Network::builder().ring(4, 8), 17),
+fn network_run(row: usize, e: Engine) -> Outcome<String> {
+    let (shape, seed): (fn() -> Topology, u64) = match row {
+        0 => (grid::src4x8, 3),
+        _ => (grid::ring4x8, 17),
     };
+    let builder = Network::builder().topology(shape());
     let mut net = builder.seed(seed).build();
-    net.set_shards(shards);
-    let hosts: Vec<_> = net.hosts().collect();
-    let mut circuits = Vec::new();
-    for (i, pair) in hosts.chunks(2).enumerate() {
-        if let [a, b] = *pair {
-            let vc = if i % 3 == 2 {
-                net.open_guaranteed(a, b, 4)
-            } else {
-                net.open_best_effort(a, b)
-            };
-            circuits.extend(vc);
-        }
-    }
+    net.set_shards(e.shards);
+    let circuits = grid::open_pairs(&mut net, usize::MAX, Some(4));
     let backbone: Vec<_> = net.topology().switch_links().collect();
     let mut spec = FaultSpec {
         resync_interval_slots: 2_000,
@@ -426,12 +336,11 @@ fn network_run(row: usize, shards: usize, traced: bool) -> Outcome {
             at: 9_000,
             restart_at: 11_000,
         }],
-        ..FaultSpec::default()
+        ..grid::pinged_spec()
     };
     spec.default_link.loss = LossModel::Independent {
         p: [0.002, 0.01][row],
     };
-    spec.monitor.ping_interval = SimDuration::from_millis(1);
     spec.monitor.skeptic = SkepticConfig {
         base_wait: SimDuration::from_millis(2),
         max_level: 4,
@@ -440,12 +349,12 @@ fn network_run(row: usize, shards: usize, traced: bool) -> Outcome {
     // The tracer attaches before the fault layer in one row, after the
     // control plane in the other.
     let mut tracer = None;
-    if traced && row == 0 {
+    if e.traced && row == 0 {
         tracer = Some(net.attach_tracer(TraceConfig::default()));
     }
     net.attach_faults(&spec, seed);
     net.enable_control_plane();
-    if traced && row == 1 {
+    if e.traced && row == 1 {
         tracer = Some(net.attach_tracer(TraceConfig::default()));
     }
     let mut fill = 0u8;
@@ -470,7 +379,7 @@ fn network_run(row: usize, shards: usize, traced: bool) -> Outcome {
         }
     }
     let mut bytes = Fnv::new();
-    for &h in &hosts {
+    for h in net.hosts().collect::<Vec<_>>() {
         for (vc, p) in net.take_received(h) {
             bytes.add(u64::from(vc.raw()));
             bytes.bytes(p.as_bytes());
@@ -496,32 +405,13 @@ fn network_run(row: usize, shards: usize, traced: bool) -> Outcome {
     }
 }
 
-/// Runs one table row in all four configurations and returns its line;
-/// panics if the configurations disagree among themselves.
-fn pinned_line(label: &str, run: impl Fn(usize, bool) -> Outcome) -> String {
-    let base = run(1, false);
-    let base_traced = run(1, true);
-    assert_eq!(
-        base.line, base_traced.line,
-        "{label}: tracing changed the run"
-    );
-    for traced in [false, true] {
-        let sharded = run(3, traced);
-        assert_eq!(
-            base.line, sharded.line,
-            "{label}: 3 shards (traced: {traced}) diverged"
-        );
-        assert_eq!(
-            sharded.trace,
-            base_traced.trace.clone().filter(|_| traced),
-            "{label}: 3 shards perturbed the trace"
-        );
-    }
-    format!(
-        "{label} {} trace={}\n",
-        base.line,
-        base_traced.trace.expect("traced run has a tracer")
-    )
+/// Runs one table row at 1 and 3 shards, untraced and traced, and returns
+/// its line; the walk fails if the configurations disagree.
+fn pinned_line(label: &str, run: impl Fn(Engine) -> Outcome<String>) -> String {
+    let engines = grid::engines(&[1, 3], &[false, true], &[grid::WHOLE]);
+    let row = grid::walk(label, &engines, run);
+    let trace = row.trace.expect("the walk has traced engines");
+    format!("{label} {} trace={trace}\n", row.line)
 }
 
 const PINS: &str = "\
@@ -550,22 +440,17 @@ network1 stats=37843635741fe742 bytes=4a6903088b3400d9 misc=250834654840dbeb slo
 #[test]
 fn fabric_runs_are_pinned() {
     let mut actual = String::new();
-    for name in TOPOLOGIES {
+    for (name, shape) in SHAPES {
         for seed in [1u64, 2] {
             for (mode, mode_name) in MODES {
-                actual += &pinned_line(&format!("{name}/s{seed}/{mode_name}"), |shards, traced| {
-                    fabric_run(name, seed, mode, shards, traced)
+                actual += &pinned_line(&format!("{name}/s{seed}/{mode_name}"), |e| {
+                    fabric_run(shape, seed, mode, e)
                 });
             }
         }
     }
     for row in 0..2 {
-        actual += &pinned_line(&format!("network{row}"), |shards, traced| {
-            network_run(row, shards, traced)
-        });
+        actual += &pinned_line(&format!("network{row}"), |e| network_run(row, e));
     }
-    assert!(
-        actual == PINS,
-        "fabric runs moved off their pins.\n--- actual ---\n{actual}--- pinned ---\n{PINS}"
-    );
+    grid::assert_pins("fabric runs", &actual, PINS);
 }

@@ -8,44 +8,24 @@
 //! log, same control-cell counters (same RNG draws on the lossy links),
 //! same per-circuit stats.
 
-use an2::{FaultSpec, FlapEvent, Network, ReconfigEvent, SwitchId, VcId};
-use an2_cells::Packet;
-use an2_sim::{Fnv, SimDuration};
+mod grid;
+
+use an2::{FlapEvent, Network, ReconfigEvent};
+use an2_sim::Fnv;
 use an2_topology::Topology;
 
-/// Far-future slot: a flap that never recovers within the horizon.
-const NEVER: u64 = 1_000_000_000;
-
-fn quiet_spec() -> FaultSpec {
-    let mut spec = FaultSpec::default();
-    spec.monitor.ping_interval = SimDuration::from_millis(1);
-    spec
-}
-
-fn grid_topology(which: u64) -> Topology {
-    match which % 3 {
-        0 => an2_topology::generators::src_installation(4, 8),
-        1 => an2_topology::generators::src_installation(6, 12),
-        _ => {
-            let mut t = an2_topology::generators::ring(5);
-            for k in 0..10u16 {
-                let h = t.add_host();
-                t.attach_host(h, SwitchId(k % 5)).unwrap();
-            }
-            t
-        }
-    }
-}
+/// The grid's topologies, by the index `PINNED` rows carry.
+const SHAPES: [fn() -> Topology; 3] = [grid::src4x8, grid::src6x12, grid::ring5x10];
 
 /// One grid cell: boot, a mid-run flap (down then back up) on a backbone
 /// link, steady best-effort traffic throughout. Digest covers the typed
 /// reconfiguration log, the control transport counters, and per-circuit
 /// stats — everything the replay contract covers.
 fn run_digest(which: u64, seed: u64) -> Vec<u64> {
-    let topo = grid_topology(which);
+    let topo = SHAPES[which as usize % 3]();
     let backbone: Vec<_> = topo.switch_links().collect();
     let victim = backbone[2 % backbone.len()].0;
-    let mut spec = quiet_spec();
+    let mut spec = grid::pinged_spec();
     // Light independent loss so every control burst draws from the
     // per-link RNG streams: a refactor that changes message sizes, send
     // order, or cell counts shifts these draws and the digest catches it.
@@ -59,25 +39,13 @@ fn run_digest(which: u64, seed: u64) -> Vec<u64> {
     spec.flaps.push(FlapEvent {
         link: backbone[backbone.len() - 1].0,
         down_at: 260_000,
-        up_at: NEVER,
+        up_at: grid::NEVER,
     });
     let mut net = Network::builder().topology(topo).seed(seed).build();
-    let hosts: Vec<_> = net.hosts().collect();
-    let mut circuits: Vec<(VcId, an2::HostId, an2::HostId)> = Vec::new();
-    for pair in hosts.chunks(2) {
-        if let [a, b] = *pair {
-            let vc = net.open_best_effort(a, b).expect("open circuit");
-            circuits.push((vc, a, b));
-        }
-    }
+    let circuits = grid::open_pairs(&mut net, usize::MAX, None);
     net.attach_faults(&spec, seed);
     net.enable_control_plane();
-    for k in 0..80u64 {
-        for &(vc, _, _) in &circuits {
-            let _ = net.send_packet(vc, Packet::from_bytes(vec![(k & 0xFF) as u8; 300]));
-        }
-        net.step(5_000);
-    }
+    grid::send_rounds(&mut net, &circuits, 80, 5_000, 300);
     let mut d = Vec::new();
     for e in net.reconfig_log() {
         d.push(e.slot());
@@ -102,7 +70,7 @@ fn run_digest(which: u64, seed: u64) -> Vec<u64> {
     }
     let c = net.ctrl_counters();
     d.extend([c.messages_sent, c.messages_lost, c.cells_sent]);
-    for &(vc, _, _) in &circuits {
+    for &vc in &circuits {
         if net.is_broken(vc) {
             continue;
         }
@@ -140,15 +108,20 @@ const PINNED: [(u64, u64, usize, u64); 9] = [
     (2, 21, 57, 0xea04606f3f32edad),
 ];
 
+/// One row per grid cell: topology, seed, digest word count and FNV.
+fn row((which, seed, words, fnv): (u64, u64, usize, u64)) -> String {
+    format!("t{which}/s{seed} words={words} fnv={fnv:016x}\n")
+}
+
 #[test]
 fn updown_digests_match_pre_refactor_baseline() {
-    for (which, seed, words, pinned) in PINNED {
-        let d = run_digest(which, seed);
-        assert_eq!(
-            (d.len(), fnv(&d)),
-            (words, pinned),
-            "trait-wrapped up*/down* diverged from the pre-refactor \
-             control plane on topology {which}, seed {seed}"
-        );
-    }
+    let actual: String = PINNED
+        .iter()
+        .map(|&(which, seed, ..)| {
+            let d = run_digest(which, seed);
+            row((which, seed, d.len(), fnv(&d)))
+        })
+        .collect();
+    let pinned: String = PINNED.into_iter().map(row).collect();
+    grid::assert_pins("trait-wrapped up*/down*", &actual, &pinned);
 }

@@ -11,115 +11,39 @@
 //! the circuits closed mid-run. The map-based fabric answered the same on
 //! every point until it was retired.
 
-use an2::{Fabric, FabricConfig, TrafficClass};
-use an2_cells::{Packet, Segmenter, VcId};
+mod grid;
+
+use an2::{Fabric, FabricConfig};
 use an2_sim::{Fnv, SimRng};
-use an2_topology::{generators, paths, HostId, LinkState, SwitchId, Topology};
+use an2_topology::paths;
+use grid::Shape;
 
-/// The three topology families, in the order the grid walks them.
-const TOPOLOGIES: [&str; 3] = ["line3", "ring4", "src4x6"];
-
-fn topology(name: &str) -> Topology {
-    match name {
-        // Three switches in a line, two hosts on each end switch.
-        "line3" => {
-            let mut t = generators::line(3);
-            for s in [0u16, 0, 2, 2] {
-                let h = t.add_host();
-                t.attach_host(h, SwitchId(s)).unwrap();
-            }
-            t
-        }
-        // A four-switch ring, one host per switch.
-        "ring4" => {
-            let mut t = generators::ring(4);
-            for s in 0..4u16 {
-                let h = t.add_host();
-                t.attach_host(h, SwitchId(s)).unwrap();
-            }
-            t
-        }
-        // The paper's SRC installation shape: ring + chords, dual-homed.
-        _ => generators::src_installation(4, 6),
-    }
-}
+/// The three topology families, in the order the grid walks them: three
+/// switches in a line, a four-switch ring, the paper's SRC installation.
+const SHAPES: [Shape; 3] = [
+    ("line3", grid::line3),
+    ("ring4", grid::ring4),
+    ("src4x6", grid::src4x6),
+];
 
 /// Drives `f` through the seeded workload and returns its pin line.
 fn drive(label: &str, mut f: Fabric, wl_seed: u64) -> String {
     let mut wl = SimRng::new(wl_seed);
-    let hosts: Vec<HostId> = (0..f.topology().host_count())
-        .map(|h| HostId(h as u16))
-        .collect();
-    let mut vcs: Vec<(VcId, HostId, HostId)> = Vec::new();
-    let n_circ = 4 + wl.gen_range(4);
-    for i in 0..n_circ {
-        let vc = VcId::new(100 + i as u32);
-        let src = hosts[wl.gen_range(hosts.len())];
-        let mut dst = hosts[wl.gen_range(hosts.len())];
-        if dst == src {
-            dst = hosts[(src.0 as usize + 1) % hosts.len()];
-        }
-        let Some((sw, links, sl, dl)) = paths::host_wiring(f.topology(), src, dst) else {
-            continue;
-        };
-        match i % 4 {
-            0 => f.open_circuit(
-                vc,
-                src,
-                dst,
-                TrafficClass::Guaranteed { cells_per_frame: 2 },
-                sw,
-                links,
-                sl,
-                dl,
-            ),
-            1 => f.open_circuit_signaled(vc, src, dst, sw, links, sl, dl),
-            _ => f.open_circuit(vc, src, dst, TrafficClass::BestEffort, sw, links, sl, dl),
-        }
-        vcs.push((vc, src, dst));
-    }
+    let n_circ = 4 + wl.gen_range(4) as u32;
+    let vcs = grid::open_mixed(&mut f, &mut wl, 0..n_circ);
     // Circuits closed mid-run: how many, and each one's raw id, delivered
     // and dropped cells at close.
     let mut closed = 0;
     let mut closed_hash = Fnv::new();
     for round in 0..10 {
-        for &(vc, _, _) in &vcs {
-            if !f.has_circuit(vc) || f.is_paged_out(vc) {
-                continue;
-            }
-            if wl.gen_bool(0.7) {
-                let len = 40 + wl.gen_range(900);
-                let pkt = Packet::from_bytes(vec![(len % 251) as u8; len]);
-                f.send_cells(vc, Segmenter::new(vc).segment(&pkt));
-            }
-        }
+        grid::offer(&mut f, &mut wl, &vcs, 1, 0.7, 900);
         f.step(20 + wl.gen_range(40) as u64);
         if round == 4 {
-            // Cut the first loaded inter-switch link; reroute or close
-            // every circuit that used it.
-            let victim_link = f.topology().switch_links().map(|(l, _, _)| l).find(|&l| {
-                f.topology().link_state(l) == LinkState::Working && !f.circuits_using(l).is_empty()
-            });
-            if let Some(link) = victim_link {
-                let victims = f.circuits_using(link);
-                f.fail_link(link);
-                for vc in victims {
-                    let (src, dst) = vcs
-                        .iter()
-                        .find(|(v, _, _)| *v == vc)
-                        .map(|&(_, s, d)| (s, d))
-                        .expect("victim was opened by this test");
-                    match paths::host_wiring(f.topology(), src, dst) {
-                        Some((sw, links, sl, dl)) => f.reroute_circuit(vc, sw, links, sl, dl),
-                        None => {
-                            if let Some(s) = f.close_circuit(vc) {
-                                closed += 1;
-                                for x in [vc.raw() as u64, s.delivered_cells, s.dropped_cells] {
-                                    closed_hash.add(x);
-                                }
-                            }
-                        }
-                    }
+            let cut = grid::cut_loaded_link(&mut f, &vcs);
+            for (vc, s) in cut.map_or_else(Vec::new, |c| c.closed) {
+                closed += 1;
+                for x in [vc.raw() as u64, s.delivered_cells, s.dropped_cells] {
+                    closed_hash.add(x);
                 }
             }
         }
@@ -168,7 +92,7 @@ fn drive(label: &str, mut f: Fabric, wl_seed: u64) -> String {
         }
     }
     let mut bytes = Fnv::new();
-    for &h in &hosts {
+    for h in f.topology().hosts().collect::<Vec<_>>() {
         let packets = f.take_received(h);
         bytes.add(h.0 as u64);
         bytes.add(packets.len() as u64);
@@ -213,14 +137,11 @@ src4x6/s5 slot=2323 vcs=5 stats=05497d47837f1f8f bytes=31022bb7b781cd50 closed=0
 #[test]
 fn fabric_runs_reproduce_pinned_stats_and_bytes() {
     let mut actual = String::new();
-    for name in TOPOLOGIES {
+    for (name, shape) in SHAPES {
         for seed in 0..6u64 {
-            let f = Fabric::new(topology(name), FabricConfig::default(), seed);
+            let f = Fabric::new(shape(), FabricConfig::default(), seed);
             actual += &drive(&format!("{name}/s{seed}"), f, seed + 100);
         }
     }
-    assert!(
-        actual == PINS,
-        "slab fabric moved off its pins.\n--- actual ---\n{actual}--- pinned ---\n{PINS}"
-    );
+    grid::assert_pins("slab fabric", &actual, PINS);
 }

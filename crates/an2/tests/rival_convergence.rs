@@ -12,37 +12,15 @@
 //! three topologies (fewest switches first) × eight victim links × three
 //! seeds.
 
-use an2::{FaultSpec, FlapEvent, Network, ProtocolKind, SwitchId, VcId};
-use an2_sim::SimDuration;
-use an2_topology::{generators, LinkState, Topology};
+mod grid;
 
-/// Far-future slot: a flap that never recovers within the test horizon.
-const NEVER: u64 = 1_000_000_000;
-
-fn quiet_spec() -> FaultSpec {
-    let mut spec = FaultSpec::default();
-    spec.monitor.ping_interval = SimDuration::from_millis(1);
-    spec
-}
+use an2::{FlapEvent, Network, ProtocolKind, VcId};
+use an2_topology::{LinkState, Topology};
 
 /// The three arena topologies, fewest switches first: a four-switch
 /// Figure 1–style installation, a single-homed five-switch ring, and a
 /// six-switch installation.
-fn grid_topology(which: usize) -> Topology {
-    match which {
-        0 => generators::src_installation(4, 8),
-        1 => {
-            let mut topo = generators::ring(5);
-            for k in 0..10 {
-                let h = topo.add_host();
-                topo.attach_host(h, SwitchId((k % 5) as u16))
-                    .expect("ring host attach");
-            }
-            topo
-        }
-        _ => generators::src_installation(6, 12),
-    }
-}
+const SHAPES: [fn() -> Topology; 3] = [grid::src4x8, grid::ring5x10, grid::src6x12];
 
 fn step_until_converged(net: &mut Network, cap_slots: u64, what: &str) {
     let start = net.slot();
@@ -95,7 +73,7 @@ fn assert_routes_loop_free(net: &Network, vcs: &[VcId], what: &str) {
 /// link (`victim_choice` modulo the backbone), and demands reconvergence
 /// with loop-free installed routes.
 fn run_case(kind: ProtocolKind, which: usize, seed: u64, victim_choice: usize) {
-    let topo = grid_topology(which);
+    let topo = SHAPES[which]();
     let mut net = Network::builder()
         .topology(topo)
         .seed(seed)
@@ -104,27 +82,16 @@ fn run_case(kind: ProtocolKind, which: usize, seed: u64, victim_choice: usize) {
 
     // A few best-effort circuits spread across host pairs, so route
     // installation has something to wire.
-    let hosts: Vec<_> = net.hosts().collect();
-    let mut vcs = Vec::new();
-    for (i, pair) in hosts.chunks(2).enumerate() {
-        if let [a, b] = *pair {
-            if let Ok(vc) = net.open_best_effort(a, b) {
-                vcs.push(vc);
-            }
-            if i >= 3 {
-                break;
-            }
-        }
-    }
+    let vcs = grid::open_pairs(&mut net, 4, None);
     assert!(!vcs.is_empty(), "t{which}/s{seed}: no circuits opened");
 
     let backbone: Vec<_> = net.topology().switch_links().collect();
     let (victim, _, _) = backbone[victim_choice % backbone.len()];
-    let mut spec = quiet_spec();
+    let mut spec = grid::pinged_spec();
     spec.flaps.push(FlapEvent {
         link: victim,
         down_at: 40_000,
-        up_at: NEVER,
+        up_at: grid::NEVER,
     });
     net.attach_faults(&spec, seed);
     net.enable_control_plane();

@@ -8,78 +8,42 @@
 //! digest to a pin: the library's `digest()` (per-circuit statistics
 //! including every latency sample, received packets, counters, the typed
 //! log) and on top of it every payload byte, the final slot, and (when
-//! traced) the flight-recorder contents in order. One leg adds sharding,
-//! and another checks that a crew of shard threads skips exactly the quiet
-//! slots one thread skips; a third drives the full `Network` with lossy
-//! links and the live embedded control plane — the harshest source of
-//! asynchronous watermark clamps we have.
+//! traced) the flight-recorder contents in order. Each point runs at every
+//! setting of its engine axes and the grid's walk holds them to one row:
+//! the mixed workload at 1, 2, 3, 4, 5 and 64 shards, traced and untraced;
+//! the fault legs traced and untraced at three `step` chunkings; the full
+//! `Network` with lossy links and the live embedded control plane — the
+//! harshest source of asynchronous watermark clamps we have — at 1, 2 and
+//! 4 shards; the skeptic legs at three chunkings. A crew of shard threads
+//! also skips exactly the quiet slots one thread skips.
 //!
 //! The pins are the answers of the slot-by-slot engine the fabric once had
 //! beside this one, which stepped a faulted fabric every slot, recorded
 //! while that engine still ran beside each comparison: per grid point, the
 //! digest and the cells delivered (the quarantines entered, on the skeptic
 //! legs). A fault layer bounds the whole-fabric jump instead of forbidding
-//! it; the fault legs (a `Fabric`-level grid of topologies and seeds, and
-//! the `Network` legs under independent and Gilbert–Elliott loss) run at
-//! several `step` chunkings, each asserts the same pins, and each states
-//! the share of its slots it jumped as a floor. A row moves only in a
-//! commit that changes no simulation code; the failure prints the actual
-//! rows.
+//! it, and each fault leg states the share of its slots it jumped as a
+//! floor. A row moves only in a commit that changes no simulation code;
+//! the failure prints the actual rows.
+
+mod grid;
 
 use an2::{
-    CrashEvent, FabricConfig, FaultSpec, FlapEvent, LinkFaultModel, LossModel, Network,
-    NetworkBuilder, SkepticConfig, TraceConfig, TrafficClass, VcStats,
+    CrashEvent, Fabric, FabricConfig, FaultSpec, FlapEvent, LinkFaultModel, LossModel, Network,
+    SkepticConfig, TrafficClass, VcStats,
 };
 use an2_cells::{Packet, Segmenter, VcId};
 use an2_sim::{Fnv, SimDuration, SimRng};
-use an2_topology::{generators, paths, HostId, LinkId, LinkState, SwitchId, Topology};
+use an2_topology::{paths, HostId, LinkId, SwitchId, Topology};
+use grid::{Engine, Outcome, Shape};
 
-/// The `Fabric` grids' topologies, as their pin rows name them.
-const TOPOLOGIES: [&str; 3] = ["line3", "src4x6", "fat2x3"];
-
-/// The grids' topologies, fewest switches first: a three-switch line,
+/// The `Fabric` grids' shapes, fewest switches first: a three-switch line,
 /// the four-switch installation, the twelve-switch fat-tree.
-fn topology(idx: usize) -> Topology {
-    match idx {
-        0 => {
-            let mut t = generators::line(3);
-            for s in [0u16, 0, 2, 2] {
-                let h = t.add_host();
-                t.attach_host(h, SwitchId(s)).unwrap();
-            }
-            t
-        }
-        1 => generators::src_installation(4, 6),
-        _ => generators::fat_tree(2, 3),
-    }
-}
-
-/// Folds a value's every field into the hash through its `Debug` form.
-fn hash_debug(h: &mut Fnv, value: &impl std::fmt::Debug) {
-    h.bytes(format!("{value:?}").as_bytes());
-}
-
-/// A hasher holding the library digest and, on top, what its walk leaves
-/// out: every payload byte and the final slot. `digest` must be taken
-/// before `received` is drained — the walk reads each waiting packet's
-/// circuit and length, which is what tells these bytes apart.
-fn on_top_of(digest: u64, received: Vec<(VcId, Packet)>, slot: u64) -> Fnv {
-    let mut h = Fnv::new();
-    h.add(digest);
-    for (_, p) in received {
-        h.bytes(p.as_bytes());
-    }
-    h.add(slot);
-    h
-}
-
-/// A grid's rows against its pin table; the failure prints both.
-fn assert_pins(grid: &str, actual: &str, pinned: &str) {
-    assert!(
-        actual == pinned,
-        "{grid} moved off the pins.\n--- actual ---\n{actual}--- pinned ---\n{pinned}"
-    );
-}
+const SHAPES: [Shape; 3] = [
+    ("line3", grid::line3),
+    ("src4x6", grid::src4x6),
+    ("fat2x3", grid::fat2x3),
+];
 
 /// The two `VcStats` fields the library walk leaves out.
 fn hash_paging(h: &mut Fnv, s: &VcStats) {
@@ -87,97 +51,23 @@ fn hash_paging(h: &mut Fnv, s: &VcStats) {
     h.add(s.pages_in);
 }
 
-/// Drives a fabric through a seeded mixed workload (best-effort,
-/// guaranteed and signaled circuits; a mid-run link failure with reroutes)
-/// and digests everything observable. Returns `(digest, delivered,
-/// skipped_slots)` — the caller asserts the run actually skipped.
-fn drive(topo_idx: usize, seed: u64, wl_seed: u64, shards: usize, traced: bool) -> (u64, u64, u64) {
-    let mut f = an2::Fabric::new(topology(topo_idx), FabricConfig::default(), seed);
-    f.set_shards(shards);
+/// Drives a fabric through a seeded mixed workload (the grid's circuit
+/// mix; a mid-run cut of a loaded link with reroutes) at `e`'s shard count
+/// and tracing, and returns its row: the digest of everything observable
+/// and the cells delivered, and, traced, the digest with the flight
+/// recorder's records folded in. Asserts that the run fast-forwarded.
+fn drive((name, shape): Shape, seed: u64, e: Engine) -> Outcome<(u64, u64), u64> {
+    let mut f = Fabric::new(shape(), FabricConfig::default(), seed);
+    f.set_shards(e.shards);
     f.enable_profiling();
-    let tracer = traced.then(|| {
-        let t = an2_trace::Tracer::new(TraceConfig {
-            sample_every: 8,
-            ..TraceConfig::default()
-        });
-        f.attach_tracer(t.clone());
-        t
-    });
-    let mut wl = SimRng::new(wl_seed);
-    let hosts: Vec<HostId> = (0..f.topology().host_count())
-        .map(|h| HostId(h as u16))
-        .collect();
-    let mut vcs: Vec<(VcId, HostId, HostId)> = Vec::new();
-    for i in 0..6u32 {
-        let vc = VcId::new(100 + i);
-        let src = hosts[wl.gen_range(hosts.len())];
-        let mut dst = hosts[wl.gen_range(hosts.len())];
-        if dst == src {
-            dst = hosts[(src.0 as usize + 1) % hosts.len()];
-        }
-        let Some((sw, links, sl, dst_link)) = paths::host_wiring(f.topology(), src, dst) else {
-            continue;
-        };
-        match i % 4 {
-            0 => f.open_circuit(
-                vc,
-                src,
-                dst,
-                TrafficClass::Guaranteed { cells_per_frame: 2 },
-                sw,
-                links,
-                sl,
-                dst_link,
-            ),
-            1 => f.open_circuit_signaled(vc, src, dst, sw, links, sl, dst_link),
-            _ => f.open_circuit(
-                vc,
-                src,
-                dst,
-                TrafficClass::BestEffort,
-                sw,
-                links,
-                sl,
-                dst_link,
-            ),
-        }
-        vcs.push((vc, src, dst));
-    }
+    let tracer = e.traced.then(|| grid::attach_tracer(&mut f, 8));
+    let mut wl = SimRng::new(seed + 100);
+    let vcs = grid::open_mixed(&mut f, &mut wl, 0..6);
     for round in 0..8 {
-        for &(vc, _, _) in &vcs {
-            if !f.has_circuit(vc) || f.is_paged_out(vc) {
-                continue;
-            }
-            if wl.gen_bool(0.8) {
-                let len = 40 + wl.gen_range(700);
-                let pkt = Packet::from_bytes(vec![(len % 251) as u8; len]);
-                f.send_cells(vc, Segmenter::new(vc).segment(&pkt));
-            }
-        }
+        grid::offer(&mut f, &mut wl, &vcs, 1, 0.8, 700);
         f.step(20 + wl.gen_range(40) as u64);
         if round == 4 {
-            let victim = f.topology().switch_links().map(|(l, _, _)| l).find(|&l| {
-                f.topology().link_state(l) == LinkState::Working && !f.circuits_using(l).is_empty()
-            });
-            if let Some(link) = victim {
-                let victims = f.circuits_using(link);
-                f.fail_link(link);
-                for vc in victims {
-                    let (src, dst) = vcs
-                        .iter()
-                        .find(|(v, _, _)| *v == vc)
-                        .map(|&(_, s, d)| (s, d))
-                        .expect("victim was opened by this test");
-                    match paths::host_wiring(f.topology(), src, dst) {
-                        Some((sw, links, sl, dst_link)) => {
-                            f.reroute_circuit(vc, sw, links, sl, dst_link);
-                        }
-                        None => {
-                            let _ = f.close_circuit(vc);
-                        }
-                    }
-                }
-            }
+            grid::cut_loaded_link(&mut f, &vcs);
         }
     }
     f.step(2_000);
@@ -187,21 +77,20 @@ fn drive(topo_idx: usize, seed: u64, wl_seed: u64, shards: usize, traced: bool) 
     let skipped = f
         .profile()
         .map_or(0, |p| p.skipped_slots + p.skipped_switch_steps);
+    assert!(
+        skipped > 0,
+        "{name}/s{seed}, {e}: the run never fast-forwarded"
+    );
     let delivered = vcs
         .iter()
         .filter_map(|&(vc, _, _)| f.try_stats(vc))
         .map(|s| s.delivered_cells)
         .sum();
-    let digest = f.digest();
-    let received = hosts
-        .iter()
-        .flat_map(|&host| f.take_received(host))
-        .collect();
-    let mut h = on_top_of(digest, received, f.slot());
-    if let Some(t) = tracer {
-        hash_debug(&mut h, &t.records());
+    let (digest, traced) = grid::with_records(grid::fabric_digest(&mut f), tracer.as_ref());
+    Outcome {
+        line: (digest, delivered),
+        trace: traced,
     }
-    (h.finish(), delivered, skipped)
 }
 
 /// Topology × seed → the slot-by-slot engine's answer: the untraced and
@@ -222,40 +111,32 @@ fat2x3/s3 digest=4d227cae034fea88 traced=d9ca967cb41d9e99 delivered=178\n\
 ";
 
 /// Each topology, fewest switches first, under four seeds: runs digest as
-/// the slot-by-slot engine's pins, traced and untraced, and with two shards.
+/// the slot-by-slot engine's pins, traced and untraced, at every shard count
+/// — 64 exceeds every switch count here and clamps to it.
 #[test]
 fn fast_forwarding_is_invisible() {
+    let engines = grid::engines(&[1, 2, 3, 4, 5, 64], &[false, true], &[grid::WHOLE]);
     let mut actual = String::new();
-    for (topo_idx, name) in TOPOLOGIES.into_iter().enumerate() {
+    for shape in SHAPES {
         for seed in 0..4u64 {
-            let at = format!("{name}/s{seed}");
-            let wl_seed = seed + 100;
-            let (digest, delivered, skipped) = drive(topo_idx, seed, wl_seed, 1, false);
-            let (traced, _, _) = drive(topo_idx, seed, wl_seed, 1, true);
+            let at = format!("{}/s{seed}", shape.0);
+            let row = grid::walk(&at, &engines, |e| drive(shape, seed, e));
+            let (digest, delivered) = row.line;
+            let traced = row.trace.expect("the walk has traced engines");
+            assert!(delivered > 0, "{at}: workload moved no traffic");
             actual +=
                 &format!("{at} digest={digest:016x} traced={traced:016x} delivered={delivered}\n");
-            assert!(delivered > 0, "{at}: workload moved no traffic");
-            assert!(skipped > 0, "{at}: the run never fast-forwarded");
-            // Fast-forwarding composes with sharding: same digest again.
-            let (sharded, _, _) = drive(topo_idx, seed, wl_seed, 2, false);
-            assert_eq!(digest, sharded, "{at}: 2 shards diverged from one");
         }
     }
-    assert_pins("fast-forwarding", &actual, FAST_FORWARD_PINS);
+    grid::assert_pins("fast-forwarding", &actual, FAST_FORWARD_PINS);
 }
 
-/// Steps `slots` slots in calls of at most `chunk`.
-fn step_in_chunks(f: &mut an2::Fabric, slots: u64, chunk: u64) {
-    let end = f.slot() + slots;
-    while f.slot() < end {
-        f.step(chunk.min(end - f.slot()));
-    }
-}
-
-/// What a fault leg observed: the digest of everything observable, cells
-/// delivered, and how many of `slots` the whole-fabric jump skipped.
+/// What a fault leg observed: the digest of everything observable (and,
+/// traced, the digest with the recording folded in), cells delivered, and
+/// how many of `slots` the whole-fabric jump skipped.
 struct FaultRun {
     digest: u64,
+    traced: Option<u64>,
     delivered: u64,
     skipped_slots: u64,
     slots: u64,
@@ -267,35 +148,24 @@ struct FaultRun {
 /// crash with a restart, a 256-slot resync interval and the per-slot
 /// invariant checker — under bursts of traffic 1 500 slots apart, so whole
 /// resync intervals pass with nothing in flight.
-fn fault_drive(topo_idx: usize, seed: u64, wl_seed: u64, traced: bool, chunk: u64) -> FaultRun {
-    let mut f = an2::Fabric::new(topology(topo_idx), FabricConfig::default(), seed);
+fn fault_drive(shape: fn() -> Topology, seed: u64, e: Engine) -> FaultRun {
+    let mut f = Fabric::new(shape(), FabricConfig::default(), seed);
     f.enable_profiling();
-    let tracer = traced.then(|| {
-        let t = an2_trace::Tracer::new(TraceConfig {
-            sample_every: 4,
-            ..TraceConfig::default()
-        });
+    let tracer = e.traced.then(|| {
+        let t = grid::attach_tracer(&mut f, 4);
         // 190 slots: boundaries fall inside jumps, not on the ends of
         // the 1 500-slot calls below.
         t.enable_observatory(an2_trace::ObservatoryConfig { every_slots: 190 });
-        f.attach_tracer(t.clone());
         t
     });
-    let mut wl = SimRng::new(wl_seed);
-    let hosts: Vec<HostId> = (0..f.topology().host_count())
-        .map(|h| HostId(h as u16))
-        .collect();
+    let mut wl = SimRng::new(seed + 100);
     let guaranteed = VcId::new(504);
     let mut vcs = Vec::new();
     let mut used_links: Vec<LinkId> = Vec::new();
     let mut used_switches: Vec<SwitchId> = Vec::new();
     for i in 0..5u32 {
         let vc = VcId::new(500 + i);
-        let src = hosts[wl.gen_range(hosts.len())];
-        let mut dst = hosts[wl.gen_range(hosts.len())];
-        if dst == src {
-            dst = hosts[(src.0 as usize + 1) % hosts.len()];
-        }
+        let (src, dst) = grid::draw_pair(&mut wl, f.topology().host_count());
         let Some((sw, links, sl, dl)) = paths::host_wiring(f.topology(), src, dst) else {
             continue;
         };
@@ -363,7 +233,7 @@ fn fault_drive(topo_idx: usize, seed: u64, wl_seed: u64, traced: bool, chunk: u6
             let pkt = Packet::from_bytes(vec![burst ^ len as u8; len]);
             f.send_cells(vc, Segmenter::new(vc).segment(&pkt));
         }
-        step_in_chunks(&mut f, 1_500, chunk);
+        grid::step_in_chunks(&mut f, 1_500, e.chunk);
         // Between calls, as `Network::run_pings` and the chaos oracle's
         // drain do: what these record must land in the interval, and be
         // stamped with the slot, they would have without the jump.
@@ -374,24 +244,22 @@ fn fault_drive(topo_idx: usize, seed: u64, wl_seed: u64, traced: bool, chunk: u6
             f.force_resync(vc);
         }
     }
-    step_in_chunks(&mut f, 6_500, chunk);
+    grid::step_in_chunks(&mut f, 6_500, e.chunk);
 
     let delivered = vcs.iter().map(|&vc| f.stats(vc).delivered_cells).sum();
-    let digest = f.digest();
-    let received = hosts
-        .iter()
-        .flat_map(|&host| f.take_received(host))
-        .collect();
-    let mut h = on_top_of(digest, received, f.slot());
+    let mut h = grid::fabric_digest(&mut f);
     for &vc in &vcs {
         hash_paging(&mut h, f.stats(vc));
     }
-    if let Some(t) = tracer {
-        hash_debug(&mut h, &t.records());
-        hash_debug(&mut h, &t.intervals());
-    }
+    let digest = h.finish();
+    let traced = tracer.map(|t| {
+        grid::hash_debug(&mut h, &t.records());
+        grid::hash_debug(&mut h, &t.intervals());
+        h.finish()
+    });
     FaultRun {
-        digest: h.finish(),
+        digest,
+        traced,
         delivered,
         skipped_slots: f.profile().expect("profiling enabled").skipped_slots,
         slots: f.slot(),
@@ -422,40 +290,36 @@ fat2x3/s2 traced=true digest=0e62b81ea69c0ef3 delivered=161\n\
 ";
 
 /// The fault layer bounds the jump: on each topology (fewest switches
-/// first) under three seeds, at three `step` chunkings, the run digests as
-/// the slot-by-slot engine's pins.
+/// first) under three seeds, traced and untraced, at three `step`
+/// chunkings, the run digests as the slot-by-slot engine's pins.
 #[test]
 fn fast_forwarding_under_a_fault_layer_is_invisible() {
-    const CHUNKS: [u64; 3] = [u64::MAX, 1, 997];
-    let mut actual = CHUNKS.map(|_| String::new());
-    for (topo_idx, name) in TOPOLOGIES.into_iter().enumerate() {
+    let engines = grid::engines(&[1], &[false, true], &[grid::WHOLE, 1, 997]);
+    let mut actual = String::new();
+    for (name, shape) in SHAPES {
         for seed in 0..3u64 {
-            let wl_seed = seed + 100;
-            for traced in [false, true] {
-                let at = format!("{name}/s{seed} traced={traced}");
-                for (rows, chunk) in actual.iter_mut().zip(CHUNKS) {
-                    let run = fault_drive(topo_idx, seed, wl_seed, traced, chunk);
-                    *rows += &format!(
-                        "{at} digest={:016x} delivered={}\n",
-                        run.digest, run.delivered
-                    );
-                    assert!(run.delivered > 0, "{at}, chunk {chunk}: no traffic moved");
-                    // Between a burst and the resync rounds that unstick
-                    // its circuits the fabric waits (measured: 49-86 %
-                    // jumped; the rest is mostly the guaranteed circuit's
-                    // cells waiting in a switch for their frame slot).
-                    assert_jumped(&run, 40, &format!("{at}, chunk {chunk}"));
+            let at = format!("{name}/s{seed}");
+            let row = grid::walk(&at, &engines, |e| {
+                let run = fault_drive(shape, seed, e);
+                let leg = format!("{at}, {e}");
+                assert!(run.delivered > 0, "{leg}: no traffic moved");
+                // Between a burst and the resync rounds that unstick its
+                // circuits the fabric waits (measured: 49-86 % jumped; the
+                // rest is mostly the guaranteed circuit's cells waiting in
+                // a switch for their frame slot).
+                assert_jumped(&run, 40, &leg);
+                Outcome {
+                    line: (run.digest, run.delivered),
+                    trace: run.traced,
                 }
-            }
+            });
+            let (digest, delivered) = row.line;
+            let traced = row.trace.expect("the walk has traced engines");
+            actual += &format!("{at} traced=false digest={digest:016x} delivered={delivered}\n");
+            actual += &format!("{at} traced=true digest={traced:016x} delivered={delivered}\n");
         }
     }
-    for (rows, chunk) in actual.iter().zip(CHUNKS) {
-        assert_pins(
-            &format!("the fault legs at chunk {chunk}"),
-            rows,
-            FAULT_PINS,
-        );
-    }
+    grid::assert_pins("the fault legs", &actual, FAULT_PINS);
 }
 
 /// A violation that persists is counted once per slot, so a dirty state
@@ -463,7 +327,7 @@ fn fast_forwarding_under_a_fault_layer_is_invisible() {
 /// only the one slot it lands on after each jump.
 #[test]
 fn a_persisting_violation_is_still_counted_every_slot() {
-    let mut f = an2::Fabric::new(topology(0), FabricConfig::default(), 4);
+    let mut f = Fabric::new(grid::line3(), FabricConfig::default(), 4);
     f.enable_profiling();
     let (src, dst) = (HostId(0), HostId(2));
     let (sw, links, sl, dl) = paths::host_wiring(f.topology(), src, dst).expect("line");
@@ -496,7 +360,7 @@ fn a_persisting_violation_is_still_counted_every_slot() {
 /// wall_ns)`, having asserted that the watermark skipped more switch-steps
 /// than the run executed.
 fn sparse_profiled_run(shards: usize) -> (u64, u64, u64, u64, u64) {
-    let mut f = an2::Fabric::new(generators::fat_tree(2, 3), FabricConfig::default(), 9);
+    let mut f = Fabric::new(grid::fat2x3(), FabricConfig::default(), 9);
     f.set_shards(shards);
     f.enable_profiling();
     let hosts = f.topology().host_count() as u16;
@@ -523,7 +387,7 @@ fn sparse_profiled_run(shards: usize) -> (u64, u64, u64, u64, u64) {
         let s = f.stats(vc);
         assert_eq!(s.sent_cells, s.delivered_cells, "{vc} did not drain");
     }
-    let digest = on_top_of(f.digest(), Vec::new(), f.slot()).finish();
+    let digest = grid::fabric_digest(&mut f).finish();
     assert!(
         p.skipped_switch_steps > p.stepped_switch_steps,
         "{shards} shards: most switch-steps of a sparse run should be skipped: {p:?}"
@@ -567,44 +431,21 @@ fn a_crew_skips_the_same_quiet_slots_as_one_thread() {
 /// Faults fire and control messages expire on their own clocks, each of
 /// which must clamp the affected switch watermarks down — a missed clamp
 /// shows up here as a digest mismatch.
-fn network_run(topo: usize, seed: u64, churn: bool) -> FaultRun {
-    let b = Network::builder();
-    let b: NetworkBuilder = match topo {
-        0 => b.src_installation(4, 8),
-        1 => b.src_installation(6, 12),
-        _ => b.ring(4, 8),
-    };
-    let mut net = b.seed(seed).build();
+fn network_run(shape: fn() -> Topology, seed: u64, churn: bool, shards: usize) -> FaultRun {
+    let mut net = Network::builder().topology(shape()).seed(seed).build();
+    net.set_shards(shards);
     net.enable_profiling();
-    let hosts: Vec<_> = net.hosts().collect();
-    let mut circuits = Vec::new();
-    for pair in hosts.chunks(2) {
-        if let [a, b] = *pair {
-            if let Ok(vc) = net.open_best_effort(a, b) {
-                circuits.push(vc);
-            }
-        }
-    }
-    let mut spec = FaultSpec::default();
+    let circuits = grid::open_pairs(&mut net, usize::MAX, None);
+    let mut spec = grid::pinged_spec();
     spec.default_link.loss = LossModel::Independent { p: 0.002 };
     if churn {
         churn_loss(&mut spec);
     }
-    spec.monitor.ping_interval = SimDuration::from_millis(1);
     net.attach_faults(&spec, seed);
     net.enable_control_plane();
-    let mut tag = 0u8;
-    while net.slot() < 24_000 {
-        for &vc in &circuits {
-            if !net.is_broken(vc) {
-                let _ = net.send_packet(vc, Packet::from_bytes(vec![tag; 300]));
-            }
-        }
-        tag = tag.wrapping_add(1);
-        net.step(3_000);
-    }
+    grid::send_rounds(&mut net, &circuits, 8, 3_000, 300);
     net.step(8_000);
-    network_digest(&mut net, &circuits, &hosts)
+    network_digest(&mut net, &circuits)
 }
 
 /// The chaos campaigns' churn-loss shape: a Gilbert–Elliott chain on every
@@ -627,24 +468,20 @@ fn churn_loss(spec: &mut FaultSpec) {
 /// the paging counts, and the reconfiguration log's every field (the walk hashes each event's
 /// slot and payload, not its instant, initiator or the tags of `Quiesced`
 /// and `RoutesInstalled`).
-fn network_digest(net: &mut Network, circuits: &[VcId], hosts: &[HostId]) -> FaultRun {
+fn network_digest(net: &mut Network, circuits: &[VcId]) -> FaultRun {
     let delivered = circuits
         .iter()
         .filter(|&&vc| !net.is_broken(vc))
         .map(|&vc| net.stats(vc).delivered_cells)
         .sum();
-    let digest = net.digest();
-    let received = hosts
-        .iter()
-        .flat_map(|&host| net.take_received(host))
-        .collect();
-    let mut h = on_top_of(digest, received, net.slot());
+    let mut h = grid::network_digest(net);
     for &vc in circuits.iter().filter(|&&vc| !net.is_broken(vc)) {
         hash_paging(&mut h, net.stats(vc));
     }
-    hash_debug(&mut h, &net.reconfig_log());
+    grid::hash_debug(&mut h, &net.reconfig_log());
     FaultRun {
         digest: h.finish(),
+        traced: None,
         delivered,
         skipped_slots: net.profile().expect("profiling enabled").skipped_slots,
         slots: net.slot(),
@@ -659,29 +496,15 @@ fn network_digest(net: &mut Network, circuits: &[VcId], hosts: &[HostId]) -> Fau
 /// that skipped a ping would shift a verdict transition; one that skipped a
 /// holddown expiry would shift a quarantine exit — both land in the digest
 /// via the typed reconfiguration log.
-fn skeptic_run(topo: usize, seed: u64, chunk: u64, churn: bool) -> (FaultRun, u64) {
-    let b = Network::builder();
-    let b: NetworkBuilder = match topo {
-        0 => b.src_installation(4, 8),
-        _ => b.ring(4, 8),
-    };
-    let mut net = b.seed(seed).build();
+fn skeptic_run(shape: fn() -> Topology, seed: u64, chunk: u64, churn: bool) -> (FaultRun, u64) {
+    let mut net = Network::builder().topology(shape()).seed(seed).build();
     net.enable_profiling();
-    let hosts: Vec<_> = net.hosts().collect();
-    let mut circuits = Vec::new();
-    for pair in hosts.chunks(2) {
-        if let [a, b] = *pair {
-            if let Ok(vc) = net.open_best_effort(a, b) {
-                circuits.push(vc);
-            }
-        }
-    }
+    let circuits = grid::open_pairs(&mut net, usize::MAX, None);
     let backbone: Vec<LinkId> = net.topology().switch_links().map(|(l, _, _)| l).collect();
-    let mut spec = FaultSpec::default();
+    let mut spec = grid::pinged_spec();
     if churn {
         churn_loss(&mut spec);
     }
-    spec.monitor.ping_interval = SimDuration::from_millis(1);
     spec.monitor.fail_threshold = 3;
     spec.monitor.recover_threshold = 5;
     spec.monitor.skeptic = SkepticConfig {
@@ -724,7 +547,7 @@ fn skeptic_run(topo: usize, seed: u64, chunk: u64, churn: bool) -> (FaultRun, u6
     }
     net.step(60_000);
 
-    let mut run = network_digest(&mut net, &circuits, &hosts);
+    let mut run = network_digest(&mut net, &circuits);
     let quarantine_entries = net
         .reconfig_log()
         .iter()
@@ -733,7 +556,7 @@ fn skeptic_run(topo: usize, seed: u64, chunk: u64, churn: bool) -> (FaultRun, u6
     let mut h = Fnv::new();
     h.add(run.digest);
     for &l in &backbone {
-        hash_debug(&mut h, &net.skeptic_level(l));
+        grid::hash_debug(&mut h, &net.skeptic_level(l));
     }
     run.digest = h.finish();
     (run, quarantine_entries)
@@ -750,8 +573,8 @@ fn assert_jumped(run: &FaultRun, floor_pct: u64, leg: &str) {
     );
 }
 
-/// The skeptic legs' topologies, as their pin rows name them.
-const SKEPTIC_TOPOLOGIES: [&str; 2] = ["src4x8", "ring4x8"];
+/// The skeptic legs' shapes.
+const SKEPTIC_SHAPES: [Shape; 2] = [("src4x8", grid::src4x8), ("ring4x8", grid::ring4x8)];
 
 /// Churn × topology → the slot-by-slot engine's answer under the skeptic:
 /// the digest and the quarantines entered.
@@ -766,17 +589,14 @@ ring4x8 churn=true digest=c26a869c5f65fba6 quarantines=3\n\
 fn batched_stepping_never_skips_a_ping_or_holddown_expiry() {
     // Odd chunk sizes move every step boundary relative to ping deadlines
     // and holddown expiries; the digest must not move.
-    const CHUNKS: [u64; 3] = [3_000, 997, 7_919];
-    let mut actual = CHUNKS.map(|_| String::new());
+    let engines = grid::engines(&[1], &[false], &[3_000, 997, 7_919]);
+    let mut actual = String::new();
     for churn in [false, true] {
-        for (topo, name) in SKEPTIC_TOPOLOGIES.into_iter().enumerate() {
-            for (rows, chunk) in actual.iter_mut().zip(CHUNKS) {
-                let leg = format!("skeptic (topo {topo}, churn {churn}, chunk {chunk})");
-                let (run, quarantines) = skeptic_run(topo, 5, chunk, churn);
-                *rows += &format!(
-                    "{name} churn={churn} digest={:016x} quarantines={quarantines}\n",
-                    run.digest
-                );
+        for (name, shape) in SKEPTIC_SHAPES {
+            let at = format!("{name} churn={churn}");
+            let row = grid::walk(&at, &engines, |e| {
+                let leg = format!("skeptic {at}, {e}");
+                let (run, quarantines) = skeptic_run(shape, 5, e.chunk, churn);
                 assert!(
                     quarantines > 0,
                     "the scripted flap train never quarantined ({leg}) — the leg proves nothing"
@@ -785,20 +605,21 @@ fn batched_stepping_never_skips_a_ping_or_holddown_expiry() {
                 // every 1 468: the rest is waiting (measured: 93-94 %
                 // jumped).
                 assert_jumped(&run, 90, &leg);
-            }
+                Outcome::untraced((run.digest, quarantines))
+            });
+            let (digest, quarantines) = row.line;
+            actual += &format!("{at} digest={digest:016x} quarantines={quarantines}\n");
         }
     }
-    for (rows, chunk) in actual.iter().zip(CHUNKS) {
-        assert_pins(
-            &format!("the skeptic legs at chunk {chunk}"),
-            rows,
-            SKEPTIC_PINS,
-        );
-    }
+    grid::assert_pins("the skeptic legs", &actual, SKEPTIC_PINS);
 }
 
-/// The `Network` legs' topologies, as their pin rows name them.
-const NETWORK_TOPOLOGIES: [&str; 3] = ["src4x8", "src6x12", "ring4x8"];
+/// The `Network` legs' shapes.
+const NETWORK_SHAPES: [Shape; 3] = [
+    ("src4x8", grid::src4x8),
+    ("src6x12", grid::src6x12),
+    ("ring4x8", grid::ring4x8),
+];
 
 /// Churn × topology × seed → the slot-by-slot engine's answer on the full
 /// `Network`: the digest and the cells delivered.
@@ -823,23 +644,28 @@ ring4x8/s17 churn=true digest=5685efdda31525ca delivered=216\n\
 ring4x8/s91 churn=true digest=1116cb4fd9e557d4 delivered=221\n\
 ";
 
+/// Each row at one, two and four shards: faults and control traffic draw
+/// from per-entity streams, so they shard as cleanly as the data plane.
 #[test]
 fn batched_network_survives_loss_and_reconfiguration_identically() {
+    let engines = grid::engines(&[1, 2, 4], &[false], &[grid::WHOLE]);
     let mut actual = String::new();
     for churn in [false, true] {
-        for (topo, name) in NETWORK_TOPOLOGIES.into_iter().enumerate() {
+        for (name, shape) in NETWORK_SHAPES {
             for seed in [3u64, 17, 91] {
-                let leg = format!("network (topo {topo}, seed {seed}, churn {churn})");
-                let run = network_run(topo, seed, churn);
-                actual += &format!(
-                    "{name}/s{seed} churn={churn} digest={:016x} delivered={}\n",
-                    run.digest, run.delivered
-                );
-                assert!(run.delivered > 0, "workload moved no traffic ({leg})");
-                // Measured: 89-96 % jumped.
-                assert_jumped(&run, 85, &leg);
+                let at = format!("{name}/s{seed} churn={churn}");
+                let row = grid::walk(&at, &engines, |e| {
+                    let leg = format!("network {at}, {e}");
+                    let run = network_run(shape, seed, churn, e.shards);
+                    assert!(run.delivered > 0, "workload moved no traffic ({leg})");
+                    // Measured: 89-96 % jumped.
+                    assert_jumped(&run, 85, &leg);
+                    Outcome::untraced((run.digest, run.delivered))
+                });
+                let (digest, delivered) = row.line;
+                actual += &format!("{at} digest={digest:016x} delivered={delivered}\n");
             }
         }
     }
-    assert_pins("the network legs", &actual, NETWORK_PINS);
+    grid::assert_pins("the network legs", &actual, NETWORK_PINS);
 }

@@ -16,6 +16,8 @@
 //!   sample — identical to two independent 48-host hubs each carrying
 //!   half the circuits.
 
+mod grid;
+
 use an2::{Fabric, FabricConfig, TrafficClass};
 use an2_cells::{Packet, Segmenter, VcId};
 use an2_sim::{Fnv, SimRng};
@@ -43,17 +45,10 @@ fn observe(stats: &an2::VcStats) -> CircuitObs {
 fn drive_hub(seed: u64) -> String {
     let mut f = Fabric::new(generators::wide_hub(96), FabricConfig::default(), seed);
     let mut wl = SimRng::new(seed ^ 0xABCD);
-    let hosts: Vec<HostId> = (0..f.topology().host_count())
-        .map(|h| HostId(h as u16))
-        .collect();
-    let mut vcs: Vec<VcId> = Vec::new();
+    let mut vcs = Vec::new();
     for i in 0..40u32 {
         let vc = VcId::new(100 + i);
-        let src = hosts[wl.gen_range(hosts.len())];
-        let mut dst = hosts[wl.gen_range(hosts.len())];
-        if dst == src {
-            dst = hosts[(src.0 as usize + 1) % hosts.len()];
-        }
+        let (src, dst) = grid::draw_pair(&mut wl, f.topology().host_count());
         let (sw, links, sl, dl) = paths::host_wiring(f.topology(), src, dst).expect("hub route");
         let class = if i % 5 == 0 {
             TrafficClass::Guaranteed { cells_per_frame: 2 }
@@ -61,23 +56,17 @@ fn drive_hub(seed: u64) -> String {
             TrafficClass::BestEffort
         };
         f.open_circuit(vc, src, dst, class, sw, links, sl, dl);
-        vcs.push(vc);
+        vcs.push((vc, src, dst));
     }
     for _ in 0..6 {
-        for &vc in &vcs {
-            if wl.gen_bool(0.7) {
-                let len = 40 + wl.gen_range(500);
-                let pkt = Packet::from_bytes(vec![(len % 251) as u8; len]);
-                f.send_cells(vc, Segmenter::new(vc).segment(&pkt));
-            }
-        }
+        grid::offer(&mut f, &mut wl, &vcs, 1, 0.7, 500);
         f.step(15 + wl.gen_range(30) as u64);
     }
     f.step(3_000);
 
     let mut stats = Fnv::new();
     let mut delivered_any = false;
-    for &vc in &vcs {
+    for &(vc, _, _) in &vcs {
         let (sent, delivered, dropped, packets, samples) = observe(f.stats(vc));
         delivered_any |= delivered > 0;
         for x in [sent, delivered, dropped, packets, samples.len() as u64] {
@@ -89,7 +78,7 @@ fn drive_hub(seed: u64) -> String {
     }
     assert!(delivered_any, "seed {seed}: workload moved no traffic");
     let mut bytes = Fnv::new();
-    for &h in &hosts {
+    for h in f.topology().hosts().collect::<Vec<_>>() {
         let packets = f.take_received(h);
         bytes.add(packets.len() as u64);
         for (vc, p) in packets {
@@ -120,10 +109,7 @@ fn wide_hub_runs_reproduce_pinned_stats_and_bytes() {
     for seed in [5u64, 29, 73] {
         actual += &drive_hub(seed);
     }
-    assert!(
-        actual == PINS,
-        "96-port hub moved off its pins.\n--- actual ---\n{actual}--- pinned ---\n{PINS}"
-    );
+    grid::assert_pins("96-port hub", &actual, PINS);
 }
 
 // ----------------------------------------------------------- composition —
