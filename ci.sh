@@ -172,6 +172,18 @@ if sed -n '/^pub enum Msg {/,/^}/p' crates/reconfig/src/agent.rs | grep -E '^\s*
     exit 1
 fi
 
+echo "== one oracle: crates/chaos/src checks every control protocol alike"
+# Each protocol is checked against its own run on the ideal transport,
+# with the schedule's own delivery floor. A test of which protocol is
+# running, or a scaled floor, forks the oracle: the rivals' crash defect
+# (a circuit left on a crashed switch) once hid behind skipped checks
+# and a 0.9 derate. Up*/down*'s own routing rule is reached through
+# ControlProtocol::as_updown, not a comparison of kinds.
+if grep -rnE 'kind (==|!=)|full_oracle|delivery_floor \*' crates/chaos/src; then
+    echo "a protocol fork in the chaos oracle: check every protocol against its own reference"
+    exit 1
+fi
+
 echo "== no file under crates/an2/src over 1200 lines"
 # A file a reader can hold whole. The cure for a file that trips it is a
 # part with its own state behind private fields (crates/an2/src/fabric/),

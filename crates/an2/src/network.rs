@@ -183,6 +183,12 @@ impl Network {
         self.fabric.topology()
     }
 
+    /// The control protocol [`Network::enable_control_plane`] embeds, as
+    /// [`NetworkBuilder::protocol`] selected it.
+    pub fn protocol(&self) -> ProtocolKind {
+        self.protocol
+    }
+
     /// All host ids.
     pub fn hosts(&self) -> impl Iterator<Item = HostId> + '_ {
         self.topology().hosts()

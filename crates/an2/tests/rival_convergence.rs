@@ -2,8 +2,8 @@
 //! path-vector protocol — embedded in the live control plane.
 //!
 //! The up*/down* agent has a byte-identical oracle (`control_plane_tests`,
-//! `protocol_equiv`); the rivals have no external reference
-//! implementation, so the contract here is self-consistency: after boot
+//! `protocol_equiv`); the chaos oracle holds each rival to its own run
+//! on the ideal transport, and the contract here is self-consistency: after boot
 //! and after a single link failure, the protocol must reach its own
 //! convergence predicate (uniform generations and loop-free agreement in
 //! every live partition, checked by `Network::control_converged`), and
@@ -14,7 +14,7 @@
 
 mod grid;
 
-use an2::{FlapEvent, Network, ProtocolKind, VcId};
+use an2::{CrashEvent, FlapEvent, Network, Packet, ProtocolKind, SwitchId, VcId};
 use an2_topology::{LinkState, Topology};
 
 /// The three arena topologies, fewest switches first: a four-switch
@@ -135,4 +135,47 @@ fn spanning_tree_converges_after_single_failure() {
 #[test]
 fn path_vector_converges_after_single_failure() {
     walk_grid(ProtocolKind::PathVector);
+}
+
+/// A rival routes no circuit through a crashed switch. Hosts 0 and 4 of
+/// the four-switch installation are both homed on switches 0 and 1, so
+/// their circuit is the one-switch path `[s0]`. Once `s0` crashes for
+/// good, the circuit must move to `[s1]` and deliver: a crashed switch
+/// keeps its last protocol state, and its host links still read working.
+#[test]
+fn rivals_reroute_a_circuit_off_a_crashed_switch() {
+    for kind in [ProtocolKind::SpanningTree, ProtocolKind::PathVector] {
+        let mut net = Network::builder()
+            .topology(grid::src4x8())
+            .seed(5)
+            .protocol(kind)
+            .build();
+        let hosts: Vec<_> = net.hosts().collect();
+        let (src, dst) = (hosts[0], hosts[4]);
+        let vc = net.open_best_effort(src, dst).expect("open circuit");
+        let mut spec = grid::pinged_spec();
+        spec.crashes.push(CrashEvent {
+            switch: SwitchId(0),
+            at: 40_000,
+            restart_at: grid::NEVER,
+        });
+        net.attach_faults(&spec, 5);
+        net.enable_control_plane();
+        let at = kind.name();
+        step_until_converged(&mut net, 40_000, &format!("{at} boot"));
+        let on = |net: &Network| net.circuit_wiring(vc).map(|w| w.0);
+        assert_eq!(on(&net), Some(vec![SwitchId(0)]), "{at} boot");
+        while net.slot() < 60_000 {
+            net.step(2_000);
+        }
+        step_until_converged(&mut net, 1_000_000, &format!("{at} post-crash"));
+        assert_eq!(on(&net), Some(vec![SwitchId(1)]), "{at} post-crash");
+        net.send_packet(vc, Packet::from_bytes(vec![0x3C; 200]))
+            .expect("send on the rerouted circuit");
+        net.step(30_000);
+        assert!(
+            net.take_received(dst).iter().any(|(v, _)| *v == vc),
+            "{at}: no delivery after the crash"
+        );
+    }
 }

@@ -27,7 +27,7 @@ use an2::{
     SwitchId, TraceConfig, TraceEvent, VcId,
 };
 use an2_cells::Packet;
-use an2_chaos::oracle::{check_paths, check_views};
+use an2_chaos::oracle::check_against_reference;
 use std::fmt::Write;
 
 /// One cell's measured outcome, for the JSON baseline.
@@ -63,8 +63,7 @@ pub struct ControlRow {
 /// canonical, legal up\*/down\* path. Panics on
 /// a violation; returns `true` so the JSON row can record the check ran.
 fn oracle_holds(net: &Network, circuits: &[(VcId, HostId, HostId)], crashed: &[SwitchId]) -> bool {
-    let mut violations = check_views(net, crashed);
-    violations.extend(check_paths(net, circuits, crashed));
+    let violations = check_against_reference(net, circuits, crashed);
     assert!(violations.is_empty(), "oracle violations: {violations:?}");
     true
 }

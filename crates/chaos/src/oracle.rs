@@ -3,6 +3,11 @@
 //! robustness claim, *collecting* violations instead of panicking so the
 //! shrinker can minimize failing schedules.
 //!
+//! One oracle for every control protocol: each check below runs under
+//! up\*/down\*, the spanning tree and path vector alike, and the reference
+//! is always the schedule's own protocol run on the ideal transport. The
+//! only protocol-specific code is up\*/down\*'s own routing rule (check 4).
+//!
 //! Checks, in order:
 //!
 //! 1. **Per-slot invariants** — the fault layer's credit/buffer checkers
@@ -10,13 +15,16 @@
 //! 2. **Convergence** — after the drain tail (sized for the worst skeptic
 //!    holddown) the control plane must be quiescent and no link may still
 //!    sit in quarantine.
-//! 3. **Views** — every live agent's topology view must equal the
-//!    ideal-transport `an2-reconfig` harness's view for the same
-//!    surviving topology (partitions handled per the harness); a harness
-//!    that spends its delivery budget is a violation of its own.
-//! 4. **Canonical paths** — every open circuit must sit on the
-//!    byte-identical canonical up*/down* path recomputed independently;
-//!    broken circuits must be exactly those with no canonical route.
+//! 3. **Views** — every live agent's topology view must equal the view
+//!    the same protocol reaches on the ideal-transport `an2-reconfig`
+//!    harness over the same surviving topology (partitions handled per the
+//!    harness); a harness that spends its delivery budget is a violation
+//!    of its own. The rivals carry no views, so both sides read `None`.
+//! 4. **Reference paths** — every open circuit must sit on the route that
+//!    reference run installs; broken circuits must be exactly those it
+//!    has no route for. Under up\*/down\* the reference is the canonical
+//!    forest, each of whose trees must route all pairs deadlock-free, and
+//!    every path must obey the up\*/down\* rule.
 //! 5. **No stuck circuits** — a post-convergence probe on every surviving
 //!    circuit must be delivered.
 //! 6. **Credits whole** — after forced resync retries, every surviving
@@ -31,8 +39,7 @@ use crate::gen::Schedule;
 use an2::{HostId, Network, ProtocolKind, ReconfigEvent, SwitchId, VcId};
 use an2_cells::Packet;
 use an2_reconfig::harness::ReconfigNet;
-use an2_reconfig::quiesce::{edge, Edge};
-use an2_topology::{updown, LinkState};
+use an2_topology::updown;
 use std::fmt;
 
 /// One oracle violation, with enough detail to read the repro.
@@ -46,7 +53,7 @@ pub enum Violation {
     /// The control plane (or a quarantine) failed to settle inside the
     /// drain tail plus the retry budget.
     NotConverged,
-    /// A live agent's topology view diverges from the harness oracle.
+    /// A live agent's topology view diverges from the reference run's.
     ViewMismatch {
         /// The switch whose view diverged.
         switch: SwitchId,
@@ -57,15 +64,15 @@ pub enum Violation {
         /// The tree's root.
         root: SwitchId,
     },
-    /// A circuit is not on (or wrongly off) its canonical up*/down* path,
-    /// or its path breaks the up*/down* rule.
+    /// A circuit is not on (or wrongly off) the reference run's route, or
+    /// its path breaks the up*/down* rule.
     PathNotCanonical {
         /// The circuit's raw VC id.
         vc: u32,
         /// What was wrong.
         detail: String,
     },
-    /// The ideal-transport harness behind the view reference spent its
+    /// The ideal-transport harness behind the reference spent its
     /// delivery budget without quiescing.
     HarnessStorm {
         /// Inputs the harness delivered.
@@ -178,100 +185,97 @@ fn crashed_switches(s: &Schedule) -> Vec<SwitchId> {
         .collect()
 }
 
-/// The view reference: every live agent's topology view must equal the
-/// view the ideal-transport `an2-reconfig` harness reaches on the same
-/// surviving topology (`crashed` switches pulled), with the harness's
-/// partition converged. A switch with no working links never boots in
-/// the harness; its embedded view must then be empty. Returns one
-/// [`Violation::ViewMismatch`] per switch that fails, or the one
-/// [`Violation::HarnessStorm`] when the harness does not quiesce.
-pub fn check_views(net: &Network, crashed: &[SwitchId]) -> Vec<Violation> {
-    let mut oracle = ReconfigNet::with_defaults(net.topology().clone(), 0);
-    for &sw in crashed {
-        oracle.kill_switch(sw);
-    }
-    if let Err(storm) = oracle.run_to_quiescence() {
-        return vec![Violation::HarnessStorm {
-            delivered: storm.delivered,
-            in_flight: storm.in_flight,
-        }];
-    }
-    net.topology()
-        .switches()
-        .filter(|sw| !crashed.contains(sw))
-        .filter(|&sw| {
-            let Some(embedded) = net.agent_view_edges(sw) else {
-                return true;
-            };
-            match oracle.view_edges_of(sw) {
-                Some(view) => !oracle.partition_converged(sw) || embedded != view,
-                None => !embedded.is_empty(),
-            }
-        })
-        .map(|switch| Violation::ViewMismatch { switch })
-        .collect()
-}
-
-/// The path reference: recompute the canonical up\*/down\* forest over
-/// the surviving adjacency (`crashed` switches excluded), demand that each
-/// of its trees routes all pairs deadlock-free (§5), and that every open
-/// circuit sits on the byte-identical canonical path — host attachments in
-/// link-id order, the first pair the forest routes — which obeys the
-/// up\*/down\* rule, and that the broken circuits are exactly those with
-/// no canonical route. Returns one [`Violation::TreeNotDeadlockFree`] per
-/// tree and one [`Violation::PathNotCanonical`] per circuit that fails.
-pub fn check_paths(
+/// The reference check. Runs the network's own protocol on the
+/// ideal-transport `an2-reconfig` harness over the same surviving topology
+/// (`crashed` switches pulled) to quiescence, and checks the network
+/// against that one run:
+///
+/// - *views*: every live switch's embedded view equals the reference's,
+///   in a converged reference partition. A switch with no working links
+///   never boots in the harness; its embedded view must then be empty.
+///   The rivals carry no topology view, so for them both sides are
+///   `None`;
+/// - *paths*: every open circuit sits on the reference's route, tried
+///   over host attachments in link-id order, and a circuit is broken
+///   exactly when the reference has no route;
+/// - *up\*/down\*'s routing rule*, for that protocol only: each tree of
+///   the reference's canonical forest routes all pairs deadlock-free
+///   (§5), and every circuit's path obeys the up\*/down\* rule.
+///
+/// Returns one [`Violation::ViewMismatch`] per switch, one
+/// [`Violation::TreeNotDeadlockFree`] per tree and one
+/// [`Violation::PathNotCanonical`] per circuit that fails, in that order,
+/// or the one [`Violation::HarnessStorm`] when the reference does not
+/// quiesce.
+pub fn check_against_reference(
     net: &Network,
     circuits: &[(VcId, HostId, HostId)],
     crashed: &[SwitchId],
 ) -> Vec<Violation> {
     let topo = net.topology();
-    let live: Vec<SwitchId> = topo.switches().filter(|s| !crashed.contains(s)).collect();
-    let mut edges: Vec<Edge> = topo
-        .switch_links()
-        .filter(|&(l, x, y)| {
-            topo.link_state(l) == LinkState::Working
-                && !crashed.contains(&x)
-                && !crashed.contains(&y)
-        })
-        .map(|(_, x, y)| edge(x, y))
-        .collect();
-    edges.sort_unstable();
-    edges.dedup();
-    let forest = updown::canonical_forest(topo.switch_count(), &live, &edges);
-    let mut out: Vec<Violation> = forest
-        .iter()
-        .filter(|tree| !updown::all_pairs_updown_deadlock_free(topo, tree))
-        .map(|tree| Violation::TreeNotDeadlockFree { root: tree.root() })
-        .collect();
-    for &(vc, src, dst) in circuits {
-        let mut expected: Option<Vec<SwitchId>> = None;
-        'pairs: for (_, ss) in topo.host_attachments(src) {
-            for (_, ds) in topo.host_attachments(dst) {
-                let Some(tree) = forest.iter().find(|t| t.contains(ss) && t.contains(ds)) else {
-                    continue;
-                };
-                if let Some(path) = updown::route(topo, tree, ss, ds) {
-                    expected = Some(path);
-                    break 'pairs;
+    let mut reference = ReconfigNet::new(topo.clone(), net.protocol());
+    for &sw in crashed {
+        reference.kill_switch(sw);
+    }
+    if let Err(storm) = reference.run_to_quiescence() {
+        return vec![Violation::HarnessStorm {
+            delivered: storm.delivered,
+            in_flight: storm.in_flight,
+        }];
+    }
+    let mut out: Vec<Violation> = topo
+        .switches()
+        .filter(|sw| !crashed.contains(sw))
+        .filter(
+            |&sw| match (net.agent_view_edges(sw), reference.view_edges_of(sw)) {
+                (Some(embedded), Some(view)) => {
+                    !reference.partition_converged(sw) || embedded != view
                 }
-            }
-        }
+                (Some(embedded), None) => !embedded.is_empty(),
+                (None, view) => view.is_some(),
+            },
+        )
+        .map(|switch| Violation::ViewMismatch { switch })
+        .collect();
+
+    reference.install_routes();
+    let expected: Vec<Option<Vec<SwitchId>>> = circuits
+        .iter()
+        .map(|&(_, src, dst)| {
+            let dst_atts = topo.host_attachments(dst);
+            topo.host_attachments(src)
+                .into_iter()
+                .flat_map(|(_, ss)| dst_atts.iter().map(move |&(_, ds)| (ss, ds)))
+                .find_map(|(ss, ds)| reference.switch_route(ss, ds))
+        })
+        .collect();
+    let forest = reference.protocol().as_updown().map(|p| p.forest());
+    out.extend(
+        forest
+            .unwrap_or_default()
+            .iter()
+            .filter(|tree| !updown::all_pairs_updown_deadlock_free(topo, tree))
+            .map(|tree| Violation::TreeNotDeadlockFree { root: tree.root() }),
+    );
+    let illegal = |switches: &[SwitchId]| {
+        forest.is_some_and(|forest| {
+            !forest
+                .iter()
+                .find(|t| t.contains(switches[0]))
+                .is_some_and(|t| updown::is_legal_path(t, switches))
+        })
+    };
+    for (&(vc, _, _), expected) in circuits.iter().zip(expected) {
         let detail = match (net.circuit_wiring(vc), expected) {
             (Some((switches, _, _, _)), Some(path)) if switches != path => {
                 format!("on {switches:?}, canonical {path:?}")
             }
-            (Some((switches, _, _, _)), Some(_))
-                if !forest
-                    .iter()
-                    .find(|t| t.contains(switches[0]))
-                    .is_some_and(|t| updown::is_legal_path(t, &switches)) =>
-            {
+            (Some((switches, _, _, _)), Some(_)) if illegal(&switches) => {
                 format!("{switches:?} violates the up*/down* rule")
             }
             (Some(_), None) => "open but no canonical route exists".into(),
             (None, Some(p)) => format!("broken despite canonical route {p:?}"),
-            // On its canonical path, or correctly broken: endpoints
+            // On the reference route, or correctly broken: endpoints
             // partitioned.
             _ => continue,
         };
@@ -283,24 +287,14 @@ pub fn check_paths(
     out
 }
 
-/// Runs one schedule end to end under the paper's up*/down* protocol with
-/// the full oracle. Deterministic: the same schedule always returns the
-/// same report.
+/// Runs one schedule end to end under the paper's up*/down* protocol.
+/// Deterministic: the same schedule always returns the same report.
 pub fn run_schedule(s: &Schedule) -> RunReport {
     run_schedule_with(s, ProtocolKind::UpDown)
 }
 
-/// Runs one schedule under the selected control protocol.
-///
-/// Up*/down* gets the full oracle — its external references (the harness
-/// view oracle, the canonical-path recomputation) only exist for the
-/// paper's protocol. The arena rivals keep the same run phases (drain,
-/// credit resync, probes) so their digests are comparable run-to-run, but
-/// only the protocol-agnostic legs are *recorded* as violations: per-slot
-/// invariants and the delivery floor. The floor itself is derated to 90%
-/// of the schedule's value for rivals: corpus floors are calibrated
-/// against up*/down*'s reconvergence speed, and the rivals' extra loss
-/// during reconvergence is a measured arena quantity, not a defect.
+/// Runs one schedule under the selected control protocol, through the
+/// same run phases and the same checks as every other protocol.
 pub fn run_schedule_with(s: &Schedule, kind: ProtocolKind) -> RunReport {
     run_schedule_inner(s, kind, None).0
 }
@@ -325,7 +319,6 @@ fn run_schedule_inner(
     kind: ProtocolKind,
     observe: Option<an2_trace::ObservatoryConfig>,
 ) -> (RunReport, Option<an2_trace::Tracer>) {
-    let full_oracle = kind == ProtocolKind::UpDown;
     let topo = s.topology.build();
     let mut net = Network::builder()
         .topology(topo)
@@ -336,7 +329,9 @@ fn run_schedule_inner(
     let mut circuits: Vec<(VcId, HostId, HostId)> = Vec::new();
     let half = (hosts.len() / 2).max(1);
     for i in 0..(s.circuits as usize).min(half) {
-        // Offset pairing crosses the backbone like the N3 soak.
+        // Host i pairs with host i + half. Where the hosts are twice the
+        // switches (the src_installation and ring shapes the campaigns
+        // build), both ends share their switches: a one-switch path.
         let (a, b) = (hosts[i], hosts[(i + half) % hosts.len()]);
         if let Ok(vc) = net.open_best_effort(a, b) {
             circuits.push((vc, a, b));
@@ -375,7 +370,8 @@ fn run_schedule_inner(
     }
 
     let mut violations = Vec::new();
-    if full_oracle && (!net.control_converged() || !net.quarantined_links().is_empty()) {
+    let converged = net.control_converged() && net.quarantined_links().is_empty();
+    if !converged {
         violations.push(Violation::NotConverged);
     }
 
@@ -406,7 +402,7 @@ fn run_schedule_inner(
         }
         sent += sent_pkts[k];
         delivered += net.stats(vc).packets_delivered;
-        if full_oracle && !net.credits_fully_restored(vc) {
+        if !net.credits_fully_restored(vc) {
             violations.push(Violation::CreditsNotWhole { vc: vc.raw() });
         }
     }
@@ -415,27 +411,20 @@ fn run_schedule_inner(
     } else {
         delivered as f64 / sent as f64
     };
-    let floor = if full_oracle {
-        s.delivery_floor
-    } else {
-        s.delivery_floor * 0.9
-    };
-    if delivery_ratio < floor {
+    if delivery_ratio < s.delivery_floor {
         violations.push(Violation::DeliveryBelowFloor {
             delivered,
             sent,
-            floor_milli: (floor * 1000.0) as u32,
+            floor_milli: (1000.0 * s.delivery_floor) as u32,
         });
     }
 
-    if full_oracle
-        && violations
-            .iter()
-            .all(|v| !matches!(v, Violation::NotConverged))
-    {
-        let crashed = crashed_switches(s);
-        violations.extend(check_views(&net, &crashed));
-        violations.extend(check_paths(&net, &circuits, &crashed));
+    if converged {
+        violations.extend(check_against_reference(
+            &net,
+            &circuits,
+            &crashed_switches(s),
+        ));
     }
 
     // Stuck-circuit probe: every surviving circuit must deliver a probe.
@@ -469,11 +458,9 @@ fn run_schedule_inner(
         }
         net.step(40_000);
     }
-    if full_oracle {
-        for (k, &(vc, _, _)) in circuits.iter().enumerate() {
-            if probe_base[k] != u64::MAX && net.stats(vc).packets_delivered <= probe_base[k] {
-                violations.push(Violation::StuckCircuit { vc: vc.raw() });
-            }
+    for (k, &(vc, _, _)) in circuits.iter().enumerate() {
+        if probe_base[k] != u64::MAX && net.stats(vc).packets_delivered <= probe_base[k] {
+            violations.push(Violation::StuckCircuit { vc: vc.raw() });
         }
     }
 

@@ -3,8 +3,8 @@
 //! over lossy fabric links, installing canonical up*/down* routes on
 //! quiescence.
 //!
-//! The oracle throughout is `an2_chaos::oracle`'s reference pair, the
-//! same check the chaos campaigns and experiment N4 run: the
+//! The oracle throughout is `an2_chaos::oracle::check_against_reference`,
+//! the same check the chaos campaigns and experiment N4 run: the
 //! `an2-reconfig` harness runs the same protocol on its ideal transport
 //! over the same surviving topology, the embedded agents must reach
 //! byte-identical views, and every circuit must land on the
@@ -14,7 +14,7 @@
 
 use an2::{CrashEvent, FaultSpec, FlapEvent, Network, ReconfigEvent, SwitchId, VcId};
 use an2_cells::Packet;
-use an2_chaos::oracle::{check_paths, check_views};
+use an2_chaos::oracle::check_against_reference;
 use an2_sim::SimDuration;
 use an2_topology::Topology;
 
@@ -55,8 +55,7 @@ fn assert_oracle_holds(
     circuits: &[(VcId, an2::HostId, an2::HostId)],
     crashed: &[SwitchId],
 ) {
-    let mut violations = check_views(net, crashed);
-    violations.extend(check_paths(net, circuits, crashed));
+    let violations = check_against_reference(net, circuits, crashed);
     let lines: Vec<String> = violations.iter().map(|v| v.to_string()).collect();
     assert!(lines.is_empty(), "{at}: {lines:#?}");
 }

@@ -1,8 +1,11 @@
 //! Bounded chaos smoke: a fixed-seed campaign grid across all four
 //! scenarios, two topology families and a skeptic-off variant — every
-//! cell must survive the strengthened oracle with zero violations — plus
+//! cell must survive the strengthened oracle with zero violations under
+//! each of the three control protocols — plus
 //! the shrinking pipeline end to end and the replay contract.
 
+use an2::ProtocolKind;
+use an2_chaos::oracle::run_schedule_with;
 use an2_chaos::{
     generate, load_repro, run_cell, run_schedule, save_repro, shrink, CampaignSpec, Scenario,
     TopologyKind,
@@ -117,7 +120,8 @@ fn grid() -> Vec<(CampaignSpec, u64)> {
     cells
 }
 
-/// The campaign grid: 25 fixed-seed schedules, zero surviving violations.
+/// The campaign grid: 25 fixed-seed schedules under each of the three
+/// control protocols, zero surviving violations.
 #[test]
 fn campaign_grid_survives_with_zero_violations() {
     let cells = grid();
@@ -125,12 +129,21 @@ fn campaign_grid_survives_with_zero_violations() {
     let mut failures = Vec::new();
     for (spec, seed) in &cells {
         let schedule = generate(spec, *seed);
-        let report = run_schedule(&schedule);
-        if !report.violations.is_empty() {
-            failures.push(format!(
-                "{} seed={}: {:?}",
-                spec.name, seed, report.violations
-            ));
+        for kind in [
+            ProtocolKind::UpDown,
+            ProtocolKind::SpanningTree,
+            ProtocolKind::PathVector,
+        ] {
+            let report = run_schedule_with(&schedule, kind);
+            if !report.violations.is_empty() {
+                failures.push(format!(
+                    "{} seed={} under {}: {:?}",
+                    spec.name,
+                    seed,
+                    kind.name(),
+                    report.violations
+                ));
+            }
         }
     }
     assert!(

@@ -3,17 +3,21 @@
 //! apparatus for the reconfiguration experiments (E1, E12).
 //!
 //! The harness is a driver, as the embedded control plane in
-//! `an2::network::control` is: it owns one [`UpDownProtocol`] and one
-//! heap of [`Input`]s keyed `(deliver_at, send_seq)`. It pops the earliest,
-//! hands it to [`ControlProtocol::on_input`], and queues every reply
+//! `an2::network::control` is: it owns one [`ControlProtocol`] of any
+//! [`ProtocolKind`] and one heap of [`Input`]s keyed `(deliver_at,
+//! send_seq)`. It pops the earliest, hands it to
+//! [`ControlProtocol::on_input`], and queues every reply
 //! [`LINK_LATENCY`] plus [`PROCESSING`] later. Failures are queued as
 //! [`LinkEvent`]s at the current instant. Equal-time inputs are delivered
 //! in send order, so a run is a pure function of the topology and the
 //! failures injected. (The embedded plane drives the same protocol over
-//! lossy 53-byte control cells instead.)
+//! lossy 53-byte control cells instead.) What only the paper's protocol
+//! can answer — views, completion times, propagation trees — goes through
+//! [`ControlProtocol::as_updown`] and reads `None` (or `false`) for a
+//! rival.
 
 use crate::agent::TopoView;
-use crate::protocol::{ControlProtocol, Input, LinkEvent, UpDownProtocol};
+use crate::protocol::{ControlProtocol, Input, LinkEvent, ProtocolKind};
 use crate::quiesce::{self, Edge};
 use an2_sim::{SimDuration, SimTime};
 use an2_topology::{LinkId, LinkState, Node, SpanningTree, SwitchId, Topology};
@@ -74,31 +78,30 @@ impl Ord for InFlight {
     }
 }
 
-/// The §2 protocol over a physical topology on perfect links.
+/// A control protocol over a physical topology on perfect links.
 pub struct ReconfigNet {
     topo: Topology,
-    protocol: UpDownProtocol,
+    protocol: Box<dyn ControlProtocol>,
+    /// Switches whose plug was pulled, in kill order.
+    crashed: Vec<SwitchId>,
     queue: BinaryHeap<InFlight>,
     now: SimTime,
     next_seq: u64,
 }
 
 impl ReconfigNet {
-    /// Builds the network and boots every switch at time zero (each switch
-    /// learns its neighbours and triggers a reconfiguration, as at power-on).
-    ///
-    /// `seed` is unread: nothing on the ideal transport is random. It stays
-    /// in the signature because every caller (experiments, oracles, the
-    /// benchmark of record) passes one.
-    pub fn with_defaults(topo: Topology, _seed: u64) -> Self {
+    /// Builds the network running `kind` and boots every switch at time
+    /// zero (each switch learns its neighbours, as at power-on).
+    pub fn new(topo: Topology, kind: ProtocolKind) -> Self {
         let mut boots = Vec::with_capacity(topo.link_count());
         boots.extend(
             topo.switch_links()
                 .filter(|&(l, _, _)| topo.link_state(l) == LinkState::Working),
         );
         let mut net = ReconfigNet {
-            protocol: UpDownProtocol::new(topo.switch_count()),
+            protocol: kind.build(topo.switch_count()),
             topo,
+            crashed: Vec::new(),
             queue: BinaryHeap::new(),
             now: SimTime::ZERO,
             next_seq: 0,
@@ -109,6 +112,15 @@ impl ReconfigNet {
             net.send_now(b, LinkEvent::Up { link, neighbor: a });
         }
         net
+    }
+
+    /// [`ReconfigNet::new`] running the paper's up\*/down\* protocol.
+    ///
+    /// `seed` is unread: nothing on the ideal transport is random. It stays
+    /// in the signature because every caller (experiments, the benchmark
+    /// of record) passes one.
+    pub fn with_defaults(topo: Topology, _seed: u64) -> Self {
+        ReconfigNet::new(topo, ProtocolKind::UpDown)
     }
 
     /// Queues `input` for delivery to `to` at `at`.
@@ -171,6 +183,31 @@ impl ReconfigNet {
         &self.topo
     }
 
+    /// The protocol instance this network drives.
+    pub fn protocol(&self) -> &dyn ControlProtocol {
+        self.protocol.as_ref()
+    }
+
+    /// Rebuilds the protocol's routes for the surviving topology: every
+    /// switch whose plug was not pulled, over the working adjacencies
+    /// among them. Call before [`ReconfigNet::switch_route`].
+    pub fn install_routes(&mut self) {
+        let live: Vec<SwitchId> = self
+            .topo
+            .switches()
+            .filter(|s| !self.crashed.contains(s))
+            .collect();
+        let edges = self.actual_edges();
+        self.protocol
+            .prepare_routes(self.topo.switch_count(), &live, &edges);
+    }
+
+    /// The switch path the protocol routes `src → dst` over, as of the
+    /// last [`ReconfigNet::install_routes`], or `None` when it has none.
+    pub fn switch_route(&mut self, src: SwitchId, dst: SwitchId) -> Option<Vec<SwitchId>> {
+        self.protocol.switch_route(&self.topo, src, dst)
+    }
+
     /// Kills a physical link and notifies both endpoint switches. If a
     /// parallel link between the same pair is still working, the logical
     /// adjacency survives and no notification is sent (the line card fails
@@ -207,6 +244,7 @@ impl ReconfigNet {
             .map(|(l, _)| l)
             .collect();
         self.topo.kill_switch(victim);
+        self.crashed.push(victim);
         self.notify_down(
             &incident,
             |neighbor| LinkEvent::Down { neighbor },
@@ -255,13 +293,15 @@ impl ReconfigNet {
     }
 
     /// A switch's current topology view, if any reconfiguration has
-    /// completed there.
+    /// completed there. `None` under a rival, which carries no view.
     pub fn view_of(&self, s: SwitchId) -> Option<&TopoView> {
-        self.protocol.agent(s).public().view.as_ref()
+        let updown = self.protocol.as_updown()?;
+        updown.agent(s).public().view.as_ref()
     }
 
     /// The (sorted, deduplicated) edges of a switch's current topology
-    /// view, if it has one — for external consistency checks.
+    /// view, if it has one — for external consistency checks. `None`
+    /// under a rival.
     pub fn view_edges_of(&self, s: SwitchId) -> Option<Vec<Edge>> {
         self.protocol.view_edges(s)
     }
@@ -270,7 +310,8 @@ impl ReconfigNet {
     /// topology view that (a) matches every other member's and (b) equals
     /// that partition's actual working edges. Built on the shared
     /// [`quiesce`] detector the embedded control plane and
-    /// the chaos oracle use.
+    /// the chaos oracle use. Always `false` under a rival, whose switches
+    /// hold no views.
     pub fn partition_converged(&self, reference: SwitchId) -> bool {
         let lv = quiesce::LiveView::all_live(&self.topo);
         let part = lv
@@ -297,7 +338,8 @@ impl ReconfigNet {
             .unwrap_or(true)
     }
 
-    /// The instant the last switch in `reference`'s partition completed.
+    /// The instant the last switch in `reference`'s partition completed;
+    /// `None` under a rival.
     pub fn last_completion(&self, reference: SwitchId) -> Option<SimTime> {
         let parts = self.topo.switch_partitions();
         let part = parts.iter().find(|p| p.contains(&reference))?;
@@ -313,11 +355,15 @@ impl ReconfigNet {
         self.protocol.messages_sent()
     }
 
-    /// Total reconfigurations initiated across all switches.
+    /// Total reconfigurations initiated across all switches; 0 under a
+    /// rival, which initiates none.
     pub fn total_initiated(&self) -> u64 {
+        let Some(updown) = self.protocol.as_updown() else {
+            return 0;
+        };
         self.topo
             .switches()
-            .map(|s| self.protocol.agent(s).public().initiated)
+            .map(|s| updown.agent(s).public().initiated)
             .sum()
     }
 
@@ -326,7 +372,7 @@ impl ReconfigNet {
     ///
     /// # Panics
     ///
-    /// Panics if the switch has no view yet.
+    /// Panics if the switch has no view yet, as under a rival.
     pub fn spanning_tree(&self, reference: SwitchId) -> SpanningTree {
         let view = self
             .view_of(reference)
@@ -368,6 +414,29 @@ mod tests {
         assert!(net.converged());
         assert_eq!(net.total_messages(), whole.total_messages());
         assert_eq!(net.now(), whole.now());
+    }
+
+    #[test]
+    fn rivals_quiesce_and_route_around_a_pulled_plug() {
+        for kind in [ProtocolKind::SpanningTree, ProtocolKind::PathVector] {
+            let mut net = ReconfigNet::new(generators::ring(5), kind);
+            net.run_to_quiescence().expect("the protocol quiesces");
+            let lv = quiesce::LiveView::all_live(&net.topo);
+            assert!(net.protocol().convergence(&lv).is_ok(), "{kind:?} boot");
+            assert!(net.protocol().as_updown().is_none());
+            assert_eq!(net.view_edges_of(SwitchId(0)), None);
+            assert!(!net.partition_converged(SwitchId(0)));
+            net.kill_switch(SwitchId(0));
+            net.run_to_quiescence().expect("the protocol quiesces");
+            net.install_routes();
+            assert_eq!(net.switch_route(SwitchId(0), SwitchId(0)), None);
+            let around = net.switch_route(SwitchId(1), SwitchId(4));
+            assert_eq!(
+                around,
+                Some(vec![SwitchId(1), SwitchId(2), SwitchId(3), SwitchId(4)]),
+                "{kind:?}"
+            );
+        }
     }
 
     #[test]
@@ -521,7 +590,7 @@ mod tests {
         for victim in topo.switches() {
             let mut net = converge(topo.clone(), 31);
             let state = |net: &ReconfigNet| {
-                let agent = net.protocol.agent(victim);
+                let agent = net.protocol().as_updown().expect("up*/down*").agent(victim);
                 let public = agent.public();
                 (agent.tag(), public.view.clone(), public.messages_sent)
             };
@@ -638,10 +707,11 @@ mod tests {
         for s in net.topology().switches() {
             assert_eq!(net.view_edges_of(s).unwrap(), edges, "{s} has a stale view");
         }
+        let updown = net.protocol().as_updown().expect("up*/down*");
         let deltas: u64 = net
             .topology()
             .switches()
-            .map(|s| net.protocol.agent(s).public().deltas_applied)
+            .map(|s| updown.agent(s).public().deltas_applied)
             .sum();
         assert!(deltas >= 10);
     }

@@ -17,7 +17,7 @@
 //! and re-sync, and convergence requires a partition-uniform generation —
 //! the quiescence analog of §2's tag agreement.
 
-use crate::protocol::{ControlProtocol, LinkEvent, ProtocolKind, ProtocolMsg};
+use crate::protocol::{live_mask, ControlProtocol, LinkEvent, ProtocolKind, ProtocolMsg};
 use crate::quiesce::{Edge, LiveView};
 use crate::Tag;
 use an2_sim::SimTime;
@@ -81,6 +81,9 @@ pub struct PvProtocol {
     messages_sent: u64,
     /// Snapshot taken by `prepare_routes`: per-switch route tables.
     table: Vec<BTreeMap<SwitchId, Vec<SwitchId>>>,
+    /// Which switches `prepare_routes` was told are live: no route names
+    /// another.
+    live: Vec<bool>,
 }
 
 impl PvProtocol {
@@ -97,6 +100,7 @@ impl PvProtocol {
             switch_count,
             messages_sent: 0,
             table: Vec::new(),
+            live: Vec::new(),
         }
     }
 
@@ -321,10 +325,13 @@ impl ControlProtocol for PvProtocol {
         self.messages_sent
     }
 
-    fn prepare_routes(&mut self, _switch_count: usize, _live: &[SwitchId], _edges: &[Edge]) {
+    fn prepare_routes(&mut self, switch_count: usize, live: &[SwitchId], _edges: &[Edge]) {
         // Routes come from the protocol's own tables, not the ground
         // truth: installed paths are what the speakers actually agreed on.
+        // A crashed switch keeps its last table, so only `live` bounds
+        // them.
         self.table = self.switches.iter().map(|st| st.routes.clone()).collect();
+        self.live = live_mask(switch_count, live);
     }
 
     fn switch_route(
@@ -337,7 +344,7 @@ impl ControlProtocol for PvProtocol {
         let mut path = Vec::with_capacity(stored.len() + 1);
         path.push(src);
         path.extend_from_slice(stored);
-        Some(path)
+        path.iter().all(|s| self.live[s.0 as usize]).then_some(path)
     }
 
     fn invalidate_edge(&mut self, _a: SwitchId, _b: SwitchId) {
@@ -346,5 +353,23 @@ impl ControlProtocol for PvProtocol {
 
     fn invalidate_all(&mut self) {
         self.table.clear();
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use an2_topology::generators;
+
+    #[test]
+    fn no_route_names_a_switch_outside_live() {
+        let topo = generators::ring(3);
+        let mut p = PvProtocol::new(3);
+        p.prepare_routes(3, &[SwitchId(1), SwitchId(2)], &[]);
+        assert_eq!(p.switch_route(&topo, SwitchId(0), SwitchId(0)), None);
+        assert_eq!(
+            p.switch_route(&topo, SwitchId(1), SwitchId(1)),
+            Some(vec![SwitchId(1)])
+        );
     }
 }

@@ -24,7 +24,7 @@ use crate::quiesce::{uniform_views, Edge, LiveView};
 use crate::Tag;
 use an2_sim::SimTime;
 use an2_topology::updown::{canonical_forest, RouteCache};
-use an2_topology::{LinkId, SwitchId, Topology};
+use an2_topology::{LinkId, SpanningTree, SwitchId, Topology};
 
 /// A local link-state event delivered to one switch's protocol instance.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -204,7 +204,8 @@ pub trait ControlProtocol {
 
     /// Rebuilds the protocol's routing structure for the agreed surviving
     /// topology (`live` switches, `edges` adjacency). Called once per
-    /// route installation, before any [`Self::switch_route`] query.
+    /// route installation, before any [`Self::switch_route`] query, which
+    /// then names no switch outside `live`.
     fn prepare_routes(&mut self, switch_count: usize, live: &[SwitchId], edges: &[Edge]);
 
     /// The switch path this protocol routes `src → dst` over, inclusive of
@@ -221,6 +222,23 @@ pub trait ControlProtocol {
 
     /// Drops every memoized route.
     fn invalidate_all(&mut self);
+
+    /// This instance as the paper's protocol, for what only up\*/down\*
+    /// can answer (full topology views, propagation trees, the canonical
+    /// forest); `None` for the rivals.
+    fn as_updown(&self) -> Option<&UpDownProtocol> {
+        None
+    }
+}
+
+/// `live` as a mask indexed by switch id: what the rivals' routes are
+/// bounded by, since a crashed switch keeps its last state.
+pub(crate) fn live_mask(switch_count: usize, live: &[SwitchId]) -> Vec<bool> {
+    let mut mask = vec![false; switch_count];
+    for s in live {
+        mask[s.0 as usize] = true;
+    }
+    mask
 }
 
 /// The paper's §2 protocol behind the trait: one [`SwitchAgent`] per
@@ -250,6 +268,12 @@ impl UpDownProtocol {
     /// initiated.
     pub(crate) fn agent(&self, sw: SwitchId) -> &SwitchAgent {
         &self.agents[sw.0 as usize]
+    }
+
+    /// The canonical forest the last [`ControlProtocol::prepare_routes`]
+    /// installed: routes are its up\*/down\* paths.
+    pub fn forest(&self) -> &[SpanningTree] {
+        self.cache.forest()
     }
 }
 
@@ -332,6 +356,10 @@ impl ControlProtocol for UpDownProtocol {
 
     fn invalidate_all(&mut self) {
         self.cache.invalidate_all();
+    }
+
+    fn as_updown(&self) -> Option<&UpDownProtocol> {
+        Some(self)
     }
 }
 

@@ -16,7 +16,7 @@
 //! protocol's textbook weakness that the arena's path-stretch column
 //! quantifies.
 
-use crate::protocol::{ControlProtocol, LinkEvent, ProtocolKind, ProtocolMsg};
+use crate::protocol::{live_mask, ControlProtocol, LinkEvent, ProtocolKind, ProtocolMsg};
 use crate::quiesce::{Edge, LiveView};
 use crate::Tag;
 use an2_sim::SimTime;
@@ -94,6 +94,9 @@ pub struct StpProtocol {
     messages_sent: u64,
     /// Snapshot taken by `prepare_routes`: per switch `(root, parent)`.
     table: Vec<(SwitchId, Option<SwitchId>)>,
+    /// Which switches `prepare_routes` was told are live: no route names
+    /// another.
+    live: Vec<bool>,
 }
 
 impl StpProtocol {
@@ -116,6 +119,7 @@ impl StpProtocol {
             switches,
             messages_sent: 0,
             table: Vec::new(),
+            live: Vec::new(),
         }
     }
 
@@ -384,15 +388,17 @@ impl ControlProtocol for StpProtocol {
         self.messages_sent
     }
 
-    fn prepare_routes(&mut self, switch_count: usize, _live: &[SwitchId], _edges: &[Edge]) {
+    fn prepare_routes(&mut self, switch_count: usize, live: &[SwitchId], _edges: &[Edge]) {
         // Routes come from the protocol's own converged tree, not the
-        // ground-truth adjacency — the whole point of the arena.
+        // ground-truth adjacency — the whole point of the arena. A crashed
+        // switch keeps its last state, so only `live` bounds them.
         self.table = (0..switch_count)
             .map(|s| {
                 let st = &self.switches[s];
                 (st.root, st.parent)
             })
             .collect();
+        self.live = live_mask(switch_count, live);
     }
 
     fn switch_route(
@@ -414,7 +420,7 @@ impl ControlProtocol for StpProtocol {
             .find_map(|(i, s)| down.iter().position(|d| d == s).map(|j| (i, j)))?;
         let mut path: Vec<SwitchId> = up[..=i].to_vec();
         path.extend(down[..j].iter().rev());
-        Some(path)
+        path.iter().all(|s| self.live[s.0 as usize]).then_some(path)
     }
 
     fn invalidate_edge(&mut self, _a: SwitchId, _b: SwitchId) {
@@ -423,5 +429,23 @@ impl ControlProtocol for StpProtocol {
 
     fn invalidate_all(&mut self) {
         self.table.clear();
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use an2_topology::generators;
+
+    #[test]
+    fn no_route_names_a_switch_outside_live() {
+        let topo = generators::ring(3);
+        let mut p = StpProtocol::new(3);
+        p.prepare_routes(3, &[SwitchId(1), SwitchId(2)], &[]);
+        assert_eq!(p.switch_route(&topo, SwitchId(0), SwitchId(0)), None);
+        assert_eq!(
+            p.switch_route(&topo, SwitchId(1), SwitchId(1)),
+            Some(vec![SwitchId(1)])
+        );
     }
 }

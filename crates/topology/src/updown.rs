@@ -306,6 +306,11 @@ impl RouteCache {
         }
     }
 
+    /// The installed forest.
+    pub fn forest(&self) -> &[SpanningTree] {
+        &self.forest
+    }
+
     /// The memoized up\*/down\* route from `src` to `dst` over `topo`'s
     /// working links, or `None` if they are in different partitions (also
     /// memoized). `topo` must be consistent with the installed forest.

@@ -1,8 +1,8 @@
 //! Chaos-corpus replay: every schedule persisted under
 //! `tests/chaos_corpus/` is a pinned regression. Each file must (a) parse,
-//! (b) survive the strengthened oracle with zero violations, and (c)
-//! replay byte-identically — the digest of two fresh runs of the same
-//! schedule must agree.
+//! (b) survive the strengthened oracle with zero violations under each of
+//! the three control protocols, and (c) replay byte-identically — the
+//! digest of two fresh runs of the same schedule must agree.
 //!
 //! Files land here in two ways: seeded pins covering each campaign
 //! scenario, and minimal repros written by the shrinker when a campaign
@@ -10,8 +10,9 @@
 //! flips the file from "expected failure" to a pinned survivor before it
 //! is committed).
 
+use an2::ProtocolKind;
 use an2_chaos::corpus::{load_dir, schedule_from_json, schedule_to_json};
-use an2_chaos::oracle::run_schedule;
+use an2_chaos::oracle::run_schedule_with;
 use an2_chaos::JVal;
 use std::path::Path;
 
@@ -125,28 +126,33 @@ fn json_decoder_never_panics_on_flipped_or_short_input() {
     );
 }
 
-#[test]
-fn corpus_replays_with_zero_violations_and_identical_digests() {
+/// Replays every corpus file twice under each of `kinds`: each run must
+/// read zero violations, and the two runs the same digest.
+fn replay_corpus_under(kinds: &[ProtocolKind]) {
     let corpus = load_dir(corpus_dir()).expect("corpus parses");
     let mut failures = Vec::new();
-    for (path, schedule) in &corpus {
-        let first = run_schedule(schedule);
-        if !first.violations.is_empty() {
-            failures.push(format!(
-                "{}: violations {:?}",
-                path.display(),
-                first.violations
-            ));
-            continue;
-        }
-        let second = run_schedule(schedule);
-        if first.digest != second.digest {
-            failures.push(format!(
-                "{}: replay diverged ({:#x} vs {:#x})",
-                path.display(),
-                first.digest,
-                second.digest
-            ));
+    for &kind in kinds {
+        for (path, schedule) in &corpus {
+            let first = run_schedule_with(schedule, kind);
+            if !first.violations.is_empty() {
+                failures.push(format!(
+                    "{} under {}: violations {:?}",
+                    path.display(),
+                    kind.name(),
+                    first.violations
+                ));
+                continue;
+            }
+            let second = run_schedule_with(schedule, kind);
+            if first.digest != second.digest {
+                failures.push(format!(
+                    "{} under {}: replay diverged ({:#x} vs {:#x})",
+                    path.display(),
+                    kind.name(),
+                    first.digest,
+                    second.digest
+                ));
+            }
         }
     }
     assert!(
@@ -156,46 +162,15 @@ fn corpus_replays_with_zero_violations_and_identical_digests() {
     );
 }
 
-/// The same corpus, replayed under the arena rivals. The rivals have no
-/// harness/canonical-path oracle, so the recorded legs are the
-/// protocol-agnostic ones — per-slot invariants and the delivery floor —
-/// and the replay-determinism contract (same schedule, same digest).
+#[test]
+fn corpus_replays_with_zero_violations_and_identical_digests() {
+    replay_corpus_under(&[ProtocolKind::UpDown]);
+}
+
+/// The same corpus under the arena rivals, through the same oracle: each
+/// rival is checked against its own run on the ideal transport, with the
+/// schedule's own delivery floor and the same replay contract.
 #[test]
 fn corpus_replays_under_rival_protocols() {
-    use an2::ProtocolKind;
-    use an2_chaos::oracle::run_schedule_with;
-
-    let corpus = load_dir(corpus_dir()).expect("corpus parses");
-    let mut failures = Vec::new();
-    for kind in [ProtocolKind::SpanningTree, ProtocolKind::PathVector] {
-        for (i, (path, schedule)) in corpus.iter().enumerate() {
-            let report = run_schedule_with(schedule, kind);
-            if !report.violations.is_empty() {
-                failures.push(format!(
-                    "{} under {kind:?}: violations {:?}",
-                    path.display(),
-                    report.violations
-                ));
-                continue;
-            }
-            // Replay determinism, spot-checked on the first schedule per
-            // rival (every run above already exercises the digest path).
-            if i == 0 {
-                let second = run_schedule_with(schedule, kind);
-                if report.digest != second.digest {
-                    failures.push(format!(
-                        "{} under {kind:?}: replay diverged ({:#x} vs {:#x})",
-                        path.display(),
-                        report.digest,
-                        second.digest
-                    ));
-                }
-            }
-        }
-    }
-    assert!(
-        failures.is_empty(),
-        "rival corpus regressions:\n{}",
-        failures.join("\n")
-    );
+    replay_corpus_under(&[ProtocolKind::SpanningTree, ProtocolKind::PathVector]);
 }
